@@ -68,31 +68,6 @@ fn parse_args(raw: Vec<String>) -> Result<Args, String> {
     })
 }
 
-fn run_one(id: &str, seed: u64, runs: usize) -> Result<String, String> {
-    let out = match id {
-        "fig2" => experiments::fig2(seed).render(),
-        "fig4" => experiments::fig4(seed, 25).render(),
-        "fig5" => experiments::fig5(seed).render(),
-        "fig6" => experiments::fig6(seed).render(),
-        "fig7" => experiments::fig7(seed, runs).render(),
-        "fig8" => experiments::fig8(seed, runs).render(),
-        // Figs. 9 and 10 come from the same three-variant campaign; either
-        // id prints the combined report.
-        "fig9" | "fig10" | "fig9_10" => experiments::fig9_10(seed, runs).render(),
-        "table1" => experiments::table1(seed).render(),
-        "multifault" => experiments::multifault(seed, runs).render(),
-        "batchsweep" => experiments::batchsweep(seed, runs).render(),
-        "ablation-epsilon" => experiments::ablation_epsilon(seed, runs).render(),
-        "ablation-tau" => experiments::ablation_tau(seed, runs).render(),
-        "ablation-similarity" => experiments::ablation_similarity(seed, runs).render(),
-        "ablation-window" => experiments::ablation_window(seed, runs).render(),
-        "ablation-training" => experiments::ablation_training_runs(seed, runs).render(),
-        "ablation-detector" => experiments::ablation_detector(seed, runs).render(),
-        other => return Err(format!("unknown experiment: {other}")),
-    };
-    Ok(out)
-}
-
 fn main() -> ExitCode {
     // The same shared handling `diagnose` uses: strip the flag before
     // subcommand parsing so every experiment sees a clean argument list.
@@ -107,32 +82,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ids: Vec<&str> = match args.experiment.as_str() {
-        "all" => vec![
-            "fig2",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9_10",
-            "table1",
-            "multifault",
-            "batchsweep",
-        ],
-        "ablations" => vec![
-            "ablation-epsilon",
-            "ablation-tau",
-            "ablation-similarity",
-            "ablation-window",
-            "ablation-training",
-            "ablation-detector",
-        ],
-        other => vec![other],
+    let ids: &[&str] = match args.experiment.as_str() {
+        "all" => experiments::ALL,
+        "ablations" => experiments::ABLATIONS,
+        other => &[other],
     };
     for id in ids {
         println!("=== {id} (seed {}, runs {}) ===", args.seed, args.runs);
-        match run_one(id, args.seed, args.runs) {
+        match experiments::render(id, args.seed, args.runs) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("error: {e}");

@@ -8,8 +8,8 @@
 //! 5-minute windows, N ≈ 10–20 training runs, ARIMA).
 
 use ix_core::{
-    ConfusionMatrix, CusumDetector, InvarNetConfig, InvarNetX, MicMeasure, OperationContext,
-    PerformanceModel, Similarity,
+    ConfusionMatrix, CusumDetector, Engine, InvarNetConfig, OperationContext, PerformanceModel,
+    Similarity,
 };
 use ix_metrics::MetricFrame;
 use ix_simulator::{FaultType, Runner, WorkloadType};
@@ -72,7 +72,7 @@ fn campaign(
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
     let faults = faults_for(workload);
 
-    let mut system = InvarNetX::with_measure(config.clone(), Box::new(MicMeasure::new(config.mic)));
+    let system = Engine::builder().config(config).build();
 
     let window = |frame: &MetricFrame| {
         let start = runner

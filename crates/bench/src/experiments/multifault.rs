@@ -7,7 +7,7 @@
 //! This experiment injects *two* concurrent faults on the same node and
 //! checks how often both true causes appear among the top-2 ranked causes.
 
-use ix_core::{InvarNetConfig, InvarNetX, OperationContext};
+use ix_core::{Engine, OperationContext};
 use ix_metrics::MetricFrame;
 use ix_simulator::{simulate, FaultInjection, FaultType, RunConfig, Runner, WorkloadType};
 
@@ -81,7 +81,7 @@ pub fn run(seed: u64, runs_per_pair: usize) -> MultiFaultResult {
         FaultType::NetDrop,
         FaultType::Misconfiguration,
     ];
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::builder().build();
     let normals = runner.normal_runs(workload, 6);
     let window = |frame: &MetricFrame| {
         let len = runner.fault_duration_ticks;

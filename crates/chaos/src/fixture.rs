@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use ix_core::{
-    AssociationMeasure, Engine, EngineBuilder, EngineCounters, InvarNetConfig, OperationContext,
-    OverloadPolicy, SweepBudget,
+    AssociationMeasure, Engine, EngineBuilder, InvarNetConfig, OperationContext, OverloadPolicy,
+    ScopeSnapshot, SweepBudget, Telemetry,
 };
 use ix_metrics::MetricFrame;
 use ix_simulator::{FaultType, Runner, WorkloadType};
@@ -45,15 +45,15 @@ impl Default for FixtureOptions {
     }
 }
 
-/// A trained engine, the context it serves, and the counters sink wired
+/// A trained engine, the context it serves, and the telemetry hub wired
 /// into it.
 pub struct Fixture {
     /// The live engine under test.
     pub engine: Engine,
     /// The trained operation context.
     pub context: OperationContext,
-    /// Flat event counters (sheds, degradations, retries, ...).
-    pub counters: Arc<EngineCounters>,
+    /// The engine's telemetry hub (sheds, degradations, retries, ...).
+    pub telemetry: Arc<Telemetry>,
 }
 
 impl Fixture {
@@ -71,10 +71,8 @@ impl Fixture {
             ingest_queue_ticks: opts.queue_ticks,
             ..InvarNetConfig::default()
         };
-        let counters = Arc::new(EngineCounters::default());
-        let mut builder: EngineBuilder = Engine::builder()
-            .config(config)
-            .event_sink(Arc::clone(&counters) as Arc<dyn ix_core::EventSink>);
+        let telemetry = Telemetry::shared();
+        let mut builder: EngineBuilder = Engine::builder().config(config).telemetry(&telemetry);
         if let Some(measure) = opts.measure {
             builder = builder.measure(measure);
         }
@@ -113,8 +111,13 @@ impl Fixture {
         Fixture {
             engine,
             context,
-            counters,
+            telemetry,
         }
+    }
+
+    /// Event counts so far, summed over every context.
+    pub fn totals(&self) -> ScopeSnapshot {
+        self.telemetry.snapshot().total
     }
 
     /// A fresh (untrained-on) incident of `fault`: its metric window and

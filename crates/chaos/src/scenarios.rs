@@ -124,7 +124,7 @@ fn slow_measure() -> ScenarioReport {
         }
         Err(e) => report.mark_failed(format!("diagnose errored instead of degrading: {e}")),
     }
-    if fx.counters.sweeps_degraded() == 0 {
+    if fx.totals().sweeps_degraded == 0 {
         report.mark_failed("no SweepDegraded event reached the sink");
     }
     if fx.engine.health() == HealthState::Healthy {
@@ -259,7 +259,7 @@ fn truncated_store() -> ScenarioReport {
             }
         }
     }
-    if fx.counters.store_retries() == 0 {
+    if fx.totals().store_retries == 0 {
         report.mark_failed("the failing load was never retried");
     }
     match fx.engine.health() {
@@ -389,7 +389,7 @@ fn queue_flood() -> ScenarioReport {
             ));
         }
     }
-    let shed = fx.counters.ticks_shed();
+    let shed = fx.totals().ticks_shed;
     if shed != (flood - cap) as u64 {
         report.mark_failed(format!("expected {} sheds, counted {shed}", flood - cap));
     } else {
@@ -423,7 +423,7 @@ fn queue_flood() -> ScenarioReport {
             }
         }
     }
-    if fx.counters.detections_fired() == 0 {
+    if fx.totals().detections == 0 {
         report.mark_failed("the detector never confirmed the anomaly after the flood");
     } else {
         report.note("3-consecutive-exceedance detection confirmed after the flood");
@@ -460,7 +460,7 @@ fn queue_flood() -> ScenarioReport {
     } else {
         report.note("ShedNewest bounced exactly the overflow, kept the oldest");
     }
-    if fx2.counters.ticks_shed() != 10 {
+    if fx2.totals().ticks_shed != 10 {
         report.mark_failed("rejected ticks were not reported as shed events");
     }
     if fx2.engine.drain(usize::MAX).len() != cap2 {

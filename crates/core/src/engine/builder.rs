@@ -1,8 +1,6 @@
 //! The builder-first construction path for [`Engine`].
 //!
-//! [`EngineBuilder`] folds what used to be a `new` + a handful of `&mut`
-//! setters (`set_threads`, `set_event_sink`, `attach_telemetry`, the
-//! `install_*` family — all removed now that every caller builds) into one
+//! [`EngineBuilder`] is the only way to construct an [`Engine`]: one
 //! fluent expression that yields a ready, immutable engine:
 //!
 //! ```
@@ -24,7 +22,7 @@ use crate::assoc::SweepPool;
 use crate::config::InvarNetConfig;
 use crate::context::OperationContext;
 use crate::invariants::InvariantSet;
-use crate::measure::AssociationMeasure;
+use crate::measure::{AssociationMeasure, MicMeasure};
 use crate::signature::SignatureDatabase;
 
 use super::detector::Detector;
@@ -180,15 +178,16 @@ impl EngineBuilder {
 
     /// The finished engine.
     pub fn build(self) -> Engine {
-        let mut engine = match self.measure {
-            Some(measure) => Engine::with_measure(self.config, measure),
-            None => Engine::new(self.config),
-        };
-        if let Some(pool) = self.shared_pool {
-            engine.set_shared_pool_internal(pool);
-        } else if let Some(threads) = self.threads {
-            engine.set_threads_internal(threads);
-        }
+        let measure = self
+            .measure
+            .unwrap_or_else(|| Arc::new(MicMeasure::new(self.config.mic)));
+        let pool = self.shared_pool.unwrap_or_else(|| {
+            let threads = self.threads.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+            });
+            Arc::new(SweepPool::new(threads))
+        });
+        let mut engine = Engine::assemble(self.config, measure, pool);
         if let Some(ticks) = self.lifetime_ticks {
             engine.set_lifetime_ticks_internal(ticks);
         }
@@ -279,9 +278,8 @@ mod tests {
     #[test]
     fn telemetry_supersedes_event_sink() {
         let telemetry = Telemetry::shared();
-        let counters = Arc::new(crate::engine::EngineCounters::default());
         let engine = Engine::builder()
-            .event_sink(counters)
+            .event_sink(Arc::new(crate::NullSink))
             .telemetry(&telemetry)
             .build();
         // The engine interns into the hub's registry — the telemetry
@@ -291,8 +289,8 @@ mod tests {
 
     #[test]
     fn extra_sinks_observe_alongside_primary() {
-        let primary = Arc::new(crate::engine::EngineCounters::default());
-        let extra = Arc::new(crate::engine::EngineCounters::default());
+        let primary = Telemetry::shared();
+        let extra = Telemetry::shared();
         let engine = Engine::builder()
             .event_sink(Arc::clone(&primary) as Arc<dyn EventSink>)
             .extra_sink(Arc::clone(&extra) as Arc<dyn EventSink>)
@@ -301,8 +299,8 @@ mod tests {
             context: crate::ContextId::UNATTRIBUTED,
             tick: 3,
         });
-        assert_eq!(primary.detections_fired(), 1);
-        assert_eq!(extra.detections_fired(), 1);
+        assert_eq!(primary.snapshot().total.detections, 1);
+        assert_eq!(extra.snapshot().total.detections, 1);
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! Engine observability: lightweight events and a pluggable sink.
 //!
 //! Every layer of the streaming engine reports what it did through an
-//! [`EventSink`]. The default [`NullSink`] drops everything;
-//! [`EngineCounters`] aggregates events into a handful of atomic counters;
-//! the full [`crate::Telemetry`] subsystem
-//! ([`super::telemetry`]) adds per-context attribution, latency
-//! histograms, spans and exporters on top of the same events.
+//! [`EventSink`]. The default [`NullSink`] drops everything; the
+//! [`crate::Telemetry`] subsystem ([`super::telemetry`]) aggregates the
+//! same events into per-context counters, latency histograms, spans and
+//! exporters.
 //!
 //! Events carry an interned [`ContextId`] — a `Copy` `u32` from the
 //! engine's [`super::telemetry::ContextRegistry`] — instead of an
 //! [`crate::OperationContext`], because cloning a context (two heap
 //! strings) per tick would dominate the cost of ingestion itself.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::resilience::{DegradationReason, DegradationTier, HealthState, OverloadPolicy};
@@ -262,242 +260,6 @@ impl EventSink for FanOutSink {
     }
 }
 
-/// An [`EventSink`] that aggregates events into atomic counters — the
-/// cheapest always-on option. For per-context attribution, histograms and
-/// exporters, use [`crate::Telemetry`] instead.
-///
-/// Share one via `Arc` between the engine and whatever reads the numbers:
-///
-/// ```
-/// use std::sync::Arc;
-/// use ix_core::{ContextId, EngineCounters, EventSink, EngineEvent};
-///
-/// let counters = Arc::new(EngineCounters::default());
-/// counters.record(&EngineEvent::TickIngested {
-///     context: ContextId::UNATTRIBUTED,
-///     tick: 0,
-///     residual: 0.1,
-///     exceeded: false,
-///     micros: 3,
-/// });
-/// assert_eq!(counters.ticks_ingested(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct EngineCounters {
-    ticks_ingested: AtomicU64,
-    detections_fired: AtomicU64,
-    detections_cleared: AtomicU64,
-    diagnoses_run: AtomicU64,
-    diagnosis_micros_total: AtomicU64,
-    sweeps_completed: AtomicU64,
-    sweep_micros_total: AtomicU64,
-    sweep_micros_max: AtomicU64,
-    sweep_cache_hits: AtomicU64,
-    sweep_cache_misses: AtomicU64,
-    sweep_pairs_reused: AtomicU64,
-    sweep_pairs_screened: AtomicU64,
-    sweep_pairs_confirmed: AtomicU64,
-    signature_matches: AtomicU64,
-    sweeps_degraded: AtomicU64,
-    ticks_enqueued: AtomicU64,
-    ticks_shed: AtomicU64,
-    store_retries: AtomicU64,
-    health_transitions: AtomicU64,
-    tenants_evicted: AtomicU64,
-    tenants_warmed: AtomicU64,
-}
-
-impl EngineCounters {
-    // ordering: Relaxed — every counter is an independent monotone u64;
-    // readers need only eventual visibility, never cross-counter ordering.
-    fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
-    /// Ticks ingested across all contexts.
-    pub fn ticks_ingested(&self) -> u64 {
-        Self::get(&self.ticks_ingested)
-    }
-
-    /// Anomaly onsets the detection layer reported.
-    pub fn detections_fired(&self) -> u64 {
-        Self::get(&self.detections_fired)
-    }
-
-    /// Anomalous-to-normal edges the detection layer reported.
-    pub fn detections_cleared(&self) -> u64 {
-        Self::get(&self.detections_cleared)
-    }
-
-    /// Cause-inference passes run.
-    pub fn diagnoses_run(&self) -> u64 {
-        Self::get(&self.diagnoses_run)
-    }
-
-    /// Total wall-clock microseconds spent in cause inference.
-    pub fn diagnosis_micros_total(&self) -> u64 {
-        Self::get(&self.diagnosis_micros_total)
-    }
-
-    /// Association sweeps completed on the worker pool.
-    pub fn sweeps_completed(&self) -> u64 {
-        Self::get(&self.sweeps_completed)
-    }
-
-    /// Total wall-clock microseconds spent sweeping.
-    pub fn sweep_micros_total(&self) -> u64 {
-        Self::get(&self.sweep_micros_total)
-    }
-
-    /// Slowest single sweep in microseconds.
-    pub fn sweep_micros_max(&self) -> u64 {
-        Self::get(&self.sweep_micros_max)
-    }
-
-    /// Sweeps skipped because the window's association matrix was cached.
-    pub fn sweep_cache_hits(&self) -> u64 {
-        Self::get(&self.sweep_cache_hits)
-    }
-
-    /// Cache lookups that fell through to a full sweep.
-    pub fn sweep_cache_misses(&self) -> u64 {
-        Self::get(&self.sweep_cache_misses)
-    }
-
-    /// Pairs incremental sweeps reused verbatim from the score cache.
-    pub fn sweep_pairs_reused(&self) -> u64 {
-        Self::get(&self.sweep_pairs_reused)
-    }
-
-    /// Pairs incremental sweeps screened out with the conservative bound.
-    pub fn sweep_pairs_screened(&self) -> u64 {
-        Self::get(&self.sweep_pairs_screened)
-    }
-
-    /// Pairs incremental sweeps confirmed with the full measure.
-    pub fn sweep_pairs_confirmed(&self) -> u64 {
-        Self::get(&self.sweep_pairs_confirmed)
-    }
-
-    /// Confident signature matches reported by diagnoses.
-    pub fn signature_matches(&self) -> u64 {
-        Self::get(&self.signature_matches)
-    }
-
-    /// Sweeps answered by a degradation-ladder fallback tier.
-    pub fn sweeps_degraded(&self) -> u64 {
-        Self::get(&self.sweeps_degraded)
-    }
-
-    /// Ticks accepted into the bounded ingest queue.
-    pub fn ticks_enqueued(&self) -> u64 {
-        Self::get(&self.ticks_enqueued)
-    }
-
-    /// Ticks shed by the ingest queue's overload policy.
-    pub fn ticks_shed(&self) -> u64 {
-        Self::get(&self.ticks_shed)
-    }
-
-    /// Store save/load attempts that failed and were retried.
-    pub fn store_retries(&self) -> u64 {
-        Self::get(&self.store_retries)
-    }
-
-    /// Health state machine transitions.
-    pub fn health_transitions(&self) -> u64 {
-        Self::get(&self.health_transitions)
-    }
-
-    /// Tenant engines a fleet evicted to a snapshot.
-    pub fn tenants_evicted(&self) -> u64 {
-        Self::get(&self.tenants_evicted)
-    }
-
-    /// Tenant engines a fleet warmed from a snapshot.
-    pub fn tenants_warmed(&self) -> u64 {
-        Self::get(&self.tenants_warmed)
-    }
-}
-
-impl EventSink for EngineCounters {
-    // ordering: Relaxed throughout — each event mutates independent
-    // monotone counters (fetch_add/fetch_max are single-variable RMWs);
-    // cross-thread publication rides the engine's channel/join edges.
-    fn record(&self, event: &EngineEvent) {
-        match *event {
-            EngineEvent::TickIngested { .. } => {
-                self.ticks_ingested.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::DetectionFired { .. } => {
-                self.detections_fired.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::DetectionCleared { .. } => {
-                self.detections_cleared.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::DiagnosisRan { micros, .. } => {
-                self.diagnoses_run.fetch_add(1, Ordering::Relaxed);
-                self.diagnosis_micros_total
-                    .fetch_add(micros, Ordering::Relaxed);
-            }
-            EngineEvent::SignatureMatched { confident, .. } => {
-                if confident {
-                    self.signature_matches.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            EngineEvent::SweepCompleted { micros, .. } => {
-                self.sweeps_completed.fetch_add(1, Ordering::Relaxed);
-                self.sweep_micros_total.fetch_add(micros, Ordering::Relaxed);
-                self.sweep_micros_max.fetch_max(micros, Ordering::Relaxed);
-            }
-            EngineEvent::SweepCacheLookup { hit, .. } => {
-                if hit {
-                    self.sweep_cache_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.sweep_cache_misses.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            EngineEvent::SweepScreened {
-                reused,
-                screened,
-                confirmed,
-                ..
-            } => {
-                self.sweep_pairs_reused
-                    .fetch_add(reused as u64, Ordering::Relaxed);
-                self.sweep_pairs_screened
-                    .fetch_add(screened as u64, Ordering::Relaxed);
-                self.sweep_pairs_confirmed
-                    .fetch_add(confirmed as u64, Ordering::Relaxed);
-            }
-            EngineEvent::SweepDegraded { .. } => {
-                self.sweeps_degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::TickEnqueued { .. } => {
-                self.ticks_enqueued.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::TickShed { .. } => {
-                self.ticks_shed.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::StoreRetried { .. } => {
-                self.store_retries.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::HealthChanged { .. } => {
-                self.health_transitions.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::TenantEvicted { .. } => {
-                self.tenants_evicted.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::TenantWarmed { .. } => {
-                self.tenants_warmed.fetch_add(1, Ordering::Relaxed);
-            }
-            // Chunk- and span-level signals are histogram fodder; the flat
-            // counters ignore them.
-            EngineEvent::PairsScored { .. } | EngineEvent::SpanClosed { .. } => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,121 +272,6 @@ mod tests {
             exceeded: false,
             micros: 2,
         }
-    }
-
-    #[test]
-    fn counters_aggregate_events() {
-        let ctx = ContextId::UNATTRIBUTED;
-        let c = EngineCounters::default();
-        c.record(&tick(ctx, 0));
-        c.record(&tick(ctx, 1));
-        c.record(&EngineEvent::DetectionFired {
-            context: ctx,
-            tick: 1,
-        });
-        c.record(&EngineEvent::DetectionCleared {
-            context: ctx,
-            tick: 5,
-        });
-        c.record(&EngineEvent::DiagnosisRan {
-            context: ctx,
-            tick: 1,
-            micros: 40,
-        });
-        c.record(&EngineEvent::SignatureMatched {
-            context: ctx,
-            tick: 1,
-            best_similarity: 0.9,
-            confident: true,
-        });
-        c.record(&EngineEvent::SweepCompleted {
-            context: ctx,
-            pairs: 325,
-            micros: 10,
-        });
-        c.record(&EngineEvent::SweepCompleted {
-            context: ctx,
-            pairs: 325,
-            micros: 30,
-        });
-        c.record(&EngineEvent::SweepCacheLookup {
-            context: ctx,
-            hit: true,
-        });
-        c.record(&EngineEvent::SweepCacheLookup {
-            context: ctx,
-            hit: false,
-        });
-        c.record(&EngineEvent::SweepCacheLookup {
-            context: ctx,
-            hit: false,
-        });
-        c.record(&EngineEvent::SweepScreened {
-            context: ctx,
-            reused: 300,
-            screened: 20,
-            confirmed: 5,
-        });
-        assert_eq!(c.ticks_ingested(), 2);
-        assert_eq!(c.detections_fired(), 1);
-        assert_eq!(c.detections_cleared(), 1);
-        assert_eq!(c.diagnoses_run(), 1);
-        assert_eq!(c.diagnosis_micros_total(), 40);
-        assert_eq!(c.signature_matches(), 1);
-        assert_eq!(c.sweeps_completed(), 2);
-        assert_eq!(c.sweep_micros_total(), 40);
-        assert_eq!(c.sweep_micros_max(), 30);
-        assert_eq!(c.sweep_cache_hits(), 1);
-        assert_eq!(c.sweep_cache_misses(), 2);
-        assert_eq!(c.sweep_pairs_reused(), 300);
-        assert_eq!(c.sweep_pairs_screened(), 20);
-        assert_eq!(c.sweep_pairs_confirmed(), 5);
-    }
-
-    #[test]
-    fn counters_aggregate_resilience_events() {
-        let ctx = ContextId::UNATTRIBUTED;
-        let c = EngineCounters::default();
-        c.record(&EngineEvent::SweepDegraded {
-            context: ctx,
-            tier: DegradationTier::PearsonFallback,
-            reason: DegradationReason::WallClockExceeded,
-        });
-        c.record(&EngineEvent::TickEnqueued {
-            context: ctx,
-            depth: 4,
-        });
-        c.record(&EngineEvent::TickShed {
-            context: ctx,
-            policy: OverloadPolicy::ShedOldest,
-        });
-        c.record(&EngineEvent::StoreRetried {
-            context: ctx,
-            attempt: 1,
-            backoff_micros: 1000,
-        });
-        c.record(&EngineEvent::HealthChanged {
-            context: ctx,
-            from: HealthState::Healthy,
-            to: HealthState::Degraded(DegradationTier::PearsonFallback),
-        });
-        c.record(&EngineEvent::TenantEvicted {
-            context: ctx,
-            tenant: 7,
-            ticks: 120,
-        });
-        c.record(&EngineEvent::TenantWarmed {
-            context: ctx,
-            tenant: 7,
-            micros: 350,
-        });
-        assert_eq!(c.sweeps_degraded(), 1);
-        assert_eq!(c.ticks_enqueued(), 1);
-        assert_eq!(c.ticks_shed(), 1);
-        assert_eq!(c.store_retries(), 1);
-        assert_eq!(c.health_transitions(), 1);
-        assert_eq!(c.tenants_evicted(), 1);
-        assert_eq!(c.tenants_warmed(), 1);
     }
 
     #[test]

@@ -68,6 +68,8 @@ impl Engine {
     ///
     /// # Errors
     ///
+    /// - [`CoreError::NonFiniteCpi`] — the CPI sample is NaN or infinite
+    ///   (the tick is rejected without mutating state);
     /// - [`CoreError::NoPerformanceModel`] — [`Engine::train_performance_model`]
     ///   has not run for this context;
     /// - [`CoreError::Frame`] — the metric row has the wrong width or
@@ -82,6 +84,11 @@ impl Engine {
         cpi_sample: f64,
         metric_row: &[f64],
     ) -> Result<TickOutcome, CoreError> {
+        // The sample feeds the detector run unchecked below, and a NaN
+        // there would poison the run for good: refuse it up front.
+        if !cpi_sample.is_finite() {
+            return Err(CoreError::NonFiniteCpi(context.clone()));
+        }
         let min_frame_ticks = self.config().min_frame_ticks;
         let window_ticks = self.config().window_ticks;
         let context_id = self.intern_context(context);
@@ -252,7 +259,7 @@ impl Engine {
     /// not advance the lifetime tick counter — it restores state that was
     /// already counted once, so a warmed engine continues bit-identically
     /// to one that was never torn down (pair with
-    /// [`EngineBuilder::lifetime_ticks`] to restore the counter itself).
+    /// [`crate::EngineBuilder::lifetime_ticks`] to restore the counter itself).
     ///
     /// # Errors
     ///

@@ -1,6 +1,9 @@
 //! The layered streaming diagnosis engine.
 //!
-//! [`Engine`] splits the original monolithic facade into explicit layers:
+//! [`Engine`] is the crate's one front door — built with
+//! [`Engine::builder`], it serves both the batch flow (train, build
+//! invariants, record signatures, [`Engine::process`] whole traces) and
+//! the streaming flow, split into explicit layers:
 //!
 //! - **ingest** ([`Engine::ingest`]) — one CPI sample + one metric row per
 //!   tick, buffered in a per-context [`ix_metrics::SlidingFrame`];
@@ -21,9 +24,6 @@
 //! - **telemetry** ([`telemetry`]) — the full observability stack on top of
 //!   the events: context-attributed metrics, phase spans, and Prometheus /
 //!   JSON / report exporters (attach with [`EngineBuilder::telemetry`]).
-//!
-//! The original [`crate::InvarNetX`] facade remains as a thin wrapper for
-//! batch (whole-trace) use.
 
 mod builder;
 pub mod detector;
@@ -53,13 +53,13 @@ use crate::cusum::CusumDetector;
 use crate::error::CoreError;
 use crate::incremental::{AdvanceOutcome, IncrementalSweep};
 use crate::invariants::InvariantSet;
-use crate::measure::{AssociationMeasure, MicMeasure, PearsonMeasure};
+use crate::measure::{AssociationMeasure, PearsonMeasure};
 use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
 
 pub use builder::EngineBuilder;
 pub use detector::{ArimaDetector, CusumStreamDetector, Detector, DetectorRun, TickDecision};
 pub use diagnosis::{Diagnosis, RankedCause};
-pub use events::{EngineCounters, EngineEvent, EventSink, NullSink};
+pub use events::{EngineEvent, EventSink, NullSink};
 pub use ingest::TickOutcome;
 pub use inspect::{ContextStateSnapshot, EngineInspector};
 pub use recorder::{HistoryRecorder, NullRecorder};
@@ -113,22 +113,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with the default MIC measure.
-    pub fn new(config: InvarNetConfig) -> Self {
-        let mic = MicMeasure::new(config.mic);
-        Self::with_measure(config, Arc::new(mic))
-    }
-
-    /// Starts an [`EngineBuilder`] — the preferred way to assemble a
-    /// configured engine in one expression.
+    /// Starts an [`EngineBuilder`] — the only way to assemble an engine.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
     }
 
-    /// An engine with an explicit association measure (e.g. the ARX
-    /// baseline).
-    pub fn with_measure(config: InvarNetConfig, measure: Arc<dyn AssociationMeasure>) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    /// The bare engine [`EngineBuilder::build`] starts from: `measure`
+    /// scores the sweeps, which run on `pool`.
+    fn assemble(
+        config: InvarNetConfig,
+        measure: Arc<dyn AssociationMeasure>,
+        pool: Arc<SweepPool>,
+    ) -> Self {
         let shards = config.state_shards;
         let sweep_cache = SweepCache::new(config.sweep_cache_entries);
         let queue = IngestQueue::new(
@@ -143,7 +139,7 @@ impl Engine {
             fallback: Arc::new(PearsonMeasure),
             state: ShardedStateMap::new(shards),
             signatures: RwLock::new(SignatureDatabase::new()),
-            pool: Arc::new(SweepPool::new(threads)),
+            pool,
             sweep_cache,
             sink: Arc::new(NullSink),
             recorder: None,
@@ -155,14 +151,6 @@ impl Engine {
             sweep_cost: SweepCostPredictor::new(),
             incremental: Mutex::new(HashMap::new()),
         }
-    }
-
-    pub(crate) fn set_threads_internal(&mut self, threads: usize) {
-        self.pool = Arc::new(SweepPool::new(threads));
-    }
-
-    pub(crate) fn set_shared_pool_internal(&mut self, pool: Arc<SweepPool>) {
-        self.pool = pool;
     }
 
     pub(crate) fn set_lifetime_ticks_internal(&mut self, ticks: u64) {

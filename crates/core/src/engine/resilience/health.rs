@@ -15,8 +15,8 @@ const RECOVERY_SUCCESSES: u32 = 3;
 /// - any state → `Degraded(tier)` on a degradation (re-degrading replaces
 ///   the tier with the latest one);
 /// - `Degraded(_)` → `Recovering` on the first full-fidelity operation;
-/// - `Recovering` → `Healthy` after [`RECOVERY_SUCCESSES`] consecutive
-///   full-fidelity operations (a degradation mid-recovery falls back to
+/// - `Recovering` → `Healthy` after three consecutive full-fidelity
+///   operations (a degradation mid-recovery falls back to
 ///   `Degraded`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HealthState {

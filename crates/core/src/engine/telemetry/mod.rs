@@ -1,13 +1,13 @@
 //! The telemetry subsystem: context-attributed metrics, spans and
 //! exporters for the streaming engine.
 //!
-//! [`Telemetry`] is an [`EventSink`] that supersedes the bare
-//! [`super::events::EngineCounters`]: every [`EngineEvent`] is attributed
-//! to an interned [`ContextId`] and aggregated into the per-context
-//! [`MetricsRegistry`] (counters, gauges, log-scale latency histograms)
-//! plus a bounded [`SpanRing`] of recently closed phase [`Span`]s. A
-//! [`TelemetrySnapshot`] freezes everything into plain serializable data
-//! for the Prometheus text, JSON, and report exporters.
+//! [`Telemetry`] is the engine's one aggregating [`EventSink`]: every
+//! [`EngineEvent`] is attributed to an interned [`ContextId`] and
+//! aggregated into the per-context [`MetricsRegistry`] (counters, gauges,
+//! log-scale latency histograms) plus a bounded [`SpanRing`] of recently
+//! closed phase [`Span`]s. A [`TelemetrySnapshot`] freezes everything
+//! into plain serializable data for the Prometheus text, JSON, and report
+//! exporters.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -385,5 +385,21 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.contexts.len(), 1);
         assert_eq!(snap.contexts[0].context, "(unattributed)");
+    }
+
+    #[test]
+    fn engine_wide_events_alone_reach_the_snapshot() {
+        // Store retries and health transitions are engine-wide, so they
+        // land in the unattributed scope with no ticks or sweeps beside
+        // them; the snapshot must still carry them.
+        let t = Telemetry::new();
+        t.record(&EngineEvent::StoreRetried {
+            context: ContextId::UNATTRIBUTED,
+            attempt: 1,
+            backoff_micros: 1000,
+        });
+        let snap = t.snapshot();
+        assert_eq!(snap.contexts.len(), 1);
+        assert_eq!(snap.total.store_retries, 1);
     }
 }

@@ -336,7 +336,7 @@ impl ScopeSnapshot {
 
     /// Whether any event has been recorded in this scope.
     pub fn is_empty(&self) -> bool {
-        self.ticks == 0 && self.sweeps == 0 && self.diagnoses == 0 && self.detections == 0
+        *self == ScopeSnapshot::empty(self.context.clone())
     }
 }
 

@@ -32,6 +32,8 @@ pub enum ErrorKind {
     Serialization,
     /// A filesystem operation on persisted state failed.
     Io,
+    /// An ingested CPI sample was NaN or infinite.
+    NonFiniteCpi,
 }
 
 impl ErrorKind {
@@ -49,6 +51,7 @@ impl ErrorKind {
             ErrorKind::TupleLengthMismatch => "tuple-length-mismatch",
             ErrorKind::Serialization => "serialization",
             ErrorKind::Io => "io",
+            ErrorKind::NonFiniteCpi => "non-finite-cpi",
         }
     }
 }
@@ -86,6 +89,8 @@ pub enum ErrorCode {
     Serialization = 10,
     /// [`ErrorKind::Io`].
     Io = 11,
+    /// [`ErrorKind::NonFiniteCpi`].
+    NonFiniteCpi = 12,
 }
 
 impl ErrorCode {
@@ -103,6 +108,7 @@ impl ErrorCode {
         ErrorCode::TupleLengthMismatch,
         ErrorCode::Serialization,
         ErrorCode::Io,
+        ErrorCode::NonFiniteCpi,
     ];
 
     /// The wire representation.
@@ -125,6 +131,7 @@ impl ErrorCode {
             9 => Some(ErrorCode::TupleLengthMismatch),
             10 => Some(ErrorCode::Serialization),
             11 => Some(ErrorCode::Io),
+            12 => Some(ErrorCode::NonFiniteCpi),
             _ => None,
         }
     }
@@ -143,6 +150,7 @@ impl ErrorCode {
             ErrorCode::TupleLengthMismatch => ErrorKind::TupleLengthMismatch,
             ErrorCode::Serialization => ErrorKind::Serialization,
             ErrorCode::Io => ErrorKind::Io,
+            ErrorCode::NonFiniteCpi => ErrorKind::NonFiniteCpi,
         }
     }
 
@@ -167,6 +175,7 @@ impl ErrorKind {
             ErrorKind::TupleLengthMismatch => ErrorCode::TupleLengthMismatch,
             ErrorKind::Serialization => ErrorCode::Serialization,
             ErrorKind::Io => ErrorCode::Io,
+            ErrorKind::NonFiniteCpi => ErrorCode::NonFiniteCpi,
         }
     }
 }
@@ -232,6 +241,9 @@ pub enum CoreError {
         /// The offending key.
         key: String,
     },
+    /// An ingested CPI sample for the context was NaN or infinite; the
+    /// tick was rejected before any state changed.
+    NonFiniteCpi(OperationContext),
 }
 
 impl CoreError {
@@ -251,6 +263,7 @@ impl CoreError {
                 ErrorKind::Serialization
             }
             CoreError::Io { .. } => ErrorKind::Io,
+            CoreError::NonFiniteCpi(_) => ErrorKind::NonFiniteCpi,
         }
     }
 
@@ -319,6 +332,7 @@ impl PartialEq for CoreError {
                 },
             ) => o1 == o2 && p1 == p2 && s1.kind() == s2.kind(),
             (InvalidStoreKey { key: k1 }, InvalidStoreKey { key: k2 }) => k1 == k2,
+            (NonFiniteCpi(a), NonFiniteCpi(b)) => a == b,
             _ => false,
         }
     }
@@ -365,6 +379,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidStoreKey { key } => {
                 write!(f, "store key {key:?} is not in workload@node form")
+            }
+            CoreError::NonFiniteCpi(ctx) => {
+                write!(f, "non-finite CPI sample rejected for context {ctx}")
             }
         }
     }
@@ -427,7 +444,7 @@ mod tests {
         // The numeric values are a wire contract (IXSRV01 status codes):
         // this table is the pin — renumbering any entry is a breaking
         // protocol change and must fail here.
-        let pinned: [(ErrorCode, u16); 11] = [
+        let pinned: [(ErrorCode, u16); 12] = [
             (ErrorCode::MissingModel, 1),
             (ErrorCode::MissingInvariants, 2),
             (ErrorCode::EmptySignatureDatabase, 3),
@@ -439,6 +456,7 @@ mod tests {
             (ErrorCode::TupleLengthMismatch, 9),
             (ErrorCode::Serialization, 10),
             (ErrorCode::Io, 11),
+            (ErrorCode::NonFiniteCpi, 12),
         ];
         assert_eq!(pinned.len(), ErrorCode::ALL.len());
         for (code, wire) in pinned {

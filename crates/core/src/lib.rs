@@ -25,8 +25,14 @@
 //!    signature database by a [`Similarity`] measure; the closest
 //!    signatures' causes are reported, ranked.
 //!
-//! The facade type is [`InvarNetX`]; `examples/quickstart.rs` in the
-//! workspace root shows the full train → detect → diagnose loop.
+//! [`Engine`] is the one front door to both halves: assemble it with
+//! [`Engine::builder`], run the offline steps
+//! ([`Engine::train_performance_model`], [`Engine::build_invariants`],
+//! [`Engine::record_signature`]), then either score whole traces
+//! ([`Engine::process`]) or stream ticks ([`Engine::ingest`]). Persisted
+//! state moves through [`Engine::snapshot_state`] and
+//! [`Engine::load_state`]. `examples/quickstart.rs` in the workspace root
+//! shows the full train → detect → diagnose loop.
 
 #![warn(missing_docs)]
 
@@ -41,7 +47,6 @@ mod eval;
 mod incremental;
 mod invariants;
 mod measure;
-mod pipeline;
 mod signature;
 mod similarity;
 mod store;
@@ -63,9 +68,9 @@ pub use engine::telemetry::{
     SpanSnapshot, Telemetry, TelemetrySnapshot, CONFIDENT_SIMILARITY, HISTOGRAM_BUCKETS,
 };
 pub use engine::{
-    ArimaDetector, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun, Engine,
-    EngineBuilder, EngineCounters, EngineEvent, EngineInspector, EventSink, HistoryRecorder,
-    NullRecorder, NullSink, TickDecision, TickOutcome,
+    ArimaDetector, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun, Diagnosis,
+    Engine, EngineBuilder, EngineEvent, EngineInspector, EventSink, HistoryRecorder, NullRecorder,
+    NullSink, RankedCause, TickDecision, TickOutcome,
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};
@@ -74,7 +79,6 @@ pub use invariants::InvariantSet;
 pub use measure::{
     ArxMeasure, AssociationMeasure, MicMeasure, PairScorer, PearsonMeasure, SlideOutcome, SweepPlan,
 };
-pub use pipeline::{Diagnosis, InvarNetX, RankedCause};
 pub use signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use similarity::Similarity;
-pub use store::{to_xml, ModelStore};
+pub use store::ModelStore;

@@ -3,9 +3,9 @@
 //! The paper archives each artifact in XML: performance models as the
 //! five-tuple `(p, d, q, ip, type)`, invariants as `(I, ip, type)` and
 //! signatures as `(binary tuple, problem name, ip, workload type)`. We
-//! persist full fidelity as JSON (so coefficients survive a round-trip
-//! without refitting) and additionally emit the paper-style XML views via
-//! [`to_xml`] for interoperability and inspection.
+//! persist the same artifacts at full fidelity as JSON (so coefficients
+//! survive a round-trip without refitting); [`ModelStore`] JSON is the
+//! store's only format.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -181,61 +181,6 @@ impl ModelStore {
     }
 }
 
-/// Renders the paper-style XML view of a store: `<model p d q ip type/>`
-/// five-tuples, `<invariants ip type>` matrices and `<signature>` records.
-pub fn to_xml(store: &ModelStore) -> String {
-    let mut out = String::from("<invarnet-x>\n");
-    for (key, m) in &store.performance_models {
-        let (workload, node) = split_key(key);
-        out.push_str(&format!(
-            "  <model p=\"{}\" d=\"{}\" q=\"{}\" ip=\"{}\" type=\"{}\"/>\n",
-            m.p, m.d, m.q, node, workload
-        ));
-    }
-    for (key, set) in &store.invariants {
-        let (workload, node) = split_key(key);
-        out.push_str(&format!(
-            "  <invariants ip=\"{node}\" type=\"{workload}\" count=\"{}\">\n",
-            set.len()
-        ));
-        for (k, e) in set.entries().iter().enumerate() {
-            let (a, b) = set.metrics_of(k);
-            out.push_str(&format!(
-                "    <invariant m1=\"{a}\" m2=\"{b}\" value=\"{:.4}\"/>\n",
-                e.value
-            ));
-        }
-        out.push_str("  </invariants>\n");
-    }
-    for sig in store.signatures.records() {
-        let bits: String = sig
-            .tuple
-            .binary()
-            .iter()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect();
-        out.push_str(&format!(
-            "  <signature problem=\"{}\" ip=\"{}\" type=\"{}\">{}</signature>\n",
-            xml_escape(&sig.problem),
-            sig.context.node,
-            sig.context.workload,
-            bits
-        ));
-    }
-    out.push_str("</invarnet-x>\n");
-    out
-}
-
-fn split_key(key: &str) -> (&str, &str) {
-    key.split_once('@').unwrap_or((key, "?"))
-}
-
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('"', "&quot;")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,21 +280,5 @@ mod tests {
         let garbled = ModelStore::from_json("{ not json").unwrap_err();
         assert_eq!(garbled.kind(), crate::ErrorKind::Serialization);
         assert!(garbled.source().is_some());
-    }
-
-    #[test]
-    fn xml_view_contains_paper_tuples() {
-        let xml = to_xml(&sample_store());
-        assert!(xml.contains("<model p="));
-        assert!(xml.contains("ip=\"192.168.1.102\""));
-        assert!(xml.contains("type=\"Wordcount\""));
-        assert!(xml.contains("<invariants "));
-        assert!(xml.contains("<signature problem=\"CPU-hog\""));
-        assert!(xml.contains("010"));
-    }
-
-    #[test]
-    fn xml_escaping() {
-        assert_eq!(xml_escape("a<b&\"c\""), "a&lt;b&amp;&quot;c&quot;");
     }
 }

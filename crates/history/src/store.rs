@@ -222,13 +222,6 @@ impl HistoryStore {
         HistoryStoreBuilder::default()
     }
 
-    /// An empty store behind an [`Arc`], ready to hand to
-    /// `Engine::builder().history(...)` and keep for querying.
-    #[deprecated(since = "0.1.0", note = "use `HistoryStore::builder().shared()`")]
-    pub fn shared() -> Arc<Self> {
-        Arc::new(HistoryStore::new())
-    }
-
     fn read(&self) -> std::sync::RwLockReadGuard<'_, Inner> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }

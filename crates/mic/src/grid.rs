@@ -218,8 +218,9 @@ impl ClumpScratch {
 }
 
 /// The clump decomposition of a point set, with cumulative row counts at
-/// clump boundaries — the owning form of [`ClumpView`], for direct use and
-/// tests. The sweep hot path rebuilds a [`ClumpScratch`] instead.
+/// clump boundaries — the owning form of the crate's internal clump view,
+/// for direct use and tests. The sweep hot path rebuilds reusable clump
+/// scratch space instead.
 #[derive(Debug, Clone)]
 pub struct Clumps {
     scratch: ClumpScratch,

@@ -75,7 +75,10 @@ fn trained_engine() -> Engine {
         .min_frame_ticks(4)
         .min_training_runs(2)
         .build();
-    let engine = Engine::with_measure(config, Arc::new(PearsonMeasure));
+    let engine = Engine::builder()
+        .config(config)
+        .measure(Arc::new(PearsonMeasure))
+        .build();
     let normal: Vec<MetricFrame> = (0..2)
         .map(|_| frame_of((0..WINDOW).map(healthy_row)))
         .collect();

@@ -311,22 +311,6 @@ impl Replayer {
 
     /// Rebuilds the recording engine from `recorded`'s header and
     /// prepares the replay schedule.
-    ///
-    /// # Errors
-    ///
-    /// Header errors ([`ReplayError::MissingHeader`] /
-    /// [`ReplayError::Header`] / [`ReplayError::Version`]) when the trace
-    /// is not replayable, [`ReplayError::Engine`] when the trained state
-    /// does not load, and [`ReplayError::Trace`] when the recorded rows
-    /// are internally inconsistent.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Replayer::builder().recorded(store).build()`"
-    )]
-    pub fn from_store(recorded: Arc<HistoryStore>) -> Result<Self, ReplayError> {
-        Replayer::from_parts(recorded)
-    }
-
     fn from_parts(recorded: Arc<HistoryStore>) -> Result<Self, ReplayError> {
         let header = ReplayHeader::extract(&recorded)?;
         let capture = Arc::new(CaptureSink::default());

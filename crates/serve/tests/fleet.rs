@@ -9,7 +9,10 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use ix_core::{Engine, EngineEvent, EventSink, InvarNetConfig, ModelStore, OperationContext};
+use ix_core::{
+    CoreError, Engine, EngineEvent, ErrorCode, EventSink, InvarNetConfig, ModelStore,
+    OperationContext,
+};
 use ix_serve::{Fleet, ServeError, TenantId};
 use ix_simulator::{FaultType, Runner, WorkloadType};
 use proptest::prelude::*;
@@ -223,6 +226,52 @@ fn eviction_mid_anomaly_window_is_bit_identical() {
     // The fault injects around the run's middle; evicting inside the
     // anomalous region stresses the edge-tracker restore.
     run_twin_pair(55).expect("twin run");
+}
+
+#[test]
+fn non_finite_cpi_is_refused_and_the_tenant_still_evicts_and_warms() {
+    let t = template();
+    let tenant = TenantId::new("nan-sender").expect("valid");
+    let fleet = Fleet::builder().build();
+    fleet
+        .with_engine(&tenant, |e| e.load_state(&t.store))
+        .expect("materialize")
+        .expect("load");
+    let twin = Engine::builder().config(InvarNetConfig::default()).build();
+    twin.load_state(&t.store).expect("load twin");
+
+    let (split, end) = (10, 40);
+    for (cpi, row) in &t.ticks[..split] {
+        fleet
+            .ingest(&tenant, &t.context, *cpi, row)
+            .expect("ingest");
+        twin.ingest(&t.context, *cpi, row).expect("twin ingest");
+    }
+    // A NaN sample off the wire is a typed engine error with its own
+    // stable status code, and it changes nothing.
+    let (_, row) = &t.ticks[split];
+    let err = fleet
+        .ingest(&tenant, &t.context, f64::NAN, row)
+        .expect_err("NaN CPI must be refused");
+    assert!(matches!(
+        err,
+        ServeError::Core(CoreError::NonFiniteCpi(ref c)) if *c == t.context
+    ));
+    assert_eq!(err.status(), ErrorCode::NonFiniteCpi.as_u16());
+
+    // The tenant is not poisoned: it evicts, warms, and continues
+    // bit-identically to a twin that never saw the NaN.
+    fleet.evict(&tenant).expect("evict");
+    fleet.warm(&tenant).expect("warm");
+    for (cpi, row) in &t.ticks[split..end] {
+        let a = fleet
+            .ingest(&tenant, &t.context, *cpi, row)
+            .expect("ingest");
+        let b = twin.ingest(&t.context, *cpi, row).expect("twin ingest");
+        assert_eq!(a.tick, b.tick);
+        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
+        assert_eq!(a.diagnosis, b.diagnosis);
+    }
 }
 
 #[test]

@@ -70,16 +70,6 @@ impl ReplayFeed {
         ReplayFeedBuilder::default()
     }
 
-    /// Stages `store`'s event stream, re-interning its context labels
-    /// into a fresh hub so ids resolve to the recorded names.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ReplayFeed::builder().console(console).speed(speed).build(store)`"
-    )]
-    pub fn new(store: &HistoryStore, console: TopConsole, speed: f64) -> Self {
-        ReplayFeed::from_parts(store, console, speed)
-    }
-
     fn from_parts(store: &HistoryStore, console: TopConsole, speed: f64) -> Self {
         let hub = Telemetry::shared();
         // Positional re-interning: the registry hands out ids in call

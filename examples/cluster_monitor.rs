@@ -7,7 +7,7 @@
 //! cargo run --release --example cluster_monitor
 //! ```
 
-use invarnet_x::core::{Engine, InvarNetConfig, InvarNetX, OperationContext, Telemetry};
+use invarnet_x::core::{Engine, InvarNetConfig, OperationContext, Telemetry};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -29,12 +29,10 @@ fn main() {
 
     // ---- offline: train one context per workload on the observed node ----
     let telemetry = Telemetry::shared();
-    let mut system = InvarNetX::from_engine(
-        Engine::builder()
-            .config(InvarNetConfig::default())
-            .telemetry(&telemetry)
-            .build(),
-    );
+    let system = Engine::builder()
+        .config(InvarNetConfig::default())
+        .telemetry(&telemetry)
+        .build();
     println!("== training contexts ==");
     for &workload in &workloads {
         let context = OperationContext::new(runner.nodes[node].ip(), workload.name());

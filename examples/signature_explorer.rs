@@ -1,13 +1,13 @@
 //! Signature-database explorer: builds invariants and signatures for every
 //! batch fault, prints which invariant pairs each fault violates (the
 //! "hints" the paper hands to administrators for unknown problems), and
-//! dumps the paper-style XML store.
+//! persists the trained state as a JSON model store.
 //!
 //! ```text
 //! cargo run --release --example signature_explorer
 //! ```
 
-use invarnet_x::core::{to_xml, InvarNetConfig, InvarNetX, ModelStore, OperationContext};
+use invarnet_x::core::{Engine, OperationContext};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -17,7 +17,7 @@ fn main() {
     let node = Runner::DEFAULT_FAULT_NODE;
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
 
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::builder().build();
     let normals = runner.normal_runs(workload, 6);
     let window = |frame: &MetricFrame| {
         let len = runner.fault_duration_ticks;
@@ -41,7 +41,7 @@ fn main() {
         .train_performance_model(context.clone(), &cpi)
         .expect("ARIMA");
 
-    let invariants = system.invariant_set(&context).expect("built").clone();
+    let invariants = system.invariant_set(&context).expect("built");
     println!(
         "invariants for {context}: {} of 325 pairs\n",
         invariants.len()
@@ -81,21 +81,14 @@ fn main() {
         );
     }
 
-    // Persist and show the paper-style XML view (truncated).
-    let mut store = ModelStore::new();
-    store.put_model(
-        &context,
-        system.performance_model(&context).expect("trained"),
-    );
-    store.put_invariants(&context, &invariants);
-    store.signatures = system.signature_database();
-    let xml = to_xml(&store);
+    // Persist everything the engine learned as one JSON model store.
+    let store = system.snapshot_state();
+    let json = store.to_json().expect("serialize store");
     println!(
-        "\npaper-style XML store ({} bytes), first lines:",
-        xml.len()
+        "\nJSON model store ({} bytes): {} models, {} invariant sets, {} signatures",
+        json.len(),
+        store.performance_models.len(),
+        store.invariants.len(),
+        store.signatures.len()
     );
-    for line in xml.lines().take(6) {
-        println!("  {line}");
-    }
-    println!("  ...");
 }

@@ -1,12 +1,12 @@
-//! Integration tests of the layered streaming engine: tick-level ingestion
-//! must reproduce batch results, state must stay isolated across contexts
-//! and threads, and the detector family must be selectable via config.
-
-use std::sync::Arc;
+//! Integration tests of the engine: tick-level ingestion must reproduce
+//! batch results, state must stay isolated across contexts and threads,
+//! the detector family must be selectable via config, and the batch
+//! (whole-trace) entry points must gate, rank and refuse exactly as the
+//! paper's pipeline does.
 
 use invarnet_x::core::{
-    CusumDetector, DetectorChoice, Engine, EngineCounters, EventSink, InvarNetConfig,
-    OperationContext,
+    AssociationMatrix, CoreError, CusumDetector, DetectorChoice, Engine, ErrorKind, InvarNetConfig,
+    InvariantSet, OperationContext, Telemetry,
 };
 use invarnet_x::metrics::{MetricFrame, METRIC_COUNT};
 use invarnet_x::timeseries::SeriesBuilder;
@@ -68,10 +68,10 @@ fn train_context(engine: &Engine, ctx: &OperationContext, cpi_traces: &[Vec<f64>
 
 #[test]
 fn streamed_ticks_reproduce_batch_detection_and_diagnosis() {
-    let counters = Arc::new(EngineCounters::default());
+    let telemetry = Telemetry::shared();
     let engine = Engine::builder()
         .config(streaming_config())
-        .event_sink(Arc::clone(&counters) as Arc<dyn EventSink>)
+        .telemetry(&telemetry)
         .build();
 
     let ctx = OperationContext::new("10.0.0.1", "Wordcount");
@@ -128,11 +128,12 @@ fn streamed_ticks_reproduce_batch_detection_and_diagnosis() {
     );
 
     // Observability: every layer reported through the sink.
-    assert_eq!(counters.ticks_ingested(), cpi.len() as u64);
-    assert_eq!(counters.detections_fired(), 1);
-    assert_eq!(counters.diagnoses_run(), 2); // streaming onset + batch replay
-    assert!(counters.sweeps_completed() >= 2);
-    assert!(counters.sweep_micros_total() >= counters.sweep_micros_max());
+    let total = telemetry.snapshot().total;
+    assert_eq!(total.ticks, cpi.len() as u64);
+    assert_eq!(total.detections, 1);
+    assert_eq!(total.diagnoses, 2); // streaming onset + batch replay
+    assert!(total.sweeps >= 2);
+    assert!(total.sweep_micros.sum >= total.sweep_micros.max);
 }
 
 #[test]
@@ -144,7 +145,7 @@ fn concurrent_ingestion_matches_single_threaded_and_isolates_contexts() {
     let cpi_traces: Vec<Vec<f64>> = (0..3).map(|s| normal_cpi(s, trace_len)).collect();
 
     let setup = || {
-        let engine = Engine::new(streaming_config());
+        let engine = Engine::builder().config(streaming_config()).build();
         for (i, ctx) in contexts.iter().enumerate() {
             train_context(&engine, ctx, &cpi_traces, 200 + 10 * i as u64);
         }
@@ -227,7 +228,7 @@ fn cusum_detector_is_selectable_through_config() {
         window_ticks: 40,
         ..InvarNetConfig::default()
     };
-    let engine = Engine::new(config);
+    let engine = Engine::builder().config(config).build();
     let ctx = OperationContext::new("10.0.0.1", "Wordcount");
     // Flat CPI traces so CUSUM's in-control calibration is meaningful.
     let traces: Vec<Vec<f64>> = (0..4)
@@ -284,7 +285,7 @@ fn cusum_detector_is_selectable_through_config() {
 
 #[test]
 fn ingest_errors_are_precise_and_non_destructive() {
-    let engine = Engine::new(streaming_config());
+    let engine = Engine::builder().config(streaming_config()).build();
     let ctx = OperationContext::new("10.0.0.1", "Wordcount");
 
     // No model yet: ingest refuses.
@@ -306,4 +307,193 @@ fn ingest_errors_are_precise_and_non_destructive() {
     assert!(engine.detection_result(&ctx).is_none());
     let out = engine.ingest(&ctx, 1.0, &[1.0; METRIC_COUNT]).unwrap();
     assert_eq!(out.tick, 0);
+}
+
+#[test]
+fn non_finite_cpi_is_rejected_before_any_state_changes() {
+    let ctx = OperationContext::new("10.0.0.1", "Wordcount");
+    let cpi_traces: Vec<Vec<f64>> = (0..3).map(|s| normal_cpi(s, 120)).collect();
+    let engine = Engine::builder().config(streaming_config()).build();
+    let twin = Engine::builder().config(streaming_config()).build();
+    train_context(&engine, &ctx, &cpi_traces, 100);
+    train_context(&twin, &ctx, &cpi_traces, 100);
+
+    let cpi = normal_cpi(42, 12);
+    let metrics = coupled_frame(12, 7, false);
+    for (t, &sample) in cpi.iter().enumerate().take(6) {
+        engine.ingest(&ctx, sample, metrics.tick(t)).unwrap();
+        twin.ingest(&ctx, sample, metrics.tick(t)).unwrap();
+    }
+    let window = engine.window_frame(&ctx).unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let err = engine.ingest(&ctx, bad, metrics.tick(6)).unwrap_err();
+        assert_eq!(err, CoreError::NonFiniteCpi(ctx.clone()));
+        assert_eq!(err.kind(), ErrorKind::NonFiniteCpi);
+    }
+    // Nothing moved: the run, the window and the lifetime counter are
+    // exactly where six clean ticks left them.
+    assert_eq!(engine.detection_result(&ctx).unwrap().residuals.len(), 6);
+    assert_eq!(engine.window_frame(&ctx).unwrap(), window);
+    assert_eq!(engine.lifetime_ticks(), twin.lifetime_ticks());
+
+    // The run continues bit-identically to a twin that never saw them.
+    for (t, &sample) in cpi.iter().enumerate().skip(6) {
+        let a = engine.ingest(&ctx, sample, metrics.tick(t)).unwrap();
+        let b = twin.ingest(&ctx, sample, metrics.tick(t)).unwrap();
+        assert_eq!(a.tick, t);
+        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
+    }
+
+    // The check runs first, so an unknown context gets the same answer.
+    let stranger = OperationContext::new("10.0.0.9", "Sort");
+    assert_eq!(
+        engine
+            .ingest(&stranger, f64::NAN, metrics.tick(0))
+            .unwrap_err(),
+        CoreError::NonFiniteCpi(stranger.clone())
+    );
+}
+
+/// An engine with invariants built for `ctx` from two coupled frames of
+/// `ticks` ticks.
+fn batch_engine(ctx: &OperationContext, ticks: usize) -> Engine {
+    let engine = Engine::builder()
+        .config(streaming_config())
+        .threads(1)
+        .build();
+    let frames: Vec<MetricFrame> = (0..2).map(|s| coupled_frame(ticks, s, false)).collect();
+    engine.build_invariants(ctx.clone(), &frames).unwrap();
+    engine
+}
+
+#[test]
+fn detection_gates_diagnosis() {
+    let ctx = OperationContext::new("10.0.0.1", "Test");
+    let engine = batch_engine(&ctx, 40);
+    let cpi_traces: Vec<Vec<f64>> = (0..3).map(|s| normal_cpi(s, 120)).collect();
+    engine
+        .train_performance_model(ctx.clone(), &cpi_traces)
+        .unwrap();
+    engine
+        .record_signature(&ctx, "x", &coupled_frame(40, 7, true))
+        .unwrap();
+
+    // Normal CPI: no diagnosis performed.
+    let normal = &cpi_traces[0];
+    let (det, diag) = engine
+        .process(&ctx, normal, &coupled_frame(40, 8, true))
+        .unwrap();
+    assert!(!det.is_anomalous());
+    assert!(diag.is_none());
+
+    // Anomalous CPI: diagnosis runs.
+    let mut hot = normal.clone();
+    for v in hot[60..90].iter_mut() {
+        *v *= 1.8;
+    }
+    let (det, diag) = engine
+        .process(&ctx, &hot, &coupled_frame(40, 9, true))
+        .unwrap();
+    assert!(det.is_anomalous());
+    assert_eq!(diag.unwrap().root_cause().unwrap().problem, "x");
+}
+
+#[test]
+fn missing_state_errors() {
+    let engine = Engine::builder().config(streaming_config()).build();
+    let ctx = OperationContext::new("10.0.0.1", "Test");
+    assert!(matches!(
+        engine.detect(&ctx, &[1.0; 50]),
+        Err(CoreError::NoPerformanceModel(_))
+    ));
+    assert!(matches!(
+        engine.violation_tuple(&ctx, &coupled_frame(30, 1, false)),
+        Err(CoreError::NoInvariants(_))
+    ));
+}
+
+#[test]
+fn frame_too_short_is_rejected() {
+    let engine = Engine::builder().build();
+    let ctx = OperationContext::new("10.0.0.1", "Test");
+    let short = coupled_frame(5, 1, false);
+    assert!(matches!(
+        engine.build_invariants(ctx, &[short.clone(), short]),
+        Err(CoreError::FrameTooShort { .. })
+    ));
+}
+
+#[test]
+fn top_causes_and_hints() {
+    let ctx = OperationContext::new("10.0.0.1", "Test");
+    let engine = batch_engine(&ctx, 50);
+    engine
+        .record_signature(&ctx, "break-a", &coupled_frame(50, 7, true))
+        .unwrap();
+    engine
+        .record_signature(&ctx, "clean", &coupled_frame(50, 8, false))
+        .unwrap();
+
+    let d = engine.diagnose(&ctx, &coupled_frame(50, 9, true)).unwrap();
+    // top_causes respects both k and the similarity floor.
+    assert_eq!(d.top_causes(2, 0.0).len(), 2);
+    assert_eq!(d.top_causes(1, 0.0).len(), 1);
+    assert!(d.top_causes(5, 0.99).len() <= 2);
+
+    // Hints name metric 0 (the broken one) in the strongest pairs.
+    let inv = engine.invariant_set(&ctx).unwrap();
+    let hints = d.hints(&inv).unwrap();
+    assert!(!hints.is_empty());
+    let first = hints[0];
+    assert!(
+        first.0.index() == 0 || first.1.index() == 0,
+        "strongest hint should involve the broken metric: {hints:?}"
+    );
+    // Sorted by deviation, descending.
+    for w in hints.windows(2) {
+        assert!(w[0].2 >= w[1].2);
+    }
+}
+
+#[test]
+fn hints_reject_mismatched_invariant_set() {
+    let ctx = OperationContext::new("10.0.0.1", "Test");
+    let engine = batch_engine(&ctx, 50);
+    engine
+        .record_signature(&ctx, "p", &coupled_frame(50, 7, true))
+        .unwrap();
+    let d = engine.diagnose(&ctx, &coupled_frame(50, 9, true)).unwrap();
+
+    // A set with a different pair population (different tau) has a
+    // different length; hints must refuse it instead of panicking.
+    let mats: Vec<AssociationMatrix> = (0..2)
+        .map(|s| {
+            engine
+                .association_matrix(&coupled_frame(50, s, false))
+                .unwrap()
+        })
+        .collect();
+    let other = InvariantSet::select(&mats, 1e-9);
+    if other.len() != d.tuple.len() {
+        assert!(matches!(
+            d.hints(&other),
+            Err(CoreError::TupleLengthMismatch { .. })
+        ));
+    }
+    // The matching set works.
+    assert!(d.hints(&engine.invariant_set(&ctx).unwrap()).is_ok());
+}
+
+#[test]
+fn contexts_are_isolated() {
+    let a = OperationContext::new("n1", "W");
+    let b = OperationContext::new("n2", "W");
+    let engine = batch_engine(&a, 40);
+    assert!(engine.invariant_set(&a).is_some());
+    assert!(engine.invariant_set(&b).is_none());
+    engine
+        .record_signature(&a, "p", &coupled_frame(40, 5, true))
+        .unwrap();
+    // Context b has no invariants: diagnosis must error, not borrow a's.
+    assert!(engine.diagnose(&b, &coupled_frame(40, 6, true)).is_err());
 }

@@ -1,13 +1,13 @@
 //! End-to-end integration: the full offline→online pipeline over the
 //! simulator, across crates (simulator → metrics → core).
 
-use invarnet_x::core::{InvarNetConfig, InvarNetX, OperationContext};
+use invarnet_x::core::{Engine, OperationContext};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
 struct Setup {
     runner: Runner,
-    system: InvarNetX,
+    system: Engine,
     context: OperationContext,
     workload: WorkloadType,
 }
@@ -16,7 +16,7 @@ fn train_system(workload: WorkloadType, seed: u64, faults: &[FaultType]) -> Setu
     let runner = Runner::new(seed);
     let node = Runner::DEFAULT_FAULT_NODE;
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
-    let mut system = InvarNetX::new(InvarNetConfig::default());
+    let system = Engine::builder().build();
 
     let normals = runner.normal_runs(workload, 5);
     let cpi: Vec<Vec<f64>> = normals
