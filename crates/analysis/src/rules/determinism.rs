@@ -53,6 +53,7 @@ pub const ROOT_FUNCTIONS: &[(&str, &str)] = &[
     ("Fleet", "ingest"),
     ("Fleet", "drain"),
     ("Fleet", "diagnose"),
+    ("Fleet", "snapshot_bytes"),
     ("TenantSnapshot", "to_bytes"),
     ("TenantSnapshot", "from_bytes"),
 ];

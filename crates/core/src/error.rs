@@ -244,6 +244,12 @@ pub enum CoreError {
     /// An ingested CPI sample for the context was NaN or infinite; the
     /// tick was rejected before any state changed.
     NonFiniteCpi(OperationContext),
+    /// Persisted invariant entries failed validation (see
+    /// [`crate::InvariantSet::from_entries`]).
+    InvalidInvariantSet {
+        /// What was wrong with the entries or τ.
+        reason: String,
+    },
 }
 
 impl CoreError {
@@ -259,9 +265,9 @@ impl CoreError {
             CoreError::Frame(_) => ErrorKind::Frame,
             CoreError::HistoryWindow(_) => ErrorKind::HistoryWindow,
             CoreError::TupleLengthMismatch { .. } => ErrorKind::TupleLengthMismatch,
-            CoreError::Serialization { .. } | CoreError::InvalidStoreKey { .. } => {
-                ErrorKind::Serialization
-            }
+            CoreError::Serialization { .. }
+            | CoreError::InvalidStoreKey { .. }
+            | CoreError::InvalidInvariantSet { .. } => ErrorKind::Serialization,
             CoreError::Io { .. } => ErrorKind::Io,
             CoreError::NonFiniteCpi(_) => ErrorKind::NonFiniteCpi,
         }
@@ -333,6 +339,7 @@ impl PartialEq for CoreError {
             ) => o1 == o2 && p1 == p2 && s1.kind() == s2.kind(),
             (InvalidStoreKey { key: k1 }, InvalidStoreKey { key: k2 }) => k1 == k2,
             (NonFiniteCpi(a), NonFiniteCpi(b)) => a == b,
+            (InvalidInvariantSet { reason: r1 }, InvalidInvariantSet { reason: r2 }) => r1 == r2,
             _ => false,
         }
     }
@@ -383,6 +390,9 @@ impl fmt::Display for CoreError {
             CoreError::NonFiniteCpi(ctx) => {
                 write!(f, "non-finite CPI sample rejected for context {ctx}")
             }
+            CoreError::InvalidInvariantSet { reason } => {
+                write!(f, "invalid invariant set: {reason}")
+            }
         }
     }
 }
@@ -426,6 +436,10 @@ mod tests {
         assert_eq!(io.kind().name(), "io");
         let key = CoreError::InvalidStoreKey { key: "bad".into() };
         assert_eq!(key.kind(), ErrorKind::Serialization);
+        let set = CoreError::InvalidInvariantSet {
+            reason: "bad".into(),
+        };
+        assert_eq!(set.kind(), ErrorKind::Serialization);
         let window = CoreError::HistoryWindow(OperationContext::new("node1", "Wordcount"));
         assert_eq!(window.kind(), ErrorKind::HistoryWindow);
         assert_eq!(window.kind().name(), "history-window");

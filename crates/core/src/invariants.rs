@@ -5,11 +5,12 @@
 //! likely invariant*; its reference value is the band maximum
 //! (`I(m, n) <- Max(V(m, n))`).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use ix_metrics::MetricId;
 
 use crate::assoc::{pair_count, pair_of_index, AssociationMatrix};
+use crate::error::CoreError;
 
 /// One selected invariant: a pair index plus its reference score.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -21,10 +22,21 @@ pub struct InvariantEntry {
 }
 
 /// The invariant set of one operation context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InvariantSet {
     entries: Vec<InvariantEntry>,
     tau: f64,
+}
+
+// Manual so a persisted set passes the same checks as
+// [`InvariantSet::from_entries`]: a hostile store must fail to load, not
+// index past the association matrix at diagnosis time.
+impl Deserialize for InvariantSet {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let entries = Vec::<InvariantEntry>::from_value(value.field("entries")?)?;
+        let tau = f64::from_value(value.field("tau")?)?;
+        InvariantSet::from_entries(entries, tau).map_err(|e| DeError::new(e.to_string()))
+    }
 }
 
 impl InvariantSet {
@@ -52,6 +64,39 @@ impl InvariantSet {
             }
         }
         InvariantSet { entries, tau }
+    }
+
+    /// Reassembles a persisted set, validating what [`InvariantSet::select`]
+    /// guarantees by construction.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidInvariantSet`] when a pair index is not below
+    /// [`pair_count`], the pair indices are not strictly increasing, or a
+    /// reference value or `tau` is not finite.
+    pub fn from_entries(entries: Vec<InvariantEntry>, tau: f64) -> Result<Self, CoreError> {
+        let invalid = |reason: String| Err(CoreError::InvalidInvariantSet { reason });
+        if !tau.is_finite() {
+            return invalid(format!("tau {tau} is not finite"));
+        }
+        let mut next = 0;
+        for e in &entries {
+            if e.pair >= pair_count() {
+                return invalid(format!(
+                    "pair {} is out of range (pair count {})",
+                    e.pair,
+                    pair_count()
+                ));
+            }
+            if e.pair < next {
+                return invalid(format!("pair {} is out of order", e.pair));
+            }
+            if !e.value.is_finite() {
+                return invalid(format!("pair {} has non-finite value {}", e.pair, e.value));
+            }
+            next = e.pair + 1;
+        }
+        Ok(InvariantSet { entries, tau })
     }
 
     /// The selected invariants, ordered by pair index.
@@ -180,6 +225,46 @@ mod tests {
         for e in tight.entries() {
             assert!(loose_pairs.contains(&e.pair));
         }
+    }
+
+    #[test]
+    fn from_entries_accepts_what_select_builds() {
+        let runs = vec![matrix_with(&[(3, 0.1)], 0.7), matrix_with(&[], 0.7)];
+        let set = InvariantSet::select(&runs, 0.2);
+        let back = InvariantSet::from_entries(set.entries().to_vec(), set.tau()).unwrap();
+        assert_eq!(back, set);
+    }
+
+    #[test]
+    fn from_entries_rejects_what_select_cannot_build() {
+        let entry = |pair, value| InvariantEntry { pair, value };
+        let cases = [
+            (vec![entry(pair_count(), 0.5)], 0.2, "out of range"),
+            (vec![entry(99_999, 0.5)], 0.2, "out of range"),
+            (vec![entry(4, 0.5), entry(4, 0.6)], 0.2, "out of order"),
+            (vec![entry(5, 0.5), entry(4, 0.6)], 0.2, "out of order"),
+            (vec![entry(0, f64::NAN)], 0.2, "non-finite"),
+            (vec![entry(0, f64::INFINITY)], 0.2, "non-finite"),
+            (vec![entry(0, 0.5)], f64::NAN, "tau"),
+        ];
+        for (entries, tau, needle) in cases {
+            match InvariantSet::from_entries(entries, tau) {
+                Err(CoreError::InvalidInvariantSet { reason }) => {
+                    assert!(reason.contains(needle), "{reason:?} lacks {needle:?}");
+                }
+                other => panic!("expected InvalidInvariantSet({needle}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deserialize_validates_like_from_entries() {
+        let good = r#"{"entries":[{"pair":0,"value":0.5},{"pair":7,"value":0.25}],"tau":0.2}"#;
+        let set: InvariantSet = serde_json::from_str(good).unwrap();
+        assert_eq!(set.len(), 2);
+        let hostile = r#"{"entries":[{"pair":99999,"value":0.5}],"tau":0.2}"#;
+        let err = serde_json::from_str::<InvariantSet>(hostile).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod signature;
 mod similarity;
 mod store;
 
-pub use anomaly::{DetectionResult, PerformanceModel, ThresholdRule};
+pub use anomaly::{DetectionResult, PerformanceModel, ResidualStats, ThresholdRule};
 pub use assoc::{
     pair_count, pair_index, pair_of_index, AssociationMatrix, BoundedSweep, SweepPool,
 };
@@ -75,10 +75,10 @@ pub use engine::{
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};
 pub use incremental::{AdvanceOutcome, IncrementalSweep, ScreenOutcome, MAX_SLIDE};
-pub use invariants::InvariantSet;
+pub use invariants::{InvariantEntry, InvariantSet};
 pub use measure::{
     ArxMeasure, AssociationMeasure, MicMeasure, PairScorer, PearsonMeasure, SlideOutcome, SweepPlan,
 };
 pub use signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use similarity::Similarity;
-pub use store::ModelStore;
+pub use store::{ModelStore, StoredPerformanceModel};

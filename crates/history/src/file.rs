@@ -91,50 +91,99 @@ impl From<std::io::Error> for HistoryFileError {
     }
 }
 
-/// Sequential little-endian writer over a growable buffer.
-#[derive(Default)]
-struct Writer {
+/// Sequential little-endian writer over a growable buffer — the encoder
+/// behind `IXHIST01`, exposed so formats nested in a trailing section
+/// (such as `ix-serve`'s tenant snapshots) encode with the same
+/// primitives. Floats are written as raw IEEE-754 bits.
+#[derive(Debug, Default)]
+pub struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn u32(&mut self, v: u32) {
+    /// The bytes written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Appends one byte.
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// Appends a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Encodes a count/length/id the format stores as `u32`, refusing
     /// loudly — instead of silently truncating into a corrupt file —
     /// when the value does not fit the field.
-    fn u32_field(&mut self, v: usize) {
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v` exceeds `u32::MAX`.
+    #[inline]
+    pub fn u32_field(&mut self, v: usize) {
         let v = u32::try_from(v)
             .expect("IXHIST01 u32 field overflow: count, length or id exceeds u32::MAX");
         self.u32(v);
     }
 
-    fn u64(&mut self, v: u64) {
+    /// Appends a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64s(&mut self, vs: &[f64]) {
+    /// Appends one `f64` as its raw bits.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Appends `f64`s as raw bits, with no length prefix.
+    #[inline]
+    pub fn f64s(&mut self, vs: &[f64]) {
         for v in vs {
             self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
 
-    fn bytes(&mut self, b: &[u8]) {
+    /// Appends a `u32` length prefix (see [`Writer::u32_field`]) and the
+    /// bytes.
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) {
         self.u32_field(b.len());
         self.buf.extend_from_slice(b);
     }
 }
 
-/// Sequential little-endian reader with bounds-checked cursor.
-struct Reader<'a> {
+/// Sequential little-endian reader with a bounds-checked cursor — the
+/// decoder behind `IXHIST01`, exposed alongside [`Writer`]. Every read
+/// fails with [`HistoryFileError::Format`] instead of panicking when the
+/// buffer runs out.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], HistoryFileError> {
+    /// A reader positioned at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, at: 0 }
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] when fewer than `n` bytes remain.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], HistoryFileError> {
         let end = self
             .at
             .checked_add(n)
@@ -145,19 +194,53 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u32(&mut self) -> Result<u32, HistoryFileError> {
+    /// The next byte.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] at the end of the buffer.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, HistoryFileError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] when fewer than 4 bytes remain.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, HistoryFileError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
-    fn u64(&mut self) -> Result<u64, HistoryFileError> {
+    /// The next little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] when fewer than 8 bytes remain.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, HistoryFileError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
-    fn remaining(&self) -> usize {
+    /// The next `f64`, from its raw bits.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] when fewer than 8 bytes remain.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, HistoryFileError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Bytes not yet read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
 
@@ -165,7 +248,12 @@ impl<'a> Reader<'a> {
     /// (`count × min_elem_size` bytes) cannot possibly fit in the rest
     /// of the buffer — so a hostile count can never drive a huge
     /// preallocation or unbounded loop.
-    fn count(&mut self, min_elem_size: usize) -> Result<usize, HistoryFileError> {
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] on truncation or an oversized count.
+    #[inline]
+    pub fn count(&mut self, min_elem_size: usize) -> Result<usize, HistoryFileError> {
         let n = self.u32()? as usize;
         match n.checked_mul(min_elem_size) {
             Some(bytes) if bytes <= self.remaining() => Ok(n),
@@ -176,7 +264,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, HistoryFileError> {
+    /// The next `n` `f64`s (no length prefix), from their raw bits.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] when fewer than `8 × n` bytes remain.
+    #[inline]
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, HistoryFileError> {
         let bytes = n
             .checked_mul(8)
             .ok_or_else(|| HistoryFileError::Format(format!("f64 column of {n} rows overflows")))?;
@@ -187,9 +281,26 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn bytes(&mut self) -> Result<&'a [u8], HistoryFileError> {
+    /// The next `u32`-length-prefixed byte string.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] on truncation.
+    #[inline]
+    pub fn bytes(&mut self) -> Result<&'a [u8], HistoryFileError> {
         let len = self.u32()? as usize;
         self.take(len)
+    }
+
+    /// The next `u32`-length-prefixed UTF-8 string.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] on truncation or invalid UTF-8.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, HistoryFileError> {
+        std::str::from_utf8(self.bytes()?)
+            .map_err(|e| HistoryFileError::Format(format!("non-UTF-8 string: {e}")))
     }
 
     fn json<T: serde::Deserialize>(&mut self) -> Result<T, HistoryFileError> {
@@ -297,7 +408,7 @@ impl HistoryStore {
     pub fn from_bytes_with_warnings(
         bytes: &[u8],
     ) -> Result<(HistoryStore, Vec<String>), HistoryFileError> {
-        let mut r = Reader { buf: bytes, at: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(MAGIC.len())? != MAGIC {
             return Err(HistoryFileError::Format(
                 "missing IXHIST01 magic".to_string(),

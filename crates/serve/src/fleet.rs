@@ -13,7 +13,13 @@
 //! ([`FleetBuilder::warm_limit`]), the least-recently-used warm tenant is
 //! evicted: its trained state ([`Engine::snapshot_state`]), lifetime tick
 //! counter and per-context run tails are serialized into a
-//! [`TenantSnapshot`] and the engine is dropped. Warming reverses the
+//! [`TenantSnapshot`] and the engine is dropped. The warm slots form an
+//! intrusive list in LRU order, so finding the victim, touching a tenant
+//! and counting the warm set are O(1), whatever the number of tenants. A
+//! snapshot is refused — at [`Fleet::adopt`] and again at warm — when it
+//! was written under a configuration other than the fleet's, and a
+//! snapshot file is replaced atomically (temporary file, fsync,
+//! rename), so a crash never leaves a torn one. Warming reverses the
 //! trade — rebuild, [`Engine::load_state`], replay the tails through
 //! [`Engine::restore_run`] — and is *bit-invisible*: the warmed engine
 //! continues exactly as if it had never been torn down. Both transitions
@@ -27,8 +33,10 @@
 //! context is marked truncated and a later warm starts it on a fresh run
 //! (declared in the snapshot, never silently wrong).
 
-use std::collections::HashMap;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -48,10 +56,14 @@ const DEFAULT_WARM_LIMIT: usize = 1024;
 /// Default cap on tracked run-tail ticks per context.
 const DEFAULT_RUN_TAIL_CAP: usize = 4096;
 
+/// The null link of the LRU list.
+const NIL: usize = usize::MAX;
+
 /// One context's live bookkeeping inside a warm slot.
 struct ContextEntry {
     context: OperationContext,
-    /// The current run's ticks since the last reset, oldest first.
+    /// The current run's ticks since the last reset, oldest first; empty
+    /// once truncated.
     tail: Vec<RunTick>,
     /// Set when the tail outgrew the cap or the queue path was used; the
     /// context warms onto a fresh run instead of a restored one.
@@ -62,30 +74,159 @@ struct ContextEntry {
 struct WarmTenant {
     engine: Arc<Engine>,
     telemetry: Option<Arc<Telemetry>>,
-    contexts: HashMap<String, ContextEntry>,
-    /// Fleet LRU stamp (monotone clock value of the last touch).
-    last_used: u64,
-    num: u64,
+    /// Keyed by the context's `workload@node` form, which is also the
+    /// order snapshots list contexts in.
+    contexts: BTreeMap<String, ContextEntry>,
+}
+
+impl WarmTenant {
+    /// The context's bookkeeping, created on first use.
+    fn entry(&mut self, context: &OperationContext) -> &mut ContextEntry {
+        self.contexts
+            .entry(context.to_string())
+            .or_insert_with(|| ContextEntry {
+                context: context.clone(),
+                tail: Vec::new(),
+                truncated: false,
+            })
+    }
 }
 
 /// An evicted (or adopted) tenant: its snapshot, wherever it lives.
-struct ColdTenant {
-    bytes: Option<Vec<u8>>,
-    path: Option<PathBuf>,
-    num: u64,
+enum ColdTenant {
+    Bytes(Vec<u8>),
+    File(PathBuf),
 }
 
-enum Slot {
+impl ColdTenant {
+    fn bytes(&self) -> Result<std::borrow::Cow<'_, [u8]>, ServeError> {
+        Ok(match self {
+            ColdTenant::Bytes(bytes) => bytes.into(),
+            ColdTenant::File(path) => std::fs::read(path)?.into(),
+        })
+    }
+}
+
+enum State {
     Warm(WarmTenant),
     Cold(ColdTenant),
 }
 
+struct Slot {
+    id: TenantId,
+    /// Dense tenant number for event attribution.
+    num: u64,
+    state: State,
+    /// Neighbours in the LRU list while warm; [`NIL`] at the ends and
+    /// while cold.
+    prev: usize,
+    next: usize,
+}
+
+/// The slot table. Slots are never removed, so an index names a tenant
+/// for the fleet's lifetime, and the warm slots form an intrusive doubly
+/// linked list by index — least recently used at the head — so a touch,
+/// an eviction and the warm count are all O(1) and allocation-free.
 struct FleetInner {
-    slots: HashMap<TenantId, Slot>,
-    /// Monotone LRU clock; bumped on every tenant touch.
-    clock: u64,
-    /// Dense tenant numbers for event attribution.
+    index: HashMap<TenantId, usize>,
+    slots: Vec<Slot>,
+    lru_head: usize,
+    lru_tail: usize,
+    /// Length of the LRU list.
+    warm: usize,
     next_num: u64,
+}
+
+impl FleetInner {
+    fn slot(&self, tenant: &TenantId) -> Result<usize, ServeError> {
+        self.index
+            .get(tenant)
+            .copied()
+            .ok_or_else(|| ServeError::UnknownTenant(tenant.clone()))
+    }
+
+    /// Gives `tenant` a fresh tenant number and `state`, replacing any
+    /// slot it had; a warm state enters the LRU list as most recent.
+    fn put(&mut self, tenant: TenantId, state: State) -> usize {
+        let num = self.next_num;
+        self.next_num += 1;
+        let warm = matches!(state, State::Warm(_));
+        let i = match self.index.get(&tenant) {
+            Some(&i) => {
+                if matches!(self.slots[i].state, State::Warm(_)) {
+                    self.unlink(i);
+                }
+                self.slots[i].num = num;
+                self.slots[i].state = state;
+                i
+            }
+            None => {
+                let i = self.slots.len();
+                self.index.insert(tenant.clone(), i);
+                self.slots.push(Slot {
+                    id: tenant,
+                    num,
+                    state,
+                    prev: NIL,
+                    next: NIL,
+                });
+                i
+            }
+        };
+        if warm {
+            self.link_back(i);
+        }
+        i
+    }
+
+    /// Appends slot `i` to the LRU list as the most recently used.
+    fn link_back(&mut self, i: usize) {
+        self.slots[i].prev = self.lru_tail;
+        self.slots[i].next = NIL;
+        match self.lru_tail {
+            NIL => self.lru_head = i,
+            tail => self.slots[tail].next = i,
+        }
+        self.lru_tail = i;
+        self.warm += 1;
+    }
+
+    /// Removes slot `i` from the LRU list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        match prev {
+            NIL => self.lru_head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.lru_tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+        self.slots[i].prev = NIL;
+        self.slots[i].next = NIL;
+        self.warm -= 1;
+    }
+
+    /// Marks warm slot `i` as the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.lru_tail != i {
+            self.unlink(i);
+            self.link_back(i);
+        }
+    }
+
+    /// The warm tenants, least recently used first.
+    fn warm_tenants(&self) -> impl Iterator<Item = (&TenantId, &WarmTenant)> {
+        let mut at = self.lru_head;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(at)?;
+            at = slot.next;
+            match &slot.state {
+                State::Warm(w) => Some((&slot.id, w)),
+                State::Cold(_) => None,
+            }
+        })
+    }
 }
 
 /// Point-in-time fleet counters (see [`Fleet::status`]).
@@ -218,8 +359,11 @@ impl FleetBuilder {
             per_tenant_telemetry: self.per_tenant_telemetry,
             pool: Arc::new(SweepPool::new(self.threads)),
             inner: Mutex::new(FleetInner {
-                slots: HashMap::new(),
-                clock: 0,
+                index: HashMap::new(),
+                slots: Vec::new(),
+                lru_head: NIL,
+                lru_tail: NIL,
+                warm: 0,
                 next_num: 0,
             }),
             metrics: FleetMetrics::default(),
@@ -290,157 +434,138 @@ impl Fleet {
 
     /// Ensures `tenant` has a slot and that it is warm, evicting the LRU
     /// warm tenant first when the high-water mark would be crossed.
-    /// Returns the tenant's engine with the LRU stamp refreshed.
+    /// Returns the tenant's slot and engine, marked most recently used.
     fn ensure_warm(
         &self,
         inner: &mut FleetInner,
         tenant: &TenantId,
-    ) -> Result<Arc<Engine>, ServeError> {
-        if !inner.slots.contains_key(tenant) {
-            self.make_room(inner)?;
-            let num = inner.next_num;
-            inner.next_num += 1;
-            let (engine, telemetry) = self.build_engine(0);
-            inner.slots.insert(
-                tenant.clone(),
-                Slot::Warm(WarmTenant {
-                    engine,
+    ) -> Result<(usize, Arc<Engine>), ServeError> {
+        let (i, engine) = match inner.index.get(tenant).copied() {
+            Some(i) => match &inner.slots[i].state {
+                State::Warm(warm) => (i, Arc::clone(&warm.engine)),
+                State::Cold(_) => {
+                    self.make_room(inner)?;
+                    (i, self.warm_slot(inner, i)?.0)
+                }
+            },
+            None => {
+                self.make_room(inner)?;
+                let (engine, telemetry) = self.build_engine(0);
+                let warm = WarmTenant {
+                    engine: Arc::clone(&engine),
                     telemetry,
-                    contexts: HashMap::new(),
-                    last_used: inner.clock,
-                    num,
-                }),
-            );
-        } else if matches!(inner.slots.get(tenant), Some(Slot::Cold(_))) {
-            self.make_room(inner)?;
-            self.warm_slot(inner, tenant)?;
-        }
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.slots.get_mut(tenant) {
-            Some(Slot::Warm(warm)) => {
-                warm.last_used = clock;
-                Ok(Arc::clone(&warm.engine))
+                    contexts: BTreeMap::new(),
+                };
+                (inner.put(tenant.clone(), State::Warm(warm)), engine)
             }
-            _ => unreachable!("slot was made warm above"),
-        }
+        };
+        inner.touch(i);
+        Ok((i, engine))
+    }
+
+    /// [`Fleet::ensure_warm`] for a tenant that must already have a slot.
+    fn ensure_known_warm(
+        &self,
+        inner: &mut FleetInner,
+        tenant: &TenantId,
+    ) -> Result<(usize, Arc<Engine>), ServeError> {
+        inner.slot(tenant)?;
+        self.ensure_warm(inner, tenant)
     }
 
     /// Evicts LRU warm tenants until a new warm slot fits the high-water
     /// mark.
     fn make_room(&self, inner: &mut FleetInner) -> Result<(), ServeError> {
-        loop {
-            let warm_count = inner
-                .slots
-                // lint: allow(determinism, a count is order-independent)
-                .values()
-                .filter(|s| matches!(s, Slot::Warm(_)))
-                .count();
-            if warm_count < self.warm_limit {
-                return Ok(());
-            }
-            let lru = inner
-                .slots
-                // lint: allow(determinism, min_by_key ties break on the dense
-                // tenant number — the victim is iteration-order-independent)
-                .iter()
-                .filter_map(|(id, slot)| match slot {
-                    Slot::Warm(w) => Some((id.clone(), (w.last_used, w.num))),
-                    Slot::Cold(_) => None,
-                })
-                .min_by_key(|(_, stamp)| *stamp)
-                .map(|(id, _)| id)
-                .expect("warm_count > 0 implies a warm slot exists");
-            self.evict_slot(inner, &lru)?;
+        while inner.warm >= self.warm_limit && inner.lru_head != NIL {
+            self.evict_slot(inner, inner.lru_head)?;
         }
+        Ok(())
     }
 
-    /// Snapshots a warm slot and replaces it with a cold one.
-    fn evict_slot(&self, inner: &mut FleetInner, tenant: &TenantId) -> Result<(), ServeError> {
-        let Some(Slot::Warm(warm)) = inner.slots.get(tenant) else {
-            return Err(ServeError::UnknownTenant(tenant.clone()));
-        };
-        let mut entries: Vec<&ContextEntry> = warm
+    /// The snapshot of a warm tenant — the one thing both eviction and
+    /// [`Fleet::snapshot_bytes`] serialize.
+    fn snapshot_of(&self, warm: &WarmTenant) -> TenantSnapshot {
+        let contexts = warm
             .contexts
-            // lint: allow(determinism, the sort below restores a stable
-            // context order, so snapshot bytes are process-independent)
             .values()
-            .collect();
-        entries.sort_by_key(|entry| entry.context.to_string());
-        let contexts = entries
-            .into_iter()
             .map(|entry| ContextState {
                 node: entry.context.node.clone(),
                 workload: entry.context.workload.clone(),
-                tail: if entry.truncated {
-                    Vec::new()
-                } else {
-                    entry.tail.clone()
-                },
+                tail: entry.tail.clone(),
                 truncated: entry.truncated,
             })
             .collect();
-        let ticks = warm.engine.lifetime_ticks();
-        let num = warm.num;
-        let snapshot = TenantSnapshot::new(
+        TenantSnapshot::new(
             self.config.clone(),
             warm.engine.snapshot_state(),
-            ticks,
+            warm.engine.lifetime_ticks(),
             contexts,
-        );
+        )
+    }
+
+    /// Refuses a snapshot written under another configuration: the warmed
+    /// engine would not continue bit-identically.
+    fn check_config(&self, snapshot: &TenantSnapshot) -> Result<(), ServeError> {
+        if snapshot.config == self.config {
+            Ok(())
+        } else {
+            Err(ServeError::Snapshot(
+                "the snapshot was written under a different engine configuration \
+                 than this fleet's"
+                    .to_string(),
+            ))
+        }
+    }
+
+    /// Snapshots warm slot `i` and replaces it with a cold one.
+    fn evict_slot(&self, inner: &mut FleetInner, i: usize) -> Result<(), ServeError> {
+        let slot = &inner.slots[i];
+        let State::Warm(warm) = &slot.state else {
+            return Err(ServeError::UnknownTenant(slot.id.clone()));
+        };
+        let snapshot = self.snapshot_of(warm);
         let bytes = snapshot.to_bytes();
         let cold = match &self.snapshot_dir {
             Some(dir) => {
-                let path = dir.join(format!("{tenant}.ixhist"));
-                std::fs::write(&path, &bytes)?;
-                ColdTenant {
-                    bytes: None,
-                    path: Some(path),
-                    num,
-                }
+                let path = dir.join(format!("{}.ixhist", slot.id));
+                write_durably(&path, &bytes)?;
+                ColdTenant::File(path)
             }
-            None => ColdTenant {
-                bytes: Some(bytes),
-                path: None,
-                num,
-            },
+            None => ColdTenant::Bytes(bytes),
         };
-        inner.slots.insert(tenant.clone(), Slot::Cold(cold));
+        let num = slot.num;
+        inner.unlink(i);
+        inner.slots[i].state = State::Cold(cold);
         // ordering: Relaxed — independent monotone counters; status reads
         // tolerate torn cross-counter views by contract.
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
         self.sink.record(&EngineEvent::TenantEvicted {
             context: ContextId::UNATTRIBUTED,
             tenant: num,
-            ticks,
+            ticks: snapshot.lifetime_ticks,
         });
         Ok(())
     }
 
-    /// Rebuilds a cold slot's engine from its snapshot.
-    fn warm_slot(&self, inner: &mut FleetInner, tenant: &TenantId) -> Result<(), ServeError> {
-        let Some(Slot::Cold(cold)) = inner.slots.get(tenant) else {
-            return Err(ServeError::UnknownTenant(tenant.clone()));
-        };
+    /// Rebuilds cold slot `i`'s engine from its snapshot and makes it the
+    /// most recently used warm slot. Returns the engine and the cold→warm
+    /// latency in microseconds.
+    fn warm_slot(
+        &self,
+        inner: &mut FleetInner,
+        i: usize,
+    ) -> Result<(Arc<Engine>, u64), ServeError> {
         // lint: allow(determinism, telemetry-only: warm micros feed the
         // TenantWarmed event; replay normalizes all recorded timings)
         let started = Instant::now();
-        let num = cold.num;
-        let bytes = match (&cold.bytes, &cold.path) {
-            (Some(bytes), _) => bytes.clone(),
-            (None, Some(path)) => std::fs::read(path)?,
-            (None, None) => {
-                return Err(ServeError::Snapshot(format!(
-                    "cold tenant `{tenant}` has neither bytes nor a snapshot file"
-                )))
-            }
+        let snapshot = match &inner.slots[i].state {
+            State::Warm(warm) => return Ok((Arc::clone(&warm.engine), 0)),
+            State::Cold(cold) => TenantSnapshot::from_bytes(&cold.bytes()?)?,
         };
-        let snapshot = TenantSnapshot::from_bytes(&bytes)?;
+        self.check_config(&snapshot)?;
         let (engine, telemetry) = self.build_engine(snapshot.lifetime_ticks);
         engine.load_state(&snapshot.store)?;
-        let mut contexts = HashMap::new();
-        // lint: allow(determinism, snapshot.contexts is the serialized Vec
-        // — already in stable key order — not the per-tenant HashMap)
+        let mut contexts = BTreeMap::new();
         for state in snapshot.contexts {
             let context = OperationContext::new(&state.node, &state.workload);
             if state.truncated {
@@ -459,16 +584,12 @@ impl Fleet {
                 },
             );
         }
-        inner.slots.insert(
-            tenant.clone(),
-            Slot::Warm(WarmTenant {
-                engine,
-                telemetry,
-                contexts,
-                last_used: inner.clock,
-                num,
-            }),
-        );
+        inner.slots[i].state = State::Warm(WarmTenant {
+            engine: Arc::clone(&engine),
+            telemetry,
+            contexts,
+        });
+        inner.link_back(i);
         let micros = started.elapsed().as_micros() as u64;
         // ordering: Relaxed — independent monotone counters / fetch_max
         // gauge; status reads tolerate torn cross-counter views.
@@ -483,35 +604,28 @@ impl Fleet {
             .fetch_max(micros, Ordering::Relaxed);
         self.sink.record(&EngineEvent::TenantWarmed {
             context: ContextId::UNATTRIBUTED,
-            tenant: num,
+            tenant: inner.slots[i].num,
             micros,
         });
-        Ok(())
+        Ok((engine, micros))
     }
 
     /// Adopts a tenant in cold state from snapshot bytes (e.g. produced
     /// by a previous fleet's eviction, or shipped from another box). The
-    /// tenant warms lazily on first touch.
+    /// tenant warms lazily on first touch. Adopting over a tenant that
+    /// already has a slot replaces it.
     ///
     /// # Errors
     ///
     /// [`ServeError::Snapshot`] when the bytes do not parse as a tenant
-    /// snapshot.
+    /// snapshot, or were written under a configuration other than this
+    /// fleet's.
     pub fn adopt(&self, tenant: TenantId, bytes: Vec<u8>) -> Result<(), ServeError> {
         // Validate eagerly so a bad snapshot fails at adopt time, not at
         // first ingest.
-        TenantSnapshot::from_bytes(&bytes)?;
-        let mut inner = self.lock();
-        let num = inner.next_num;
-        inner.next_num += 1;
-        inner.slots.insert(
-            tenant,
-            Slot::Cold(ColdTenant {
-                bytes: Some(bytes),
-                path: None,
-                num,
-            }),
-        );
+        self.check_config(&TenantSnapshot::from_bytes(&bytes)?)?;
+        self.lock()
+            .put(tenant, State::Cold(ColdTenant::Bytes(bytes)));
         Ok(())
     }
 
@@ -531,19 +645,12 @@ impl Fleet {
         row: &[f64],
     ) -> Result<TickOutcome, ServeError> {
         let mut inner = self.lock();
-        let engine = self.ensure_warm(&mut inner, tenant)?;
+        let (i, engine) = self.ensure_warm(&mut inner, tenant)?;
         let outcome = engine.ingest(context, cpi, row)?;
         // Tail bookkeeping only after the engine accepted the tick, so a
         // rejected row never pollutes the restore path.
-        if let Some(Slot::Warm(warm)) = inner.slots.get_mut(tenant) {
-            let entry = warm
-                .contexts
-                .entry(context.to_string())
-                .or_insert_with(|| ContextEntry {
-                    context: context.clone(),
-                    tail: Vec::new(),
-                    truncated: false,
-                });
+        if let State::Warm(warm) = &mut inner.slots[i].state {
+            let entry = warm.entry(context);
             if !entry.truncated {
                 if entry.tail.len() >= self.run_tail_cap {
                     entry.tail.clear();
@@ -581,16 +688,9 @@ impl Fleet {
         row: &[f64],
     ) -> Result<SubmitOutcome, ServeError> {
         let mut inner = self.lock();
-        let engine = self.ensure_warm(&mut inner, tenant)?;
-        if let Some(Slot::Warm(warm)) = inner.slots.get_mut(tenant) {
-            let entry = warm
-                .contexts
-                .entry(context.to_string())
-                .or_insert_with(|| ContextEntry {
-                    context: context.clone(),
-                    tail: Vec::new(),
-                    truncated: false,
-                });
+        let (i, engine) = self.ensure_warm(&mut inner, tenant)?;
+        if let State::Warm(warm) = &mut inner.slots[i].state {
+            let entry = warm.entry(context);
             entry.tail.clear();
             entry.truncated = true;
         }
@@ -608,13 +708,7 @@ impl Fleet {
         tenant: &TenantId,
         max_ticks: usize,
     ) -> Result<Vec<(OperationContext, Result<TickOutcome, ix_core::CoreError>)>, ServeError> {
-        let engine = {
-            let mut inner = self.lock();
-            if !inner.slots.contains_key(tenant) {
-                return Err(ServeError::UnknownTenant(tenant.clone()));
-            }
-            self.ensure_warm(&mut inner, tenant)?
-        };
+        let (_, engine) = self.ensure_known_warm(&mut self.lock(), tenant)?;
         Ok(engine.drain(max_ticks))
     }
 
@@ -630,20 +724,10 @@ impl Fleet {
         context: &OperationContext,
     ) -> Result<(), ServeError> {
         let mut inner = self.lock();
-        if !inner.slots.contains_key(tenant) {
-            return Err(ServeError::UnknownTenant(tenant.clone()));
-        }
-        let engine = self.ensure_warm(&mut inner, tenant)?;
+        let (i, engine) = self.ensure_known_warm(&mut inner, tenant)?;
         engine.reset_run(context);
-        if let Some(Slot::Warm(warm)) = inner.slots.get_mut(tenant) {
-            let entry = warm
-                .contexts
-                .entry(context.to_string())
-                .or_insert_with(|| ContextEntry {
-                    context: context.clone(),
-                    tail: Vec::new(),
-                    truncated: false,
-                });
+        if let State::Warm(warm) = &mut inner.slots[i].state {
+            let entry = warm.entry(context);
             entry.tail.clear();
             entry.truncated = false;
         }
@@ -664,10 +748,7 @@ impl Fleet {
         tenant: &TenantId,
         f: impl FnOnce(&Engine) -> R,
     ) -> Result<R, ServeError> {
-        let engine = {
-            let mut inner = self.lock();
-            self.ensure_warm(&mut inner, tenant)?
-        };
+        let (_, engine) = self.ensure_warm(&mut self.lock(), tenant)?;
         Ok(f(&engine))
     }
 
@@ -684,13 +765,7 @@ impl Fleet {
         tenant: &TenantId,
         context: &OperationContext,
     ) -> Result<Diagnosis, ServeError> {
-        let engine = {
-            let mut inner = self.lock();
-            if !inner.slots.contains_key(tenant) {
-                return Err(ServeError::UnknownTenant(tenant.clone()));
-            }
-            self.ensure_warm(&mut inner, tenant)?
-        };
+        let (_, engine) = self.ensure_known_warm(&mut self.lock(), tenant)?;
         let frame = engine.window_frame(context).ok_or_else(|| {
             ServeError::Core(ix_core::CoreError::NoPerformanceModel(context.clone()))
         })?;
@@ -706,11 +781,13 @@ impl Fleet {
     /// already cold; snapshot/I/O errors from persisting.
     pub fn evict(&self, tenant: &TenantId) -> Result<(), ServeError> {
         let mut inner = self.lock();
-        self.evict_slot(&mut inner, tenant)
+        let i = inner.slot(tenant)?;
+        self.evict_slot(&mut inner, i)
     }
 
-    /// Warms `tenant` now, returning the cold→warm latency in
-    /// microseconds (0 when the tenant was already warm).
+    /// Warms `tenant` now, making it the most recently used warm tenant,
+    /// and returns the cold→warm latency in microseconds (0 when the
+    /// tenant was already warm, which leaves the LRU order untouched).
     ///
     /// # Errors
     ///
@@ -718,78 +795,41 @@ impl Fleet {
     /// snapshot/I/O errors from reading or parsing.
     pub fn warm(&self, tenant: &TenantId) -> Result<u64, ServeError> {
         let mut inner = self.lock();
-        match inner.slots.get(tenant) {
-            None => Err(ServeError::UnknownTenant(tenant.clone())),
-            Some(Slot::Warm(_)) => Ok(0),
-            Some(Slot::Cold(_)) => {
-                self.make_room(&mut inner)?;
-                // ordering: Relaxed — reading a gauge the warm just wrote
-                // under the same lock.
-                let before = self.metrics.warm_micros_total.load(Ordering::Relaxed);
-                self.warm_slot(&mut inner, tenant)?;
-                // ordering: Relaxed — written under the same lock above.
-                let after = self.metrics.warm_micros_total.load(Ordering::Relaxed);
-                Ok(after - before)
-            }
+        let i = inner.slot(tenant)?;
+        if matches!(inner.slots[i].state, State::Warm(_)) {
+            return Ok(0);
         }
+        self.make_room(&mut inner)?;
+        Ok(self.warm_slot(&mut inner, i)?.1)
     }
 
     /// Serializes the tenant's current state to snapshot bytes without
-    /// evicting it.
+    /// evicting it — the same bytes an eviction would store.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] when the tenant has no slot.
     pub fn snapshot_bytes(&self, tenant: &TenantId) -> Result<Vec<u8>, ServeError> {
         let inner = self.lock();
-        match inner.slots.get(tenant) {
-            None => Err(ServeError::UnknownTenant(tenant.clone())),
-            Some(Slot::Cold(cold)) => match (&cold.bytes, &cold.path) {
-                (Some(bytes), _) => Ok(bytes.clone()),
-                (None, Some(path)) => Ok(std::fs::read(path)?),
-                (None, None) => Err(ServeError::Snapshot(format!(
-                    "cold tenant `{tenant}` has neither bytes nor a snapshot file"
-                ))),
-            },
-            Some(Slot::Warm(warm)) => {
-                let contexts = warm
-                    .contexts
-                    .values()
-                    .map(|entry| ContextState {
-                        node: entry.context.node.clone(),
-                        workload: entry.context.workload.clone(),
-                        tail: if entry.truncated {
-                            Vec::new()
-                        } else {
-                            entry.tail.clone()
-                        },
-                        truncated: entry.truncated,
-                    })
-                    .collect();
-                Ok(TenantSnapshot::new(
-                    self.config.clone(),
-                    warm.engine.snapshot_state(),
-                    warm.engine.lifetime_ticks(),
-                    contexts,
-                )
-                .to_bytes())
-            }
+        match &inner.slots[inner.slot(tenant)?].state {
+            State::Cold(cold) => Ok(cold.bytes()?.into_owned()),
+            State::Warm(warm) => Ok(self.snapshot_of(warm).to_bytes()),
         }
     }
 
     /// Whether the tenant is currently warm.
     pub fn is_warm(&self, tenant: &TenantId) -> bool {
-        matches!(self.lock().slots.get(tenant), Some(Slot::Warm(_)))
+        let inner = self.lock();
+        inner
+            .slot(tenant)
+            .is_ok_and(|i| matches!(inner.slots[i].state, State::Warm(_)))
     }
 
     /// The dense number events attribute this tenant under, if the
     /// tenant has a slot.
     pub fn tenant_number(&self, tenant: &TenantId) -> Option<u64> {
-        match self.lock().slots.get(tenant) {
-            Some(Slot::Warm(w)) => Some(w.num),
-            Some(Slot::Cold(c)) => Some(c.num),
-            None => None,
-        }
+        let inner = self.lock();
+        inner.slot(tenant).ok().map(|i| inner.slots[i].num)
     }
 
     /// One tenant's health (cold tenants report `Healthy` — an evicted
@@ -799,11 +839,11 @@ impl Fleet {
     ///
     /// [`ServeError::UnknownTenant`] when the tenant has no slot.
     pub fn tenant_health(&self, tenant: &TenantId) -> Result<HealthState, ServeError> {
-        match self.lock().slots.get(tenant) {
-            None => Err(ServeError::UnknownTenant(tenant.clone())),
-            Some(Slot::Warm(w)) => Ok(w.engine.health()),
-            Some(Slot::Cold(_)) => Ok(HealthState::Healthy),
-        }
+        let inner = self.lock();
+        Ok(match &inner.slots[inner.slot(tenant)?].state {
+            State::Warm(w) => w.engine.health(),
+            State::Cold(_) => HealthState::Healthy,
+        })
     }
 
     /// Fleet health: the worst state across every warm tenant's health
@@ -811,18 +851,16 @@ impl Fleet {
     pub fn health(&self) -> HealthState {
         let inner = self.lock();
         let mut worst = HealthState::Healthy;
-        for slot in inner.slots.values() {
-            if let Slot::Warm(w) = slot {
-                let health = w.engine.health();
-                worst = match (worst, health) {
-                    (HealthState::Degraded(t), _) => HealthState::Degraded(t),
-                    (_, HealthState::Degraded(t)) => HealthState::Degraded(t),
-                    (HealthState::Recovering, _) | (_, HealthState::Recovering) => {
-                        HealthState::Recovering
-                    }
-                    (HealthState::Healthy, HealthState::Healthy) => HealthState::Healthy,
-                };
-            }
+        for (_, w) in inner.warm_tenants() {
+            let health = w.engine.health();
+            worst = match (worst, health) {
+                (HealthState::Degraded(t), _) => HealthState::Degraded(t),
+                (_, HealthState::Degraded(t)) => HealthState::Degraded(t),
+                (HealthState::Recovering, _) | (_, HealthState::Recovering) => {
+                    HealthState::Recovering
+                }
+                (HealthState::Healthy, HealthState::Healthy) => HealthState::Healthy,
+            };
         }
         worst
     }
@@ -831,12 +869,7 @@ impl Fleet {
     pub fn status(&self) -> FleetStatus {
         let (tenants, warm) = {
             let inner = self.lock();
-            let warm = inner
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Warm(_)))
-                .count();
-            (inner.slots.len(), warm)
+            (inner.slots.len(), inner.warm)
         };
         // ordering: Relaxed loads — the status is point-in-time-ish by
         // contract; exact once writers are quiescent.
@@ -885,17 +918,11 @@ impl Fleet {
             "ix_fleet_health{{state=\"{}\"}} 1\n",
             status.health
         ));
-        let snapshots: Vec<(TenantId, TelemetrySnapshot)> = {
-            let inner = self.lock();
-            inner
-                .slots
-                .iter()
-                .filter_map(|(id, slot)| match slot {
-                    Slot::Warm(w) => w.telemetry.as_ref().map(|hub| (id.clone(), hub.snapshot())),
-                    Slot::Cold(_) => None,
-                })
-                .collect()
-        };
+        let snapshots: Vec<(TenantId, TelemetrySnapshot)> = self
+            .lock()
+            .warm_tenants()
+            .filter_map(|(id, w)| w.telemetry.as_ref().map(|hub| (id.clone(), hub.snapshot())))
+            .collect();
         for (tenant, mut snap) in snapshots {
             for scope in &mut snap.contexts {
                 scope.context = format!("{tenant}/{}", scope.context);
@@ -904,6 +931,25 @@ impl Fleet {
             out.push_str(&snap.render_prometheus());
         }
         out
+    }
+}
+
+/// Writes `bytes` to `path` so that a crash leaves either the previous
+/// file or the complete new one, never a torn mix: the bytes go to a
+/// temporary file beside `path`, are synced to disk, and the temporary
+/// file is then renamed over `path`. Syncing the directory afterwards
+/// makes the rename itself durable.
+fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => File::open(dir)?.sync_all(),
+        _ => Ok(()),
     }
 }
 

@@ -10,20 +10,49 @@
 //! run (replayed through `Engine::restore_run` on warm).
 //!
 //! The container is an `IXHIST01` file with no tick rows: the whole
-//! snapshot is JSON in the `SRVT` trailing section
+//! snapshot is the binary `SRVT` trailing section
 //! ([`ix_history::SERVE_SECTION`]), so warming reads a fixed-size header
 //! plus one section — microseconds, independent of how long the tenant
 //! has been alive. Any `IXHIST01` reader that predates the tag still
 //! loads the file (with a warning) and carries the section verbatim.
+//!
+//! # `SRVT` layout (version 2)
+//!
+//! Little-endian, encoded with `ix-history`'s [`Writer`] and decoded with
+//! its bounds-checked [`Reader`]. `str` is a `u32` byte length plus UTF-8;
+//! `f64` is the raw IEEE-754 bits, so every value round-trips bit-exactly.
+//!
+//! | field | encoding |
+//! |---|---|
+//! | version | `u32` ([`SNAPSHOT_VERSION`]) |
+//! | checksum | `u64` over every byte after this field |
+//! | lifetime ticks | `u64` |
+//! | config | `str`: the canonical JSON of the [`InvarNetConfig`] |
+//! | performance models | `u32` count, then per model: key `str`, p/d/q `u32` each, intercept `f64`, `u32` count + AR `f64`s, `u32` count + MA `f64`s, σ² `f64`, n_effective `u64`, residual max/min/p95 `f64` each, β `f64` |
+//! | invariant sets | `u32` count, then per set: key `str`, τ `f64`, `u32` count + `(u32 pair, f64 value)` entries |
+//! | signatures | `u32` count, then per signature: problem, node, workload `str` each, `u32` count + graded `f64`s |
+//! | contexts | `u32` count, then per context: node, workload `str` each, truncated `u8`, `u32` count + tail ticks, each `cpi f64` + `u32` count + row `f64`s |
+//!
+//! Decoding checks every count against the bytes left before it
+//! allocates, and refuses what the engine would trip over later: a bad
+//! checksum, trailing bytes, a non-finite float, non-UTF-8 text, map keys
+//! out of order, and invariant pairs that are out of range or not
+//! strictly increasing ([`InvariantSet::from_entries`]). Every refusal is
+//! a [`ServeError::Snapshot`].
 
-use ix_core::{InvarNetConfig, ModelStore};
-use ix_history::{HistoryStore, SERVE_SECTION};
-use serde::{DeError, Deserialize, Serialize, Value};
+use ix_core::{
+    InvarNetConfig, InvariantEntry, InvariantSet, ModelStore, OperationContext, ResidualStats,
+    Signature, StoredPerformanceModel, ViolationTuple,
+};
+use ix_history::{HistoryFileError, HistoryStore, Reader, Writer, SERVE_SECTION};
 
 use crate::error::ServeError;
 
-/// The snapshot version this crate writes and the newest it reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The snapshot version this crate writes and the only one it reads.
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// Bytes ahead of the checksummed body: version (4) + checksum (8).
+const HEADER_BYTES: usize = 12;
 
 /// One recorded tick of a context's current run.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,24 +61,6 @@ pub struct RunTick {
     pub cpi: f64,
     /// The metric row the sliding window absorbed.
     pub row: Vec<f64>,
-}
-
-impl Serialize for RunTick {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("cpi".to_string(), self.cpi.to_value()),
-            ("row".to_string(), self.row.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RunTick {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(RunTick {
-            cpi: f64::from_value(value.field("cpi")?)?,
-            row: Vec::<f64>::from_value(value.field("row")?)?,
-        })
-    }
 }
 
 /// One context's live state at eviction time.
@@ -68,28 +79,6 @@ pub struct ContextState {
     pub truncated: bool,
 }
 
-impl Serialize for ContextState {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("node".to_string(), self.node.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("tail".to_string(), self.tail.to_value()),
-            ("truncated".to_string(), self.truncated.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ContextState {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(ContextState {
-            node: String::from_value(value.field("node")?)?,
-            workload: String::from_value(value.field("workload")?)?,
-            tail: Vec::<RunTick>::from_value(value.field("tail")?)?,
-            truncated: bool::from_value(value.field("truncated")?)?,
-        })
-    }
-}
-
 /// Everything needed to rebuild an evicted tenant's engine, bit-identical
 /// to the moment of eviction.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,32 +95,8 @@ pub struct TenantSnapshot {
     pub contexts: Vec<ContextState>,
 }
 
-impl Serialize for TenantSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("store".to_string(), self.store.to_value()),
-            ("lifetime_ticks".to_string(), self.lifetime_ticks.to_value()),
-            ("contexts".to_string(), self.contexts.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TenantSnapshot {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(TenantSnapshot {
-            version: u32::from_value(value.field("version")?)?,
-            config: InvarNetConfig::from_value(value.field("config")?)?,
-            store: ModelStore::from_value(value.field("store")?)?,
-            lifetime_ticks: u64::from_value(value.field("lifetime_ticks")?)?,
-            contexts: Vec::<ContextState>::from_value(value.field("contexts")?)?,
-        })
-    }
-}
-
 impl TenantSnapshot {
-    /// A version-1 snapshot of the given tenant state.
+    /// A current-version snapshot of the given tenant state.
     pub fn new(
         config: InvarNetConfig,
         store: ModelStore,
@@ -150,9 +115,8 @@ impl TenantSnapshot {
     /// Serializes the snapshot into a row-free `IXHIST01` image carrying
     /// the `SRVT` section.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let json = serde_json::to_string(self).expect("snapshot serialization is infallible");
         HistoryStore::builder()
-            .section(SERVE_SECTION, json.into_bytes())
+            .section(SERVE_SECTION, self.encode())
             .build()
             .to_bytes()
     }
@@ -162,26 +126,311 @@ impl TenantSnapshot {
     /// # Errors
     ///
     /// [`ServeError::Snapshot`] when the bytes are not an `IXHIST01`
-    /// image, carry no `SRVT` section, fail to parse, or were written by
-    /// a newer crate.
+    /// image, carry no `SRVT` section, were written in another snapshot
+    /// version, or fail any check of the module-level layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
         let store = HistoryStore::from_bytes(bytes)
             .map_err(|e| ServeError::Snapshot(format!("container: {e}")))?;
         let payload = store
             .section(SERVE_SECTION)
             .ok_or_else(|| ServeError::Snapshot("no SRVT section".to_string()))?;
-        let text = String::from_utf8(payload)
-            .map_err(|e| ServeError::Snapshot(format!("not UTF-8: {e}")))?;
-        let snapshot: TenantSnapshot =
-            serde_json::from_str(&text).map_err(|e| ServeError::Snapshot(format!("parse: {e}")))?;
-        if snapshot.version > SNAPSHOT_VERSION {
+        Self::decode(&payload)
+    }
+
+    /// The `SRVT` payload: header, then the checksummed body.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u32(self.version);
+        w.u64(0); // checksum, patched below once the body is written
+        w.u64(self.lifetime_ticks);
+        let config =
+            serde_json::to_string(&self.config).expect("config serialization is infallible");
+        w.bytes(config.as_bytes());
+
+        w.u32_field(self.store.performance_models.len());
+        for (key, m) in &self.store.performance_models {
+            w.bytes(key.as_bytes());
+            w.u32_field(m.p);
+            w.u32_field(m.d);
+            w.u32_field(m.q);
+            w.f64(m.intercept);
+            f64_list(&mut w, &m.ar);
+            f64_list(&mut w, &m.ma);
+            w.f64(m.sigma2);
+            w.u64(m.n_effective as u64);
+            w.f64s(&[m.stats.max, m.stats.min, m.stats.p95, m.beta]);
+        }
+
+        w.u32_field(self.store.invariants.len());
+        for (key, set) in &self.store.invariants {
+            w.bytes(key.as_bytes());
+            w.f64(set.tau());
+            w.u32_field(set.len());
+            for e in set.entries() {
+                w.u32_field(e.pair);
+                w.f64(e.value);
+            }
+        }
+
+        let signatures = self.store.signatures.records();
+        w.u32_field(signatures.len());
+        for s in signatures {
+            w.bytes(s.problem.as_bytes());
+            w.bytes(s.context.node.as_bytes());
+            w.bytes(s.context.workload.as_bytes());
+            f64_list(&mut w, s.tuple.graded());
+        }
+
+        w.u32_field(self.contexts.len());
+        for c in &self.contexts {
+            w.bytes(c.node.as_bytes());
+            w.bytes(c.workload.as_bytes());
+            w.u8(u8::from(c.truncated));
+            w.u32_field(c.tail.len());
+            for tick in &c.tail {
+                w.f64(tick.cpi);
+                f64_list(&mut w, &tick.row);
+            }
+        }
+
+        let mut payload = w.into_bytes();
+        let sum = checksum(&payload[HEADER_BYTES..]);
+        payload[4..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        payload
+    }
+
+    fn decode(payload: &[u8]) -> Result<Self, ServeError> {
+        let mut r = Reader::new(payload);
+        let version = r.u32().map_err(body_error)?;
+        if version != SNAPSHOT_VERSION {
+            // A version-1 body was JSON text, so it began with `{`.
+            let found = if payload.first() == Some(&b'{') {
+                "version 1 (JSON)".to_string()
+            } else {
+                format!("version {version}")
+            };
             return Err(ServeError::Snapshot(format!(
-                "snapshot version {} is newer than this build ({SNAPSHOT_VERSION})",
-                snapshot.version
+                "snapshot {found} is not readable by this build, which reads only \
+                 version {SNAPSHOT_VERSION}"
             )));
         }
-        Ok(snapshot)
+        let stored = r.u64().map_err(body_error)?;
+        let actual = checksum(&payload[HEADER_BYTES..]);
+        if stored != actual {
+            return Err(ServeError::Snapshot(format!(
+                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+            )));
+        }
+        decode_body(&mut r).map_err(body_error)
     }
+}
+
+/// Maps a body decoding failure onto the serving layer's typed error.
+fn body_error(e: HistoryFileError) -> ServeError {
+    match e {
+        HistoryFileError::Format(msg) => ServeError::Snapshot(format!("SRVT body: {msg}")),
+        HistoryFileError::Io(e) => ServeError::Io(e),
+    }
+}
+
+fn malformed(msg: String) -> HistoryFileError {
+    HistoryFileError::Format(msg)
+}
+
+/// Everything after the checksum; see the module-level layout table.
+fn decode_body(r: &mut Reader<'_>) -> Result<TenantSnapshot, HistoryFileError> {
+    let lifetime_ticks = r.u64()?;
+    let config: InvarNetConfig =
+        serde_json::from_str(r.str()?).map_err(|e| malformed(format!("config: {e}")))?;
+
+    let mut store = ModelStore::new();
+    // Smallest model: key length, p/d/q, intercept, two list counts, σ²,
+    // n_effective, three residual stats and β.
+    let models = r.count(80)?;
+    let mut last_key = None;
+    for _ in 0..models {
+        let key = next_key(r, &mut last_key)?;
+        let p = r.u32()? as usize;
+        let d = r.u32()? as usize;
+        let q = r.u32()? as usize;
+        let intercept = finite(r)?;
+        let ar = finite_list(r)?;
+        let ma = finite_list(r)?;
+        let sigma2 = finite(r)?;
+        let n_effective = usize::try_from(r.u64()?)
+            .map_err(|_| malformed(format!("model `{key}`: n_effective overflows")))?;
+        let stats = ResidualStats {
+            max: finite(r)?,
+            min: finite(r)?,
+            p95: finite(r)?,
+        };
+        let beta = finite(r)?;
+        store.performance_models.insert(
+            key.to_string(),
+            StoredPerformanceModel {
+                p,
+                d,
+                q,
+                intercept,
+                ar,
+                ma,
+                sigma2,
+                n_effective,
+                stats,
+                beta,
+            },
+        );
+    }
+
+    // Smallest set: key length, τ, entry count.
+    let sets = r.count(16)?;
+    let mut last_key = None;
+    for _ in 0..sets {
+        let key = next_key(r, &mut last_key)?;
+        let tau = r.f64()?;
+        let n = r.count(12)?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pair = r.u32()? as usize;
+            let value = r.f64()?;
+            entries.push(InvariantEntry { pair, value });
+        }
+        let set = InvariantSet::from_entries(entries, tau)
+            .map_err(|e| malformed(format!("invariants `{key}`: {e}")))?;
+        store.invariants.insert(key.to_string(), set);
+    }
+
+    // Smallest signature: three string lengths and the tuple count.
+    let signatures = r.count(16)?;
+    for _ in 0..signatures {
+        let problem = r.str()?.to_string();
+        let node = r.str()?;
+        let workload = r.str()?;
+        let graded = finite_list(r)?;
+        store.signatures.add(Signature {
+            tuple: ViolationTuple::from_graded(graded),
+            problem,
+            context: OperationContext::new(node, workload),
+        });
+    }
+
+    // Smallest context: two string lengths, the flag and the tail count.
+    let count = r.count(13)?;
+    let mut contexts = Vec::with_capacity(count);
+    for _ in 0..count {
+        let node = r.str()?.to_string();
+        let workload = r.str()?.to_string();
+        let truncated = match r.u8()? {
+            0 => false,
+            1 => true,
+            other => return Err(malformed(format!("truncated flag {other} is not 0 or 1"))),
+        };
+        // Smallest tick: the CPI and the row count.
+        let ticks = r.count(12)?;
+        if truncated && ticks > 0 {
+            return Err(malformed(format!(
+                "context `{workload}@{node}` is truncated but keeps {ticks} tail ticks"
+            )));
+        }
+        let mut tail = Vec::with_capacity(ticks);
+        for _ in 0..ticks {
+            let cpi = finite(r)?;
+            let row = finite_list(r)?;
+            tail.push(RunTick { cpi, row });
+        }
+        contexts.push(ContextState {
+            node,
+            workload,
+            tail,
+            truncated,
+        });
+    }
+
+    if r.remaining() != 0 {
+        return Err(malformed(format!("{} trailing bytes", r.remaining())));
+    }
+    Ok(TenantSnapshot {
+        version: SNAPSHOT_VERSION,
+        config,
+        store,
+        lifetime_ticks,
+        contexts,
+    })
+}
+
+/// Writes a `u32` count and the values.
+fn f64_list(w: &mut Writer, values: &[f64]) {
+    w.u32_field(values.len());
+    w.f64s(values);
+}
+
+/// Reads a map key that must sort strictly after the previous one, so a
+/// decoded map re-encodes to the same bytes.
+fn next_key<'a>(
+    r: &mut Reader<'a>,
+    last: &mut Option<&'a str>,
+) -> Result<&'a str, HistoryFileError> {
+    let key = r.str()?;
+    if last.is_some_and(|prev| key <= prev) {
+        return Err(malformed(format!("key `{key}` is out of order")));
+    }
+    *last = Some(key);
+    Ok(key)
+}
+
+/// Reads one `f64` that must be finite — the JSON body this format
+/// replaced could not carry anything else.
+fn finite(r: &mut Reader<'_>) -> Result<f64, HistoryFileError> {
+    let v = r.f64()?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(malformed(format!("non-finite value {v}")))
+    }
+}
+
+/// Reads a `u32` count and that many finite `f64`s.
+fn finite_list(r: &mut Reader<'_>) -> Result<Vec<f64>, HistoryFileError> {
+    let n = r.count(8)?;
+    let values = r.f64s(n)?;
+    match values.iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(malformed(format!("non-finite value {v}"))),
+        None => Ok(values),
+    }
+}
+
+/// The body checksum. Four lanes take turns absorbing the 8-byte words
+/// of each 32-byte block — a word is xor-ed into its lane, which is then
+/// multiplied by an odd constant and rotated — and the length, the four
+/// lanes and the zero-padded words of the final partial block are then
+/// absorbed the same way into one state. Every step is a bijection of
+/// both the state and the word, so changing any one word — in particular
+/// any single byte — always changes the result. The lanes are
+/// independent, so the loop runs at the multiplier's throughput rather
+/// than its latency.
+fn checksum(bytes: &[u8]) -> u64 {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(MUL).rotate_left(29);
+    let word = |chunk: &[u8]| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    };
+    let mut lanes = [1u64, 2, 3, 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(chunk));
+        }
+    }
+    let mut h = mix(0, bytes.len() as u64);
+    for lane in lanes {
+        h = mix(h, lane);
+    }
+    for chunk in blocks.remainder().chunks(8) {
+        h = mix(h, word(chunk));
+    }
+    h
 }
 
 #[cfg(test)]
@@ -205,13 +454,143 @@ mod tests {
         )
     }
 
+    /// A hand-built snapshot touching every field of the layout.
+    fn small() -> TenantSnapshot {
+        let mut store = ModelStore::new();
+        store.performance_models.insert(
+            "Sort@n1".to_string(),
+            StoredPerformanceModel {
+                p: 1,
+                d: 0,
+                q: 1,
+                intercept: 0.5,
+                ar: vec![0.25],
+                ma: vec![-0.5],
+                sigma2: 2.0,
+                n_effective: 7,
+                stats: ResidualStats {
+                    max: 1.0,
+                    min: 0.0,
+                    p95: 0.75,
+                },
+                beta: 1.5,
+            },
+        );
+        let entries = vec![
+            InvariantEntry {
+                pair: 3,
+                value: 0.5,
+            },
+            InvariantEntry {
+                pair: 9,
+                value: 1.0,
+            },
+        ];
+        store.invariants.insert(
+            "Sort@n1".to_string(),
+            InvariantSet::from_entries(entries, 0.25).expect("valid"),
+        );
+        store.signatures.add(Signature {
+            tuple: ViolationTuple::from_graded(vec![0.0, 0.5]),
+            problem: "hog".to_string(),
+            context: OperationContext::new("n1", "Sort"),
+        });
+        TenantSnapshot::new(
+            InvarNetConfig::default(),
+            store,
+            5,
+            vec![ContextState {
+                node: "n1".to_string(),
+                workload: "Sort".to_string(),
+                tail: vec![RunTick {
+                    cpi: 1.0,
+                    row: vec![2.0],
+                }],
+                truncated: false,
+            }],
+        )
+    }
+
+    fn payload(snapshot: &TenantSnapshot) -> Vec<u8> {
+        HistoryStore::from_bytes(&snapshot.to_bytes())
+            .expect("container")
+            .section(SERVE_SECTION)
+            .expect("SRVT")
+    }
+
     #[test]
     fn snapshot_round_trips_bit_identically() {
-        let snap = sample();
-        let bytes = snap.to_bytes();
-        let back = TenantSnapshot::from_bytes(&bytes).expect("parse");
-        assert_eq!(back, snap);
+        for snap in [sample(), small()] {
+            let bytes = snap.to_bytes();
+            let back = TenantSnapshot::from_bytes(&bytes).expect("parse");
+            assert_eq!(back, snap);
+            assert_eq!(back.to_bytes(), bytes);
+        }
+        let back = TenantSnapshot::from_bytes(&sample().to_bytes()).expect("parse");
         assert_eq!(back.contexts[0].tail[0].cpi.to_bits(), 1.25_f64.to_bits());
+    }
+
+    #[test]
+    fn layout_is_pinned() {
+        // Golden bytes of the SRVT payload. A change here is a snapshot
+        // format break — bump SNAPSHOT_VERSION. The config blob is spelled
+        // by its encoder, but the pinned checksum covers it too.
+        let config = serde_json::to_string(&InvarNetConfig::default()).expect("config");
+        let mut expected: Vec<u8> = Vec::new();
+        let mut put = |bytes: &[u8]| expected.extend_from_slice(bytes);
+        put(&[2, 0, 0, 0]); // version
+        put(&0x2030_56ca_483d_a962_u64.to_le_bytes()); // checksum
+        put(&[5, 0, 0, 0, 0, 0, 0, 0]); // lifetime ticks
+        put(&(config.len() as u32).to_le_bytes());
+        put(config.as_bytes());
+        // One performance model.
+        put(&[1, 0, 0, 0]);
+        put(&[7, 0, 0, 0]);
+        put(b"Sort@n1");
+        put(&[1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]); // p, d, q
+        put(&0.5_f64.to_bits().to_le_bytes()); // intercept
+        put(&[1, 0, 0, 0]);
+        put(&0.25_f64.to_bits().to_le_bytes()); // ar
+        put(&[1, 0, 0, 0]);
+        put(&(-0.5_f64).to_bits().to_le_bytes()); // ma
+        put(&2.0_f64.to_bits().to_le_bytes()); // sigma2
+        put(&[7, 0, 0, 0, 0, 0, 0, 0]); // n_effective
+        for v in [1.0_f64, 0.0, 0.75, 1.5] {
+            put(&v.to_bits().to_le_bytes()); // max, min, p95, beta
+        }
+        // One invariant set.
+        put(&[1, 0, 0, 0]);
+        put(&[7, 0, 0, 0]);
+        put(b"Sort@n1");
+        put(&0.25_f64.to_bits().to_le_bytes()); // tau
+        put(&[2, 0, 0, 0]);
+        put(&[3, 0, 0, 0]);
+        put(&0.5_f64.to_bits().to_le_bytes());
+        put(&[9, 0, 0, 0]);
+        put(&1.0_f64.to_bits().to_le_bytes());
+        // One signature.
+        put(&[1, 0, 0, 0]);
+        put(&[3, 0, 0, 0]);
+        put(b"hog");
+        put(&[2, 0, 0, 0]);
+        put(b"n1");
+        put(&[4, 0, 0, 0]);
+        put(b"Sort");
+        put(&[2, 0, 0, 0]);
+        put(&0.0_f64.to_bits().to_le_bytes());
+        put(&0.5_f64.to_bits().to_le_bytes());
+        // One context with a one-tick tail.
+        put(&[1, 0, 0, 0]);
+        put(&[2, 0, 0, 0]);
+        put(b"n1");
+        put(&[4, 0, 0, 0]);
+        put(b"Sort");
+        put(&[0]); // not truncated
+        put(&[1, 0, 0, 0]);
+        put(&1.0_f64.to_bits().to_le_bytes()); // cpi
+        put(&[1, 0, 0, 0]);
+        put(&2.0_f64.to_bits().to_le_bytes()); // row
+        assert_eq!(payload(&small()), expected);
     }
 
     #[test]
@@ -224,13 +603,93 @@ mod tests {
     }
 
     #[test]
-    fn newer_version_is_rejected() {
+    fn other_versions_are_rejected_by_name() {
         let mut snap = sample();
         snap.version = SNAPSHOT_VERSION + 1;
+        match TenantSnapshot::from_bytes(&snap.to_bytes()) {
+            Err(ServeError::Snapshot(msg)) => assert!(msg.contains("version 3"), "{msg}"),
+            other => panic!("expected a version error, got {other:?}"),
+        }
+        // The version-1 body was JSON.
+        let json = br#"{"version":1,"config":{},"store":{},"lifetime_ticks":0,"contexts":[]}"#;
+        let bytes = HistoryStore::builder()
+            .section(SERVE_SECTION, json.to_vec())
+            .build()
+            .to_bytes();
+        match TenantSnapshot::from_bytes(&bytes) {
+            Err(ServeError::Snapshot(msg)) => assert!(msg.contains("version 1 (JSON)"), "{msg}"),
+            other => panic!("expected a version error, got {other:?}"),
+        }
+    }
+
+    /// Re-frames a hand-edited payload with a valid checksum, so the
+    /// checks behind the checksum are reached.
+    fn reframed(mut payload: Vec<u8>) -> Vec<u8> {
+        let sum = checksum(&payload[HEADER_BYTES..]);
+        payload[4..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        HistoryStore::builder()
+            .section(SERVE_SECTION, payload)
+            .build()
+            .to_bytes()
+    }
+
+    fn expect_snapshot_error(bytes: &[u8], needle: &str) {
+        match TenantSnapshot::from_bytes(bytes) {
+            Err(ServeError::Snapshot(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a snapshot error naming {needle:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checksummed_bodies_are_still_validated() {
+        let good = payload(&small());
+        let find = |needle: &[u8]| {
+            good.windows(needle.len())
+                .rposition(|w| w == needle)
+                .expect("needle")
+        };
+        // The second invariant pair (9) becomes 99999: out of range.
+        let mut bad = good.clone();
+        let at = find(&[9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f]);
+        bad[at..at + 4].copy_from_slice(&99_999_u32.to_le_bytes());
+        let hostile = reframed(bad);
+        expect_snapshot_error(&hostile, "out of range");
+        // A fleet refuses it at adopt, before it could warm and index
+        // past the association matrix at diagnosis time.
+        let fleet = crate::Fleet::builder().build();
+        let tenant = crate::TenantId::new("hostile").expect("valid");
         assert!(matches!(
-            TenantSnapshot::from_bytes(&snap.to_bytes()),
-            Err(ServeError::Snapshot(_))
+            fleet.adopt(tenant, hostile),
+            Err(ServeError::Snapshot(msg)) if msg.contains("out of range")
         ));
+        // ... or 3 again: not strictly increasing.
+        let mut bad = good.clone();
+        bad[at] = 3;
+        expect_snapshot_error(&reframed(bad), "out of order");
+        // The row value becomes NaN.
+        let mut bad = good.clone();
+        let len = bad.len();
+        bad[len - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        expect_snapshot_error(&reframed(bad), "non-finite");
+        // The truncated flag becomes 2.
+        let mut bad = good.clone();
+        let flag = len - 8 - 4 - 8 - 4 - 1;
+        assert_eq!(bad[flag], 0);
+        bad[flag] = 2;
+        expect_snapshot_error(&reframed(bad), "truncated flag");
+        // The problem name stops being UTF-8.
+        let mut bad = good.clone();
+        let at = find(b"hog");
+        bad[at] = 0xff;
+        expect_snapshot_error(&reframed(bad), "UTF-8");
+        // A trailing byte.
+        let mut bad = good.clone();
+        bad.push(0);
+        expect_snapshot_error(&reframed(bad), "trailing");
+        // A count the remaining bytes cannot back.
+        let mut bad = good;
+        bad[len - 8 - 4..len - 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        expect_snapshot_error(&reframed(bad), "exceeds");
     }
 
     #[test]

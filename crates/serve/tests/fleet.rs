@@ -13,7 +13,7 @@ use ix_core::{
     CoreError, Engine, EngineEvent, ErrorCode, EventSink, InvarNetConfig, ModelStore,
     OperationContext,
 };
-use ix_serve::{Fleet, ServeError, TenantId};
+use ix_serve::{Fleet, ServeError, TenantId, TenantSnapshot};
 use ix_simulator::{FaultType, Runner, WorkloadType};
 use proptest::prelude::*;
 
@@ -345,7 +345,10 @@ fn adopt_then_warm_restores_a_foreign_snapshot() {
 #[test]
 fn snapshots_persist_to_disk_when_a_directory_is_configured() {
     let t = template();
-    let dir = std::env::temp_dir().join("ix-serve-fleet-test-snapshots");
+    let dir = std::env::temp_dir().join(format!(
+        "ix-serve-fleet-test-snapshots-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let fleet = Fleet::builder().snapshot_dir(&dir).build();
     let tenant = TenantId::new("disky").expect("valid");
@@ -357,12 +360,247 @@ fn snapshots_persist_to_disk_when_a_directory_is_configured() {
     fleet
         .ingest(&tenant, &t.context, *cpi, row)
         .expect("ingest");
+    let expected = fleet.snapshot_bytes(&tenant).expect("snapshot");
     fleet.evict(&tenant).expect("evict");
     let path = dir.join("disky.ixhist");
-    assert!(path.exists(), "eviction must write the snapshot file");
+    assert_eq!(
+        std::fs::read(&path).expect("eviction must write the snapshot file"),
+        expected
+    );
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert_eq!(names, ["disky.ixhist"], "no temporary file may be left");
     fleet.warm(&tenant).expect("warm from file");
     assert!(fleet.is_warm(&tenant));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn snapshot_bytes_are_deterministic_and_match_what_eviction_stores() {
+    let t = template();
+    // Six contexts sharing the template's trained state, so the per-tenant
+    // context map has an iteration order worth getting wrong.
+    let key = ModelStore::context_key(&t.context);
+    let mut store = t.store.clone();
+    let contexts: Vec<OperationContext> = (0..6)
+        .map(|i| OperationContext::new(format!("10.0.0.{i}"), format!("Job{}", 5 - i)))
+        .collect();
+    for context in &contexts {
+        let k = ModelStore::context_key(context);
+        store
+            .performance_models
+            .insert(k.clone(), t.store.performance_models[&key].clone());
+        store.invariants.insert(k, t.store.invariants[&key].clone());
+    }
+    let tenant = TenantId::new("many").expect("valid");
+    let fleets: Vec<Fleet> = (0..2).map(|_| Fleet::builder().build()).collect();
+    for fleet in &fleets {
+        fleet
+            .with_engine(&tenant, |e| e.load_state(&store))
+            .expect("materialize")
+            .expect("load");
+        for (cpi, row) in &t.ticks[..3] {
+            for context in &contexts {
+                fleet.ingest(&tenant, context, *cpi, row).expect("ingest");
+            }
+        }
+    }
+    let live = fleets[0].snapshot_bytes(&tenant).expect("snapshot");
+    assert_eq!(live, fleets[1].snapshot_bytes(&tenant).expect("snapshot"));
+    fleets[0].evict(&tenant).expect("evict");
+    assert_eq!(
+        fleets[0].snapshot_bytes(&tenant).expect("stored"),
+        live,
+        "an eviction stores the bytes Op::Snapshot serves"
+    );
+    let snapshot = TenantSnapshot::from_bytes(&live).expect("parse");
+    assert_eq!(snapshot.contexts.len(), 6);
+}
+
+/// A snapshot of a tenant 10 ticks into the template's run.
+fn trained_snapshot() -> Vec<u8> {
+    let t = template();
+    let fleet = Fleet::builder().build();
+    let tenant = TenantId::new("victim").expect("valid");
+    fleet
+        .with_engine(&tenant, |e| e.load_state(&t.store))
+        .expect("materialize")
+        .expect("load");
+    for (cpi, row) in &t.ticks[..10] {
+        fleet
+            .ingest(&tenant, &t.context, *cpi, row)
+            .expect("ingest");
+    }
+    fleet.snapshot_bytes(&tenant).expect("snapshot")
+}
+
+#[test]
+fn every_truncation_and_byte_flip_of_a_snapshot_is_a_typed_error() {
+    let bytes = trained_snapshot();
+    let fleet = Fleet::builder().build();
+    let tenant = TenantId::new("adoptee").expect("valid");
+    fleet.adopt(tenant.clone(), bytes.clone()).expect("intact");
+    let refuse = |damaged: &[u8], what: &str| {
+        assert!(
+            matches!(
+                TenantSnapshot::from_bytes(damaged),
+                Err(ServeError::Snapshot(_))
+            ),
+            "{what} must be refused by from_bytes"
+        );
+        assert!(
+            matches!(
+                fleet.adopt(tenant.clone(), damaged.to_vec()),
+                Err(ServeError::Snapshot(_))
+            ),
+            "{what} must be refused by adopt"
+        );
+    };
+    for len in 0..bytes.len() {
+        refuse(&bytes[..len], &format!("truncation to {len} bytes"));
+    }
+    let mut damaged = bytes.clone();
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0xff] {
+            damaged[at] ^= mask;
+            refuse(&damaged, &format!("byte {at} ^ {mask:#04x}"));
+            damaged[at] ^= mask;
+        }
+    }
+}
+
+#[test]
+fn a_hostile_invariant_pair_is_refused_on_the_store_path() {
+    let t = template();
+    let key = ModelStore::context_key(&t.context);
+    let pair = t.store.invariants[&key].entries()[0].pair;
+    let json = t.store.to_json().expect("json");
+    let needle = format!("\"pair\": {pair},");
+    assert!(json.contains(&needle), "{needle} not in the store JSON");
+    let hostile = json.replacen(&needle, "\"pair\": 99999,", 1);
+    let err = ModelStore::from_json(&hostile).expect_err("pair 99999 must be refused");
+    assert!(err.to_string().contains("out of range"), "{err}");
+
+    let path = std::env::temp_dir().join(format!(
+        "ix-serve-hostile-store-{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, hostile).expect("write");
+    let engine = Engine::builder().build();
+    assert!(engine.load_store(&path).is_err());
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_snapshot_written_under_another_config_is_refused() {
+    let t = template();
+    let tenant = TenantId::new("foreign").expect("valid");
+    let config = InvarNetConfig {
+        window_ticks: 30,
+        ..InvarNetConfig::default()
+    };
+    let source = Fleet::builder().config(config).build();
+    source
+        .with_engine(&tenant, |e| e.load_state(&t.store))
+        .expect("materialize")
+        .expect("load");
+    let (cpi, row) = &t.ticks[0];
+    source
+        .ingest(&tenant, &t.context, *cpi, row)
+        .expect("ingest");
+    let foreign = source.snapshot_bytes(&tenant).expect("snapshot");
+
+    // At adopt.
+    let fleet = Fleet::builder().build();
+    assert!(matches!(
+        fleet.adopt(tenant.clone(), foreign.clone()),
+        Err(ServeError::Snapshot(_))
+    ));
+
+    // At warm: a snapshot file replaced behind the fleet's back.
+    let dir = std::env::temp_dir().join(format!(
+        "ix-serve-fleet-test-foreign-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let fleet = Fleet::builder().snapshot_dir(&dir).build();
+    fleet
+        .with_engine(&tenant, |e| e.load_state(&t.store))
+        .expect("materialize")
+        .expect("load");
+    fleet.evict(&tenant).expect("evict");
+    std::fs::write(dir.join("foreign.ixhist"), &foreign).expect("overwrite");
+    assert!(matches!(fleet.warm(&tenant), Err(ServeError::Snapshot(_))));
+    assert!(!fleet.is_warm(&tenant));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn lru_victim_order_is_pinned_for_a_mixed_touch_script() {
+    let t = template();
+    let sink = Arc::new(VecSink::default());
+    let fleet = Fleet::builder()
+        .warm_limit(3)
+        .event_sink(sink.clone() as Arc<dyn EventSink>)
+        .build();
+    let ids: Vec<TenantId> = (0..6)
+        .map(|i| TenantId::new(format!("t{i}")).expect("valid"))
+        .collect();
+    let tick = |i: usize| {
+        let (cpi, row) = &t.ticks[0];
+        fleet
+            .ingest(&ids[i], &t.context, *cpi, row)
+            .expect("ingest");
+    };
+    let load = |i: usize| {
+        fleet
+            .with_engine(&ids[i], |e| e.load_state(&t.store))
+            .expect("touch")
+            .expect("load");
+    };
+    load(0);
+    tick(0);
+    load(1);
+    tick(1);
+    load(2);
+    for (cpi, row) in &t.ticks[..25] {
+        fleet
+            .ingest(&ids[2], &t.context, *cpi, row)
+            .expect("ingest");
+    }
+    tick(0);
+    load(3); // evicts t1
+    fleet.diagnose(&ids[2], &t.context).expect("diagnose");
+    fleet.evict(&ids[0]).expect("explicit evict");
+    tick(1);
+    load(4); // evicts t3
+    tick(0); // evicts t2
+             // A diagnosis that fails (the window is too short) still touches.
+    assert!(fleet.diagnose(&ids[1], &t.context).is_err());
+    load(5); // evicts t4
+    tick(3); // evicts t0
+    fleet.evict(&ids[5]).expect("explicit evict");
+    tick(2);
+    fleet.with_engine(&ids[4], |_| ()).expect("touch"); // evicts t1
+
+    let number = |i: usize| fleet.tenant_number(&ids[i]).expect("slot");
+    let victims: Vec<usize> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            EngineEvent::TenantEvicted { tenant, .. } => {
+                (0..ids.len()).find(|&i| number(i) == *tenant)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(victims, [1, 0, 3, 2, 4, 0, 5, 1]);
+    let warm: Vec<bool> = ids.iter().map(|id| fleet.is_warm(id)).collect();
+    assert_eq!(warm, [false, false, true, true, true, false]);
+    let status = fleet.status();
+    assert_eq!((status.warm, status.cold), (3, 3));
 }
 
 #[test]
