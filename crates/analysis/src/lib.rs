@@ -11,8 +11,8 @@
 //!   matches, and a transitive determinism-taint pass from the engine's
 //!   entry points — that `rustc` and `clippy` cannot express.
 //! - [`sched`]: a bounded-interleaving model checker (mini-loom) with
-//!   models of the engine's work-stealing cursor, telemetry registry, and
-//!   sweep cache, explored exhaustively up to a preemption bound.
+//!   models of the engine's work-stealing cursor and telemetry registry,
+//!   explored exhaustively up to a preemption bound.
 //!
 //! The `ix-analysis` binary fronts both: `check` runs the lint pass over
 //! the workspace, `sched` runs the interleaving models, `rules` prints the

@@ -20,7 +20,7 @@ use ix_analysis::rules::{
     all_rules, run_all, Violation, HOT_FUNCTIONS, LOCK_ORDER, ROOT_FUNCTIONS,
 };
 use ix_analysis::sched::models::{
-    CounterModel, CursorModel, GaugeMaxModel, MruCacheModel, ScopeGrowModel, TwoLockModel,
+    CounterModel, CursorModel, GaugeMaxModel, ScopeGrowModel, TwoLockModel,
 };
 use ix_analysis::sched::{explore, Model, DEFAULT_BOUND};
 use ix_analysis::workspace::Workspace;
@@ -257,8 +257,6 @@ fn sched(args: &[String]) -> ExitCode {
         expect_caught(&GaugeMaxModel::new(&[3, 7], true), bound),
         expect_clean(&ScopeGrowModel::new(2, 42, false), bound),
         expect_caught(&ScopeGrowModel::new(2, 42, true), bound),
-        expect_clean(&MruCacheModel::new(2, 7, &[10], 2, false), bound),
-        expect_caught(&MruCacheModel::new(2, 7, &[], 4, true), bound),
         expect_clean(&TwoLockModel::new(false), bound.max(4)),
         expect_caught(&TwoLockModel::new(true), bound.max(4)),
     ];

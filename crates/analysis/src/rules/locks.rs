@@ -1,8 +1,8 @@
 //! Lock discipline rules.
 //!
 //! `lock-order`: the engine holds more than one lock only in a handful of
-//! carefully-ordered places (shard map → sweep cache → signature store →
-//! telemetry). [`LOCK_ORDER`] declares the global acquisition order by
+//! carefully-ordered places (shard map → sweep records → signature store
+//! → telemetry). [`LOCK_ORDER`] declares the global acquisition order by
 //! field name; acquiring a lower-ranked lock while a higher-ranked guard
 //! is live is a deadlock-shaped bug even when today's call graph happens
 //! not to interleave the two call sites.
@@ -34,7 +34,7 @@ pub struct LockClass {
 /// The workspace's global lock-acquisition order, outermost first.
 ///
 /// Rationale: ingest touches the sharded state map first and may then
-/// consult the sweep cache and signature store; telemetry sinks (scope
+/// consult the per-context sweep records and signature store; telemetry sinks (scope
 /// table, span ring) are leaves that never acquire anything else; the
 /// sweep pool's job queue is drained only on worker threads that hold no
 /// other lock.
@@ -47,11 +47,11 @@ pub const LOCK_ORDER: &[LockClass] = &[
         why: "per-metric state is touched first on every tick",
     },
     LockClass {
-        field: "entries",
+        field: "sweep_records",
         rank: 1,
-        holder: "SweepCache",
+        holder: "Engine",
         kind: "Mutex",
-        why: "cache probe/insert happens inside a diagnosis pass, after state reads",
+        why: "record take/put happens inside a sweep, after state reads",
     },
     LockClass {
         field: "signatures",

@@ -8,11 +8,9 @@
 //! refactor of the explorer stops catching them, the checker is broken,
 //! not the engine.
 
-mod cache;
 mod cursor;
 mod registry;
 
-pub use cache::MruCacheModel;
 pub use cursor::CursorModel;
 pub use registry::{CounterModel, GaugeMaxModel, ScopeGrowModel};
 

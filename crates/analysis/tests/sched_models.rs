@@ -9,7 +9,7 @@
 //! are still correct — the bugs live strictly in the preempted schedules.
 
 use ix_analysis::sched::models::{
-    CounterModel, CursorModel, GaugeMaxModel, MruCacheModel, ScopeGrowModel, TwoLockModel,
+    CounterModel, CursorModel, GaugeMaxModel, ScopeGrowModel, TwoLockModel,
 };
 use ix_analysis::sched::{explore, DEFAULT_BOUND};
 
@@ -19,7 +19,6 @@ fn shipped_algorithms_pass_exhaustively_at_default_bound() {
     explore(&CounterModel::new(2, 2, false), DEFAULT_BOUND).expect("counter");
     explore(&GaugeMaxModel::new(&[3, 7, 5], false), DEFAULT_BOUND).expect("gauge");
     explore(&ScopeGrowModel::new(2, 42, false), DEFAULT_BOUND).expect("scope");
-    explore(&MruCacheModel::new(2, 7, &[10], 2, false), DEFAULT_BOUND).expect("cache");
     explore(&TwoLockModel::new(false), 4).expect("two-lock");
 }
 
@@ -44,7 +43,6 @@ fn racy_variants_are_caught_at_default_bound() {
     explore(&CounterModel::new(2, 2, true), DEFAULT_BOUND).expect_err("counter");
     explore(&GaugeMaxModel::new(&[3, 7], true), DEFAULT_BOUND).expect_err("gauge");
     explore(&ScopeGrowModel::new(2, 42, true), DEFAULT_BOUND).expect_err("scope");
-    explore(&MruCacheModel::new(2, 7, &[], 4, true), DEFAULT_BOUND).expect_err("cache");
     explore(&TwoLockModel::new(true), 4).expect_err("two-lock");
 }
 

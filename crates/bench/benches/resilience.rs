@@ -4,17 +4,18 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use ix_core::{Engine, InvarNetConfig, OperationContext, SweepBudget};
+use ix_core::{Engine, OperationContext, SweepBudget};
 use ix_metrics::MetricFrame;
 use ix_simulator::{FaultType, Runner, WorkloadType};
 
-/// A trained engine and an abnormal 26×120 window to diagnose.
-fn trained(config: InvarNetConfig) -> (Engine, OperationContext, MetricFrame) {
+/// A trained engine and two abnormal 26×120 windows to diagnose, from
+/// different incident runs (neither is a slide of the other).
+fn trained() -> (Engine, OperationContext, [MetricFrame; 2]) {
     let runner = Runner::new(11);
     let node = Runner::DEFAULT_FAULT_NODE;
     let workload = WorkloadType::Wordcount;
     let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
-    let engine = Engine::builder().config(config).build();
+    let engine = Engine::builder().build();
 
     let normals = runner.normal_runs(workload, 4);
     let cpi_traces: Vec<Vec<f64>> = normals
@@ -43,24 +44,31 @@ fn trained(config: InvarNetConfig) -> (Engine, OperationContext, MetricFrame) {
         }
     }
 
-    let incident = runner.fault_run(workload, FaultType::MemHog, 9);
-    let window = incident.fault_window().expect("fault window");
-    (engine, context, window)
+    let windows = [9, 10].map(|run_idx| {
+        runner
+            .fault_run(workload, FaultType::MemHog, run_idx)
+            .fault_window()
+            .expect("fault window")
+    });
+    (engine, context, windows)
 }
 
 fn bench_resilience(c: &mut Criterion) {
-    // The sweep cache is disabled for the diagnose benches so every
-    // iteration pays for (or abandons) a real sweep instead of replaying
-    // the MRU hit.
-    let (engine, context, window) = trained(InvarNetConfig {
-        sweep_cache_entries: 0,
-        ..InvarNetConfig::default()
-    });
+    // The diagnose benches alternate between two incident windows that
+    // are not slides of each other, so every iteration pays for (or
+    // abandons) a real sweep instead of rescoring the context's record.
+    let (engine, context, windows) = trained();
+    let turn = std::cell::Cell::new(0);
+    let next_window = || {
+        turn.set(turn.get() ^ 1);
+        &windows[turn.get()]
+    };
 
     c.bench_function("diagnose_unlimited_budget", |b| {
         b.iter(|| {
+            let window = next_window();
             let d = engine
-                .diagnose_with_budget(black_box(&context), &window, SweepBudget::UNLIMITED)
+                .diagnose_with_budget(black_box(&context), window, SweepBudget::UNLIMITED)
                 .expect("diagnose");
             assert!(d.degradation.is_none(), "unlimited budget never degrades");
             d
@@ -72,9 +80,10 @@ fn bench_resilience(c: &mut Criterion) {
     // fit. The assert keeps the measured path honest about which case ran.
     c.bench_function("diagnose_budget_5ms", |b| {
         b.iter(|| {
+            let window = next_window();
             let started = std::time::Instant::now();
             let d = engine
-                .diagnose_with_budget(&context, black_box(&window), SweepBudget::wall_millis(5))
+                .diagnose_with_budget(&context, black_box(window), SweepBudget::wall_millis(5))
                 .expect("diagnose");
             let elapsed = started.elapsed();
             assert!(
@@ -85,11 +94,11 @@ fn bench_resilience(c: &mut Criterion) {
         })
     });
 
-    // Tier 1 path: a warm per-context cache answers a *fresh* window from
-    // the stale matrix without sweeping at all.
-    let (warm, warm_ctx, warm_window) = trained(InvarNetConfig::default());
+    // Tier 1 path: the context's sweep record answers a *fresh* window
+    // from its stale matrix without sweeping at all.
+    let (warm, warm_ctx, [warm_window, _]) = trained();
     warm.diagnose_with_budget(&warm_ctx, &warm_window, SweepBudget::UNLIMITED)
-        .expect("warm the cache");
+        .expect("write the record");
     let runner = Runner::new(11);
     let fresh = runner
         .fault_run(WorkloadType::Wordcount, FaultType::MemHog, 12)

@@ -99,7 +99,6 @@ fn main() {
     // Lean per-tenant engines: one context each, no sharding fan-out.
     let config = InvarNetConfig {
         state_shards: 1,
-        sweep_cache_entries: 0,
         ..InvarNetConfig::default()
     };
     let fleet = Arc::new(

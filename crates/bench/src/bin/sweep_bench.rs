@@ -122,7 +122,9 @@ fn steady_state(
         let series = window_series(rows, step, ticks);
         let t = Instant::now();
         let outcome = inc.advance(&series);
-        let screen = inc.rescore(&invariants, epsilon);
+        let screen = inc
+            .rescore(&invariants, epsilon)
+            .expect("a seeded record has a plan");
         timings.push(t.elapsed().as_secs_f64() * 1e3);
         assert_eq!(outcome, AdvanceOutcome::Advanced { shift: 1 });
         totals.reused += screen.reused;

@@ -109,10 +109,6 @@ pub struct InvarNetConfig {
     /// (concurrent ingestion from different contexts contends only within
     /// a shard).
     pub state_shards: usize,
-    /// Capacity of the engine's frame-fingerprint → association-matrix
-    /// cache: re-diagnosing an unchanged window skips the pairwise sweep
-    /// entirely. `0` disables caching.
-    pub sweep_cache_entries: usize,
     /// Wall-clock / pair-count budget for diagnosis sweeps; on overrun the
     /// engine degrades along its declared ladder instead of blocking.
     /// Defaults to [`SweepBudget::UNLIMITED`].
@@ -198,10 +194,6 @@ impl Serialize for InvarNetConfig {
             ("detector".to_string(), self.detector.to_value()),
             ("window_ticks".to_string(), self.window_ticks.to_value()),
             ("state_shards".to_string(), self.state_shards.to_value()),
-            (
-                "sweep_cache_entries".to_string(),
-                self.sweep_cache_entries.to_value(),
-            ),
             ("sweep_budget".to_string(), self.sweep_budget.to_value()),
             ("overload".to_string(), self.overload.to_value()),
             (
@@ -229,7 +221,6 @@ impl Deserialize for InvarNetConfig {
             detector: DetectorChoice::from_value(value.field("detector")?)?,
             window_ticks: usize::from_value(value.field("window_ticks")?)?,
             state_shards: usize::from_value(value.field("state_shards")?)?,
-            sweep_cache_entries: usize::from_value(value.field("sweep_cache_entries")?)?,
             sweep_budget: SweepBudget::from_value(value.field("sweep_budget")?)?,
             overload: OverloadPolicy::from_value(value.field("overload")?)?,
             ingest_queue_ticks: usize::from_value(value.field("ingest_queue_ticks")?)?,
@@ -247,7 +238,7 @@ impl Deserialize for InvarNetConfig {
 /// let config = InvarNetConfig::builder()
 ///     .epsilon(0.25)
 ///     .window_ticks(120)
-///     .sweep_cache_entries(16)
+///     .state_shards(16)
 ///     .build();
 /// assert_eq!(config.epsilon, 0.25);
 /// assert_eq!(config.tau, 0.2); // untouched defaults stay at paper values
@@ -319,12 +310,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Capacity of the frame-fingerprint → association-matrix cache.
-    pub fn sweep_cache_entries(mut self, entries: usize) -> Self {
-        self.config.sweep_cache_entries = entries;
-        self
-    }
-
     /// Minimum runs Algorithm 1 needs to judge stability.
     pub fn min_training_runs(mut self, runs: usize) -> Self {
         self.config.min_training_runs = runs;
@@ -390,7 +375,6 @@ impl Default for InvarNetConfig {
             detector: DetectorChoice::Arima,
             window_ticks: 60,
             state_shards: 8,
-            sweep_cache_entries: 8,
             sweep_budget: SweepBudget::UNLIMITED,
             overload: OverloadPolicy::Block,
             ingest_queue_ticks: 64,
@@ -473,7 +457,6 @@ mod tests {
                 "detector",
                 "window_ticks",
                 "state_shards",
-                "sweep_cache_entries",
                 "sweep_budget",
                 "overload",
                 "ingest_queue_ticks",

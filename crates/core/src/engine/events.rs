@@ -93,9 +93,10 @@ pub enum EngineEvent {
         micros: u64,
     },
     /// An incremental sweep's screen-then-confirm pass finished: the
-    /// diagnosis window was a bounded slide of the previous one, profiles
-    /// advanced by delta, and each pair was either reused, screened out by
-    /// the conservative bound, or confirmed with the full measure.
+    /// diagnosis window was the previous one, unchanged or slid forward a
+    /// few ticks, profiles advanced by delta, and each pair was either
+    /// reused, screened out by the conservative bound, or confirmed with
+    /// the full measure.
     SweepScreened {
         /// The context whose window was incrementally swept.
         context: ContextId,
@@ -106,15 +107,6 @@ pub enum EngineEvent {
         screened: usize,
         /// Stale invariant pairs re-scored with the full measure.
         confirmed: usize,
-    },
-    /// The engine consulted its frame-fingerprint → association-matrix
-    /// cache before sweeping.
-    SweepCacheLookup {
-        /// The context whose window was looked up.
-        context: ContextId,
-        /// Whether the cached matrix was reused (`true`) or a full sweep
-        /// had to run (`false`).
-        hit: bool,
     },
     /// A [`super::telemetry::Span`] guard closed.
     SpanClosed {
@@ -208,7 +200,6 @@ impl EngineEvent {
             | EngineEvent::SweepCompleted { context, .. }
             | EngineEvent::PairsScored { context, .. }
             | EngineEvent::SweepScreened { context, .. }
-            | EngineEvent::SweepCacheLookup { context, .. }
             | EngineEvent::SpanClosed { context, .. }
             | EngineEvent::SweepDegraded { context, .. }
             | EngineEvent::TickEnqueued { context, .. }

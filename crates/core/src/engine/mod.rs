@@ -34,7 +34,6 @@ pub mod inspect;
 pub mod recorder;
 pub mod resilience;
 mod state;
-mod sweep_cache;
 pub mod telemetry;
 mod wire;
 
@@ -72,7 +71,6 @@ use resilience::{
     SweepCostPredictor, SweepDegradation,
 };
 use state::ShardedStateMap;
-use sweep_cache::SweepCache;
 use telemetry::{ContextId, ContextRegistry, EnginePhase, Span, CONFIDENT_SIMILARITY};
 
 /// The streaming diagnosis engine. All methods take `&self`; state lives
@@ -90,7 +88,6 @@ pub struct Engine {
     /// can run on one pool sized to the box instead of spawning worker
     /// threads per engine (see [`EngineBuilder::shared_pool`]).
     pool: Arc<SweepPool>,
-    sweep_cache: SweepCache,
     sink: Arc<dyn EventSink>,
     /// The attached history recorder, if any (see [`EngineBuilder::history`]).
     recorder: Option<Arc<dyn HistoryRecorder>>,
@@ -106,10 +103,13 @@ pub struct Engine {
     /// predict budget overruns before burning wall-clock on a doomed
     /// sweep (and to probe out of a stale over-budget estimate).
     sweep_cost: SweepCostPredictor,
-    /// Per-context incremental sweep state: the delta-maintained plan and
-    /// score cache [`Engine::diagnosis_matrix_for`] advances instead of
-    /// re-sweeping from scratch when consecutive diagnosis windows slide.
-    incremental: Mutex<HashMap<ContextId, IncrementalSweep>>,
+    /// Per-context sweep records, the one place sweep work is reused:
+    /// each context's last full-fidelity sweep (window, scores,
+    /// staleness) and, once diagnosed, the plan
+    /// [`Engine::diagnosis_matrix_for`] slides instead of re-sweeping from
+    /// scratch. An unchanged window and the degradation ladder's tier 1
+    /// read it too.
+    sweep_records: Mutex<HashMap<ContextId, IncrementalSweep>>,
 }
 
 impl Engine {
@@ -126,7 +126,6 @@ impl Engine {
         pool: Arc<SweepPool>,
     ) -> Self {
         let shards = config.state_shards;
-        let sweep_cache = SweepCache::new(config.sweep_cache_entries);
         let queue = IngestQueue::new(
             shards,
             config.ingest_queue_ticks,
@@ -140,7 +139,6 @@ impl Engine {
             state: ShardedStateMap::new(shards),
             signatures: RwLock::new(SignatureDatabase::new()),
             pool,
-            sweep_cache,
             sink: Arc::new(NullSink),
             recorder: None,
             telemetry: None,
@@ -149,7 +147,7 @@ impl Engine {
             health: HealthMonitor::new(),
             queue,
             sweep_cost: SweepCostPredictor::new(),
-            incremental: Mutex::new(HashMap::new()),
+            sweep_records: Mutex::new(HashMap::new()),
         }
     }
 
@@ -312,7 +310,8 @@ impl Engine {
     }
 
     /// Computes the pairwise association matrix of one frame under the
-    /// configured measure, on the persistent worker pool.
+    /// configured measure, on the persistent worker pool. The sweep is
+    /// attributed to no context, so it neither reuses nor records work.
     ///
     /// # Errors
     ///
@@ -328,21 +327,26 @@ impl Engine {
         context: ContextId,
         frame: &MetricFrame,
     ) -> Result<AssociationMatrix, CoreError> {
-        self.budgeted_matrix_for(context, frame, SweepBudget::UNLIMITED)
+        let series = (!context.is_unattributed()).then(|| frame_series(frame));
+        self.budgeted_matrix_for(context, frame, series, SweepBudget::UNLIMITED)
             .map(|verdict| verdict.matrix)
     }
 
     /// The budget-aware sweep: full fidelity when the budget allows,
     /// otherwise the first answer a declared degradation ladder can give —
-    /// stale cached matrix, full Pearson sweep, or a partial matrix over
-    /// the highest-variance metrics. Every degraded outcome is reported as
-    /// [`EngineEvent::SweepDegraded`]; the verdict says exactly which tier
-    /// answered, so no caller can mistake a degraded matrix for a full
-    /// one.
-    pub(crate) fn budgeted_matrix_for(
+    /// the context's stale recorded matrix, full Pearson sweep, or a
+    /// partial matrix over the highest-variance metrics. Every degraded
+    /// outcome is reported as [`EngineEvent::SweepDegraded`]; the verdict
+    /// says exactly which tier answered, so no caller can mistake a
+    /// degraded matrix for a full one.
+    ///
+    /// `series` is the frame series-major, given for attributed sweeps
+    /// only: a full-fidelity sweep then replaces the context's record.
+    fn budgeted_matrix_for(
         &self,
         context: ContextId,
         frame: &MetricFrame,
+        series: Option<Vec<Vec<f64>>>,
         budget: SweepBudget,
     ) -> Result<SweepVerdict, CoreError> {
         if frame.ticks() < self.config.min_frame_ticks {
@@ -352,21 +356,19 @@ impl Engine {
             });
         }
         // The matrix is a pure function of the frame's values under this
-        // engine's fixed measure, so an unchanged window (a re-diagnosed
-        // sliding window, `violation_tuple` + `record_signature` on one
-        // frame) is served from the MRU cache bit-for-bit — full fidelity
-        // at zero cost, whatever the budget.
-        if self.sweep_cache.is_enabled() {
-            if let Some(matrix) = self.sweep_cache.get(frame.values()) {
-                self.sink
-                    .record(&EngineEvent::SweepCacheLookup { context, hit: true });
+        // engine's fixed measure, so an unchanged window
+        // (`violation_tuple` + `record_signature` on one frame) is served
+        // from the context's record bit-for-bit — full fidelity at zero
+        // cost, whatever the budget — as long as no slide has left one of
+        // its pairs stale.
+        if let Some(series) = &series {
+            let fresh = self.with_record(context, |record| {
+                (record.is_fresh() && record.is_window(series)).then(|| record.matrix())
+            });
+            if let Some(matrix) = fresh.flatten() {
                 self.note_health_ok(context);
                 return Ok(SweepVerdict::full(matrix));
             }
-            self.sink.record(&EngineEvent::SweepCacheLookup {
-                context,
-                hit: false,
-            });
         }
         // A pair budget below the full pair population can never be met by
         // a full sweep under any measure: degrade without trying (and
@@ -434,21 +436,24 @@ impl Engine {
             micros,
         });
         self.sweep_cost.observe_full(micros);
-        self.sweep_cache
-            .insert(context, frame.values(), bounded.matrix.clone());
+        if let Some(series) = series {
+            let scores = bounded.matrix.scores().to_vec();
+            self.put_record(context, IncrementalSweep::new(series, scores));
+        }
         self.note_health_ok(context);
         Ok(SweepVerdict::full(bounded.matrix))
     }
 
     /// The diagnosis-path sweep: [`Engine::budgeted_matrix_for`] fronted
-    /// by per-context incremental state. When the context's previous
-    /// window is alive and the new window is a bounded forward slide of
-    /// it, the sweep is answered by delta: profiles slide in place, clean
-    /// pair scores are reused verbatim, and stale invariant pairs go
-    /// through the screen-then-confirm pass ([`IncrementalSweep::rescore`])
-    /// — the violation tuple built from the result is bit-identical to a
-    /// full from-scratch sweep's. Otherwise the full budgeted path runs
-    /// and (when it answers at full fidelity) reseeds the state.
+    /// by the context's sweep record. When the record's window is the new
+    /// one unchanged or slid forward a few ticks, the sweep is answered by
+    /// delta: profiles slide in place, clean pair scores are reused
+    /// verbatim, and stale invariant pairs go through the
+    /// screen-then-confirm pass ([`IncrementalSweep::rescore`]) — the
+    /// violation tuple built from the result is bit-identical to a full
+    /// from-scratch sweep's. Otherwise the full budgeted path runs and
+    /// (when it answers at full fidelity) attaches a plan to the record it
+    /// wrote.
     pub(crate) fn diagnosis_matrix_for(
         &self,
         context: ContextId,
@@ -462,88 +467,106 @@ impl Engine {
                 got: frame.ticks(),
             });
         }
-        let series: Vec<Vec<f64>> = MetricId::ALL.iter().map(|&m| frame.series(m)).collect();
-        let state = self
-            .incremental
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&context);
-        let mut reseed = true;
-        if let Some(mut state) = state {
+        let series = frame_series(frame);
+        let mut plan = true;
+        if let Some(mut record) = self.take_record(context) {
             // Compose with the budget ladder: when even the incremental
             // pass is predicted over the wall budget, keep the (untouched)
-            // state for a roomier window and let the ladder answer.
+            // record for a roomier window and let the ladder answer.
             let predicted = self.sweep_cost.predicted_incremental_micros();
             let over_wall = budget
                 .wall
                 .is_some_and(|wall| predicted > 0 && Duration::from_micros(predicted) > wall);
             if over_wall {
-                self.put_incremental(context, state);
-                reseed = false;
-            } else {
-                match state.advance(&series) {
-                    AdvanceOutcome::Identical => {
-                        // Nothing moved: the sweep cache serves this window
-                        // bit-for-bit below; the state stays valid.
-                        self.put_incremental(context, state);
-                        reseed = false;
-                    }
-                    AdvanceOutcome::Advanced { .. } => {
-                        // lint: allow(determinism, telemetry-only: screen
-                        // micros feed events; replay normalizes timings)
-                        let started = Instant::now();
-                        let outcome = {
-                            let _span = Span::enter(&self.sink, EnginePhase::Screen, context);
-                            state.rescore(invariants, self.config.epsilon)
-                        };
-                        let micros = started.elapsed().as_micros() as u64;
-                        let matrix = state.matrix();
-                        self.sink.record(&EngineEvent::SweepScreened {
-                            context,
-                            reused: outcome.reused,
-                            screened: outcome.screened,
-                            confirmed: outcome.confirmed,
-                        });
-                        self.sink.record(&EngineEvent::SweepCompleted {
-                            context,
-                            pairs: outcome.confirmed,
-                            micros,
-                        });
-                        self.sweep_cost.observe_incremental(micros);
-                        self.note_health_ok(context);
-                        self.put_incremental(context, state);
-                        return Ok(SweepVerdict::full(matrix));
-                    }
-                    // The state is spent (window jumped, or a profile
-                    // refused to slide): fall through to the full path,
-                    // which reseeds.
-                    AdvanceOutcome::Unsupported => {}
+                plan = false;
+            } else if record.advance(&series) != AdvanceOutcome::Unsupported {
+                // An unchanged window is a zero-tick slide: rescored, never
+                // served raw, since a pair an earlier slide left stale may
+                // be an invariant by now. A record written off the
+                // diagnosis path gets its plan here, where a diagnosis
+                // sweep would have seeded one.
+                record.attach_plan(&self.measure, &self.pool);
+                if let Some(verdict) = self.rescore_record(context, &mut record, invariants) {
+                    self.put_record(context, record);
+                    return Ok(verdict);
                 }
             }
+            // Still the ladder's tier 1 until the full sweep replaces it.
+            self.put_record(context, record);
         }
-        let verdict = self.budgeted_matrix_for(context, frame, budget)?;
-        if reseed && verdict.degradation.is_none() {
-            // Only a full-fidelity matrix may seed the score cache —
-            // degraded tiers score under a different measure (or not at
-            // all), and the soundness contract starts from exact scores.
-            if let Some(state) = IncrementalSweep::seed(
-                &self.measure,
-                &self.pool,
-                series,
-                verdict.matrix.scores().to_vec(),
-            ) {
-                self.put_incremental(context, state);
+        let verdict = self.budgeted_matrix_for(context, frame, Some(series), budget)?;
+        if plan && verdict.degradation.is_none() {
+            // Only a full-fidelity matrix may seed the plan — degraded
+            // tiers score under a different measure (or not at all), and
+            // the soundness contract starts from exact scores.
+            if let Some(mut record) = self.take_record(context) {
+                record.attach_plan(&self.measure, &self.pool);
+                self.put_record(context, record);
             }
         }
         Ok(verdict)
     }
 
-    /// Stores `state` as `context`'s live incremental sweep state.
-    fn put_incremental(&self, context: ContextId, state: IncrementalSweep) {
-        self.incremental
+    /// The screen-then-confirm pass over a record whose window is the
+    /// diagnosis window, with its events; `None` when the record cannot
+    /// vouch for the window.
+    fn rescore_record(
+        &self,
+        context: ContextId,
+        record: &mut IncrementalSweep,
+        invariants: &InvariantSet,
+    ) -> Option<SweepVerdict> {
+        // lint: allow(determinism, telemetry-only: screen micros feed
+        // events; replay normalizes timings)
+        let started = Instant::now();
+        let outcome = {
+            let _span = Span::enter(&self.sink, EnginePhase::Screen, context);
+            record.rescore(invariants, self.config.epsilon)?
+        };
+        let micros = started.elapsed().as_micros() as u64;
+        self.sink.record(&EngineEvent::SweepScreened {
+            context,
+            reused: outcome.reused,
+            screened: outcome.screened,
+            confirmed: outcome.confirmed,
+        });
+        self.sink.record(&EngineEvent::SweepCompleted {
+            context,
+            pairs: outcome.confirmed,
+            micros,
+        });
+        self.sweep_cost.observe_incremental(micros);
+        self.note_health_ok(context);
+        Some(SweepVerdict::full(record.matrix()))
+    }
+
+    /// Runs `f` over `context`'s sweep record, if it has one.
+    fn with_record<R>(
+        &self,
+        context: ContextId,
+        f: impl FnOnce(&IncrementalSweep) -> R,
+    ) -> Option<R> {
+        self.sweep_records
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(context, state);
+            .get(&context)
+            .map(f)
+    }
+
+    /// Removes `context`'s sweep record for work outside the lock.
+    fn take_record(&self, context: ContextId) -> Option<IncrementalSweep> {
+        self.sweep_records
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&context)
+    }
+
+    /// Stores `record` as `context`'s sweep record.
+    fn put_record(&self, context: ContextId, record: IncrementalSweep) {
+        self.sweep_records
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(context, record);
     }
 
     /// Walks the degradation ladder until a tier produces a matrix. Tier 3
@@ -557,9 +580,10 @@ impl Engine {
         reason: DegradationReason,
         allow_pearson: bool,
     ) -> SweepVerdict {
-        // Tier 1: the last full-fidelity matrix computed from *this
-        // context's* window — stale, but structurally sound.
-        if let Some(matrix) = self.sweep_cache.most_recent_for(context) {
+        // Tier 1: the context's recorded matrix, whichever path wrote it.
+        // It comes from *this context's* window — stale, but structurally
+        // sound; never a neighbor's, which could be silently wrong.
+        if let Some(matrix) = self.with_record(context, IncrementalSweep::matrix) {
             let degradation = SweepDegradation {
                 tier: DegradationTier::CachedMatrix,
                 reason,
@@ -637,7 +661,7 @@ impl Engine {
         while k < METRIC_COUNT && (k + 1) * k / 2 <= pair_budget {
             k += 1;
         }
-        let series: Vec<Vec<f64>> = MetricId::ALL.iter().map(|&m| frame.series(m)).collect();
+        let series = frame_series(frame);
         let mut by_variance: Vec<usize> = (0..METRIC_COUNT).collect();
         by_variance.sort_by(|&a, &b| {
             variance(&series[b])
@@ -1036,6 +1060,11 @@ impl SweepVerdict {
             None => ViolationTuple::build(invariants, &self.matrix, epsilon),
         }
     }
+}
+
+/// The frame series-major, one series per metric.
+fn frame_series(frame: &MetricFrame) -> Vec<Vec<f64>> {
+    MetricId::ALL.iter().map(|&m| frame.series(m)).collect()
 }
 
 /// Sample variance (biased, `n` denominator) — only used to rank metrics,

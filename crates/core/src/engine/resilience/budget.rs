@@ -66,8 +66,8 @@ impl SweepBudget {
 /// they sit from full fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum DegradationTier {
-    /// Tier 1: reuse the most recent cached association matrix for this
-    /// context (stale but full-fidelity MIC scores).
+    /// Tier 1: reuse the matrix in this context's sweep record (stale but
+    /// full-fidelity MIC scores).
     CachedMatrix,
     /// Tier 2: re-run the full sweep with the cheap Pearson measure
     /// instead of MIC (fresh but linear-only association scores).

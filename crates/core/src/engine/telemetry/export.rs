@@ -70,7 +70,7 @@ impl TelemetrySnapshot {
     /// one time series per context.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters: [SeriesSpec<u64>; 19] = [
+        let counters: [SeriesSpec<u64>; 17] = [
             ("invarnet_ticks_ingested_total", "Ticks ingested.", |s| {
                 s.ticks
             }),
@@ -111,16 +111,6 @@ impl TelemetrySnapshot {
                 "invarnet_signature_unknowns_total",
                 "Diagnoses below the confidence bar.",
                 |s| s.matches_unknown,
-            ),
-            (
-                "invarnet_sweep_cache_hits_total",
-                "Diagnosis sweeps served from the association-matrix cache.",
-                |s| s.sweep_cache_hits,
-            ),
-            (
-                "invarnet_sweep_cache_misses_total",
-                "Diagnosis sweeps that had to run the full pairwise sweep.",
-                |s| s.sweep_cache_misses,
             ),
             (
                 "invarnet_sweep_pairs_reused_total",

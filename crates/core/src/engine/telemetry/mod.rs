@@ -240,15 +240,6 @@ impl EventSink for Telemetry {
                     .sweep_pairs_confirmed
                     .fetch_add(confirmed as u64, std::sync::atomic::Ordering::Relaxed);
             }
-            EngineEvent::SweepCacheLookup { context, hit } => {
-                let scope = self.metrics.scope(context);
-                let counter = if hit {
-                    &scope.sweep_cache_hits
-                } else {
-                    &scope.sweep_cache_misses
-                };
-                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
             EngineEvent::PairsScored {
                 context,
                 pairs,

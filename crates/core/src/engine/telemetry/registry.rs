@@ -66,10 +66,6 @@ pub struct ContextScope {
     pub sweeps: AtomicU64,
     /// Metric pairs scored across all sweeps.
     pub pairs_scored: AtomicU64,
-    /// Sweeps skipped because the window's association matrix was cached.
-    pub sweep_cache_hits: AtomicU64,
-    /// Sweep-cache lookups that fell through to a full sweep.
-    pub sweep_cache_misses: AtomicU64,
     /// Pair scores served verbatim from the incremental sweep state.
     pub sweep_pairs_reused: AtomicU64,
     /// Stale pairs cleared by the conservative screen bound alone.
@@ -164,8 +160,6 @@ impl ContextScope {
             diagnoses: self.diagnoses.load(Ordering::Relaxed),
             sweeps: self.sweeps.load(Ordering::Relaxed),
             pairs_scored: self.pairs_scored.load(Ordering::Relaxed),
-            sweep_cache_hits: self.sweep_cache_hits.load(Ordering::Relaxed),
-            sweep_cache_misses: self.sweep_cache_misses.load(Ordering::Relaxed),
             sweep_pairs_reused: self.sweep_pairs_reused.load(Ordering::Relaxed),
             sweep_pairs_screened: self.sweep_pairs_screened.load(Ordering::Relaxed),
             sweep_pairs_confirmed: self.sweep_pairs_confirmed.load(Ordering::Relaxed),
@@ -210,10 +204,6 @@ pub struct ScopeSnapshot {
     pub sweeps: u64,
     /// Metric pairs scored.
     pub pairs_scored: u64,
-    /// Sweeps skipped via the association-matrix cache.
-    pub sweep_cache_hits: u64,
-    /// Sweep-cache lookups that missed.
-    pub sweep_cache_misses: u64,
     /// Pair scores served verbatim from the incremental sweep state.
     pub sweep_pairs_reused: u64,
     /// Stale pairs cleared by the conservative screen bound alone.
@@ -270,8 +260,6 @@ impl ScopeSnapshot {
             diagnoses: 0,
             sweeps: 0,
             pairs_scored: 0,
-            sweep_cache_hits: 0,
-            sweep_cache_misses: 0,
             sweep_pairs_reused: 0,
             sweep_pairs_screened: 0,
             sweep_pairs_confirmed: 0,
@@ -306,8 +294,6 @@ impl ScopeSnapshot {
         self.diagnoses += other.diagnoses;
         self.sweeps += other.sweeps;
         self.pairs_scored += other.pairs_scored;
-        self.sweep_cache_hits += other.sweep_cache_hits;
-        self.sweep_cache_misses += other.sweep_cache_misses;
         self.sweep_pairs_reused += other.sweep_pairs_reused;
         self.sweep_pairs_screened += other.sweep_pairs_screened;
         self.sweep_pairs_confirmed += other.sweep_pairs_confirmed;

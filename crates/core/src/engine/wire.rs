@@ -104,9 +104,6 @@ impl Serialize for EngineEvent {
                 ("screened", screened),
                 ("confirmed", confirmed),
             ),
-            EngineEvent::SweepCacheLookup { context, hit } => {
-                tagged!("sweep-cache-lookup", ("context", context), ("hit", hit))
-            }
             EngineEvent::SpanClosed {
                 phase,
                 context,
@@ -222,10 +219,6 @@ impl Deserialize for EngineEvent {
                 screened: get(value, "screened")?,
                 confirmed: get(value, "confirmed")?,
             },
-            "sweep-cache-lookup" => EngineEvent::SweepCacheLookup {
-                context: get(value, "context")?,
-                hit: get(value, "hit")?,
-            },
             "span-closed" => EngineEvent::SpanClosed {
                 phase: get(value, "phase")?,
                 context: get(value, "context")?,
@@ -329,10 +322,6 @@ mod tests {
                 reused: 300,
                 screened: 20,
                 confirmed: 5,
-            },
-            EngineEvent::SweepCacheLookup {
-                context: ctx,
-                hit: false,
             },
             EngineEvent::SpanClosed {
                 phase: EnginePhase::Sweep,

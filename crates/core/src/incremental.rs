@@ -1,12 +1,14 @@
 //! Incremental two-stage association sweeps.
 //!
 //! A diagnosis-window sweep scores all 325 metric pairs with MIC even
-//! though consecutive windows differ by a handful of ticks. This module
-//! keeps one [`SweepPlan`] alive across windows and advances it by delta:
+//! though consecutive windows differ by a handful of ticks. The engine
+//! keeps one [`IncrementalSweep`] record per context — the last swept
+//! window, its per-pair scores and staleness — and, on the diagnosis
+//! path, a [`SweepPlan`] that advances the record by delta:
 //!
 //! 1. **Slide** — [`IncrementalSweep::advance`] detects that the new
-//!    window is the old one shifted forward by at most [`MAX_SLIDE`]
-//!    ticks and slides every per-series profile in place
+//!    window is the old one unchanged or shifted forward by at most
+//!    [`MAX_SLIDE`] ticks and slides every per-series profile in place
 //!    ([`SweepPlan::slide`]), bit-identically to rebuilding it. Series
 //!    whose departing and entering samples are bit-equal are *clean*:
 //!    their (value, partner) multisets are unchanged, so every cached
@@ -23,11 +25,14 @@
 //!    score replaces the cache.
 //!
 //! The soundness contract: a diagnosis built from
-//! [`IncrementalSweep::matrix`] produces a violation tuple bit-identical
-//! to one built from a full from-scratch sweep of the same window —
-//! clean pairs by multiset invariance, confirmed pairs by the slide's
-//! bit-exactness, and screened pairs because both the cached and every
-//! possible fresh score grade to exactly `0.0`. `tests/golden_sweep.rs`
+//! [`IncrementalSweep::matrix`] after [`IncrementalSweep::rescore`]
+//! produces a violation tuple bit-identical to one built from a full
+//! from-scratch sweep of the same window — clean pairs by multiset
+//! invariance, confirmed pairs by the slide's bit-exactness, and screened
+//! pairs because both the cached and every possible fresh score grade to
+//! exactly `0.0`. A screened pair stays stale, so an unchanged window is
+//! rescored too (as a zero-tick slide) rather than served raw: the
+//! invariants may have changed since the last pass. `tests/golden_sweep.rs`
 //! pins both halves (bit-exactness hammer + no-false-negative proptest).
 
 use std::sync::Arc;
@@ -43,21 +48,23 @@ use crate::measure::{AssociationMeasure, SlideOutcome, SweepPlan};
 /// fall back to a full sweep.
 pub const MAX_SLIDE: usize = 8;
 
-/// How [`IncrementalSweep::advance`] related the new window to its state.
+/// How [`IncrementalSweep::advance`] related the new window to its record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvanceOutcome {
-    /// The new window is bit-identical to the current one; nothing was
-    /// consumed — the engine's sweep cache already serves this case.
+    /// The new window is bit-identical to the recorded one; nothing moved.
+    /// Pairs left stale by an earlier slide stay stale, so rescore before
+    /// reading the matrix.
     Identical,
-    /// The new window is the current one slid forward by `shift` ticks;
+    /// The new window is the recorded one slid forward by `shift` ticks;
     /// the plan was advanced in place and stale pairs were marked.
     Advanced {
         /// How many ticks the window moved.
         shift: usize,
     },
-    /// The new window is not a bounded forward slide of the current one
-    /// (or the plan refused to slide). The state is spent: discard it and
-    /// run a full sweep.
+    /// The new window is not a bounded forward slide of the recorded one,
+    /// the record has no plan to slide, or the plan refused to slide. The
+    /// plan (if any) is dropped; the record keeps its last window and
+    /// scores. Run a full sweep.
     Unsupported,
 }
 
@@ -74,13 +81,15 @@ pub struct ScreenOutcome {
     pub confirmed: usize,
 }
 
-/// A sweep kept alive across sliding diagnosis windows: the plan, the
-/// window it reflects, the per-pair score cache, and per-pair staleness.
+/// One context's record of its last full-fidelity sweep: the window it
+/// reflects, the per-pair scores and staleness, and — when the record was
+/// seeded on the diagnosis path — the plan that slides it forward.
 pub struct IncrementalSweep {
-    /// The window the plan currently reflects, series-major.
+    /// The window the record currently reflects, series-major.
     series: Vec<Vec<f64>>,
-    /// The delta-maintained plan (profiles, for MIC).
-    plan: Box<dyn SweepPlan>,
+    /// The delta-maintained plan (profiles, for MIC). A plan-less record
+    /// only recognizes its own window again.
+    plan: Option<Box<dyn SweepPlan>>,
     /// Per-pair scores: fresh wherever the violation tuple consults them.
     scores: Vec<f64>,
     /// `stale[pair]` — the cached score may differ from a fresh one.
@@ -94,47 +103,83 @@ pub struct IncrementalSweep {
 }
 
 impl IncrementalSweep {
-    /// Seeds incremental state from a completed full-fidelity sweep:
-    /// `series` is the swept window, `scores` its full score vector.
-    /// Returns `None` when the measure's plan does not support
-    /// delta-maintenance (the engine then stays on the full-sweep path).
+    /// A plan-less record of a completed full-fidelity sweep: `series` is
+    /// the swept window, `scores` its full score vector. It can serve the
+    /// same window again, but any slide is [`AdvanceOutcome::Unsupported`]
+    /// until [`IncrementalSweep::attach_plan`] succeeds.
+    pub fn new(series: Vec<Vec<f64>>, scores: Vec<f64>) -> IncrementalSweep {
+        IncrementalSweep {
+            moved: vec![false; series.len()],
+            rebuilt: vec![false; series.len()],
+            stale: vec![false; scores.len()],
+            series,
+            plan: None,
+            scores,
+        }
+    }
+
+    /// Seeds a record that can slide from a completed full-fidelity sweep
+    /// (see [`IncrementalSweep::new`]). Returns `None` when the measure's
+    /// plan does not support delta-maintenance (the engine then stays on
+    /// the full-sweep path).
     pub fn seed(
         measure: &Arc<dyn AssociationMeasure>,
         pool: &SweepPool,
         series: Vec<Vec<f64>>,
         scores: Vec<f64>,
     ) -> Option<IncrementalSweep> {
-        if series.len() != METRIC_COUNT || scores.len() != pair_count() {
-            return None;
-        }
-        let n = series.first().map(Vec::len).unwrap_or(0);
-        if n == 0 || series.iter().any(|s| s.len() != n) {
-            return None;
-        }
-        let plan = measure.prepare_on(&series, pool)?;
-        if !plan.incremental() {
-            return None;
-        }
-        Some(IncrementalSweep {
-            moved: vec![false; series.len()],
-            rebuilt: vec![false; series.len()],
-            series,
-            plan,
-            scores,
-            stale: vec![false; pair_count()],
-        })
+        let mut record = IncrementalSweep::new(series, scores);
+        record.attach_plan(measure, pool).then_some(record)
     }
 
-    /// Detects whether `new_series` is this state's window slid forward by
-    /// at most [`MAX_SLIDE`] ticks and, if so, absorbs the shift: every
-    /// profile slides in place and pairs touching a moved series are
-    /// marked stale.
+    /// Builds a delta-maintained plan over the recorded window, so later
+    /// slides can be absorbed. Returns whether the record has a plan:
+    /// `false` when the record is malformed or the measure's plan cannot
+    /// slide. Pairs already stale stay stale; the next rescore settles
+    /// them with the new plan.
+    pub fn attach_plan(&mut self, measure: &Arc<dyn AssociationMeasure>, pool: &SweepPool) -> bool {
+        if self.plan.is_some() {
+            return true;
+        }
+        if self.series.len() != METRIC_COUNT || self.scores.len() != pair_count() {
+            return false;
+        }
+        let n = self.series.first().map(Vec::len).unwrap_or(0);
+        if n == 0 || self.series.iter().any(|s| s.len() != n) {
+            return false;
+        }
+        self.plan = measure
+            .prepare_on(&self.series, pool)
+            .filter(|plan| plan.incremental());
+        self.plan.is_some()
+    }
+
+    /// Whether every per-pair score is fresh for the recorded window (no
+    /// slide has left a pair stale).
+    pub fn is_fresh(&self) -> bool {
+        !self.stale.contains(&true)
+    }
+
+    /// Whether `series` is bit-identical to the recorded window.
+    pub fn is_window(&self, series: &[Vec<f64>]) -> bool {
+        self.series.len() == series.len()
+            && self.series.iter().zip(series).all(|(old, new)| {
+                old.len() == new.len()
+                    && old.iter().zip(new).all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+    }
+
+    /// Detects whether `new_series` is this record's window unchanged or
+    /// slid forward by at most [`MAX_SLIDE`] ticks and, if it slid,
+    /// absorbs the shift: every profile slides in place and pairs
+    /// touching a moved series are marked stale. A plan-less record only
+    /// recognizes its own window.
     ///
-    /// On [`AdvanceOutcome::Unsupported`] the state may be partially slid
-    /// and MUST be discarded; on [`AdvanceOutcome::Identical`] nothing was
-    /// consumed and the state remains valid for the next window.
+    /// On [`AdvanceOutcome::Unsupported`] the plan may be partially slid,
+    /// so it is dropped; the recorded window and scores are untouched.
     pub fn advance(&mut self, new_series: &[Vec<f64>]) -> AdvanceOutcome {
         if new_series.len() != self.series.len() || self.series.is_empty() {
+            self.plan = None;
             return AdvanceOutcome::Unsupported;
         }
         let n = self.series[0].len();
@@ -142,6 +187,7 @@ impl IncrementalSweep {
             || self.series.iter().any(|s| s.len() != n)
             || new_series.iter().any(|s| s.len() != n)
         {
+            self.plan = None;
             return AdvanceOutcome::Unsupported;
         }
         // The slide distance: smallest s with old[s..] == new[..n-s] bitwise
@@ -161,11 +207,15 @@ impl IncrementalSweep {
             }
         }
         let Some(shift) = shift else {
+            self.plan = None;
             return AdvanceOutcome::Unsupported;
         };
         if shift == 0 {
             return AdvanceOutcome::Identical;
         }
+        let Some(plan) = self.plan.as_mut() else {
+            return AdvanceOutcome::Unsupported;
+        };
         for flag in &mut self.moved {
             *flag = false;
         }
@@ -179,20 +229,23 @@ impl IncrementalSweep {
                 }
                 let departing = self.series[k][step];
                 let entering = new[n - shift + step];
-                match self.plan.slide(k, departing, entering) {
+                match plan.slide(k, departing, entering) {
                     SlideOutcome::Clean => {}
                     SlideOutcome::Moved => self.moved[k] = true,
                     SlideOutcome::Rebuild => {
                         self.rebuilt[k] = true;
                         self.moved[k] = true;
                     }
-                    SlideOutcome::Unsupported => return AdvanceOutcome::Unsupported,
+                    SlideOutcome::Unsupported => {
+                        self.plan = None;
+                        return AdvanceOutcome::Unsupported;
+                    }
                 }
             }
         }
         for (k, new) in new_series.iter().enumerate() {
             if self.rebuilt[k] {
-                self.plan.rebuild_series(k, new);
+                plan.rebuild_series(k, new);
             }
             self.series[k].copy_from_slice(new);
         }
@@ -217,13 +270,25 @@ impl IncrementalSweep {
     /// cached score grade to exactly `0.0` deviation: the violation tuple
     /// cannot tell the cache from a fresh sweep. Anything else is
     /// confirmed with the full measure.
-    pub fn rescore(&mut self, invariants: &InvariantSet, epsilon: f64) -> ScreenOutcome {
+    ///
+    /// Returns `None`, changing nothing, when a pair is stale and the
+    /// record has no plan to settle it with: its scores are then not
+    /// vouched for and the caller must sweep from scratch.
+    pub fn rescore(&mut self, invariants: &InvariantSet, epsilon: f64) -> Option<ScreenOutcome> {
         let IncrementalSweep {
             plan,
             scores,
             stale,
             ..
         } = self;
+        let Some(plan) = plan else {
+            // Nothing to score with, and nothing needs it when every
+            // score is fresh.
+            return (!stale.contains(&true)).then_some(ScreenOutcome {
+                reused: pair_count(),
+                ..ScreenOutcome::default()
+            });
+        };
         let mut scorer = plan.scorer();
         let entries = invariants.entries();
         let mut cursor = 0usize;
@@ -260,13 +325,14 @@ impl IncrementalSweep {
             stale[idx] = false;
             outcome.confirmed += 1;
         }
-        outcome
+        Some(outcome)
     }
 
-    /// The current per-pair scores as an association matrix. Bit-identical
-    /// to a full from-scratch sweep on every pair the violation tuple
-    /// consults (all invariant pairs); non-invariant stale pairs may hold
-    /// the score of an earlier window.
+    /// The current per-pair scores as an association matrix. After a
+    /// [`IncrementalSweep::rescore`] it is bit-identical to a full
+    /// from-scratch sweep on every pair the violation tuple consults (all
+    /// invariant pairs); non-invariant stale pairs may hold the score of an
+    /// earlier window.
     pub fn matrix(&self) -> AssociationMatrix {
         AssociationMatrix::from_scores(self.scores.clone())
     }
@@ -281,6 +347,7 @@ impl std::fmt::Debug for IncrementalSweep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalSweep")
             .field("window_ticks", &self.series.first().map(Vec::len))
+            .field("planned", &self.plan.is_some())
             .field("stale_pairs", &self.stale.iter().filter(|&&s| s).count())
             .finish()
     }
@@ -354,6 +421,57 @@ mod tests {
     }
 
     #[test]
+    fn plan_less_records_serve_only_their_own_window() {
+        let pool = SweepPool::new(1);
+        let mic_measure = MicMeasure::new(MicParams::fast());
+        let base = frame(40, 0);
+        let matrix = AssociationMatrix::compute(&base, &mic_measure, 1);
+        let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
+        let mut record = IncrementalSweep::new(series_of(&base), matrix.scores().to_vec());
+        assert!(record.is_window(&series_of(&base)));
+        assert_eq!(record.advance(&series_of(&base)), AdvanceOutcome::Identical);
+        // Every score is fresh, so the zero-tick rescore needs no plan.
+        assert_eq!(
+            record.rescore(&invariants, 0.2),
+            Some(ScreenOutcome {
+                reused: pair_count(),
+                ..ScreenOutcome::default()
+            })
+        );
+        // Without a plan a slide is not absorbed; the record stays put.
+        assert_eq!(
+            record.advance(&series_of(&frame(40, 1))),
+            AdvanceOutcome::Unsupported
+        );
+        assert!(record.is_window(&series_of(&base)));
+        // With a plan attached the same slide is absorbed.
+        assert!(record.attach_plan(&mic(), &pool));
+        assert_eq!(
+            record.advance(&series_of(&frame(40, 1))),
+            AdvanceOutcome::Advanced { shift: 1 }
+        );
+        assert!(!record.is_fresh());
+        // A jump drops the plan; the stale pairs then cannot be settled.
+        assert_eq!(
+            record.advance(&series_of(&frame(40, 100))),
+            AdvanceOutcome::Unsupported
+        );
+        assert!(record.is_window(&series_of(&frame(40, 1))));
+        assert_eq!(record.rescore(&invariants, 0.2), None);
+        // Re-attaching a plan settles them against a fresh sweep.
+        assert!(record.attach_plan(&mic(), &pool));
+        let outcome = record.rescore(&invariants, 0.0).unwrap();
+        assert_eq!(outcome.screened, 0);
+        let fresh = AssociationMatrix::compute(&frame(40, 1), &mic_measure, 1);
+        for e in invariants.entries() {
+            assert_eq!(
+                record.matrix().at(e.pair).to_bits(),
+                fresh.at(e.pair).to_bits()
+            );
+        }
+    }
+
+    #[test]
     fn incremental_matches_from_scratch_on_invariant_pairs() {
         let pool = SweepPool::new(1);
         let measure = mic();
@@ -372,7 +490,7 @@ mod tests {
                 inc.advance(&series_of(&next)),
                 AdvanceOutcome::Advanced { shift: 1 }
             );
-            let outcome = inc.rescore(&invariants, epsilon);
+            let outcome = inc.rescore(&invariants, epsilon).unwrap();
             assert_eq!(
                 outcome.reused + outcome.screened + outcome.confirmed,
                 pair_count()
@@ -420,7 +538,7 @@ mod tests {
             inc.advance(&series_of(&next)),
             AdvanceOutcome::Advanced { shift: 1 }
         );
-        let outcome = inc.rescore(&invariants, 0.0);
+        let outcome = inc.rescore(&invariants, 0.0).unwrap();
         assert_eq!(outcome.screened, 0);
         // Every invariant pair now carries the exact fresh score.
         let fresh = AssociationMatrix::compute(&next, &mic_measure, 1);

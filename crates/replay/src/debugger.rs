@@ -23,7 +23,6 @@ pub enum EventKind {
     SweepCompleted,
     PairsScored,
     SweepScreened,
-    SweepCacheLookup,
     SpanClosed,
     SweepDegraded,
     TickEnqueued,
@@ -46,7 +45,6 @@ impl EventKind {
             EngineEvent::SweepCompleted { .. } => EventKind::SweepCompleted,
             EngineEvent::PairsScored { .. } => EventKind::PairsScored,
             EngineEvent::SweepScreened { .. } => EventKind::SweepScreened,
-            EngineEvent::SweepCacheLookup { .. } => EventKind::SweepCacheLookup,
             EngineEvent::SpanClosed { .. } => EventKind::SpanClosed,
             EngineEvent::SweepDegraded { .. } => EventKind::SweepDegraded,
             EngineEvent::TickEnqueued { .. } => EventKind::TickEnqueued,

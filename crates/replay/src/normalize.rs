@@ -58,7 +58,6 @@ pub fn normalize_events(events: &[EngineEvent]) -> Vec<EngineEvent> {
             | EngineEvent::SignatureMatched { .. }
             | EngineEvent::PairsScored { .. }
             | EngineEvent::SweepScreened { .. }
-            | EngineEvent::SweepCacheLookup { .. }
             | EngineEvent::SpanClosed { .. }
             | EngineEvent::SweepDegraded { .. }
             | EngineEvent::TickEnqueued { .. }

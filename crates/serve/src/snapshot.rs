@@ -539,7 +539,7 @@ mod tests {
         let mut expected: Vec<u8> = Vec::new();
         let mut put = |bytes: &[u8]| expected.extend_from_slice(bytes);
         put(&[2, 0, 0, 0]); // version
-        put(&0x2030_56ca_483d_a962_u64.to_le_bytes()); // checksum
+        put(&0x6b13_b374_3250_c140_u64.to_le_bytes()); // checksum
         put(&[5, 0, 0, 0, 0, 0, 0, 0]); // lifetime ticks
         put(&(config.len() as u32).to_le_bytes());
         put(config.as_bytes());
@@ -690,6 +690,45 @@ mod tests {
         let mut bad = good;
         bad[len - 8 - 4..len - 8].copy_from_slice(&u32::MAX.to_le_bytes());
         expect_snapshot_error(&reframed(bad), "exceeds");
+    }
+
+    #[test]
+    fn a_snapshot_whose_config_names_a_retired_field_still_loads() {
+        // Written by the previous release: the same tenant as `source`
+        // below, but its config JSON still carries the frame-cache
+        // capacity field that release had. Unknown config fields are
+        // ignored, so it parses to the same snapshot, adopts and warms
+        // into a default fleet, and continues like the source tenant.
+        let legacy = include_bytes!("../tests/data/legacy_config_snapshot.ixh").to_vec();
+        let tenant = crate::TenantId::new("legacy").expect("valid");
+        let ctx = OperationContext::new("n1", "Sort");
+        let row = |t: usize| vec![t as f64; ix_metrics::METRIC_COUNT];
+        let source = crate::Fleet::builder().build();
+        source
+            .with_engine(&tenant, |e| e.load_state(&small().store))
+            .expect("materialize")
+            .expect("load");
+        for t in 0..3 {
+            source.ingest(&tenant, &ctx, 1.0, &row(t)).expect("ingest");
+        }
+        let current = source.snapshot_bytes(&tenant).expect("snapshot");
+
+        let parsed = TenantSnapshot::from_bytes(&legacy).expect("legacy parse");
+        assert_eq!(parsed.config, InvarNetConfig::default());
+        assert_eq!(parsed, TenantSnapshot::from_bytes(&current).expect("parse"));
+        assert!(
+            current.len() < legacy.len(),
+            "the retired field is not written back"
+        );
+
+        let fleet = crate::Fleet::builder().build();
+        fleet.adopt(tenant.clone(), legacy).expect("adopt");
+        fleet.warm(&tenant).expect("warm");
+        assert!(fleet.is_warm(&tenant));
+        let a = source.ingest(&tenant, &ctx, 1.0, &row(3)).expect("source");
+        let b = fleet.ingest(&tenant, &ctx, 1.0, &row(3)).expect("warmed");
+        assert_eq!(a.tick, b.tick);
+        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
     }
 
     #[test]

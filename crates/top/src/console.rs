@@ -191,7 +191,6 @@ impl EventSink for TopConsole {
                 "        SCREEN   {} {reused} reused / {screened} screened / {confirmed} confirmed",
                 self.label(context)
             )),
-            EngineEvent::SweepCacheLookup { .. } => None,
             EngineEvent::SpanClosed { .. } => None,
             EngineEvent::SweepDegraded {
                 context,

@@ -64,13 +64,11 @@ pub fn render_frame(snap: &TopSnapshot, prev: Option<&TopSnapshot>, width: usize
         total.recorder_append_nanos.quantile(0.99)
     ));
     line(format!(
-        "sweeps {}  pairs reused {} / screened {} / confirmed {}  cache {} hit / {} miss",
+        "sweeps {}  pairs reused {} / screened {} / confirmed {}",
         total.sweeps,
         total.sweep_pairs_reused,
         total.sweep_pairs_screened,
-        total.sweep_pairs_confirmed,
-        total.sweep_cache_hits,
-        total.sweep_cache_misses
+        total.sweep_pairs_confirmed
     ));
     line(String::new());
 

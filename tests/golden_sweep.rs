@@ -234,7 +234,9 @@ proptest! {
             } else {
                 prop_assert_eq!(outcome, AdvanceOutcome::Advanced { shift });
             }
-            let screen = inc.rescore(&invariants, epsilon);
+            let screen = inc
+                .rescore(&invariants, epsilon)
+                .expect("a seeded record has a plan");
             prop_assert_eq!(
                 screen.reused + screen.screened + screen.confirmed,
                 pair_count()

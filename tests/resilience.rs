@@ -122,9 +122,9 @@ fn warm_cache_degrades_to_tier1_cached_matrix() {
     let ctx = OperationContext::new("10.1.0.1", "Wordcount");
     train(&engine, &ctx, 300);
 
-    // Training sweeps warmed the per-context cache at full fidelity; a
+    // Training sweeps wrote the context's sweep record at full fidelity; a
     // fresh incident window under a hopeless budget must fall back to that
-    // cached matrix — tier 1, the cheapest acceptable answer.
+    // recorded matrix — tier 1, the cheapest acceptable answer.
     slow.arm();
     let incident = coupled_frame(40, 777, true);
     let diagnosis = engine
@@ -154,15 +154,18 @@ fn warm_cache_degrades_to_tier1_cached_matrix() {
 #[test]
 fn cold_cache_degrades_to_tier2_pearson_fallback() {
     let slow = Arc::new(SlowWrapper::new(Duration::from_millis(2)));
-    let engine = Engine::builder()
-        .config(InvarNetConfig {
-            sweep_cache_entries: 0, // no cache → tier 1 unavailable
-            ..InvarNetConfig::default()
-        })
-        .measure(Arc::clone(&slow) as Arc<dyn AssociationMeasure>)
-        .build();
+    let build = || {
+        Engine::builder()
+            .measure(Arc::clone(&slow) as Arc<dyn AssociationMeasure>)
+            .build()
+    };
+    let trained = build();
     let ctx = OperationContext::new("10.1.0.2", "Wordcount");
-    train(&engine, &ctx, 310);
+    train(&trained, &ctx, 310);
+    // A fresh engine loaded with the trained state has swept nothing, so
+    // it holds no sweep record: tier 1 is unavailable.
+    let engine = build();
+    engine.load_state(&trained.snapshot_state()).unwrap();
 
     slow.arm();
     let incident = coupled_frame(40, 778, true);
@@ -177,14 +180,12 @@ fn cold_cache_degrades_to_tier2_pearson_fallback() {
 
 #[test]
 fn pair_budget_degrades_to_tier3_partial_matrix() {
-    let engine = Engine::builder()
-        .config(InvarNetConfig {
-            sweep_cache_entries: 0,
-            ..InvarNetConfig::default()
-        })
-        .build();
+    let trained = Engine::builder().build();
     let ctx = OperationContext::new("10.1.0.3", "Wordcount");
-    train(&engine, &ctx, 320);
+    train(&trained, &ctx, 320);
+    // No sweep record on a freshly loaded engine: tier 1 is unavailable.
+    let engine = Engine::builder().build();
+    engine.load_state(&trained.snapshot_state()).unwrap();
 
     // A pair ceiling below the full population rules out every full sweep
     // (Pearson included): only the partial high-variance matrix fits.

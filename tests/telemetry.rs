@@ -319,7 +319,7 @@ fn streamed_fault_run_is_attributed_and_json_round_trips() {
 }
 
 #[test]
-fn sweep_cache_and_profile_build_flow_through_exporters() {
+fn unattributed_sweeps_and_profile_builds_flow_through_exporters() {
     let telemetry = Telemetry::shared();
     let engine = Engine::builder()
         .config(InvarNetConfig {
@@ -329,71 +329,41 @@ fn sweep_cache_and_profile_build_flow_through_exporters() {
         .telemetry(&telemetry)
         .build();
 
-    // Three sweeps over two distinct windows: miss, miss, hit — and the
-    // cached matrix must be bit-identical to the freshly swept one.
+    // Three unattributed sweeps over two distinct windows: no context owns
+    // them, so nothing is reused and each one sweeps — deterministically.
     let a = coupled_frame(40, 1, false);
     let b = coupled_frame(40, 2, false);
     let first = engine.association_matrix(&a).unwrap();
     let _ = engine.association_matrix(&b).unwrap();
-    let cached = engine.association_matrix(&a).unwrap();
-    assert_eq!(cached, first, "cache hit must return the identical matrix");
+    let again = engine.association_matrix(&a).unwrap();
+    assert_eq!(again, first, "a re-sweep must return the identical matrix");
 
     let snap = telemetry.snapshot();
-    let scope = &snap.total;
-    assert_eq!(scope.sweep_cache_misses, 2);
-    assert_eq!(scope.sweep_cache_hits, 1);
-    assert_eq!(scope.sweeps, 2, "the hit skipped the sweep itself");
+    assert_eq!(snap.total.sweeps, 3, "unattributed sweeps reuse nothing");
 
-    // The default MIC measure plans per-series profiles, so each actual
-    // sweep records a profile_build span.
+    // The default MIC measure plans per-series profiles, so each sweep
+    // records a profile_build span.
     let profile_phase = snap
         .phases
         .iter()
         .find(|p| p.phase == "profile_build")
         .expect("profile_build phase must be exported");
-    assert_eq!(profile_phase.micros.count, 2);
+    assert_eq!(profile_phase.micros.count, 3);
 
-    // Both counters reach the Prometheus exposition...
+    // The sweep counter reaches the Prometheus exposition...
     let samples = parse_prometheus(&snap.render_prometheus());
     let label = "context=\"(unattributed)\"".to_string();
-    assert_eq!(
-        samples[&("invarnet_sweep_cache_hits_total".to_string(), label.clone())],
-        1.0
-    );
-    assert_eq!(
-        samples[&("invarnet_sweep_cache_misses_total".to_string(), label)],
-        2.0
-    );
+    assert_eq!(samples[&("invarnet_sweeps_total".to_string(), label)], 3.0);
 
-    // ...and survive the JSON round-trip.
+    // ...and the phase survives the JSON round-trip.
     let back = TelemetrySnapshot::from_json(&snap.to_json().unwrap()).unwrap();
-    assert_eq!(back.total.sweep_cache_hits, 1);
-    assert_eq!(back.total.sweep_cache_misses, 2);
+    let back_phase = back
+        .phases
+        .iter()
+        .find(|p| p.phase == "profile_build")
+        .expect("profile_build phase survives the round-trip");
+    assert_eq!(back_phase.micros.count, 3);
     assert_eq!(back, snap);
-}
-
-#[test]
-fn zero_capacity_config_disables_the_sweep_cache() {
-    let telemetry = Telemetry::shared();
-    let engine = Engine::builder()
-        .config(InvarNetConfig {
-            min_frame_ticks: 5,
-            sweep_cache_entries: 0,
-            ..InvarNetConfig::default()
-        })
-        .telemetry(&telemetry)
-        .build();
-    let frame = coupled_frame(40, 3, false);
-    let first = engine.association_matrix(&frame).unwrap();
-    let second = engine.association_matrix(&frame).unwrap();
-    assert_eq!(first, second, "determinism does not depend on the cache");
-    let snap = telemetry.snapshot();
-    assert_eq!(snap.total.sweep_cache_hits, 0);
-    assert_eq!(
-        snap.total.sweep_cache_misses, 0,
-        "disabled cache stays silent"
-    );
-    assert_eq!(snap.total.sweeps, 2, "every call runs the full sweep");
 }
 
 #[test]
