@@ -161,6 +161,14 @@ impl Writer {
     }
 }
 
+impl From<Vec<u8>> for Writer {
+    /// A writer appending to `buf`, so an encoder can reuse one
+    /// allocation across messages.
+    fn from(buf: Vec<u8>) -> Writer {
+        Writer { buf }
+    }
+}
+
 /// Sequential little-endian reader with a bounds-checked cursor — the
 /// decoder behind `IXHIST01`, exposed alongside [`Writer`]. Every read
 /// fails with [`HistoryFileError::Format`] instead of panicking when the

@@ -3,21 +3,28 @@
 use std::net::{TcpStream, ToSocketAddrs};
 
 use ix_core::Diagnosis;
-use serde::Deserialize;
 
 use crate::error::{ServeError, STATUS_OK};
 use crate::tenant::TenantId;
 use crate::wire::{
-    self, DiagnoseRequest, DrainReply, DrainRequest, HealthReply, IngestReply, IngestRequest, Op,
+    self, BinaryPayload, DrainReply, DrainRequest, FrameReader, HealthReply, IngestReply, Op,
     RequestFrame, DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// A blocking client over one `IXSRV01` TCP connection. Requests are
 /// sequential: each call writes one frame and reads one response.
+/// Ingest, drain and diagnose travel as binary payloads, and the
+/// request, frame and response buffers are reused from call to call.
 #[derive(Debug)]
 pub struct ServeClient {
     stream: TcpStream,
     max_frame_bytes: usize,
+    /// The next request's payload.
+    payload: Vec<u8>,
+    /// The outgoing frame.
+    frame: Vec<u8>,
+    /// The incoming frame.
+    frames: FrameReader,
 }
 
 impl ServeClient {
@@ -34,6 +41,9 @@ impl ServeClient {
         Ok(ServeClient {
             stream,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
+            payload: Vec::new(),
+            frame: Vec::new(),
+            frames: FrameReader::default(),
         })
     }
 
@@ -50,42 +60,40 @@ impl ServeClient {
     /// [`ServeError::Version`] on a malformed response;
     /// [`ServeError::FrameTooLarge`] when the response exceeds the limit.
     pub fn request(&mut self, frame: &RequestFrame) -> Result<(u16, Vec<u8>), ServeError> {
-        wire::write_frame(&mut self.stream, &wire::encode_request(frame))?;
-        let body = wire::read_frame(&mut self.stream, self.max_frame_bytes)?.ok_or_else(|| {
-            ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before responding",
-            ))
-        })?;
-        wire::decode_response(&body)
+        self.payload.clear();
+        self.payload.extend_from_slice(&frame.payload);
+        let (status, payload) = self.exchange(&frame.tenant, frame.op)?;
+        Ok((status, payload.to_vec()))
     }
 
-    fn call(&mut self, tenant: &TenantId, op: Op, payload: Vec<u8>) -> Result<Vec<u8>, ServeError> {
-        let (status, payload) = self.request(&RequestFrame {
-            tenant: tenant.clone(),
-            op,
-            payload,
+    /// Sends the buffered payload as an `op` request and returns the
+    /// response's status and payload, borrowed from the frame buffer.
+    fn exchange(&mut self, tenant: &TenantId, op: Op) -> Result<(u16, &[u8]), ServeError> {
+        let payload = &self.payload;
+        wire::write_frame_with(&mut self.stream, &mut self.frame, |out| {
+            wire::push_request(out, tenant, op, payload)
         })?;
-        if status == STATUS_OK {
-            Ok(payload)
-        } else {
-            Err(ServeError::Status {
-                code: status,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            })
+        let body = self
+            .frames
+            .read(&mut self.stream, self.max_frame_bytes)?
+            .ok_or_else(|| {
+                ServeError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection before responding",
+                ))
+            })?;
+        wire::parse_response(body)
+    }
+
+    /// [`ServeClient::exchange`], with a non-zero status as the error.
+    fn call(&mut self, tenant: &TenantId, op: Op) -> Result<&[u8], ServeError> {
+        match self.exchange(tenant, op)? {
+            (STATUS_OK, payload) => Ok(payload),
+            (code, payload) => Err(ServeError::Status {
+                code,
+                message: String::from_utf8_lossy(payload).into_owned(),
+            }),
         }
-    }
-
-    fn call_json<T: Deserialize>(
-        &mut self,
-        tenant: &TenantId,
-        op: Op,
-        payload: Vec<u8>,
-    ) -> Result<T, ServeError> {
-        let payload = self.call(tenant, op, payload)?;
-        let text = std::str::from_utf8(&payload)
-            .map_err(|e| ServeError::Protocol(format!("response not UTF-8: {e}")))?;
-        serde_json::from_str(text).map_err(|e| ServeError::Protocol(format!("response: {e}")))
     }
 
     /// Ingests one tick for a tenant context.
@@ -102,16 +110,10 @@ impl ServeClient {
         cpi: f64,
         row: &[f64],
     ) -> Result<IngestReply, ServeError> {
-        let req = IngestRequest {
-            node: node.to_string(),
-            workload: workload.to_string(),
-            cpi,
-            row: row.to_vec(),
-        };
-        let payload = serde_json::to_string(&req)
-            .map_err(|e| ServeError::Protocol(format!("encode: {e}")))?
-            .into_bytes();
-        self.call_json(tenant, Op::Ingest, payload)
+        wire::binary_into(&mut self.payload, |w| {
+            wire::write_ingest(w, node, workload, cpi, row)
+        });
+        wire::decode_binary(self.call(tenant, Op::Ingest)?)
     }
 
     /// Drains up to `max_ticks` queued ticks through the tenant's engine.
@@ -120,10 +122,10 @@ impl ServeClient {
     ///
     /// [`ServeError::Status`] carrying the server's non-zero status.
     pub fn drain(&mut self, tenant: &TenantId, max_ticks: usize) -> Result<DrainReply, ServeError> {
-        let payload = serde_json::to_string(&DrainRequest { max_ticks })
-            .map_err(|e| ServeError::Protocol(format!("encode: {e}")))?
-            .into_bytes();
-        self.call_json(tenant, Op::Drain, payload)
+        wire::binary_into(&mut self.payload, |w| {
+            DrainRequest { max_ticks }.write_fields(w)
+        });
+        wire::decode_binary(self.call(tenant, Op::Drain)?)
     }
 
     /// Diagnoses a tenant context's current sliding window.
@@ -137,14 +139,10 @@ impl ServeClient {
         node: &str,
         workload: &str,
     ) -> Result<Diagnosis, ServeError> {
-        let req = DiagnoseRequest {
-            node: node.to_string(),
-            workload: workload.to_string(),
-        };
-        let payload = serde_json::to_string(&req)
-            .map_err(|e| ServeError::Protocol(format!("encode: {e}")))?
-            .into_bytes();
-        self.call_json(tenant, Op::Diagnose, payload)
+        wire::binary_into(&mut self.payload, |w| {
+            wire::write_context(w, node, workload)
+        });
+        wire::decode_binary(self.call(tenant, Op::Diagnose)?)
     }
 
     /// Reports the fleet's health and counters. The tenant id routes the
@@ -154,7 +152,11 @@ impl ServeClient {
     ///
     /// [`ServeError::Status`] carrying the server's non-zero status.
     pub fn health(&mut self, tenant: &TenantId) -> Result<HealthReply, ServeError> {
-        self.call_json(tenant, Op::Health, Vec::new())
+        self.payload.clear();
+        let payload = self.call(tenant, Op::Health)?;
+        let text = std::str::from_utf8(payload)
+            .map_err(|e| ServeError::Protocol(format!("response not UTF-8: {e}")))?;
+        serde_json::from_str(text).map_err(|e| ServeError::Protocol(format!("response: {e}")))
     }
 
     /// Fetches the tenant's snapshot bytes (a row-free `IXHIST01` image).
@@ -163,6 +165,7 @@ impl ServeClient {
     ///
     /// [`ServeError::Status`] carrying the server's non-zero status.
     pub fn snapshot(&mut self, tenant: &TenantId) -> Result<Vec<u8>, ServeError> {
-        self.call(tenant, Op::Snapshot, Vec::new())
+        self.payload.clear();
+        Ok(self.call(tenant, Op::Snapshot)?.to_vec())
     }
 }

@@ -19,14 +19,18 @@
 //!   [`ix_core::EngineEvent::TenantWarmed`]), never silent.
 //! - **`IXSRV01`** ([`wire`]) — a length-prefixed binary protocol:
 //!   versioned request frames carry a tenant id, an op
-//!   (ingest / drain / diagnose / health / snapshot) and a payload in
-//!   the crate's wire-pinned encodings; response frames carry a stable
-//!   `u16` status where `1..=99` is [`ix_core::ErrorCode`] verbatim and
-//!   `100..` is serving-layer conditions. Both directions are bounded:
-//!   a frame over the limit is rejected before allocation.
+//!   (ingest / drain / diagnose / health / snapshot) and a payload;
+//!   response frames carry a stable `u16` status where `1..=99` is
+//!   [`ix_core::ErrorCode`] verbatim and `100..` is serving-layer
+//!   conditions. Ticks, drains and diagnoses travel as binary payloads
+//!   (one codec, floats as raw bits, so a served tick spends no time on
+//!   text); a payload starting with `{` still gets the JSON shape back.
+//!   Both directions are bounded: a frame, count or length over what
+//!   the bytes can hold is rejected before allocation.
 //! - **TCP serving** ([`ServerHandle`] / [`ServeClient`]) — a
-//!   thread-per-core accept loop over a shared fleet, one bounded buffer
-//!   per connection, overload routed through each engine's
+//!   thread-per-core accept loop over a shared fleet, one bounded frame
+//!   buffer per connection (reused across requests, and resumed when a
+//!   frame stalls mid-way), overload routed through each engine's
 //!   [`ix_core::OverloadPolicy`] so sheds surface as events and
 //!   statuses, never as dropped bytes.
 

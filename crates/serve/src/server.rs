@@ -3,12 +3,14 @@
 //!
 //! Each accept thread owns a clone of the listening socket and serves
 //! its accepted connection to completion — frames on one connection are
-//! sequential by construction, so per-connection state is a single
-//! bounded read buffer ([`ServerBuilder::max_frame_bytes`]) and nothing
-//! else. Overload never sheds silently: ticks route through the fleet's
-//! engines, whose [`ix_core::OverloadPolicy`] declares every shed on the
-//! event stream, and protocol-level rejections cross back to the client
-//! as non-zero response statuses.
+//! sequential by construction, so per-connection state is one bounded
+//! read buffer ([`ServerBuilder::max_frame_bytes`]) plus the reply
+//! buffers, all reused from one request to the next. A frame that
+//! arrives in pieces, with pauses longer than the socket's read timeout,
+//! is resumed, not dropped. Overload never sheds silently: ticks route
+//! through the fleet's engines, whose [`ix_core::OverloadPolicy`]
+//! declares every shed on the event stream, and protocol-level
+//! rejections cross back to the client as non-zero response statuses.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -21,9 +23,10 @@ use ix_core::OperationContext;
 
 use crate::error::{ServeError, STATUS_OK};
 use crate::fleet::Fleet;
+use crate::tenant::TenantId;
 use crate::wire::{
-    self, DiagnoseRequest, DrainReply, DrainRequest, HealthReply, IngestReply, IngestRequest, Op,
-    RequestFrame, DEFAULT_MAX_FRAME_BYTES,
+    self, DiagnoseRequest, DrainReply, DrainRequest, Encoding, FrameReader, HealthReply,
+    IngestReply, IngestRequest, Op, RequestFrame, DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// How long an idle accept thread sleeps between polls.
@@ -157,7 +160,9 @@ fn accept_loop(listener: &TcpListener, fleet: &Fleet, stop: &AtomicBool, max_fra
     }
 }
 
-/// Serves one connection: sequential `IXSRV01` frames until EOF.
+/// Serves one connection: sequential `IXSRV01` frames until EOF. The
+/// frame and payload buffers are the connection's, reused from one
+/// request to the next.
 fn serve_connection(
     stream: TcpStream,
     fleet: &Fleet,
@@ -173,14 +178,19 @@ fn serve_connection(
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
+    let mut frames = FrameReader::default();
+    let mut payload = Vec::new();
+    let mut out = Vec::new();
     loop {
         // ordering: Acquire pairs with the Release store in stop().
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        let body = match wire::read_frame(&mut reader, max_frame) {
+        let body = match frames.read(&mut reader, max_frame) {
             Ok(Some(body)) => body,
             Ok(None) => return Ok(()),
+            // The timeout fired between reads: `frames` keeps whatever
+            // part of a frame has arrived, and the next read resumes it.
             Err(ServeError::Io(e))
                 if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
             {
@@ -189,38 +199,78 @@ fn serve_connection(
             Err(e @ ServeError::FrameTooLarge { .. }) => {
                 // The prefix itself is trusted no further: answer, then
                 // drop the connection rather than resync mid-stream.
-                let status = e.status();
-                wire::write_frame(
-                    &mut writer,
-                    &wire::encode_response(status, e.to_string().as_bytes()),
-                )?;
+                let status = error_reply(&e, &mut payload);
+                wire::write_frame_with(&mut writer, &mut out, |o| {
+                    wire::push_response(o, status, &payload)
+                })?;
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
-        let (status, payload) = match wire::decode_request(&body) {
-            Ok(request) => handle_request(fleet, &request),
-            Err(e) => (e.status(), e.to_string().into_bytes()),
-        };
-        wire::write_frame(&mut writer, &wire::encode_response(status, &payload))?;
+        let handled = wire::parse_request(body).and_then(|(op, tenant, request)| {
+            Ok(handle(
+                fleet,
+                &TenantId::new(tenant)?,
+                op,
+                request,
+                &mut payload,
+            ))
+        });
+        let status = handled.unwrap_or_else(|e| error_reply(&e, &mut payload));
+        wire::write_frame_with(&mut writer, &mut out, |o| {
+            wire::push_response(o, status, &payload)
+        })?;
     }
 }
 
 /// Executes one decoded request against the fleet, returning the wire
 /// status and response payload.
 pub fn handle_request(fleet: &Fleet, request: &RequestFrame) -> (u16, Vec<u8>) {
-    match dispatch(fleet, request) {
-        Ok(payload) => (STATUS_OK, payload),
-        Err(e) => (e.status(), e.to_string().into_bytes()),
+    let mut payload = Vec::new();
+    let status = handle(
+        fleet,
+        &request.tenant,
+        request.op,
+        &request.payload,
+        &mut payload,
+    );
+    (status, payload)
+}
+
+/// [`handle_request`] over borrowed parts, leaving the response payload
+/// in `out`.
+fn handle(fleet: &Fleet, tenant: &TenantId, op: Op, request: &[u8], out: &mut Vec<u8>) -> u16 {
+    match dispatch(fleet, tenant, op, request, out) {
+        Ok(()) => STATUS_OK,
+        Err(e) => error_reply(&e, out),
     }
 }
 
-fn dispatch(fleet: &Fleet, request: &RequestFrame) -> Result<Vec<u8>, ServeError> {
-    match request.op {
+/// Puts `e`'s text in `out` and returns its status.
+fn error_reply(e: &ServeError, out: &mut Vec<u8>) -> u16 {
+    out.clear();
+    out.extend_from_slice(e.to_string().as_bytes());
+    e.status()
+}
+
+/// Runs one request. A payload is binary unless it starts with `{`; a
+/// JSON request gets a JSON reply (see [`wire`]'s compat rule).
+fn dispatch(
+    fleet: &Fleet,
+    tenant: &TenantId,
+    op: Op,
+    request: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), ServeError> {
+    let encoding = Encoding::of(request);
+    match op {
         Op::Ingest => {
-            let req: IngestRequest = decode_json(&request.payload)?;
-            let context = OperationContext::new(&req.node, &req.workload);
-            let outcome = fleet.ingest(&request.tenant, &context, req.cpi, &req.row)?;
+            let req: IngestRequest = encoding.decode(request)?;
+            let context = OperationContext {
+                node: req.node,
+                workload: req.workload,
+            };
+            let outcome = fleet.ingest(tenant, &context, req.cpi, &req.row)?;
             let reply = IngestReply {
                 tick: outcome.tick as u64,
                 residual: outcome.residual,
@@ -228,23 +278,25 @@ fn dispatch(fleet: &Fleet, request: &RequestFrame) -> Result<Vec<u8>, ServeError
                 anomalous: outcome.anomalous,
                 diagnosis: outcome.diagnosis,
             };
-            encode_json(&reply)
+            encoding.encode(&reply, out)
         }
         Op::Drain => {
-            let req: DrainRequest = decode_json(&request.payload)?;
-            let results = fleet.drain(&request.tenant, req.max_ticks)?;
+            let req: DrainRequest = encoding.decode(request)?;
+            let results = fleet.drain(tenant, req.max_ticks)?;
             let errors = results.iter().filter(|(_, r)| r.is_err()).count() as u64;
             let reply = DrainReply {
                 drained: results.len() as u64 - errors,
                 errors,
             };
-            encode_json(&reply)
+            encoding.encode(&reply, out)
         }
         Op::Diagnose => {
-            let req: DiagnoseRequest = decode_json(&request.payload)?;
-            let context = OperationContext::new(&req.node, &req.workload);
-            let diagnosis = fleet.diagnose(&request.tenant, &context)?;
-            encode_json(&diagnosis)
+            let req: DiagnoseRequest = encoding.decode(request)?;
+            let context = OperationContext {
+                node: req.node,
+                workload: req.workload,
+            };
+            encoding.encode(&fleet.diagnose(tenant, &context)?, out)
         }
         Op::Health => {
             let status = fleet.status();
@@ -257,20 +309,11 @@ fn dispatch(fleet: &Fleet, request: &RequestFrame) -> Result<Vec<u8>, ServeError
                 ticks: status.ticks,
                 health: status.health.to_string(),
             };
-            encode_json(&reply)
+            wire::json_into(&reply, out)
         }
-        Op::Snapshot => fleet.snapshot_bytes(&request.tenant),
+        Op::Snapshot => {
+            *out = fleet.snapshot_bytes(tenant)?;
+            Ok(())
+        }
     }
-}
-
-fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, ServeError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| ServeError::Protocol(format!("payload not UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| ServeError::Protocol(format!("payload: {e}")))
-}
-
-fn encode_json<T: serde::Serialize>(value: &T) -> Result<Vec<u8>, ServeError> {
-    Ok(serde_json::to_string(value)
-        .map_err(|e| ServeError::Protocol(format!("encode: {e}")))?
-        .into_bytes())
 }

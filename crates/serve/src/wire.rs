@@ -1,4 +1,5 @@
-//! The `IXSRV01` length-prefixed binary serving protocol.
+//! The `IXSRV01` length-prefixed binary serving protocol, and the one
+//! codec for its payloads.
 //!
 //! Every message is one *frame*: a little-endian `u32` byte length
 //! followed by that many body bytes. Request bodies are
@@ -19,24 +20,64 @@
 //! | `version` | `u8` | protocol version |
 //! | `status` | `u16` LE | `0` ok; `1..=99` [`ix_core::ErrorCode`]; `100..` serve statuses |
 //! | `payload_len` | `u32` LE | payload byte length |
-//! | `payload` | `payload_len` | JSON reply, snapshot bytes, or error text |
+//! | `payload` | `payload_len` | binary reply, JSON health, snapshot bytes, or error text |
 //!
-//! Payloads reuse the crate's wire-pinned encodings: JSON for structured
-//! requests/replies ([`Diagnosis`] crosses in its pinned `ix-core` shape),
-//! raw `IXHIST01` bytes for snapshots. Frames are bounded — both sides
-//! reject a declared length over their limit *before* allocating, so a
-//! hostile or corrupt prefix cannot balloon a connection's memory.
+//! # Payloads (version 2)
+//!
+//! Ingest, Drain and Diagnose requests and their replies are binary: the
+//! [`BINARY_TAG`] byte, then the fields below, little-endian, written
+//! with `ix-history`'s [`Writer`] and read with its bounds-checked
+//! [`Reader`] (the cursor tenant snapshots use). `str` is a `u32` byte
+//! length plus UTF-8; `f64` is the raw IEEE-754 bits, so NaN and ∞ reach
+//! the engine's own checks; `bool` and `option` are one byte, `0` or `1`.
+//!
+//! | payload | fields after the tag |
+//! |---|---|
+//! | [`IngestRequest`] | node `str`, workload `str`, cpi `f64`, `u32` count + row `f64`s |
+//! | [`DrainRequest`] | max_ticks `u64` |
+//! | [`DiagnoseRequest`] | node `str`, workload `str` |
+//! | [`IngestReply`] | tick `u64`, residual `f64`, exceeded `bool`, anomalous `bool`, diagnosis `option` + the [`Diagnosis`] fields |
+//! | [`DrainReply`] | drained `u64`, errors `u64` |
+//! | [`Diagnosis`] | `u32` count + causes (problem `str`, similarity `f64`), `u32` count + tuple `f64`s, degradation `option` + tier `u8` ([`DegradationTier::level`]) + reason `u8` (0 wall clock, 1 pair budget, 2 predicted overrun) |
+//!
+//! Decoding checks every count and length against the bytes left before
+//! it allocates, and refuses trailing bytes, a `bool` or `option` byte
+//! other than `0`/`1`, an unknown tier or reason and non-UTF-8 text — so
+//! a payload that decodes re-encodes byte-identically. Every refusal is
+//! a [`ServeError::Protocol`].
+//!
+//! Health replies are JSON ([`HealthReply`]; the request is empty),
+//! Snapshot replies are raw `IXHIST01` bytes, and a non-zero status
+//! carries the error's text.
+//!
+//! **JSON compat.** A request payload whose first byte is `{` is decoded
+//! as the version-1 JSON shape of the same struct and answered in JSON;
+//! [`BINARY_TAG`] is never `{`, so the first byte decides. The
+//! [`ServeClient`](crate::ServeClient) speaks only binary; the compat
+//! path serves callers that build JSON payloads themselves and hand them
+//! to [`handle_request`](crate::handle_request).
+//!
+//! Frames are bounded — both sides reject a declared length over their
+//! limit *before* allocating, so a hostile or corrupt prefix cannot
+//! balloon a connection's memory.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
-use ix_core::Diagnosis;
+use ix_core::{
+    DegradationReason, DegradationTier, Diagnosis, RankedCause, SweepDegradation, ViolationTuple,
+};
+use ix_history::{HistoryFileError, Reader, Writer};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::ServeError;
 use crate::tenant::TenantId;
 
 /// The protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
+
+/// First byte of every binary payload. JSON payloads start with `{`, so
+/// this one byte tells the two apart.
+pub const BINARY_TAG: u8 = 0xB1;
 
 /// Default per-connection frame size limit (1 MiB).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
@@ -44,15 +85,20 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 /// The operation a request frame asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Ingest one tick synchronously (payload: [`IngestRequest`]).
+    /// Ingest one tick synchronously (payload: binary [`IngestRequest`];
+    /// reply: [`IngestReply`]).
     Ingest,
-    /// Drain the tenant's ingest queue (payload: [`DrainRequest`]).
+    /// Drain the tenant's ingest queue (payload: binary [`DrainRequest`];
+    /// reply: [`DrainReply`]).
     Drain,
-    /// Diagnose a context's current window (payload: [`DiagnoseRequest`]).
+    /// Diagnose a context's current window (payload: binary
+    /// [`DiagnoseRequest`]; reply: [`Diagnosis`]).
     Diagnose,
-    /// Report fleet health and counters (empty payload).
+    /// Report fleet health and counters (empty payload; reply: JSON
+    /// [`HealthReply`]).
     Health,
-    /// Return the tenant's snapshot bytes (empty payload).
+    /// Return the tenant's snapshot bytes (empty payload; reply: raw
+    /// `IXHIST01` bytes).
     Snapshot,
 }
 
@@ -131,6 +177,25 @@ impl Deserialize for IngestRequest {
     }
 }
 
+impl BinaryPayload for IngestRequest {
+    fn write_fields(&self, w: &mut Writer) {
+        write_ingest(w, &self.node, &self.workload, self.cpi, &self.row);
+    }
+
+    fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError> {
+        let node = r.str()?.to_owned();
+        let workload = r.str()?.to_owned();
+        let cpi = r.f64()?;
+        let n = r.count(8)?;
+        Ok(IngestRequest {
+            node,
+            workload,
+            cpi,
+            row: r.f64s(n)?,
+        })
+    }
+}
+
 /// `Op::Drain` payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainRequest {
@@ -151,6 +216,21 @@ impl Deserialize for DrainRequest {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         Ok(DrainRequest {
             max_ticks: u64::from_value(value.field("max_ticks")?)? as usize,
+        })
+    }
+}
+
+impl BinaryPayload for DrainRequest {
+    fn write_fields(&self, w: &mut Writer) {
+        w.u64(self.max_ticks as u64);
+    }
+
+    fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError> {
+        let max_ticks = r.u64()?;
+        Ok(DrainRequest {
+            max_ticks: usize::try_from(max_ticks).map_err(|_| {
+                HistoryFileError::Format(format!("max_ticks {max_ticks} overflows usize"))
+            })?,
         })
     }
 }
@@ -178,6 +258,19 @@ impl Deserialize for DiagnoseRequest {
         Ok(DiagnoseRequest {
             node: String::from_value(value.field("node")?)?,
             workload: String::from_value(value.field("workload")?)?,
+        })
+    }
+}
+
+impl BinaryPayload for DiagnoseRequest {
+    fn write_fields(&self, w: &mut Writer) {
+        write_context(w, &self.node, &self.workload);
+    }
+
+    fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError> {
+        Ok(DiagnoseRequest {
+            node: r.str()?.to_owned(),
+            workload: r.str()?.to_owned(),
         })
     }
 }
@@ -221,6 +314,33 @@ impl Deserialize for IngestReply {
     }
 }
 
+impl BinaryPayload for IngestReply {
+    fn write_fields(&self, w: &mut Writer) {
+        w.u64(self.tick);
+        w.f64(self.residual);
+        w.u8(u8::from(self.exceeded));
+        w.u8(u8::from(self.anomalous));
+        w.u8(u8::from(self.diagnosis.is_some()));
+        if let Some(diagnosis) = &self.diagnosis {
+            diagnosis.write_fields(w);
+        }
+    }
+
+    fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError> {
+        Ok(IngestReply {
+            tick: r.u64()?,
+            residual: r.f64()?,
+            exceeded: read_bool(r, "exceeded")?,
+            anomalous: read_bool(r, "anomalous")?,
+            diagnosis: if read_bool(r, "diagnosis option")? {
+                Some(Diagnosis::read_fields(r)?)
+            } else {
+                None
+            },
+        })
+    }
+}
+
 /// `Op::Drain` success reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReply {
@@ -244,6 +364,94 @@ impl Deserialize for DrainReply {
         Ok(DrainReply {
             drained: u64::from_value(value.field("drained")?)?,
             errors: u64::from_value(value.field("errors")?)?,
+        })
+    }
+}
+
+impl BinaryPayload for DrainReply {
+    fn write_fields(&self, w: &mut Writer) {
+        w.u64(self.drained);
+        w.u64(self.errors);
+    }
+
+    fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError> {
+        Ok(DrainReply {
+            drained: r.u64()?,
+            errors: r.u64()?,
+        })
+    }
+}
+
+/// `Op::Diagnose` success reply and the diagnosis nested in an onset
+/// [`IngestReply`].
+impl BinaryPayload for Diagnosis {
+    fn write_fields(&self, w: &mut Writer) {
+        w.u32_field(self.ranked.len());
+        for cause in &self.ranked {
+            w.bytes(cause.problem.as_bytes());
+            w.f64(cause.similarity);
+        }
+        let graded = self.tuple.graded();
+        w.u32_field(graded.len());
+        w.f64s(graded);
+        match self.degradation {
+            None => w.u8(0),
+            Some(degradation) => {
+                w.u8(1);
+                w.u8(degradation.tier.level());
+                w.u8(match degradation.reason {
+                    DegradationReason::WallClockExceeded => 0,
+                    DegradationReason::PairBudgetExceeded => 1,
+                    DegradationReason::PredictedOverrun => 2,
+                });
+            }
+        }
+    }
+
+    fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError> {
+        // A cause is at least its problem's length field and similarity.
+        let n = r.count(4 + 8)?;
+        let mut ranked = Vec::with_capacity(n);
+        for _ in 0..n {
+            ranked.push(RankedCause {
+                problem: r.str()?.to_owned(),
+                similarity: r.f64()?,
+            });
+        }
+        let n = r.count(8)?;
+        let tuple = ViolationTuple::from_graded(r.f64s(n)?);
+        let degradation = if read_bool(r, "degradation option")? {
+            let tier = match r.u8()? {
+                1 => DegradationTier::CachedMatrix,
+                2 => DegradationTier::PearsonFallback,
+                3 => DegradationTier::PartialMatrix,
+                4 => DegradationTier::Persistence,
+                other => {
+                    return Err(HistoryFileError::Format(format!(
+                        "unknown degradation tier {other}"
+                    )))
+                }
+            };
+            let reason = match r.u8()? {
+                0 => DegradationReason::WallClockExceeded,
+                1 => DegradationReason::PairBudgetExceeded,
+                2 => DegradationReason::PredictedOverrun,
+                other => {
+                    return Err(HistoryFileError::Format(format!(
+                        "unknown degradation reason {other}"
+                    )))
+                }
+            };
+            // lint: allow(degradation-emits-event) a decoded reply carries a
+            // degradation the serving engine already declared on its stream
+            Some(SweepDegradation { tier, reason })
+        } else {
+            None
+        };
+        Ok(Diagnosis {
+            ranked,
+            tuple,
+            degradation,
         })
     }
 }
@@ -295,17 +503,159 @@ impl Deserialize for HealthReply {
     }
 }
 
+/// A payload with a binary layout (see the module docs). Encode and
+/// decode it with [`encode_binary`] and [`decode_binary`], which add and
+/// check the [`BINARY_TAG`].
+pub trait BinaryPayload: Sized {
+    /// Appends the payload's fields.
+    fn write_fields(&self, w: &mut Writer);
+
+    /// Reads the payload's fields.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] on truncation or a field the layout
+    /// does not allow.
+    fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError>;
+}
+
+/// Encodes `value` as a binary payload: [`BINARY_TAG`], then its fields.
+pub fn encode_binary<T: BinaryPayload>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    binary_into(&mut out, |w| value.write_fields(w));
+    out
+}
+
+/// Decodes a binary payload.
+///
+/// # Errors
+///
+/// [`ServeError::Protocol`] for a missing or wrong tag, truncation,
+/// trailing bytes or a field the layout does not allow.
+pub fn decode_binary<T: BinaryPayload>(payload: &[u8]) -> Result<T, ServeError> {
+    let mut r = Reader::new(payload);
+    let tag = r.u8().map_err(|e| protocol("payload", e))?;
+    if tag != BINARY_TAG {
+        return Err(ServeError::Protocol(format!(
+            "payload tag {tag:#04x} is neither binary ({BINARY_TAG:#04x}) nor JSON"
+        )));
+    }
+    let value = T::read_fields(&mut r).map_err(|e| protocol("payload", e))?;
+    finish(&r, "payload")?;
+    Ok(value)
+}
+
+/// Clears `out` and writes one binary payload into it, reusing its
+/// allocation.
+pub(crate) fn binary_into(out: &mut Vec<u8>, fields: impl FnOnce(&mut Writer)) {
+    out.clear();
+    let mut w = Writer::from(std::mem::take(out));
+    w.u8(BINARY_TAG);
+    fields(&mut w);
+    *out = w.into_bytes();
+}
+
+/// The [`IngestRequest`] fields, from borrowed parts.
+pub(crate) fn write_ingest(w: &mut Writer, node: &str, workload: &str, cpi: f64, row: &[f64]) {
+    write_context(w, node, workload);
+    w.f64(cpi);
+    w.u32_field(row.len());
+    w.f64s(row);
+}
+
+/// The [`DiagnoseRequest`] fields, from borrowed parts.
+pub(crate) fn write_context(w: &mut Writer, node: &str, workload: &str) {
+    w.bytes(node.as_bytes());
+    w.bytes(workload.as_bytes());
+}
+
+fn read_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, HistoryFileError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(HistoryFileError::Format(format!(
+            "{what} byte {other} is neither 0 nor 1"
+        ))),
+    }
+}
+
+/// How a request payload is encoded, and so how its reply is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Encoding {
+    /// [`BINARY_TAG`] and a binary layout.
+    Binary,
+    /// The JSON compat shape: the payload starts with `{`.
+    Json,
+}
+
+impl Encoding {
+    /// The encoding a request payload's first byte declares.
+    pub(crate) fn of(payload: &[u8]) -> Encoding {
+        if payload.first() == Some(&b'{') {
+            Encoding::Json
+        } else {
+            Encoding::Binary
+        }
+    }
+
+    /// Decodes a request payload in this encoding.
+    pub(crate) fn decode<T: BinaryPayload + Deserialize>(
+        self,
+        payload: &[u8],
+    ) -> Result<T, ServeError> {
+        match self {
+            Encoding::Binary => decode_binary(payload),
+            Encoding::Json => {
+                let text = std::str::from_utf8(payload)
+                    .map_err(|e| ServeError::Protocol(format!("payload not UTF-8: {e}")))?;
+                serde_json::from_str(text)
+                    .map_err(|e| ServeError::Protocol(format!("payload: {e}")))
+            }
+        }
+    }
+
+    /// Clears `out` and encodes a reply into it in this encoding.
+    pub(crate) fn encode<T: BinaryPayload + Serialize>(
+        self,
+        value: &T,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ServeError> {
+        match self {
+            Encoding::Binary => {
+                binary_into(out, |w| value.write_fields(w));
+                Ok(())
+            }
+            Encoding::Json => json_into(value, out),
+        }
+    }
+}
+
+/// Clears `out` and writes `value`'s JSON into it.
+pub(crate) fn json_into<T: Serialize>(value: &T, out: &mut Vec<u8>) -> Result<(), ServeError> {
+    let text =
+        serde_json::to_string(value).map_err(|e| ServeError::Protocol(format!("encode: {e}")))?;
+    out.clear();
+    out.extend_from_slice(text.as_bytes());
+    Ok(())
+}
+
 /// Encodes a request frame body (everything after the length prefix).
 pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
-    let tenant = frame.tenant.as_str().as_bytes();
-    let mut out = Vec::with_capacity(2 + 2 + tenant.len() + 4 + frame.payload.len());
+    let mut out = Vec::new();
+    push_request(&mut out, &frame.tenant, frame.op, &frame.payload);
+    out
+}
+
+/// Appends a request frame body to `out`.
+pub(crate) fn push_request(out: &mut Vec<u8>, tenant: &TenantId, op: Op, payload: &[u8]) {
+    let tenant = tenant.as_str().as_bytes();
+    out.reserve(2 + 2 + tenant.len() + 4 + payload.len());
     out.push(PROTOCOL_VERSION);
-    out.push(frame.op.as_u8());
+    out.push(op.as_u8());
     out.extend_from_slice(&(tenant.len() as u16).to_le_bytes());
     out.extend_from_slice(tenant);
-    out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame.payload);
-    out
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Decodes a request frame body.
@@ -316,35 +666,46 @@ pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
 /// [`ServeError::UnknownOp`] for an unclaimed op byte;
 /// [`ServeError::Protocol`] for truncated fields or an invalid tenant id.
 pub fn decode_request(body: &[u8]) -> Result<RequestFrame, ServeError> {
-    let mut cur = Cursor::new(body);
-    let version = cur.u8("version")?;
+    let (op, tenant, payload) = parse_request(body)?;
+    Ok(RequestFrame {
+        tenant: TenantId::new(tenant)?,
+        op,
+        payload: payload.to_vec(),
+    })
+}
+
+/// [`decode_request`]'s checks, with the tenant id and payload borrowed
+/// from `body` (the tenant id not yet validated as a [`TenantId`]).
+pub(crate) fn parse_request(body: &[u8]) -> Result<(Op, &str, &[u8]), ServeError> {
+    let mut r = Reader::new(body);
+    let frame = |e| protocol("frame", e);
+    let version = r.u8().map_err(frame)?;
     if version != PROTOCOL_VERSION {
         return Err(ServeError::Version(version));
     }
-    let op = Op::from_u8(cur.u8("op")?)?;
-    let tenant_len = cur.u16("tenant_len")? as usize;
-    let tenant = TenantId::new(
-        std::str::from_utf8(cur.bytes("tenant", tenant_len)?)
-            .map_err(|e| ServeError::Protocol(format!("tenant id not UTF-8: {e}")))?,
-    )?;
-    let payload_len = cur.u32("payload_len")? as usize;
-    let payload = cur.bytes("payload", payload_len)?.to_vec();
-    cur.finish()?;
-    Ok(RequestFrame {
-        tenant,
-        op,
-        payload,
-    })
+    let op = Op::from_u8(r.u8().map_err(frame)?)?;
+    let tenant_len = read_u16(&mut r).map_err(frame)? as usize;
+    let tenant = std::str::from_utf8(r.take(tenant_len).map_err(frame)?)
+        .map_err(|e| ServeError::Protocol(format!("tenant id not UTF-8: {e}")))?;
+    let payload = r.bytes().map_err(frame)?;
+    finish(&r, "frame")?;
+    Ok((op, tenant, payload))
 }
 
 /// Encodes a response frame body.
 pub fn encode_response(status: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 2 + 4 + payload.len());
+    let mut out = Vec::new();
+    push_response(&mut out, status, payload);
+    out
+}
+
+/// Appends a response frame body to `out`.
+pub(crate) fn push_response(out: &mut Vec<u8>, status: u16, payload: &[u8]) {
+    out.reserve(1 + 2 + 4 + payload.len());
     out.push(PROTOCOL_VERSION);
     out.extend_from_slice(&status.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Decodes a response frame body into `(status, payload)`.
@@ -354,16 +715,119 @@ pub fn encode_response(status: u16, payload: &[u8]) -> Vec<u8> {
 /// [`ServeError::Version`] for an unknown version byte;
 /// [`ServeError::Protocol`] for truncated fields.
 pub fn decode_response(body: &[u8]) -> Result<(u16, Vec<u8>), ServeError> {
-    let mut cur = Cursor::new(body);
-    let version = cur.u8("version")?;
+    parse_response(body).map(|(status, payload)| (status, payload.to_vec()))
+}
+
+/// [`decode_response`], with the payload borrowed from `body`.
+pub(crate) fn parse_response(body: &[u8]) -> Result<(u16, &[u8]), ServeError> {
+    let mut r = Reader::new(body);
+    let frame = |e| protocol("frame", e);
+    let version = r.u8().map_err(frame)?;
     if version != PROTOCOL_VERSION {
         return Err(ServeError::Version(version));
     }
-    let status = cur.u16("status")?;
-    let payload_len = cur.u32("payload_len")? as usize;
-    let payload = cur.bytes("payload", payload_len)?.to_vec();
-    cur.finish()?;
+    let status = read_u16(&mut r).map_err(frame)?;
+    let payload = r.bytes().map_err(frame)?;
+    finish(&r, "frame")?;
     Ok((status, payload))
+}
+
+fn read_u16(r: &mut Reader<'_>) -> Result<u16, HistoryFileError> {
+    let b = r.take(2)?;
+    Ok(u16::from(b[0]) | u16::from(b[1]) << 8)
+}
+
+fn protocol(what: &str, e: HistoryFileError) -> ServeError {
+    match e {
+        HistoryFileError::Format(msg) => ServeError::Protocol(format!("{what}: {msg}")),
+        HistoryFileError::Io(e) => ServeError::Io(e),
+    }
+}
+
+fn finish(r: &Reader<'_>, what: &str) -> Result<(), ServeError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(ServeError::Protocol(format!(
+            "{n} trailing bytes after the {what}"
+        ))),
+    }
+}
+
+/// Reads length-prefixed frames into one reused buffer. A read that
+/// fails — a socket read timeout included — keeps what the frame had so
+/// far, and the next call resumes it, so a peer that stalls mid-frame
+/// loses nothing.
+#[derive(Debug, Default)]
+pub(crate) struct FrameReader {
+    prefix: [u8; 4],
+    /// Bytes of the current frame read so far: of the prefix until
+    /// `len` is known, then of the body.
+    filled: usize,
+    /// The current frame's declared body length, once its prefix is in.
+    len: Option<usize>,
+    body: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Reads the rest of the current frame and returns its body, or
+    /// `None` at a clean EOF (the peer closed between frames).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::FrameTooLarge`] when the declared length exceeds
+    /// `max` (checked *before* allocating); [`ServeError::Io`] on socket
+    /// errors, including an EOF inside a frame. After a `WouldBlock` or
+    /// `TimedOut` error, calling again resumes the frame.
+    pub fn read(
+        &mut self,
+        reader: &mut impl Read,
+        max: usize,
+    ) -> Result<Option<&[u8]>, ServeError> {
+        let len = match self.len {
+            Some(len) => len,
+            None => {
+                while self.filled < self.prefix.len() {
+                    match read_some(reader, &mut self.prefix[self.filled..])? {
+                        0 if self.filled == 0 => return Ok(None),
+                        0 => return Err(eof("EOF inside a frame length prefix")),
+                        n => self.filled += n,
+                    }
+                }
+                self.filled = 0;
+                let len = u32::from_le_bytes(self.prefix) as usize;
+                if len > max {
+                    return Err(ServeError::FrameTooLarge { len, max });
+                }
+                self.body.clear();
+                self.body.resize(len, 0);
+                self.len = Some(len);
+                len
+            }
+        };
+        while self.filled < len {
+            match read_some(reader, &mut self.body[self.filled..])? {
+                0 => return Err(eof("EOF inside a frame body")),
+                n => self.filled += n,
+            }
+        }
+        self.filled = 0;
+        self.len = None;
+        Ok(Some(&self.body))
+    }
+}
+
+/// One `read`, retried when a signal interrupts it.
+fn read_some(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match reader.read(buf) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            done => return done,
+        }
+    }
+}
+
+fn eof(msg: &str) -> ServeError {
+    ServeError::Io(std::io::Error::new(ErrorKind::UnexpectedEof, msg))
 }
 
 /// Reads one length-prefixed frame body, or `None` at a clean EOF (the
@@ -375,28 +839,9 @@ pub fn decode_response(body: &[u8]) -> Result<(u16, Vec<u8>), ServeError> {
 /// (checked *before* allocating); [`ServeError::Io`] on socket errors,
 /// including an EOF inside a frame.
 pub fn read_frame(reader: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, ServeError> {
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        let n = reader.read(&mut prefix[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "EOF inside a frame length prefix",
-            )));
-        }
-        filled += n;
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > max {
-        return Err(ServeError::FrameTooLarge { len, max });
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok(Some(body))
+    let mut frames = FrameReader::default();
+    let read = frames.read(reader, max)?.is_some();
+    Ok(read.then_some(frames.body))
 }
 
 /// Writes one length-prefixed frame.
@@ -405,67 +850,27 @@ pub fn read_frame(reader: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>,
 ///
 /// [`ServeError::Io`] on socket errors.
 pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> Result<(), ServeError> {
+    write_frame_with(writer, &mut Vec::new(), |out| out.extend_from_slice(body))
+}
+
+/// Writes one length-prefixed frame whose body `body` appends, building
+/// it in `out` (cleared first, and reused across frames).
+pub(crate) fn write_frame_with(
+    writer: &mut impl Write,
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), ServeError> {
+    out.clear();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
     // One write for prefix + body: a split write would let the kernel
     // emit the 4-byte prefix as its own segment and stall the body
     // behind the peer's delayed ACK.
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    writer.write_all(&out)?;
+    writer.write_all(out)?;
     writer.flush()?;
     Ok(())
-}
-
-/// Bounds-checked sequential reader over a frame body.
-struct Cursor<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(body: &'a [u8]) -> Self {
-        Cursor { body, at: 0 }
-    }
-
-    fn bytes(&mut self, what: &str, len: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.at.checked_add(len).filter(|&e| e <= self.body.len());
-        match end {
-            Some(end) => {
-                let slice = &self.body[self.at..end];
-                self.at = end;
-                Ok(slice)
-            }
-            None => Err(ServeError::Protocol(format!(
-                "frame truncated reading {what} ({len} bytes at offset {})",
-                self.at
-            ))),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, ServeError> {
-        Ok(self.bytes(what, 1)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, ServeError> {
-        let b = self.bytes(what, 2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ServeError> {
-        let b = self.bytes(what, 4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn finish(&self) -> Result<(), ServeError> {
-        if self.at == self.body.len() {
-            Ok(())
-        } else {
-            Err(ServeError::Protocol(format!(
-                "{} trailing bytes after the frame body",
-                self.body.len() - self.at
-            )))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -485,7 +890,7 @@ mod tests {
 
     #[test]
     fn request_encoding_is_pinned() {
-        // Golden bytes: version 1, op 0, tenant "ab", payload "hi". A
+        // Golden bytes: version 2, op 0, tenant "ab", payload "hi". A
         // change here is a wire format break — bump PROTOCOL_VERSION.
         let frame = RequestFrame {
             tenant: TenantId::new("ab").expect("valid"),
@@ -494,19 +899,109 @@ mod tests {
         };
         assert_eq!(
             encode_request(&frame),
-            vec![1, 0, 2, 0, b'a', b'b', 2, 0, 0, 0, b'h', b'i']
+            vec![2, 0, 2, 0, b'a', b'b', 2, 0, 0, 0, b'h', b'i']
         );
     }
 
     #[test]
     fn response_encoding_is_pinned() {
-        // Golden bytes: version 1, status 104 (unknown tenant), payload "no".
+        // Golden bytes: version 2, status 104 (unknown tenant), payload "no".
         assert_eq!(
             encode_response(104, b"no"),
-            vec![1, 104, 0, 2, 0, 0, 0, b'n', b'o']
+            vec![2, 104, 0, 2, 0, 0, 0, b'n', b'o']
         );
         let (status, payload) = decode_response(&encode_response(104, b"no")).expect("decode");
         assert_eq!((status, payload.as_slice()), (104, b"no".as_slice()));
+    }
+
+    #[test]
+    fn binary_ingest_request_is_pinned() {
+        // Golden bytes: tag, node "n" and workload "w" as u32-prefixed
+        // UTF-8, cpi 1.5 and a row [0.25, -2.0] as raw IEEE-754 bits.
+        let request = IngestRequest {
+            node: "n".to_string(),
+            workload: "w".to_string(),
+            cpi: 1.5,
+            row: vec![0.25, -2.0],
+        };
+        let bytes = encode_binary(&request);
+        assert_eq!(
+            bytes,
+            [
+                &[BINARY_TAG][..],
+                &[1, 0, 0, 0, b'n', 1, 0, 0, 0, b'w'],
+                &1.5f64.to_bits().to_le_bytes(),
+                &[2, 0, 0, 0],
+                &0.25f64.to_bits().to_le_bytes(),
+                &(-2.0f64).to_bits().to_le_bytes(),
+            ]
+            .concat()
+        );
+        assert_eq!(
+            decode_binary::<IngestRequest>(&bytes).expect("decode"),
+            request
+        );
+    }
+
+    #[test]
+    fn binary_ingest_reply_is_pinned() {
+        // Golden bytes: tag, tick 7 as u64, residual 0.5 as raw bits,
+        // exceeded 1, anomalous 0, no diagnosis; then the same reply with
+        // an onset diagnosis: one cause "x" at similarity 1.0, a one-slot
+        // tuple [0.75], degraded to tier 2 (Pearson) for reason 1 (pair
+        // budget).
+        let mut reply = IngestReply {
+            tick: 7,
+            residual: 0.5,
+            exceeded: true,
+            anomalous: false,
+            diagnosis: None,
+        };
+        let head = [
+            &[BINARY_TAG][..],
+            &7u64.to_le_bytes(),
+            &0.5f64.to_bits().to_le_bytes(),
+            &[1, 0],
+        ]
+        .concat();
+        assert_eq!(encode_binary(&reply), [&head[..], &[0]].concat());
+        reply.diagnosis = Some(Diagnosis {
+            ranked: vec![RankedCause {
+                problem: "x".to_string(),
+                similarity: 1.0,
+            }],
+            tuple: ViolationTuple::from_graded(vec![0.75]),
+            degradation: Some(SweepDegradation {
+                tier: DegradationTier::PearsonFallback,
+                reason: DegradationReason::PairBudgetExceeded,
+            }),
+        });
+        let bytes = encode_binary(&reply);
+        assert_eq!(
+            bytes,
+            [
+                &head[..],
+                &[1],
+                &[1, 0, 0, 0, 1, 0, 0, 0, b'x'],
+                &1.0f64.to_bits().to_le_bytes(),
+                &[1, 0, 0, 0],
+                &0.75f64.to_bits().to_le_bytes(),
+                &[1, 2, 1],
+            ]
+            .concat()
+        );
+        assert_eq!(decode_binary::<IngestReply>(&bytes).expect("decode"), reply);
+    }
+
+    #[test]
+    fn binary_tag_is_never_json() {
+        assert_ne!(BINARY_TAG, b'{');
+        assert_eq!(Encoding::of(&[BINARY_TAG]), Encoding::Binary);
+        assert_eq!(Encoding::of(b"{}"), Encoding::Json);
+        assert!(matches!(
+            decode_binary::<DrainRequest>(b"{\"max_ticks\":1}"),
+            Err(ServeError::Protocol(_))
+        ));
     }
 
     #[test]
@@ -516,11 +1011,11 @@ mod tests {
             Err(ServeError::Version(9))
         ));
         assert!(matches!(
-            decode_request(&[1, 77, 0, 0, 0, 0, 0, 0]),
+            decode_request(&[PROTOCOL_VERSION, 77, 0, 0, 0, 0, 0, 0]),
             Err(ServeError::UnknownOp(77))
         ));
         assert!(matches!(
-            decode_request(&[1, 0, 5, 0, b'a']),
+            decode_request(&[PROTOCOL_VERSION, 0, 5, 0, b'a']),
             Err(ServeError::Protocol(_))
         ));
         // Trailing garbage after a well-formed body is rejected too.
@@ -556,6 +1051,49 @@ mod tests {
             Some(b"abc".as_slice())
         );
         assert!(read_frame(&mut r, 1024).expect("eof").is_none());
+    }
+
+    /// Hands out its bytes three at a time, failing with `WouldBlock`
+    /// between the reads, as a socket with a read timeout does when the
+    /// peer stalls.
+    struct Stalling<'a> {
+        bytes: &'a [u8],
+        stall: bool,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.stall = !self.stall;
+            if self.stall {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.bytes.len()).min(3);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_stalled_frame_resumes_where_it_stopped() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"hello").expect("write");
+        write_frame(&mut stream, b"world!").expect("write");
+        let mut reader = Stalling {
+            bytes: &stream,
+            stall: false,
+        };
+        let mut frames = FrameReader::default();
+        let mut bodies = Vec::new();
+        loop {
+            match frames.read(&mut reader, 1024) {
+                Ok(Some(body)) => bodies.push(body.to_vec()),
+                Ok(None) => break,
+                Err(ServeError::Io(e)) if e.kind() == ErrorKind::WouldBlock => continue,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert_eq!(bodies, vec![b"hello".to_vec(), b"world!".to_vec()]);
     }
 
     #[test]

@@ -2,76 +2,19 @@
 //! [`ServerHandle`] must see exactly what a direct [`Fleet`] caller sees
 //! — same tick outcomes, same diagnoses, same stable error statuses.
 
-use std::sync::{Arc, OnceLock};
+mod common;
 
-use ix_core::{Engine, InvarNetConfig, ModelStore, OperationContext};
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use common::{started_fleet, template};
+use ix_core::{Engine, InvarNetConfig};
 use ix_serve::{
-    wire, Fleet, ServeClient, ServeError, ServerHandle, TenantId, TenantSnapshot,
+    handle_request, wire, ServeClient, ServeError, ServerHandle, TenantId, TenantSnapshot,
     STATUS_UNKNOWN_TENANT,
 };
-use ix_simulator::{FaultType, Runner, WorkloadType};
-
-struct Template {
-    store: ModelStore,
-    context: OperationContext,
-    ticks: Vec<(f64, Vec<f64>)>,
-}
-
-fn template() -> &'static Template {
-    static TEMPLATE: OnceLock<Template> = OnceLock::new();
-    TEMPLATE.get_or_init(|| {
-        let runner = Runner::new(11);
-        let node = Runner::DEFAULT_FAULT_NODE;
-        let workload = WorkloadType::Wordcount;
-        let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
-        let engine = Engine::builder().config(InvarNetConfig::default()).build();
-        let normals = runner.normal_runs(workload, 4);
-        let cpi_traces: Vec<Vec<f64>> = normals
-            .iter()
-            .map(|r| r.per_node[node].cpi.cpi_series())
-            .collect();
-        engine
-            .train_performance_model(context.clone(), &cpi_traces)
-            .expect("train detector");
-        let frames: Vec<_> = normals
-            .iter()
-            .map(|r| {
-                let f = &r.per_node[node].frame;
-                f.window(30..75.min(f.ticks()))
-            })
-            .collect();
-        engine
-            .build_invariants(context.clone(), &frames)
-            .expect("build invariants");
-        for fault in [FaultType::CpuHog, FaultType::MemHog] {
-            let run = runner.fault_run(workload, fault, 0);
-            engine
-                .record_signature(&context, fault.name(), &run.fault_window().expect("window"))
-                .expect("record signature");
-        }
-        let live = runner.fault_run(workload, FaultType::MemHog, 5);
-        let cpi = live.per_node[node].cpi.cpi_series();
-        let frame = &live.per_node[node].frame;
-        let ticks = (0..frame.ticks().min(cpi.len()))
-            .map(|t| (cpi[t], frame.tick(t).to_vec()))
-            .collect();
-        Template {
-            store: engine.snapshot_state(),
-            context,
-            ticks,
-        }
-    })
-}
-
-fn started_fleet(tenant: &TenantId) -> Arc<Fleet> {
-    let t = template();
-    let fleet = Arc::new(Fleet::builder().build());
-    fleet
-        .with_engine(tenant, |e| e.load_state(&t.store))
-        .expect("materialize")
-        .expect("load");
-    fleet
-}
 
 #[test]
 fn wire_ingest_matches_a_direct_twin_and_diagnoses_cross_back() {
@@ -171,8 +114,7 @@ fn malformed_frames_get_error_responses_not_hangs() {
         .start(Arc::clone(&fleet))
         .expect("start server");
 
-    use std::io::Write;
-    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
     // A frame whose body claims protocol version 9.
     let body = [9u8, 0, 0, 0, 0, 0, 0, 0];
     stream
@@ -186,4 +128,213 @@ fn malformed_frames_get_error_responses_not_hangs() {
     assert_eq!(status, 101, "unsupported version is status 101");
 
     server.stop();
+}
+
+/// The frame body of a binary Ingest request for the template context.
+fn ingest_body(tenant: &TenantId, cpi: f64, row: &[f64]) -> Vec<u8> {
+    let t = template();
+    wire::encode_request(&wire::RequestFrame {
+        tenant: tenant.clone(),
+        op: wire::Op::Ingest,
+        payload: wire::encode_binary(&wire::IngestRequest {
+            node: t.context.node.clone(),
+            workload: t.context.workload.clone(),
+            cpi,
+            row: row.to_vec(),
+        }),
+    })
+}
+
+#[test]
+fn a_frame_stalled_past_the_read_timeout_still_gets_its_reply() {
+    let t = template();
+    let tenant = TenantId::new("stalled").expect("valid");
+    let fleet = started_fleet(&tenant);
+    let server = ServerHandle::builder()
+        .accept_threads(1)
+        .start(Arc::clone(&fleet))
+        .expect("start server");
+
+    // Half a prefix, a stall, the rest of the prefix and half the body,
+    // another stall, then the rest: each stall outlasts the server's
+    // 200 ms read timeout.
+    let (cpi, row) = &t.ticks[0];
+    let body = ingest_body(&tenant, *cpi, row);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    let half = 4 + body.len() / 2;
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    for piece in [&frame[..2], &frame[2..half], &frame[half..]] {
+        stream.write_all(piece).expect("write");
+        std::thread::sleep(Duration::from_millis(400));
+    }
+    let response = wire::read_frame(&mut stream, 1 << 20)
+        .expect("read")
+        .expect("response");
+    let (status, payload) = wire::decode_response(&response).expect("decode");
+    assert_eq!(status, 0, "{}", String::from_utf8_lossy(&payload));
+    let reply: wire::IngestReply = wire::decode_binary(&payload).expect("binary reply");
+
+    let twin = Engine::builder().config(InvarNetConfig::default()).build();
+    twin.load_state(&t.store).expect("twin load");
+    let direct = twin.ingest(&t.context, *cpi, row).expect("twin ingest");
+    assert_eq!(reply.tick, direct.tick as u64);
+    assert_eq!(reply.residual.to_bits(), direct.residual.to_bits());
+
+    // The connection is still in step: a second request round-trips.
+    let mut client_side = stream;
+    wire::write_frame(
+        &mut client_side,
+        &ingest_body(&tenant, t.ticks[1].0, &t.ticks[1].1),
+    )
+    .expect("write");
+    let response = wire::read_frame(&mut client_side, 1 << 20)
+        .expect("read")
+        .expect("response");
+    assert_eq!(wire::decode_response(&response).expect("decode").0, 0);
+
+    server.stop();
+}
+
+#[test]
+fn stop_returns_promptly_while_a_client_holds_a_half_sent_frame() {
+    let t = template();
+    let tenant = TenantId::new("half-sent").expect("valid");
+    let fleet = started_fleet(&tenant);
+    let server = ServerHandle::builder()
+        .accept_threads(1)
+        .start(Arc::clone(&fleet))
+        .expect("start server");
+
+    // One whole request first: once it is answered, the accept thread is
+    // serving this connection.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let (cpi, row) = &t.ticks[0];
+    wire::write_frame(&mut stream, &ingest_body(&tenant, *cpi, row)).expect("write");
+    let response = wire::read_frame(&mut stream, 1 << 20)
+        .expect("read")
+        .expect("response");
+    assert_eq!(wire::decode_response(&response).expect("decode").0, 0);
+    let (cpi, row) = &t.ticks[1];
+    let body = ingest_body(&tenant, *cpi, row);
+    stream
+        .write_all(&(body.len() as u32).to_le_bytes())
+        .expect("prefix");
+    stream
+        .write_all(&body[..body.len() / 2])
+        .expect("half a body");
+
+    // Stop from another thread, so a stop that hangs fails the test
+    // instead of hanging it.
+    let (stopped, on_stop) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        let _ = stopped.send(());
+    });
+    assert!(
+        on_stop.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "stop did not return within 2 s with a half-sent frame outstanding"
+    );
+    stopper.join().expect("stopper thread");
+    drop(stream);
+}
+
+#[test]
+fn non_finite_values_over_binary_are_refused_and_leave_no_trace() {
+    let t = template();
+    let tenant = TenantId::new("non-finite").expect("valid");
+    let fleet = started_fleet(&tenant);
+    let twin = started_fleet(&tenant);
+    let server = ServerHandle::builder()
+        .accept_threads(1)
+        .start(Arc::clone(&fleet))
+        .expect("start server");
+    let mut client = ServeClient::connect(server.addr()).expect("connect");
+    let (node, workload) = (&t.context.node, &t.context.workload);
+
+    for (cpi, row) in &t.ticks[..8] {
+        client
+            .ingest(&tenant, node, workload, *cpi, row)
+            .expect("wire ingest");
+        twin.ingest(&tenant, &t.context, *cpi, row)
+            .expect("twin ingest");
+    }
+
+    // Raw bits carry NaN and ∞ to the engine, which refuses them with
+    // its stable codes: a bad CPI sample is NonFiniteCpi (12), a bad row
+    // value a frame error.
+    let (cpi, row) = &t.ticks[8];
+    let status = |result: Result<_, ServeError>| match result {
+        Err(ServeError::Status { code, .. }) => ServeError::engine_code(code),
+        Err(other) => panic!("expected a status error, got {other}"),
+        Ok(_) => panic!("a non-finite tick was accepted"),
+    };
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(
+            status(client.ingest(&tenant, node, workload, bad, row)),
+            Some(ix_core::ErrorCode::NonFiniteCpi)
+        );
+        let mut bad_row = row.clone();
+        bad_row[3] = bad;
+        assert_eq!(
+            status(client.ingest(&tenant, node, workload, *cpi, &bad_row)),
+            Some(ix_core::ErrorCode::Frame)
+        );
+    }
+
+    // Neither the snapshot nor the next tick shows the refused ones.
+    assert_eq!(
+        client.snapshot(&tenant).expect("snapshot"),
+        twin.snapshot_bytes(&tenant).expect("twin snapshot")
+    );
+    let reply = client
+        .ingest(&tenant, node, workload, *cpi, row)
+        .expect("wire ingest");
+    let direct = twin
+        .ingest(&tenant, &t.context, *cpi, row)
+        .expect("twin ingest");
+    assert_eq!(reply.tick, direct.tick as u64);
+    assert_eq!(reply.residual.to_bits(), direct.residual.to_bits());
+    assert_eq!(
+        (reply.exceeded, reply.anomalous, &reply.diagnosis),
+        (direct.exceeded, direct.anomalous, &direct.diagnosis)
+    );
+    assert_eq!(
+        client.snapshot(&tenant).expect("snapshot"),
+        twin.snapshot_bytes(&tenant).expect("twin snapshot")
+    );
+
+    server.stop();
+}
+
+#[test]
+fn json_payloads_get_json_replies_and_binary_payloads_binary_ones() {
+    let t = template();
+    let tenant = TenantId::new("compat").expect("valid");
+    let json_fleet = started_fleet(&tenant);
+    let binary_fleet = started_fleet(&tenant);
+    for (cpi, row) in &t.ticks {
+        let request = wire::IngestRequest {
+            node: t.context.node.clone(),
+            workload: t.context.workload.clone(),
+            cpi: *cpi,
+            row: row.clone(),
+        };
+        let frame = |payload| wire::RequestFrame {
+            tenant: tenant.clone(),
+            op: wire::Op::Ingest,
+            payload,
+        };
+        let json = serde_json::to_string(&request).expect("encode");
+        let (status, reply) = handle_request(&json_fleet, &frame(json.into_bytes()));
+        assert_eq!(status, 0);
+        let from_json: wire::IngestReply =
+            serde_json::from_str(std::str::from_utf8(&reply).expect("UTF-8")).expect("JSON reply");
+        let (status, reply) = handle_request(&binary_fleet, &frame(wire::encode_binary(&request)));
+        assert_eq!(status, 0);
+        assert_eq!(reply[0], wire::BINARY_TAG);
+        let from_binary: wire::IngestReply = wire::decode_binary(&reply).expect("binary reply");
+        assert_eq!(from_json, from_binary);
+        assert_eq!(from_json.residual.to_bits(), from_binary.residual.to_bits());
+    }
 }
