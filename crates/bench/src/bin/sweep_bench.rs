@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ix_core::{
-    AdvanceOutcome, AssociationMatrix, AssociationMeasure, IncrementalSweep, InvariantSet,
-    MicMeasure, PearsonMeasure, SweepPool, ViolationTuple,
+    pair_count, AdvanceOutcome, AssociationMatrix, AssociationMeasure, IncrementalSweep,
+    InvariantSet, MicMeasure, PassScope, PearsonMeasure, SweepPool, ViolationTuple,
 };
 use ix_metrics::{MetricFrame, METRIC_COUNT};
 use ix_mic::MicParams;
@@ -109,13 +109,16 @@ fn steady_state(
     let base = window_frame(rows, 0, ticks);
     let matrix = AssociationMatrix::compute(&base, &mic, 1);
     let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
-    let mut inc = IncrementalSweep::seed(
+    let scope = PassScope::detached();
+    let mut inc = IncrementalSweep::cold(
         &measure,
-        &pool,
         window_series(rows, 0, ticks),
-        matrix.scores().to_vec(),
+        vec![0.0; pair_count()],
+        &invariants,
+        &pool,
+        &scope,
     )
-    .expect("MIC plans support delta maintenance");
+    .expect("an unbounded pass completes");
     let mut timings = Vec::with_capacity(steps);
     let mut totals = ix_core::ScreenOutcome::default();
     for step in 1..=steps {
@@ -123,8 +126,8 @@ fn steady_state(
         let t = Instant::now();
         let outcome = inc.advance(&series);
         let screen = inc
-            .rescore(&invariants, epsilon)
-            .expect("a seeded record has a plan");
+            .rescore(&invariants, epsilon, &pool, &scope)
+            .expect("a cold record has a plan");
         timings.push(t.elapsed().as_secs_f64() * 1e3);
         assert_eq!(outcome, AdvanceOutcome::Advanced { shift: 1 });
         totals.reused += screen.reused;

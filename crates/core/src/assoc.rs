@@ -5,9 +5,9 @@
 //! addressed by a canonical flat index so violation tuples across the whole
 //! pipeline agree on ordering.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -15,7 +15,7 @@ use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
 
 use crate::engine::telemetry::{ContextId, EnginePhase};
 use crate::engine::{EngineEvent, EventSink, NullSink};
-use crate::measure::{AssociationMeasure, PairScorer, SweepPlan};
+use crate::measure::{AssociationMeasure, DirectPlan, PairScorer, SweepPlan};
 
 /// Pairs claimed per cursor increment. MIC cost is data-dependent, so small
 /// batches keep workers load-balanced; 4 pairs amortize the atomic to noise
@@ -184,51 +184,170 @@ fn score_one<M: AssociationMeasure + ?Sized>(
 /// shared cursor; `None` once the space is exhausted.
 fn claim_batch(cursor: &AtomicUsize, n_pairs: usize) -> Option<(usize, usize)> {
     // ordering: Relaxed — fetch_add atomicity alone hands each start out
-    // once; results publish via the channel send (the happens-before edge).
+    // once; results publish via the latch's mutex (the happens-before edge).
     // Modeled exhaustively by ix-analysis sched::models::CursorModel.
     let start = cursor.fetch_add(STEAL_BATCH, Ordering::Relaxed);
     (start < n_pairs).then(|| (start, (start + STEAL_BATCH).min(n_pairs)))
 }
 
-/// Everything one sweep's workers share: the extracted metric series, the
-/// measure and its per-sweep plan, the atomic work cursor, the channel
-/// results flow back on, and where to report per-batch scoring cost
-/// ([`EngineEvent::PairsScored`]).
-struct SweepShared {
-    series: Vec<Vec<f64>>,
-    measure: Arc<dyn AssociationMeasure>,
-    plan: Option<Box<dyn SweepPlan>>,
-    cursor: AtomicUsize,
-    done_tx: Sender<Vec<(usize, f64)>>,
-    sink: Arc<dyn EventSink>,
-    context: ContextId,
-    /// Workers stop claiming batches once this instant passes (the sweep
-    /// then reports itself incomplete). `None` = run to completion.
-    deadline: Option<Instant>,
+/// Where one pool pass reports and when it gives up: the context its
+/// costs are attributed to, the sink that receives them (one
+/// [`EngineEvent::PairsScored`] per batch, plus the
+/// [`EnginePhase::ProfileBuild`] span of [`SweepPool::plan`]), and the
+/// deadline after which workers stop claiming batches (`None` = run to
+/// completion).
+#[derive(Clone)]
+pub struct PassScope {
+    /// The context the pass is attributed to.
+    pub context: ContextId,
+    /// Receives the pass's cost events.
+    pub sink: Arc<dyn EventSink>,
+    /// Workers stop claiming batches once this instant passes.
+    pub deadline: Option<Instant>,
 }
 
-/// One worker's membership in one sweep: every worker receives a handle to
-/// the same [`SweepShared`] and steals pair batches from its cursor until
-/// the sweep is drained.
-struct SweepJob {
-    shared: Arc<SweepShared>,
+impl PassScope {
+    /// An unattributed, unbounded pass whose events go nowhere.
+    pub fn detached() -> PassScope {
+        PassScope {
+            context: ContextId::UNATTRIBUTED,
+            sink: Arc::new(NullSink),
+            deadline: None,
+        }
+    }
+}
+
+impl std::fmt::Debug for PassScope {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PassScope")
+            .field("context", &self.context)
+            .field("deadline", &self.deadline)
+            .finish()
+    }
+}
+
+/// Everything one scoring pass's workers share: the plan every pair is
+/// scored against, the pair list, the work cursor over it, and one result
+/// slot per listed pair.
+struct PairPass {
+    plan: Box<dyn SweepPlan>,
+    pairs: Vec<usize>,
+    cursor: AtomicUsize,
+    /// `scores[k]` holds the bits of `pairs[k]`'s score, written once by
+    /// the worker that claimed position `k`.
+    scores: Vec<AtomicU64>,
+    /// Positions scored so far, counted per finished batch.
+    scored: AtomicUsize,
+    scope: PassScope,
 }
 
 /// A parallel for-each dispatched to the pool: workers claim indices in
 /// `0..count` off the shared cursor and run `task` on each. Used to
 /// parallelize per-series sweep preprocessing
 /// ([`crate::measure::AssociationMeasure::prepare_on`]).
-struct ScatterJob {
+struct Scatter {
     task: Arc<dyn Fn(usize) + Send + Sync>,
-    cursor: Arc<AtomicUsize>,
+    cursor: AtomicUsize,
     count: usize,
-    done_tx: Sender<()>,
+}
+
+/// Counts a job's workers out; the submitter waits until all have left.
+struct Latch {
+    state: Mutex<LatchState>,
+    open: Condvar,
+}
+
+struct LatchState {
+    pending: usize,
+    panicked: bool,
+}
+
+impl Latch {
+    fn new(pending: usize) -> Latch {
+        Latch {
+            state: Mutex::new(LatchState {
+                pending,
+                panicked: false,
+            }),
+            open: Condvar::new(),
+        }
+    }
+
+    fn arrive(&self, panicked: bool) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.pending = state.pending.saturating_sub(1);
+        state.panicked |= panicked;
+        if state.pending == 0 {
+            self.open.notify_all();
+        }
+    }
+
+    /// Blocks until every worker has arrived; `false` if one unwound.
+    fn wait(&self) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while state.pending > 0 {
+            state = self
+                .open
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        !state.panicked
+    }
+}
+
+/// One worker's membership in one job. Dropping it releases the worker's
+/// handle on the job's shared state *before* counting the worker out, so
+/// once the submitter's latch opens no worker handle is left — the
+/// submitter can take the state (and a pass's plan) back, even after a
+/// worker unwound.
+struct Hold<T> {
+    shared: Option<Arc<T>>,
+    latch: Arc<Latch>,
+}
+
+impl<T> Drop for Hold<T> {
+    fn drop(&mut self) {
+        self.shared = None;
+        self.latch.arrive(std::thread::panicking());
+    }
 }
 
 /// What a pool worker can be asked to do.
 enum PoolJob {
-    Sweep(SweepJob),
-    Scatter(ScatterJob),
+    Pass(Hold<PairPass>),
+    Scatter(Hold<Scatter>),
+}
+
+/// What one [`SweepPool::score_pairs`] pass hands back: the plan and the
+/// pair list (every worker handle is gone, so the caller owns both again)
+/// and the scores of the positions that were reached.
+pub struct ScoredPairs {
+    /// The plan the pass scored against.
+    pub plan: Box<dyn SweepPlan>,
+    /// The pair list the pass was given, in its order.
+    pub pairs: Vec<usize>,
+    /// `scores[k]` is the score of `pairs[k]` for every `k < scored`;
+    /// later slots hold `0.0`.
+    pub scores: Vec<f64>,
+    /// How many leading positions were scored. A batch, once claimed, is
+    /// always finished, so the scored positions form a prefix.
+    pub scored: usize,
+}
+
+impl ScoredPairs {
+    /// Whether every listed pair was scored (the deadline never cut in).
+    pub fn completed(&self) -> bool {
+        self.scored == self.pairs.len()
+    }
+}
+
+impl std::fmt::Debug for ScoredPairs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScoredPairs")
+            .field("pairs", &self.pairs.len())
+            .field("scored", &self.scored)
+            .finish()
+    }
 }
 
 /// A persistent worker pool for pairwise association sweeps.
@@ -236,8 +355,10 @@ enum PoolJob {
 /// The original `AssociationMatrix::compute` spawns (and joins) a fresh
 /// scoped thread per chunk on every call; under streaming diagnosis the
 /// sweep runs on every fired detection, so the engine keeps this pool
-/// alive instead and re-dispatches chunks to long-lived workers over a
-/// channel. Dropping the pool shuts the workers down.
+/// alive instead and re-dispatches work to long-lived workers over a
+/// channel. Every scoring pass — a full 325-pair sweep, a diagnosis's
+/// invariant pairs, an incremental confirm list — runs through one loop,
+/// [`SweepPool::score_pairs`]. Dropping the pool shuts the workers down.
 #[must_use = "dropping a SweepPool joins and discards its worker threads"]
 pub struct SweepPool {
     job_tx: Option<Sender<PoolJob>>,
@@ -269,29 +390,35 @@ impl SweepPool {
         self.threads
     }
 
+    /// Hands one copy of a job to every worker (the job's cursor hands
+    /// out the actual work) and waits until all have left it. Panics if a
+    /// worker unwound inside the job.
+    fn run<T>(&self, shared: &Arc<T>, job: fn(Hold<T>) -> PoolJob) {
+        let latch = Arc::new(Latch::new(self.threads));
+        let job_tx = self.job_tx.as_ref().expect("pool alive until drop");
+        for _ in 0..self.threads {
+            job_tx
+                .send(job(Hold {
+                    shared: Some(Arc::clone(shared)),
+                    latch: Arc::clone(&latch),
+                }))
+                .expect("pool workers alive until drop");
+        }
+        assert!(latch.wait(), "sweep worker panicked");
+    }
+
     /// Runs `task(i)` for every `i` in `0..count` across the pool's
     /// workers, blocking until all indices have executed. Index order is
     /// unspecified; each index runs exactly once. The task must synchronize
     /// its own output (the pool only guarantees the happens-before edge
     /// between every `task(i)` and this method's return).
     pub fn scatter(&self, count: usize, task: Arc<dyn Fn(usize) + Send + Sync>) {
-        let (done_tx, done_rx) = channel();
-        let cursor = Arc::new(AtomicUsize::new(0));
-        let job_tx = self.job_tx.as_ref().expect("pool alive until drop");
-        for _ in 0..self.threads {
-            job_tx
-                .send(PoolJob::Scatter(ScatterJob {
-                    task: Arc::clone(&task),
-                    cursor: Arc::clone(&cursor),
-                    count,
-                    done_tx: done_tx.clone(),
-                }))
-                .expect("pool workers alive until drop");
-        }
-        drop(done_tx);
-        for _ in 0..self.threads {
-            let _ = done_rx.recv();
-        }
+        let scatter = Arc::new(Scatter {
+            task,
+            cursor: AtomicUsize::new(0),
+            count,
+        });
+        self.run(&scatter, PoolJob::Scatter);
     }
 
     fn worker_loop(job_rx: &Mutex<Receiver<PoolJob>>) {
@@ -301,167 +428,166 @@ impl SweepPool {
                 Ok(rx) => rx.recv(),
                 Err(_) => return,
             };
-            let job = match job {
-                Ok(PoolJob::Sweep(job)) => job,
-                Ok(PoolJob::Scatter(job)) => {
-                    loop {
-                        // ordering: Relaxed — fetch_add atomicity alone hands
-                        // each index out once; the task's own writes publish
-                        // through the done channel send below.
-                        let i = job.cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= job.count {
-                            break;
-                        }
-                        (job.task)(i);
+            match job {
+                Ok(PoolJob::Pass(hold)) => {
+                    if let Some(pass) = &hold.shared {
+                        Self::score_batches(pass);
                     }
-                    let _ = job.done_tx.send(());
-                    continue;
+                }
+                Ok(PoolJob::Scatter(hold)) => {
+                    if let Some(job) = &hold.shared {
+                        loop {
+                            // ordering: Relaxed — fetch_add atomicity alone
+                            // hands each index out once; the task's own
+                            // writes publish through the latch's mutex.
+                            let i = job.cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= job.count {
+                                break;
+                            }
+                            (job.task)(i);
+                        }
+                    }
                 }
                 Err(_) => return,
+            }
+        }
+    }
+
+    /// One worker's share of a pass: claim small batches of list
+    /// positions off the pass's cursor until the list is drained — or the
+    /// deadline passes, checked per batch so an expired pass stops within
+    /// one [`STEAL_BATCH`] of pairs. Each batch's cost feeds the
+    /// pair-scoring histogram.
+    fn score_batches(pass: &PairPass) {
+        let mut scorer = pass.plan.scorer();
+        loop {
+            // lint: allow(determinism, deadline expiry is a declared
+            // degradation — the pass reports partial coverage)
+            if pass.scope.deadline.is_some_and(|d| Instant::now() >= d) {
+                break;
+            }
+            let Some((start, end)) = claim_batch(&pass.cursor, pass.pairs.len()) else {
+                break;
             };
-            let shared = &job.shared;
-            let n_pairs = pair_count();
-            let mut scorer = shared.plan.as_deref().map(SweepPlan::scorer);
-            let mut local: Vec<(usize, f64)> = Vec::new();
-            // Work-stealing: claim small batches off the sweep's cursor
-            // until the pair space is drained — or the sweep's deadline
-            // passes, checked per batch so an expired sweep stops within
-            // one STEAL_BATCH of pairs. Each batch's cost feeds the
-            // pair-scoring histogram.
-            loop {
-                // lint: allow(determinism, deadline expiry is a declared
-                // degradation — sweep_bounded reports partial coverage)
-                if shared.deadline.is_some_and(|d| Instant::now() >= d) {
-                    break;
-                }
-                let Some((start, end)) = claim_batch(&shared.cursor, n_pairs) else {
-                    break;
-                };
-                // lint: allow(determinism, telemetry-only: batch cost feeds
-                // the pair-scoring histogram; replay normalizes timings)
-                let started = Instant::now();
-                for idx in start..end {
-                    let (a, b) = pair_of_index(idx);
-                    let v = score_one(
-                        &mut scorer,
-                        shared.measure.as_ref(),
-                        &shared.series,
-                        a.index(),
-                        b.index(),
-                    );
-                    local.push((idx, v));
-                }
-                shared.sink.record(&EngineEvent::PairsScored {
-                    context: shared.context,
-                    pairs: end - start,
+            // lint: allow(determinism, telemetry-only: batch cost feeds
+            // the pair-scoring histogram; replay normalizes timings)
+            let started = Instant::now();
+            for (slot, &pair) in pass.scores[start..end].iter().zip(&pass.pairs[start..end]) {
+                let (a, b) = pair_of_index(pair);
+                let v = scorer.score_pair(a.index(), b.index());
+                // ordering: Relaxed — each slot is written by the one
+                // worker that claimed it; the latch's mutex publishes it.
+                slot.store(v.to_bits(), Ordering::Relaxed);
+            }
+            // ordering: Relaxed — a count published by the latch's mutex.
+            pass.scored.fetch_add(end - start, Ordering::Relaxed);
+            pass.scope.sink.record(&EngineEvent::PairsScored {
+                context: pass.scope.context,
+                pairs: end - start,
+                micros: started.elapsed().as_micros() as u64,
+            });
+        }
+    }
+
+    /// The one pair-scoring loop: scores every pair index in `pairs`
+    /// against `plan` across the pool's workers (work-stealing batches,
+    /// the deadline checked per batch), and hands the plan back with the
+    /// scores. Results are bit-identical for any worker count — each
+    /// score lands in its list position, whichever worker computed it.
+    ///
+    /// # Panics
+    ///
+    /// When a pair index is not below [`pair_count`], or a worker panics.
+    pub fn score_pairs(
+        &self,
+        plan: Box<dyn SweepPlan>,
+        pairs: Vec<usize>,
+        scope: &PassScope,
+    ) -> ScoredPairs {
+        let pass = Arc::new(PairPass {
+            plan,
+            cursor: AtomicUsize::new(0),
+            scores: pairs.iter().map(|_| AtomicU64::new(0)).collect(),
+            pairs,
+            scored: AtomicUsize::new(0),
+            scope: scope.clone(),
+        });
+        self.run(&pass, PoolJob::Pass);
+        let pass = Arc::into_inner(pass).expect("every worker released the pass");
+        ScoredPairs {
+            scored: pass.scored.into_inner(),
+            scores: pass
+                .scores
+                .into_iter()
+                .map(|bits| f64::from_bits(bits.into_inner()))
+                .collect(),
+            pairs: pass.pairs,
+            plan: pass.plan,
+        }
+    }
+
+    /// The shared preprocessing of one window under `measure`, built on
+    /// the pool ([`AssociationMeasure::prepare_on`]) and reported to
+    /// `scope` as an [`EnginePhase::ProfileBuild`] span. A measure with
+    /// nothing to amortize gets a plan that scores each pair through
+    /// [`AssociationMeasure::score`], so every measure runs through
+    /// [`SweepPool::score_pairs`].
+    pub fn plan(
+        &self,
+        measure: &Arc<dyn AssociationMeasure>,
+        series: &[Vec<f64>],
+        scope: &PassScope,
+    ) -> Box<dyn SweepPlan> {
+        // lint: allow(determinism, telemetry-only: prepare micros feed a
+        // SpanClosed event; replay normalizes all recorded timings)
+        let started = Instant::now();
+        match measure.prepare_on(series, self) {
+            Some(plan) => {
+                scope.sink.record(&EngineEvent::SpanClosed {
+                    phase: EnginePhase::ProfileBuild,
+                    context: scope.context,
                     micros: started.elapsed().as_micros() as u64,
                 });
+                plan
             }
-            // The sweep may have been abandoned; ignore a closed channel.
-            let _ = shared.done_tx.send(local);
+            None => Box::new(DirectPlan::new(Arc::clone(measure), series.to_vec())),
         }
     }
 
     /// Computes all pairwise scores of `frame` under `measure` on the pool.
     ///
     /// Results are identical to [`AssociationMatrix::compute`] with any
-    /// thread count — chunks are written back by pair index, so worker
-    /// scheduling cannot reorder scores.
+    /// thread count — scores are written back by pair index, so worker
+    /// scheduling cannot reorder them.
     pub fn sweep(
         &self,
         frame: &MetricFrame,
         measure: &Arc<dyn AssociationMeasure>,
     ) -> AssociationMatrix {
-        self.sweep_attributed(
-            frame,
-            measure,
-            ContextId::UNATTRIBUTED,
-            &(Arc::new(NullSink) as Arc<dyn EventSink>),
-        )
-    }
-
-    /// [`SweepPool::sweep`] with per-batch scoring cost reported to `sink`
-    /// as [`EngineEvent::PairsScored`], attributed to `context`. When the
-    /// measure builds a [`SweepPlan`], the shared profile-construction time
-    /// is reported as an [`EnginePhase::ProfileBuild`] span.
-    pub fn sweep_attributed(
-        &self,
-        frame: &MetricFrame,
-        measure: &Arc<dyn AssociationMeasure>,
-        context: ContextId,
-        sink: &Arc<dyn EventSink>,
-    ) -> AssociationMatrix {
-        self.sweep_bounded(frame, measure, context, sink, None)
+        self.sweep_bounded(frame, measure, &PassScope::detached())
             .matrix
     }
 
-    /// [`SweepPool::sweep_attributed`] under an optional deadline: workers
-    /// stop claiming pair batches once `deadline` passes, and the returned
-    /// [`BoundedSweep`] says exactly which pairs were scored. With
-    /// `deadline: None` the sweep always completes and is identical to
-    /// [`SweepPool::sweep_attributed`].
+    /// [`SweepPool::sweep`] as one planned pass over all 325 pairs under
+    /// `scope`: its costs are reported to `scope.sink`, and workers stop
+    /// claiming pair batches once `scope.deadline` passes — the returned
+    /// [`BoundedSweep`] says exactly which pairs were scored. Without a
+    /// deadline the sweep always completes.
     pub fn sweep_bounded(
         &self,
         frame: &MetricFrame,
         measure: &Arc<dyn AssociationMeasure>,
-        context: ContextId,
-        sink: &Arc<dyn EventSink>,
-        deadline: Option<Instant>,
+        scope: &PassScope,
     ) -> BoundedSweep {
         let series: Vec<Vec<f64>> = MetricId::ALL.iter().map(|&m| frame.series(m)).collect();
-        let n_pairs = pair_count();
-        // lint: allow(determinism, telemetry-only: prepare micros feed a
-        // SpanClosed event; replay normalizes all recorded timings)
-        let prepare_started = Instant::now();
-        let plan = measure.prepare_on(&series, self);
-        if plan.is_some() {
-            sink.record(&EngineEvent::SpanClosed {
-                phase: EnginePhase::ProfileBuild,
-                context,
-                micros: prepare_started.elapsed().as_micros() as u64,
-            });
-        }
-        let (done_tx, done_rx) = channel();
-        let shared = Arc::new(SweepShared {
-            series,
-            measure: Arc::clone(measure),
-            plan,
-            cursor: AtomicUsize::new(0),
-            done_tx,
-            sink: Arc::clone(sink),
-            context,
-            deadline,
-        });
-        // Every worker joins the sweep; the cursor hands out the actual
-        // work, so a worker that arrives late (or draws expensive pairs)
-        // simply claims fewer batches.
-        let job_tx = self.job_tx.as_ref().expect("pool alive until drop");
-        for _ in 0..self.threads {
-            job_tx
-                .send(PoolJob::Sweep(SweepJob {
-                    shared: Arc::clone(&shared),
-                }))
-                .expect("sweep workers alive until drop");
-        }
-        drop(shared);
-        let mut scores = vec![0.0f64; n_pairs];
-        let mut scored = vec![false; n_pairs];
-        let mut scored_count = 0usize;
-        // Each worker sends exactly once per job — deadline or not — so
-        // this recv protocol cannot hang on an expired sweep.
-        for _ in 0..self.threads {
-            let part = done_rx.recv().expect("sweep workers alive until drop");
-            for (idx, v) in part {
-                scores[idx] = v;
-                if !scored[idx] {
-                    scored[idx] = true;
-                    scored_count += 1;
-                }
-            }
-        }
+        let plan = self.plan(measure, &series, scope);
+        let pass = self.score_pairs(plan, (0..pair_count()).collect(), scope);
+        let scored = (0..pair_count()).map(|k| k < pass.scored).collect();
         BoundedSweep {
-            matrix: AssociationMatrix { scores },
-            completed: scored_count == n_pairs,
+            completed: pass.completed(),
+            matrix: AssociationMatrix {
+                scores: pass.scores,
+            },
             scored,
         }
     }
@@ -600,8 +726,7 @@ mod tests {
         let frame = synthetic_frame(40);
         let pool = SweepPool::new(3);
         let measure: Arc<dyn AssociationMeasure> = Arc::new(PearsonMeasure);
-        let sink: Arc<dyn EventSink> = Arc::new(NullSink);
-        let bounded = pool.sweep_bounded(&frame, &measure, ContextId::UNATTRIBUTED, &sink, None);
+        let bounded = pool.sweep_bounded(&frame, &measure, &PassScope::detached());
         assert!(bounded.completed);
         assert!(bounded.scored.iter().all(|&s| s));
         let serial = AssociationMatrix::compute(&frame, &PearsonMeasure, 1);
@@ -613,21 +738,44 @@ mod tests {
         let frame = synthetic_frame(40);
         let pool = SweepPool::new(2);
         let measure: Arc<dyn AssociationMeasure> = Arc::new(PearsonMeasure);
-        let sink: Arc<dyn EventSink> = Arc::new(NullSink);
         // A deadline already in the past: workers must give up before
         // claiming anything, and the protocol must still terminate.
-        let expired = Instant::now() - std::time::Duration::from_millis(1);
-        let bounded = pool.sweep_bounded(
-            &frame,
-            &measure,
-            ContextId::UNATTRIBUTED,
-            &sink,
-            Some(expired),
-        );
+        let expired = PassScope {
+            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
+            ..PassScope::detached()
+        };
+        let bounded = pool.sweep_bounded(&frame, &measure, &expired);
         assert!(!bounded.completed);
         assert!(bounded.scored.iter().all(|&s| !s));
         // The pool survives an expired sweep and completes the next one.
-        let again = pool.sweep_bounded(&frame, &measure, ContextId::UNATTRIBUTED, &sink, None);
+        let again = pool.sweep_bounded(&frame, &measure, &PassScope::detached());
         assert!(again.completed);
+    }
+
+    #[test]
+    fn a_pair_list_scores_bit_identically_and_hands_the_plan_back() {
+        use crate::measure::MicMeasure;
+        use ix_mic::MicParams;
+
+        let frame = synthetic_frame(40);
+        let mic = MicMeasure::new(MicParams::fast());
+        let full = AssociationMatrix::compute(&frame, &mic, 1);
+        let measure: Arc<dyn AssociationMeasure> = Arc::new(mic);
+        let series: Vec<Vec<f64>> = MetricId::ALL.iter().map(|&m| frame.series(m)).collect();
+        let scope = PassScope::detached();
+        for threads in [1, 3] {
+            let pool = SweepPool::new(threads);
+            let mut plan = pool.plan(&measure, &series, &scope);
+            // Any order, any subset — including the empty list.
+            for pairs in [vec![], vec![324, 0, 17], (0..pair_count()).rev().collect()] {
+                let pass = pool.score_pairs(plan, pairs.clone(), &scope);
+                assert!(pass.completed());
+                assert_eq!(pass.pairs, pairs);
+                for (k, &pair) in pairs.iter().enumerate() {
+                    assert_eq!(pass.scores[k].to_bits(), full.at(pair).to_bits());
+                }
+                plan = pass.plan;
+            }
+        }
     }
 }

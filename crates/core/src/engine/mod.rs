@@ -45,12 +45,12 @@ use std::time::{Duration, Instant};
 use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
 
 use crate::anomaly::{DetectionResult, PerformanceModel};
-use crate::assoc::{pair_count, pair_index, AssociationMatrix, SweepPool};
+use crate::assoc::{pair_count, pair_index, AssociationMatrix, PassScope, SweepPool};
 use crate::config::{DetectorChoice, InvarNetConfig};
 use crate::context::OperationContext;
 use crate::cusum::CusumDetector;
 use crate::error::CoreError;
-use crate::incremental::{AdvanceOutcome, IncrementalSweep};
+use crate::incremental::{AdvanceOutcome, IncrementalSweep, PassError};
 use crate::invariants::InvariantSet;
 use crate::measure::{AssociationMeasure, PearsonMeasure};
 use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
@@ -104,11 +104,11 @@ pub struct Engine {
     /// sweep (and to probe out of a stale over-budget estimate).
     sweep_cost: SweepCostPredictor,
     /// Per-context sweep records, the one place sweep work is reused:
-    /// each context's last full-fidelity sweep (window, scores,
+    /// each context's last full-fidelity pass (window, scores,
     /// staleness) and, once diagnosed, the plan
-    /// [`Engine::diagnosis_matrix_for`] slides instead of re-sweeping from
-    /// scratch. An unchanged window and the degradation ladder's tier 1
-    /// read it too.
+    /// [`Engine::diagnosis_matrix_for`] scored it with and slides instead
+    /// of planning again. An unchanged window and the degradation
+    /// ladder's tier 1 read it too.
     sweep_records: Mutex<HashMap<ContextId, IncrementalSweep>>,
 }
 
@@ -321,114 +321,38 @@ impl Engine {
     }
 
     /// [`Engine::association_matrix`] with the sweep attributed to an
-    /// interned context (internal callers that know whose window this is).
+    /// interned context (internal callers that know whose window this is):
+    /// a full 325-pair sweep, which then replaces the context's record.
     pub(crate) fn association_matrix_for(
         &self,
         context: ContextId,
         frame: &MetricFrame,
     ) -> Result<AssociationMatrix, CoreError> {
+        self.check_frame(frame)?;
         let series = (!context.is_unattributed()).then(|| frame_series(frame));
-        self.budgeted_matrix_for(context, frame, series, SweepBudget::UNLIMITED)
-            .map(|verdict| verdict.matrix)
-    }
-
-    /// The budget-aware sweep: full fidelity when the budget allows,
-    /// otherwise the first answer a declared degradation ladder can give —
-    /// the context's stale recorded matrix, full Pearson sweep, or a
-    /// partial matrix over the highest-variance metrics. Every degraded
-    /// outcome is reported as [`EngineEvent::SweepDegraded`]; the verdict
-    /// says exactly which tier answered, so no caller can mistake a
-    /// degraded matrix for a full one.
-    ///
-    /// `series` is the frame series-major, given for attributed sweeps
-    /// only: a full-fidelity sweep then replaces the context's record.
-    fn budgeted_matrix_for(
-        &self,
-        context: ContextId,
-        frame: &MetricFrame,
-        series: Option<Vec<Vec<f64>>>,
-        budget: SweepBudget,
-    ) -> Result<SweepVerdict, CoreError> {
-        if frame.ticks() < self.config.min_frame_ticks {
-            return Err(CoreError::FrameTooShort {
-                required: self.config.min_frame_ticks,
-                got: frame.ticks(),
-            });
-        }
         // The matrix is a pure function of the frame's values under this
         // engine's fixed measure, so an unchanged window
         // (`violation_tuple` + `record_signature` on one frame) is served
-        // from the context's record bit-for-bit — full fidelity at zero
-        // cost, whatever the budget — as long as no slide has left one of
-        // its pairs stale.
+        // from the context's record bit-for-bit — as long as every one of
+        // its pairs is fresh (no slide or restricted pass left one stale).
         if let Some(series) = &series {
             let fresh = self.with_record(context, |record| {
                 (record.is_fresh() && record.is_window(series)).then(|| record.matrix())
             });
             if let Some(matrix) = fresh.flatten() {
                 self.note_health_ok(context);
-                return Ok(SweepVerdict::full(matrix));
-            }
-        }
-        // A pair budget below the full pair population can never be met by
-        // a full sweep under any measure: degrade without trying (and
-        // without the Pearson tier, which scores every pair too).
-        if budget.max_pairs.is_some_and(|max| max < pair_count()) {
-            return Ok(self.degrade(
-                context,
-                frame,
-                budget,
-                DegradationReason::PairBudgetExceeded,
-                false,
-            ));
-        }
-        // When past full sweeps averaged longer than the wall budget,
-        // predict the overrun instead of paying for it — except for the
-        // periodic probe that keeps the estimate honest: a skipped sweep
-        // produces no sample, so without probes a stale over-budget
-        // estimate would pin the engine in the degraded tier forever.
-        if let Some(wall) = budget.wall {
-            let predicted = self.sweep_cost.predicted_full_micros();
-            if predicted > 0
-                && Duration::from_micros(predicted) > wall
-                && !self.sweep_cost.note_skipped_should_probe()
-            {
-                return Ok(self.degrade(
-                    context,
-                    frame,
-                    budget,
-                    DegradationReason::PredictedOverrun,
-                    true,
-                ));
+                return Ok(matrix);
             }
         }
         // lint: allow(determinism, telemetry-only: sweep micros feed a
         // SweepCompleted event; replay normalizes all recorded timings)
         let started = Instant::now();
-        let bounded = {
+        let matrix = {
             let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
-            self.pool.sweep_bounded(
-                frame,
-                &self.measure,
-                context,
-                &self.sink,
-                budget.deadline(started),
-            )
+            self.pool
+                .sweep_bounded(frame, &self.measure, &self.pass_scope(context, None))
+                .matrix
         };
-        if !bounded.completed {
-            // The abandoned sweep still cost its deadline's worth of
-            // wall-clock; fold that in so the estimate converges upward
-            // even when full sweeps never complete.
-            self.sweep_cost
-                .observe_full(started.elapsed().as_micros() as u64);
-            return Ok(self.degrade(
-                context,
-                frame,
-                budget,
-                DegradationReason::WallClockExceeded,
-                true,
-            ));
-        }
         let micros = started.elapsed().as_micros() as u64;
         self.sink.record(&EngineEvent::SweepCompleted {
             context,
@@ -437,23 +361,51 @@ impl Engine {
         });
         self.sweep_cost.observe_full(micros);
         if let Some(series) = series {
-            let scores = bounded.matrix.scores().to_vec();
+            let scores = matrix.scores().to_vec();
             self.put_record(context, IncrementalSweep::new(series, scores));
         }
         self.note_health_ok(context);
-        Ok(SweepVerdict::full(bounded.matrix))
+        Ok(matrix)
     }
 
-    /// The diagnosis-path sweep: [`Engine::budgeted_matrix_for`] fronted
-    /// by the context's sweep record. When the record's window is the new
-    /// one unchanged or slid forward a few ticks, the sweep is answered by
-    /// delta: profiles slide in place, clean pair scores are reused
-    /// verbatim, and stale invariant pairs go through the
-    /// screen-then-confirm pass ([`IncrementalSweep::rescore`]) — the
-    /// violation tuple built from the result is bit-identical to a full
-    /// from-scratch sweep's. Otherwise the full budgeted path runs and
-    /// (when it answers at full fidelity) attaches a plan to the record it
-    /// wrote.
+    /// Refuses a frame too short to score.
+    fn check_frame(&self, frame: &MetricFrame) -> Result<(), CoreError> {
+        if frame.ticks() < self.config.min_frame_ticks {
+            return Err(CoreError::FrameTooShort {
+                required: self.config.min_frame_ticks,
+                got: frame.ticks(),
+            });
+        }
+        Ok(())
+    }
+
+    /// A pool pass attributed to `context`, reporting to the engine's
+    /// sink, bounded by `deadline`.
+    fn pass_scope(&self, context: ContextId, deadline: Option<Instant>) -> PassScope {
+        PassScope {
+            context,
+            sink: Arc::clone(&self.sink),
+            deadline,
+        }
+    }
+
+    /// The diagnosis-path sweep, which scores only what the violation
+    /// tuple reads: the invariant pairs. When the context's record holds
+    /// the new window unchanged or slid forward a few ticks, it is
+    /// answered by delta — profiles slide in place, clean pair scores are
+    /// reused verbatim, and stale invariant pairs go through the
+    /// screen-then-confirm pass ([`IncrementalSweep::rescore`]).
+    /// Otherwise one cold pass ([`IncrementalSweep::cold`]) plans the
+    /// window once and confirms every invariant pair; its plan becomes the
+    /// new record. Either way the violation tuple is bit-identical to a
+    /// full from-scratch sweep's.
+    ///
+    /// Under a budget, the answer is the first a declared degradation
+    /// ladder can give when the pass cannot: the context's recorded
+    /// matrix, a full Pearson sweep, or a partial matrix over the
+    /// highest-variance metrics. Every degraded outcome is reported as
+    /// [`EngineEvent::SweepDegraded`], and the verdict says which tier
+    /// answered, so no caller can mistake a degraded matrix for a full one.
     pub(crate) fn diagnosis_matrix_for(
         &self,
         context: ContextId,
@@ -461,69 +413,167 @@ impl Engine {
         budget: SweepBudget,
         invariants: &InvariantSet,
     ) -> Result<SweepVerdict, CoreError> {
-        if frame.ticks() < self.config.min_frame_ticks {
-            return Err(CoreError::FrameTooShort {
-                required: self.config.min_frame_ticks,
-                got: frame.ticks(),
-            });
-        }
+        self.check_frame(frame)?;
         let series = frame_series(frame);
-        let mut plan = true;
-        if let Some(mut record) = self.take_record(context) {
+        let mut previous = self.take_record(context);
+        if let Some(mut record) = previous.take() {
             // Compose with the budget ladder: when even the incremental
             // pass is predicted over the wall budget, keep the (untouched)
-            // record for a roomier window and let the ladder answer.
+            // record for a roomier window and let the cold path's checks
+            // answer.
             let predicted = self.sweep_cost.predicted_incremental_micros();
             let over_wall = budget
                 .wall
                 .is_some_and(|wall| predicted > 0 && Duration::from_micros(predicted) > wall);
-            if over_wall {
-                plan = false;
-            } else if record.advance(&series) != AdvanceOutcome::Unsupported {
-                // An unchanged window is a zero-tick slide: rescored, never
-                // served raw, since a pair an earlier slide left stale may
-                // be an invariant by now. A record written off the
-                // diagnosis path gets its plan here, where a diagnosis
-                // sweep would have seeded one.
-                record.attach_plan(&self.measure, &self.pool);
-                if let Some(verdict) = self.rescore_record(context, &mut record, invariants) {
-                    self.put_record(context, record);
-                    return Ok(verdict);
+            // An unchanged window is a zero-tick slide: rescored, never
+            // served raw, since a pair an earlier pass left stale may be
+            // an invariant by now.
+            if !over_wall && record.advance(&series) != AdvanceOutcome::Unsupported {
+                match self.rescore_record(context, &mut record, invariants, budget) {
+                    Ok(verdict) => {
+                        self.put_record(context, record);
+                        return Ok(verdict);
+                    }
+                    Err(PassError::DeadlineExpired) => {
+                        self.put_record(context, record);
+                        return Ok(self.degrade(
+                            context,
+                            frame,
+                            budget,
+                            DegradationReason::WallClockExceeded,
+                            true,
+                        ));
+                    }
+                    Err(PassError::Unplanned) => {}
                 }
             }
-            // Still the ladder's tier 1 until the full sweep replaces it.
+            previous = Some(record);
+        }
+        Ok(self.cold_matrix_for(context, frame, series, budget, invariants, previous))
+    }
+
+    /// The cold pass of [`Engine::diagnosis_matrix_for`], with the
+    /// ladder's gates in front of it: a pair budget below the pair
+    /// population, or a predicted overrun of the wall budget, degrades
+    /// without scoring. `previous` is the context's record, which stays
+    /// the ladder's tier 1 until a completed pass replaces it.
+    fn cold_matrix_for(
+        &self,
+        context: ContextId,
+        frame: &MetricFrame,
+        series: Vec<Vec<f64>>,
+        budget: SweepBudget,
+        invariants: &InvariantSet,
+        previous: Option<IncrementalSweep>,
+    ) -> SweepVerdict {
+        // Pairs no invariant reads keep the previous record's score (or
+        // 0.0), stale: the recorded-sweep convention.
+        let scores = match &previous {
+            Some(record) => record.scores().to_vec(),
+            None => vec![0.0; pair_count()],
+        };
+        if let Some(record) = previous {
             self.put_record(context, record);
         }
-        let verdict = self.budgeted_matrix_for(context, frame, Some(series), budget)?;
-        if plan && verdict.degradation.is_none() {
-            // Only a full-fidelity matrix may seed the plan — degraded
-            // tiers score under a different measure (or not at all), and
-            // the soundness contract starts from exact scores.
-            if let Some(mut record) = self.take_record(context) {
-                record.attach_plan(&self.measure, &self.pool);
-                self.put_record(context, record);
+        // A pair budget below the full pair population degrades without
+        // trying, whatever the pass would score (and without the Pearson
+        // tier, which scores every pair).
+        if budget.max_pairs.is_some_and(|max| max < pair_count()) {
+            return self.degrade(
+                context,
+                frame,
+                budget,
+                DegradationReason::PairBudgetExceeded,
+                false,
+            );
+        }
+        // When past from-scratch passes averaged longer than the wall
+        // budget, predict the overrun instead of paying for it — except
+        // for the periodic probe that keeps the estimate honest: a skipped
+        // pass produces no sample, so without probes a stale over-budget
+        // estimate would pin the engine in the degraded tier forever.
+        if let Some(wall) = budget.wall {
+            let predicted = self.sweep_cost.predicted_full_micros();
+            if predicted > 0
+                && Duration::from_micros(predicted) > wall
+                && !self.sweep_cost.note_skipped_should_probe()
+            {
+                return self.degrade(
+                    context,
+                    frame,
+                    budget,
+                    DegradationReason::PredictedOverrun,
+                    true,
+                );
             }
         }
-        Ok(verdict)
+        // lint: allow(determinism, telemetry-only: pass micros feed a
+        // SweepCompleted event; replay normalizes all recorded timings)
+        let started = Instant::now();
+        let scope = self.pass_scope(context, budget.deadline(started));
+        let cold = {
+            let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
+            IncrementalSweep::cold(
+                &self.measure,
+                series,
+                scores,
+                invariants,
+                &self.pool,
+                &scope,
+            )
+        };
+        // An abandoned pass still cost its deadline's worth of wall-clock;
+        // fold that in too, so the estimate converges upward even when
+        // passes never complete.
+        let micros = started.elapsed().as_micros() as u64;
+        self.sweep_cost.observe_full(micros);
+        let Ok(record) = cold else {
+            return self.degrade(
+                context,
+                frame,
+                budget,
+                DegradationReason::WallClockExceeded,
+                true,
+            );
+        };
+        self.sink.record(&EngineEvent::SweepCompleted {
+            context,
+            pairs: invariants.len(),
+            micros,
+        });
+        let matrix = record.matrix();
+        self.put_record(context, record);
+        self.note_health_ok(context);
+        SweepVerdict::full(matrix)
     }
 
     /// The screen-then-confirm pass over a record whose window is the
-    /// diagnosis window, with its events; `None` when the record cannot
-    /// vouch for the window.
+    /// diagnosis window, with its events.
     fn rescore_record(
         &self,
         context: ContextId,
         record: &mut IncrementalSweep,
         invariants: &InvariantSet,
-    ) -> Option<SweepVerdict> {
+        budget: SweepBudget,
+    ) -> Result<SweepVerdict, PassError> {
         // lint: allow(determinism, telemetry-only: screen micros feed
         // events; replay normalizes timings)
         let started = Instant::now();
+        let scope = self.pass_scope(context, budget.deadline(started));
         let outcome = {
             let _span = Span::enter(&self.sink, EnginePhase::Screen, context);
-            record.rescore(invariants, self.config.epsilon)?
+            record.rescore(invariants, self.config.epsilon, &self.pool, &scope)
         };
         let micros = started.elapsed().as_micros() as u64;
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(error) => {
+                if error == PassError::DeadlineExpired {
+                    self.sweep_cost.observe_incremental(micros);
+                }
+                return Err(error);
+            }
+        };
         self.sink.record(&EngineEvent::SweepScreened {
             context,
             reused: outcome.reused,
@@ -537,7 +587,7 @@ impl Engine {
         });
         self.sweep_cost.observe_incremental(micros);
         self.note_health_ok(context);
-        Some(SweepVerdict::full(record.matrix()))
+        Ok(SweepVerdict::full(record.matrix()))
     }
 
     /// Runs `f` over `context`'s sweep record, if it has one.
@@ -607,9 +657,7 @@ impl Engine {
                 self.pool.sweep_bounded(
                     frame,
                     &self.fallback,
-                    context,
-                    &self.sink,
-                    budget.deadline(started),
+                    &self.pass_scope(context, budget.deadline(started)),
                 )
             };
             if bounded.completed {
@@ -1029,7 +1077,7 @@ impl Engine {
     }
 }
 
-/// What [`Engine::budgeted_matrix_for`] produced: the matrix, which
+/// What [`Engine::diagnosis_matrix_for`] produced: the matrix, which
 /// degradation tier (if any) answered, and — for a partial matrix — which
 /// pairs were actually scored.
 pub(crate) struct SweepVerdict {

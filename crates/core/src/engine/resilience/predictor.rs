@@ -2,12 +2,13 @@
 //! predicted-overrun check.
 //!
 //! The engine keeps two exponential moving averages of recent sweep cost:
-//! one for full from-scratch sweeps and one for incremental
-//! screen-then-confirm passes ([`crate::IncrementalSweep`]). The full
-//! estimate gates [`crate::Engine::diagnose_with_budget`]'s wall budget
-//! *before* any wall-clock is burned; the incremental estimate lets the
-//! ladder recognize that a context with live incremental state is far
-//! cheaper to serve than its full-sweep history suggests.
+//! one for from-scratch passes (full sweeps, and a diagnosis's cold pass
+//! over its invariant pairs) and one for incremental screen-then-confirm
+//! passes ([`crate::IncrementalSweep`]). The from-scratch estimate gates
+//! [`crate::Engine::diagnose_with_budget`]'s cold pass *before* any
+//! wall-clock is burned; the incremental estimate lets the ladder
+//! recognize that a context with live incremental state is far cheaper
+//! to serve than its cold history suggests.
 //!
 //! Two failure modes of the naive EWMA are fixed here:
 //!

@@ -1,11 +1,18 @@
 //! Incremental two-stage association sweeps.
 //!
-//! A diagnosis-window sweep scores all 325 metric pairs with MIC even
-//! though consecutive windows differ by a handful of ticks. The engine
-//! keeps one [`IncrementalSweep`] record per context — the last swept
-//! window, its per-pair scores and staleness — and, on the diagnosis
-//! path, a [`SweepPlan`] that advances the record by delta:
+//! A diagnosis reads only its invariant pairs: the violation tuple
+//! compares each invariant's reference score with the window's score of
+//! the same pair. The engine keeps one [`IncrementalSweep`] record per
+//! context — the last scored window, its per-pair scores and staleness,
+//! and the [`SweepPlan`] they were scored against — and answers a
+//! diagnosis with the least scoring that keeps the tuple exact:
 //!
+//! 0. **Cold pass** — a window that is not a slide of the record gets
+//!    [`IncrementalSweep::cold`]: one plan built on the pool (for MIC, 26
+//!    series profiles, built once), a record seeded from it with every
+//!    pair stale, and one pool pass that confirms exactly the invariant
+//!    pairs. The other pairs keep the previous record's scores (or `0.0`)
+//!    and stay stale; no diagnosis reads them.
 //! 1. **Slide** — [`IncrementalSweep::advance`] detects that the new
 //!    window is the old one unchanged or shifted forward by at most
 //!    [`MAX_SLIDE`] ticks and slides every per-series profile in place
@@ -21,25 +28,30 @@
 //!    [`crate::measure::PairScorer::screen_bound`]): when every possible
 //!    fresh score in `[bound, 1]` and the cached score all grade to zero
 //!    deviation, the pair cannot cross the violation threshold and the
-//!    cached score is kept; otherwise MIC runs in full and the fresh
-//!    score replaces the cache.
+//!    cached score is kept; the rest go to the pool as one confirm pass
+//!    and the fresh scores replace the cache.
+//!
+//! Cold passes and confirm passes run through the same loop as a full
+//! sweep, [`SweepPool::score_pairs`], under the diagnosis's deadline; a
+//! pass cut short writes nothing into the record.
 //!
 //! The soundness contract: a diagnosis built from
-//! [`IncrementalSweep::matrix`] after [`IncrementalSweep::rescore`]
-//! produces a violation tuple bit-identical to one built from a full
-//! from-scratch sweep of the same window — clean pairs by multiset
-//! invariance, confirmed pairs by the slide's bit-exactness, and screened
-//! pairs because both the cached and every possible fresh score grade to
-//! exactly `0.0`. A screened pair stays stale, so an unchanged window is
-//! rescored too (as a zero-tick slide) rather than served raw: the
-//! invariants may have changed since the last pass. `tests/golden_sweep.rs`
-//! pins both halves (bit-exactness hammer + no-false-negative proptest).
+//! [`IncrementalSweep::matrix`] after [`IncrementalSweep::cold`] or
+//! [`IncrementalSweep::rescore`] produces a violation tuple bit-identical
+//! to one built from a full from-scratch sweep of the same window —
+//! confirmed pairs by the plan's bit-exactness, clean pairs by multiset
+//! invariance, and screened pairs because both the cached and every
+//! possible fresh score grade to exactly `0.0`. A screened or unscored
+//! pair stays stale, so an unchanged window is rescored too (as a
+//! zero-tick slide) rather than served raw: the invariants may have
+//! changed since the last pass. `tests/golden_sweep.rs` pins both halves
+//! (bit-exactness hammer from a cold pass + no-false-negative proptest).
 
 use std::sync::Arc;
 
-use ix_metrics::METRIC_COUNT;
-
-use crate::assoc::{pair_count, pair_index, pair_of_index, AssociationMatrix, SweepPool};
+use crate::assoc::{
+    pair_count, pair_index, pair_of_index, AssociationMatrix, PassScope, SweepPool,
+};
 use crate::invariants::InvariantSet;
 use crate::measure::{AssociationMeasure, SlideOutcome, SweepPlan};
 
@@ -81,32 +93,48 @@ pub struct ScreenOutcome {
     pub confirmed: usize,
 }
 
-/// One context's record of its last full-fidelity sweep: the window it
+/// Why a scoring pass over a record gave no answer. The record's scores
+/// and staleness are untouched either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PassError {
+    /// A stale invariant pair needs scoring and the record has no plan to
+    /// score it with: sweep from scratch.
+    Unplanned,
+    /// The pool pass hit its deadline; no partial score was written.
+    DeadlineExpired,
+}
+
+/// One context's record of its last full-fidelity pass: the window it
 /// reflects, the per-pair scores and staleness, and — when the record was
-/// seeded on the diagnosis path — the plan that slides it forward.
+/// written on the diagnosis path — the plan that scores and slides it.
 pub struct IncrementalSweep {
     /// The window the record currently reflects, series-major.
     series: Vec<Vec<f64>>,
-    /// The delta-maintained plan (profiles, for MIC). A plan-less record
-    /// only recognizes its own window again.
+    /// The plan the record's pairs are scored against (profiles, for
+    /// MIC). A plan-less record only recognizes its own window again.
     plan: Option<Box<dyn SweepPlan>>,
     /// Per-pair scores: fresh wherever the violation tuple consults them.
     scores: Vec<f64>,
     /// `stale[pair]` — the cached score may differ from a fresh one.
     /// Screened pairs stay stale (their cache was proven harmless, not
-    /// fresh); confirmed pairs become clean.
+    /// fresh); confirmed pairs become clean. Pairs no pass has scored for
+    /// this window keep an earlier window's score (or `0.0`) and stay
+    /// stale.
     stale: Vec<bool>,
     /// Per-series "profile moved" flags for the advance in progress.
     moved: Vec<bool>,
     /// Per-series "needs full rebuild" flags for the advance in progress.
     rebuilt: Vec<bool>,
+    /// The pairs the pass in progress confirms (a buffer kept across
+    /// passes).
+    confirm: Vec<usize>,
 }
 
 impl IncrementalSweep {
-    /// A plan-less record of a completed full-fidelity sweep: `series` is
-    /// the swept window, `scores` its full score vector. It can serve the
-    /// same window again, but any slide is [`AdvanceOutcome::Unsupported`]
-    /// until [`IncrementalSweep::attach_plan`] succeeds.
+    /// A plan-less record of a completed full sweep: `series` is the swept
+    /// window, `scores` its full score vector, every pair fresh. It can
+    /// serve the same window again, but any slide is
+    /// [`AdvanceOutcome::Unsupported`].
     pub fn new(series: Vec<Vec<f64>>, scores: Vec<f64>) -> IncrementalSweep {
         IncrementalSweep {
             moved: vec![false; series.len()],
@@ -115,47 +143,48 @@ impl IncrementalSweep {
             series,
             plan: None,
             scores,
+            confirm: Vec::new(),
         }
     }
 
-    /// Seeds a record that can slide from a completed full-fidelity sweep
-    /// (see [`IncrementalSweep::new`]). Returns `None` when the measure's
-    /// plan does not support delta-maintenance (the engine then stays on
-    /// the full-sweep path).
-    pub fn seed(
+    /// The cold pass: plans `series` once on the pool
+    /// ([`SweepPool::plan`]), seeds a record from that plan with every
+    /// pair stale and `scores` as the cached values, then confirms every
+    /// invariant pair with the full measure in one pool pass — no screen,
+    /// so the invariant pairs end up with exactly a from-scratch sweep's
+    /// scores. Every other pair keeps its value from `scores` (an earlier
+    /// record's, or `0.0`) and stays stale.
+    ///
+    /// # Errors
+    ///
+    /// [`PassError::DeadlineExpired`] when `scope`'s deadline cut the pass
+    /// short; the half-scored record is dropped.
+    ///
+    /// # Panics
+    ///
+    /// When `scores` does not hold [`pair_count`] values.
+    pub fn cold(
         measure: &Arc<dyn AssociationMeasure>,
-        pool: &SweepPool,
         series: Vec<Vec<f64>>,
         scores: Vec<f64>,
-    ) -> Option<IncrementalSweep> {
+        invariants: &InvariantSet,
+        pool: &SweepPool,
+        scope: &PassScope,
+    ) -> Result<IncrementalSweep, PassError> {
+        assert_eq!(scores.len(), pair_count(), "wrong score vector length");
+        let plan = pool.plan(measure, &series, scope);
         let mut record = IncrementalSweep::new(series, scores);
-        record.attach_plan(measure, pool).then_some(record)
-    }
-
-    /// Builds a delta-maintained plan over the recorded window, so later
-    /// slides can be absorbed. Returns whether the record has a plan:
-    /// `false` when the record is malformed or the measure's plan cannot
-    /// slide. Pairs already stale stay stale; the next rescore settles
-    /// them with the new plan.
-    pub fn attach_plan(&mut self, measure: &Arc<dyn AssociationMeasure>, pool: &SweepPool) -> bool {
-        if self.plan.is_some() {
-            return true;
-        }
-        if self.series.len() != METRIC_COUNT || self.scores.len() != pair_count() {
-            return false;
-        }
-        let n = self.series.first().map(Vec::len).unwrap_or(0);
-        if n == 0 || self.series.iter().any(|s| s.len() != n) {
-            return false;
-        }
-        self.plan = measure
-            .prepare_on(&self.series, pool)
-            .filter(|plan| plan.incremental());
-        self.plan.is_some()
+        record.plan = Some(plan);
+        record.stale.fill(true);
+        record
+            .confirm
+            .extend(invariants.entries().iter().map(|e| e.pair));
+        record.confirm_pending(pool, scope)?;
+        Ok(record)
     }
 
     /// Whether every per-pair score is fresh for the recorded window (no
-    /// slide has left a pair stale).
+    /// slide or invariant-pair pass has left a pair stale).
     pub fn is_fresh(&self) -> bool {
         !self.stale.contains(&true)
     }
@@ -268,71 +297,106 @@ impl IncrementalSweep {
     /// `|I - bound| < epsilon` for the measure's conservative lower bound
     /// — because then every possible fresh score in `[bound, 1]` and the
     /// cached score grade to exactly `0.0` deviation: the violation tuple
-    /// cannot tell the cache from a fresh sweep. Anything else is
-    /// confirmed with the full measure.
+    /// cannot tell the cache from a fresh sweep. The screen runs on the
+    /// calling thread; everything else goes to the pool as one confirm
+    /// pass ([`SweepPool::score_pairs`]) under `scope`.
     ///
-    /// Returns `None`, changing nothing, when a pair is stale and the
-    /// record has no plan to settle it with: its scores are then not
-    /// vouched for and the caller must sweep from scratch.
-    pub fn rescore(&mut self, invariants: &InvariantSet, epsilon: f64) -> Option<ScreenOutcome> {
-        let IncrementalSweep {
-            plan,
-            scores,
-            stale,
-            ..
-        } = self;
-        let Some(plan) = plan else {
-            // Nothing to score with, and nothing needs it when every
-            // score is fresh.
-            return (!stale.contains(&true)).then_some(ScreenOutcome {
-                reused: pair_count(),
-                ..ScreenOutcome::default()
-            });
-        };
-        let mut scorer = plan.scorer();
-        let entries = invariants.entries();
-        let mut cursor = 0usize;
+    /// # Errors
+    ///
+    /// Changing no score: [`PassError::Unplanned`] when a stale invariant
+    /// pair needs a score and the record has no plan (the caller must
+    /// sweep from scratch), [`PassError::DeadlineExpired`] when the
+    /// confirm pass ran out of time.
+    pub fn rescore(
+        &mut self,
+        invariants: &InvariantSet,
+        epsilon: f64,
+        pool: &SweepPool,
+        scope: &PassScope,
+    ) -> Result<ScreenOutcome, PassError> {
         let mut outcome = ScreenOutcome::default();
-        for idx in 0..pair_count() {
-            while cursor < entries.len() && entries[cursor].pair < idx {
-                cursor += 1;
-            }
-            let reference = match entries.get(cursor) {
-                Some(e) if e.pair == idx => Some(e.value),
-                _ => None,
-            };
-            if !stale[idx] {
-                outcome.reused += 1;
-                continue;
-            }
-            let Some(reference) = reference else {
-                // Stale but not an invariant: the violation tuple never
-                // reads this pair, so the cached score stays.
-                outcome.reused += 1;
-                continue;
-            };
-            let (a, b) = pair_of_index(idx);
-            let (a, b) = (a.index(), b.index());
-            if 1.0 - reference < epsilon && (reference - scores[idx]).abs() < epsilon {
-                if let Some(bound) = scorer.screen_bound(a, b) {
-                    if (reference - bound).abs() < epsilon {
-                        outcome.screened += 1;
+        self.confirm.clear();
+        {
+            let IncrementalSweep {
+                plan,
+                scores,
+                stale,
+                confirm,
+                ..
+            } = &mut *self;
+            let mut scorer = None;
+            let entries = invariants.entries();
+            let mut cursor = 0usize;
+            for idx in 0..pair_count() {
+                while cursor < entries.len() && entries[cursor].pair < idx {
+                    cursor += 1;
+                }
+                let reference = match entries.get(cursor) {
+                    Some(e) if e.pair == idx => e.value,
+                    // Stale or not, the violation tuple never reads a
+                    // non-invariant pair: the cached score stays.
+                    _ => {
+                        outcome.reused += 1;
                         continue;
                     }
+                };
+                if !stale[idx] {
+                    outcome.reused += 1;
+                    continue;
                 }
+                if 1.0 - reference < epsilon && (reference - scores[idx]).abs() < epsilon {
+                    let Some(plan) = plan.as_deref() else {
+                        return Err(PassError::Unplanned);
+                    };
+                    let (a, b) = pair_of_index(idx);
+                    let scorer = scorer.get_or_insert_with(|| plan.scorer());
+                    if let Some(bound) = scorer.screen_bound(a.index(), b.index()) {
+                        if (reference - bound).abs() < epsilon {
+                            outcome.screened += 1;
+                            continue;
+                        }
+                    }
+                }
+                confirm.push(idx);
             }
-            scores[idx] = scorer.score_pair(a, b);
-            stale[idx] = false;
-            outcome.confirmed += 1;
         }
-        Some(outcome)
+        outcome.confirmed = self.confirm.len();
+        self.confirm_pending(pool, scope)?;
+        Ok(outcome)
     }
 
-    /// The current per-pair scores as an association matrix. After a
-    /// [`IncrementalSweep::rescore`] it is bit-identical to a full
-    /// from-scratch sweep on every pair the violation tuple consults (all
-    /// invariant pairs); non-invariant stale pairs may hold the score of an
-    /// earlier window.
+    /// Scores the pairs in `self.confirm` on the pool and, only when the
+    /// pass completed, writes them into the record as fresh scores.
+    fn confirm_pending(&mut self, pool: &SweepPool, scope: &PassScope) -> Result<(), PassError> {
+        if self.confirm.is_empty() {
+            return Ok(());
+        }
+        let Some(plan) = self.plan.take() else {
+            return Err(PassError::Unplanned);
+        };
+        let pass = pool.score_pairs(plan, std::mem::take(&mut self.confirm), scope);
+        let completed = pass.completed();
+        if completed {
+            for (&pair, &score) in pass.pairs.iter().zip(&pass.scores) {
+                self.scores[pair] = score;
+                self.stale[pair] = false;
+            }
+        }
+        self.plan = Some(pass.plan);
+        self.confirm = pass.pairs;
+        if completed {
+            Ok(())
+        } else {
+            Err(PassError::DeadlineExpired)
+        }
+    }
+
+    /// The current per-pair scores as an association matrix. After
+    /// [`IncrementalSweep::cold`] or [`IncrementalSweep::rescore`] it is
+    /// bit-identical to a full from-scratch sweep on every pair the
+    /// violation tuple consults (all invariant pairs); non-invariant stale
+    /// pairs hold an earlier window's score, or `0.0` when no pass has
+    /// scored them.
     pub fn matrix(&self) -> AssociationMatrix {
         AssociationMatrix::from_scores(self.scores.clone())
     }
@@ -357,7 +421,7 @@ impl std::fmt::Debug for IncrementalSweep {
 mod tests {
     use super::*;
     use crate::measure::{MicMeasure, PearsonMeasure};
-    use ix_metrics::{MetricFrame, MetricId};
+    use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
     use ix_mic::MicParams;
 
     fn frame(ticks: usize, offset: usize) -> MetricFrame {
@@ -379,28 +443,69 @@ mod tests {
         Arc::new(MicMeasure::new(MicParams::fast()))
     }
 
+    /// The invariants of one window: every pair, with that window's score.
+    fn all_pairs(frame: &MetricFrame) -> InvariantSet {
+        let matrix = AssociationMatrix::compute(frame, &MicMeasure::new(MicParams::fast()), 1);
+        InvariantSet::select(std::slice::from_ref(&matrix), 0.2)
+    }
+
+    /// A record of `frame` after a cold pass over every pair.
+    fn cold_record(pool: &SweepPool, frame: &MetricFrame) -> IncrementalSweep {
+        IncrementalSweep::cold(
+            &mic(),
+            series_of(frame),
+            vec![0.0; pair_count()],
+            &all_pairs(frame),
+            pool,
+            &PassScope::detached(),
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn seed_requires_an_incremental_plan() {
-        let pool = SweepPool::new(1);
-        let f = frame(40, 0);
-        let series = series_of(&f);
-        let scores = vec![0.0; pair_count()];
-        let pearson: Arc<dyn AssociationMeasure> = Arc::new(PearsonMeasure);
-        assert!(IncrementalSweep::seed(&pearson, &pool, series.clone(), scores.clone()).is_none());
-        assert!(IncrementalSweep::seed(&mic(), &pool, series, scores).is_some());
-        // Malformed seeds are refused.
-        assert!(IncrementalSweep::seed(&mic(), &pool, vec![], vec![0.0; pair_count()]).is_none());
+    fn cold_pass_scores_only_the_invariant_pairs() {
+        let pool = SweepPool::new(2);
+        let base = frame(40, 0);
+        let fresh = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
+        let every = all_pairs(&base);
+        let entries: Vec<_> = every.entries().iter().step_by(3).copied().collect();
+        let invariants = InvariantSet::from_entries(entries, 0.2).unwrap();
+        let previous: Vec<f64> = (0..pair_count()).map(|p| p as f64 / 1000.0).collect();
+        for measure in [
+            mic(),
+            Arc::new(PearsonMeasure) as Arc<dyn AssociationMeasure>,
+        ] {
+            let record = IncrementalSweep::cold(
+                &measure,
+                series_of(&base),
+                previous.clone(),
+                &invariants,
+                &pool,
+                &PassScope::detached(),
+            )
+            .unwrap();
+            let want = pool.sweep(&base, &measure);
+            for (pair, &seeded) in previous.iter().enumerate() {
+                let read = invariants.entries().iter().any(|e| e.pair == pair);
+                // Invariant pairs carry the exact fresh score; every other
+                // pair keeps the score it was seeded with, and stays stale.
+                let expected = if read { want.at(pair) } else { seeded };
+                assert_eq!(record.scores()[pair].to_bits(), expected.to_bits());
+                assert_eq!(record.stale[pair], !read, "pair {pair}");
+            }
+            assert!(!record.is_fresh());
+        }
+        // Every pair an invariant: the record is a full sweep.
+        let full = cold_record(&pool, &base);
+        assert!(full.is_fresh());
+        assert_eq!(full.matrix(), fresh);
     }
 
     #[test]
     fn advance_classifies_windows() {
         let pool = SweepPool::new(1);
-        let measure = mic();
         let base = frame(40, 0);
-        let matrix = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
-        let mut inc =
-            IncrementalSweep::seed(&measure, &pool, series_of(&base), matrix.scores().to_vec())
-                .unwrap();
+        let mut inc = cold_record(&pool, &base);
         // Same window: identical, state not consumed.
         assert_eq!(inc.advance(&series_of(&base)), AdvanceOutcome::Identical);
         // One-tick slide.
@@ -423,17 +528,17 @@ mod tests {
     #[test]
     fn plan_less_records_serve_only_their_own_window() {
         let pool = SweepPool::new(1);
-        let mic_measure = MicMeasure::new(MicParams::fast());
+        let scope = PassScope::detached();
         let base = frame(40, 0);
-        let matrix = AssociationMatrix::compute(&base, &mic_measure, 1);
-        let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
+        let matrix = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
+        let invariants = all_pairs(&base);
         let mut record = IncrementalSweep::new(series_of(&base), matrix.scores().to_vec());
         assert!(record.is_window(&series_of(&base)));
         assert_eq!(record.advance(&series_of(&base)), AdvanceOutcome::Identical);
         // Every score is fresh, so the zero-tick rescore needs no plan.
         assert_eq!(
-            record.rescore(&invariants, 0.2),
-            Some(ScreenOutcome {
+            record.rescore(&invariants, 0.2, &pool, &scope),
+            Ok(ScreenOutcome {
                 reused: pair_count(),
                 ..ScreenOutcome::default()
             })
@@ -444,28 +549,69 @@ mod tests {
             AdvanceOutcome::Unsupported
         );
         assert!(record.is_window(&series_of(&base)));
-        // With a plan attached the same slide is absorbed.
-        assert!(record.attach_plan(&mic(), &pool));
+        // A planned record absorbs the same slide...
+        let mut record = cold_record(&pool, &base);
         assert_eq!(
             record.advance(&series_of(&frame(40, 1))),
             AdvanceOutcome::Advanced { shift: 1 }
         );
         assert!(!record.is_fresh());
-        // A jump drops the plan; the stale pairs then cannot be settled.
+        // ...and a jump drops the plan; the stale pairs then cannot be
+        // settled, and nothing is written.
         assert_eq!(
             record.advance(&series_of(&frame(40, 100))),
             AdvanceOutcome::Unsupported
         );
         assert!(record.is_window(&series_of(&frame(40, 1))));
-        assert_eq!(record.rescore(&invariants, 0.2), None);
-        // Re-attaching a plan settles them against a fresh sweep.
-        assert!(record.attach_plan(&mic(), &pool));
-        let outcome = record.rescore(&invariants, 0.0).unwrap();
-        assert_eq!(outcome.screened, 0);
-        let fresh = AssociationMatrix::compute(&frame(40, 1), &mic_measure, 1);
+        let before = record.scores().to_vec();
+        assert_eq!(
+            record.rescore(&invariants, 0.2, &pool, &scope),
+            Err(PassError::Unplanned)
+        );
+        assert_eq!(record.scores(), &before[..]);
+    }
+
+    #[test]
+    fn an_expired_pass_writes_nothing() {
+        let pool = SweepPool::new(2);
+        let base = frame(40, 0);
+        let invariants = all_pairs(&base);
+        let expired = PassScope {
+            deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
+            ..PassScope::detached()
+        };
+        let cold = IncrementalSweep::cold(
+            &mic(),
+            series_of(&base),
+            vec![0.0; pair_count()],
+            &invariants,
+            &pool,
+            &expired,
+        );
+        assert_eq!(cold.err(), Some(PassError::DeadlineExpired));
+
+        let mut record = cold_record(&pool, &base);
+        let next = frame(40, 1);
+        assert_eq!(
+            record.advance(&series_of(&next)),
+            AdvanceOutcome::Advanced { shift: 1 }
+        );
+        let (scores, stale) = (record.scores().to_vec(), record.stale.clone());
+        assert_eq!(
+            record.rescore(&invariants, 0.0, &pool, &expired),
+            Err(PassError::DeadlineExpired)
+        );
+        assert_eq!(record.scores(), &scores[..]);
+        assert_eq!(record.stale, stale);
+        // The plan survived the expired pass: the next pass completes.
+        let outcome = record
+            .rescore(&invariants, 0.0, &pool, &PassScope::detached())
+            .unwrap();
+        assert!(outcome.confirmed > 0);
+        let fresh = AssociationMatrix::compute(&next, &MicMeasure::new(MicParams::fast()), 1);
         for e in invariants.entries() {
             assert_eq!(
-                record.matrix().at(e.pair).to_bits(),
+                record.scores()[e.pair].to_bits(),
                 fresh.at(e.pair).to_bits()
             );
         }
@@ -474,23 +620,21 @@ mod tests {
     #[test]
     fn incremental_matches_from_scratch_on_invariant_pairs() {
         let pool = SweepPool::new(1);
-        let measure = mic();
         let mic_measure = MicMeasure::new(MicParams::fast());
         let base = frame(40, 0);
-        let matrix = AssociationMatrix::compute(&base, &mic_measure, 1);
         // Train invariants on the base window (every pair's band is 0).
-        let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
+        let invariants = all_pairs(&base);
         let epsilon = 0.2;
-        let mut inc =
-            IncrementalSweep::seed(&measure, &pool, series_of(&base), matrix.scores().to_vec())
-                .unwrap();
+        let mut inc = cold_record(&pool, &base);
         for offset in 1..=6 {
             let next = frame(40, offset);
             assert_eq!(
                 inc.advance(&series_of(&next)),
                 AdvanceOutcome::Advanced { shift: 1 }
             );
-            let outcome = inc.rescore(&invariants, epsilon).unwrap();
+            let outcome = inc
+                .rescore(&invariants, epsilon, &pool, &PassScope::detached())
+                .unwrap();
             assert_eq!(
                 outcome.reused + outcome.screened + outcome.confirmed,
                 pair_count()
@@ -525,23 +669,20 @@ mod tests {
         // `1 - I < 0` never holds), so every stale invariant pair must be
         // confirmed — the no-false-negative property at its sharpest.
         let pool = SweepPool::new(1);
-        let measure = mic();
-        let mic_measure = MicMeasure::new(MicParams::fast());
         let base = frame(40, 0);
-        let matrix = AssociationMatrix::compute(&base, &mic_measure, 1);
-        let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
-        let mut inc =
-            IncrementalSweep::seed(&measure, &pool, series_of(&base), matrix.scores().to_vec())
-                .unwrap();
+        let invariants = all_pairs(&base);
+        let mut inc = cold_record(&pool, &base);
         let next = frame(40, 1);
         assert_eq!(
             inc.advance(&series_of(&next)),
             AdvanceOutcome::Advanced { shift: 1 }
         );
-        let outcome = inc.rescore(&invariants, 0.0).unwrap();
+        let outcome = inc
+            .rescore(&invariants, 0.0, &pool, &PassScope::detached())
+            .unwrap();
         assert_eq!(outcome.screened, 0);
         // Every invariant pair now carries the exact fresh score.
-        let fresh = AssociationMatrix::compute(&next, &mic_measure, 1);
+        let fresh = AssociationMatrix::compute(&next, &MicMeasure::new(MicParams::fast()), 1);
         for e in invariants.entries() {
             assert_eq!(
                 inc.matrix().at(e.pair).to_bits(),

@@ -53,7 +53,8 @@ mod store;
 
 pub use anomaly::{DetectionResult, PerformanceModel, ResidualStats, ThresholdRule};
 pub use assoc::{
-    pair_count, pair_index, pair_of_index, AssociationMatrix, BoundedSweep, SweepPool,
+    pair_count, pair_index, pair_of_index, AssociationMatrix, BoundedSweep, PassScope, ScoredPairs,
+    SweepPool,
 };
 pub use config::{ConfigBuilder, DetectorChoice, InvarNetConfig};
 pub use context::OperationContext;
@@ -74,7 +75,7 @@ pub use engine::{
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};
-pub use incremental::{AdvanceOutcome, IncrementalSweep, ScreenOutcome, MAX_SLIDE};
+pub use incremental::{AdvanceOutcome, IncrementalSweep, PassError, ScreenOutcome, MAX_SLIDE};
 pub use invariants::{InvariantEntry, InvariantSet};
 pub use measure::{
     ArxMeasure, AssociationMeasure, MicMeasure, PairScorer, PearsonMeasure, SlideOutcome, SweepPlan,

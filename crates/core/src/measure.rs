@@ -123,6 +123,36 @@ fn is_constant(xs: &[f64]) -> bool {
     xs.windows(2).all(|w| w[0] == w[1])
 }
 
+/// The plan of a measure with nothing to amortize: it keeps the window and
+/// scores each pair through [`AssociationMeasure::score`], so every
+/// measure runs through the pool's one pair-scoring loop.
+pub(crate) struct DirectPlan {
+    measure: Arc<dyn AssociationMeasure>,
+    series: Vec<Vec<f64>>,
+}
+
+impl DirectPlan {
+    pub(crate) fn new(measure: Arc<dyn AssociationMeasure>, series: Vec<Vec<f64>>) -> Self {
+        DirectPlan { measure, series }
+    }
+}
+
+impl SweepPlan for DirectPlan {
+    fn scorer(&self) -> Box<dyn PairScorer + '_> {
+        Box::new(DirectScorer(self))
+    }
+}
+
+/// Scores pairs of a [`DirectPlan`]'s window with its measure.
+struct DirectScorer<'p>(&'p DirectPlan);
+
+impl PairScorer for DirectScorer<'_> {
+    fn score_pair(&mut self, a: usize, b: usize) -> f64 {
+        let plan = self.0;
+        plan.measure.score(&plan.series[a], &plan.series[b])
+    }
+}
+
 /// The Maximal Information Coefficient measure (InvarNet-X proper).
 #[derive(Debug, Clone, Default)]
 pub struct MicMeasure {

@@ -33,7 +33,7 @@
 //! context is marked truncated and a later warm starts it on a fresh run
 //! (declared in the snapshot, never silently wrong).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -74,22 +74,48 @@ struct ContextEntry {
 struct WarmTenant {
     engine: Arc<Engine>,
     telemetry: Option<Arc<Telemetry>>,
-    /// Keyed by the context's `workload@node` form, which is also the
-    /// order snapshots list contexts in.
-    contexts: BTreeMap<String, ContextEntry>,
+    /// One entry per `workload@node` form, sorted by it: the order
+    /// snapshots list contexts in.
+    contexts: Vec<ContextEntry>,
 }
 
 impl WarmTenant {
-    /// The context's bookkeeping, created on first use.
+    /// The context's bookkeeping, created on first use. The lookup
+    /// compares `workload@node` forms without building one, so a known
+    /// context costs no allocation.
     fn entry(&mut self, context: &OperationContext) -> &mut ContextEntry {
-        self.contexts
-            .entry(context.to_string())
-            .or_insert_with(|| ContextEntry {
-                context: context.clone(),
-                tail: Vec::new(),
-                truncated: false,
-            })
+        let i = match self
+            .contexts
+            .binary_search_by(|entry| by_form(&entry.context, context))
+        {
+            Ok(i) => i,
+            Err(i) => {
+                self.contexts.insert(
+                    i,
+                    ContextEntry {
+                        context: context.clone(),
+                        tail: Vec::new(),
+                        truncated: false,
+                    },
+                );
+                i
+            }
+        };
+        &mut self.contexts[i]
     }
+}
+
+/// Orders two contexts as their `workload@node` forms order (bytewise, as
+/// `str` orders), without building either form.
+fn by_form(a: &OperationContext, b: &OperationContext) -> std::cmp::Ordering {
+    fn form(c: &OperationContext) -> impl Iterator<Item = &u8> {
+        c.workload
+            .as_bytes()
+            .iter()
+            .chain(b"@")
+            .chain(c.node.as_bytes())
+    }
+    form(a).cmp(form(b))
 }
 
 /// An evicted (or adopted) tenant: its snapshot, wherever it lives.
@@ -454,7 +480,7 @@ impl Fleet {
                 let warm = WarmTenant {
                     engine: Arc::clone(&engine),
                     telemetry,
-                    contexts: BTreeMap::new(),
+                    contexts: Vec::new(),
                 };
                 (inner.put(tenant.clone(), State::Warm(warm)), engine)
             }
@@ -487,7 +513,7 @@ impl Fleet {
     fn snapshot_of(&self, warm: &WarmTenant) -> TenantSnapshot {
         let contexts = warm
             .contexts
-            .values()
+            .iter()
             .map(|entry| ContextState {
                 node: entry.context.node.clone(),
                 workload: entry.context.workload.clone(),
@@ -565,7 +591,11 @@ impl Fleet {
         self.check_config(&snapshot)?;
         let (engine, telemetry) = self.build_engine(snapshot.lifetime_ticks);
         engine.load_state(&snapshot.store)?;
-        let mut contexts = BTreeMap::new();
+        let mut warm = WarmTenant {
+            engine: Arc::clone(&engine),
+            telemetry,
+            contexts: Vec::with_capacity(snapshot.contexts.len()),
+        };
         for state in snapshot.contexts {
             let context = OperationContext::new(&state.node, &state.workload);
             if state.truncated {
@@ -575,20 +605,11 @@ impl Fleet {
                     state.tail.iter().map(|t| (t.cpi, t.row.clone())).collect();
                 engine.restore_run(&context, &tail)?;
             }
-            contexts.insert(
-                context.to_string(),
-                ContextEntry {
-                    context,
-                    tail: state.tail,
-                    truncated: state.truncated,
-                },
-            );
+            let entry = warm.entry(&context);
+            entry.tail = state.tail;
+            entry.truncated = state.truncated;
         }
-        inner.slots[i].state = State::Warm(WarmTenant {
-            engine: Arc::clone(&engine),
-            telemetry,
-            contexts,
-        });
+        inner.slots[i].state = State::Warm(warm);
         inner.link_back(i);
         let micros = started.elapsed().as_micros() as u64;
         // ordering: Relaxed — independent monotone counters / fetch_max
@@ -962,5 +983,34 @@ impl std::fmt::Debug for Fleet {
             .field("warm_limit", &self.warm_limit)
             .field("snapshot_dir", &self.snapshot_dir)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn contexts_order_as_their_workload_at_node_forms() {
+        // `-` sorts before `@`, and `@` before letters: the bytewise form
+        // order differs from ordering by (workload, node).
+        let names = [
+            ("n1", "Word"),
+            ("n1", "Word-x"),
+            ("n2", "Word"),
+            ("n1", "Wordcount"),
+            ("n10", "Sort"),
+            ("n1", "Sort"),
+        ];
+        let contexts: Vec<_> = names
+            .iter()
+            .map(|(node, workload)| OperationContext::new(*node, *workload))
+            .collect();
+        for a in &contexts {
+            for b in &contexts {
+                let want = a.to_string().cmp(&b.to_string());
+                assert_eq!(by_form(a, b), want, "{a} vs {b}");
+            }
+        }
     }
 }

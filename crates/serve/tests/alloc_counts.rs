@@ -126,12 +126,13 @@ fn warm_binary_ingest_allocations_and_bytes_are_pinned() {
         .all(|b| b.len() == request_bytes));
     assert!(responses.iter().all(|r| r.len() == reply_bytes));
     // Per tick: the frame decode copies the tenant id and the payload
-    // (2); the handler's 12.5 are the payload's node, workload and row
-    // (3), the fleet tick and a fresh reply buffer's growth; the
-    // response encode allocates its body (1).
+    // (2); the handler's 9.5 are the payload's node, workload and row
+    // (3), the fleet tick (which finds the tenant's context without
+    // building its key) and a fresh reply buffer's growth; the response
+    // encode allocates its body (1).
     assert_eq!(
         (decode, handle, encode),
-        (32, 200, 16),
+        (32, 152, 16),
         "allocations of decode_request, handle_request and encode_response \
          over {COUNTED_TICKS} warm ticks"
     );

@@ -17,10 +17,11 @@
 //!   exceeds the full MIC score, at the bit level, so a pair screened out
 //!   because `[bound, 1]` cannot cross the violation threshold can never
 //!   disagree with the full kernel;
-//! - **bit-exactness hammer** — over randomized tick streams, a diagnosis
-//!   built from delta-maintained state is bit-identical (violation tuple
-//!   and every consulted score) to a full from-scratch sweep of the same
-//!   window.
+//! - **bit-exactness hammer** — starting from a cold pass over a random
+//!   invariant subset and sliding over randomized tick streams, a
+//!   diagnosis built from the record is bit-identical (violation tuple and
+//!   every consulted score) to a full from-scratch sweep of the same
+//!   window, on one worker and on four.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,8 +30,8 @@ use proptest::prelude::*;
 
 use invarnet_x::core::{
     pair_count, AdvanceOutcome, ArxMeasure, AssociationMatrix, AssociationMeasure,
-    IncrementalSweep, InvariantSet, MicMeasure, PearsonMeasure, SweepPool, ViolationTuple,
-    MAX_SLIDE,
+    IncrementalSweep, InvariantSet, MicMeasure, PassScope, PearsonMeasure, SweepPool,
+    ViolationTuple, MAX_SLIDE,
 };
 use invarnet_x::metrics::{MetricFrame, MetricId, METRIC_COUNT};
 use invarnet_x::mic::{
@@ -196,71 +197,105 @@ proptest! {
     }
 }
 
+/// The parts of `all` whose pair `keep` selects: none for `keep == 0`,
+/// every pair for `keep == 4`, and about `keep` quarters of them between.
+fn invariant_subset(all: &InvariantSet, keep: u8, mask: &[u8]) -> InvariantSet {
+    let entries = all
+        .entries()
+        .iter()
+        .filter(|e| mask[e.pair] < keep)
+        .copied()
+        .collect();
+    InvariantSet::from_entries(entries, all.tau()).expect("a subset of a valid set")
+}
+
+/// Asserts the record's violation tuple — and every score it consults —
+/// is indistinguishable from a full from-scratch sweep of `window`.
+fn assert_matches_full_sweep(
+    inc: &IncrementalSweep,
+    invariants: &InvariantSet,
+    window: &MetricFrame,
+    epsilon: f64,
+    what: &str,
+) {
+    let fresh = AssociationMatrix::compute(window, &MicMeasure::new(MicParams::fast()), 1);
+    let inc_tuple = ViolationTuple::build(invariants, &inc.matrix(), epsilon);
+    let fresh_tuple = ViolationTuple::build(invariants, &fresh, epsilon);
+    assert_eq!(inc_tuple, fresh_tuple, "{what}");
+    // Wherever MIC was actually consulted the score is bit-exact;
+    // screened pairs may keep the cache only when both scores provably
+    // grade to zero deviation.
+    for e in invariants.entries() {
+        let got = inc.matrix().at(e.pair);
+        let want = fresh.at(e.pair);
+        let both_zero_grade = (e.value - got).abs() < epsilon && (e.value - want).abs() < epsilon;
+        assert!(
+            got.to_bits() == want.to_bits() || both_zero_grade,
+            "{what}: pair {}: incremental {got} vs fresh {want}",
+            e.pair
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Bit-exactness hammer: drive one IncrementalSweep through a random
-    // stream of window shifts (including zero-shift repeats) and check
-    // after every advance that the violation tuple — and every score the
-    // tuple consults — is indistinguishable from a full from-scratch
-    // sweep of the same window.
+    // Bit-exactness hammer: start one IncrementalSweep from a cold pass
+    // over a random invariant subset (empty and all 325 pairs included),
+    // drive it through a random stream of window shifts (including
+    // zero-shift repeats), and check after the cold pass and every
+    // advance that the violation tuple — and every score the tuple
+    // consults — is indistinguishable from a full from-scratch sweep of
+    // the same window, on a 1- and a 4-worker pool.
     #[test]
     fn incremental_sweep_matches_from_scratch_over_random_streams(
         seed in 0u64..10_000,
         shifts in prop::collection::vec(0usize..MAX_SLIDE + 1, 1..5),
         epsilon in 0.02f64..0.4,
+        keep in 0u8..5,
+        mask in prop::collection::vec(0u8..4, 325..326),
     ) {
         let ticks = 30;
-        let mic_measure = MicMeasure::new(MicParams::fast());
         let measure: Arc<dyn AssociationMeasure> = Arc::new(MicMeasure::new(MicParams::fast()));
-        let pool = SweepPool::new(2);
-        let mut offset = 0usize;
-        let base = streamed_window(seed, offset, ticks);
-        let matrix = AssociationMatrix::compute(&base, &mic_measure, 1);
-        let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
-        let mut inc = IncrementalSweep::seed(
-            &measure,
-            &pool,
-            series_of(&base),
-            matrix.scores().to_vec(),
-        )
-        .expect("MIC plans support delta maintenance");
-        for &shift in &shifts {
-            offset += shift;
-            let next = streamed_window(seed, offset, ticks);
-            let outcome = inc.advance(&series_of(&next));
-            if shift == 0 {
-                prop_assert_eq!(outcome, AdvanceOutcome::Identical);
-            } else {
-                prop_assert_eq!(outcome, AdvanceOutcome::Advanced { shift });
-            }
-            let screen = inc
-                .rescore(&invariants, epsilon)
-                .expect("a seeded record has a plan");
-            prop_assert_eq!(
-                screen.reused + screen.screened + screen.confirmed,
-                pair_count()
-            );
-            let fresh = AssociationMatrix::compute(&next, &mic_measure, 1);
-            let inc_tuple = ViolationTuple::build(&invariants, &inc.matrix(), epsilon);
-            let fresh_tuple = ViolationTuple::build(&invariants, &fresh, epsilon);
-            prop_assert_eq!(inc_tuple, fresh_tuple, "offset {} shift {}", offset, shift);
-            // Wherever MIC was actually consulted the score is bit-exact;
-            // screened pairs may keep the cache only when both scores
-            // provably grade to zero deviation.
-            for e in invariants.entries() {
-                let got = inc.matrix().at(e.pair);
-                let want = fresh.at(e.pair);
-                let both_zero_grade =
-                    (e.value - got).abs() < epsilon && (e.value - want).abs() < epsilon;
-                prop_assert!(
-                    got.to_bits() == want.to_bits() || both_zero_grade,
-                    "pair {}: incremental {} vs fresh {} (offset {})",
-                    e.pair,
-                    got,
-                    want,
-                    offset
+        let base = streamed_window(seed, 0, ticks);
+        let matrix = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
+        let all = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
+        prop_assert_eq!(all.len(), pair_count());
+        let invariants = invariant_subset(&all, keep, &mask);
+        for threads in [1, 4] {
+            let pool = SweepPool::new(threads);
+            let scope = PassScope::detached();
+            let mut inc = IncrementalSweep::cold(
+                &measure,
+                series_of(&base),
+                vec![0.0; pair_count()],
+                &invariants,
+                &pool,
+                &scope,
+            )
+            .expect("an unbounded pass completes");
+            prop_assert_eq!(inc.is_fresh(), invariants.len() == pair_count());
+            let what = format!("cold pass, {threads} workers");
+            assert_matches_full_sweep(&inc, &invariants, &base, epsilon, &what);
+            let mut offset = 0usize;
+            for &shift in &shifts {
+                offset += shift;
+                let next = streamed_window(seed, offset, ticks);
+                let outcome = inc.advance(&series_of(&next));
+                if shift == 0 {
+                    prop_assert_eq!(outcome, AdvanceOutcome::Identical);
+                } else {
+                    prop_assert_eq!(outcome, AdvanceOutcome::Advanced { shift });
+                }
+                let screen = inc
+                    .rescore(&invariants, epsilon, &pool, &scope)
+                    .expect("a cold record has a plan");
+                prop_assert_eq!(
+                    screen.reused + screen.screened + screen.confirmed,
+                    pair_count()
                 );
+                let what = format!("offset {offset} shift {shift}, {threads} workers");
+                assert_matches_full_sweep(&inc, &invariants, &next, epsilon, &what);
             }
         }
     }

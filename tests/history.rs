@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use invarnet_x::core::{
-    AssociationMatrix, Engine, EngineEvent, EventSink, InvarNetConfig, OperationContext,
+    pair_count, Engine, EngineEvent, EventSink, InvarNetConfig, OperationContext,
 };
 use invarnet_x::history::HistoryStore;
 use invarnet_x::query::Query;
@@ -236,9 +236,9 @@ fn query_explanations_reproduce_the_live_ranking() {
     assert_eq!(replayed.ranked, live.ranked);
     assert_eq!(replayed.tuple, live.tuple);
 
-    // The recorded sweep scores are the association matrix of the
-    // history-served window — recomputing the sweep over that window
-    // lands on identical scores.
+    // A diagnosis scores only its invariant pairs: on those the recorded
+    // sweep is the association matrix of the history-served window —
+    // recomputing a full sweep over that window lands on identical bits.
     let id = engine
         .context_registry()
         .lookup(&context)
@@ -250,7 +250,28 @@ fn query_explanations_reproduce_the_live_ranking() {
     let resweep = engine
         .association_matrix(&window)
         .expect("sweep the recorded window");
-    assert_eq!(AssociationMatrix::from_scores(record.scores), resweep);
+    // Every other pair follows the recorded-sweep convention: it keeps
+    // the score of the context's previous record — here the full sweep
+    // behind the last recorded signature — unscored.
+    let previous = engine
+        .association_matrix(
+            &Runner::new(11)
+                .fault_run(WorkloadType::Wordcount, FaultType::DiskHog, 0)
+                .fault_window()
+                .expect("window"),
+        )
+        .expect("sweep the last signature's window");
+    let invariants = engine.invariant_set(&context).expect("invariants");
+    assert!(invariants.len() < pair_count(), "some pairs go unread");
+    let mut read = vec![false; pair_count()];
+    for e in invariants.entries() {
+        read[e.pair] = true;
+    }
+    assert_eq!(record.scores.len(), pair_count());
+    for (pair, score) in record.scores.iter().enumerate() {
+        let want = if read[pair] { &resweep } else { &previous };
+        assert_eq!(score.to_bits(), want.at(pair).to_bits(), "pair {pair}");
+    }
 }
 
 /// A trivially cheap streaming detector: residual is the sample itself,

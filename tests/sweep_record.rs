@@ -1,8 +1,9 @@
 //! The per-context sweep record, the one place the engine reuses sweep
-//! work: a re-diagnosed unchanged window is rescored as a zero-tick slide
-//! instead of swept, stays sound when the invariants change under a
-//! record with stale pairs, and other attributed sweeps reuse a record
-//! only while none of its pairs is stale.
+//! work: a cold diagnosis plans its window once and scores only the
+//! invariant pairs, a re-diagnosed unchanged window is rescored as a
+//! zero-tick slide instead of swept, stays sound when the invariants
+//! change under a record with stale pairs, and other attributed sweeps
+//! reuse a record only while none of its pairs is stale.
 
 use std::sync::{Arc, Mutex};
 
@@ -131,6 +132,44 @@ fn screens(events: &[EngineEvent]) -> Vec<(usize, usize, usize)> {
             _ => None,
         })
         .collect()
+}
+
+fn completed_pairs(events: &[EngineEvent]) -> Vec<usize> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            EngineEvent::SweepCompleted { pairs, .. } => Some(pairs),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_cold_window_is_planned_once_and_scores_only_invariant_pairs() {
+    let ctx = OperationContext::new("10.2.0.4", "Wordcount");
+    let (engine, log) = logged_engine();
+    let narrow = train_narrow(&engine, &ctx);
+    let incident = window(&noise_rows(11, 40), 0, 40);
+
+    let mark = log.len();
+    let got = engine.diagnose(&ctx, &incident).unwrap();
+    let events = log.since(mark);
+    assert_eq!(spans(&events, EnginePhase::ProfileBuild), 1, "one plan");
+    assert_eq!(spans(&events, EnginePhase::Sweep), 1);
+    assert_eq!(completed_pairs(&events), [narrow]);
+    assert!(screens(&events).is_empty(), "a cold pass screens nothing");
+    let (fresh, _) = logged_engine();
+    train_narrow(&fresh, &ctx);
+    assert_eq!(fresh.diagnose(&ctx, &incident).unwrap(), got);
+
+    // The record scored only the invariant pairs, so it is not fresh: a
+    // violation tuple of the same window sweeps all pairs again.
+    let mark = log.len();
+    let tuple = engine.violation_tuple(&ctx, &incident).unwrap();
+    let events = log.since(mark);
+    assert_eq!(spans(&events, EnginePhase::Sweep), 1);
+    assert_eq!(completed_pairs(&events), [pair_count()]);
+    assert_eq!(tuple, got.tuple);
 }
 
 #[test]
