@@ -19,7 +19,6 @@ use crate::lexer::{lex, LexedFile, TokKind};
 /// here must exist as a workspace member: a stale entry fails the scan
 /// loudly instead of silently shrinking coverage.
 pub const EXCLUDED_CRATES: &[&str] = &[
-    "criterion",
     "proptest",
     "rand",
     "rand_chacha",

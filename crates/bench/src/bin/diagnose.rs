@@ -85,7 +85,9 @@ fn read_cpi(path: &Path) -> Result<Vec<f64>, String> {
         .map(|l| {
             l.trim()
                 .parse::<f64>()
-                .map_err(|_| format!("{}: bad CPI value {l:?}", path.display()))
+                .ok()
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| format!("{}: bad CPI value {l:?}", path.display()))
         })
         .collect()
 }
@@ -939,5 +941,23 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn read_cpi_refuses_non_finite_values() {
+        let path = std::env::temp_dir().join(format!("ix-read-cpi-{}.txt", std::process::id()));
+        std::fs::write(&path, "1.25\n\n0.5\n").unwrap();
+        assert_eq!(read_cpi(&path).unwrap(), vec![1.25, 0.5]);
+        for bad in ["NaN", "inf", "-inf", "infinity"] {
+            std::fs::write(&path, format!("1.25\n{bad}\n")).unwrap();
+            let err = read_cpi(&path).unwrap_err();
+            assert!(err.contains("bad CPI value"), "{bad}: {err}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -279,13 +279,17 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Propagates training errors ([`CoreError::NotEnoughRuns`], ARIMA
-    /// failures).
+    /// [`CoreError::NonFiniteCpi`] when a trace holds a NaN or infinite
+    /// sample (nothing is trained); otherwise propagates training errors
+    /// ([`CoreError::NotEnoughRuns`], ARIMA failures).
     pub fn train_performance_model(
         &self,
         context: OperationContext,
         cpi_traces: &[Vec<f64>],
     ) -> Result<(), CoreError> {
+        if cpi_traces.iter().flatten().any(|c| !c.is_finite()) {
+            return Err(CoreError::NonFiniteCpi(context));
+        }
         let id = self.intern_context(&context);
         let _span = Span::enter(&self.sink, EnginePhase::Train, id);
         let model = Arc::new(PerformanceModel::train(cpi_traces, self.config.beta)?);

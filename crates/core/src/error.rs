@@ -241,8 +241,9 @@ pub enum CoreError {
         /// The offending key.
         key: String,
     },
-    /// An ingested CPI sample for the context was NaN or infinite; the
-    /// tick was rejected before any state changed.
+    /// An ingested or training CPI sample for the context was NaN or
+    /// infinite; the tick or training call was rejected before any state
+    /// changed.
     NonFiniteCpi(OperationContext),
     /// Persisted invariant entries failed validation (see
     /// [`crate::InvariantSet::from_entries`]).

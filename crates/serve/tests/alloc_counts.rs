@@ -144,6 +144,17 @@ fn warm_binary_ingest_allocations_and_bytes_are_pinned() {
     assert_eq!(reply_bytes, 27, "binary Ingest reply body bytes");
 }
 
+#[test]
+fn trained_tenant_snapshot_bytes_are_pinned() {
+    let tenant = TenantId::new("sized").expect("valid");
+    let fleet = started_fleet(&tenant);
+    let bytes = fleet.snapshot_bytes(&tenant).expect("snapshot");
+    // The template's models, invariants and two signatures, and an empty
+    // run tail: the machine-independent form of `perf`'s serve-section
+    // `snapshot_bytes`.
+    assert_eq!(bytes.len(), 7719, "trained tenant snapshot bytes");
+}
+
 /// Sets the little-endian `u32` at `at` to `u32::MAX`.
 fn inflate(bytes: &mut [u8], at: usize) {
     bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());

@@ -75,6 +75,8 @@ struct SweepCounts {
     scored_pairs: AtomicU64,
     /// `ProfileBuild` spans closed.
     profile_builds: AtomicU64,
+    /// `SweepScreened::{reused, screened, confirmed}`, summed.
+    screen: [AtomicU64; 3],
 }
 
 impl SweepCounts {
@@ -85,6 +87,11 @@ impl SweepCounts {
             self.scored_pairs.swap(0, Ordering::Relaxed),
             self.profile_builds.swap(0, Ordering::Relaxed),
         )
+    }
+
+    /// Pairs reused, screened and confirmed, reset to zero.
+    fn take_screen(&self) -> [u64; 3] {
+        self.screen.each_ref().map(|n| n.swap(0, Ordering::Relaxed))
     }
 }
 
@@ -99,6 +106,16 @@ impl EventSink for SweepCounts {
             }
             EngineEvent::PairsScored { pairs, .. } => {
                 self.scored_pairs.fetch_add(pairs as u64, Ordering::Relaxed);
+            }
+            EngineEvent::SweepScreened {
+                reused,
+                screened,
+                confirmed,
+                ..
+            } => {
+                for (sum, n) in self.screen.iter().zip([reused, screened, confirmed]) {
+                    sum.fetch_add(n as u64, Ordering::Relaxed);
+                }
             }
             EngineEvent::SpanClosed {
                 phase: EnginePhase::ProfileBuild,
@@ -223,5 +240,23 @@ fn engine_costs_are_pinned() {
         counts.take(),
         (0, 0, 0),
         "pairs scored on an unchanged window"
+    );
+
+    // A one-tick slide of the incident window: profiles slide in place,
+    // the 78 non-invariant pairs are reused, and each of the 247 stale
+    // invariant pairs is either screened out by the bound or confirmed
+    // with the full measure.
+    counts.take_screen();
+    let run = runner.fault_run(WorkloadType::Wordcount, FaultType::MemHog, 3);
+    let fault = run.fault.expect("a fault run");
+    let start = fault.start_tick + 1;
+    let slid = run.per_node[fault.node]
+        .frame
+        .window(start..start + incident.ticks());
+    engine.diagnose(&context, &slid).expect("slid diagnosis");
+    assert_eq!(
+        counts.take_screen(),
+        [78, 53, 194],
+        "pairs reused, screened and confirmed on a one-tick slide"
     );
 }

@@ -354,6 +354,26 @@ fn non_finite_cpi_is_rejected_before_any_state_changes() {
     );
 }
 
+#[test]
+fn training_refuses_non_finite_cpi() {
+    let ctx = OperationContext::new("10.0.0.1", "Wordcount");
+    let engine = Engine::builder().config(streaming_config()).build();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut traces: Vec<Vec<f64>> = (0..3).map(|s| normal_cpi(s, 120)).collect();
+        traces[1][57] = bad;
+        let err = engine
+            .train_performance_model(ctx.clone(), &traces)
+            .unwrap_err();
+        assert_eq!(err, CoreError::NonFiniteCpi(ctx.clone()));
+    }
+    assert!(engine.performance_model(&ctx).is_none());
+    assert!(engine.detector(&ctx).is_none());
+
+    let clean: Vec<Vec<f64>> = (0..3).map(|s| normal_cpi(s, 120)).collect();
+    engine.train_performance_model(ctx.clone(), &clean).unwrap();
+    assert!(engine.detector(&ctx).is_some());
+}
+
 /// An engine with invariants built for `ctx` from two coupled frames of
 /// `ticks` ticks.
 fn batch_engine(ctx: &OperationContext, ticks: usize) -> Engine {
