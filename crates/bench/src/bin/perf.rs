@@ -35,7 +35,10 @@ use ix_core::{
 };
 use ix_history::HistoryStore;
 use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
-use ix_mic::{mic_with_params, MicParams};
+use ix_mic::{
+    mic_screen_bound_scratch, mic_with_params, mic_with_profiles_scratch, MicParams, MineScratch,
+    SeriesProfile,
+};
 use ix_replay::{Breakpoint, EventKind, ReplayDebugger, Replayer};
 use ix_serve::{Fleet, ServeClient, ServerHandle, TenantId};
 use ix_simulator::{FaultType, Runner, WorkloadType};
@@ -809,6 +812,21 @@ fn kernels(perf: Perf) -> Section {
             s.lower(format!("mic_pair_{label}_{n}_us"), "us", ns / 1e3);
         }
     }
+    // One profiled pair at the engine's default 60-tick window with fast
+    // params, on a warm scratch: the unit of a confirm pass, and the screen
+    // bound that decides whether a pair needs one.
+    let params = MicParams::fast();
+    let profile = |seed| SeriesProfile::build(&series(60, seed), &params).expect("profile");
+    let (xp, yp) = (profile(1), profile(2));
+    let mut scratch = MineScratch::new();
+    let ns = perf.ns(21, 50, || {
+        mic_with_profiles_scratch(&xp, &yp, &params, &mut scratch).expect("mic")
+    });
+    s.lower("mic_pair_planned_60_us", "us", ns / 1e3);
+    let ns = perf.ns(21, 200, || {
+        mic_screen_bound_scratch(&xp, &yp, &params, &mut scratch).expect("bound")
+    });
+    s.lower("mic_screen_bound_60_us", "us", ns / 1e3);
     for n in [45usize, 120] {
         let (x, y) = (series(n, 3), series(n, 4));
         let ns = perf.ns(21, 5, || arx_association(&x, &y, ArxSearch::default()));

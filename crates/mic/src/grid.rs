@@ -15,6 +15,41 @@
 //! allocating; the public [`Clumps`] type wraps one rebuild into an owning
 //! value for direct use and tests.
 
+use std::sync::OnceLock;
+
+/// Widest column (in points) whose per-row cost terms come from the
+/// process-wide column-cost table; wider columns compute them directly.
+/// The triangular table holds `(XLOG_CAP + 1) * (XLOG_CAP + 2) / 2` entries
+/// (~260 KB at 256), built once on first use.
+pub(crate) const XLOG_CAP: usize = 256;
+
+/// The column-cost table: row `m` (`0 <= m <= XLOG_CAP`) starts at offset
+/// `m * (m + 1) / 2` and holds `c * log2(c / m)` for `c = 0..=m`, with the
+/// `c = 0` entry `0.0`. Each entry is computed by exactly the expression
+/// the direct path evaluates, so a cost summed from the table has the same
+/// bits; subtracting the `0.0` of an empty row leaves the sum unchanged.
+fn xlog_table() -> &'static [f64] {
+    static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = Vec::with_capacity((XLOG_CAP + 1) * (XLOG_CAP + 2) / 2);
+        for m in 0..=XLOG_CAP {
+            table.push(0.0);
+            let m_f = m as f64;
+            for c in 1..=m {
+                let c = c as f64;
+                table.push(c * (c / m_f).log2());
+            }
+        }
+        table
+    })
+}
+
+/// Row `m` of the column-cost table, or `None` when `m > XLOG_CAP`.
+fn xlog_row(table: &'static [f64], m: usize) -> Option<&'static [f64]> {
+    let start = m * (m + 1) / 2;
+    table.get(start..start + m + 1)
+}
+
 /// Adaptive equipartition of `values` into at most `k` bins.
 ///
 /// Returns one bin index per input position. Ties (equal values) always land
@@ -76,6 +111,8 @@ pub(crate) struct ClumpView<'a> {
     /// (in x order) assigned to row `r`.
     cum_rows: &'a [usize],
     n_rows: usize,
+    /// The process-wide column-cost table (see [`xlog_table`]).
+    xlog: &'static [f64],
 }
 
 impl ClumpView<'_> {
@@ -110,19 +147,29 @@ impl ClumpView<'_> {
     /// Unnormalized column cost in bits: `sum_r -n_r * log2(n_r / n_col)`
     /// where `n_r` counts the column's points in row `r`. Dividing the sum of
     /// column costs by the total point count gives `H(Q|P)`.
+    ///
+    /// Columns of at most [`XLOG_CAP`] points look each term up in the
+    /// column-cost table; wider ones evaluate it directly. Both paths give
+    /// the same bits.
     pub fn cost(&self, s: usize, t: usize) -> f64 {
         let n_col = self.col_count(s, t);
         if n_col == 0 {
             return 0.0;
         }
-        let n_col_f = n_col as f64;
         let lo = &self.cum_rows[s * self.n_rows..(s + 1) * self.n_rows];
         let hi = &self.cum_rows[t * self.n_rows..(t + 1) * self.n_rows];
         let mut acc = 0.0;
-        for r in 0..self.n_rows {
-            let c = (hi[r] - lo[r]) as f64;
-            if c > 0.0 {
-                acc -= c * (c / n_col_f).log2();
+        if let Some(xlog) = xlog_row(self.xlog, n_col) {
+            for (&h, &l) in hi.iter().zip(lo) {
+                acc -= xlog[h - l];
+            }
+        } else {
+            let n_col_f = n_col as f64;
+            for (&h, &l) in hi.iter().zip(lo) {
+                let c = (h - l) as f64;
+                if c > 0.0 {
+                    acc -= c * (c / n_col_f).log2();
+                }
             }
         }
         acc
@@ -213,6 +260,7 @@ impl ClumpScratch {
             boundaries: &self.boundaries,
             cum_rows: &self.cum_rows,
             n_rows: self.n_rows,
+            xlog: xlog_table(),
         }
     }
 }
@@ -421,6 +469,67 @@ mod tests {
         let rows = [0, 1, 1, 1];
         let c = Clumps::build(&xs, &rows, 2, usize::MAX);
         assert_eq!(c.row_totals(), &[1, 3]);
+    }
+
+    #[test]
+    fn xlog_table_matches_direct_expression_bit_for_bit() {
+        let table = xlog_table();
+        assert_eq!(table.len(), (XLOG_CAP + 1) * (XLOG_CAP + 2) / 2);
+        for m in 1..=XLOG_CAP {
+            let row = xlog_row(table, m).expect("row within cap");
+            assert_eq!(row.len(), m + 1);
+            assert_eq!(row[0].to_bits(), 0.0f64.to_bits(), "m={m} c=0");
+            for (c, entry) in row.iter().enumerate().skip(1) {
+                let (c_f, m_f) = (c as f64, m as f64);
+                let direct = c_f * (c_f / m_f).log2();
+                assert_eq!(entry.to_bits(), direct.to_bits(), "m={m} c={c}");
+            }
+        }
+        assert!(xlog_row(table, XLOG_CAP + 1).is_none());
+    }
+
+    /// Every row term evaluated directly: the reference both cost paths
+    /// must reproduce bit for bit.
+    fn direct_cost(c: &Clumps, s: usize, t: usize) -> f64 {
+        let n_col = c.col_count(s, t) as f64;
+        let mut acc = 0.0;
+        for r in 0..c.n_rows() {
+            let rows = &c.scratch.cum_rows;
+            let count = (rows[t * c.n_rows() + r] - rows[s * c.n_rows() + r]) as f64;
+            if count > 0.0 {
+                acc -= count * (count / n_col).log2();
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn wide_columns_take_the_direct_path_with_the_same_bits() {
+        // 3 rows, 2 * XLOG_CAP points, one clump every 7 points: the full
+        // column and every column spanning more than XLOG_CAP points miss
+        // the table, narrower ones hit it.
+        let n = 2 * XLOG_CAP;
+        let xs: Vec<f64> = (0..n).map(|i| (i / 7) as f64).collect();
+        let rows: Vec<usize> = (0..n).map(|i| (i * i + i / 5) % 3).collect();
+        let c = Clumps::build(&xs, &rows, 3, usize::MAX);
+        let k = c.len();
+        assert!(c.col_count(0, k) > XLOG_CAP);
+        let (mut wide, mut narrow) = (0, 0);
+        for s in 0..k {
+            for t in s + 1..=k {
+                if xlog_row(xlog_table(), c.col_count(s, t)).is_none() {
+                    wide += 1;
+                } else {
+                    narrow += 1;
+                }
+                assert_eq!(
+                    c.cost(s, t).to_bits(),
+                    direct_cost(&c, s, t).to_bits(),
+                    "({s}, {t}]"
+                );
+            }
+        }
+        assert!(wide > 0 && narrow > 0, "wide {wide}, narrow {narrow}");
     }
 
     #[test]

@@ -23,7 +23,8 @@ use crate::grid::{ClumpView, Clumps};
 /// [`crate::MineScratch`] so steady-state sweeps never allocate here.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DpScratch {
-    /// Column-cost upper triangle, flattened.
+    /// Column-cost triangle, flattened column-major (see
+    /// [`optimize_axis_into`]).
     cost: Vec<f64>,
     /// DP row for `l - 1` allowed columns.
     prev: Vec<f64>,
@@ -50,9 +51,6 @@ pub fn optimize_axis(clumps: &Clumps, x_max: usize) -> Vec<f64> {
 
 /// In-place form of [`optimize_axis`]: results land in `dp.mi`, every buffer
 /// in `dp` is reused across calls.
-// The DP walks `l` (allowed columns) as an index into several arrays at
-// once; iterator adaptors would obscure the recurrence.
-#[allow(clippy::needless_range_loop)]
 pub(crate) fn optimize_axis_into(clumps: ClumpView<'_>, x_max: usize, dp: &mut DpScratch) {
     dp.mi.clear();
     if x_max < 2 {
@@ -68,32 +66,23 @@ pub(crate) fn optimize_axis_into(clumps: ClumpView<'_>, x_max: usize, dp: &mut D
     }
     let l_cap = x_max.min(k);
 
-    // cost[s][t - s - 1] for 0 <= s < t <= k: cost of column (s, t].
-    // Stored as a flattened upper triangle for cache friendliness.
+    // cost(s, t) for 0 <= s < t <= k: cost of column (s, t]. Stored
+    // column-major: column t holds s = 0..t at offset t * (t - 1) / 2, so
+    // the inner minimization below walks `prev` and one column of costs as
+    // two contiguous slices, in the same `s` order as a row-major walk.
+    let col = |t: usize| t * (t - 1) / 2;
     dp.cost.clear();
-    dp.cost.resize(k * (k + 1) / 2, 0.0);
-    let index = |s: usize, t: usize| -> usize {
-        // Row s stores entries for t = s+1..=k; offset of row s is
-        // sum_{r<s} (k - r) = s * (2k - s + 1) / 2.
-        s * (2 * k - s + 1) / 2 + (t - s - 1)
-    };
-    for s in 0..k {
-        for t in s + 1..=k {
-            dp.cost[index(s, t)] = clumps.cost(s, t);
-        }
+    dp.cost.reserve(col(k + 1));
+    for t in 1..=k {
+        dp.cost.extend((0..t).map(|s| clumps.cost(s, t)));
     }
     let cost = &dp.cost;
 
     // prev[t] for the current l: minimum total cost of partitioning the first
     // t clumps into exactly l columns (infinite when t < l).
     dp.prev.clear();
-    dp.prev.extend((0..=k).map(|t| {
-        if t == 0 {
-            f64::INFINITY
-        } else {
-            cost[index(0, t)]
-        }
-    }));
+    dp.prev.push(f64::INFINITY);
+    dp.prev.extend((1..=k).map(|t| cost[col(t)]));
     dp.best_full.clear();
     dp.best_full.resize(l_cap + 1, f64::INFINITY);
     dp.best_full[1] = dp.prev[k];
@@ -105,9 +94,10 @@ pub(crate) fn optimize_axis_into(clumps: ClumpView<'_>, x_max: usize, dp: &mut D
             *item = f64::INFINITY;
         }
         for t in l..=k {
+            let costs = &cost[col(t) + l - 1..col(t) + t];
             let mut best = f64::INFINITY;
-            for s in l - 1..t {
-                let v = dp.prev[s] + cost[index(s, t)];
+            for (&p, &c) in dp.prev[l - 1..t].iter().zip(costs) {
+                let v = p + c;
                 if v < best {
                     best = v;
                 }
