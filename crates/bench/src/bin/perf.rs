@@ -755,13 +755,17 @@ fn serve(perf: Perf) -> Section {
     frame_us.sort_unstable();
     eprintln!("perf serve: {tenants} tenants, {WIRE_SAMPLE} frames over loopback TCP OK");
 
+    let mut evict_ns: Vec<u64> = Vec::with_capacity(WARM_SAMPLE);
     let mut warm_us: Vec<u64> = Vec::with_capacity(WARM_SAMPLE);
     let mut snapshot_bytes = 0;
     for id in ids.iter().take(WARM_SAMPLE) {
         snapshot_bytes = fleet.snapshot_bytes(id).expect("snapshot").len();
+        let t = Instant::now();
         fleet.evict(id).expect("evict");
+        evict_ns.push(t.elapsed().as_nanos() as u64);
         warm_us.push(fleet.warm(id).expect("warm"));
     }
+    evict_ns.sort_unstable();
     warm_us.sort_unstable();
 
     s.higher("tenants", "count", tenants as f64);
@@ -781,6 +785,7 @@ fn serve(perf: Perf) -> Section {
     s.lower("ingest_p99_us", "us", percentile(&ingest_us, 99.0));
     s.lower("frame_p50_us", "us", percentile(&frame_us, 50.0));
     s.lower("frame_p99_us", "us", percentile(&frame_us, 99.0));
+    s.lower("evict_p50_us", "us", percentile(&evict_ns, 50.0) / 1e3);
     s.lower("cold_warm_p50_us", "us", percentile(&warm_us, 50.0));
     s.lower("cold_warm_p99_us", "us", percentile(&warm_us, 99.0));
     s.lower("cold_warm_max_us", "us", percentile(&warm_us, 100.0));

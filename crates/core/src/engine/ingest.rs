@@ -252,13 +252,15 @@ impl Engine {
     }
 
     /// Rebuilds a context's in-flight run from a recorded tail of
-    /// `(cpi, metric_row)` ticks: the sliding window, the streaming
-    /// detector's run state and the anomaly edge-tracker end up exactly as
-    /// if the ticks had been ingested live. Unlike [`Engine::ingest`] this
-    /// emits no events, appends nothing to an attached recorder, and does
-    /// not advance the lifetime tick counter — it restores state that was
-    /// already counted once, so a warmed engine continues bit-identically
-    /// to one that was never torn down (pair with
+    /// `(cpi, metric_row)` ticks, oldest first: the sliding window, the
+    /// streaming detector's run state and the anomaly edge-tracker end up
+    /// exactly as if the ticks had been ingested live. The tail is any
+    /// iterator of `(f64, &[f64])` pairs, so a caller replaying rows it
+    /// already holds lends them instead of copying them. Unlike
+    /// [`Engine::ingest`] this emits no events, appends nothing to an
+    /// attached recorder, and does not advance the lifetime tick counter —
+    /// it restores state that was already counted once, so a warmed engine
+    /// continues bit-identically to one that was never torn down (pair with
     /// [`crate::EngineBuilder::lifetime_ticks`] to restore the counter itself).
     ///
     /// # Errors
@@ -267,10 +269,10 @@ impl Engine {
     ///   (restore trained state first, e.g. via [`Engine::load_state`]);
     /// - [`CoreError::Frame`] — a tail row has the wrong width or
     ///   non-finite values.
-    pub fn restore_run(
+    pub fn restore_run<'a>(
         &self,
         context: &OperationContext,
-        tail: &[(f64, Vec<f64>)],
+        tail: impl IntoIterator<Item = (f64, &'a [f64])>,
     ) -> Result<(), CoreError> {
         let window_ticks = self.config().window_ticks;
         self.state().with_mut(context, window_ticks, |state| {
@@ -281,7 +283,7 @@ impl Engine {
             for (cpi, row) in tail {
                 state.window.push_tick(row)?;
                 let run = state.run.get_or_insert_with(|| detector.begin_run());
-                let decision = run.step(*cpi);
+                let decision = run.step(cpi);
                 state.prev_anomalous = decision.anomalous;
                 state.run_ticks += 1;
             }

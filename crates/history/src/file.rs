@@ -159,6 +159,69 @@ impl Writer {
         self.u32_field(b.len());
         self.buf.extend_from_slice(b);
     }
+
+    /// Appends the bytes with no length prefix, e.g. the pieces of a
+    /// string whose length was written ahead of them.
+    #[inline]
+    pub fn raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+}
+
+/// A row-free `IXHIST01` image holding exactly one trailing section,
+/// written in place. The empty-store header and the section frame go
+/// into the buffer first, the payload is appended through
+/// [`SectionImage::writer`], and [`SectionImage::finish`] patches the
+/// frame's length. The result equals
+/// `HistoryStore::builder().section(tag, payload).build().to_bytes()`
+/// byte for byte, without building a store or copying the payload.
+#[derive(Debug)]
+pub struct SectionImage {
+    w: Writer,
+}
+
+impl SectionImage {
+    /// Offset of the payload in the image: the magic, the empty store's
+    /// five zero counts (labels, context logs, events, sweeps,
+    /// diagnoses), the tag and the `u32` length.
+    const PAYLOAD_AT: usize = MAGIC.len() + 5 * 4 + 4 + 4;
+
+    /// Starts an image of section `tag`, sized for a payload of
+    /// `payload_len` bytes (a hint: a longer payload still fits).
+    pub fn new(tag: [u8; 4], payload_len: usize) -> Self {
+        let mut w = Writer::from(Vec::with_capacity(Self::PAYLOAD_AT + payload_len));
+        w.raw(MAGIC);
+        for _ in 0..5 {
+            w.u32(0);
+        }
+        w.raw(&tag);
+        w.u32(0); // payload length, patched by `finish`
+        SectionImage { w }
+    }
+
+    /// The writer the payload is appended with.
+    pub fn writer(&mut self) -> &mut Writer {
+        &mut self.w
+    }
+
+    /// The payload written so far, for patching fields (such as a
+    /// checksum) that depend on what follows them.
+    pub fn payload_mut(&mut self) -> &mut [u8] {
+        &mut self.w.buf[Self::PAYLOAD_AT..]
+    }
+
+    /// The finished image.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the payload exceeds `u32::MAX` bytes, as
+    /// [`Writer::bytes`] does.
+    pub fn finish(mut self) -> Vec<u8> {
+        let len = u32::try_from(self.w.buf.len() - Self::PAYLOAD_AT)
+            .expect("IXHIST01 u32 field overflow: section payload exceeds u32::MAX bytes");
+        self.w.buf[Self::PAYLOAD_AT - 4..Self::PAYLOAD_AT].copy_from_slice(&len.to_le_bytes());
+        self.w.buf
+    }
 }
 
 impl From<Vec<u8>> for Writer {
@@ -801,6 +864,35 @@ mod tests {
         loaded.set_section(REPLAY_SECTION, vec![9]);
         assert_eq!(loaded.section(REPLAY_SECTION), Some(vec![9]));
         assert_eq!(loaded.section_tags(), vec![REPLAY_SECTION]);
+    }
+
+    #[test]
+    fn section_image_equals_the_builder_path() {
+        let payloads: [&[u8]; 3] = [&[], b"x", &[0xab; 300]];
+        for tag in [SERVE_SECTION, REPLAY_SECTION, *b"ZZT9"] {
+            for payload in payloads {
+                let built = HistoryStore::builder()
+                    .section(tag, payload.to_vec())
+                    .build()
+                    .to_bytes();
+                // An exact, a short and a zero size hint give the same bytes.
+                for hint in [payload.len(), 1, 0] {
+                    let mut image = SectionImage::new(tag, hint);
+                    image.writer().raw(payload);
+                    assert_eq!(image.payload_mut(), payload);
+                    assert_eq!(image.finish(), built, "tag {tag:?}, hint {hint}");
+                }
+                let loaded = HistoryStore::from_bytes(&built).expect("well-formed");
+                assert_eq!(loaded.into_section(tag), Some(payload.to_vec()));
+            }
+        }
+        // Patching the payload in place lands in the image.
+        let mut image = SectionImage::new(SERVE_SECTION, 4);
+        image.writer().u32(0);
+        image.payload_mut()[..4].copy_from_slice(&7u32.to_le_bytes());
+        let bytes = image.finish();
+        let loaded = HistoryStore::from_bytes(&bytes).expect("well-formed");
+        assert_eq!(loaded.into_section(SERVE_SECTION), Some(vec![7, 0, 0, 0]));
     }
 
     #[test]

@@ -49,6 +49,6 @@ mod file;
 mod segment;
 mod store;
 
-pub use file::{HistoryFileError, Reader, Writer, REPLAY_SECTION, SERVE_SECTION};
+pub use file::{HistoryFileError, Reader, SectionImage, Writer, REPLAY_SECTION, SERVE_SECTION};
 pub use segment::{TickSegment, SEGMENT_CAPACITY};
 pub use store::{DiagnosisRecord, HistoryStore, HistoryStoreBuilder, SweepRecord};

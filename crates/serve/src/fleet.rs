@@ -11,15 +11,17 @@
 //!
 //! When the warm count crosses the configured high-water mark
 //! ([`FleetBuilder::warm_limit`]), the least-recently-used warm tenant is
-//! evicted: its trained state ([`Engine::snapshot_state`]), lifetime tick
-//! counter and per-context run tails are serialized into a
-//! [`TenantSnapshot`] and the engine is dropped. The warm slots form an
-//! intrusive list in LRU order, so finding the victim, touching a tenant
-//! and counting the warm set are O(1), whatever the number of tenants. A
-//! snapshot is refused — at [`Fleet::adopt`] and again at warm — when it
-//! was written under a configuration other than the fleet's, and a
-//! snapshot file is replaced atomically (temporary file, fsync,
-//! rename), so a crash never leaves a torn one. Warming reverses the
+//! evicted: its trained state, lifetime tick counter and per-context run
+//! tails are encoded in one pass, straight from the live engine and the
+//! slot, into a [`TenantSnapshot`](crate::TenantSnapshot) image, and the
+//! engine is dropped. The warm slots form an intrusive list in LRU order,
+//! so finding the victim, touching a tenant and counting the warm set are
+//! O(1), whatever the number of tenants. A snapshot is refused — at
+//! [`Fleet::adopt`] and again at warm — when it was written under a
+//! configuration other than the fleet's (a config row byte-equal to the
+//! fleet's own serialized config matches without a parse), and a snapshot
+//! file is replaced atomically (temporary file, fsync, rename), so a
+//! crash never leaves a torn one. Warming reverses the
 //! trade — rebuild, [`Engine::load_state`], replay the tails through
 //! [`Engine::restore_run`] — and is *bit-invisible*: the warmed engine
 //! continues exactly as if it had never been torn down. Both transitions
@@ -47,7 +49,9 @@ use ix_core::{
 };
 
 use crate::error::ServeError;
-use crate::snapshot::{ContextState, RunTick, TenantSnapshot};
+use crate::snapshot::{
+    self, ContextState, ContextView, Key, ModelFields, Parts, RunTick, SNAPSHOT_VERSION,
+};
 use crate::tenant::TenantId;
 
 /// Default high-water mark for warm tenants.
@@ -103,6 +107,22 @@ impl WarmTenant {
         };
         &mut self.contexts[i]
     }
+
+    /// Installs a warmed context's bookkeeping, moving it in. A context
+    /// whose form is already present keeps its entry and takes the new
+    /// run state, as [`WarmTenant::entry`] would.
+    fn put(&mut self, entry: ContextEntry) {
+        match self
+            .contexts
+            .binary_search_by(|e| by_form(&e.context, &entry.context))
+        {
+            Ok(i) => {
+                self.contexts[i].tail = entry.tail;
+                self.contexts[i].truncated = entry.truncated;
+            }
+            Err(i) => self.contexts.insert(i, entry),
+        }
+    }
 }
 
 /// Orders two contexts as their `workload@node` forms order (bytewise, as
@@ -116,6 +136,20 @@ fn by_form(a: &OperationContext, b: &OperationContext) -> std::cmp::Ordering {
             .chain(c.node.as_bytes())
     }
     form(a).cmp(form(b))
+}
+
+/// `(context, value)` pairs in [`ix_core::ModelStore`] key order, from
+/// pairs already sorted by [`by_form`]: of contexts sharing a form, the
+/// last is kept — the one a store's map insert in that order keeps.
+fn last_per_form<T>(mut pairs: Vec<(&OperationContext, T)>) -> Vec<(&OperationContext, T)> {
+    pairs.dedup_by(|later, kept| {
+        let same = by_form(later.0, kept.0).is_eq();
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
+    pairs
 }
 
 /// An evicted (or adopted) tenant: its snapshot, wherever it lives.
@@ -376,8 +410,11 @@ impl FleetBuilder {
 
     /// The finished fleet.
     pub fn build(self) -> Fleet {
+        let config_json =
+            serde_json::to_string(&self.config).expect("config serialization is infallible");
         Fleet {
             config: self.config,
+            config_json,
             warm_limit: self.warm_limit,
             run_tail_cap: self.run_tail_cap,
             snapshot_dir: self.snapshot_dir,
@@ -413,6 +450,10 @@ impl std::fmt::Debug for FleetBuilder {
 /// The multi-tenant serving layer (see the module docs).
 pub struct Fleet {
     config: InvarNetConfig,
+    /// `config` as every snapshot spells it, serialized once: evictions
+    /// write these bytes, and a warm or adopt whose config row equals
+    /// them needs no parse.
+    config_json: String,
     warm_limit: usize,
     run_tail_cap: usize,
     snapshot_dir: Option<PathBuf>,
@@ -508,39 +549,69 @@ impl Fleet {
         Ok(())
     }
 
-    /// The snapshot of a warm tenant — the one thing both eviction and
-    /// [`Fleet::snapshot_bytes`] serialize.
-    fn snapshot_of(&self, warm: &WarmTenant) -> TenantSnapshot {
-        let contexts = warm
-            .contexts
-            .iter()
-            .map(|entry| ContextState {
-                node: entry.context.node.clone(),
-                workload: entry.context.workload.clone(),
-                tail: entry.tail.clone(),
-                truncated: entry.truncated,
+    /// The snapshot image of a warm tenant — the bytes both eviction and
+    /// [`Fleet::snapshot_bytes`] produce — encoded straight from the live
+    /// engine's models, invariant sets and signatures and the slot's run
+    /// tails, with nothing copied on the way.
+    fn image_of(&self, warm: &WarmTenant) -> Vec<u8> {
+        let engine = &warm.engine;
+        let mut contexts = engine.inspector().known_contexts();
+        contexts.sort_by(by_form);
+        let models = last_per_form(
+            contexts
+                .iter()
+                .filter_map(|c| Some((c, engine.performance_model(c)?)))
+                .collect(),
+        );
+        let sets = last_per_form(
+            contexts
+                .iter()
+                .filter_map(|c| Some((c, engine.invariant_set(c)?)))
+                .collect(),
+        );
+        engine.with_signature_database(|db| {
+            snapshot::encode(Parts {
+                version: SNAPSHOT_VERSION,
+                lifetime_ticks: engine.lifetime_ticks(),
+                config: &self.config_json,
+                models: models
+                    .iter()
+                    .map(|(c, m)| (Key::Context(c), ModelFields::from(m.as_ref()))),
+                invariants: sets.iter().map(|(c, set)| (Key::Context(c), set.as_ref())),
+                signatures: db.records(),
+                contexts: warm.contexts.iter().map(|e| ContextView {
+                    node: &e.context.node,
+                    workload: &e.context.workload,
+                    truncated: e.truncated,
+                    tail: &e.tail,
+                }),
             })
-            .collect();
-        TenantSnapshot::new(
-            self.config.clone(),
-            warm.engine.snapshot_state(),
-            warm.engine.lifetime_ticks(),
-            contexts,
-        )
+        })
     }
 
-    /// Refuses a snapshot written under another configuration: the warmed
-    /// engine would not continue bit-identically.
-    fn check_config(&self, snapshot: &TenantSnapshot) -> Result<(), ServeError> {
-        if snapshot.config == self.config {
-            Ok(())
-        } else {
-            Err(ServeError::Snapshot(
+    /// Reads snapshot bytes for this fleet, refusing a snapshot written
+    /// under another configuration: the warmed engine would not continue
+    /// bit-identically. A config row byte-equal to the fleet's own
+    /// serialized config matches without being parsed (the image's
+    /// `config` is then `None`); any other row is parsed and, once the
+    /// whole body has decoded, compared with the fleet's config.
+    fn decode(
+        &self,
+        bytes: &[u8],
+    ) -> Result<snapshot::Decoded<Option<InvarNetConfig>>, ServeError> {
+        let image = snapshot::decode(bytes, |text| {
+            (text != self.config_json)
+                .then(|| snapshot::parse_config(text))
+                .transpose()
+        })?;
+        if image.config.as_ref().is_some_and(|c| *c != self.config) {
+            return Err(ServeError::Snapshot(
                 "the snapshot was written under a different engine configuration \
                  than this fleet's"
                     .to_string(),
-            ))
+            ));
         }
+        Ok(image)
     }
 
     /// Snapshots warm slot `i` and replaces it with a cold one.
@@ -549,8 +620,8 @@ impl Fleet {
         let State::Warm(warm) = &slot.state else {
             return Err(ServeError::UnknownTenant(slot.id.clone()));
         };
-        let snapshot = self.snapshot_of(warm);
-        let bytes = snapshot.to_bytes();
+        let ticks = warm.engine.lifetime_ticks();
+        let bytes = self.image_of(warm);
         let cold = match &self.snapshot_dir {
             Some(dir) => {
                 let path = dir.join(format!("{}.ixhist", slot.id));
@@ -568,7 +639,7 @@ impl Fleet {
         self.sink.record(&EngineEvent::TenantEvicted {
             context: ContextId::UNATTRIBUTED,
             tenant: num,
-            ticks: snapshot.lifetime_ticks,
+            ticks,
         });
         Ok(())
     }
@@ -584,30 +655,35 @@ impl Fleet {
         // lint: allow(determinism, telemetry-only: warm micros feed the
         // TenantWarmed event; replay normalizes all recorded timings)
         let started = Instant::now();
-        let snapshot = match &inner.slots[i].state {
+        let image = match &inner.slots[i].state {
             State::Warm(warm) => return Ok((Arc::clone(&warm.engine), 0)),
-            State::Cold(cold) => TenantSnapshot::from_bytes(&cold.bytes()?)?,
+            State::Cold(cold) => self.decode(&cold.bytes()?)?,
         };
-        self.check_config(&snapshot)?;
-        let (engine, telemetry) = self.build_engine(snapshot.lifetime_ticks);
-        engine.load_state(&snapshot.store)?;
+        let (engine, telemetry) = self.build_engine(image.lifetime_ticks);
+        engine.load_state(&image.store)?;
         let mut warm = WarmTenant {
             engine: Arc::clone(&engine),
             telemetry,
-            contexts: Vec::with_capacity(snapshot.contexts.len()),
+            contexts: Vec::with_capacity(image.contexts.len()),
         };
-        for state in snapshot.contexts {
-            let context = OperationContext::new(&state.node, &state.workload);
-            if state.truncated {
+        for state in image.contexts {
+            let ContextState {
+                node,
+                workload,
+                tail,
+                truncated,
+            } = state;
+            let context = OperationContext::new(node, workload);
+            if truncated {
                 engine.reset_run(&context);
             } else {
-                let tail: Vec<(f64, Vec<f64>)> =
-                    state.tail.iter().map(|t| (t.cpi, t.row.clone())).collect();
-                engine.restore_run(&context, &tail)?;
+                engine.restore_run(&context, tail.iter().map(|t| (t.cpi, t.row.as_slice())))?;
             }
-            let entry = warm.entry(&context);
-            entry.tail = state.tail;
-            entry.truncated = state.truncated;
+            warm.put(ContextEntry {
+                context,
+                tail,
+                truncated,
+            });
         }
         inner.slots[i].state = State::Warm(warm);
         inner.link_back(i);
@@ -644,7 +720,7 @@ impl Fleet {
     pub fn adopt(&self, tenant: TenantId, bytes: Vec<u8>) -> Result<(), ServeError> {
         // Validate eagerly so a bad snapshot fails at adopt time, not at
         // first ingest.
-        self.check_config(&TenantSnapshot::from_bytes(&bytes)?)?;
+        self.decode(&bytes)?;
         self.lock()
             .put(tenant, State::Cold(ColdTenant::Bytes(bytes)));
         Ok(())
@@ -834,7 +910,7 @@ impl Fleet {
         let inner = self.lock();
         match &inner.slots[inner.slot(tenant)?].state {
             State::Cold(cold) => Ok(cold.bytes()?.into_owned()),
-            State::Warm(warm) => Ok(self.snapshot_of(warm).to_bytes()),
+            State::Warm(warm) => Ok(self.image_of(warm)),
         }
     }
 

@@ -9,6 +9,14 @@
 //! counter plus, per context, the `(cpi, metric_row)` tail of the current
 //! run (replayed through `Engine::restore_run` on warm).
 //!
+//! A fleet writes the image in one pass straight from the live engine —
+//! its models, invariant sets and signature database, borrowed — and the
+//! slot's run tails, through the same encoder as
+//! [`TenantSnapshot::to_bytes`], so both produce the same bytes. The
+//! config row is the fleet's cached canonical JSON, serialized once when
+//! the fleet is built. A fleet reading an image compares that row with
+//! its cached JSON as bytes and parses it only when they differ.
+//!
 //! The container is an `IXHIST01` file with no tick rows: the whole
 //! snapshot is the binary `SRVT` trailing section
 //! ([`ix_history::SERVE_SECTION`]), so warming reads a fixed-size header
@@ -41,10 +49,10 @@
 //! a [`ServeError::Snapshot`].
 
 use ix_core::{
-    InvarNetConfig, InvariantEntry, InvariantSet, ModelStore, OperationContext, ResidualStats,
-    Signature, StoredPerformanceModel, ViolationTuple,
+    InvarNetConfig, InvariantEntry, InvariantSet, ModelStore, OperationContext, PerformanceModel,
+    ResidualStats, Signature, StoredPerformanceModel, ViolationTuple,
 };
-use ix_history::{HistoryFileError, HistoryStore, Reader, Writer, SERVE_SECTION};
+use ix_history::{HistoryFileError, HistoryStore, Reader, SectionImage, Writer, SERVE_SECTION};
 
 use crate::error::ServeError;
 
@@ -113,12 +121,33 @@ impl TenantSnapshot {
     }
 
     /// Serializes the snapshot into a row-free `IXHIST01` image carrying
-    /// the `SRVT` section.
+    /// the `SRVT` section — through the one encoder a fleet's eviction
+    /// uses, so a decoded image re-encodes to the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        HistoryStore::builder()
-            .section(SERVE_SECTION, self.encode())
-            .build()
-            .to_bytes()
+        let config =
+            serde_json::to_string(&self.config).expect("config serialization is infallible");
+        encode(Parts {
+            version: self.version,
+            lifetime_ticks: self.lifetime_ticks,
+            config: &config,
+            models: self
+                .store
+                .performance_models
+                .iter()
+                .map(|(key, m)| (Key::Text(key), ModelFields::from(m))),
+            invariants: self
+                .store
+                .invariants
+                .iter()
+                .map(|(key, set)| (Key::Text(key), set)),
+            signatures: self.store.signatures.records(),
+            contexts: self.contexts.iter().map(|c| ContextView {
+                node: &c.node,
+                workload: &c.workload,
+                truncated: c.truncated,
+                tail: &c.tail,
+            }),
+        })
     }
 
     /// Parses a snapshot back out of an `IXHIST01` image.
@@ -129,100 +158,279 @@ impl TenantSnapshot {
     /// image, carry no `SRVT` section, were written in another snapshot
     /// version, or fail any check of the module-level layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
-        let store = HistoryStore::from_bytes(bytes)
-            .map_err(|e| ServeError::Snapshot(format!("container: {e}")))?;
-        let payload = store
-            .section(SERVE_SECTION)
-            .ok_or_else(|| ServeError::Snapshot("no SRVT section".to_string()))?;
-        Self::decode(&payload)
+        let image = decode(bytes, parse_config)?;
+        Ok(TenantSnapshot {
+            version: SNAPSHOT_VERSION,
+            config: image.config,
+            store: image.store,
+            lifetime_ticks: image.lifetime_ticks,
+            contexts: image.contexts,
+        })
+    }
+}
+
+/// A map key as the layout spells it: the `workload@node` form of
+/// [`ModelStore::context_key`].
+#[derive(Clone, Copy)]
+pub(crate) enum Key<'a> {
+    /// A stored key, written verbatim.
+    Text(&'a str),
+    /// A live context, written as its form without building it.
+    Context(&'a OperationContext),
+}
+
+impl Key<'_> {
+    fn len(self) -> usize {
+        match self {
+            Key::Text(key) => key.len(),
+            Key::Context(c) => c.workload.len() + 1 + c.node.len(),
+        }
     }
 
-    /// The `SRVT` payload: header, then the checksummed body.
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.u32(self.version);
-        w.u64(0); // checksum, patched below once the body is written
-        w.u64(self.lifetime_ticks);
-        let config =
-            serde_json::to_string(&self.config).expect("config serialization is infallible");
-        w.bytes(config.as_bytes());
-
-        w.u32_field(self.store.performance_models.len());
-        for (key, m) in &self.store.performance_models {
-            w.bytes(key.as_bytes());
-            w.u32_field(m.p);
-            w.u32_field(m.d);
-            w.u32_field(m.q);
-            w.f64(m.intercept);
-            f64_list(&mut w, &m.ar);
-            f64_list(&mut w, &m.ma);
-            w.f64(m.sigma2);
-            w.u64(m.n_effective as u64);
-            w.f64s(&[m.stats.max, m.stats.min, m.stats.p95, m.beta]);
-        }
-
-        w.u32_field(self.store.invariants.len());
-        for (key, set) in &self.store.invariants {
-            w.bytes(key.as_bytes());
-            w.f64(set.tau());
-            w.u32_field(set.len());
-            for e in set.entries() {
-                w.u32_field(e.pair);
-                w.f64(e.value);
+    fn write(self, w: &mut Writer) {
+        match self {
+            Key::Text(key) => w.bytes(key.as_bytes()),
+            Key::Context(c) => {
+                w.u32_field(self.len());
+                w.raw(c.workload.as_bytes());
+                w.raw(b"@");
+                w.raw(c.node.as_bytes());
             }
         }
+    }
+}
 
-        let signatures = self.store.signatures.records();
-        w.u32_field(signatures.len());
-        for s in signatures {
-            w.bytes(s.problem.as_bytes());
-            w.bytes(s.context.node.as_bytes());
-            w.bytes(s.context.workload.as_bytes());
-            f64_list(&mut w, s.tuple.graded());
+/// One performance model's fields, borrowed from a stored model or from
+/// a live engine's — the two write the same bytes.
+#[derive(Clone, Copy)]
+pub(crate) struct ModelFields<'a> {
+    p: usize,
+    d: usize,
+    q: usize,
+    intercept: f64,
+    ar: &'a [f64],
+    ma: &'a [f64],
+    sigma2: f64,
+    n_effective: usize,
+    stats: ResidualStats,
+    beta: f64,
+}
+
+impl<'a> From<&'a StoredPerformanceModel> for ModelFields<'a> {
+    fn from(m: &'a StoredPerformanceModel) -> Self {
+        ModelFields {
+            p: m.p,
+            d: m.d,
+            q: m.q,
+            intercept: m.intercept,
+            ar: &m.ar,
+            ma: &m.ma,
+            sigma2: m.sigma2,
+            n_effective: m.n_effective,
+            stats: m.stats,
+            beta: m.beta,
         }
+    }
+}
 
-        w.u32_field(self.contexts.len());
-        for c in &self.contexts {
-            w.bytes(c.node.as_bytes());
-            w.bytes(c.workload.as_bytes());
-            w.u8(u8::from(c.truncated));
-            w.u32_field(c.tail.len());
-            for tick in &c.tail {
-                w.f64(tick.cpi);
-                f64_list(&mut w, &tick.row);
-            }
+impl<'a> From<&'a PerformanceModel> for ModelFields<'a> {
+    /// The fields [`StoredPerformanceModel::from_model`] would copy.
+    fn from(m: &'a PerformanceModel) -> Self {
+        let a = m.arima();
+        let spec = a.spec();
+        ModelFields {
+            p: spec.p,
+            d: spec.d,
+            q: spec.q,
+            intercept: a.intercept(),
+            ar: a.ar_coefficients(),
+            ma: a.ma_coefficients(),
+            sigma2: a.sigma2(),
+            n_effective: a.n_effective(),
+            stats: m.stats(),
+            beta: m.beta(),
         }
+    }
+}
 
-        let mut payload = w.into_bytes();
-        let sum = checksum(&payload[HEADER_BYTES..]);
-        payload[4..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
-        payload
+/// One context's run state, borrowed.
+#[derive(Clone, Copy)]
+pub(crate) struct ContextView<'a> {
+    pub node: &'a str,
+    pub workload: &'a str,
+    pub truncated: bool,
+    pub tail: &'a [RunTick],
+}
+
+/// Borrowed views of everything one image holds: what [`encode`] reads.
+/// Models and invariant sets come in key order.
+pub(crate) struct Parts<'a, M, I, C> {
+    pub version: u32,
+    pub lifetime_ticks: u64,
+    /// The config row, already serialized.
+    pub config: &'a str,
+    pub models: M,
+    pub invariants: I,
+    pub signatures: &'a [Signature],
+    pub contexts: C,
+}
+
+/// The snapshot encoder: writes `parts` as a row-free `IXHIST01` image in
+/// one pass, into one buffer sized up front (see the module-level layout
+/// table).
+pub(crate) fn encode<'a, M, I, C>(parts: Parts<'a, M, I, C>) -> Vec<u8>
+where
+    M: ExactSizeIterator<Item = (Key<'a>, ModelFields<'a>)> + Clone,
+    I: ExactSizeIterator<Item = (Key<'a>, &'a InvariantSet)> + Clone,
+    C: ExactSizeIterator<Item = ContextView<'a>> + Clone,
+{
+    let mut image = SectionImage::new(SERVE_SECTION, payload_len(&parts));
+    let w = image.writer();
+    w.u32(parts.version);
+    w.u64(0); // checksum, patched below once the body is written
+    w.u64(parts.lifetime_ticks);
+    w.bytes(parts.config.as_bytes());
+
+    w.u32_field(parts.models.len());
+    for (key, m) in parts.models {
+        key.write(w);
+        w.u32_field(m.p);
+        w.u32_field(m.d);
+        w.u32_field(m.q);
+        w.f64(m.intercept);
+        f64_list(w, m.ar);
+        f64_list(w, m.ma);
+        w.f64(m.sigma2);
+        w.u64(m.n_effective as u64);
+        w.f64s(&[m.stats.max, m.stats.min, m.stats.p95, m.beta]);
     }
 
-    fn decode(payload: &[u8]) -> Result<Self, ServeError> {
-        let mut r = Reader::new(payload);
-        let version = r.u32().map_err(body_error)?;
-        if version != SNAPSHOT_VERSION {
-            // A version-1 body was JSON text, so it began with `{`.
-            let found = if payload.first() == Some(&b'{') {
-                "version 1 (JSON)".to_string()
-            } else {
-                format!("version {version}")
-            };
-            return Err(ServeError::Snapshot(format!(
-                "snapshot {found} is not readable by this build, which reads only \
-                 version {SNAPSHOT_VERSION}"
-            )));
+    w.u32_field(parts.invariants.len());
+    for (key, set) in parts.invariants {
+        key.write(w);
+        w.f64(set.tau());
+        w.u32_field(set.len());
+        for e in set.entries() {
+            w.u32_field(e.pair);
+            w.f64(e.value);
         }
-        let stored = r.u64().map_err(body_error)?;
-        let actual = checksum(&payload[HEADER_BYTES..]);
-        if stored != actual {
-            return Err(ServeError::Snapshot(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
-        decode_body(&mut r).map_err(body_error)
     }
+
+    w.u32_field(parts.signatures.len());
+    for s in parts.signatures {
+        w.bytes(s.problem.as_bytes());
+        w.bytes(s.context.node.as_bytes());
+        w.bytes(s.context.workload.as_bytes());
+        f64_list(w, s.tuple.graded());
+    }
+
+    w.u32_field(parts.contexts.len());
+    for c in parts.contexts {
+        w.bytes(c.node.as_bytes());
+        w.bytes(c.workload.as_bytes());
+        w.u8(u8::from(c.truncated));
+        w.u32_field(c.tail.len());
+        for tick in c.tail {
+            w.f64(tick.cpi);
+            f64_list(w, &tick.row);
+        }
+    }
+
+    let payload = image.payload_mut();
+    let sum = checksum(&payload[HEADER_BYTES..]);
+    payload[4..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+    image.finish()
+}
+
+/// The exact `SRVT` payload length [`encode`] writes for `parts`; each
+/// term is a row of the module-level layout table.
+fn payload_len<'a, M, I, C>(parts: &Parts<'a, M, I, C>) -> usize
+where
+    M: Iterator<Item = (Key<'a>, ModelFields<'a>)> + Clone,
+    I: Iterator<Item = (Key<'a>, &'a InvariantSet)> + Clone,
+    C: Iterator<Item = ContextView<'a>> + Clone,
+{
+    let text = |len: usize| 4 + len;
+    let floats = |n: usize| 4 + 8 * n;
+    let models: usize = parts
+        .models
+        .clone()
+        .map(|(key, m)| text(key.len()) + 12 + 8 + floats(m.ar.len()) + floats(m.ma.len()) + 48)
+        .sum();
+    let invariants: usize = parts
+        .invariants
+        .clone()
+        .map(|(key, set)| text(key.len()) + 8 + 4 + 12 * set.len())
+        .sum();
+    let signatures: usize = parts
+        .signatures
+        .iter()
+        .map(|s| {
+            text(s.problem.len())
+                + text(s.context.node.len())
+                + text(s.context.workload.len())
+                + floats(s.tuple.len())
+        })
+        .sum();
+    let contexts: usize = parts
+        .contexts
+        .clone()
+        .map(|c| {
+            let ticks: usize = c.tail.iter().map(|t| 8 + floats(t.row.len())).sum();
+            text(c.node.len()) + text(c.workload.len()) + 1 + 4 + ticks
+        })
+        .sum();
+    HEADER_BYTES + 8 + text(parts.config.len()) + 16 + models + invariants + signatures + contexts
+}
+
+/// A decoded image, its config read by the caller's `read_config`.
+pub(crate) struct Decoded<C> {
+    pub config: C,
+    pub store: ModelStore,
+    pub lifetime_ticks: u64,
+    pub contexts: Vec<ContextState>,
+}
+
+/// The snapshot decoder: accepts the container through
+/// [`HistoryStore::from_bytes`], then checks and reads the `SRVT`
+/// payload. `read_config` turns the config row into `C`, in the place
+/// the layout has it, so its refusals come in the same order as the
+/// rest of the body's.
+pub(crate) fn decode<C>(
+    bytes: &[u8],
+    read_config: impl FnOnce(&str) -> Result<C, HistoryFileError>,
+) -> Result<Decoded<C>, ServeError> {
+    let payload = HistoryStore::from_bytes(bytes)
+        .map_err(|e| ServeError::Snapshot(format!("container: {e}")))?
+        .into_section(SERVE_SECTION)
+        .ok_or_else(|| ServeError::Snapshot("no SRVT section".to_string()))?;
+    let mut r = Reader::new(&payload);
+    let version = r.u32().map_err(body_error)?;
+    if version != SNAPSHOT_VERSION {
+        // A version-1 body was JSON text, so it began with `{`.
+        let found = if payload.first() == Some(&b'{') {
+            "version 1 (JSON)".to_string()
+        } else {
+            format!("version {version}")
+        };
+        return Err(ServeError::Snapshot(format!(
+            "snapshot {found} is not readable by this build, which reads only \
+             version {SNAPSHOT_VERSION}"
+        )));
+    }
+    let stored = r.u64().map_err(body_error)?;
+    let actual = checksum(&payload[HEADER_BYTES..]);
+    if stored != actual {
+        return Err(ServeError::Snapshot(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+        )));
+    }
+    decode_body(&mut r, read_config).map_err(body_error)
+}
+
+/// Parses the config row.
+pub(crate) fn parse_config(text: &str) -> Result<InvarNetConfig, HistoryFileError> {
+    serde_json::from_str(text).map_err(|e| malformed(format!("config: {e}")))
 }
 
 /// Maps a body decoding failure onto the serving layer's typed error.
@@ -238,10 +446,12 @@ fn malformed(msg: String) -> HistoryFileError {
 }
 
 /// Everything after the checksum; see the module-level layout table.
-fn decode_body(r: &mut Reader<'_>) -> Result<TenantSnapshot, HistoryFileError> {
+fn decode_body<C>(
+    r: &mut Reader<'_>,
+    read_config: impl FnOnce(&str) -> Result<C, HistoryFileError>,
+) -> Result<Decoded<C>, HistoryFileError> {
     let lifetime_ticks = r.u64()?;
-    let config: InvarNetConfig =
-        serde_json::from_str(r.str()?).map_err(|e| malformed(format!("config: {e}")))?;
+    let config = read_config(r.str()?)?;
 
     let mut store = ModelStore::new();
     // Smallest model: key length, p/d/q, intercept, two list counts, σ²,
@@ -349,8 +559,7 @@ fn decode_body(r: &mut Reader<'_>) -> Result<TenantSnapshot, HistoryFileError> {
     if r.remaining() != 0 {
         return Err(malformed(format!("{} trailing bytes", r.remaining())));
     }
-    Ok(TenantSnapshot {
-        version: SNAPSHOT_VERSION,
+    Ok(Decoded {
         config,
         store,
         lifetime_ticks,
@@ -522,6 +731,12 @@ mod tests {
     fn snapshot_round_trips_bit_identically() {
         for snap in [sample(), small()] {
             let bytes = snap.to_bytes();
+            assert_eq!(bytes.capacity(), bytes.len(), "the image is sized exactly");
+            let built = HistoryStore::builder()
+                .section(SERVE_SECTION, payload(&snap))
+                .build()
+                .to_bytes();
+            assert_eq!(bytes, built, "the store builder frames the same image");
             let back = TenantSnapshot::from_bytes(&bytes).expect("parse");
             assert_eq!(back, snap);
             assert_eq!(back.to_bytes(), bytes);
@@ -701,16 +916,7 @@ mod tests {
         // into a default fleet, and continues like the source tenant.
         let legacy = include_bytes!("../tests/data/legacy_config_snapshot.ixh").to_vec();
         let tenant = crate::TenantId::new("legacy").expect("valid");
-        let ctx = OperationContext::new("n1", "Sort");
-        let row = |t: usize| vec![t as f64; ix_metrics::METRIC_COUNT];
-        let source = crate::Fleet::builder().build();
-        source
-            .with_engine(&tenant, |e| e.load_state(&small().store))
-            .expect("materialize")
-            .expect("load");
-        for t in 0..3 {
-            source.ingest(&tenant, &ctx, 1.0, &row(t)).expect("ingest");
-        }
+        let (source, ctx) = source_fleet(&tenant);
         let current = source.snapshot_bytes(&tenant).expect("snapshot");
 
         let parsed = TenantSnapshot::from_bytes(&legacy).expect("legacy parse");
@@ -725,10 +931,91 @@ mod tests {
         fleet.adopt(tenant.clone(), legacy).expect("adopt");
         fleet.warm(&tenant).expect("warm");
         assert!(fleet.is_warm(&tenant));
-        let a = source.ingest(&tenant, &ctx, 1.0, &row(3)).expect("source");
-        let b = fleet.ingest(&tenant, &ctx, 1.0, &row(3)).expect("warmed");
+        assert_continues_like(&source, &fleet, &tenant, &ctx);
+    }
+
+    fn row(t: usize) -> Vec<f64> {
+        vec![t as f64; ix_metrics::METRIC_COUNT]
+    }
+
+    /// A default fleet whose `tenant` holds `small()`'s trained state and
+    /// three ingested ticks of its context.
+    fn source_fleet(tenant: &crate::TenantId) -> (crate::Fleet, OperationContext) {
+        let ctx = OperationContext::new("n1", "Sort");
+        let source = crate::Fleet::builder().build();
+        source
+            .with_engine(tenant, |e| e.load_state(&small().store))
+            .expect("materialize")
+            .expect("load");
+        for t in 0..3 {
+            source.ingest(tenant, &ctx, 1.0, &row(t)).expect("ingest");
+        }
+        (source, ctx)
+    }
+
+    /// Asserts the next tick of `tenant` scores the same in both fleets.
+    fn assert_continues_like(
+        source: &crate::Fleet,
+        fleet: &crate::Fleet,
+        tenant: &crate::TenantId,
+        ctx: &OperationContext,
+    ) {
+        let a = source.ingest(tenant, ctx, 1.0, &row(3)).expect("source");
+        let b = fleet.ingest(tenant, ctx, 1.0, &row(3)).expect("warmed");
         assert_eq!(a.tick, b.tick);
         assert_eq!(a.residual.to_bits(), b.residual.to_bits());
+    }
+
+    /// `bytes` with its config row replaced by `config` and the checksum
+    /// recomputed.
+    fn with_config(bytes: &[u8], config: &str) -> Vec<u8> {
+        let payload = HistoryStore::from_bytes(bytes)
+            .expect("container")
+            .into_section(SERVE_SECTION)
+            .expect("SRVT");
+        // Version, checksum and lifetime ticks precede the config row.
+        let at = HEADER_BYTES + 8;
+        let old_len = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+        let mut edited = payload[..at].to_vec();
+        edited.extend_from_slice(&(config.len() as u32).to_le_bytes());
+        edited.extend_from_slice(config.as_bytes());
+        edited.extend_from_slice(&payload[at + 4 + old_len as usize..]);
+        reframed(edited)
+    }
+
+    #[test]
+    fn a_config_row_that_parses_equal_adopts_and_warms() {
+        // Re-spaced JSON: not the fleet's bytes, so the row is parsed, and
+        // it parses to the fleet's config.
+        let tenant = crate::TenantId::new("respaced").expect("valid");
+        let (source, ctx) = source_fleet(&tenant);
+        let current = source.snapshot_bytes(&tenant).expect("snapshot");
+        let canonical = serde_json::to_string(&InvarNetConfig::default()).expect("config");
+        let respaced = canonical.replace(',', ", ");
+        assert_ne!(respaced, canonical);
+        let bytes = with_config(&current, &respaced);
+        assert_eq!(
+            TenantSnapshot::from_bytes(&bytes).expect("parse").config,
+            InvarNetConfig::default()
+        );
+        let fleet = crate::Fleet::builder().build();
+        fleet.adopt(tenant.clone(), bytes).expect("adopt");
+        fleet.warm(&tenant).expect("warm");
+        assert_continues_like(&source, &fleet, &tenant, &ctx);
+    }
+
+    #[test]
+    fn a_malformed_config_row_is_refused() {
+        let tenant = crate::TenantId::new("garbled").expect("valid");
+        let (source, _) = source_fleet(&tenant);
+        let current = source.snapshot_bytes(&tenant).expect("snapshot");
+        let bytes = with_config(&current, "{\"epsilon\": ");
+        expect_snapshot_error(&bytes, "SRVT body: config: ");
+        let fleet = crate::Fleet::builder().build();
+        assert!(matches!(
+            fleet.adopt(tenant, bytes),
+            Err(ServeError::Snapshot(msg)) if msg.starts_with("SRVT body: config: ")
+        ));
     }
 
     #[test]

@@ -155,6 +155,34 @@ fn trained_tenant_snapshot_bytes_are_pinned() {
     assert_eq!(bytes.len(), 7719, "trained tenant snapshot bytes");
 }
 
+#[test]
+fn evict_and_warm_allocations_are_pinned() {
+    let t = template();
+    let tenant = TenantId::new("cycled").expect("valid");
+    let fleet = started_fleet(&tenant);
+    for (cpi, row) in &t.ticks[..WARM_TICKS] {
+        fleet
+            .ingest(&tenant, &t.context, *cpi, row)
+            .expect("ingest");
+    }
+    let (evicted, evict, _) = counted(|| fleet.evict(&tenant));
+    evicted.expect("evict");
+    let (warmed, warm, _) = counted(|| fleet.warm(&tenant));
+    warmed.expect("warm");
+    assert!(fleet.is_warm(&tenant));
+    // The eviction encodes the live engine in place: the known-context
+    // list and its two strings, the shard's key list, the model and
+    // invariant-set lists, and the one image buffer (7). The warm decodes
+    // the image (one payload copy, then the store, signatures and tail
+    // rows), rebuilds the engine and loads the store into it (72).
+    assert_eq!(
+        (evict, warm),
+        (7, 72),
+        "allocations of one Fleet::evict and one Fleet::warm of the trained \
+         tenant with a {WARM_TICKS}-tick tail"
+    );
+}
+
 /// Sets the little-endian `u32` at `at` to `u32::MAX`.
 fn inflate(bytes: &mut [u8], at: usize) {
     bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());

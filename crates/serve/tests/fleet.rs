@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ix_core::{
     CoreError, Engine, EngineEvent, ErrorCode, EventSink, InvarNetConfig, ModelStore,
-    OperationContext,
+    OperationContext, StoredPerformanceModel,
 };
 use ix_serve::{Fleet, ServeError, TenantId, TenantSnapshot};
 use ix_simulator::{FaultType, Runner, WorkloadType};
@@ -419,6 +419,48 @@ fn snapshot_bytes_are_deterministic_and_match_what_eviction_stores() {
     assert_eq!(snapshot.contexts.len(), 6);
 }
 
+#[test]
+fn snapshot_bytes_equal_the_model_store_path_when_context_forms_collide() {
+    // `c@a` on node `b` and `c` on node `a@b` share the store key
+    // `c@a@b`. A `ModelStore` built in context order keeps the second
+    // model under it; the fleet's image must spell exactly that store.
+    let t = template();
+    let runner = Runner::new(11);
+    let traces: Vec<Vec<f64>> = runner
+        .normal_runs(WorkloadType::Wordcount, 4)
+        .iter()
+        .map(|r| r.per_node[Runner::DEFAULT_FAULT_NODE].cpi.cpi_series())
+        .collect();
+    let colliding = [
+        OperationContext::new("b", "c@a"),
+        OperationContext::new("a@b", "c"),
+    ];
+    let tenant = TenantId::new("collide").expect("valid");
+    let fleet = Fleet::builder().build();
+    let store = fleet
+        .with_engine(&tenant, |e| {
+            e.load_state(&t.store)?;
+            e.train_performance_model(colliding[0].clone(), &traces[..3])?;
+            e.train_performance_model(colliding[1].clone(), &traces[1..])?;
+            let [a, b] = colliding.each_ref().map(|c| {
+                StoredPerformanceModel::from_model(&e.performance_model(c).expect("trained"))
+            });
+            assert_ne!(a, b, "the colliding models must differ to tell them apart");
+            Ok::<_, CoreError>(e.snapshot_state())
+        })
+        .expect("materialize")
+        .expect("train");
+    assert_eq!(
+        store.performance_models.len(),
+        2,
+        "template + one collided key"
+    );
+    let expected = TenantSnapshot::new(fleet.config().clone(), store, 0, Vec::new()).to_bytes();
+    assert_eq!(fleet.snapshot_bytes(&tenant).expect("snapshot"), expected);
+    fleet.evict(&tenant).expect("evict");
+    fleet.warm(&tenant).expect("warm");
+}
+
 /// A snapshot of a tenant 10 ticks into the template's run.
 fn trained_snapshot() -> Vec<u8> {
     let t = template();
@@ -514,10 +556,7 @@ fn a_snapshot_written_under_another_config_is_refused() {
 
     // At adopt.
     let fleet = Fleet::builder().build();
-    assert!(matches!(
-        fleet.adopt(tenant.clone(), foreign.clone()),
-        Err(ServeError::Snapshot(_))
-    ));
+    assert_foreign_config_refused(fleet.adopt(tenant.clone(), foreign.clone()));
 
     // At warm: a snapshot file replaced behind the fleet's back.
     let dir = std::env::temp_dir().join(format!(
@@ -532,9 +571,70 @@ fn a_snapshot_written_under_another_config_is_refused() {
         .expect("load");
     fleet.evict(&tenant).expect("evict");
     std::fs::write(dir.join("foreign.ixhist"), &foreign).expect("overwrite");
-    assert!(matches!(fleet.warm(&tenant), Err(ServeError::Snapshot(_))));
+    assert_foreign_config_refused(fleet.warm(&tenant).map(|_| ()));
     assert!(!fleet.is_warm(&tenant));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn assert_foreign_config_refused(result: Result<(), ServeError>) {
+    match result {
+        Err(ServeError::Snapshot(msg)) => assert_eq!(
+            msg,
+            "the snapshot was written under a different engine configuration than this fleet's"
+        ),
+        other => panic!("expected the foreign-config refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_config_json_cannot_carry_does_not_strand_tenants_cold() {
+    // JSON has no NaN: the config row spells this τ as `null`, which does
+    // not parse back into a float. The fleet matches the row against its
+    // own serialized config as bytes, so its tenants still warm.
+    let t = template();
+    let config = InvarNetConfig {
+        tau: f64::NAN,
+        ..InvarNetConfig::default()
+    };
+    let tenant = TenantId::new("nan-tau").expect("valid");
+    let fleets: Vec<Fleet> = (0..2)
+        .map(|_| Fleet::builder().config(config.clone()).build())
+        .collect();
+    for fleet in &fleets {
+        fleet
+            .with_engine(&tenant, |e| e.load_state(&t.store))
+            .expect("materialize")
+            .expect("load");
+        for (cpi, row) in &t.ticks[..5] {
+            fleet
+                .ingest(&tenant, &t.context, *cpi, row)
+                .expect("ingest");
+        }
+    }
+    let (evicted, twin) = (&fleets[0], &fleets[1]);
+    evicted.evict(&tenant).expect("evict");
+    evicted.warm(&tenant).expect("warm");
+    assert!(evicted.is_warm(&tenant));
+    for (cpi, row) in &t.ticks[5..10] {
+        let a = twin.ingest(&tenant, &t.context, *cpi, row).expect("twin");
+        let b = evicted
+            .ingest(&tenant, &t.context, *cpi, row)
+            .expect("warmed");
+        assert_eq!(a.tick, b.tick);
+        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
+    }
+
+    // Another fleet built with the same config adopts and warms it too;
+    // a default fleet parses the row and refuses it.
+    let bytes = twin.snapshot_bytes(&tenant).expect("snapshot");
+    let same = Fleet::builder().config(config).build();
+    same.adopt(tenant.clone(), bytes.clone()).expect("adopt");
+    same.warm(&tenant).expect("warm");
+    let other = Fleet::builder().build();
+    assert!(matches!(
+        other.adopt(tenant, bytes),
+        Err(ServeError::Snapshot(msg)) if msg.contains("config: ")
+    ));
 }
 
 #[test]
