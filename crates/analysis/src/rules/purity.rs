@@ -21,12 +21,13 @@ use crate::workspace::{SourceFile, Workspace};
 /// `(workspace-relative file, fn name)` pairs on the per-pair scoring path.
 pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/mic/src/mine.rs", "mic_with_profiles_scratch"),
+    ("crates/mic/src/mine.rs", "mic_floor_scratch"),
     ("crates/mic/src/mine.rs", "half_characteristic_into"),
     ("crates/mic/src/mine.rs", "mic_screen_bound_scratch"),
     ("crates/mic/src/mine.rs", "corner_entry_into"),
     ("crates/mic/src/profile.rs", "slide"),
     ("crates/core/src/measure.rs", "score_pair"),
-    ("crates/core/src/measure.rs", "screen_bound"),
+    ("crates/core/src/measure.rs", "score_floored"),
     ("crates/core/src/assoc.rs", "score_one"),
     ("crates/core/src/assoc.rs", "claim_batch"),
     ("crates/core/src/incremental.rs", "rescore"),

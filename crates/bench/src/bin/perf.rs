@@ -36,8 +36,8 @@ use ix_core::{
 use ix_history::HistoryStore;
 use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
 use ix_mic::{
-    mic_screen_bound_scratch, mic_with_params, mic_with_profiles_scratch, MicParams, MineScratch,
-    SeriesProfile,
+    mic_floor_scratch, mic_screen_bound_scratch, mic_with_params, mic_with_profiles_scratch,
+    Floored, MicParams, MineScratch, SeriesProfile,
 };
 use ix_replay::{Breakpoint, EventKind, ReplayDebugger, Replayer};
 use ix_serve::{Fleet, ServeClient, ServerHandle, TenantId};
@@ -194,13 +194,14 @@ impl AssociationMeasure for UnplannedMic {
 /// asserting after every advance that the violation tuple — and every
 /// invariant-pair score outside the provably-safe screened band — is
 /// bit-identical to a full from-scratch sweep. Returns per-step timings
-/// in ns (advance + rescore only) and the accumulated screen counters.
+/// in ns (advance + rescore only), the accumulated screen counters of the
+/// slides, and the counters of the cold pass they start from.
 fn steady_state(
     rows: &[Vec<f64>],
     ticks: usize,
     steps: usize,
     epsilon: f64,
-) -> (Vec<f64>, ScreenOutcome) {
+) -> (Vec<f64>, ScreenOutcome, ScreenOutcome) {
     let mic = MicMeasure::new(MicParams::fast());
     let measure: Arc<dyn AssociationMeasure> = Arc::new(MicMeasure::new(MicParams::fast()));
     let pool = SweepPool::new(1);
@@ -208,11 +209,12 @@ fn steady_state(
     let matrix = AssociationMatrix::compute(&base, &mic, 1);
     let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
     let scope = PassScope::detached();
-    let mut inc = IncrementalSweep::cold(
+    let (mut inc, cold) = IncrementalSweep::cold(
         &measure,
         window_series(rows, 0, ticks),
         vec![0.0; pair_count()],
         &invariants,
+        epsilon,
         &pool,
         &scope,
     )
@@ -250,7 +252,7 @@ fn steady_state(
         }
     }
     timings.sort_by(f64::total_cmp);
-    (timings, totals)
+    (timings, totals, cold)
 }
 
 /// The 26-metric / 325-pair association sweep: kernels, pool sizes, and
@@ -294,7 +296,7 @@ fn sweep(perf: Perf) -> Section {
     });
     s.lower("pearson_spawn4_ms", "ms", spawned / 1e6);
 
-    let (timings, totals) = steady_state(&rows, ticks, steps, 0.2);
+    let (timings, totals, cold) = steady_state(&rows, ticks, steps, 0.2);
     eprintln!(
         "perf sweep: incremental == from-scratch over {steps} slides \
          ({} reused / {} screened / {} confirmed) OK",
@@ -324,6 +326,7 @@ fn sweep(perf: Perf) -> Section {
         "count",
         per_step(totals.confirmed),
     );
+    s.higher("cleared_pairs_per_cold_pass", "count", cold.screened as f64);
     s
 }
 
@@ -818,8 +821,9 @@ fn kernels(perf: Perf) -> Section {
         }
     }
     // One profiled pair at the engine's default 60-tick window with fast
-    // params, on a warm scratch: the unit of a confirm pass, and the screen
-    // bound that decides whether a pair needs one.
+    // params, on a warm scratch: the unit of an exact pass, the same pair
+    // linked affinely and scored against a held invariant's floor (it
+    // clears at the kernel's first unit), and the (2, 2) screen bound.
     let params = MicParams::fast();
     let profile = |seed| SeriesProfile::build(&series(60, seed), &params).expect("profile");
     let (xp, yp) = (profile(1), profile(2));
@@ -828,6 +832,15 @@ fn kernels(perf: Perf) -> Section {
         mic_with_profiles_scratch(&xp, &yp, &params, &mut scratch).expect("mic")
     });
     s.lower("mic_pair_planned_60_us", "us", ns / 1e3);
+    let linked: Vec<f64> = series(60, 1).iter().map(|x| 2.0 * x + 1.0).collect();
+    let lp = SeriesProfile::build(&linked, &params).expect("profile");
+    // Reference I = 1 at ε = 0.2: any entry above 0.8 proves it held.
+    let clears = |v: f64| (1.0 - v).abs() < 0.2;
+    let ns = perf.ns(21, 200, || {
+        let floored = mic_floor_scratch(&xp, &lp, &params, clears, &mut scratch).expect("mic");
+        assert!(matches!(floored, Floored::Cleared(_)), "{floored:?}");
+    });
+    s.lower("mic_pair_cleared_60_us", "us", ns / 1e3);
     let ns = perf.ns(21, 200, || {
         mic_screen_bound_scratch(&xp, &yp, &params, &mut scratch).expect("bound")
     });

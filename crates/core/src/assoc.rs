@@ -5,7 +5,7 @@
 //! addressed by a canonical flat index so violation tuples across the whole
 //! pipeline agree on ordering.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -15,7 +15,7 @@ use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
 
 use crate::engine::telemetry::{ContextId, EnginePhase};
 use crate::engine::{EngineEvent, EventSink, NullSink};
-use crate::measure::{AssociationMeasure, DirectPlan, PairScorer, SweepPlan};
+use crate::measure::{AssociationMeasure, DirectPlan, Floor, Floored, PairScorer, SweepPlan};
 
 /// Pairs claimed per cursor increment. MIC cost is data-dependent, so small
 /// batches keep workers load-balanced; 4 pairs amortize the atomic to noise
@@ -226,16 +226,37 @@ impl std::fmt::Debug for PassScope {
     }
 }
 
+/// One listed pair of a scoring pass: its flat index and, for an invariant
+/// pair a lower bound can settle, the [`Floor`] it is scored against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PassPair {
+    /// Flat pair index ([`pair_index`]).
+    pub pair: usize,
+    /// `Some`: score only until the floor provably holds
+    /// ([`PairScorer::score_floored`]). `None`: score exactly.
+    pub floor: Option<Floor>,
+}
+
+impl PassPair {
+    /// A pair scored exactly.
+    pub fn exact(pair: usize) -> PassPair {
+        PassPair { pair, floor: None }
+    }
+}
+
 /// Everything one scoring pass's workers share: the plan every pair is
 /// scored against, the pair list, the work cursor over it, and one result
 /// slot per listed pair.
 struct PairPass {
     plan: Box<dyn SweepPlan>,
-    pairs: Vec<usize>,
+    pairs: Vec<PassPair>,
     cursor: AtomicUsize,
     /// `scores[k]` holds the bits of `pairs[k]`'s score, written once by
     /// the worker that claimed position `k`.
     scores: Vec<AtomicU64>,
+    /// `cleared[k]`: `scores[k]` is a lower bound that cleared its floor,
+    /// not the exact score.
+    cleared: Vec<AtomicBool>,
     /// Positions scored so far, counted per finished batch.
     scored: AtomicUsize,
     scope: PassScope,
@@ -325,10 +346,11 @@ pub struct ScoredPairs {
     /// The plan the pass scored against.
     pub plan: Box<dyn SweepPlan>,
     /// The pair list the pass was given, in its order.
-    pub pairs: Vec<usize>,
-    /// `scores[k]` is the score of `pairs[k]` for every `k < scored`;
-    /// later slots hold `0.0`.
-    pub scores: Vec<f64>,
+    pub pairs: Vec<PassPair>,
+    /// `scores[k]` is the score of `pairs[k]` for every `k < scored`:
+    /// [`Floored::Cleared`] only for a pair listed with a floor that a
+    /// lower bound cleared. Later slots hold `Exact(0.0)`.
+    pub scores: Vec<Floored>,
     /// How many leading positions were scored. A batch, once claimed, is
     /// always finished, so the scored positions form a prefix.
     pub scored: usize,
@@ -472,12 +494,21 @@ impl SweepPool {
             // lint: allow(determinism, telemetry-only: batch cost feeds
             // the pair-scoring histogram; replay normalizes timings)
             let started = Instant::now();
-            for (slot, &pair) in pass.scores[start..end].iter().zip(&pass.pairs[start..end]) {
+            for k in start..end {
+                let PassPair { pair, floor } = pass.pairs[k];
                 let (a, b) = pair_of_index(pair);
-                let v = scorer.score_pair(a.index(), b.index());
+                let (a, b) = (a.index(), b.index());
+                let (v, cleared) = match floor {
+                    Some(floor) => match scorer.score_floored(a, b, floor) {
+                        Floored::Cleared(v) => (v, true),
+                        Floored::Exact(v) => (v, false),
+                    },
+                    None => (scorer.score_pair(a, b), false),
+                };
                 // ordering: Relaxed — each slot is written by the one
                 // worker that claimed it; the latch's mutex publishes it.
-                slot.store(v.to_bits(), Ordering::Relaxed);
+                pass.scores[k].store(v.to_bits(), Ordering::Relaxed);
+                pass.cleared[k].store(cleared, Ordering::Relaxed);
             }
             // ordering: Relaxed — a count published by the latch's mutex.
             pass.scored.fetch_add(end - start, Ordering::Relaxed);
@@ -489,10 +520,12 @@ impl SweepPool {
         }
     }
 
-    /// The one pair-scoring loop: scores every pair index in `pairs`
-    /// against `plan` across the pool's workers (work-stealing batches,
-    /// the deadline checked per batch), and hands the plan back with the
-    /// scores. Results are bit-identical for any worker count — each
+    /// The one pair-scoring loop: scores every listed pair against `plan`
+    /// across the pool's workers (work-stealing batches, the deadline
+    /// checked per batch), and hands the plan back with the scores. A pair
+    /// listed with a floor is scored only until the floor provably holds
+    /// ([`PairScorer::score_floored`]); every other pair is scored
+    /// exactly. Results are bit-identical for any worker count — each
     /// score lands in its list position, whichever worker computed it.
     ///
     /// # Panics
@@ -501,13 +534,14 @@ impl SweepPool {
     pub fn score_pairs(
         &self,
         plan: Box<dyn SweepPlan>,
-        pairs: Vec<usize>,
+        pairs: Vec<PassPair>,
         scope: &PassScope,
     ) -> ScoredPairs {
         let pass = Arc::new(PairPass {
             plan,
             cursor: AtomicUsize::new(0),
             scores: pairs.iter().map(|_| AtomicU64::new(0)).collect(),
+            cleared: pairs.iter().map(|_| AtomicBool::new(false)).collect(),
             pairs,
             scored: AtomicUsize::new(0),
             scope: scope.clone(),
@@ -519,7 +553,15 @@ impl SweepPool {
             scores: pass
                 .scores
                 .into_iter()
-                .map(|bits| f64::from_bits(bits.into_inner()))
+                .zip(pass.cleared)
+                .map(|(bits, cleared)| {
+                    let v = f64::from_bits(bits.into_inner());
+                    if cleared.into_inner() {
+                        Floored::Cleared(v)
+                    } else {
+                        Floored::Exact(v)
+                    }
+                })
                 .collect(),
             pairs: pass.pairs,
             plan: pass.plan,
@@ -581,12 +623,16 @@ impl SweepPool {
     ) -> BoundedSweep {
         let series: Vec<Vec<f64>> = MetricId::ALL.iter().map(|&m| frame.series(m)).collect();
         let plan = self.plan(measure, &series, scope);
-        let pass = self.score_pairs(plan, (0..pair_count()).collect(), scope);
+        let pass = self.score_pairs(
+            plan,
+            (0..pair_count()).map(PassPair::exact).collect(),
+            scope,
+        );
         let scored = (0..pair_count()).map(|k| k < pass.scored).collect();
         BoundedSweep {
             completed: pass.completed(),
             matrix: AssociationMatrix {
-                scores: pass.scores,
+                scores: pass.scores.into_iter().map(Floored::value).collect(),
             },
             scored,
         }
@@ -768,11 +814,16 @@ mod tests {
             let mut plan = pool.plan(&measure, &series, &scope);
             // Any order, any subset — including the empty list.
             for pairs in [vec![], vec![324, 0, 17], (0..pair_count()).rev().collect()] {
+                let pairs: Vec<PassPair> = pairs.into_iter().map(PassPair::exact).collect();
                 let pass = pool.score_pairs(plan, pairs.clone(), &scope);
                 assert!(pass.completed());
                 assert_eq!(pass.pairs, pairs);
-                for (k, &pair) in pairs.iter().enumerate() {
-                    assert_eq!(pass.scores[k].to_bits(), full.at(pair).to_bits());
+                for (k, item) in pairs.iter().enumerate() {
+                    assert!(matches!(pass.scores[k], Floored::Exact(_)));
+                    assert_eq!(
+                        pass.scores[k].value().to_bits(),
+                        full.at(item.pair).to_bits()
+                    );
                 }
                 plan = pass.plan;
             }

@@ -92,20 +92,21 @@ pub enum EngineEvent {
         /// Wall-clock microseconds the chunk took.
         micros: u64,
     },
-    /// An incremental sweep's screen-then-confirm pass finished: the
-    /// diagnosis window was the previous one, unchanged or slid forward a
-    /// few ticks, profiles advanced by delta, and each pair was either
-    /// reused, screened out by the conservative bound, or confirmed with
-    /// the full measure.
+    /// A diagnosis-path pass finished — a cold pass over a new window, or
+    /// a rescore of the previous one, unchanged or slid forward a few
+    /// ticks — and settled every pair one of three ways. The counts sum to
+    /// [`crate::pair_count`].
     SweepScreened {
-        /// The context whose window was incrementally swept.
+        /// The context whose window was swept.
         context: ContextId,
-        /// Pairs whose cached score was kept with no fresh work.
+        /// Pairs whose recorded score was kept with no kernel work:
+        /// non-invariant pairs, fresh pairs, and bound pairs whose floor
+        /// still clears.
         reused: usize,
-        /// Stale invariant pairs the conservative bound proved unable to
-        /// cross the violation threshold.
+        /// Invariant pairs the pass stopped early on: a kernel entry, a
+        /// lower bound on the score, proved the invariant held.
         screened: usize,
-        /// Stale invariant pairs re-scored with the full measure.
+        /// Invariant pairs scored exactly.
         confirmed: usize,
     },
     /// A [`super::telemetry::Span`] guard closed.

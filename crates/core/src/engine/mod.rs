@@ -50,7 +50,7 @@ use crate::config::{DetectorChoice, InvarNetConfig};
 use crate::context::OperationContext;
 use crate::cusum::CusumDetector;
 use crate::error::CoreError;
-use crate::incremental::{AdvanceOutcome, IncrementalSweep, PassError};
+use crate::incremental::{AdvanceOutcome, IncrementalSweep, PassError, ScreenOutcome};
 use crate::invariants::InvariantSet;
 use crate::measure::{AssociationMeasure, PearsonMeasure};
 use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
@@ -394,15 +394,16 @@ impl Engine {
     }
 
     /// The diagnosis-path sweep, which scores only what the violation
-    /// tuple reads: the invariant pairs. When the context's record holds
-    /// the new window unchanged or slid forward a few ticks, it is
-    /// answered by delta — profiles slide in place, clean pair scores are
-    /// reused verbatim, and stale invariant pairs go through the
-    /// screen-then-confirm pass ([`IncrementalSweep::rescore`]).
-    /// Otherwise one cold pass ([`IncrementalSweep::cold`]) plans the
-    /// window once and confirms every invariant pair; its plan becomes the
-    /// new record. Either way the violation tuple is bit-identical to a
-    /// full from-scratch sweep's.
+    /// tuple reads: the invariant pairs, each only until its invariant
+    /// provably holds. When the context's record holds the new window
+    /// unchanged or slid forward a few ticks, it is answered by delta —
+    /// profiles slide in place, settled pair scores are reused verbatim,
+    /// and the rest go through one floor-aware pool pass
+    /// ([`IncrementalSweep::rescore`]). Otherwise one cold pass
+    /// ([`IncrementalSweep::cold`]) plans the window once and runs the same
+    /// pass over every invariant pair; its plan becomes the new record.
+    /// Either way the violation tuple is bit-identical to a full
+    /// from-scratch sweep's.
     ///
     /// Under a budget, the answer is the first a declared degradation
     /// ladder can give when the pass cannot: the context's recorded
@@ -522,6 +523,7 @@ impl Engine {
                 series,
                 scores,
                 invariants,
+                self.config.epsilon,
                 &self.pool,
                 &scope,
             )
@@ -531,7 +533,7 @@ impl Engine {
         // passes never complete.
         let micros = started.elapsed().as_micros() as u64;
         self.sweep_cost.observe_full(micros);
-        let Ok(record) = cold else {
+        let Ok((record, outcome)) = cold else {
             return self.degrade(
                 context,
                 frame,
@@ -540,19 +542,15 @@ impl Engine {
                 true,
             );
         };
-        self.sink.record(&EngineEvent::SweepCompleted {
-            context,
-            pairs: invariants.len(),
-            micros,
-        });
+        self.note_pass(context, outcome, micros);
         let matrix = record.matrix();
         self.put_record(context, record);
         self.note_health_ok(context);
         SweepVerdict::full(matrix)
     }
 
-    /// The screen-then-confirm pass over a record whose window is the
-    /// diagnosis window, with its events.
+    /// The floor-aware rescore of a record whose window is the diagnosis
+    /// window, with its events.
     fn rescore_record(
         &self,
         context: ContextId,
@@ -578,6 +576,15 @@ impl Engine {
                 return Err(error);
             }
         };
+        self.note_pass(context, outcome, micros);
+        self.sweep_cost.observe_incremental(micros);
+        self.note_health_ok(context);
+        Ok(SweepVerdict::full(record.matrix()))
+    }
+
+    /// Reports one completed diagnosis-path pass: how its pairs were
+    /// settled, then the pairs it scored (cleared or exact).
+    fn note_pass(&self, context: ContextId, outcome: ScreenOutcome, micros: u64) {
         self.sink.record(&EngineEvent::SweepScreened {
             context,
             reused: outcome.reused,
@@ -586,12 +593,9 @@ impl Engine {
         });
         self.sink.record(&EngineEvent::SweepCompleted {
             context,
-            pairs: outcome.confirmed,
+            pairs: outcome.screened + outcome.confirmed,
             micros,
         });
-        self.sweep_cost.observe_incremental(micros);
-        self.note_health_ok(context);
-        Ok(SweepVerdict::full(record.matrix()))
     }
 
     /// Runs `f` over `context`'s sweep record, if it has one.

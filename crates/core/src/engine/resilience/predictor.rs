@@ -3,12 +3,12 @@
 //!
 //! The engine keeps two exponential moving averages of recent sweep cost:
 //! one for from-scratch passes (full sweeps, and a diagnosis's cold pass
-//! over its invariant pairs) and one for incremental screen-then-confirm
-//! passes ([`crate::IncrementalSweep`]). The from-scratch estimate gates
-//! [`crate::Engine::diagnose_with_budget`]'s cold pass *before* any
-//! wall-clock is burned; the incremental estimate lets the ladder
-//! recognize that a context with live incremental state is far cheaper
-//! to serve than its cold history suggests.
+//! over its invariant pairs) and one for incremental rescores of a slid
+//! or unchanged window ([`crate::IncrementalSweep`]). The from-scratch
+//! estimate gates [`crate::Engine::diagnose_with_budget`]'s cold pass
+//! *before* any wall-clock is burned; the incremental estimate lets the
+//! ladder recognize that a context with live incremental state is far
+//! cheaper to serve than its cold history suggests.
 //!
 //! Two failure modes of the naive EWMA are fixed here:
 //!
@@ -54,8 +54,8 @@ impl SweepCostPredictor {
         self.full_micros.load(Ordering::Relaxed)
     }
 
-    /// Predicted cost of the next incremental screen-then-confirm pass in
-    /// µs (`0` when none has completed yet).
+    /// Predicted cost of the next incremental rescore in µs (`0` when
+    /// none has completed yet).
     pub(crate) fn predicted_incremental_micros(&self) -> u64 {
         // ordering: Relaxed — same advisory reasoning as the full estimate.
         self.incremental_micros.load(Ordering::Relaxed)

@@ -119,12 +119,12 @@ impl TelemetrySnapshot {
             ),
             (
                 "invarnet_sweep_pairs_screened_total",
-                "Stale pairs cleared by the conservative screen bound alone.",
+                "Invariant pairs whose score pass stopped early: a kernel lower bound proved them held.",
                 |s| s.sweep_pairs_screened,
             ),
             (
                 "invarnet_sweep_pairs_confirmed_total",
-                "Stale pairs confirmed with the full association measure.",
+                "Invariant pairs scored exactly by the full association measure.",
                 |s| s.sweep_pairs_confirmed,
             ),
             (

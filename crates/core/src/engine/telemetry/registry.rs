@@ -68,9 +68,9 @@ pub struct ContextScope {
     pub pairs_scored: AtomicU64,
     /// Pair scores served verbatim from the incremental sweep state.
     pub sweep_pairs_reused: AtomicU64,
-    /// Stale pairs cleared by the conservative screen bound alone.
+    /// Invariant pairs a kernel lower bound proved held (pass stopped early).
     pub sweep_pairs_screened: AtomicU64,
-    /// Stale pairs confirmed with the full association measure.
+    /// Invariant pairs scored exactly by the full association measure.
     pub sweep_pairs_confirmed: AtomicU64,
     /// Signature matches confident enough to report as a known problem.
     pub matches_confident: AtomicU64,
@@ -206,9 +206,9 @@ pub struct ScopeSnapshot {
     pub pairs_scored: u64,
     /// Pair scores served verbatim from the incremental sweep state.
     pub sweep_pairs_reused: u64,
-    /// Stale pairs cleared by the conservative screen bound alone.
+    /// Invariant pairs a kernel lower bound proved held (pass stopped early).
     pub sweep_pairs_screened: u64,
-    /// Stale pairs confirmed with the full association measure.
+    /// Invariant pairs scored exactly by the full association measure.
     pub sweep_pairs_confirmed: u64,
     /// Confident signature matches.
     pub matches_confident: u64,

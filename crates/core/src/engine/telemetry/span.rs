@@ -37,9 +37,9 @@ pub enum EnginePhase {
     /// Per-series profile construction at the start of a sweep (the shared
     /// preprocessing the profiled MIC kernel amortizes across all pairs).
     ProfileBuild,
-    /// The screen-then-confirm pass of an incremental sweep (slide the
-    /// profiles, screen stale invariant pairs with the conservative bound,
-    /// confirm the rest with the full measure).
+    /// The rescore of a slid or unchanged window (slide the profiles,
+    /// reuse settled pairs, and score the rest in one floor-aware pass that
+    /// stops each invariant pair once it provably holds).
     Screen,
 }
 

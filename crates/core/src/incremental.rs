@@ -1,59 +1,67 @@
-//! Incremental two-stage association sweeps.
+//! Incremental, floor-aware association sweeps.
 //!
-//! A diagnosis reads only its invariant pairs: the violation tuple
-//! compares each invariant's reference score with the window's score of
-//! the same pair. The engine keeps one [`IncrementalSweep`] record per
-//! context — the last scored window, its per-pair scores and staleness,
-//! and the [`SweepPlan`] they were scored against — and answers a
-//! diagnosis with the least scoring that keeps the tuple exact:
+//! A diagnosis reads only its invariant pairs, and only through the
+//! violation tuple, which flags an invariant when `|I − A| >= ε`. The
+//! engine keeps one [`IncrementalSweep`] record per context — the last
+//! scored window, its per-pair scores and what each score is worth, and
+//! the [`SweepPlan`] they were scored against — and answers a diagnosis
+//! with the least scoring that keeps the tuple exact.
+//!
+//! Each pair's score carries one of three tags:
+//!
+//! - **fresh** — the exact score of the recorded window;
+//! - **bound** — a kernel entry of the recorded window that cleared its
+//!   invariant's floor: `<=` the exact score, and it grades to zero
+//!   deviation exactly when the exact score does;
+//! - **stale** — anything (an earlier window's score, or `0.0`).
+//!
+//! Passes over a record:
 //!
 //! 0. **Cold pass** — a window that is not a slide of the record gets
 //!    [`IncrementalSweep::cold`]: one plan built on the pool (for MIC, 26
 //!    series profiles, built once), a record seeded from it with every
-//!    pair stale, and one pool pass that confirms exactly the invariant
-//!    pairs. The other pairs keep the previous record's scores (or `0.0`)
-//!    and stay stale; no diagnosis reads them.
+//!    pair stale, then the rescore below. Pairs no invariant reads keep
+//!    the previous record's scores (or `0.0`) and stay stale.
 //! 1. **Slide** — [`IncrementalSweep::advance`] detects that the new
 //!    window is the old one unchanged or shifted forward by at most
 //!    [`MAX_SLIDE`] ticks and slides every per-series profile in place
 //!    ([`SweepPlan::slide`]), bit-identically to rebuilding it. Series
 //!    whose departing and entering samples are bit-equal are *clean*:
-//!    their (value, partner) multisets are unchanged, so every cached
-//!    pair score involving only clean series **is** the fresh score.
-//! 2. **Screen, then confirm** — [`IncrementalSweep::rescore`] walks the
-//!    stale pairs. Pairs the violation tuple never reads (non-invariants)
-//!    keep their cached score. Invariant pairs are screened with the
-//!    kernel's own conservative lower bound
-//!    ([`ix_mic::mic_screen_bound_scratch`] via
-//!    [`crate::measure::PairScorer::screen_bound`]): when every possible
-//!    fresh score in `[bound, 1]` and the cached score all grade to zero
-//!    deviation, the pair cannot cross the violation threshold and the
-//!    cached score is kept; the rest go to the pool as one confirm pass
-//!    and the fresh scores replace the cache.
+//!    their (value, partner) multisets are unchanged, so a pair touching
+//!    only clean series keeps its tag. Every other pair becomes stale.
+//! 2. **Rescore** — [`IncrementalSweep::rescore`] classifies every pair
+//!    under the current invariants and ε. Non-invariant pairs keep their
+//!    score. Fresh pairs are reused. A bound pair is reused with no kernel
+//!    work when its invariant's [`Floor`] (which exists only when
+//!    `1 − I < ε`) still clears its score. Every other invariant pair goes
+//!    to one pool pass ([`SweepPool::score_pairs`]), carrying its floor
+//!    when it has one: the MIC kernel then runs one unit at a time and
+//!    stops as soon as an entry clears ([`ix_mic::mic_floor_scratch`]). A
+//!    cleared pair stores that entry and becomes bound; any other pair
+//!    stores its exact score and becomes fresh.
 //!
-//! Cold passes and confirm passes run through the same loop as a full
-//! sweep, [`SweepPool::score_pairs`], under the diagnosis's deadline; a
-//! pass cut short writes nothing into the record.
+//! Every pass runs under the diagnosis's deadline; a pass cut short
+//! writes nothing into the record.
 //!
 //! The soundness contract: a diagnosis built from
 //! [`IncrementalSweep::matrix`] after [`IncrementalSweep::cold`] or
 //! [`IncrementalSweep::rescore`] produces a violation tuple bit-identical
-//! to one built from a full from-scratch sweep of the same window —
-//! confirmed pairs by the plan's bit-exactness, clean pairs by multiset
-//! invariance, and screened pairs because both the cached and every
-//! possible fresh score grade to exactly `0.0`. A screened or unscored
-//! pair stays stale, so an unchanged window is rescored too (as a
-//! zero-tick slide) rather than served raw: the invariants may have
-//! changed since the last pass. `tests/golden_sweep.rs` pins both halves
-//! (bit-exactness hammer from a cold pass + no-false-negative proptest).
+//! to one built from a full from-scratch sweep of the same window. Fresh
+//! pairs hold the exact bits (the plan is bit-exact, and clean pairs keep
+//! their multisets). A bound pair holds an entry `v` of the set the kernel
+//! maximizes, computed by the same code, so `v <= mic`; with `1 − I < ε`,
+//! monotone rounding gives `fl(I − mic) <= fl(I − v) < ε` and
+//! `fl(mic − I) <= fl(1 − I) < ε`, so both grade to `0.0`. An unchanged
+//! window is rescored too (as a zero-tick slide) rather than served raw:
+//! the invariants may have changed since the last pass.
+//! `tests/golden_sweep.rs` pins the contract (bit-exactness hammer from a
+//! cold pass), and `crates/mic/tests/floor.rs` the kernel's half of it.
 
 use std::sync::Arc;
 
-use crate::assoc::{
-    pair_count, pair_index, pair_of_index, AssociationMatrix, PassScope, SweepPool,
-};
+use crate::assoc::{pair_count, pair_index, AssociationMatrix, PassPair, PassScope, SweepPool};
 use crate::invariants::InvariantSet;
-use crate::measure::{AssociationMeasure, SlideOutcome, SweepPlan};
+use crate::measure::{AssociationMeasure, Floor, Floored, SlideOutcome, SweepPlan};
 
 /// Longest window shift (in ticks) `advance` absorbs in place. Beyond
 /// this, shift detection costs more than it saves and the caller should
@@ -80,54 +88,64 @@ pub enum AdvanceOutcome {
     Unsupported,
 }
 
-/// Counters from one [`IncrementalSweep::rescore`] pass, in pairs.
+/// Counters from one [`IncrementalSweep::rescore`] (or cold) pass, in
+/// pairs; they sum to [`pair_count`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScreenOutcome {
-    /// Pairs whose cached score was kept with no fresh work: clean pairs
-    /// (score provably fresh) plus stale pairs no invariant reads.
+    /// Pairs whose recorded score was kept with no kernel work: pairs no
+    /// invariant reads, fresh pairs, and bound pairs whose floor still
+    /// clears.
     pub reused: usize,
-    /// Stale invariant pairs the conservative bound proved unable to
-    /// cross the violation threshold; cached score kept.
+    /// Pairs the pass stopped early on: a kernel entry cleared the
+    /// invariant's floor, and the pair is now bound.
     pub screened: usize,
-    /// Stale invariant pairs re-scored with the full measure.
+    /// Pairs the pass scored exactly; the pair is now fresh.
     pub confirmed: usize,
 }
 
 /// Why a scoring pass over a record gave no answer. The record's scores
-/// and staleness are untouched either way.
+/// and tags are untouched either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassError {
-    /// A stale invariant pair needs scoring and the record has no plan to
+    /// An invariant pair needs scoring and the record has no plan to
     /// score it with: sweep from scratch.
     Unplanned,
     /// The pool pass hit its deadline; no partial score was written.
     DeadlineExpired,
 }
 
+/// What a record's score for one pair is worth (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairState {
+    /// The exact score of the recorded window.
+    Fresh,
+    /// A kernel entry of the recorded window that cleared its floor:
+    /// `<=` the exact score.
+    Bound,
+    /// Anything: an earlier window's score, or `0.0`.
+    Stale,
+}
+
 /// One context's record of its last full-fidelity pass: the window it
-/// reflects, the per-pair scores and staleness, and — when the record was
-/// written on the diagnosis path — the plan that scores and slides it.
+/// reflects, the per-pair scores and their tags, and — when the record
+/// was written on the diagnosis path — the plan that scores and slides it.
 pub struct IncrementalSweep {
     /// The window the record currently reflects, series-major.
     series: Vec<Vec<f64>>,
     /// The plan the record's pairs are scored against (profiles, for
     /// MIC). A plan-less record only recognizes its own window again.
     plan: Option<Box<dyn SweepPlan>>,
-    /// Per-pair scores: fresh wherever the violation tuple consults them.
+    /// Per-pair scores, worth what `state` says.
     scores: Vec<f64>,
-    /// `stale[pair]` — the cached score may differ from a fresh one.
-    /// Screened pairs stay stale (their cache was proven harmless, not
-    /// fresh); confirmed pairs become clean. Pairs no pass has scored for
-    /// this window keep an earlier window's score (or `0.0`) and stay
-    /// stale.
-    stale: Vec<bool>,
+    /// Per-pair tags: fresh, bound or stale.
+    state: Vec<PairState>,
     /// Per-series "profile moved" flags for the advance in progress.
     moved: Vec<bool>,
     /// Per-series "needs full rebuild" flags for the advance in progress.
     rebuilt: Vec<bool>,
-    /// The pairs the pass in progress confirms (a buffer kept across
+    /// The pairs the pass in progress scores (a buffer kept across
     /// passes).
-    confirm: Vec<usize>,
+    pending: Vec<PassPair>,
 }
 
 impl IncrementalSweep {
@@ -139,21 +157,21 @@ impl IncrementalSweep {
         IncrementalSweep {
             moved: vec![false; series.len()],
             rebuilt: vec![false; series.len()],
-            stale: vec![false; scores.len()],
+            state: vec![PairState::Fresh; scores.len()],
             series,
             plan: None,
             scores,
-            confirm: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
     /// The cold pass: plans `series` once on the pool
     /// ([`SweepPool::plan`]), seeds a record from that plan with every
-    /// pair stale and `scores` as the cached values, then confirms every
-    /// invariant pair with the full measure in one pool pass — no screen,
-    /// so the invariant pairs end up with exactly a from-scratch sweep's
-    /// scores. Every other pair keeps its value from `scores` (an earlier
-    /// record's, or `0.0`) and stays stale.
+    /// pair stale and `scores` as the recorded values, then runs
+    /// [`IncrementalSweep::rescore`] under `invariants` and `epsilon`.
+    /// Every invariant pair ends up fresh or bound, so the violation tuple
+    /// is exact; every other pair keeps its value from `scores` (an
+    /// earlier record's, or `0.0`) and stays stale.
     ///
     /// # Errors
     ///
@@ -168,25 +186,24 @@ impl IncrementalSweep {
         series: Vec<Vec<f64>>,
         scores: Vec<f64>,
         invariants: &InvariantSet,
+        epsilon: f64,
         pool: &SweepPool,
         scope: &PassScope,
-    ) -> Result<IncrementalSweep, PassError> {
+    ) -> Result<(IncrementalSweep, ScreenOutcome), PassError> {
         assert_eq!(scores.len(), pair_count(), "wrong score vector length");
         let plan = pool.plan(measure, &series, scope);
         let mut record = IncrementalSweep::new(series, scores);
         record.plan = Some(plan);
-        record.stale.fill(true);
-        record
-            .confirm
-            .extend(invariants.entries().iter().map(|e| e.pair));
-        record.confirm_pending(pool, scope)?;
-        Ok(record)
+        record.state.fill(PairState::Stale);
+        let outcome = record.rescore(invariants, epsilon, pool, scope)?;
+        Ok((record, outcome))
     }
 
-    /// Whether every per-pair score is fresh for the recorded window (no
-    /// slide or invariant-pair pass has left a pair stale).
+    /// Whether every per-pair score is exact for the recorded window (no
+    /// slide, invariant-pair pass or cleared floor has left a pair stale
+    /// or bound).
     pub fn is_fresh(&self) -> bool {
-        !self.stale.contains(&true)
+        self.state.iter().all(|&s| s == PairState::Fresh)
     }
 
     /// Whether `series` is bit-identical to the recorded window.
@@ -201,7 +218,7 @@ impl IncrementalSweep {
     /// Detects whether `new_series` is this record's window unchanged or
     /// slid forward by at most [`MAX_SLIDE`] ticks and, if it slid,
     /// absorbs the shift: every profile slides in place and pairs
-    /// touching a moved series are marked stale. A plan-less record only
+    /// touching a moved series become stale. A plan-less record only
     /// recognizes its own window.
     ///
     /// On [`AdvanceOutcome::Unsupported`] the plan may be partially slid,
@@ -281,32 +298,30 @@ impl IncrementalSweep {
         for i in 0..self.series.len() {
             for j in (i + 1)..self.series.len() {
                 if self.moved[i] || self.moved[j] {
-                    self.stale[pair_index(i, j)] = true;
+                    self.state[pair_index(i, j)] = PairState::Stale;
                 }
             }
         }
         AdvanceOutcome::Advanced { shift }
     }
 
-    /// Stage two: re-establishes the soundness contract for the current
-    /// window under `invariants` and violation threshold `epsilon`.
+    /// Re-establishes the soundness contract for the current window under
+    /// `invariants` and violation threshold `epsilon`.
     ///
-    /// A stale invariant pair with reference `I` and cached score `c` is
-    /// *screened out* (cached score kept) only when all three hold
-    /// strictly — `1 - I < epsilon`, `|I - c| < epsilon`, and
-    /// `|I - bound| < epsilon` for the measure's conservative lower bound
-    /// — because then every possible fresh score in `[bound, 1]` and the
-    /// cached score grade to exactly `0.0` deviation: the violation tuple
-    /// cannot tell the cache from a fresh sweep. The screen runs on the
-    /// calling thread; everything else goes to the pool as one confirm
-    /// pass ([`SweepPool::score_pairs`]) under `scope`.
+    /// Pairs no invariant reads keep their score; fresh pairs are reused;
+    /// a bound pair is reused when its invariant's [`Floor`] still clears
+    /// the recorded entry. Every other invariant pair goes to one pool
+    /// pass ([`SweepPool::score_pairs`]) under `scope`, carrying its floor
+    /// when `1 − I < ε`: a cleared pair stores the clearing kernel entry
+    /// and becomes bound, any other pair stores its exact score and
+    /// becomes fresh.
     ///
     /// # Errors
     ///
-    /// Changing no score: [`PassError::Unplanned`] when a stale invariant
-    /// pair needs a score and the record has no plan (the caller must
-    /// sweep from scratch), [`PassError::DeadlineExpired`] when the
-    /// confirm pass ran out of time.
+    /// Changing no score: [`PassError::Unplanned`] when an invariant pair
+    /// needs a score and the record has no plan (the caller must sweep
+    /// from scratch), [`PassError::DeadlineExpired`] when the pass ran out
+    /// of time.
     pub fn rescore(
         &mut self,
         invariants: &InvariantSet,
@@ -314,89 +329,81 @@ impl IncrementalSweep {
         pool: &SweepPool,
         scope: &PassScope,
     ) -> Result<ScreenOutcome, PassError> {
-        let mut outcome = ScreenOutcome::default();
-        self.confirm.clear();
-        {
-            let IncrementalSweep {
-                plan,
-                scores,
-                stale,
-                confirm,
-                ..
-            } = &mut *self;
-            let mut scorer = None;
-            let entries = invariants.entries();
-            let mut cursor = 0usize;
-            for idx in 0..pair_count() {
-                while cursor < entries.len() && entries[cursor].pair < idx {
-                    cursor += 1;
-                }
-                let reference = match entries.get(cursor) {
-                    Some(e) if e.pair == idx => e.value,
-                    // Stale or not, the violation tuple never reads a
-                    // non-invariant pair: the cached score stays.
-                    _ => {
-                        outcome.reused += 1;
-                        continue;
-                    }
-                };
-                if !stale[idx] {
-                    outcome.reused += 1;
+        let mut reused = 0;
+        let entries = invariants.entries();
+        self.pending.clear();
+        self.pending.reserve(entries.len());
+        let mut cursor = 0usize;
+        for idx in 0..pair_count() {
+            while cursor < entries.len() && entries[cursor].pair < idx {
+                cursor += 1;
+            }
+            let floor = match entries.get(cursor) {
+                Some(e) if e.pair == idx => Floor::new(e.value, epsilon),
+                // Whatever its tag, the violation tuple never reads a
+                // non-invariant pair: the recorded score stays.
+                _ => {
+                    reused += 1;
                     continue;
                 }
-                if 1.0 - reference < epsilon && (reference - scores[idx]).abs() < epsilon {
-                    let Some(plan) = plan.as_deref() else {
-                        return Err(PassError::Unplanned);
-                    };
-                    let (a, b) = pair_of_index(idx);
-                    let scorer = scorer.get_or_insert_with(|| plan.scorer());
-                    if let Some(bound) = scorer.screen_bound(a.index(), b.index()) {
-                        if (reference - bound).abs() < epsilon {
-                            outcome.screened += 1;
-                            continue;
-                        }
-                    }
-                }
-                confirm.push(idx);
+            };
+            let settled = match self.state[idx] {
+                PairState::Fresh => true,
+                PairState::Bound => floor.is_some_and(|f| f.clears(self.scores[idx])),
+                PairState::Stale => false,
+            };
+            if settled {
+                reused += 1;
+            } else {
+                self.pending.push(PassPair { pair: idx, floor });
             }
         }
-        outcome.confirmed = self.confirm.len();
-        self.confirm_pending(pool, scope)?;
-        Ok(outcome)
+        let screened = self.score_pending(pool, scope)?;
+        Ok(ScreenOutcome {
+            reused,
+            screened,
+            confirmed: self.pending.len() - screened,
+        })
     }
 
-    /// Scores the pairs in `self.confirm` on the pool and, only when the
-    /// pass completed, writes them into the record as fresh scores.
-    fn confirm_pending(&mut self, pool: &SweepPool, scope: &PassScope) -> Result<(), PassError> {
-        if self.confirm.is_empty() {
-            return Ok(());
+    /// Scores the pairs in `self.pending` on the pool and, only when the
+    /// pass completed, writes them into the record: cleared pairs as
+    /// bound, the rest as fresh. Returns how many cleared.
+    fn score_pending(&mut self, pool: &SweepPool, scope: &PassScope) -> Result<usize, PassError> {
+        if self.pending.is_empty() {
+            return Ok(0);
         }
         let Some(plan) = self.plan.take() else {
             return Err(PassError::Unplanned);
         };
-        let pass = pool.score_pairs(plan, std::mem::take(&mut self.confirm), scope);
+        let pass = pool.score_pairs(plan, std::mem::take(&mut self.pending), scope);
         let completed = pass.completed();
-        if completed {
-            for (&pair, &score) in pass.pairs.iter().zip(&pass.scores) {
-                self.scores[pair] = score;
-                self.stale[pair] = false;
-            }
-        }
         self.plan = Some(pass.plan);
-        self.confirm = pass.pairs;
-        if completed {
-            Ok(())
-        } else {
-            Err(PassError::DeadlineExpired)
+        self.pending = pass.pairs;
+        if !completed {
+            return Err(PassError::DeadlineExpired);
         }
+        let mut cleared = 0;
+        for (item, &score) in self.pending.iter().zip(&pass.scores) {
+            let (v, state) = match score {
+                Floored::Cleared(v) => {
+                    cleared += 1;
+                    (v, PairState::Bound)
+                }
+                Floored::Exact(v) => (v, PairState::Fresh),
+            };
+            self.scores[item.pair] = v;
+            self.state[item.pair] = state;
+        }
+        Ok(cleared)
     }
 
     /// The current per-pair scores as an association matrix. After
-    /// [`IncrementalSweep::cold`] or [`IncrementalSweep::rescore`] it is
-    /// bit-identical to a full from-scratch sweep on every pair the
-    /// violation tuple consults (all invariant pairs); non-invariant stale
-    /// pairs hold an earlier window's score, or `0.0` when no pass has
-    /// scored them.
+    /// [`IncrementalSweep::cold`] or [`IncrementalSweep::rescore`] it gives
+    /// the violation tuple a full from-scratch sweep would: every invariant
+    /// pair holds its exact score, or a kernel entry `<=` it that grades
+    /// the same. Non-invariant stale pairs hold an earlier window's score,
+    /// or `0.0` when no pass has scored them.
     pub fn matrix(&self) -> AssociationMatrix {
         AssociationMatrix::from_scores(self.scores.clone())
     }
@@ -405,6 +412,11 @@ impl IncrementalSweep {
     pub fn scores(&self) -> &[f64] {
         &self.scores
     }
+
+    /// How many pairs carry `state`.
+    fn count(&self, state: PairState) -> usize {
+        self.state.iter().filter(|&&s| s == state).count()
+    }
 }
 
 impl std::fmt::Debug for IncrementalSweep {
@@ -412,7 +424,8 @@ impl std::fmt::Debug for IncrementalSweep {
         f.debug_struct("IncrementalSweep")
             .field("window_ticks", &self.series.first().map(Vec::len))
             .field("planned", &self.plan.is_some())
-            .field("stale_pairs", &self.stale.iter().filter(|&&s| s).count())
+            .field("bound_pairs", &self.count(PairState::Bound))
+            .field("stale_pairs", &self.count(PairState::Stale))
             .finish()
     }
 }
@@ -420,6 +433,7 @@ impl std::fmt::Debug for IncrementalSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invariants::InvariantEntry;
     use crate::measure::{MicMeasure, PearsonMeasure};
     use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
     use ix_mic::MicParams;
@@ -449,17 +463,20 @@ mod tests {
         InvariantSet::select(std::slice::from_ref(&matrix), 0.2)
     }
 
-    /// A record of `frame` after a cold pass over every pair.
-    fn cold_record(pool: &SweepPool, frame: &MetricFrame) -> IncrementalSweep {
-        IncrementalSweep::cold(
+    /// A record of `frame` after a cold pass over every pair under
+    /// `epsilon` (`0.0`: no pair has a floor, so every score is exact).
+    fn cold_record(pool: &SweepPool, frame: &MetricFrame, epsilon: f64) -> IncrementalSweep {
+        let (record, _) = IncrementalSweep::cold(
             &mic(),
             series_of(frame),
             vec![0.0; pair_count()],
             &all_pairs(frame),
+            epsilon,
             pool,
             &PassScope::detached(),
         )
-        .unwrap()
+        .unwrap();
+        record
     }
 
     #[test]
@@ -471,41 +488,118 @@ mod tests {
         let entries: Vec<_> = every.entries().iter().step_by(3).copied().collect();
         let invariants = InvariantSet::from_entries(entries, 0.2).unwrap();
         let previous: Vec<f64> = (0..pair_count()).map(|p| p as f64 / 1000.0).collect();
-        for measure in [
-            mic(),
-            Arc::new(PearsonMeasure) as Arc<dyn AssociationMeasure>,
+        for (measure, floors) in [
+            (mic(), true),
+            (
+                Arc::new(PearsonMeasure) as Arc<dyn AssociationMeasure>,
+                false,
+            ),
         ] {
-            let record = IncrementalSweep::cold(
-                &measure,
-                series_of(&base),
-                previous.clone(),
-                &invariants,
-                &pool,
-                &PassScope::detached(),
-            )
-            .unwrap();
-            let want = pool.sweep(&base, &measure);
-            for (pair, &seeded) in previous.iter().enumerate() {
-                let read = invariants.entries().iter().any(|e| e.pair == pair);
-                // Invariant pairs carry the exact fresh score; every other
-                // pair keeps the score it was seeded with, and stays stale.
-                let expected = if read { want.at(pair) } else { seeded };
-                assert_eq!(record.scores()[pair].to_bits(), expected.to_bits());
-                assert_eq!(record.stale[pair], !read, "pair {pair}");
+            for epsilon in [0.0, 0.2] {
+                let (record, outcome) = IncrementalSweep::cold(
+                    &measure,
+                    series_of(&base),
+                    previous.clone(),
+                    &invariants,
+                    epsilon,
+                    &pool,
+                    &PassScope::detached(),
+                )
+                .unwrap();
+                assert_eq!(outcome.reused, pair_count() - invariants.len());
+                assert_eq!(outcome.screened + outcome.confirmed, invariants.len());
+                assert_eq!(outcome.screened, record.count(PairState::Bound));
+                // Only MIC stops early, and only when a floor exists.
+                assert_eq!(outcome.screened > 0, floors && epsilon > 0.0);
+                let want = pool.sweep(&base, &measure);
+                for (pair, &seeded) in previous.iter().enumerate() {
+                    let (got, exact) = (record.scores()[pair], want.at(pair));
+                    match invariants.entries().iter().find(|e| e.pair == pair) {
+                        // Every other pair keeps the score it was seeded
+                        // with, and stays stale.
+                        None => {
+                            assert_eq!(got.to_bits(), seeded.to_bits());
+                            assert_eq!(record.state[pair], PairState::Stale);
+                        }
+                        // Invariant pairs carry the exact score, or a
+                        // cleared entry below it that grades the same.
+                        Some(e) => match record.state[pair] {
+                            PairState::Fresh => assert_eq!(got.to_bits(), exact.to_bits()),
+                            PairState::Bound => {
+                                let floor = Floor::new(e.value, epsilon).expect("a floor");
+                                assert!(got <= exact && floor.clears(got) && floor.clears(exact));
+                            }
+                            PairState::Stale => panic!("invariant pair {pair} left stale"),
+                        },
+                    }
+                }
+                assert!(!record.is_fresh());
             }
-            assert!(!record.is_fresh());
         }
-        // Every pair an invariant: the record is a full sweep.
-        let full = cold_record(&pool, &base);
+        // Every pair an invariant and no floor: the record is a full sweep.
+        let full = cold_record(&pool, &base, 0.0);
         assert!(full.is_fresh());
         assert_eq!(full.matrix(), fresh);
+        // With floors some pairs are bound, so it is not.
+        assert!(!cold_record(&pool, &base, 0.2).is_fresh());
+    }
+
+    #[test]
+    fn a_bound_pair_out_of_reach_of_new_invariants_is_rescored() {
+        let pool = SweepPool::new(1);
+        let scope = PassScope::detached();
+        let base = frame(40, 0);
+        let invariants = all_pairs(&base);
+        let mut record = cold_record(&pool, &base, 0.2);
+        let bound: Vec<usize> = (0..pair_count())
+            .filter(|&p| record.state[p] == PairState::Bound)
+            .collect();
+        assert!(!bound.is_empty());
+        // Unchanged window, same invariants: every bound pair is
+        // revalidated with no kernel work.
+        assert_eq!(record.advance(&series_of(&base)), AdvanceOutcome::Identical);
+        assert_eq!(
+            record.rescore(&invariants, 0.2, &pool, &scope),
+            Ok(ScreenOutcome {
+                reused: pair_count(),
+                ..ScreenOutcome::default()
+            })
+        );
+        // New references put every bound pair out of reach (1 − I >= ε):
+        // each is scored again, exactly.
+        let entries = invariants
+            .entries()
+            .iter()
+            .map(|e| InvariantEntry {
+                value: if bound.contains(&e.pair) {
+                    0.5
+                } else {
+                    e.value
+                },
+                ..*e
+            })
+            .collect();
+        let lowered = InvariantSet::from_entries(entries, invariants.tau()).unwrap();
+        assert_eq!(
+            record.rescore(&lowered, 0.2, &pool, &scope),
+            Ok(ScreenOutcome {
+                reused: pair_count() - bound.len(),
+                screened: 0,
+                confirmed: bound.len(),
+            })
+        );
+        let fresh = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
+        for &pair in &bound {
+            assert_eq!(record.state[pair], PairState::Fresh);
+            assert_eq!(record.scores()[pair].to_bits(), fresh.at(pair).to_bits());
+        }
     }
 
     #[test]
     fn advance_classifies_windows() {
         let pool = SweepPool::new(1);
         let base = frame(40, 0);
-        let mut inc = cold_record(&pool, &base);
+        let mut inc = cold_record(&pool, &base, 0.2);
         // Same window: identical, state not consumed.
         assert_eq!(inc.advance(&series_of(&base)), AdvanceOutcome::Identical);
         // One-tick slide.
@@ -550,7 +644,7 @@ mod tests {
         );
         assert!(record.is_window(&series_of(&base)));
         // A planned record absorbs the same slide...
-        let mut record = cold_record(&pool, &base);
+        let mut record = cold_record(&pool, &base, 0.2);
         assert_eq!(
             record.advance(&series_of(&frame(40, 1))),
             AdvanceOutcome::Advanced { shift: 1 }
@@ -585,24 +679,25 @@ mod tests {
             series_of(&base),
             vec![0.0; pair_count()],
             &invariants,
+            0.2,
             &pool,
             &expired,
         );
         assert_eq!(cold.err(), Some(PassError::DeadlineExpired));
 
-        let mut record = cold_record(&pool, &base);
+        let mut record = cold_record(&pool, &base, 0.2);
         let next = frame(40, 1);
         assert_eq!(
             record.advance(&series_of(&next)),
             AdvanceOutcome::Advanced { shift: 1 }
         );
-        let (scores, stale) = (record.scores().to_vec(), record.stale.clone());
+        let (scores, state) = (record.scores().to_vec(), record.state.clone());
         assert_eq!(
             record.rescore(&invariants, 0.0, &pool, &expired),
             Err(PassError::DeadlineExpired)
         );
         assert_eq!(record.scores(), &scores[..]);
-        assert_eq!(record.stale, stale);
+        assert_eq!(record.state, state);
         // The plan survived the expired pass: the next pass completes.
         let outcome = record
             .rescore(&invariants, 0.0, &pool, &PassScope::detached())
@@ -625,7 +720,7 @@ mod tests {
         // Train invariants on the base window (every pair's band is 0).
         let invariants = all_pairs(&base);
         let epsilon = 0.2;
-        let mut inc = cold_record(&pool, &base);
+        let mut inc = cold_record(&pool, &base, epsilon);
         for offset in 1..=6 {
             let next = frame(40, offset);
             assert_eq!(
@@ -645,8 +740,8 @@ mod tests {
                 crate::signature::ViolationTuple::build(&invariants, &inc.matrix(), epsilon);
             let fresh_tuple = crate::signature::ViolationTuple::build(&invariants, &fresh, epsilon);
             assert_eq!(inc_tuple, fresh_tuple, "window offset {offset}");
-            // Confirmed + clean pairs are bit-identical scores; screened
-            // pairs are allowed to keep the cached value.
+            // Fresh pairs are bit-identical scores; bound pairs may hold
+            // a cleared entry below the exact score.
             for e in invariants.entries() {
                 let got = inc.matrix().at(e.pair);
                 let want = fresh.at(e.pair);
@@ -665,13 +760,14 @@ mod tests {
 
     #[test]
     fn rescore_screens_only_provably_safe_pairs() {
-        // With epsilon = 0 nothing can be screened (the strict inequality
-        // `1 - I < 0` never holds), so every stale invariant pair must be
-        // confirmed — the no-false-negative property at its sharpest.
+        // With epsilon = 0 no pair has a floor (the strict inequality
+        // `1 - I < 0` never holds), so every stale or bound invariant pair
+        // must be scored exactly — the no-false-negative property at its
+        // sharpest.
         let pool = SweepPool::new(1);
         let base = frame(40, 0);
         let invariants = all_pairs(&base);
-        let mut inc = cold_record(&pool, &base);
+        let mut inc = cold_record(&pool, &base, 0.2);
         let next = frame(40, 1);
         assert_eq!(
             inc.advance(&series_of(&next)),

@@ -53,8 +53,8 @@ mod store;
 
 pub use anomaly::{DetectionResult, PerformanceModel, ResidualStats, ThresholdRule};
 pub use assoc::{
-    pair_count, pair_index, pair_of_index, AssociationMatrix, BoundedSweep, PassScope, ScoredPairs,
-    SweepPool,
+    pair_count, pair_index, pair_of_index, AssociationMatrix, BoundedSweep, PassPair, PassScope,
+    ScoredPairs, SweepPool,
 };
 pub use config::{ConfigBuilder, DetectorChoice, InvarNetConfig};
 pub use context::OperationContext;
@@ -78,7 +78,8 @@ pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};
 pub use incremental::{AdvanceOutcome, IncrementalSweep, PassError, ScreenOutcome, MAX_SLIDE};
 pub use invariants::{InvariantEntry, InvariantSet};
 pub use measure::{
-    ArxMeasure, AssociationMeasure, MicMeasure, PairScorer, PearsonMeasure, SlideOutcome, SweepPlan,
+    ArxMeasure, AssociationMeasure, Floor, Floored, MicMeasure, PairScorer, PearsonMeasure,
+    SlideOutcome, SweepPlan,
 };
 pub use signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use similarity::Similarity;

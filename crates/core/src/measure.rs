@@ -8,9 +8,8 @@
 use std::sync::{Arc, Mutex};
 
 use ix_arx::ArxSearch;
-use ix_mic::{
-    mic_screen_bound_scratch, mic_with_profiles_scratch, MicParams, MineScratch, SeriesProfile,
-};
+pub use ix_mic::Floored;
+use ix_mic::{mic_floor_scratch, mic_with_profiles_scratch, MicParams, MineScratch, SeriesProfile};
 use ix_timeseries::pearson;
 
 use crate::assoc::SweepPool;
@@ -78,13 +77,41 @@ pub trait PairScorer {
     /// the series slice the plan was prepared from).
     fn score_pair(&mut self, a: usize, b: usize) -> f64;
 
-    /// A conservative lower bound on [`PairScorer::score_pair`] for the
-    /// same pair, cheap enough to run as a screen: the exact score is
-    /// guaranteed to lie in `[bound, 1]`. Measures without a sound cheap
-    /// bound return `None` (the default) and are always scored in full.
-    fn screen_bound(&mut self, a: usize, b: usize) -> Option<f64> {
-        let _ = (a, b);
-        None
+    /// Scores the pair only until `floor` provably holds: a measure whose
+    /// score is a maximum may stop at the first lower bound `v` with
+    /// `floor.clears(v)` and return [`Floored::Cleared`]`(v)`, where `v`
+    /// is `<=` the exact score. The default scores exactly, as
+    /// [`PairScorer::score_pair`] does.
+    fn score_floored(&mut self, a: usize, b: usize, floor: Floor) -> Floored {
+        let _ = floor;
+        Floored::Exact(self.score_pair(a, b))
+    }
+}
+
+/// The question a diagnosis asks of one invariant pair whose reference is
+/// within reach of a lower bound: does the window's score grade to zero
+/// deviation? A `Floor` exists only when `1 − I < ε`; then every score `v`
+/// with `|I − v| < ε`, and every score above it, grades to `0.0` in the
+/// violation tuple (which flags `|I − A| >= ε`), so a lower bound that
+/// clears settles the pair's tuple entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Floor {
+    reference: f64,
+    epsilon: f64,
+}
+
+impl Floor {
+    /// The floor of an invariant with reference `reference` under
+    /// violation threshold `epsilon`, or `None` when `1 − I >= ε`: no
+    /// score can then be proven held from below.
+    pub fn new(reference: f64, epsilon: f64) -> Option<Floor> {
+        (1.0 - reference < epsilon).then_some(Floor { reference, epsilon })
+    }
+
+    /// Whether score `v` grades to zero deviation: the negation of the
+    /// violation tuple's own test on `(I − v).abs()`.
+    pub fn clears(self, v: f64) -> bool {
+        (self.reference - v).abs() < self.epsilon
     }
 }
 
@@ -284,14 +311,18 @@ impl PairScorer for MicScorer<'_> {
         }
     }
 
-    fn screen_bound(&mut self, a: usize, b: usize) -> Option<f64> {
+    fn score_floored(&mut self, a: usize, b: usize, floor: Floor) -> Floored {
         match (&self.plan.profiles[a], &self.plan.profiles[b]) {
-            (Some(xp), Some(yp)) => {
-                mic_screen_bound_scratch(xp, yp, &self.plan.params, &mut self.scratch).ok()
-            }
-            // A missing profile scores exactly 0.0, so 0.0 is the exact
-            // (and therefore conservative) bound.
-            _ => Some(0.0),
+            (Some(xp), Some(yp)) => mic_floor_scratch(
+                xp,
+                yp,
+                &self.plan.params,
+                |v| floor.clears(v),
+                &mut self.scratch,
+            )
+            .unwrap_or(Floored::Exact(0.0)),
+            // A missing profile scores exactly 0.0.
+            _ => Floored::Exact(0.0),
         }
     }
 }

@@ -38,9 +38,9 @@ mod profile;
 pub use entropy::{entropy_from_counts, joint_entropy_from_counts, mutual_information};
 pub use grid::{equipartition, Clumps};
 pub use mine::{
-    characteristic_matrix, mic, mic_e, mic_screen_bound_scratch, mic_with_params,
-    mic_with_profiles, mic_with_profiles_scratch, mine, CharacteristicMatrix, MicError, MicParams,
-    MineStats,
+    characteristic_matrix, mic, mic_e, mic_floor_scratch, mic_screen_bound_scratch,
+    mic_with_params, mic_with_profiles, mic_with_profiles_scratch, mine, CharacteristicMatrix,
+    Floored, MicError, MicParams, MineStats,
 };
 pub use optimize::optimize_axis;
 pub use profile::{MineScratch, SeriesProfile};

@@ -7,7 +7,9 @@
 //! sweeps allocate nothing per pair. The classic allocating entry points
 //! ([`mic`], [`mine`], [`characteristic_matrix`]) are thin wrappers that
 //! build two profiles and a scratch on the fly — same public API, same
-//! scores bit-for-bit.
+//! scores bit-for-bit. [`mic_floor_scratch`] runs the same kernel one unit
+//! at a time for callers that only need to know whether MIC clears a
+//! floor.
 
 use std::fmt;
 
@@ -170,7 +172,8 @@ pub fn mic_with_profiles(
 }
 
 /// [`mic_with_profiles`] reusing a caller-held [`MineScratch`]: zero
-/// allocations per pair once the scratch is warm.
+/// allocations per pair once the scratch is warm. This is
+/// [`mic_floor_scratch`] with a predicate that never clears.
 ///
 /// # Errors
 ///
@@ -181,6 +184,58 @@ pub fn mic_with_profiles_scratch(
     params: &MicParams,
     scratch: &mut MineScratch,
 ) -> Result<f64, MicError> {
+    mic_floor_scratch(xp, yp, params, |_| false, scratch).map(Floored::value)
+}
+
+/// What [`mic_floor_scratch`] returns: a kernel entry that satisfied the
+/// caller's predicate, or the exact MIC.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Floored {
+    /// The best entry computed when the predicate first held. It is one
+    /// member of the set MIC maximizes over, so it is `<=` the exact MIC
+    /// at the bit level.
+    Cleared(f64),
+    /// The exact MIC: no entry satisfied the predicate.
+    Exact(f64),
+}
+
+impl Floored {
+    /// The carried score, cleared or exact.
+    pub fn value(self) -> f64 {
+        match self {
+            Floored::Cleared(v) | Floored::Exact(v) => v,
+        }
+    }
+}
+
+/// The MIC kernel run one *unit* at a time, stopping as soon as a computed
+/// entry satisfies `clears`.
+///
+/// A unit is one row count in one orientation: one equipartition, one
+/// clump rebuild and one dynamic program, which give the characteristic
+/// entries for every column count at that row count. Units run rows 2 in
+/// the first orientation, rows 2 in the second, then rows 3, and so on.
+/// After each unit, when the best entry so far `v` satisfies `clears(v)`,
+/// the kernel returns [`Floored::Cleared`]`(v)`; otherwise it finishes
+/// every unit and returns [`Floored::Exact`] with the same bits as the
+/// full kernel (the entry set is the same, and max does not depend on
+/// order).
+///
+/// Every entry is a lower bound on MIC, so a caller whose question is
+/// "is MIC at least this high?" gets its answer from the first entry
+/// that clears — for a predicate monotone in `v`, exactly when the exact
+/// MIC would clear it.
+///
+/// # Errors
+///
+/// See [`mic_with_profiles`].
+pub fn mic_floor_scratch(
+    xp: &SeriesProfile,
+    yp: &SeriesProfile,
+    params: &MicParams,
+    clears: impl Fn(f64) -> bool,
+    scratch: &mut MineScratch,
+) -> Result<Floored, MicError> {
     params.validate()?;
     if xp.params() != params || yp.params() != params {
         return Err(MicError::BadParams);
@@ -194,27 +249,36 @@ pub fn mic_with_profiles_scratch(
     // A constant axis admits only one row/column: every grid carries zero
     // information, exactly what the full kernel would compute.
     if xp.is_constant() || yp.is_constant() {
-        return Ok(0.0);
+        return Ok(Floored::Exact(0.0));
     }
     let b = xp.grid_budget();
     let MineScratch {
         sorted_rows,
         clumps,
         dp,
-        d1,
-        d2,
+        ..
     } = scratch;
-    half_characteristic_into(xp, yp, b, params.c, sorted_rows, clumps, dp, d1);
-    half_characteristic_into(yp, xp, b, params.c, sorted_rows, clumps, dp, d2);
     // The shape sets of the two orientations are mutually transposed-complete
     // (x*y <= B is symmetric), so the max over the symmetrized matrix equals
     // the max over both halves — no per-shape pairing needed on the hot path.
-    let best = d1
-        .iter()
-        .chain(d2.iter())
-        .map(|&(_, _, v)| v)
-        .fold(0.0f64, f64::max);
-    Ok(best.clamp(0.0, 1.0))
+    let mut best = 0.0f64;
+    for rows in 2..=(b / 2).max(2) {
+        for (a, partitioned) in [(xp, yp), (yp, xp)] {
+            if !unit_into(a, partitioned, rows, b, params.c, sorted_rows, clumps, dp) {
+                return Ok(Floored::Exact(best.clamp(0.0, 1.0)));
+            }
+            best = dp
+                .mi
+                .iter()
+                .enumerate()
+                .map(|(idx, &i_val)| entry(i_val, idx + 2, rows))
+                .fold(best, f64::max);
+            if clears(best) {
+                return Ok(Floored::Cleared(best));
+            }
+        }
+    }
+    Ok(Floored::Exact(best.clamp(0.0, 1.0)))
 }
 
 /// A conservative lower bound on the MIC of a profiled pair: the
@@ -479,28 +543,53 @@ fn half_characteristic_into(
     out: &mut Vec<(usize, usize, f64)>,
 ) {
     out.clear();
-    let order = xp.order();
-    let sorted_a = xp.sorted();
-    let max_rows = b / 2;
-    for rows in 2..=max_rows.max(2) {
-        let x_max = b / rows;
-        if x_max < 2 {
+    for rows in 2..=(b / 2).max(2) {
+        if !unit_into(xp, yp, rows, b, c, sorted_rows, clumps, dp) {
             break;
         }
-        let part = yp.partition(rows);
-        sorted_rows.clear();
-        sorted_rows.extend(order.iter().map(|&i| part.assignment[i]));
-        let max_clumps = ((c * x_max as f64).ceil() as usize).max(1);
-        clumps.rebuild(sorted_a, sorted_rows, part.bins.max(1), max_clumps);
-        optimize_axis_into(clumps.view(), x_max, dp);
         for (idx, &i_val) in dp.mi.iter().enumerate() {
             let cols = idx + 2;
-            let denom = (cols.min(rows) as f64).log2();
-            let v = if denom > 0.0 { i_val / denom } else { 0.0 };
-            out.push((cols, rows, v.clamp(0.0, 1.0)));
+            out.push((cols, rows, entry(i_val, cols, rows)));
         }
     }
     out.sort_by_key(|&(x, y, _)| (x, y));
+}
+
+/// One unit of the kernel: equipartitions the `yp` axis into `rows`,
+/// clumps the `xp` axis under it and runs the column dynamic program,
+/// leaving the maximal MI per column count in `dp.mi` (`mi[cols - 2]`).
+/// Returns `false`, computing nothing, when the budget `b` leaves fewer
+/// than two columns at this row count.
+#[allow(clippy::too_many_arguments)]
+fn unit_into(
+    xp: &SeriesProfile,
+    yp: &SeriesProfile,
+    rows: usize,
+    b: usize,
+    c: f64,
+    sorted_rows: &mut Vec<usize>,
+    clumps: &mut ClumpScratch,
+    dp: &mut DpScratch,
+) -> bool {
+    let x_max = b / rows;
+    if x_max < 2 {
+        return false;
+    }
+    let part = yp.partition(rows);
+    sorted_rows.clear();
+    sorted_rows.extend(xp.order().iter().map(|&i| part.assignment[i]));
+    let max_clumps = ((c * x_max as f64).ceil() as usize).max(1);
+    clumps.rebuild(xp.sorted(), sorted_rows, part.bins.max(1), max_clumps);
+    optimize_axis_into(clumps.view(), x_max, dp);
+    true
+}
+
+/// The characteristic entry of a `cols`-by-`rows` grid with maximal MI
+/// `i_val`: normalized by `log2(min(cols, rows))` and clamped to `[0, 1]`.
+fn entry(i_val: f64, cols: usize, rows: usize) -> f64 {
+    let denom = (cols.min(rows) as f64).log2();
+    let v = if denom > 0.0 { i_val / denom } else { 0.0 };
+    v.clamp(0.0, 1.0)
 }
 
 /// Symmetrizes the two half-characteristic matrices: the value for shape
@@ -892,6 +981,44 @@ mod tests {
         assert_eq!(
             mic_screen_bound_scratch(&xp, &yp_short, &params, &mut scratch).unwrap_err(),
             MicError::LengthMismatch { xs: 20, ys: 10 }
+        );
+    }
+
+    #[test]
+    fn floor_kernel_stops_on_a_linear_pair_and_runs_out_on_noise() {
+        let params = MicParams::fast();
+        let mut scratch = MineScratch::new();
+        // A held invariant with reference 1 at threshold 0.2: any entry
+        // above 0.8 proves it.
+        let clears = |v: f64| (1.0 - v).abs() < 0.2;
+        let xs = linspace(120);
+        let linear: Vec<f64> = xs.iter().map(|x| 3.0 * x - 1.0).collect();
+        let xp = SeriesProfile::build(&xs, &params).unwrap();
+        let yp = SeriesProfile::build(&linear, &params).unwrap();
+        let mic = mic_with_profiles_scratch(&xp, &yp, &params, &mut scratch).unwrap();
+        match mic_floor_scratch(&xp, &yp, &params, clears, &mut scratch).unwrap() {
+            Floored::Cleared(v) => assert!(clears(v) && v <= mic, "{v} vs {mic}"),
+            exact => panic!("a linear pair must clear, got {exact:?}"),
+        }
+        let mut state = 7u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let noise: Vec<f64> = (0..120).map(|_| next()).collect();
+        let np = SeriesProfile::build(&noise, &params).unwrap();
+        let mic = mic_with_profiles_scratch(&xp, &np, &params, &mut scratch).unwrap();
+        assert_eq!(
+            mic_floor_scratch(&xp, &np, &params, clears, &mut scratch).unwrap(),
+            Floored::Exact(mic)
+        );
+        // A constant axis scores exactly zero, as in the full kernel.
+        let cp = SeriesProfile::build(&[2.5; 120], &params).unwrap();
+        assert_eq!(
+            mic_floor_scratch(&xp, &cp, &params, |_| true, &mut scratch).unwrap(),
+            Floored::Exact(0.0)
         );
     }
 

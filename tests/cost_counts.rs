@@ -214,12 +214,14 @@ fn engine_costs_are_pinned() {
     );
 
     // A cold diagnosis: the window is not a slide of the record, so one
-    // plan is built and exactly the invariant pairs are scored. A first
-    // cold diagnosis warms every buffer on the path.
+    // plan is built and exactly the invariant pairs are scored, each only
+    // until its invariant provably holds. A first cold diagnosis warms
+    // every buffer on the path.
     engine
         .diagnose(&context, &fault_window(&runner, FaultType::CpuHog))
         .expect("warm-up diagnosis");
     counts.take();
+    counts.take_screen();
     let incident = fault_window(&runner, FaultType::MemHog);
     let (diagnosis, cold_allocs) = counted(|| engine.diagnose(&context, &incident));
     let diagnosis = diagnosis.expect("cold diagnosis");
@@ -231,9 +233,15 @@ fn engine_costs_are_pinned() {
         "pairs scored"
     );
     assert_eq!(profiles, 1, "profile builds per cold diagnosis");
-    assert_eq!(cold_allocs, 397, "allocations per cold diagnosis");
+    assert_eq!(
+        counts.take_screen(),
+        [78, 120, 127],
+        "pairs reused, cleared and scored exactly on a cold diagnosis"
+    );
+    assert_eq!(cold_allocs, 394, "allocations per cold diagnosis");
 
-    // The unchanged window again: a zero-tick slide scores nothing.
+    // The unchanged window again: a zero-tick slide scores nothing, and
+    // every bound pair is revalidated without kernel work.
     let (again, _) = counted(|| engine.diagnose(&context, &incident));
     assert_eq!(again.expect("re-diagnosis"), diagnosis);
     assert_eq!(
@@ -244,8 +252,8 @@ fn engine_costs_are_pinned() {
 
     // A one-tick slide of the incident window: profiles slide in place,
     // the 78 non-invariant pairs are reused, and each of the 247 stale
-    // invariant pairs is either screened out by the bound or confirmed
-    // with the full measure.
+    // invariant pairs either clears its floor at some kernel unit or is
+    // scored exactly. Every pair the (2, 2) screen bound kept (53) clears.
     counts.take_screen();
     let run = runner.fault_run(WorkloadType::Wordcount, FaultType::MemHog, 3);
     let fault = run.fault.expect("a fault run");
@@ -256,7 +264,7 @@ fn engine_costs_are_pinned() {
     engine.diagnose(&context, &slid).expect("slid diagnosis");
     assert_eq!(
         counts.take_screen(),
-        [78, 53, 194],
-        "pairs reused, screened and confirmed on a one-tick slide"
+        [78, 118, 129],
+        "pairs reused, cleared and scored exactly on a one-tick slide"
     );
 }

@@ -1,5 +1,5 @@
 //! Bit-exactness acceptance suite for the shared-profile sweep and the
-//! incremental two-stage (screen-then-confirm) sweep.
+//! incremental, floor-aware sweep.
 //!
 //! `tests/data/golden_sweep_26x120.txt` holds the exact IEEE-754 bit
 //! pattern of all 325 pairwise scores on a fixed synthetic 26×120 window,
@@ -20,8 +20,9 @@
 //! - **bit-exactness hammer** — starting from a cold pass over a random
 //!   invariant subset and sliding over randomized tick streams, a
 //!   diagnosis built from the record is bit-identical (violation tuple and
-//!   every consulted score) to a full from-scratch sweep of the same
-//!   window, on one worker and on four.
+//!   every consulted score, up to cleared lower bounds that grade the
+//!   same) to a full from-scratch sweep of the same window, on one worker
+//!   and on four.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -131,7 +132,7 @@ fn fixture_is_complete() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental two-stage sweep properties.
+// Incremental floor-aware sweep properties.
 // ---------------------------------------------------------------------------
 
 /// One tick of a deterministic infinite metric stream: a latent sinusoid
@@ -265,16 +266,27 @@ proptest! {
         for threads in [1, 4] {
             let pool = SweepPool::new(threads);
             let scope = PassScope::detached();
-            let mut inc = IncrementalSweep::cold(
+            let (mut inc, _) = IncrementalSweep::cold(
                 &measure,
                 series_of(&base),
                 vec![0.0; pair_count()],
                 &invariants,
+                epsilon,
                 &pool,
                 &scope,
             )
             .expect("an unbounded pass completes");
-            prop_assert_eq!(inc.is_fresh(), invariants.len() == pair_count());
+            // A pair no invariant reads is never scored, so the record
+            // cannot be fresh; a fresh record holds the full sweep's bits.
+            if invariants.len() < pair_count() {
+                prop_assert!(!inc.is_fresh());
+            }
+            if inc.is_fresh() {
+                let bits = |m: &AssociationMatrix| -> Vec<u64> {
+                    m.scores().iter().map(|v| v.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&inc.matrix()), bits(&matrix));
+            }
             let what = format!("cold pass, {threads} workers");
             assert_matches_full_sweep(&inc, &invariants, &base, epsilon, &what);
             let mut offset = 0usize;

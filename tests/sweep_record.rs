@@ -157,7 +157,11 @@ fn a_cold_window_is_planned_once_and_scores_only_invariant_pairs() {
     assert_eq!(spans(&events, EnginePhase::ProfileBuild), 1, "one plan");
     assert_eq!(spans(&events, EnginePhase::Sweep), 1);
     assert_eq!(completed_pairs(&events), [narrow]);
-    assert!(screens(&events).is_empty(), "a cold pass screens nothing");
+    assert_eq!(
+        screens(&events),
+        [(pair_count() - narrow, 0, narrow)],
+        "a cold pass's pairs reused, cleared and scored exactly"
+    );
     let (fresh, _) = logged_engine();
     train_narrow(&fresh, &ctx);
     assert_eq!(fresh.diagnose(&ctx, &incident).unwrap(), got);
