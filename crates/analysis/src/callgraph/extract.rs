@@ -333,9 +333,13 @@ pub(crate) fn call_sites(file: &SourceFile) -> Vec<CallSite> {
         if t.kind != crate::lexer::TokKind::Ident {
             continue;
         }
+        // A turbofish (`name::<N>(`) sits between a called name and its
+        // argument list.
+        let turbofish_end = skip_turbofish(toks, i + 1);
+        let args_at = turbofish_end.unwrap_or(i + 1);
         // Method call: `.name(`.
         if i >= 1 && toks[i - 1].is_punct('.') {
-            if toks.get(i + 1).is_some_and(|x| x.is_punct('(')) {
+            if toks.get(args_at).is_some_and(|x| x.is_punct('(')) {
                 out.push(CallSite {
                     name: t.text.clone(),
                     qualifier: None,
@@ -349,12 +353,13 @@ pub(crate) fn call_sites(file: &SourceFile) -> Vec<CallSite> {
         }
         // Part of a path: `a::name` — only the *last* segment is the call.
         let qualified = i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
-        let followed_by_path = toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
+        let followed_by_path = turbofish_end.is_none()
+            && toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
             && toks.get(i + 2).is_some_and(|x| x.is_punct(':'));
         if followed_by_path {
             continue; // a qualifier segment, not the called name
         }
-        let is_call = toks.get(i + 1).is_some_and(|x| x.is_punct('('));
+        let is_call = toks.get(args_at).is_some_and(|x| x.is_punct('('));
         if qualified {
             // `Qual::name(...)` call, or `Qual::name` function reference
             // (passed to combinators like `unwrap_or_else`). Both create
@@ -397,6 +402,30 @@ pub(crate) fn call_sites(file: &SourceFile) -> Vec<CallSite> {
         });
     }
     out
+}
+
+/// The index just past a turbofish `::<...>` starting at `i`, or `None`
+/// when none starts there. Nested angle brackets are balanced; the `>` of
+/// an `->` inside (`Fn() -> T`) does not close one.
+fn skip_turbofish(toks: &[Token], i: usize) -> Option<usize> {
+    let opens = toks.get(i).is_some_and(|x| x.is_punct(':'))
+        && toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
+        && toks.get(i + 2).is_some_and(|x| x.is_punct('<'));
+    if !opens {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(i + 2) {
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') && !toks[j - 1].is_punct('-') {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j + 1);
+            }
+        }
+    }
+    None
 }
 
 /// Walks backwards from the `.` of a method call, collecting the chain of

@@ -591,6 +591,20 @@ mod tests {
     }
 
     #[test]
+    fn turbofish_calls_are_confident_edges() {
+        let (g, _) = graph(&[(
+            "crates/x/src/lib.rs",
+            "struct V;\nimpl V {\n    fn run(&self) { self.col::<2>(); fill::<Vec<u8>>(); }\n    fn col<const N: usize>(&self) {}\n}\nfn fill<T>() {}\nfn path() -> usize { usize::MAX }\n",
+        )]);
+        let reach = g.reach(&[idx(&g, "run")], EdgeFilter::Confident);
+        for name in ["col", "fill"] {
+            assert!(reach.contains_key(&idx(&g, name)), "{name} reached");
+        }
+        // A plain path segment is still a qualifier, not a call.
+        assert!(!reach.contains_key(&idx(&g, "path")));
+    }
+
+    #[test]
     fn trait_method_dispatch_fans_out_to_all_impls() {
         let (g, _) = graph(&[(
             "crates/x/src/lib.rs",

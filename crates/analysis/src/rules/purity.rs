@@ -25,6 +25,12 @@ pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/mic/src/mine.rs", "half_characteristic_into"),
     ("crates/mic/src/mine.rs", "mic_screen_bound_scratch"),
     ("crates/mic/src/mine.rs", "corner_entry_into"),
+    // Reached from the kernel's unit only through method calls on other
+    // values (`clumps.rebuild`, `clumps.push_column_costs`), which are not
+    // confident edges, so each is a root of its own.
+    ("crates/mic/src/grid.rs", "rebuild"),
+    ("crates/mic/src/grid.rs", "push_column_costs"),
+    ("crates/mic/src/optimize.rs", "optimize_axis_into"),
     ("crates/mic/src/profile.rs", "slide"),
     ("crates/core/src/measure.rs", "score_pair"),
     ("crates/core/src/measure.rs", "score_floored"),

@@ -832,6 +832,37 @@ fn kernels(perf: Perf) -> Section {
         mic_with_profiles_scratch(&xp, &yp, &params, &mut scratch).expect("mic")
     });
     s.lower("mic_pair_planned_60_us", "us", ns / 1e3);
+    // Every pair of the 60-tick Wordcount window that ends where each
+    // fault does: the metrics a diagnosis scores, with the ties, steps and
+    // plateaus that drive clump and superclump work, which a smooth AR(1)
+    // pair lacks. The mean over all pairs of all windows.
+    let runner = Runner::new(SEED);
+    let windows: Vec<Vec<SeriesProfile>> = FaultType::ALL[..perf.size(FaultType::ALL.len(), 2)]
+        .iter()
+        .map(|&fault| {
+            let run = runner.fault_run(WorkloadType::Wordcount, fault, 0);
+            let f = run.fault.expect("fault injected");
+            let end = (f.start_tick + f.duration_ticks).min(run.ticks);
+            let frame = run.per_node[f.node].frame.window(end - 60..end);
+            MetricId::ALL
+                .iter()
+                .map(|&m| SeriesProfile::build(&frame.series(m), &params).expect("profile"))
+                .collect()
+        })
+        .collect();
+    let pairs = windows.len() * pair_count();
+    let ns = perf.ns(11, 1, || {
+        let mut sum = 0.0;
+        for profiles in &windows {
+            for (i, xp) in profiles.iter().enumerate() {
+                for yp in &profiles[i + 1..] {
+                    sum += mic_with_profiles_scratch(xp, yp, &params, &mut scratch).expect("mic");
+                }
+            }
+        }
+        sum
+    });
+    s.lower("mic_pair_fault_window_60_us", "us", ns / pairs as f64 / 1e3);
     let linked: Vec<f64> = series(60, 1).iter().map(|x| 2.0 * x + 1.0).collect();
     let lp = SeriesProfile::build(&linked, &params).expect("profile");
     // Reference I = 1 at ε = 0.2: any entry above 0.8 proves it held.

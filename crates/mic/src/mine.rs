@@ -367,7 +367,7 @@ fn corner_entry_into(
     sorted_rows.clear();
     sorted_rows.extend(xp.order().iter().map(|&i| part.assignment[i]));
     let max_clumps = ((c * x_max as f64).ceil() as usize).max(1);
-    clumps.rebuild(xp.sorted(), sorted_rows, part.bins.max(1), max_clumps);
+    clumps.rebuild(xp.groups(), sorted_rows, part.bins.max(1), max_clumps);
     let view = clumps.view();
     let k = view.len();
     let n = view.points();
@@ -579,7 +579,7 @@ fn unit_into(
     sorted_rows.clear();
     sorted_rows.extend(xp.order().iter().map(|&i| part.assignment[i]));
     let max_clumps = ((c * x_max as f64).ceil() as usize).max(1);
-    clumps.rebuild(xp.sorted(), sorted_rows, part.bins.max(1), max_clumps);
+    clumps.rebuild(xp.groups(), sorted_rows, part.bins.max(1), max_clumps);
     optimize_axis_into(clumps.view(), x_max, dp);
     true
 }

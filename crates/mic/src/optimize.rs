@@ -70,43 +70,52 @@ pub(crate) fn optimize_axis_into(clumps: ClumpView<'_>, x_max: usize, dp: &mut D
     // column-major: column t holds s = 0..t at offset t * (t - 1) / 2, so
     // the inner minimization below walks `prev` and one column of costs as
     // two contiguous slices, in the same `s` order as a row-major walk.
+    //
+    // prev[t] for the current l: minimum total cost of partitioning the first
+    // t clumps into exactly l columns (prev[0] is never read).
+    //
+    // The last layer (l = l_cap) is read only at t = k. At l_cap == 2 no
+    // middle layer exists, so the DP reads only cost(0, t) (layer 1) and
+    // column k (the last layer): those alone are computed, with column k
+    // at offset 0.
     let col = |t: usize| t * (t - 1) / 2;
     dp.cost.clear();
-    dp.cost.reserve(col(k + 1));
-    for t in 1..=k {
-        dp.cost.extend((0..t).map(|s| clumps.cost(s, t)));
-    }
-    let cost = &dp.cost;
-
-    // prev[t] for the current l: minimum total cost of partitioning the first
-    // t clumps into exactly l columns (infinite when t < l).
     dp.prev.clear();
     dp.prev.push(f64::INFINITY);
-    dp.prev.extend((1..=k).map(|t| cost[col(t)]));
+    let last_col = if l_cap == 2 {
+        for t in 1..=k {
+            clumps.push_column_costs(t, 0..1, &mut dp.prev);
+        }
+        clumps.push_column_costs(k, 0..k, &mut dp.cost);
+        0
+    } else {
+        dp.cost.reserve(col(k + 1));
+        for t in 1..=k {
+            clumps.push_column_costs(t, 0..t, &mut dp.cost);
+        }
+        dp.prev.extend((1..=k).map(|t| dp.cost[col(t)]));
+        col(k)
+    };
+    let cost = &dp.cost;
     dp.best_full.clear();
     dp.best_full.resize(l_cap + 1, f64::INFINITY);
     dp.best_full[1] = dp.prev[k];
 
+    // Middle layers: every t is read by the next layer. Entries below
+    // t = l keep stale values; the next layer starts reading at t = l.
     dp.cur.clear();
     dp.cur.resize(k + 1, f64::INFINITY);
-    for l in 2..=l_cap {
-        for item in dp.cur.iter_mut() {
-            *item = f64::INFINITY;
-        }
+    for l in 2..l_cap {
         for t in l..=k {
-            let costs = &cost[col(t) + l - 1..col(t) + t];
-            let mut best = f64::INFINITY;
-            for (&p, &c) in dp.prev[l - 1..t].iter().zip(costs) {
-                let v = p + c;
-                if v < best {
-                    best = v;
-                }
-            }
-            dp.cur[t] = best;
+            dp.cur[t] = min_split(&dp.prev[l - 1..t], &cost[col(t) + l - 1..col(t) + t]);
         }
         dp.best_full[l] = dp.cur[k];
         std::mem::swap(&mut dp.prev, &mut dp.cur);
     }
+    dp.best_full[l_cap] = min_split(
+        &dp.prev[l_cap - 1..k],
+        &cost[last_col + l_cap - 1..last_col + k],
+    );
 
     // Convert to mutual information, enforcing monotonicity over "at most l".
     let mut running_min = dp.best_full[1];
@@ -121,6 +130,20 @@ pub(crate) fn optimize_axis_into(clumps: ClumpView<'_>, x_max: usize, dp: &mut D
         };
         dp.mi.push(i);
     }
+}
+
+/// `min_s prev[s] + costs[s]` over aligned slices, in `s` order; infinite
+/// when empty.
+#[inline]
+fn min_split(prev: &[f64], costs: &[f64]) -> f64 {
+    let mut best = f64::INFINITY;
+    for (&p, &c) in prev.iter().zip(costs) {
+        let v = p + c;
+        if v < best {
+            best = v;
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! yields the identical characteristic matrix. The property tests in
 //! `crates/mic/tests/profile_equivalence.rs` assert this bit-for-bit.
 
-use crate::grid::ClumpScratch;
+use crate::grid::{tie_groups_into, ClumpScratch};
 use crate::mine::{MicError, MicParams};
 use crate::optimize::DpScratch;
 
@@ -47,9 +47,10 @@ pub struct SeriesProfile {
     /// `partitions[k - 2]`: the equipartition into `k` bins, for
     /// `k in 2..=budget / 2`.
     partitions: Vec<Partition>,
-    /// Tie-group `(start, end)` boundaries in sorted order — kept so
-    /// [`SeriesProfile::slide`] can re-derive partitions without
-    /// allocating.
+    /// Tie-group `(start, end)` boundaries in sorted order, kept up to
+    /// date by [`SeriesProfile::slide`] without allocating: the
+    /// partitions are derived from them, and every clump rebuild of this
+    /// series as the optimized axis starts from them.
     groups: Vec<(usize, usize)>,
 }
 
@@ -86,16 +87,8 @@ impl SeriesProfile {
         let constant = sorted.first() == sorted.last();
 
         // Tie-group boundaries in sorted order, shared by every k below.
-        let mut groups: Vec<(usize, usize)> = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let mut j = i + 1;
-            while j < n && sorted[j] == sorted[i] {
-                j += 1;
-            }
-            groups.push((i, j));
-            i = j;
-        }
+        let mut groups = Vec::new();
+        tie_groups_into(&sorted, &mut groups);
 
         let max_rows = (budget / 2).max(2);
         let mut partitions = Vec::with_capacity(max_rows - 1);
@@ -167,16 +160,7 @@ impl SeriesProfile {
             // The value multiset changed: re-derive tie groups and every
             // equipartition with the same arithmetic as a fresh build,
             // reusing the buffers in place.
-            self.groups.clear();
-            let mut i = 0;
-            while i < n {
-                let mut j = i + 1;
-                while j < n && self.sorted[j] == self.sorted[i] {
-                    j += 1;
-                }
-                self.groups.push((i, j));
-                i = j;
-            }
+            tie_groups_into(&self.sorted, &mut self.groups);
             let max_rows = (self.budget / 2).max(2);
             for k in 2..=max_rows {
                 equipartition_groups_into(
@@ -230,8 +214,9 @@ impl SeriesProfile {
         &self.order
     }
 
-    pub(crate) fn sorted(&self) -> &[f64] {
-        &self.sorted
+    /// The tie groups of the sorted samples (see [`tie_groups_into`]).
+    pub(crate) fn groups(&self) -> &[(usize, usize)] {
+        &self.groups
     }
 
     /// The equipartition into `k` bins (`2 <= k <= budget / 2`).
@@ -295,7 +280,7 @@ fn equipartition_groups_into(
 pub struct MineScratch {
     /// Row assignment of each point in x-sorted order.
     pub(crate) sorted_rows: Vec<usize>,
-    /// Clump tables (ranges, boundaries, cumulative row counts).
+    /// Clump tables (boundaries, cumulative row counts).
     pub(crate) clumps: ClumpScratch,
     /// DP working memory (cost triangle, rolling rows, MI output).
     pub(crate) dp: DpScratch,
@@ -338,7 +323,8 @@ mod tests {
         let values = [2.0, 1.0, 2.0, 1.0, 3.0];
         let p = SeriesProfile::build(&values, &MicParams::default()).unwrap();
         assert_eq!(p.order(), &[1, 3, 0, 2, 4]);
-        assert_eq!(p.sorted(), &[1.0, 1.0, 2.0, 2.0, 3.0]);
+        assert_eq!(p.sorted, &[1.0, 1.0, 2.0, 2.0, 3.0]);
+        assert_eq!(p.groups(), &[(0, 2), (2, 4), (4, 5)]);
         assert!(!p.is_constant());
         assert!(!p.is_empty());
         assert_eq!(p.len(), 5);
@@ -358,6 +344,7 @@ mod tests {
         assert_eq!(a_bits, b_bits);
         assert_eq!(a.constant, b.constant);
         assert_eq!(a.budget, b.budget);
+        assert_eq!(a.groups, b.groups);
         assert_eq!(a.partitions.len(), b.partitions.len());
         for (pa, pb) in a.partitions.iter().zip(&b.partitions) {
             assert_eq!(pa.assignment, pb.assignment);
