@@ -36,7 +36,6 @@ pub const ROOT_FUNCTIONS: &[(&str, &str)] = &[
     // The association sweep paths (full, pooled, incremental).
     ("AssociationMatrix", "compute"),
     ("SweepPool", "sweep"),
-    ("SweepPool", "sweep_bounded"),
     ("IncrementalSweep", "rescore"),
     // Replay byte-exactness.
     ("Replayer", "verify"),

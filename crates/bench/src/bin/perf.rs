@@ -212,13 +212,13 @@ fn steady_state(
     let (mut inc, cold) = IncrementalSweep::cold(
         &measure,
         window_series(rows, 0, ticks),
-        vec![0.0; pair_count()],
+        None,
         &invariants,
         epsilon,
         &pool,
         &scope,
-    )
-    .expect("an unbounded pass completes");
+    );
+    assert_eq!(cold.unreached, 0, "an unbounded pass completes");
     let mut timings = Vec::with_capacity(steps);
     let mut totals = ScreenOutcome::default();
     for step in 1..=steps {
@@ -282,14 +282,19 @@ fn sweep(perf: Perf) -> Section {
     for threads in [1usize, 4, 8] {
         let pool = SweepPool::new(threads);
         let ns = perf.ns(7, 1, || {
-            assert_eq!(pool.sweep(&window, &mic_dyn), reference)
+            assert_eq!(
+                pool.sweep(&window, &mic_dyn, &PassScope::detached()),
+                reference
+            )
         });
         s.lower(format!("mic_pool{threads}_ms"), "ms", ns / 1e6);
     }
     // Pearson is cheap enough that per-call thread startup dominates:
     // the persistent pool against a scoped spawn per call.
     let pearson_pool = SweepPool::new(4);
-    let pooled = perf.ns(21, 1, || pearson_pool.sweep(&window, &pearson_dyn));
+    let pooled = perf.ns(21, 1, || {
+        pearson_pool.sweep(&window, &pearson_dyn, &PassScope::detached())
+    });
     s.lower("pearson_pool4_ms", "ms", pooled / 1e6);
     let spawned = perf.ns(21, 1, || {
         AssociationMatrix::compute(&window, &PearsonMeasure, 4)
@@ -510,7 +515,8 @@ fn memhog_window(runner: &Runner, run_idx: usize) -> MetricFrame {
         .expect("fault window")
 }
 
-/// The budget ladder on 120-tick MemHog windows, and signature-database
+/// Budgeted diagnoses on 120-tick MemHog windows — their cost and how
+/// often their answers agree with full fidelity — and signature-database
 /// access.
 fn resilience(perf: Perf) -> Section {
     let mut s = Section::new("resilience");
@@ -538,9 +544,9 @@ fn resilience(perf: Perf) -> Section {
     });
     s.lower("diagnose_unlimited_budget_ms", "ms", ns / 1e6);
 
-    // A 5 ms budget must come back via a *declared* fallback tier whenever
-    // full fidelity cannot fit. The check reads the wall clock, so it is
-    // a timing gate and `--quick` skips it.
+    // A 5 ms budget must come back declared degraded whenever full
+    // fidelity cannot fit. The check reads the wall clock, so it is a
+    // timing gate and `--quick` skips it.
     let budgeted = perf.samples(21, 1, || {
         let started = Instant::now();
         let d = engine
@@ -548,7 +554,7 @@ fn resilience(perf: Perf) -> Section {
             .expect("diagnose");
         assert!(
             perf.quick || d.degradation.is_some() || started.elapsed().as_millis() <= 5,
-            "an over-budget sweep must declare its fallback tier"
+            "an over-budget pass must declare its degradation"
         );
     });
     s.lower(
@@ -562,8 +568,36 @@ fn resilience(perf: Perf) -> Section {
         budgeted[budgeted.len() - 1] / 1e6,
     );
 
-    // Tier 1: the context's sweep record answers a fresh window from its
-    // stale matrix.
+    // Answer quality under a budget: the share of graded tuple entries
+    // equal to the unlimited-budget tuple of the same window, over the
+    // same alternating windows (each pass reads the pairs it does not
+    // reach at the other window's scores).
+    let full = windows.each_ref().map(|w| {
+        engine
+            .diagnose_with_budget(&context, w, SweepBudget::UNLIMITED)
+            .expect("diagnose")
+            .tuple
+    });
+    for (name, ms) in [("tuple_agreement_1ms", 1), ("tuple_agreement_5ms", 5)] {
+        let (mut equal, mut graded) = (0, 0);
+        for k in (0..perf.size(20, 2)).map(|i| i % 2) {
+            let d = engine
+                .diagnose_with_budget(&context, &windows[k], SweepBudget::wall_millis(ms))
+                .expect("diagnose");
+            graded += d.tuple.len();
+            equal += d
+                .tuple
+                .graded()
+                .iter()
+                .zip(full[k].graded())
+                .filter(|(a, b)| a.to_bits() == b.to_bits())
+                .count();
+        }
+        s.higher(name, "ratio", equal as f64 / graded as f64);
+    }
+
+    // A fresh window on a context whose record holds another window's
+    // scores: the pass reads what it does not reach at those.
     let warm = incident_engine();
     warm.engine
         .diagnose_with_budget(&warm.context, &windows[0], SweepBudget::UNLIMITED)

@@ -85,9 +85,9 @@ fn describe(deg: ix_core::SweepDegradation) -> String {
 }
 
 /// A 2 ms stall on every MIC score call makes the full 325-pair sweep cost
-/// ≥650 ms — hopeless under a 5 ms budget. The engine must degrade along
-/// the declared ladder and say so; answering at "full fidelity" would be a
-/// lie, and taking unbounded time would be an outage.
+/// ≥650 ms — hopeless under a 5 ms budget. The engine must stop the pass,
+/// answer from what it has, and say so; answering at "full fidelity" would
+/// be a lie, and taking unbounded time would be an outage.
 fn slow_measure() -> ScenarioReport {
     let started = Instant::now();
     let mut report = ScenarioReport::new("slow-measure");

@@ -194,8 +194,10 @@ fn claim_batch(cursor: &AtomicUsize, n_pairs: usize) -> Option<(usize, usize)> {
 /// costs are attributed to, the sink that receives them (one
 /// [`EngineEvent::PairsScored`] per batch, plus the
 /// [`EnginePhase::ProfileBuild`] span of [`SweepPool::plan`]), and the
-/// deadline after which workers stop claiming batches (`None` = run to
-/// completion).
+/// two bounds on the pair list — a deadline after which workers stop
+/// claiming batches, and a cap on how many listed pairs are scored
+/// (`None` for both = run to completion). Either way the scored
+/// positions form a prefix of the list.
 #[derive(Clone)]
 pub struct PassScope {
     /// The context the pass is attributed to.
@@ -204,6 +206,8 @@ pub struct PassScope {
     pub sink: Arc<dyn EventSink>,
     /// Workers stop claiming batches once this instant passes.
     pub deadline: Option<Instant>,
+    /// At most this many leading positions of the list are scored.
+    pub max_pairs: Option<usize>,
 }
 
 impl PassScope {
@@ -213,6 +217,7 @@ impl PassScope {
             context: ContextId::UNATTRIBUTED,
             sink: Arc::new(NullSink),
             deadline: None,
+            max_pairs: None,
         }
     }
 }
@@ -222,6 +227,7 @@ impl std::fmt::Debug for PassScope {
         f.debug_struct("PassScope")
             .field("context", &self.context)
             .field("deadline", &self.deadline)
+            .field("max_pairs", &self.max_pairs)
             .finish()
     }
 }
@@ -250,6 +256,9 @@ impl PassPair {
 struct PairPass {
     plan: Box<dyn SweepPlan>,
     pairs: Vec<PassPair>,
+    /// How many leading positions may be claimed: the list's length, or
+    /// the scope's `max_pairs` when that is smaller.
+    limit: usize,
     cursor: AtomicUsize,
     /// `scores[k]` holds the bits of `pairs[k]`'s score, written once by
     /// the worker that claimed position `k`.
@@ -351,13 +360,15 @@ pub struct ScoredPairs {
     /// [`Floored::Cleared`] only for a pair listed with a floor that a
     /// lower bound cleared. Later slots hold `Exact(0.0)`.
     pub scores: Vec<Floored>,
-    /// How many leading positions were scored. A batch, once claimed, is
-    /// always finished, so the scored positions form a prefix.
+    /// How many leading positions were scored. Batches are claimed in
+    /// list order, and a batch, once claimed, is always finished, so the
+    /// scored positions form a prefix.
     pub scored: usize,
 }
 
 impl ScoredPairs {
-    /// Whether every listed pair was scored (the deadline never cut in).
+    /// Whether every listed pair was scored (neither the deadline nor the
+    /// pair cap cut in).
     pub fn completed(&self) -> bool {
         self.scored == self.pairs.len()
     }
@@ -476,10 +487,10 @@ impl SweepPool {
     }
 
     /// One worker's share of a pass: claim small batches of list
-    /// positions off the pass's cursor until the list is drained — or the
-    /// deadline passes, checked per batch so an expired pass stops within
-    /// one [`STEAL_BATCH`] of pairs. Each batch's cost feeds the
-    /// pair-scoring histogram.
+    /// positions off the pass's cursor until the list (or its capped
+    /// prefix) is drained — or the deadline passes, checked per batch so
+    /// an expired pass stops within one [`STEAL_BATCH`] of pairs. Each
+    /// batch's cost feeds the pair-scoring histogram.
     fn score_batches(pass: &PairPass) {
         let mut scorer = pass.plan.scorer();
         loop {
@@ -488,7 +499,7 @@ impl SweepPool {
             if pass.scope.deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
-            let Some((start, end)) = claim_batch(&pass.cursor, pass.pairs.len()) else {
+            let Some((start, end)) = claim_batch(&pass.cursor, pass.limit) else {
                 break;
             };
             // lint: allow(determinism, telemetry-only: batch cost feeds
@@ -522,7 +533,8 @@ impl SweepPool {
 
     /// The one pair-scoring loop: scores every listed pair against `plan`
     /// across the pool's workers (work-stealing batches, the deadline
-    /// checked per batch), and hands the plan back with the scores. A pair
+    /// checked per batch, at most `scope.max_pairs` of them), and hands
+    /// the plan back with the scores of the prefix it reached. A pair
     /// listed with a floor is scored only until the floor provably holds
     /// ([`PairScorer::score_floored`]); every other pair is scored
     /// exactly. Results are bit-identical for any worker count — each
@@ -539,6 +551,9 @@ impl SweepPool {
     ) -> ScoredPairs {
         let pass = Arc::new(PairPass {
             plan,
+            limit: scope
+                .max_pairs
+                .map_or(pairs.len(), |cap| cap.min(pairs.len())),
             cursor: AtomicUsize::new(0),
             scores: pairs.iter().map(|_| AtomicU64::new(0)).collect(),
             cleared: pairs.iter().map(|_| AtomicBool::new(false)).collect(),
@@ -596,7 +611,11 @@ impl SweepPool {
         }
     }
 
-    /// Computes all pairwise scores of `frame` under `measure` on the pool.
+    /// Computes all pairwise scores of `frame` under `measure` on the pool,
+    /// as one planned pass over all 325 pairs whose costs are reported to
+    /// `scope` (a scope with no deadline and no pair cap, such as
+    /// [`PassScope::detached`]: a bounded pass leaves the pairs it did not
+    /// reach at `0.0`).
     ///
     /// Results are identical to [`AssociationMatrix::compute`] with any
     /// thread count — scores are written back by pair index, so worker
@@ -605,22 +624,8 @@ impl SweepPool {
         &self,
         frame: &MetricFrame,
         measure: &Arc<dyn AssociationMeasure>,
-    ) -> AssociationMatrix {
-        self.sweep_bounded(frame, measure, &PassScope::detached())
-            .matrix
-    }
-
-    /// [`SweepPool::sweep`] as one planned pass over all 325 pairs under
-    /// `scope`: its costs are reported to `scope.sink`, and workers stop
-    /// claiming pair batches once `scope.deadline` passes — the returned
-    /// [`BoundedSweep`] says exactly which pairs were scored. Without a
-    /// deadline the sweep always completes.
-    pub fn sweep_bounded(
-        &self,
-        frame: &MetricFrame,
-        measure: &Arc<dyn AssociationMeasure>,
         scope: &PassScope,
-    ) -> BoundedSweep {
+    ) -> AssociationMatrix {
         let series: Vec<Vec<f64>> = MetricId::ALL.iter().map(|&m| frame.series(m)).collect();
         let plan = self.plan(measure, &series, scope);
         let pass = self.score_pairs(
@@ -628,27 +633,10 @@ impl SweepPool {
             (0..pair_count()).map(PassPair::exact).collect(),
             scope,
         );
-        let scored = (0..pair_count()).map(|k| k < pass.scored).collect();
-        BoundedSweep {
-            completed: pass.completed(),
-            matrix: AssociationMatrix {
-                scores: pass.scores.into_iter().map(Floored::value).collect(),
-            },
-            scored,
+        AssociationMatrix {
+            scores: pass.scores.into_iter().map(Floored::value).collect(),
         }
     }
-}
-
-/// The result of a deadline-bounded sweep ([`SweepPool::sweep_bounded`]).
-#[derive(Debug, Clone)]
-pub struct BoundedSweep {
-    /// Pairwise scores; unscored pairs hold `0.0` — consult `scored`
-    /// before trusting any entry of an incomplete sweep.
-    pub matrix: AssociationMatrix,
-    /// `scored[pair_index]` is `true` iff that pair was actually computed.
-    pub scored: Vec<bool>,
-    /// Whether every pair was scored (`scored` is all-`true`).
-    pub completed: bool,
 }
 
 impl Drop for SweepPool {
@@ -733,7 +721,7 @@ mod tests {
         let pool = SweepPool::new(4);
         let measure: Arc<dyn AssociationMeasure> = Arc::new(MicMeasure::new(MicParams::fast()));
         for _ in 0..2 {
-            let stolen = pool.sweep(&frame, &measure);
+            let stolen = pool.sweep(&frame, &measure, &PassScope::detached());
             assert_eq!(bits(&serial), bits(&stolen));
         }
     }
@@ -768,34 +756,44 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_sweep_reports_complete_and_matches_serial() {
-        let frame = synthetic_frame(40);
-        let pool = SweepPool::new(3);
-        let measure: Arc<dyn AssociationMeasure> = Arc::new(PearsonMeasure);
-        let bounded = pool.sweep_bounded(&frame, &measure, &PassScope::detached());
-        assert!(bounded.completed);
-        assert!(bounded.scored.iter().all(|&s| s));
-        let serial = AssociationMatrix::compute(&frame, &PearsonMeasure, 1);
-        assert_eq!(bounded.matrix, serial);
-    }
-
-    #[test]
-    fn expired_deadline_yields_an_incomplete_sweep() {
+    fn a_bounded_pass_scores_a_prefix_of_its_list() {
         let frame = synthetic_frame(40);
         let pool = SweepPool::new(2);
         let measure: Arc<dyn AssociationMeasure> = Arc::new(PearsonMeasure);
-        // A deadline already in the past: workers must give up before
-        // claiming anything, and the protocol must still terminate.
+        let series: Vec<Vec<f64>> = MetricId::ALL.iter().map(|&m| frame.series(m)).collect();
+        let full = AssociationMatrix::compute(&frame, &PearsonMeasure, 1);
+        let pairs: Vec<PassPair> = (0..pair_count()).rev().map(PassPair::exact).collect();
+        let mut plan = pool.plan(&measure, &series, &PassScope::detached());
+        // A deadline already in the past: workers give up before claiming
+        // anything, and the protocol still terminates. A pair cap stops
+        // the pass after exactly that many positions, batch size or not.
         let expired = PassScope {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
             ..PassScope::detached()
         };
-        let bounded = pool.sweep_bounded(&frame, &measure, &expired);
-        assert!(!bounded.completed);
-        assert!(bounded.scored.iter().all(|&s| !s));
-        // The pool survives an expired sweep and completes the next one.
-        let again = pool.sweep_bounded(&frame, &measure, &PassScope::detached());
-        assert!(again.completed);
+        for (scope, want) in [
+            (expired, 0),
+            (
+                PassScope {
+                    max_pairs: Some(7),
+                    ..PassScope::detached()
+                },
+                7,
+            ),
+            (PassScope::detached(), pair_count()),
+        ] {
+            let pass = pool.score_pairs(plan, pairs.clone(), &scope);
+            assert_eq!(pass.scored, want);
+            assert_eq!(pass.completed(), want == pair_count());
+            // The scored positions are the leading ones, in list order.
+            for (k, item) in pairs.iter().enumerate() {
+                let expected = if k < want { full.at(item.pair) } else { 0.0 };
+                assert_eq!(pass.scores[k].value().to_bits(), expected.to_bits());
+            }
+            // The plan survives a bounded pass for the next one.
+            plan = pass.plan;
+        }
+        assert_eq!(pool.sweep(&frame, &measure, &PassScope::detached()), full);
     }
 
     #[test]

@@ -109,8 +109,9 @@ pub struct InvarNetConfig {
     /// (concurrent ingestion from different contexts contends only within
     /// a shard).
     pub state_shards: usize,
-    /// Wall-clock / pair-count budget for diagnosis sweeps; on overrun the
-    /// engine degrades along its declared ladder instead of blocking.
+    /// Wall-clock / pair-count budget for diagnosis passes; on overrun the
+    /// pass stops, keeping what it scored, and the diagnosis is declared
+    /// degraded instead of blocking.
     /// Defaults to [`SweepBudget::UNLIMITED`].
     pub sweep_budget: SweepBudget,
     /// What [`crate::Engine::submit`] does when a tick's ingest-queue

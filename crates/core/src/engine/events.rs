@@ -94,8 +94,10 @@ pub enum EngineEvent {
     },
     /// A diagnosis-path pass finished — a cold pass over a new window, or
     /// a rescore of the previous one, unchanged or slid forward a few
-    /// ticks — and settled every pair one of three ways. The counts sum to
-    /// [`crate::pair_count`].
+    /// ticks — and settled pairs one of three ways. The counts sum to
+    /// [`crate::pair_count`] for a completed pass, and to fewer for one
+    /// its budget cut short (followed by [`EngineEvent::SweepDegraded`]
+    /// instead of [`EngineEvent::SweepCompleted`]).
     SweepScreened {
         /// The context whose window was swept.
         context: ContextId,
@@ -118,14 +120,15 @@ pub enum EngineEvent {
         /// Wall-clock duration in microseconds.
         micros: u64,
     },
-    /// A sweep could not finish inside its [`crate::SweepBudget`] and a
-    /// declared fallback tier produced the answer instead.
+    /// A diagnosis pass could not finish inside its [`crate::SweepBudget`]:
+    /// it kept the pairs it scored, and the answer read the rest as the
+    /// tier says.
     SweepDegraded {
         /// The context whose diagnosis was degraded.
         context: ContextId,
-        /// The fallback tier that answered.
+        /// What the invariant pairs the pass did not reach were read as.
         tier: DegradationTier,
-        /// Why the full-fidelity sweep was abandoned.
+        /// What stopped the pass.
         reason: DegradationReason,
     },
     /// A tick entered the bounded ingest queue

@@ -40,19 +40,19 @@ mod wire;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
+use ix_metrics::{MetricFrame, MetricId};
 
 use crate::anomaly::{DetectionResult, PerformanceModel};
-use crate::assoc::{pair_count, pair_index, AssociationMatrix, PassScope, SweepPool};
+use crate::assoc::{pair_count, AssociationMatrix, PassScope, SweepPool};
 use crate::config::{DetectorChoice, InvarNetConfig};
 use crate::context::OperationContext;
 use crate::cusum::CusumDetector;
 use crate::error::CoreError;
-use crate::incremental::{AdvanceOutcome, IncrementalSweep, PassError, ScreenOutcome};
+use crate::incremental::{AdvanceOutcome, IncrementalSweep, ScreenOutcome};
 use crate::invariants::InvariantSet;
-use crate::measure::{AssociationMeasure, PearsonMeasure};
+use crate::measure::AssociationMeasure;
 use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
 
 pub use builder::EngineBuilder;
@@ -67,8 +67,7 @@ pub use telemetry::Telemetry;
 use recorder::RecorderTee;
 
 use resilience::{
-    DegradationReason, DegradationTier, HealthMonitor, IngestQueue, SweepBudget,
-    SweepCostPredictor, SweepDegradation,
+    DegradationReason, DegradationTier, HealthMonitor, IngestQueue, SweepBudget, SweepDegradation,
 };
 use state::ShardedStateMap;
 use telemetry::{ContextId, ContextRegistry, EnginePhase, Span, CONFIDENT_SIMILARITY};
@@ -79,9 +78,6 @@ use telemetry::{ContextId, ContextRegistry, EnginePhase, Span, CONFIDENT_SIMILAR
 pub struct Engine {
     config: InvarNetConfig,
     measure: Arc<dyn AssociationMeasure>,
-    /// The degradation ladder's tier-2 measure: a full sweep under a
-    /// cheap, always-available score (Pearson).
-    fallback: Arc<dyn AssociationMeasure>,
     state: ShardedStateMap,
     signatures: RwLock<SignatureDatabase>,
     /// The sweep worker pool. Shared (`Arc`) so a fleet of tenant engines
@@ -99,16 +95,12 @@ pub struct Engine {
     ticks: AtomicU64,
     health: HealthMonitor,
     queue: IngestQueue,
-    /// EWMA estimates of full and incremental sweep cost, consulted to
-    /// predict budget overruns before burning wall-clock on a doomed
-    /// sweep (and to probe out of a stale over-budget estimate).
-    sweep_cost: SweepCostPredictor,
     /// Per-context sweep records, the one place sweep work is reused:
-    /// each context's last full-fidelity pass (window, scores,
-    /// staleness) and, once diagnosed, the plan
+    /// each context's last window, its pair scores and what each is worth
+    /// (fresh, bound, stale or unscored) and, once diagnosed, the plan
     /// [`Engine::diagnosis_matrix_for`] scored it with and slides instead
-    /// of planning again. An unchanged window and the degradation
-    /// ladder's tier 1 read it too.
+    /// of planning again. A budgeted pass cut short leaves its record
+    /// here too, so the next diagnosis resumes where it stopped.
     sweep_records: Mutex<HashMap<ContextId, IncrementalSweep>>,
 }
 
@@ -135,7 +127,6 @@ impl Engine {
         Engine {
             config,
             measure,
-            fallback: Arc::new(PearsonMeasure),
             state: ShardedStateMap::new(shards),
             signatures: RwLock::new(SignatureDatabase::new()),
             pool,
@@ -146,7 +137,6 @@ impl Engine {
             ticks: AtomicU64::new(0),
             health: HealthMonitor::new(),
             queue,
-            sweep_cost: SweepCostPredictor::new(),
             sweep_records: Mutex::new(HashMap::new()),
         }
     }
@@ -353,17 +343,14 @@ impl Engine {
         let started = Instant::now();
         let matrix = {
             let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
-            self.pool
-                .sweep_bounded(frame, &self.measure, &self.pass_scope(context, None))
-                .matrix
+            let scope = self.pass_scope(context, SweepBudget::UNLIMITED, started);
+            self.pool.sweep(frame, &self.measure, &scope)
         };
-        let micros = started.elapsed().as_micros() as u64;
         self.sink.record(&EngineEvent::SweepCompleted {
             context,
             pairs: pair_count(),
-            micros,
+            micros: started.elapsed().as_micros() as u64,
         });
-        self.sweep_cost.observe_full(micros);
         if let Some(series) = series {
             let scores = matrix.scores().to_vec();
             self.put_record(context, IncrementalSweep::new(series, scores));
@@ -384,12 +371,13 @@ impl Engine {
     }
 
     /// A pool pass attributed to `context`, reporting to the engine's
-    /// sink, bounded by `deadline`.
-    fn pass_scope(&self, context: ContextId, deadline: Option<Instant>) -> PassScope {
+    /// sink, bounded by `budget` from `started`.
+    fn pass_scope(&self, context: ContextId, budget: SweepBudget, started: Instant) -> PassScope {
         PassScope {
             context,
             sink: Arc::clone(&self.sink),
-            deadline,
+            deadline: budget.deadline(started),
+            max_pairs: budget.max_pairs,
         }
     }
 
@@ -402,15 +390,16 @@ impl Engine {
     /// ([`IncrementalSweep::rescore`]). Otherwise one cold pass
     /// ([`IncrementalSweep::cold`]) plans the window once and runs the same
     /// pass over every invariant pair; its plan becomes the new record.
-    /// Either way the violation tuple is bit-identical to a full
-    /// from-scratch sweep's.
+    /// Either way a completed pass gives a violation tuple bit-identical
+    /// to a full from-scratch sweep's.
     ///
-    /// Under a budget, the answer is the first a declared degradation
-    /// ladder can give when the pass cannot: the context's recorded
-    /// matrix, a full Pearson sweep, or a partial matrix over the
-    /// highest-variance metrics. Every degraded outcome is reported as
-    /// [`EngineEvent::SweepDegraded`], and the verdict says which tier
-    /// answered, so no caller can mistake a degraded matrix for a full one.
+    /// Under a budget the pass may be cut short, by its deadline or by
+    /// `max_pairs`. It keeps every pair it scored, and the record goes
+    /// back with its plan, so the next diagnosis of this window or a slid
+    /// one resumes where it stopped. The verdict reads each invariant pair
+    /// the pass did not reach at its earlier score from this context, or
+    /// masks it when the context never scored it, and its degradation
+    /// says which.
     pub(crate) fn diagnosis_matrix_for(
         &self,
         context: ContextId,
@@ -420,182 +409,97 @@ impl Engine {
     ) -> Result<SweepVerdict, CoreError> {
         self.check_frame(frame)?;
         let series = frame_series(frame);
-        let mut previous = self.take_record(context);
-        if let Some(mut record) = previous.take() {
-            // Compose with the budget ladder: when even the incremental
-            // pass is predicted over the wall budget, keep the (untouched)
-            // record for a roomier window and let the cold path's checks
-            // answer.
-            let predicted = self.sweep_cost.predicted_incremental_micros();
-            let over_wall = budget
-                .wall
-                .is_some_and(|wall| predicted > 0 && Duration::from_micros(predicted) > wall);
-            // An unchanged window is a zero-tick slide: rescored, never
-            // served raw, since a pair an earlier pass left stale may be
-            // an invariant by now.
-            if !over_wall && record.advance(&series) != AdvanceOutcome::Unsupported {
-                match self.rescore_record(context, &mut record, invariants, budget) {
-                    Ok(verdict) => {
-                        self.put_record(context, record);
-                        return Ok(verdict);
-                    }
-                    Err(PassError::DeadlineExpired) => {
-                        self.put_record(context, record);
-                        return Ok(self.degrade(
-                            context,
-                            frame,
-                            budget,
-                            DegradationReason::WallClockExceeded,
-                            true,
-                        ));
-                    }
-                    Err(PassError::Unplanned) => {}
-                }
-            }
-            previous = Some(record);
-        }
-        Ok(self.cold_matrix_for(context, frame, series, budget, invariants, previous))
-    }
-
-    /// The cold pass of [`Engine::diagnosis_matrix_for`], with the
-    /// ladder's gates in front of it: a pair budget below the pair
-    /// population, or a predicted overrun of the wall budget, degrades
-    /// without scoring. `previous` is the context's record, which stays
-    /// the ladder's tier 1 until a completed pass replaces it.
-    fn cold_matrix_for(
-        &self,
-        context: ContextId,
-        frame: &MetricFrame,
-        series: Vec<Vec<f64>>,
-        budget: SweepBudget,
-        invariants: &InvariantSet,
-        previous: Option<IncrementalSweep>,
-    ) -> SweepVerdict {
-        // Pairs no invariant reads keep the previous record's score (or
-        // 0.0), stale: the recorded-sweep convention.
-        let scores = match &previous {
-            Some(record) => record.scores().to_vec(),
-            None => vec![0.0; pair_count()],
-        };
-        if let Some(record) = previous {
-            self.put_record(context, record);
-        }
-        // A pair budget below the full pair population degrades without
-        // trying, whatever the pass would score (and without the Pearson
-        // tier, which scores every pair).
-        if budget.max_pairs.is_some_and(|max| max < pair_count()) {
-            return self.degrade(
-                context,
-                frame,
-                budget,
-                DegradationReason::PairBudgetExceeded,
-                false,
-            );
-        }
-        // When past from-scratch passes averaged longer than the wall
-        // budget, predict the overrun instead of paying for it — except
-        // for the periodic probe that keeps the estimate honest: a skipped
-        // pass produces no sample, so without probes a stale over-budget
-        // estimate would pin the engine in the degraded tier forever.
-        if let Some(wall) = budget.wall {
-            let predicted = self.sweep_cost.predicted_full_micros();
-            if predicted > 0
-                && Duration::from_micros(predicted) > wall
-                && !self.sweep_cost.note_skipped_should_probe()
-            {
-                return self.degrade(
-                    context,
-                    frame,
-                    budget,
-                    DegradationReason::PredictedOverrun,
-                    true,
-                );
-            }
-        }
-        // lint: allow(determinism, telemetry-only: pass micros feed a
-        // SweepCompleted event; replay normalizes all recorded timings)
+        let epsilon = self.config.epsilon;
+        let mut record = self.take_record(context);
+        // lint: allow(determinism, a deadline cut is a declared degradation;
+        // pass micros feed events, and replay normalizes timings)
         let started = Instant::now();
-        let scope = self.pass_scope(context, budget.deadline(started));
-        let cold = {
-            let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
-            IncrementalSweep::cold(
-                &self.measure,
-                series,
-                scores,
-                invariants,
-                self.config.epsilon,
-                &self.pool,
-                &scope,
-            )
-        };
-        // An abandoned pass still cost its deadline's worth of wall-clock;
-        // fold that in too, so the estimate converges upward even when
-        // passes never complete.
-        let micros = started.elapsed().as_micros() as u64;
-        self.sweep_cost.observe_full(micros);
-        let Ok((record, outcome)) = cold else {
-            return self.degrade(
-                context,
-                frame,
-                budget,
-                DegradationReason::WallClockExceeded,
-                true,
-            );
-        };
-        self.note_pass(context, outcome, micros);
-        let matrix = record.matrix();
-        self.put_record(context, record);
-        self.note_health_ok(context);
-        SweepVerdict::full(matrix)
-    }
-
-    /// The floor-aware rescore of a record whose window is the diagnosis
-    /// window, with its events.
-    fn rescore_record(
-        &self,
-        context: ContextId,
-        record: &mut IncrementalSweep,
-        invariants: &InvariantSet,
-        budget: SweepBudget,
-    ) -> Result<SweepVerdict, PassError> {
-        // lint: allow(determinism, telemetry-only: screen micros feed
-        // events; replay normalizes timings)
-        let started = Instant::now();
-        let scope = self.pass_scope(context, budget.deadline(started));
-        let outcome = {
+        let scope = self.pass_scope(context, budget, started);
+        // An unchanged window is a zero-tick slide: rescored, never served
+        // raw, since a pair an earlier pass left stale may be an invariant
+        // by now. A record with no plan to score its stale pairs goes cold.
+        let slid = record.as_mut().and_then(|slid| {
+            if slid.advance(&series) == AdvanceOutcome::Unsupported {
+                return None;
+            }
             let _span = Span::enter(&self.sink, EnginePhase::Screen, context);
-            record.rescore(invariants, self.config.epsilon, &self.pool, &scope)
-        };
-        let micros = started.elapsed().as_micros() as u64;
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(error) => {
-                if error == PassError::DeadlineExpired {
-                    self.sweep_cost.observe_incremental(micros);
-                }
-                return Err(error);
+            slid.rescore(invariants, epsilon, &self.pool, &scope).ok()
+        });
+        let (record, outcome) = match (record, slid) {
+            (Some(record), Some(outcome)) => (record, outcome),
+            (previous, _) => {
+                let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
+                IncrementalSweep::cold(
+                    &self.measure,
+                    series,
+                    previous,
+                    invariants,
+                    epsilon,
+                    &self.pool,
+                    &scope,
+                )
             }
         };
-        self.note_pass(context, outcome, micros);
-        self.sweep_cost.observe_incremental(micros);
-        self.note_health_ok(context);
-        Ok(SweepVerdict::full(record.matrix()))
+        let micros = started.elapsed().as_micros() as u64;
+        let verdict = self.verdict(context, &record, outcome, budget, invariants, micros);
+        self.put_record(context, record);
+        Ok(verdict)
     }
 
-    /// Reports one completed diagnosis-path pass: how its pairs were
-    /// settled, then the pairs it scored (cleared or exact).
-    fn note_pass(&self, context: ContextId, outcome: ScreenOutcome, micros: u64) {
+    /// Reports one diagnosis-path pass and builds its verdict. A completed
+    /// pass is full fidelity. A pass cut short is degraded: to
+    /// [`DegradationTier::CachedMatrix`] when every invariant pair it did
+    /// not reach holds an earlier score from this context, and to
+    /// [`DegradationTier::PartialMatrix`] when some were never scored and
+    /// are masked; the reason names the bound that stopped it.
+    fn verdict(
+        &self,
+        context: ContextId,
+        record: &IncrementalSweep,
+        outcome: ScreenOutcome,
+        budget: SweepBudget,
+        invariants: &InvariantSet,
+        micros: u64,
+    ) -> SweepVerdict {
         self.sink.record(&EngineEvent::SweepScreened {
             context,
             reused: outcome.reused,
             screened: outcome.screened,
             confirmed: outcome.confirmed,
         });
-        self.sink.record(&EngineEvent::SweepCompleted {
-            context,
-            pairs: outcome.screened + outcome.confirmed,
-            micros,
-        });
+        let matrix = record.matrix();
+        let scored_pairs = outcome.screened + outcome.confirmed;
+        if outcome.unreached == 0 {
+            self.sink.record(&EngineEvent::SweepCompleted {
+                context,
+                pairs: scored_pairs,
+                micros,
+            });
+            self.note_health_ok(context);
+            return SweepVerdict {
+                matrix,
+                degradation: None,
+                scored: None,
+            };
+        }
+        let scored = record.scored_mask(invariants);
+        let tier = match scored {
+            Some(_) => DegradationTier::PartialMatrix,
+            None => DegradationTier::CachedMatrix,
+        };
+        // The pool finishes every pair it claims, so a pass that scored
+        // its whole cap was stopped by the cap; any other by the deadline.
+        let reason = if budget.max_pairs.is_some_and(|cap| scored_pairs >= cap) {
+            DegradationReason::PairBudgetExceeded
+        } else {
+            DegradationReason::WallClockExceeded
+        };
+        self.note_degradation(context, tier, reason);
+        SweepVerdict {
+            matrix,
+            degradation: Some(SweepDegradation { tier, reason }),
+            scored,
+        }
     }
 
     /// Runs `f` over `context`'s sweep record, if it has one.
@@ -625,117 +529,6 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(context, record);
-    }
-
-    /// Walks the degradation ladder until a tier produces a matrix. Tier 3
-    /// always succeeds, so this function always returns a degraded — never
-    /// silently absent — verdict.
-    fn degrade(
-        &self,
-        context: ContextId,
-        frame: &MetricFrame,
-        budget: SweepBudget,
-        reason: DegradationReason,
-        allow_pearson: bool,
-    ) -> SweepVerdict {
-        // Tier 1: the context's recorded matrix, whichever path wrote it.
-        // It comes from *this context's* window — stale, but structurally
-        // sound; never a neighbor's, which could be silently wrong.
-        if let Some(matrix) = self.with_record(context, IncrementalSweep::matrix) {
-            let degradation = SweepDegradation {
-                tier: DegradationTier::CachedMatrix,
-                reason,
-            };
-            self.note_degradation(context, degradation.tier, reason);
-            return SweepVerdict {
-                matrix,
-                degradation: Some(degradation),
-                scored: None,
-            };
-        }
-        // Tier 2: a full sweep under the cheap Pearson fallback, granted a
-        // fresh wall budget of its own. Skipped when the pair budget rules
-        // out any full sweep.
-        if allow_pearson {
-            // lint: allow(determinism, telemetry-only: fallback-sweep micros
-            // feed a SweepCompleted event; replay normalizes timings)
-            let started = Instant::now();
-            let bounded = {
-                let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
-                self.pool.sweep_bounded(
-                    frame,
-                    &self.fallback,
-                    &self.pass_scope(context, budget.deadline(started)),
-                )
-            };
-            if bounded.completed {
-                let degradation = SweepDegradation {
-                    tier: DegradationTier::PearsonFallback,
-                    reason,
-                };
-                self.note_degradation(context, degradation.tier, reason);
-                return SweepVerdict {
-                    matrix: bounded.matrix,
-                    degradation: Some(degradation),
-                    scored: None,
-                };
-            }
-        }
-        // Tier 3: a partial Pearson matrix over the highest-variance
-        // metrics — bounded work, always completes.
-        let (matrix, scored) = self.partial_matrix(frame, budget);
-        let degradation = SweepDegradation {
-            tier: DegradationTier::PartialMatrix,
-            reason,
-        };
-        self.note_degradation(context, degradation.tier, reason);
-        SweepVerdict {
-            matrix,
-            degradation: Some(degradation),
-            scored: Some(scored),
-        }
-    }
-
-    /// The ladder's last resort: Pearson scores for the pairs among the
-    /// `k` highest-variance metrics, where `k(k-1)/2` fits the pair
-    /// budget. Returns the matrix (unscored pairs hold `0.0`) and the
-    /// scored mask — diagnosis masks unscored pairs out of the violation
-    /// tuple rather than reading the placeholder zeros as evidence.
-    fn partial_matrix(
-        &self,
-        frame: &MetricFrame,
-        budget: SweepBudget,
-    ) -> (AssociationMatrix, Vec<bool>) {
-        const DEFAULT_PARTIAL_PAIRS: usize = 66; // 12 metrics' worth
-        let pair_budget = budget
-            .max_pairs
-            .unwrap_or(DEFAULT_PARTIAL_PAIRS)
-            .min(pair_count());
-        // Largest k with k(k-1)/2 <= pair_budget, at least 2 so the
-        // matrix is never empty.
-        let mut k = 2;
-        while k < METRIC_COUNT && (k + 1) * k / 2 <= pair_budget {
-            k += 1;
-        }
-        let series = frame_series(frame);
-        let mut by_variance: Vec<usize> = (0..METRIC_COUNT).collect();
-        by_variance.sort_by(|&a, &b| {
-            variance(&series[b])
-                .total_cmp(&variance(&series[a]))
-                .then(a.cmp(&b))
-        });
-        let mut chosen = by_variance[..k].to_vec();
-        chosen.sort_unstable();
-        let mut scores = vec![0.0f64; pair_count()];
-        let mut scored = vec![false; pair_count()];
-        for (pos, &i) in chosen.iter().enumerate() {
-            for &j in &chosen[pos + 1..] {
-                let pair = pair_index(i, j);
-                scores[pair] = self.fallback.score(&series[i], &series[j]);
-                scored[pair] = true;
-            }
-        }
-        (AssociationMatrix::from_scores(scores), scored)
     }
 
     /// Runs Algorithm 1: builds the invariant set of a context from the
@@ -863,9 +656,10 @@ impl Engine {
     }
 
     /// [`Engine::diagnose`] under an explicit [`SweepBudget`]. On budget
-    /// overrun the sweep degrades along the declared ladder instead of
-    /// blocking; the returned [`Diagnosis::degradation`] names the tier
-    /// that answered (or is `None` for a full-fidelity answer).
+    /// overrun the pass stops instead of blocking, keeping the pairs it
+    /// scored; the returned [`Diagnosis::degradation`] says how the pairs
+    /// it did not reach were read (or is `None` for a full-fidelity
+    /// answer).
     ///
     /// # Errors
     ///
@@ -1085,9 +879,9 @@ impl Engine {
     }
 }
 
-/// What [`Engine::diagnosis_matrix_for`] produced: the matrix, which
-/// degradation tier (if any) answered, and — for a partial matrix — which
-/// pairs were actually scored.
+/// What [`Engine::diagnosis_matrix_for`] produced: the matrix, how far
+/// it sits from full fidelity (if at all), and — when some invariant
+/// pairs were never scored in this context — which pairs were.
 pub(crate) struct SweepVerdict {
     pub(crate) matrix: AssociationMatrix,
     pub(crate) degradation: Option<SweepDegradation>,
@@ -1095,17 +889,9 @@ pub(crate) struct SweepVerdict {
 }
 
 impl SweepVerdict {
-    fn full(matrix: AssociationMatrix) -> Self {
-        SweepVerdict {
-            matrix,
-            degradation: None,
-            scored: None,
-        }
-    }
-
     /// Builds the violation tuple of this verdict's matrix, masking out
-    /// pairs a partial sweep never scored (their placeholder zeros must
-    /// not read as evidence of broken associations).
+    /// pairs this context never scored (their placeholder zeros must not
+    /// read as evidence of broken associations).
     pub(crate) fn violation_tuple(
         &self,
         invariants: &InvariantSet,
@@ -1121,17 +907,6 @@ impl SweepVerdict {
 /// The frame series-major, one series per metric.
 fn frame_series(frame: &MetricFrame) -> Vec<Vec<f64>> {
     MetricId::ALL.iter().map(|&m| frame.series(m)).collect()
-}
-
-/// Sample variance (biased, `n` denominator) — only used to rank metrics,
-/// so the normalization constant is irrelevant.
-fn variance(series: &[f64]) -> f64 {
-    if series.is_empty() {
-        return 0.0;
-    }
-    let n = series.len() as f64;
-    let mean = series.iter().sum::<f64>() / n;
-    series.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n
 }
 
 impl std::fmt::Debug for Engine {

@@ -1,4 +1,4 @@
-//! Sweep budgets and the degradation ladder's vocabulary.
+//! Sweep budgets and the vocabulary of a degraded answer.
 
 use std::time::{Duration, Instant};
 
@@ -9,13 +9,15 @@ use serde::{Deserialize, Serialize};
 ///
 /// The default budget is unlimited — identical to pre-budget behavior.
 /// With a budget set, [`crate::Engine::diagnose`] still always returns a
-/// [`crate::Diagnosis`], but an overrun answer is computed by a declared
-/// fallback tier and carries [`crate::Diagnosis::degradation`] saying so.
+/// [`crate::Diagnosis`]: the diagnosis pass keeps every pair it finished
+/// scoring, and an answer that left invariant pairs unscored carries
+/// [`crate::Diagnosis::degradation`] saying so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepBudget {
     /// Wall-clock limit for the association sweep, if any.
     pub wall: Option<Duration>,
-    /// Maximum number of metric pairs to score, if any.
+    /// Maximum number of metric pairs to score in one diagnosis pass, if
+    /// any.
     pub max_pairs: Option<usize>,
 }
 
@@ -58,22 +60,20 @@ impl SweepBudget {
     }
 }
 
-/// The declared fallback ladder, cheapest-acceptable first.
+/// How far a degraded answer sits from full fidelity.
 ///
-/// When a full-fidelity MIC sweep cannot finish inside its
-/// [`SweepBudget`], the engine walks these tiers in order and takes the
-/// first one that yields an answer. `level()` orders the tiers by how far
-/// they sit from full fidelity.
+/// A diagnosis pass cut short by its [`SweepBudget`] keeps every pair it
+/// scored; the tier says what the pairs it did not reach were read as.
+/// `level()` orders the tiers by distance from full fidelity. Level 2 is
+/// retired (it named a Pearson sweep) and is never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum DegradationTier {
-    /// Tier 1: reuse the matrix in this context's sweep record (stale but
-    /// full-fidelity MIC scores).
+    /// Level 1: every invariant pair the pass did not reach carries an
+    /// earlier MIC score from this context's sweep record (stale, but
+    /// the right measure).
     CachedMatrix,
-    /// Tier 2: re-run the full sweep with the cheap Pearson measure
-    /// instead of MIC (fresh but linear-only association scores).
-    PearsonFallback,
-    /// Tier 3: score only the pairs among the highest-variance metrics
-    /// (fresh, but most pairs carry no evidence).
+    /// Level 3: some invariant pairs have never been scored in this
+    /// context; they are masked out of the violation tuple.
     PartialMatrix,
     /// Persistence tier: a [`crate::ModelStore`] save/load exhausted its
     /// retries. Not part of the sweep ladder; reported through
@@ -86,7 +86,6 @@ impl DegradationTier {
     pub fn level(&self) -> u8 {
         match self {
             DegradationTier::CachedMatrix => 1,
-            DegradationTier::PearsonFallback => 2,
             DegradationTier::PartialMatrix => 3,
             DegradationTier::Persistence => 4,
         }
@@ -96,23 +95,22 @@ impl DegradationTier {
     pub fn name(&self) -> &'static str {
         match self {
             DegradationTier::CachedMatrix => "cached-matrix",
-            DegradationTier::PearsonFallback => "pearson-fallback",
             DegradationTier::PartialMatrix => "partial-matrix",
             DegradationTier::Persistence => "persistence",
         }
     }
 }
 
-/// Why a sweep left the full-fidelity path.
+/// What stopped a diagnosis pass before it scored every pair it needed.
+/// Wire reason 2 is retired (it named a predicted overrun) and is never
+/// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DegradationReason {
-    /// The sweep's wall-clock deadline expired mid-sweep.
+    /// The pass's wall-clock deadline expired mid-pass.
     WallClockExceeded,
-    /// The budget's pair ceiling is below the full pair count.
+    /// The budget's pair ceiling is below the number of pairs the pass
+    /// needed to score.
     PairBudgetExceeded,
-    /// The sweep-latency estimate predicted an overrun, so the full sweep
-    /// was not attempted at all.
-    PredictedOverrun,
 }
 
 impl DegradationReason {
@@ -121,7 +119,6 @@ impl DegradationReason {
         match self {
             DegradationReason::WallClockExceeded => "wall-clock-exceeded",
             DegradationReason::PairBudgetExceeded => "pair-budget-exceeded",
-            DegradationReason::PredictedOverrun => "predicted-overrun",
         }
     }
 }
@@ -152,13 +149,13 @@ impl Deserialize for SweepBudget {
     }
 }
 
-/// How a degraded diagnosis was produced: the tier that answered and the
-/// reason the full sweep was abandoned.
+/// How a degraded diagnosis was produced: how far it sits from full
+/// fidelity and what stopped its pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SweepDegradation {
-    /// The fallback tier that produced the association matrix.
+    /// What the pairs the pass did not reach were read as.
     pub tier: DegradationTier,
-    /// Why the full-fidelity sweep was abandoned.
+    /// What stopped the pass.
     pub reason: DegradationReason,
 }
 
@@ -200,7 +197,6 @@ mod tests {
     fn tiers_are_ordered_by_level() {
         let ladder = [
             DegradationTier::CachedMatrix,
-            DegradationTier::PearsonFallback,
             DegradationTier::PartialMatrix,
             DegradationTier::Persistence,
         ];
@@ -208,12 +204,13 @@ mod tests {
             assert!(pair[0].level() < pair[1].level());
             assert!(pair[0] < pair[1]);
         }
+        // Level 2 is retired: wire decoders refuse it.
+        assert!(ladder.iter().all(|tier| tier.level() != 2));
     }
 
     #[test]
     fn names_are_stable() {
         assert_eq!(DegradationTier::CachedMatrix.name(), "cached-matrix");
-        assert_eq!(DegradationTier::PearsonFallback.name(), "pearson-fallback");
         assert_eq!(DegradationTier::PartialMatrix.name(), "partial-matrix");
         assert_eq!(DegradationTier::Persistence.name(), "persistence");
         assert_eq!(
@@ -223,10 +220,6 @@ mod tests {
         assert_eq!(
             DegradationReason::PairBudgetExceeded.name(),
             "pair-budget-exceeded"
-        );
-        assert_eq!(
-            DegradationReason::PredictedOverrun.name(),
-            "predicted-overrun"
         );
     }
 }

@@ -155,9 +155,9 @@ mod tests {
     #[test]
     fn full_degrade_recover_cycle() {
         let m = HealthMonitor::new();
-        let degraded = HealthState::Degraded(DegradationTier::PearsonFallback);
+        let degraded = HealthState::Degraded(DegradationTier::PartialMatrix);
         assert_eq!(
-            m.note_degraded(DegradationTier::PearsonFallback),
+            m.note_degraded(DegradationTier::PartialMatrix),
             Some((HealthState::Healthy, degraded))
         );
         // First clean op: Degraded -> Recovering.

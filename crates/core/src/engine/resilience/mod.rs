@@ -4,12 +4,14 @@
 //! degraded — slow disks, contended CPUs, skewed clocks. This module makes
 //! every failure mode *bounded and observable* instead of silent:
 //!
-//! - [`SweepBudget`] — a wall-clock + pair-count budget for diagnosis
-//!   sweeps. On overrun the engine degrades along a declared ladder
-//!   (cached matrix → Pearson fallback → partial matrix over the
-//!   highest-variance metrics), each step emitting
-//!   [`super::EngineEvent::SweepDegraded`] with its [`DegradationTier`]
-//!   and [`DegradationReason`];
+//! - [`SweepBudget`] — a wall-clock + pair-count budget for one
+//!   diagnosis pass. The pass scores MIC pairs until the budget stops it
+//!   and keeps every score it finished; the next diagnosis of the context
+//!   resumes where it stopped. A pass cut short answers from the pairs
+//!   it did not reach at their earlier scores ([`DegradationTier`]
+//!   `CachedMatrix`), or masks the ones this context never scored
+//!   (`PartialMatrix`), and emits [`super::EngineEvent::SweepDegraded`]
+//!   with the tier and its [`DegradationReason`];
 //! - [`OverloadPolicy`] — the bounded ingest queue's behavior when full
 //!   ([`crate::Engine::submit`] / [`crate::Engine::drain`]);
 //! - [`RetryPolicy`] — jittered exponential backoff for
@@ -25,7 +27,6 @@
 
 mod budget;
 mod health;
-mod predictor;
 pub(crate) mod queue;
 mod retry;
 
@@ -35,7 +36,6 @@ pub use queue::{OverloadPolicy, SubmitOutcome};
 pub use retry::RetryPolicy;
 
 pub(crate) use health::HealthMonitor;
-pub(crate) use predictor::SweepCostPredictor;
 pub(crate) use queue::IngestQueue;
 
 use std::path::Path;

@@ -129,7 +129,7 @@ impl TelemetrySnapshot {
             ),
             (
                 "invarnet_sweep_degraded_total",
-                "Sweeps answered by a degradation-ladder fallback tier.",
+                "Diagnosis passes cut short by their budget (declared degraded).",
                 |s| s.sweeps_degraded,
             ),
             (

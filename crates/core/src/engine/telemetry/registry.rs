@@ -76,7 +76,7 @@ pub struct ContextScope {
     pub matches_confident: AtomicU64,
     /// Diagnoses whose best match stayed below the confidence bar.
     pub matches_unknown: AtomicU64,
-    /// Sweeps answered by a degradation-ladder fallback tier.
+    /// Diagnosis passes cut short by their budget (declared degraded).
     pub sweeps_degraded: AtomicU64,
     /// Ticks shed by the ingest queue's overload policy.
     pub ticks_shed: AtomicU64,
@@ -214,7 +214,7 @@ pub struct ScopeSnapshot {
     pub matches_confident: u64,
     /// Below-confidence diagnoses.
     pub matches_unknown: u64,
-    /// Sweeps answered by a degradation-ladder fallback tier.
+    /// Diagnosis passes cut short by their budget (declared degraded).
     pub sweeps_degraded: u64,
     /// Ticks shed by the ingest queue's overload policy.
     pub ticks_shed: u64,

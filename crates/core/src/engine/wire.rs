@@ -330,7 +330,7 @@ mod tests {
             },
             EngineEvent::SweepDegraded {
                 context: ctx,
-                tier: DegradationTier::PearsonFallback,
+                tier: DegradationTier::PartialMatrix,
                 reason: DegradationReason::WallClockExceeded,
             },
             EngineEvent::TickEnqueued {
@@ -394,10 +394,10 @@ mod tests {
             (
                 EngineEvent::SweepDegraded {
                     context: ctx,
-                    tier: DegradationTier::PearsonFallback,
+                    tier: DegradationTier::PartialMatrix,
                     reason: DegradationReason::WallClockExceeded,
                 },
-                r#"{"type":"sweep-degraded","context":3,"tier":"PearsonFallback","reason":"WallClockExceeded"}"#,
+                r#"{"type":"sweep-degraded","context":3,"tier":"PartialMatrix","reason":"WallClockExceeded"}"#,
             ),
             (
                 EngineEvent::SpanClosed {
@@ -454,6 +454,16 @@ mod tests {
                 serde_json::to_string(&event).expect("serialize"),
                 expected,
                 "pinned encoding of {event:?}"
+            );
+        }
+        // The retired tier and reason names are refused, not mapped.
+        for retired in [
+            r#"{"type":"sweep-degraded","context":3,"tier":"PearsonFallback","reason":"WallClockExceeded"}"#,
+            r#"{"type":"sweep-degraded","context":3,"tier":"PartialMatrix","reason":"PredictedOverrun"}"#,
+        ] {
+            assert!(
+                serde_json::from_str::<EngineEvent>(retired).is_err(),
+                "{retired}"
             );
         }
     }

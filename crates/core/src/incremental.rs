@@ -7,45 +7,54 @@
 //! the [`SweepPlan`] they were scored against — and answers a diagnosis
 //! with the least scoring that keeps the tuple exact.
 //!
-//! Each pair's score carries one of three tags:
+//! Each pair's score carries one of four tags:
 //!
 //! - **fresh** — the exact score of the recorded window;
 //! - **bound** — a kernel entry of the recorded window that cleared its
 //!   invariant's floor: `<=` the exact score, and it grades to zero
 //!   deviation exactly when the exact score does;
-//! - **stale** — anything (an earlier window's score, or `0.0`).
+//! - **stale** — an earlier window's score from this context;
+//! - **unscored** — no pass of this context has scored the pair; the
+//!   score is a placeholder `0.0`.
 //!
 //! Passes over a record:
 //!
 //! 0. **Cold pass** — a window that is not a slide of the record gets
 //!    [`IncrementalSweep::cold`]: one plan built on the pool (for MIC, 26
-//!    series profiles, built once), a record seeded from it with every
-//!    pair stale, then the rescore below. Pairs no invariant reads keep
-//!    the previous record's scores (or `0.0`) and stay stale.
+//!    series profiles, built once), a record seeded from the previous one
+//!    (fresh and bound pairs become stale, unscored pairs stay unscored;
+//!    with no previous record every pair is unscored), then the rescore
+//!    below. Pairs no invariant reads keep their seeded score and tag.
 //! 1. **Slide** — [`IncrementalSweep::advance`] detects that the new
 //!    window is the old one unchanged or shifted forward by at most
 //!    [`MAX_SLIDE`] ticks and slides every per-series profile in place
 //!    ([`SweepPlan::slide`]), bit-identically to rebuilding it. Series
 //!    whose departing and entering samples are bit-equal are *clean*:
 //!    their (value, partner) multisets are unchanged, so a pair touching
-//!    only clean series keeps its tag. Every other pair becomes stale.
+//!    only clean series keeps its tag. Every other scored pair becomes
+//!    stale.
 //! 2. **Rescore** — [`IncrementalSweep::rescore`] classifies every pair
 //!    under the current invariants and ε. Non-invariant pairs keep their
 //!    score. Fresh pairs are reused. A bound pair is reused with no kernel
 //!    work when its invariant's [`Floor`] (which exists only when
-//!    `1 − I < ε`) still clears its score. Every other invariant pair goes
-//!    to one pool pass ([`SweepPool::score_pairs`]), carrying its floor
-//!    when it has one: the MIC kernel then runs one unit at a time and
-//!    stops as soon as an entry clears ([`ix_mic::mic_floor_scratch`]). A
-//!    cleared pair stores that entry and becomes bound; any other pair
-//!    stores its exact score and becomes fresh.
+//!    `1 − I < ε`) still clears its score. Every other invariant pair goes,
+//!    in ascending pair index, to one pool pass ([`SweepPool::score_pairs`]),
+//!    carrying its floor when it has one: the MIC kernel then runs one
+//!    unit at a time and stops as soon as an entry clears
+//!    ([`ix_mic::mic_floor_scratch`]). A cleared pair stores that entry and
+//!    becomes bound; any other pair stores its exact score and becomes
+//!    fresh.
 //!
-//! Every pass runs under the diagnosis's deadline; a pass cut short
-//! writes nothing into the record.
+//! Every pass runs under the diagnosis's [`PassScope`]: its deadline and
+//! pair cap. A pass cut short keeps the prefix of its list it scored;
+//! the pairs it did not reach keep their tag (stale or unscored), so the
+//! next pass over the record, of the same window or a slid one, resumes
+//! where this one stopped.
 //!
 //! The soundness contract: a diagnosis built from
-//! [`IncrementalSweep::matrix`] after [`IncrementalSweep::cold`] or
-//! [`IncrementalSweep::rescore`] produces a violation tuple bit-identical
+//! [`IncrementalSweep::matrix`] after a *completed* [`IncrementalSweep::cold`]
+//! or [`IncrementalSweep::rescore`] ([`ScreenOutcome::unreached`] is `0`)
+//! produces a violation tuple bit-identical
 //! to one built from a full from-scratch sweep of the same window. Fresh
 //! pairs hold the exact bits (the plan is bit-exact, and clean pairs keep
 //! their multisets). A bound pair holds an entry `v` of the set the kernel
@@ -89,7 +98,8 @@ pub enum AdvanceOutcome {
 }
 
 /// Counters from one [`IncrementalSweep::rescore`] (or cold) pass, in
-/// pairs; they sum to [`pair_count`].
+/// pairs; the four sum to [`pair_count`]. `reused`, `screened` and
+/// `confirmed` alone sum to fewer when the pass was cut short.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScreenOutcome {
     /// Pairs whose recorded score was kept with no kernel work: pairs no
@@ -101,17 +111,19 @@ pub struct ScreenOutcome {
     pub screened: usize,
     /// Pairs the pass scored exactly; the pair is now fresh.
     pub confirmed: usize,
+    /// Invariant pairs that needed scoring and that the pass did not
+    /// reach, because its deadline or pair cap stopped it; each keeps its
+    /// tag, stale or unscored. `0` for a completed pass.
+    pub unreached: usize,
 }
 
 /// Why a scoring pass over a record gave no answer. The record's scores
-/// and tags are untouched either way.
+/// and tags are untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassError {
     /// An invariant pair needs scoring and the record has no plan to
     /// score it with: sweep from scratch.
     Unplanned,
-    /// The pool pass hit its deadline; no partial score was written.
-    DeadlineExpired,
 }
 
 /// What a record's score for one pair is worth (see the module docs).
@@ -122,8 +134,10 @@ enum PairState {
     /// A kernel entry of the recorded window that cleared its floor:
     /// `<=` the exact score.
     Bound,
-    /// Anything: an earlier window's score, or `0.0`.
+    /// An earlier window's score from this context.
     Stale,
+    /// Never scored in this context: a placeholder `0.0`.
+    Unscored,
 }
 
 /// One context's record of its last full-fidelity pass: the window it
@@ -137,7 +151,7 @@ pub struct IncrementalSweep {
     plan: Option<Box<dyn SweepPlan>>,
     /// Per-pair scores, worth what `state` says.
     scores: Vec<f64>,
-    /// Per-pair tags: fresh, bound or stale.
+    /// Per-pair tags: fresh, bound, stale or unscored.
     state: Vec<PairState>,
     /// Per-series "profile moved" flags for the advance in progress.
     moved: Vec<bool>,
@@ -166,37 +180,54 @@ impl IncrementalSweep {
     }
 
     /// The cold pass: plans `series` once on the pool
-    /// ([`SweepPool::plan`]), seeds a record from that plan with every
-    /// pair stale and `scores` as the recorded values, then runs
-    /// [`IncrementalSweep::rescore`] under `invariants` and `epsilon`.
-    /// Every invariant pair ends up fresh or bound, so the violation tuple
-    /// is exact; every other pair keeps its value from `scores` (an
-    /// earlier record's, or `0.0`) and stays stale.
-    ///
-    /// # Errors
-    ///
-    /// [`PassError::DeadlineExpired`] when `scope`'s deadline cut the pass
-    /// short; the half-scored record is dropped.
+    /// ([`SweepPool::plan`]) and seeds a record for it from `previous`,
+    /// the context's earlier record, whose buffers it takes over: every
+    /// score is kept, fresh and bound pairs become stale, and unscored
+    /// pairs stay unscored. With no previous record every pair is
+    /// unscored at `0.0`. Then [`IncrementalSweep::rescore`] runs under
+    /// `invariants`, `epsilon` and `scope`. When the pass completes every
+    /// invariant pair is fresh or bound, so the violation tuple is exact;
+    /// every other pair keeps its seeded score and tag.
     ///
     /// # Panics
     ///
-    /// When `scores` does not hold [`pair_count`] values.
+    /// When `previous` does not hold [`pair_count`] scores.
     pub fn cold(
         measure: &Arc<dyn AssociationMeasure>,
         series: Vec<Vec<f64>>,
-        scores: Vec<f64>,
+        previous: Option<IncrementalSweep>,
         invariants: &InvariantSet,
         epsilon: f64,
         pool: &SweepPool,
         scope: &PassScope,
-    ) -> Result<(IncrementalSweep, ScreenOutcome), PassError> {
-        assert_eq!(scores.len(), pair_count(), "wrong score vector length");
+    ) -> (IncrementalSweep, ScreenOutcome) {
         let plan = pool.plan(measure, &series, scope);
-        let mut record = IncrementalSweep::new(series, scores);
-        record.plan = Some(plan);
-        record.state.fill(PairState::Stale);
-        let outcome = record.rescore(invariants, epsilon, pool, scope)?;
-        Ok((record, outcome))
+        let mut record = match previous {
+            Some(mut record) => {
+                assert_eq!(
+                    record.scores.len(),
+                    pair_count(),
+                    "wrong score vector length"
+                );
+                for state in &mut record.state {
+                    if *state != PairState::Unscored {
+                        *state = PairState::Stale;
+                    }
+                }
+                record.moved.resize(series.len(), false);
+                record.rebuilt.resize(series.len(), false);
+                record.series = series;
+                record
+            }
+            None => {
+                let mut record = IncrementalSweep::new(series, vec![0.0; pair_count()]);
+                record.state.fill(PairState::Unscored);
+                record
+            }
+        };
+        let reused = record.list_pending(invariants, epsilon);
+        let outcome = record.score_pending(plan, reused, pool, scope);
+        (record, outcome)
     }
 
     /// Whether every per-pair score is exact for the recorded window (no
@@ -297,8 +328,9 @@ impl IncrementalSweep {
         }
         for i in 0..self.series.len() {
             for j in (i + 1)..self.series.len() {
-                if self.moved[i] || self.moved[j] {
-                    self.state[pair_index(i, j)] = PairState::Stale;
+                let state = &mut self.state[pair_index(i, j)];
+                if (self.moved[i] || self.moved[j]) && *state != PairState::Unscored {
+                    *state = PairState::Stale;
                 }
             }
         }
@@ -310,18 +342,19 @@ impl IncrementalSweep {
     ///
     /// Pairs no invariant reads keep their score; fresh pairs are reused;
     /// a bound pair is reused when its invariant's [`Floor`] still clears
-    /// the recorded entry. Every other invariant pair goes to one pool
-    /// pass ([`SweepPool::score_pairs`]) under `scope`, carrying its floor
-    /// when `1 − I < ε`: a cleared pair stores the clearing kernel entry
-    /// and becomes bound, any other pair stores its exact score and
-    /// becomes fresh.
+    /// the recorded entry. Every other invariant pair goes, in ascending
+    /// pair index, to one pool pass ([`SweepPool::score_pairs`]) under
+    /// `scope`, carrying its floor when `1 − I < ε`: a cleared pair stores
+    /// the clearing kernel entry and becomes bound, any other pair stores
+    /// its exact score and becomes fresh. When the scope's deadline or
+    /// pair cap stops the pass, the pairs it reached are written all the
+    /// same, and the rest are counted in [`ScreenOutcome::unreached`].
     ///
     /// # Errors
     ///
     /// Changing no score: [`PassError::Unplanned`] when an invariant pair
     /// needs a score and the record has no plan (the caller must sweep
-    /// from scratch), [`PassError::DeadlineExpired`] when the pass ran out
-    /// of time.
+    /// from scratch).
     pub fn rescore(
         &mut self,
         invariants: &InvariantSet,
@@ -329,6 +362,21 @@ impl IncrementalSweep {
         pool: &SweepPool,
         scope: &PassScope,
     ) -> Result<ScreenOutcome, PassError> {
+        let reused = self.list_pending(invariants, epsilon);
+        match self.plan.take() {
+            Some(plan) => Ok(self.score_pending(plan, reused, pool, scope)),
+            None if self.pending.is_empty() => Ok(ScreenOutcome {
+                reused,
+                ..ScreenOutcome::default()
+            }),
+            None => Err(PassError::Unplanned),
+        }
+    }
+
+    /// Lists in `self.pending`, in ascending pair index, every invariant
+    /// pair whose recorded score does not settle its tuple entry, with its
+    /// floor. Returns how many pairs were settled (or never read).
+    fn list_pending(&mut self, invariants: &InvariantSet, epsilon: f64) -> usize {
         let mut reused = 0;
         let entries = invariants.entries();
         self.pending.clear();
@@ -350,7 +398,7 @@ impl IncrementalSweep {
             let settled = match self.state[idx] {
                 PairState::Fresh => true,
                 PairState::Bound => floor.is_some_and(|f| f.clears(self.scores[idx])),
-                PairState::Stale => false,
+                PairState::Stale | PairState::Unscored => false,
             };
             if settled {
                 reused += 1;
@@ -358,36 +406,34 @@ impl IncrementalSweep {
                 self.pending.push(PassPair { pair: idx, floor });
             }
         }
-        let screened = self.score_pending(pool, scope)?;
-        Ok(ScreenOutcome {
-            reused,
-            screened,
-            confirmed: self.pending.len() - screened,
-        })
+        reused
     }
 
-    /// Scores the pairs in `self.pending` on the pool and, only when the
-    /// pass completed, writes them into the record: cleared pairs as
-    /// bound, the rest as fresh. Returns how many cleared.
-    fn score_pending(&mut self, pool: &SweepPool, scope: &PassScope) -> Result<usize, PassError> {
+    /// Scores the pairs in `self.pending` against `plan` on the pool and
+    /// writes the prefix the pass reached into the record: cleared pairs
+    /// as bound, the rest as fresh. The plan goes back into the record.
+    fn score_pending(
+        &mut self,
+        plan: Box<dyn SweepPlan>,
+        reused: usize,
+        pool: &SweepPool,
+        scope: &PassScope,
+    ) -> ScreenOutcome {
         if self.pending.is_empty() {
-            return Ok(0);
+            self.plan = Some(plan);
+            return ScreenOutcome {
+                reused,
+                ..ScreenOutcome::default()
+            };
         }
-        let Some(plan) = self.plan.take() else {
-            return Err(PassError::Unplanned);
-        };
         let pass = pool.score_pairs(plan, std::mem::take(&mut self.pending), scope);
-        let completed = pass.completed();
         self.plan = Some(pass.plan);
         self.pending = pass.pairs;
-        if !completed {
-            return Err(PassError::DeadlineExpired);
-        }
-        let mut cleared = 0;
-        for (item, &score) in self.pending.iter().zip(&pass.scores) {
+        let mut screened = 0;
+        for (item, &score) in self.pending[..pass.scored].iter().zip(&pass.scores) {
             let (v, state) = match score {
                 Floored::Cleared(v) => {
-                    cleared += 1;
+                    screened += 1;
                     (v, PairState::Bound)
                 }
                 Floored::Exact(v) => (v, PairState::Fresh),
@@ -395,17 +441,40 @@ impl IncrementalSweep {
             self.scores[item.pair] = v;
             self.state[item.pair] = state;
         }
-        Ok(cleared)
+        ScreenOutcome {
+            reused,
+            screened,
+            confirmed: pass.scored - screened,
+            unreached: self.pending.len() - pass.scored,
+        }
     }
 
-    /// The current per-pair scores as an association matrix. After
-    /// [`IncrementalSweep::cold`] or [`IncrementalSweep::rescore`] it gives
-    /// the violation tuple a full from-scratch sweep would: every invariant
-    /// pair holds its exact score, or a kernel entry `<=` it that grades
-    /// the same. Non-invariant stale pairs hold an earlier window's score,
-    /// or `0.0` when no pass has scored them.
+    /// The current per-pair scores as an association matrix. After a
+    /// completed [`IncrementalSweep::cold`] or [`IncrementalSweep::rescore`]
+    /// it gives the violation tuple a full from-scratch sweep would: every
+    /// invariant pair holds its exact score, or a kernel entry `<=` it that
+    /// grades the same. Stale pairs hold an earlier window's score, and
+    /// unscored pairs `0.0`.
     pub fn matrix(&self) -> AssociationMatrix {
         AssociationMatrix::from_scores(self.scores.clone())
+    }
+
+    /// The pairs the violation tuple may read: `Some(mask)`, with
+    /// `mask[pair]` false for every pair no pass of this context has
+    /// scored, when one of them is an invariant pair
+    /// ([`crate::ViolationTuple::build_masked`]); `None` when every
+    /// invariant pair has a score.
+    pub(crate) fn scored_mask(&self, invariants: &InvariantSet) -> Option<Vec<bool>> {
+        invariants
+            .entries()
+            .iter()
+            .any(|e| self.state[e.pair] == PairState::Unscored)
+            .then(|| {
+                self.state
+                    .iter()
+                    .map(|&s| s != PairState::Unscored)
+                    .collect()
+            })
     }
 
     /// The flat per-pair score cache (see [`IncrementalSweep::matrix`]).
@@ -426,6 +495,7 @@ impl std::fmt::Debug for IncrementalSweep {
             .field("planned", &self.plan.is_some())
             .field("bound_pairs", &self.count(PairState::Bound))
             .field("stale_pairs", &self.count(PairState::Stale))
+            .field("unscored_pairs", &self.count(PairState::Unscored))
             .finish()
     }
 }
@@ -469,13 +539,12 @@ mod tests {
         let (record, _) = IncrementalSweep::cold(
             &mic(),
             series_of(frame),
-            vec![0.0; pair_count()],
+            None,
             &all_pairs(frame),
             epsilon,
             pool,
             &PassScope::detached(),
-        )
-        .unwrap();
+        );
         record
     }
 
@@ -488,6 +557,14 @@ mod tests {
         let entries: Vec<_> = every.entries().iter().step_by(3).copied().collect();
         let invariants = InvariantSet::from_entries(entries, 0.2).unwrap();
         let previous: Vec<f64> = (0..pair_count()).map(|p| p as f64 / 1000.0).collect();
+        // The previous record: a plan-less one of another window, every
+        // pair fresh there, so stale here.
+        let record_of = |scores: &[f64]| {
+            Some(IncrementalSweep::new(
+                series_of(&frame(40, 100)),
+                scores.to_vec(),
+            ))
+        };
         for (measure, floors) in [
             (mic(), true),
             (
@@ -499,19 +576,19 @@ mod tests {
                 let (record, outcome) = IncrementalSweep::cold(
                     &measure,
                     series_of(&base),
-                    previous.clone(),
+                    record_of(&previous),
                     &invariants,
                     epsilon,
                     &pool,
                     &PassScope::detached(),
-                )
-                .unwrap();
+                );
                 assert_eq!(outcome.reused, pair_count() - invariants.len());
                 assert_eq!(outcome.screened + outcome.confirmed, invariants.len());
+                assert_eq!(outcome.unreached, 0);
                 assert_eq!(outcome.screened, record.count(PairState::Bound));
                 // Only MIC stops early, and only when a floor exists.
                 assert_eq!(outcome.screened > 0, floors && epsilon > 0.0);
-                let want = pool.sweep(&base, &measure);
+                let want = pool.sweep(&base, &measure, &PassScope::detached());
                 for (pair, &seeded) in previous.iter().enumerate() {
                     let (got, exact) = (record.scores()[pair], want.at(pair));
                     match invariants.entries().iter().find(|e| e.pair == pair) {
@@ -529,13 +606,37 @@ mod tests {
                                 let floor = Floor::new(e.value, epsilon).expect("a floor");
                                 assert!(got <= exact && floor.clears(got) && floor.clears(exact));
                             }
-                            PairState::Stale => panic!("invariant pair {pair} left stale"),
+                            PairState::Stale | PairState::Unscored => {
+                                panic!("invariant pair {pair} left unsettled")
+                            }
                         },
                     }
                 }
                 assert!(!record.is_fresh());
             }
         }
+        // With no previous record, the pairs no invariant reads stay
+        // unscored at 0.0, and the scored mask hides them.
+        let (record, _) = IncrementalSweep::cold(
+            &mic(),
+            series_of(&base),
+            None,
+            &invariants,
+            0.2,
+            &pool,
+            &PassScope::detached(),
+        );
+        assert_eq!(
+            record.count(PairState::Unscored),
+            pair_count() - invariants.len()
+        );
+        assert_eq!(record.scored_mask(&invariants), None);
+        assert_eq!(
+            record
+                .scored_mask(&every)
+                .map(|m| m.iter().filter(|&&s| s).count()),
+            Some(invariants.len())
+        );
         // Every pair an invariant and no floor: the record is a full sweep.
         let full = cold_record(&pool, &base, 0.0);
         assert!(full.is_fresh());
@@ -586,6 +687,7 @@ mod tests {
                 reused: pair_count() - bound.len(),
                 screened: 0,
                 confirmed: bound.len(),
+                unreached: 0,
             })
         );
         let fresh = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
@@ -666,50 +768,110 @@ mod tests {
     }
 
     #[test]
-    fn an_expired_pass_writes_nothing() {
+    fn a_pass_cut_short_keeps_the_prefix_it_scored() {
         let pool = SweepPool::new(2);
         let base = frame(40, 0);
+        // Every pair is an invariant, so a pass lists pairs 0..325 in
+        // order; epsilon 0.0 gives no floors, so every score is exact.
         let invariants = all_pairs(&base);
         let expired = PassScope {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
             ..PassScope::detached()
         };
-        let cold = IncrementalSweep::cold(
+        let capped = PassScope {
+            max_pairs: Some(10),
+            ..PassScope::detached()
+        };
+        let unreached = |n| ScreenOutcome {
+            unreached: n,
+            ..ScreenOutcome::default()
+        };
+        // A cold pass that reaches nothing leaves every pair unscored.
+        let (record, outcome) = IncrementalSweep::cold(
             &mic(),
             series_of(&base),
-            vec![0.0; pair_count()],
+            None,
             &invariants,
-            0.2,
+            0.0,
             &pool,
             &expired,
         );
-        assert_eq!(cold.err(), Some(PassError::DeadlineExpired));
-
-        let mut record = cold_record(&pool, &base, 0.2);
+        assert_eq!(outcome, unreached(pair_count()));
+        assert_eq!(record.count(PairState::Unscored), pair_count());
+        // A capped cold pass over that record scores exactly the first ten
+        // pairs; the rest stay unscored.
+        let (mut record, outcome) = IncrementalSweep::cold(
+            &mic(),
+            series_of(&base),
+            Some(record),
+            &invariants,
+            0.0,
+            &pool,
+            &capped,
+        );
+        assert_eq!(
+            outcome,
+            ScreenOutcome {
+                confirmed: 10,
+                unreached: pair_count() - 10,
+                ..ScreenOutcome::default()
+            }
+        );
+        let full = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
+        for pair in 0..pair_count() {
+            let (state, score) = if pair < 10 {
+                (PairState::Fresh, full.at(pair))
+            } else {
+                (PairState::Unscored, 0.0)
+            };
+            assert_eq!(record.state[pair], state, "pair {pair}");
+            assert_eq!(record.scores()[pair].to_bits(), score.to_bits());
+        }
+        assert_eq!(
+            record.scored_mask(&invariants),
+            Some((0..pair_count()).map(|p| p < 10).collect())
+        );
+        // A slide makes the scored pairs stale; unscored ones stay so. An
+        // expired pass then writes nothing, and the plan survives it.
         let next = frame(40, 1);
         assert_eq!(
             record.advance(&series_of(&next)),
             AdvanceOutcome::Advanced { shift: 1 }
         );
+        assert_eq!(record.count(PairState::Stale), 10);
+        assert_eq!(record.count(PairState::Unscored), pair_count() - 10);
         let (scores, state) = (record.scores().to_vec(), record.state.clone());
         assert_eq!(
             record.rescore(&invariants, 0.0, &pool, &expired),
-            Err(PassError::DeadlineExpired)
+            Ok(unreached(pair_count()))
         );
         assert_eq!(record.scores(), &scores[..]);
         assert_eq!(record.state, state);
-        // The plan survived the expired pass: the next pass completes.
+        // The next capped pass resumes in pair order: the ten stale pairs.
+        assert_eq!(
+            record.rescore(&invariants, 0.0, &pool, &capped),
+            Ok(ScreenOutcome {
+                confirmed: 10,
+                unreached: pair_count() - 10,
+                ..ScreenOutcome::default()
+            })
+        );
+        let fresh = AssociationMatrix::compute(&next, &MicMeasure::new(MicParams::fast()), 1);
+        for pair in 0..10 {
+            assert_eq!(record.state[pair], PairState::Fresh);
+            assert_eq!(record.scores()[pair].to_bits(), fresh.at(pair).to_bits());
+        }
+        assert_eq!(record.count(PairState::Unscored), pair_count() - 10);
+        // An unbounded pass completes the record: a full sweep of `next`.
         let outcome = record
             .rescore(&invariants, 0.0, &pool, &PassScope::detached())
             .unwrap();
-        assert!(outcome.confirmed > 0);
-        let fresh = AssociationMatrix::compute(&next, &MicMeasure::new(MicParams::fast()), 1);
-        for e in invariants.entries() {
-            assert_eq!(
-                record.scores()[e.pair].to_bits(),
-                fresh.at(e.pair).to_bits()
-            );
-        }
+        assert_eq!(
+            (outcome.reused, outcome.confirmed, outcome.unreached),
+            (10, pair_count() - 10, 0)
+        );
+        assert!(record.is_fresh());
+        assert_eq!(record.matrix(), fresh);
     }
 
     #[test]

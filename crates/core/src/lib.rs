@@ -53,8 +53,8 @@ mod store;
 
 pub use anomaly::{DetectionResult, PerformanceModel, ResidualStats, ThresholdRule};
 pub use assoc::{
-    pair_count, pair_index, pair_of_index, AssociationMatrix, BoundedSweep, PassPair, PassScope,
-    ScoredPairs, SweepPool,
+    pair_count, pair_index, pair_of_index, AssociationMatrix, PassPair, PassScope, ScoredPairs,
+    SweepPool,
 };
 pub use config::{ConfigBuilder, DetectorChoice, InvarNetConfig};
 pub use context::OperationContext;

@@ -5,6 +5,7 @@
 //! construction", so the whole invariant/signature machinery is generic
 //! over this trait.
 
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 use ix_arx::ArxSearch;
@@ -255,6 +256,14 @@ impl AssociationMeasure for MicMeasure {
     }
 }
 
+thread_local! {
+    /// The kernel scratch of this thread's last MIC scorer. A scorer takes
+    /// it on creation and puts it back on drop, so a pool worker reuses
+    /// buffers already grown to its windows' size across passes instead
+    /// of regrowing them on every diagnosis.
+    static SCRATCH: Cell<Option<MineScratch>> = const { Cell::new(None) };
+}
+
 /// The shared half of a MIC sweep: one profile per series.
 struct MicSweepPlan {
     params: MicParams,
@@ -265,7 +274,11 @@ impl SweepPlan for MicSweepPlan {
     fn scorer(&self) -> Box<dyn PairScorer + '_> {
         Box::new(MicScorer {
             plan: self,
-            scratch: MineScratch::new(),
+            scratch: SCRATCH
+                .try_with(Cell::take)
+                .ok()
+                .flatten()
+                .unwrap_or_default(),
         })
     }
 
@@ -294,10 +307,20 @@ impl SweepPlan for MicSweepPlan {
     }
 }
 
-/// Per-worker MIC scorer: borrows the shared profiles, owns the scratch.
+/// Per-worker MIC scorer: borrows the shared profiles, holds its thread's
+/// scratch.
+#[must_use = "a MicScorer holds its thread's kernel scratch until dropped"]
 struct MicScorer<'p> {
     plan: &'p MicSweepPlan,
     scratch: MineScratch,
+}
+
+impl Drop for MicScorer<'_> {
+    fn drop(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        // A scorer dropped while its thread exits has no slot to return to.
+        let _ = SCRATCH.try_with(|slot| slot.set(Some(scratch)));
+    }
 }
 
 impl PairScorer for MicScorer<'_> {

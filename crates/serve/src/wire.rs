@@ -398,11 +398,13 @@ impl BinaryPayload for Diagnosis {
             None => w.u8(0),
             Some(degradation) => {
                 w.u8(1);
+                // Tier byte 2 and reason byte 2 are retired (a Pearson
+                // sweep and a predicted overrun): never written again, and
+                // refused on read.
                 w.u8(degradation.tier.level());
                 w.u8(match degradation.reason {
                     DegradationReason::WallClockExceeded => 0,
                     DegradationReason::PairBudgetExceeded => 1,
-                    DegradationReason::PredictedOverrun => 2,
                 });
             }
         }
@@ -423,7 +425,6 @@ impl BinaryPayload for Diagnosis {
         let degradation = if read_bool(r, "degradation option")? {
             let tier = match r.u8()? {
                 1 => DegradationTier::CachedMatrix,
-                2 => DegradationTier::PearsonFallback,
                 3 => DegradationTier::PartialMatrix,
                 4 => DegradationTier::Persistence,
                 other => {
@@ -435,7 +436,6 @@ impl BinaryPayload for Diagnosis {
             let reason = match r.u8()? {
                 0 => DegradationReason::WallClockExceeded,
                 1 => DegradationReason::PairBudgetExceeded,
-                2 => DegradationReason::PredictedOverrun,
                 other => {
                     return Err(HistoryFileError::Format(format!(
                         "unknown degradation reason {other}"
@@ -948,8 +948,8 @@ mod tests {
         // Golden bytes: tag, tick 7 as u64, residual 0.5 as raw bits,
         // exceeded 1, anomalous 0, no diagnosis; then the same reply with
         // an onset diagnosis: one cause "x" at similarity 1.0, a one-slot
-        // tuple [0.75], degraded to tier 2 (Pearson) for reason 1 (pair
-        // budget).
+        // tuple [0.75], degraded to tier 3 (partial matrix) for reason 1
+        // (pair budget).
         let mut reply = IngestReply {
             tick: 7,
             residual: 0.5,
@@ -972,13 +972,12 @@ mod tests {
             }],
             tuple: ViolationTuple::from_graded(vec![0.75]),
             degradation: Some(SweepDegradation {
-                tier: DegradationTier::PearsonFallback,
+                tier: DegradationTier::PartialMatrix,
                 reason: DegradationReason::PairBudgetExceeded,
             }),
         });
         let bytes = encode_binary(&reply);
-        assert_eq!(
-            bytes,
+        let golden = |tail: [u8; 3]| {
             [
                 &head[..],
                 &[1],
@@ -986,11 +985,24 @@ mod tests {
                 &1.0f64.to_bits().to_le_bytes(),
                 &[1, 0, 0, 0],
                 &0.75f64.to_bits().to_le_bytes(),
-                &[1, 2, 1],
+                &tail,
             ]
             .concat()
-        );
+        };
+        assert_eq!(bytes, golden([1, 3, 1]));
         assert_eq!(decode_binary::<IngestReply>(&bytes).expect("decode"), reply);
+        // The retired tier 2 and reason 2 are refused, not mapped.
+        for tail in [[1, 2, 1], [1, 3, 2]] {
+            let bytes = golden(tail);
+            let mut r = Reader::new(&bytes[1..]);
+            assert!(
+                matches!(
+                    IngestReply::read_fields(&mut r),
+                    Err(HistoryFileError::Format(_))
+                ),
+                "tail {tail:?} decoded"
+            );
+        }
     }
 
     #[test]

@@ -174,10 +174,10 @@ fn evict_and_warm_allocations_are_pinned() {
     // list and its two strings, the shard's key list, the model and
     // invariant-set lists, and the one image buffer (7). The warm decodes
     // the image (one payload copy, then the store, signatures and tail
-    // rows), rebuilds the engine and loads the store into it (72).
+    // rows), rebuilds the engine and loads the store into it (71).
     assert_eq!(
         (evict, warm),
-        (7, 72),
+        (7, 71),
         "allocations of one Fleet::evict and one Fleet::warm of the trained \
          tenant with a {WARM_TICKS}-tick tail"
     );

@@ -71,7 +71,7 @@ fn diagnosis() -> Diagnosis {
         tuple: ViolationTuple::from_graded(vec![0.0, 0.42, 0.0, 1.5, 0.07]),
         degradation: Some(SweepDegradation {
             tier: DegradationTier::PartialMatrix,
-            reason: DegradationReason::PredictedOverrun,
+            reason: DegradationReason::WallClockExceeded,
         }),
     }
 }

@@ -238,7 +238,7 @@ fn engine_costs_are_pinned() {
         [78, 120, 127],
         "pairs reused, cleared and scored exactly on a cold diagnosis"
     );
-    assert_eq!(cold_allocs, 381, "allocations per cold diagnosis");
+    assert_eq!(cold_allocs, 357, "allocations per cold diagnosis");
 
     // The unchanged window again: a zero-tick slide scores nothing, and
     // every bound pair is revalidated without kernel work.

@@ -118,7 +118,11 @@ fn optimized_sweep_reproduces_golden_bits_for_every_measure() {
             assert_matches_golden(name, &matrix, &golden);
         }
         let pool = SweepPool::new(4);
-        assert_matches_golden(name, &pool.sweep(&window, measure), &golden);
+        assert_matches_golden(
+            name,
+            &pool.sweep(&window, measure, &PassScope::detached()),
+            &golden,
+        );
     }
 }
 
@@ -266,16 +270,16 @@ proptest! {
         for threads in [1, 4] {
             let pool = SweepPool::new(threads);
             let scope = PassScope::detached();
-            let (mut inc, _) = IncrementalSweep::cold(
+            let (mut inc, cold) = IncrementalSweep::cold(
                 &measure,
                 series_of(&base),
-                vec![0.0; pair_count()],
+                None,
                 &invariants,
                 epsilon,
                 &pool,
                 &scope,
-            )
-            .expect("an unbounded pass completes");
+            );
+            prop_assert_eq!(cold.unreached, 0, "an unbounded pass completes");
             // A pair no invariant reads is never scored, so the record
             // cannot be fresh; a fresh record holds the full sweep's bits.
             if invariants.len() < pair_count() {

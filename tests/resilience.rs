@@ -1,17 +1,18 @@
-//! Integration tests of the resilience layer: the degradation ladder picks
-//! the declared tier for each failure shape and reports it on the event
-//! stream, and the bounded-ingest shed policies always retain a contiguous
-//! run of recent ticks at least as long as the detector's
-//! consecutive-exceedance window (paper §3.1's 3-tick rule).
+//! Integration tests of the resilience layer: a budgeted diagnosis pass
+//! keeps every pair it scored, its verdict declares how the pairs it did
+//! not reach were read and reports that on the event stream, and the
+//! bounded-ingest shed policies always retain a contiguous run of recent
+//! ticks at least as long as the detector's consecutive-exceedance window
+//! (paper §3.1's 3-tick rule).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use invarnet_x::core::{
     AssociationMeasure, DegradationReason, DegradationTier, DetectionResult, Detector, DetectorRun,
-    Engine, EngineEvent, EventSink, InvarNetConfig, MicMeasure, OperationContext, OverloadPolicy,
-    SubmitOutcome, SweepBudget, TickDecision,
+    Diagnosis, Engine, EngineEvent, EventSink, InvarNetConfig, MicMeasure, ModelStore,
+    OperationContext, OverloadPolicy, SubmitOutcome, SweepBudget, TickDecision,
 };
 use invarnet_x::metrics::{MetricFrame, METRIC_COUNT};
 use proptest::prelude::*;
@@ -134,14 +135,7 @@ fn warm_cache_degrades_to_tier1_cached_matrix() {
         .degradation
         .expect("budget overrun must be declared");
     assert_eq!(deg.tier, DegradationTier::CachedMatrix);
-    assert!(
-        matches!(
-            deg.reason,
-            DegradationReason::WallClockExceeded | DegradationReason::PredictedOverrun
-        ),
-        "unexpected reason {:?}",
-        deg.reason
-    );
+    assert_eq!(deg.reason, DegradationReason::WallClockExceeded);
     assert!(
         log.labels()
             .iter()
@@ -152,7 +146,7 @@ fn warm_cache_degrades_to_tier1_cached_matrix() {
 }
 
 #[test]
-fn cold_cache_degrades_to_tier2_pearson_fallback() {
+fn cold_cache_degrades_to_a_partial_matrix() {
     let slow = Arc::new(SlowWrapper::new(Duration::from_millis(2)));
     let build = || {
         Engine::builder()
@@ -163,7 +157,8 @@ fn cold_cache_degrades_to_tier2_pearson_fallback() {
     let ctx = OperationContext::new("10.1.0.2", "Wordcount");
     train(&trained, &ctx, 310);
     // A fresh engine loaded with the trained state has swept nothing, so
-    // it holds no sweep record: tier 1 is unavailable.
+    // it holds no sweep record: the invariant pairs the pass does not
+    // reach have never been scored here, and are masked.
     let engine = build();
     engine.load_state(&trained.snapshot_state()).unwrap();
 
@@ -175,7 +170,8 @@ fn cold_cache_degrades_to_tier2_pearson_fallback() {
     let deg = diagnosis
         .degradation
         .expect("budget overrun must be declared");
-    assert_eq!(deg.tier, DegradationTier::PearsonFallback);
+    assert_eq!(deg.tier, DegradationTier::PartialMatrix);
+    assert_eq!(deg.reason, DegradationReason::WallClockExceeded);
 }
 
 #[test]
@@ -244,6 +240,170 @@ fn slow_measure_event_sequence_declares_the_degraded_sweep() {
         "degradation is declared before the answer: {faulted:?}"
     );
     assert_eq!(faulted[1], "diagnosis-ran");
+}
+
+/// Counts the pairs each diagnosis pass scored
+/// (`SweepScreened::{screened + confirmed}`), one entry per pass.
+#[derive(Default)]
+struct ScoredLog(Mutex<Vec<usize>>);
+
+impl EventSink for ScoredLog {
+    fn record(&self, event: &EngineEvent) {
+        if let EngineEvent::SweepScreened {
+            screened,
+            confirmed,
+            ..
+        } = *event
+        {
+            self.0.lock().unwrap().push(screened + confirmed);
+        }
+    }
+}
+
+/// The budget tests' fixture, trained once: the trained state, the
+/// context, and full-fidelity diagnoses of four incident windows.
+struct Trained {
+    store: ModelStore,
+    ctx: OperationContext,
+    windows: Vec<MetricFrame>,
+    full: Vec<Diagnosis>,
+}
+
+fn trained() -> &'static Trained {
+    static TRAINED: OnceLock<Trained> = OnceLock::new();
+    TRAINED.get_or_init(|| {
+        let engine = Engine::builder().build();
+        let ctx = OperationContext::new("10.1.0.5", "Wordcount");
+        train(&engine, &ctx, 340);
+        let store = engine.snapshot_state();
+        let windows: Vec<MetricFrame> = (0..4).map(|s| coupled_frame(40, 790 + s, true)).collect();
+        let full = windows
+            .iter()
+            .map(|w| fresh_engine(&store, None).diagnose(&ctx, w).unwrap())
+            .collect();
+        Trained {
+            store,
+            ctx,
+            windows,
+            full,
+        }
+    })
+}
+
+/// An engine loaded with `store` that has swept nothing yet.
+fn fresh_engine(store: &ModelStore, sink: Option<Arc<dyn EventSink>>) -> Engine {
+    let mut builder = Engine::builder();
+    if let Some(sink) = sink {
+        builder = builder.event_sink(sink);
+    }
+    let engine = builder.build();
+    engine.load_state(store).unwrap();
+    engine
+}
+
+#[test]
+fn a_pair_budget_converges_on_the_full_diagnosis() {
+    let t = trained();
+    let window = &t.windows[0];
+    let n = t.full[0].tuple.len();
+    assert!(n > 100, "a dense invariant network: {n}");
+    for k in [1, 40, n - 1, n] {
+        let log = Arc::new(ScoredLog::default());
+        let engine = fresh_engine(&t.store, Some(Arc::clone(&log) as Arc<dyn EventSink>));
+        let budget = SweepBudget::default().with_max_pairs(k);
+        let calls = n.div_ceil(k);
+        for call in 1..=calls {
+            let d = engine.diagnose_with_budget(&t.ctx, window, budget).unwrap();
+            // Pairs are scored in ascending pair index, so after `call`
+            // passes the first `call * k` invariants are graded as at full
+            // fidelity, and the rest have never been scored.
+            let reached = (call * k).min(n);
+            for (j, (&got, &want)) in d
+                .tuple
+                .graded()
+                .iter()
+                .zip(t.full[0].tuple.graded())
+                .enumerate()
+            {
+                let want = if j < reached { want } else { 0.0 };
+                assert_eq!(got.to_bits(), want.to_bits(), "k {k} call {call} entry {j}");
+            }
+            if call < calls {
+                let deg = d.degradation.expect("a capped pass is declared");
+                assert_eq!(deg.tier, DegradationTier::PartialMatrix);
+                assert_eq!(deg.reason, DegradationReason::PairBudgetExceeded);
+            } else {
+                assert_eq!(d, t.full[0], "k {k}: call {call} is the full diagnosis");
+            }
+        }
+        // Each pass scored the next k pairs: the sets are disjoint and
+        // cover every invariant pair exactly once.
+        let scored = log.0.lock().unwrap().clone();
+        let want: Vec<usize> = (0..calls).map(|c| k.min(n - c * k)).collect();
+        assert_eq!(scored, want, "k {k}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Deterministic budgets — a pair cap and an already-expired deadline
+    /// — over a context with or without a record: every pair the pass
+    /// scored is graded as at full fidelity, every pair it did not reach
+    /// is masked (no record) or graded at the record's earlier score, and
+    /// the verdict's tier and reason say which.
+    #[test]
+    fn a_degraded_tuple_is_full_fidelity_where_it_scored(
+        window in 1usize..4,
+        recorded in 0u8..2,
+        expired in 0u8..2,
+        cap in 0usize..400,
+    ) {
+        let (recorded, expired) = (recorded == 1, expired == 1);
+        let t = trained();
+        let engine = fresh_engine(&t.store, None);
+        if recorded {
+            engine.diagnose(&t.ctx, &t.windows[0]).unwrap();
+        }
+        let mut budget = SweepBudget::default().with_max_pairs(cap);
+        if expired {
+            budget.wall = Some(Duration::ZERO);
+        }
+        let d = engine.diagnose_with_budget(&t.ctx, &t.windows[window], budget).unwrap();
+        let (full, earlier) = (&t.full[window].tuple, &t.full[0].tuple);
+        let n = full.len();
+        let reached = if expired { 0 } else { cap.min(n) };
+        for j in 0..n {
+            let want = if j < reached {
+                full.graded()[j]
+            } else if recorded {
+                earlier.graded()[j]
+            } else {
+                0.0
+            };
+            prop_assert_eq!(d.tuple.graded()[j].to_bits(), want.to_bits(), "entry {}", j);
+        }
+        match d.degradation {
+            None => prop_assert_eq!(reached, n),
+            Some(deg) => {
+                prop_assert!(reached < n);
+                let tier = if recorded {
+                    DegradationTier::CachedMatrix
+                } else {
+                    DegradationTier::PartialMatrix
+                };
+                // The cap stopped a pass that scored all it allowed; the
+                // deadline any other.
+                let reason = if reached >= cap {
+                    DegradationReason::PairBudgetExceeded
+                } else {
+                    DegradationReason::WallClockExceeded
+                };
+                prop_assert_eq!(deg.tier, tier);
+                prop_assert_eq!(deg.reason, reason);
+            }
+        }
+    }
 }
 
 /// A detector whose per-tick score echoes the CPI sample, so drained
