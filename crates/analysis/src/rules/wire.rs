@@ -1,13 +1,13 @@
 //! Rule `wire-coverage`: every `EngineEvent` variant must be exercised by
-//! the wire-format tests.
+//! the record codec's tests.
 //!
-//! The IXWIRE frame format in `crates/core/src/engine/wire.rs` is the
-//! compatibility surface between the engine, the replay corpus, and the
-//! history store. Its test module pins both directions (round-trip and
-//! literal-JSON decode) per variant; a variant added to `EngineEvent`
-//! without a matching wire test silently ships an unpinned encoding. This
-//! rule fires on the file that declares the enum and demands each variant
-//! identifier appear inside `wire.rs`'s `#[cfg(test)]` ranges.
+//! The binary event records of `crates/history/src/codec.rs` are the
+//! compatibility surface between the engine, recorded traces and the
+//! history store. Its test module pins each variant's bytes and
+//! round-trips them; a variant added to `EngineEvent` without a matching
+//! codec test silently ships an unpinned encoding. This rule fires on the
+//! file that declares the enum and demands each variant identifier appear
+//! inside `codec.rs`'s `#[cfg(test)]` ranges.
 
 use super::{Rule, Violation};
 use crate::lexer::TokKind;
@@ -16,7 +16,7 @@ use crate::workspace::{SourceFile, Workspace};
 /// The file that declares the event enum.
 const EVENTS_RS: &str = "crates/core/src/engine/events.rs";
 /// The file whose test module must cover every variant.
-const WIRE_RS: &str = "crates/core/src/engine/wire.rs";
+const WIRE_RS: &str = "crates/history/src/codec.rs";
 
 /// See module docs.
 pub struct WireCoverage;
@@ -27,7 +27,7 @@ impl Rule for WireCoverage {
     }
 
     fn description(&self) -> &'static str {
-        "every EngineEvent variant appears in the wire round-trip tests"
+        "every EngineEvent variant appears in the record codec's pinned-byte tests"
     }
 
     fn check(&self, file: &SourceFile, ws: &Workspace, out: &mut Vec<Violation>) {
@@ -57,8 +57,8 @@ impl Rule for WireCoverage {
                     file.rel.clone(),
                     line,
                     format!(
-                        "`EngineEvent::{variant}` has no wire test — add it to the \
-                         round-trip / literal-JSON tests in `{WIRE_RS}`"
+                        "`EngineEvent::{variant}` has no codec test — pin its record \
+                         bytes in the tests of `{WIRE_RS}`"
                     ),
                 ));
             }

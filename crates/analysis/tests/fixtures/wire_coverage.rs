@@ -1,5 +1,5 @@
-// Fixture: an EngineEvent enum with a variant the wire tests never
-// exercise. `TickIngested` is covered by the real wire.rs test module;
+// Fixture: an EngineEvent enum with a variant the codec tests never
+// exercise. `TickIngested` is covered by the real codec.rs test module;
 // `PhantomEvent` is not.
 
 pub enum EngineEvent {

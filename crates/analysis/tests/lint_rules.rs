@@ -377,7 +377,7 @@ fn wire_coverage_flags_untested_variant() {
     assert_eq!(
         out.len(),
         1,
-        "only the phantom variant fires (TickIngested is wire-tested): {out:#?}"
+        "only the phantom variant fires (TickIngested is codec-tested): {out:#?}"
     );
     assert!(
         out[0].message.contains("PhantomEvent") && out[0].line == 10,

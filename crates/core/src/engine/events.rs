@@ -191,7 +191,55 @@ pub enum EngineEvent {
     },
 }
 
+/// The shape of an [`EngineEvent`], without its payload: what replay
+/// breakpoints match on, and the leading tag byte of the event's binary
+/// record in a history file (the discriminant, pinned by the codec tests
+/// in `ix-history`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+#[allow(missing_docs)] // variants mirror `EngineEvent` one-to-one
+pub enum EventKind {
+    TickIngested,
+    DetectionFired,
+    DetectionCleared,
+    DiagnosisRan,
+    SignatureMatched,
+    SweepCompleted,
+    PairsScored,
+    SweepScreened,
+    SpanClosed,
+    SweepDegraded,
+    TickEnqueued,
+    TickShed,
+    StoreRetried,
+    HealthChanged,
+    TenantEvicted,
+    TenantWarmed,
+}
+
 impl EngineEvent {
+    /// The event's kind.
+    pub fn kind(&self) -> EventKind {
+        match self {
+            EngineEvent::TickIngested { .. } => EventKind::TickIngested,
+            EngineEvent::DetectionFired { .. } => EventKind::DetectionFired,
+            EngineEvent::DetectionCleared { .. } => EventKind::DetectionCleared,
+            EngineEvent::DiagnosisRan { .. } => EventKind::DiagnosisRan,
+            EngineEvent::SignatureMatched { .. } => EventKind::SignatureMatched,
+            EngineEvent::SweepCompleted { .. } => EventKind::SweepCompleted,
+            EngineEvent::PairsScored { .. } => EventKind::PairsScored,
+            EngineEvent::SweepScreened { .. } => EventKind::SweepScreened,
+            EngineEvent::SpanClosed { .. } => EventKind::SpanClosed,
+            EngineEvent::SweepDegraded { .. } => EventKind::SweepDegraded,
+            EngineEvent::TickEnqueued { .. } => EventKind::TickEnqueued,
+            EngineEvent::TickShed { .. } => EventKind::TickShed,
+            EngineEvent::StoreRetried { .. } => EventKind::StoreRetried,
+            EngineEvent::HealthChanged { .. } => EventKind::HealthChanged,
+            EngineEvent::TenantEvicted { .. } => EventKind::TenantEvicted,
+            EngineEvent::TenantWarmed { .. } => EventKind::TenantWarmed,
+        }
+    }
+
     /// The context the event is attributed to ([`ContextId::UNATTRIBUTED`]
     /// when unknown).
     pub fn context(&self) -> ContextId {

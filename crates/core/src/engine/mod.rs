@@ -35,7 +35,6 @@ pub mod recorder;
 pub mod resilience;
 mod state;
 pub mod telemetry;
-mod wire;
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -58,7 +57,7 @@ use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use builder::EngineBuilder;
 pub use detector::{ArimaDetector, CusumStreamDetector, Detector, DetectorRun, TickDecision};
 pub use diagnosis::{Diagnosis, RankedCause};
-pub use events::{EngineEvent, EventSink, NullSink};
+pub use events::{EngineEvent, EventKind, EventSink, NullSink};
 pub use ingest::TickOutcome;
 pub use inspect::{ContextStateSnapshot, EngineInspector};
 pub use recorder::{HistoryRecorder, NullRecorder};

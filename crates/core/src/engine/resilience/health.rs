@@ -39,38 +39,6 @@ impl HealthState {
     }
 }
 
-// `Degraded` carries the tier, so the wire form is written by hand: unit
-// variants as their names, `Degraded` as a one-field object. Pinned by the
-// `engine::wire` tests.
-impl serde::Serialize for HealthState {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            HealthState::Healthy => serde::Value::Str("Healthy".to_string()),
-            HealthState::Recovering => serde::Value::Str("Recovering".to_string()),
-            HealthState::Degraded(tier) => serde::Value::Object(vec![(
-                "Degraded".to_string(),
-                serde::Serialize::to_value(tier),
-            )]),
-        }
-    }
-}
-
-impl serde::Deserialize for HealthState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        match value {
-            serde::Value::Str(s) => match s.as_str() {
-                "Healthy" => Ok(HealthState::Healthy),
-                "Recovering" => Ok(HealthState::Recovering),
-                other => Err(serde::DeError::unknown_variant(other)),
-            },
-            serde::Value::Object(_) => Ok(HealthState::Degraded(serde::Deserialize::from_value(
-                value.field("Degraded")?,
-            )?)),
-            other => Err(serde::DeError::expected("health state", other)),
-        }
-    }
-}
-
 struct HealthInner {
     state: HealthState,
     /// Consecutive clean operations while `Recovering`.

@@ -39,24 +39,6 @@ impl ContextId {
     }
 }
 
-// The wire form is the raw `u32` (the sentinel rides along as
-// `u32::MAX`), so ids in history segments stay meaningful only next to
-// the label table of the registry that issued them.
-impl serde::Serialize for ContextId {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::UInt(u64::from(self.0))
-    }
-}
-
-impl serde::Deserialize for ContextId {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let raw = value.as_u64()?;
-        u32::try_from(raw)
-            .map(ContextId)
-            .map_err(|_| serde::DeError::new(format!("{raw} out of range for ContextId")))
-    }
-}
-
 /// Interns [`OperationContext`]s to dense [`ContextId`]s and resolves them
 /// back to display labels.
 ///

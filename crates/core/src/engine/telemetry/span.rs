@@ -13,13 +13,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use super::super::events::{EngineEvent, EventSink};
 use super::context::ContextId;
 
 /// The engine phase a span covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnginePhase {
     /// Offline ARIMA/CUSUM training ([`crate::Engine::train_performance_model`]).
     Train,

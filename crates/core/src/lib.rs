@@ -70,8 +70,8 @@ pub use engine::telemetry::{
 };
 pub use engine::{
     ArimaDetector, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun, Diagnosis,
-    Engine, EngineBuilder, EngineEvent, EngineInspector, EventSink, HistoryRecorder, NullRecorder,
-    NullSink, RankedCause, TickDecision, TickOutcome,
+    Engine, EngineBuilder, EngineEvent, EngineInspector, EventKind, EventSink, HistoryRecorder,
+    NullRecorder, NullSink, RankedCause, TickDecision, TickOutcome,
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};

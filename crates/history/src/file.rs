@@ -12,17 +12,19 @@
 //!   columns        rows × u64 ticks, rows × f64 cpi, rows × f64 residual,
 //!                  rows × u8 exceeded, then METRIC_COUNT × rows f64
 //!                  metric-major metric columns
-//! events           u32 count, then per event: u32 byte-length + the
-//!                  pinned JSON wire form from `ix-core`
-//! sweeps           u32 count, length-prefixed JSON records
-//! diagnoses        u32 count, length-prefixed JSON records
+//! events           u32 count, then per event: u32 byte-length + a
+//!                  binary event record
+//! sweeps           u32 count, length-prefixed binary sweep records
+//! diagnoses        u32 count, length-prefixed binary diagnosis records
 //! sections         zero or more trailing sections, each: 4-byte ASCII
 //!                  tag + u32 byte-length + opaque payload
 //! ```
 //!
 //! Floating-point columns are raw IEEE-754 bits, so a load reproduces the
-//! saved values bit-exactly. The JSON sections ride on the wire encodings
-//! pinned by tests in `ix-core` — a wire break fails there first.
+//! saved values bit-exactly. The side-log records are the binary records
+//! of [`crate::codec`], whose tests pin their bytes; a record must
+//! consume exactly its length. A record that starts with `{` is the
+//! retired JSON form, refused by name.
 //!
 //! Trailing sections are the format's versioned extension point (the
 //! original `IXHIST01` files simply have none): `ix-replay` stores its
@@ -36,10 +38,10 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use ix_core::EngineEvent;
 use ix_metrics::METRIC_COUNT;
 
-use crate::store::{ContextLog, DiagnosisRecord, HistoryStore, Inner, SweepRecord};
+use crate::codec;
+use crate::store::{ContextLog, HistoryStore, Inner};
 
 /// Leading magic of every history file (format name + version).
 const MAGIC: &[u8; 8] = b"IXHIST01";
@@ -150,6 +152,20 @@ impl Writer {
         for v in vs {
             self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
         }
+    }
+
+    /// Appends a `u32` count (see [`Writer::u32_field`]) and the `f64`s
+    /// as raw bits.
+    #[inline]
+    pub fn f64_list(&mut self, vs: &[f64]) {
+        self.u32_field(vs.len());
+        self.f64s(vs);
+    }
+
+    /// Appends a `bool` as one byte, `0` or `1`.
+    #[inline]
+    pub fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
     }
 
     /// Appends a `u32` length prefix (see [`Writer::u32_field`]) and the
@@ -309,6 +325,56 @@ impl<'a> Reader<'a> {
         self.u64().map(f64::from_bits)
     }
 
+    /// The next byte as a `bool`, refusing anything but `0` and `1` so
+    /// that a decoded value re-encodes to the same byte.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] at the end of the buffer, or naming
+    /// `what` for any other byte.
+    #[inline]
+    pub fn bool(&mut self, what: &str) -> Result<bool, HistoryFileError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(HistoryFileError::Format(format!(
+                "{what} byte {other} is neither 0 nor 1"
+            ))),
+        }
+    }
+
+    /// The next `f64`, which must be finite.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] on truncation or a NaN or infinity.
+    #[inline]
+    pub fn finite_f64(&mut self) -> Result<f64, HistoryFileError> {
+        let v = self.f64()?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(HistoryFileError::Format(format!("non-finite value {v}")))
+        }
+    }
+
+    /// A `u32` count and that many `f64`s, each of which must be finite:
+    /// what [`Writer::f64_list`] writes.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] on truncation, an oversized count or
+    /// a NaN or infinity.
+    #[inline]
+    pub fn finite_f64s(&mut self) -> Result<Vec<f64>, HistoryFileError> {
+        let n = self.count(8)?;
+        let values = self.f64s(n)?;
+        match values.iter().find(|v| !v.is_finite()) {
+            Some(v) => Err(HistoryFileError::Format(format!("non-finite value {v}"))),
+            None => Ok(values),
+        }
+    }
+
     /// Bytes not yet read.
     #[inline]
     pub fn remaining(&self) -> usize {
@@ -373,21 +439,50 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes()?)
             .map_err(|e| HistoryFileError::Format(format!("non-UTF-8 string: {e}")))
     }
+}
 
-    fn json<T: serde::Deserialize>(&mut self) -> Result<T, HistoryFileError> {
-        let raw = self.bytes()?;
-        let text = std::str::from_utf8(raw)
-            .map_err(|e| HistoryFileError::Format(format!("non-UTF-8 JSON record: {e}")))?;
-        serde_json::from_str(text).map_err(|e| HistoryFileError::Format(format!("bad record: {e}")))
+/// Writes a `u32` count, then each record behind a `u32` length that is
+/// patched once the record is written.
+fn write_records<T>(w: &mut Writer, records: &[T], write: impl Fn(&mut Writer, &T)) {
+    w.u32_field(records.len());
+    for record in records {
+        let at = w.buf.len();
+        w.u32(0);
+        write(w, record);
+        let len = u32::try_from(w.buf.len() - at - 4)
+            .expect("IXHIST01 u32 field overflow: record exceeds u32::MAX bytes");
+        w.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 }
 
-fn json_section<T: serde::Serialize>(w: &mut Writer, records: &[T]) {
-    w.u32_field(records.len());
-    for record in records {
-        let text = serde_json::to_string(record).expect("wire forms always serialize");
-        w.bytes(text.as_bytes());
+/// Reads what [`write_records`] wrote. Each record must consume exactly
+/// its length.
+fn read_records<T>(
+    r: &mut Reader<'_>,
+    what: &str,
+    read: impl Fn(&mut Reader<'_>) -> Result<T, HistoryFileError>,
+) -> Result<Vec<T>, HistoryFileError> {
+    // Each record costs at least its 4-byte length prefix.
+    let count = r.count(4)?;
+    let mut records = Vec::new();
+    for i in 0..count {
+        let bytes = r.bytes()?;
+        if bytes.first() == Some(&b'{') {
+            return Err(HistoryFileError::Format(format!(
+                "{what} record {i} is in the retired JSON form; this build reads only \
+                 binary records"
+            )));
+        }
+        let mut record = Reader::new(bytes);
+        records.push(read(&mut record)?);
+        if record.remaining() != 0 {
+            return Err(HistoryFileError::Format(format!(
+                "{what} record {i} leaves {} of its bytes unread",
+                record.remaining()
+            )));
+        }
     }
+    Ok(records)
 }
 
 impl HistoryStore {
@@ -440,9 +535,9 @@ impl HistoryStore {
                     }
                 }
             }
-            json_section(&mut w, &inner.events);
-            json_section(&mut w, &inner.sweeps);
-            json_section(&mut w, &inner.diagnoses);
+            write_records(&mut w, &inner.events, codec::write_event);
+            write_records(&mut w, &inner.sweeps, codec::write_sweep);
+            write_records(&mut w, &inner.diagnoses, codec::write_diagnosis_record);
             for (tag, payload) in &inner.sections {
                 w.buf.extend_from_slice(tag);
                 w.bytes(payload);
@@ -456,9 +551,11 @@ impl HistoryStore {
     /// # Errors
     ///
     /// [`HistoryFileError::Format`] on a bad magic, truncation, a count
-    /// or context id larger than the buffer can back, run starts that are
-    /// not strictly increasing within the recorded rows, non-finite
-    /// metric values, or a JSON record that no longer parses. Counts are
+    /// or context id larger than the buffer can back, context logs out of
+    /// id order, run starts that are not strictly increasing within the
+    /// recorded rows, an exceeded flag other than 0 or 1, non-finite
+    /// metric values, or a side-log record that is JSON, does not decode
+    /// or does not consume exactly its length. Counts are
     /// validated against the remaining bytes *before* anything is
     /// preallocated, so a hostile file fails with `Format` instead of
     /// aborting on allocation.
@@ -502,6 +599,12 @@ impl HistoryStore {
             if ctx > MAX_CONTEXT_ID {
                 return Err(HistoryFileError::Format(format!(
                     "context id {ctx} exceeds the format cap {MAX_CONTEXT_ID}"
+                )));
+            }
+            // Logs are written in id order, one per id.
+            if ctx < inner.logs.len() {
+                return Err(HistoryFileError::Format(format!(
+                    "context log {ctx} is out of order"
                 )));
             }
             let rows = usize::try_from(r.u64()?)
@@ -552,7 +655,12 @@ impl HistoryStore {
             }
             let cpi = r.f64s(rows)?;
             let residual = r.f64s(rows)?;
-            let exceeded: Vec<bool> = r.take(rows)?.iter().map(|&b| b != 0).collect();
+            let exceeded = r.take(rows)?;
+            if exceeded.iter().any(|&b| b > 1) {
+                return Err(HistoryFileError::Format(
+                    "exceeded flag is neither 0 nor 1".to_string(),
+                ));
+            }
             let mut columns = Vec::with_capacity(METRIC_COUNT);
             for _ in 0..METRIC_COUNT {
                 let column = r.f64s(rows)?;
@@ -576,7 +684,7 @@ impl HistoryStore {
                 for (m, slot) in row.iter_mut().enumerate() {
                     *slot = columns[m][i];
                 }
-                log.push(ticks[i], cpi[i], residual[i], exceeded[i], &row);
+                log.push(ticks[i], cpi[i], residual[i], exceeded[i] == 1, &row);
             }
             let idx = ctx;
             if inner.logs.len() <= idx {
@@ -584,19 +692,9 @@ impl HistoryStore {
             }
             inner.logs[idx] = Some(log);
         }
-        // Each JSON record costs at least its 4-byte length prefix.
-        let event_count = r.count(4)?;
-        for _ in 0..event_count {
-            inner.events.push(r.json::<EngineEvent>()?);
-        }
-        let sweep_count = r.count(4)?;
-        for _ in 0..sweep_count {
-            inner.sweeps.push(r.json::<SweepRecord>()?);
-        }
-        let diagnosis_count = r.count(4)?;
-        for _ in 0..diagnosis_count {
-            inner.diagnoses.push(r.json::<DiagnosisRecord>()?);
-        }
+        inner.events = read_records(&mut r, "event", codec::read_event)?;
+        inner.sweeps = read_records(&mut r, "sweep", codec::read_sweep)?;
+        inner.diagnoses = read_records(&mut r, "diagnosis", codec::read_diagnosis_record)?;
         // Trailing sections: 4-byte tag + u32 length + payload, until the
         // buffer ends. Unknown tags warn instead of failing so files from
         // newer writers stay loadable; a short frame still errors.
@@ -664,7 +762,9 @@ impl HistoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ix_core::{ContextId, Diagnosis, HistoryRecorder, RankedCause, ViolationTuple};
+    use ix_core::{
+        ContextId, Diagnosis, EngineEvent, HistoryRecorder, RankedCause, ViolationTuple,
+    };
     use ix_metrics::MetricId;
 
     fn sample_store() -> HistoryStore {
@@ -935,6 +1035,67 @@ mod tests {
         bytes.extend_from_slice(b"ZZT9");
         bytes.extend_from_slice(&100u32.to_le_bytes());
         bytes.extend_from_slice(b"short");
+        expect_format_error(&bytes);
+    }
+
+    /// `crafted(3, 3, ..)` followed by one event record with `record` as
+    /// its payload.
+    fn with_event_record(record: &[u8]) -> Vec<u8> {
+        let mut bytes = crafted(3, 3, &[0], 0, 1.0);
+        let events_at = bytes.len() - 12;
+        bytes.truncate(events_at);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(record.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(record);
+        bytes.extend_from_slice(&[0; 8]); // no sweeps, no diagnoses
+        bytes
+    }
+
+    #[test]
+    fn side_log_records_are_binary_and_exact() {
+        // DetectionFired: tag 1, context 0, tick 42.
+        let mut record = vec![1, 0, 0, 0, 0];
+        record.extend_from_slice(&42u64.to_le_bytes());
+        let store = HistoryStore::from_bytes(&with_event_record(&record)).expect("valid");
+        assert_eq!(
+            store.events(),
+            vec![EngineEvent::DetectionFired {
+                context: ContextId::from_index(0),
+                tick: 42,
+            }]
+        );
+        // The retired JSON form is refused by name.
+        let json = br#"{"type":"detection-fired","context":0,"tick":42}"#;
+        match HistoryStore::from_bytes(&with_event_record(json)) {
+            Err(HistoryFileError::Format(msg)) => assert!(msg.contains("retired JSON"), "{msg}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        // A record with bytes left over inside its length.
+        record.push(0);
+        match HistoryStore::from_bytes(&with_event_record(&record)) {
+            Err(HistoryFileError::Format(msg)) => assert!(msg.contains("unread"), "{msg}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_non_canonical_columns() {
+        // An exceeded flag other than 0 or 1 would load as `true` and
+        // re-encode as 1.
+        let mut bytes = crafted(3, 3, &[0], 0, 1.0);
+        let flags_at = MAGIC.len() + 4 + 4 + 4 + 8 + 4 + 8 + 3 * 24;
+        assert_eq!(bytes[flags_at], 0);
+        bytes[flags_at] = 2;
+        expect_format_error(&bytes);
+        // Two logs for one context id: the second would replace the first.
+        let one = crafted(1, 1, &[0], 0, 1.0);
+        let log = &one[MAGIC.len() + 8..one.len() - 12];
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // no labels
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // two logs
+        bytes.extend_from_slice(log);
+        bytes.extend_from_slice(log);
+        bytes.extend_from_slice(&[0; 12]);
         expect_format_error(&bytes);
     }
 

@@ -16,7 +16,7 @@
 //!   `memcpy`-shaped scan.
 //! - **The event log**: the exact [`ix_core::EngineEvent`] stream the
 //!   engine's sink saw (the recorder is teed *behind* the sink), persisted
-//!   through the pinned wire form in `ix-core`.
+//!   as tagged binary records.
 //! - **Sweep and diagnosis records** ([`SweepRecord`],
 //!   [`DiagnosisRecord`]): the flat association-score triangle with its
 //!   degradation tier, and the ranked [`ix_core::Diagnosis`], both stamped
@@ -42,9 +42,17 @@
 //! Stores round-trip through a little-endian binary segment file
 //! ([`HistoryStore::save`] / [`HistoryStore::load`]); columns are written
 //! as raw IEEE-754 bits, so saved values reload bit-exactly too.
+//!
+//! The [`codec`] module is the one binary encoding of every record the
+//! workspace persists: the side-log records here, and the [`Diagnosis`]
+//! and model-store rows that `ix-replay`'s header and `ix-serve`'s
+//! snapshots and payloads embed.
+//!
+//! [`Diagnosis`]: ix_core::Diagnosis
 
 #![warn(missing_docs)]
 
+pub mod codec;
 mod file;
 mod segment;
 mod store;

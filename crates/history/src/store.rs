@@ -7,13 +7,12 @@ use ix_core::{
     ContextId, ContextRegistry, Diagnosis, EngineEvent, HistoryRecorder, SweepDegradation,
 };
 use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
-use serde::{Deserialize, Serialize};
 
 use crate::segment::{TickSegment, SEGMENT_CAPACITY};
 
 /// One sweep's association scores: the flat upper-triangle (indexed by
 /// `ix_core::pair_index`) plus the degradation tier that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRecord {
     /// The context the sweep ran for.
     pub context: ContextId,
@@ -26,7 +25,7 @@ pub struct SweepRecord {
 }
 
 /// One finished cause-inference pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisRecord {
     /// The context diagnosed.
     pub context: ContextId,

@@ -5,57 +5,10 @@
 //! inspection of the fresh engine's live state through
 //! [`ix_core::EngineInspector`].
 
-use ix_core::{ContextId, Engine, EngineEvent, EngineInspector};
+use ix_core::{ContextId, Engine, EngineInspector, EventKind};
 
 use crate::driver::{Replayer, TickReport};
 use crate::error::ReplayError;
-
-/// The shape of an [`EngineEvent`], without its payload — what
-/// breakpoints match on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variants mirror `EngineEvent` one-to-one
-pub enum EventKind {
-    TickIngested,
-    DetectionFired,
-    DetectionCleared,
-    DiagnosisRan,
-    SignatureMatched,
-    SweepCompleted,
-    PairsScored,
-    SweepScreened,
-    SpanClosed,
-    SweepDegraded,
-    TickEnqueued,
-    TickShed,
-    StoreRetried,
-    HealthChanged,
-    TenantEvicted,
-    TenantWarmed,
-}
-
-impl EventKind {
-    /// The kind of `event`.
-    pub fn of(event: &EngineEvent) -> EventKind {
-        match event {
-            EngineEvent::TickIngested { .. } => EventKind::TickIngested,
-            EngineEvent::DetectionFired { .. } => EventKind::DetectionFired,
-            EngineEvent::DetectionCleared { .. } => EventKind::DetectionCleared,
-            EngineEvent::DiagnosisRan { .. } => EventKind::DiagnosisRan,
-            EngineEvent::SignatureMatched { .. } => EventKind::SignatureMatched,
-            EngineEvent::SweepCompleted { .. } => EventKind::SweepCompleted,
-            EngineEvent::PairsScored { .. } => EventKind::PairsScored,
-            EngineEvent::SweepScreened { .. } => EventKind::SweepScreened,
-            EngineEvent::SpanClosed { .. } => EventKind::SpanClosed,
-            EngineEvent::SweepDegraded { .. } => EventKind::SweepDegraded,
-            EngineEvent::TickEnqueued { .. } => EventKind::TickEnqueued,
-            EngineEvent::TickShed { .. } => EventKind::TickShed,
-            EngineEvent::StoreRetried { .. } => EventKind::StoreRetried,
-            EngineEvent::HealthChanged { .. } => EventKind::HealthChanged,
-            EngineEvent::TenantEvicted { .. } => EventKind::TenantEvicted,
-            EngineEvent::TenantWarmed { .. } => EventKind::TenantWarmed,
-        }
-    }
-}
 
 /// A conjunction of predicates over one replayed tick. Every `Some`
 /// condition must hold; a breakpoint with every field `None` pauses on
@@ -109,7 +62,7 @@ impl Breakpoint {
     /// Whether this breakpoint fires for `report`.
     pub fn matches(&self, report: &TickReport) -> bool {
         if let Some(kind) = self.kind {
-            if !report.events.iter().any(|e| EventKind::of(e) == kind) {
+            if !report.events.iter().any(|e| e.kind() == kind) {
                 return false;
             }
         }

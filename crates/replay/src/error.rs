@@ -12,7 +12,8 @@ pub enum ReplayError {
     MissingHeader,
     /// The header section exists but does not parse.
     Header(String),
-    /// The header's version is newer than this crate understands.
+    /// The header was written in a version this crate does not read
+    /// (version 1 was JSON; only [`crate::REPLAY_HEADER_VERSION`] is read).
     Version(u32),
     /// Reconstructing the engine from the header failed.
     Engine(CoreError),
@@ -30,7 +31,8 @@ impl fmt::Display for ReplayError {
             ReplayError::Header(msg) => write!(f, "replay header does not parse: {msg}"),
             ReplayError::Version(v) => write!(
                 f,
-                "replay header version {v} is newer than supported version {}",
+                "replay header version {v} is not readable by this build, which reads only \
+                 version {}",
                 crate::REPLAY_HEADER_VERSION
             ),
             ReplayError::Engine(e) => write!(f, "engine reconstruction failed: {e}"),

@@ -3,20 +3,34 @@
 //! A trace is replayable only if the replayer can rebuild the *exact*
 //! engine that produced it. The header carries the two inputs that
 //! determine the engine — the [`InvarNetConfig`] and the trained
-//! [`ModelStore`] — as JSON in the trace file's `RPLY` trailing section
-//! (see `ix_history::REPLAY_SECTION`). Readers that predate the section
+//! [`ModelStore`] — in the trace file's `RPLY` trailing section (see
+//! `ix_history::REPLAY_SECTION`). Readers that predate the section
 //! mechanism reject such files; readers that know the mechanism but not
 //! this tag load the trace with a warning and simply cannot replay it —
 //! the forward-compatibility contract of the `IXHIST01` format.
+//!
+//! # `RPLY` layout (version 2)
+//!
+//! | field | encoding |
+//! |---|---|
+//! | version | `u32` ([`REPLAY_HEADER_VERSION`]) |
+//! | config | `str`: the canonical JSON of the [`InvarNetConfig`] |
+//! | store | the model-store rows of [`ix_history::codec::StoreRows`] |
+//!
+//! The version is read first: a version-1 header was JSON text, so a
+//! payload starting with `{` is [`ReplayError::Version`]`(1)`. The config
+//! row must be the canonical JSON of the config it parses to, and the
+//! rows must end the payload, so a header that decodes re-encodes
+//! byte-identically.
 
 use ix_core::{InvarNetConfig, ModelStore};
-use ix_history::{HistoryStore, REPLAY_SECTION};
-use serde::{DeError, Deserialize, Serialize, Value};
+use ix_history::codec;
+use ix_history::{HistoryFileError, HistoryStore, Reader, Writer, REPLAY_SECTION};
 
 use crate::error::ReplayError;
 
-/// The header version this crate writes and the newest it reads.
-pub const REPLAY_HEADER_VERSION: u32 = 1;
+/// The header version this crate writes and the only one it reads.
+pub const REPLAY_HEADER_VERSION: u32 = 2;
 
 /// Everything needed to rebuild the engine a trace was recorded with.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,28 +43,8 @@ pub struct ReplayHeader {
     pub store: ModelStore,
 }
 
-impl Serialize for ReplayHeader {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("store".to_string(), self.store.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ReplayHeader {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(ReplayHeader {
-            version: u32::from_value(value.field("version")?)?,
-            config: InvarNetConfig::from_value(value.field("config")?)?,
-            store: ModelStore::from_value(value.field("store")?)?,
-        })
-    }
-}
-
 impl ReplayHeader {
-    /// A version-1 header for the given recording inputs.
+    /// A current-version header for the given recording inputs.
     pub fn new(config: InvarNetConfig, store: ModelStore) -> Self {
         ReplayHeader {
             version: REPLAY_HEADER_VERSION,
@@ -62,8 +56,14 @@ impl ReplayHeader {
     /// Writes this header into the trace's `RPLY` section (replacing any
     /// previous one).
     pub fn embed(&self, history: &HistoryStore) {
-        let json = serde_json::to_string(self).expect("header serialization is infallible");
-        history.set_section(REPLAY_SECTION, json.into_bytes());
+        let config =
+            serde_json::to_string(&self.config).expect("config serialization is infallible");
+        let rows = codec::store_rows(&self.store);
+        let mut w = Writer::from(Vec::with_capacity(8 + config.len() + rows.encoded_len()));
+        w.u32(self.version);
+        w.bytes(config.as_bytes());
+        rows.write(&mut w);
+        history.set_section(REPLAY_SECTION, w.into_bytes());
     }
 
     /// Reads the header back out of a trace.
@@ -71,21 +71,46 @@ impl ReplayHeader {
     /// # Errors
     ///
     /// [`ReplayError::MissingHeader`] when the trace has no `RPLY`
-    /// section, [`ReplayError::Header`] when it does not parse, and
-    /// [`ReplayError::Version`] when it was written by a newer crate.
+    /// section, [`ReplayError::Version`] when it was written in another
+    /// header version, and [`ReplayError::Header`] when it does not
+    /// decode.
     pub fn extract(history: &HistoryStore) -> Result<Self, ReplayError> {
         let payload = history
             .section(REPLAY_SECTION)
             .ok_or(ReplayError::MissingHeader)?;
-        let text = String::from_utf8(payload)
-            .map_err(|e| ReplayError::Header(format!("not UTF-8: {e}")))?;
-        let header: ReplayHeader =
-            serde_json::from_str(&text).map_err(|e| ReplayError::Header(e.to_string()))?;
-        if header.version > REPLAY_HEADER_VERSION {
-            return Err(ReplayError::Version(header.version));
+        if payload.first() == Some(&b'{') {
+            return Err(ReplayError::Version(1));
         }
-        Ok(header)
+        let mut r = Reader::new(&payload);
+        let version = r.u32().map_err(header_error)?;
+        if version != REPLAY_HEADER_VERSION {
+            return Err(ReplayError::Version(version));
+        }
+        let text = r.str().map_err(header_error)?;
+        let config: InvarNetConfig =
+            serde_json::from_str(text).map_err(|e| ReplayError::Header(format!("config: {e}")))?;
+        if serde_json::to_string(&config).ok().as_deref() != Some(text) {
+            return Err(ReplayError::Header(
+                "config: not the canonical JSON of the config it parses to".to_string(),
+            ));
+        }
+        let store = codec::read_store_rows(&mut r).map_err(header_error)?;
+        if r.remaining() != 0 {
+            return Err(ReplayError::Header(format!(
+                "{} trailing bytes",
+                r.remaining()
+            )));
+        }
+        Ok(ReplayHeader {
+            version,
+            config,
+            store,
+        })
     }
+}
+
+fn header_error(e: HistoryFileError) -> ReplayError {
+    ReplayError::Header(e.to_string())
 }
 
 #[cfg(test)]
@@ -125,10 +150,23 @@ mod tests {
     #[test]
     fn garbage_section_is_a_header_error() {
         let store = HistoryStore::new();
-        store.set_section(REPLAY_SECTION, b"not json".to_vec());
+        store.set_section(REPLAY_SECTION, b"\x02\0\0\0not a header".to_vec());
         assert!(matches!(
             ReplayHeader::extract(&store),
             Err(ReplayError::Header(_))
+        ));
+    }
+
+    #[test]
+    fn a_version_1_json_header_is_a_version_error() {
+        let store = HistoryStore::new();
+        store.set_section(
+            REPLAY_SECTION,
+            br#"{"version":1,"config":{},"store":{}}"#.to_vec(),
+        );
+        assert!(matches!(
+            ReplayHeader::extract(&store),
+            Err(ReplayError::Version(1))
         ));
     }
 }

@@ -40,11 +40,12 @@ mod header;
 mod normalize;
 
 pub use bisect::{bisect, BisectReport};
-pub use debugger::{Breakpoint, EventKind, ReplayDebugger, StopReason};
+pub use debugger::{Breakpoint, ReplayDebugger, StopReason};
 pub use driver::{
     Divergence, RecordingSession, ReplayReport, Replayer, ReplayerBuilder, ScheduledTick,
     TickReport,
 };
 pub use error::ReplayError;
 pub use header::{ReplayHeader, REPLAY_HEADER_VERSION};
+pub use ix_core::EventKind;
 pub use normalize::normalize_events;

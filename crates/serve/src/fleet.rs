@@ -47,11 +47,10 @@ use ix_core::{
     ContextId, Diagnosis, Engine, EngineEvent, EventSink, HealthState, InvarNetConfig, NullSink,
     OperationContext, SubmitOutcome, SweepPool, Telemetry, TelemetrySnapshot, TickOutcome,
 };
+use ix_history::codec::{Key, ModelFields, StoreRows};
 
 use crate::error::ServeError;
-use crate::snapshot::{
-    self, ContextState, ContextView, Key, ModelFields, Parts, RunTick, SNAPSHOT_VERSION,
-};
+use crate::snapshot::{self, ContextState, ContextView, Parts, RunTick, SNAPSHOT_VERSION};
 use crate::tenant::TenantId;
 
 /// Default high-water mark for warm tenants.
@@ -574,11 +573,13 @@ impl Fleet {
                 version: SNAPSHOT_VERSION,
                 lifetime_ticks: engine.lifetime_ticks(),
                 config: &self.config_json,
-                models: models
-                    .iter()
-                    .map(|(c, m)| (Key::Context(c), ModelFields::from(m.as_ref()))),
-                invariants: sets.iter().map(|(c, set)| (Key::Context(c), set.as_ref())),
-                signatures: db.records(),
+                store: StoreRows {
+                    models: models
+                        .iter()
+                        .map(|(c, m)| (Key::Context(c), ModelFields::from(m.as_ref()))),
+                    invariants: sets.iter().map(|(c, set)| (Key::Context(c), set.as_ref())),
+                    signatures: db.records(),
+                },
                 contexts: warm.contexts.iter().map(|e| ContextView {
                     node: &e.context.node,
                     workload: &e.context.workload,

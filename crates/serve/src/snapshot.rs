@@ -36,23 +36,19 @@
 //! | checksum | `u64` over every byte after this field |
 //! | lifetime ticks | `u64` |
 //! | config | `str`: the canonical JSON of the [`InvarNetConfig`] |
-//! | performance models | `u32` count, then per model: key `str`, p/d/q `u32` each, intercept `f64`, `u32` count + AR `f64`s, `u32` count + MA `f64`s, σ² `f64`, n_effective `u64`, residual max/min/p95 `f64` each, β `f64` |
-//! | invariant sets | `u32` count, then per set: key `str`, τ `f64`, `u32` count + `(u32 pair, f64 value)` entries |
-//! | signatures | `u32` count, then per signature: problem, node, workload `str` each, `u32` count + graded `f64`s |
+//! | store rows | the model-store rows of [`ix_history::codec::StoreRows`]: performance models, invariant sets, signatures |
 //! | contexts | `u32` count, then per context: node, workload `str` each, truncated `u8`, `u32` count + tail ticks, each `cpi f64` + `u32` count + row `f64`s |
 //!
 //! Decoding checks every count against the bytes left before it
 //! allocates, and refuses what the engine would trip over later: a bad
-//! checksum, trailing bytes, a non-finite float, non-UTF-8 text, map keys
-//! out of order, and invariant pairs that are out of range or not
-//! strictly increasing ([`InvariantSet::from_entries`]). Every refusal is
-//! a [`ServeError::Snapshot`].
+//! checksum, trailing bytes, a non-finite float, non-UTF-8 text, and the
+//! store rows' own refusals (map keys out of order, invariant pairs that
+//! are out of range or not strictly increasing). Every refusal is a
+//! [`ServeError::Snapshot`].
 
-use ix_core::{
-    InvarNetConfig, InvariantEntry, InvariantSet, ModelStore, OperationContext, PerformanceModel,
-    ResidualStats, Signature, StoredPerformanceModel, ViolationTuple,
-};
-use ix_history::{HistoryFileError, HistoryStore, Reader, SectionImage, Writer, SERVE_SECTION};
+use ix_core::{InvarNetConfig, InvariantSet, ModelStore};
+use ix_history::codec::{self, Key, ModelFields, StoreRows};
+use ix_history::{HistoryFileError, HistoryStore, Reader, SectionImage, SERVE_SECTION};
 
 use crate::error::ServeError;
 
@@ -130,17 +126,7 @@ impl TenantSnapshot {
             version: self.version,
             lifetime_ticks: self.lifetime_ticks,
             config: &config,
-            models: self
-                .store
-                .performance_models
-                .iter()
-                .map(|(key, m)| (Key::Text(key), ModelFields::from(m))),
-            invariants: self
-                .store
-                .invariants
-                .iter()
-                .map(|(key, set)| (Key::Text(key), set)),
-            signatures: self.store.signatures.records(),
+            store: codec::store_rows(&self.store),
             contexts: self.contexts.iter().map(|c| ContextView {
                 node: &c.node,
                 workload: &c.workload,
@@ -169,90 +155,6 @@ impl TenantSnapshot {
     }
 }
 
-/// A map key as the layout spells it: the `workload@node` form of
-/// [`ModelStore::context_key`].
-#[derive(Clone, Copy)]
-pub(crate) enum Key<'a> {
-    /// A stored key, written verbatim.
-    Text(&'a str),
-    /// A live context, written as its form without building it.
-    Context(&'a OperationContext),
-}
-
-impl Key<'_> {
-    fn len(self) -> usize {
-        match self {
-            Key::Text(key) => key.len(),
-            Key::Context(c) => c.workload.len() + 1 + c.node.len(),
-        }
-    }
-
-    fn write(self, w: &mut Writer) {
-        match self {
-            Key::Text(key) => w.bytes(key.as_bytes()),
-            Key::Context(c) => {
-                w.u32_field(self.len());
-                w.raw(c.workload.as_bytes());
-                w.raw(b"@");
-                w.raw(c.node.as_bytes());
-            }
-        }
-    }
-}
-
-/// One performance model's fields, borrowed from a stored model or from
-/// a live engine's — the two write the same bytes.
-#[derive(Clone, Copy)]
-pub(crate) struct ModelFields<'a> {
-    p: usize,
-    d: usize,
-    q: usize,
-    intercept: f64,
-    ar: &'a [f64],
-    ma: &'a [f64],
-    sigma2: f64,
-    n_effective: usize,
-    stats: ResidualStats,
-    beta: f64,
-}
-
-impl<'a> From<&'a StoredPerformanceModel> for ModelFields<'a> {
-    fn from(m: &'a StoredPerformanceModel) -> Self {
-        ModelFields {
-            p: m.p,
-            d: m.d,
-            q: m.q,
-            intercept: m.intercept,
-            ar: &m.ar,
-            ma: &m.ma,
-            sigma2: m.sigma2,
-            n_effective: m.n_effective,
-            stats: m.stats,
-            beta: m.beta,
-        }
-    }
-}
-
-impl<'a> From<&'a PerformanceModel> for ModelFields<'a> {
-    /// The fields [`StoredPerformanceModel::from_model`] would copy.
-    fn from(m: &'a PerformanceModel) -> Self {
-        let a = m.arima();
-        let spec = a.spec();
-        ModelFields {
-            p: spec.p,
-            d: spec.d,
-            q: spec.q,
-            intercept: a.intercept(),
-            ar: a.ar_coefficients(),
-            ma: a.ma_coefficients(),
-            sigma2: a.sigma2(),
-            n_effective: a.n_effective(),
-            stats: m.stats(),
-            beta: m.beta(),
-        }
-    }
-}
-
 /// One context's run state, borrowed.
 #[derive(Clone, Copy)]
 pub(crate) struct ContextView<'a> {
@@ -263,15 +165,12 @@ pub(crate) struct ContextView<'a> {
 }
 
 /// Borrowed views of everything one image holds: what [`encode`] reads.
-/// Models and invariant sets come in key order.
 pub(crate) struct Parts<'a, M, I, C> {
     pub version: u32,
     pub lifetime_ticks: u64,
     /// The config row, already serialized.
     pub config: &'a str,
-    pub models: M,
-    pub invariants: I,
-    pub signatures: &'a [Signature],
+    pub store: StoreRows<'a, M, I>,
     pub contexts: C,
 }
 
@@ -291,48 +190,17 @@ where
     w.u64(parts.lifetime_ticks);
     w.bytes(parts.config.as_bytes());
 
-    w.u32_field(parts.models.len());
-    for (key, m) in parts.models {
-        key.write(w);
-        w.u32_field(m.p);
-        w.u32_field(m.d);
-        w.u32_field(m.q);
-        w.f64(m.intercept);
-        f64_list(w, m.ar);
-        f64_list(w, m.ma);
-        w.f64(m.sigma2);
-        w.u64(m.n_effective as u64);
-        w.f64s(&[m.stats.max, m.stats.min, m.stats.p95, m.beta]);
-    }
-
-    w.u32_field(parts.invariants.len());
-    for (key, set) in parts.invariants {
-        key.write(w);
-        w.f64(set.tau());
-        w.u32_field(set.len());
-        for e in set.entries() {
-            w.u32_field(e.pair);
-            w.f64(e.value);
-        }
-    }
-
-    w.u32_field(parts.signatures.len());
-    for s in parts.signatures {
-        w.bytes(s.problem.as_bytes());
-        w.bytes(s.context.node.as_bytes());
-        w.bytes(s.context.workload.as_bytes());
-        f64_list(w, s.tuple.graded());
-    }
+    parts.store.write(w);
 
     w.u32_field(parts.contexts.len());
     for c in parts.contexts {
         w.bytes(c.node.as_bytes());
         w.bytes(c.workload.as_bytes());
-        w.u8(u8::from(c.truncated));
+        w.bool(c.truncated);
         w.u32_field(c.tail.len());
         for tick in c.tail {
             w.f64(tick.cpi);
-            f64_list(w, &tick.row);
+            w.f64_list(&tick.row);
         }
     }
 
@@ -346,32 +214,12 @@ where
 /// term is a row of the module-level layout table.
 fn payload_len<'a, M, I, C>(parts: &Parts<'a, M, I, C>) -> usize
 where
-    M: Iterator<Item = (Key<'a>, ModelFields<'a>)> + Clone,
-    I: Iterator<Item = (Key<'a>, &'a InvariantSet)> + Clone,
+    M: ExactSizeIterator<Item = (Key<'a>, ModelFields<'a>)> + Clone,
+    I: ExactSizeIterator<Item = (Key<'a>, &'a InvariantSet)> + Clone,
     C: Iterator<Item = ContextView<'a>> + Clone,
 {
     let text = |len: usize| 4 + len;
     let floats = |n: usize| 4 + 8 * n;
-    let models: usize = parts
-        .models
-        .clone()
-        .map(|(key, m)| text(key.len()) + 12 + 8 + floats(m.ar.len()) + floats(m.ma.len()) + 48)
-        .sum();
-    let invariants: usize = parts
-        .invariants
-        .clone()
-        .map(|(key, set)| text(key.len()) + 8 + 4 + 12 * set.len())
-        .sum();
-    let signatures: usize = parts
-        .signatures
-        .iter()
-        .map(|s| {
-            text(s.problem.len())
-                + text(s.context.node.len())
-                + text(s.context.workload.len())
-                + floats(s.tuple.len())
-        })
-        .sum();
     let contexts: usize = parts
         .contexts
         .clone()
@@ -380,7 +228,7 @@ where
             text(c.node.len()) + text(c.workload.len()) + 1 + 4 + ticks
         })
         .sum();
-    HEADER_BYTES + 8 + text(parts.config.len()) + 16 + models + invariants + signatures + contexts
+    HEADER_BYTES + 8 + text(parts.config.len()) + parts.store.encoded_len() + 4 + contexts
 }
 
 /// A decoded image, its config read by the caller's `read_config`.
@@ -453,76 +301,7 @@ fn decode_body<C>(
     let lifetime_ticks = r.u64()?;
     let config = read_config(r.str()?)?;
 
-    let mut store = ModelStore::new();
-    // Smallest model: key length, p/d/q, intercept, two list counts, σ²,
-    // n_effective, three residual stats and β.
-    let models = r.count(80)?;
-    let mut last_key = None;
-    for _ in 0..models {
-        let key = next_key(r, &mut last_key)?;
-        let p = r.u32()? as usize;
-        let d = r.u32()? as usize;
-        let q = r.u32()? as usize;
-        let intercept = finite(r)?;
-        let ar = finite_list(r)?;
-        let ma = finite_list(r)?;
-        let sigma2 = finite(r)?;
-        let n_effective = usize::try_from(r.u64()?)
-            .map_err(|_| malformed(format!("model `{key}`: n_effective overflows")))?;
-        let stats = ResidualStats {
-            max: finite(r)?,
-            min: finite(r)?,
-            p95: finite(r)?,
-        };
-        let beta = finite(r)?;
-        store.performance_models.insert(
-            key.to_string(),
-            StoredPerformanceModel {
-                p,
-                d,
-                q,
-                intercept,
-                ar,
-                ma,
-                sigma2,
-                n_effective,
-                stats,
-                beta,
-            },
-        );
-    }
-
-    // Smallest set: key length, τ, entry count.
-    let sets = r.count(16)?;
-    let mut last_key = None;
-    for _ in 0..sets {
-        let key = next_key(r, &mut last_key)?;
-        let tau = r.f64()?;
-        let n = r.count(12)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pair = r.u32()? as usize;
-            let value = r.f64()?;
-            entries.push(InvariantEntry { pair, value });
-        }
-        let set = InvariantSet::from_entries(entries, tau)
-            .map_err(|e| malformed(format!("invariants `{key}`: {e}")))?;
-        store.invariants.insert(key.to_string(), set);
-    }
-
-    // Smallest signature: three string lengths and the tuple count.
-    let signatures = r.count(16)?;
-    for _ in 0..signatures {
-        let problem = r.str()?.to_string();
-        let node = r.str()?;
-        let workload = r.str()?;
-        let graded = finite_list(r)?;
-        store.signatures.add(Signature {
-            tuple: ViolationTuple::from_graded(graded),
-            problem,
-            context: OperationContext::new(node, workload),
-        });
-    }
+    let store = codec::read_store_rows(r)?;
 
     // Smallest context: two string lengths, the flag and the tail count.
     let count = r.count(13)?;
@@ -530,11 +309,7 @@ fn decode_body<C>(
     for _ in 0..count {
         let node = r.str()?.to_string();
         let workload = r.str()?.to_string();
-        let truncated = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(malformed(format!("truncated flag {other} is not 0 or 1"))),
-        };
+        let truncated = r.bool("truncated flag")?;
         // Smallest tick: the CPI and the row count.
         let ticks = r.count(12)?;
         if truncated && ticks > 0 {
@@ -544,8 +319,8 @@ fn decode_body<C>(
         }
         let mut tail = Vec::with_capacity(ticks);
         for _ in 0..ticks {
-            let cpi = finite(r)?;
-            let row = finite_list(r)?;
+            let cpi = r.finite_f64()?;
+            let row = r.finite_f64s()?;
             tail.push(RunTick { cpi, row });
         }
         contexts.push(ContextState {
@@ -565,47 +340,6 @@ fn decode_body<C>(
         lifetime_ticks,
         contexts,
     })
-}
-
-/// Writes a `u32` count and the values.
-fn f64_list(w: &mut Writer, values: &[f64]) {
-    w.u32_field(values.len());
-    w.f64s(values);
-}
-
-/// Reads a map key that must sort strictly after the previous one, so a
-/// decoded map re-encodes to the same bytes.
-fn next_key<'a>(
-    r: &mut Reader<'a>,
-    last: &mut Option<&'a str>,
-) -> Result<&'a str, HistoryFileError> {
-    let key = r.str()?;
-    if last.is_some_and(|prev| key <= prev) {
-        return Err(malformed(format!("key `{key}` is out of order")));
-    }
-    *last = Some(key);
-    Ok(key)
-}
-
-/// Reads one `f64` that must be finite — the JSON body this format
-/// replaced could not carry anything else.
-fn finite(r: &mut Reader<'_>) -> Result<f64, HistoryFileError> {
-    let v = r.f64()?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(malformed(format!("non-finite value {v}")))
-    }
-}
-
-/// Reads a `u32` count and that many finite `f64`s.
-fn finite_list(r: &mut Reader<'_>) -> Result<Vec<f64>, HistoryFileError> {
-    let n = r.count(8)?;
-    let values = r.f64s(n)?;
-    match values.iter().find(|v| !v.is_finite()) {
-        Some(v) => Err(malformed(format!("non-finite value {v}"))),
-        None => Ok(values),
-    }
 }
 
 /// The body checksum. Four lanes take turns absorbing the 8-byte words
@@ -645,6 +379,10 @@ fn checksum(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ix_core::{
+        InvariantEntry, OperationContext, ResidualStats, Signature, StoredPerformanceModel,
+        ViolationTuple,
+    };
 
     fn sample() -> TenantSnapshot {
         TenantSnapshot::new(

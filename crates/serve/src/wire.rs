@@ -38,7 +38,7 @@
 //! | [`DiagnoseRequest`] | node `str`, workload `str` |
 //! | [`IngestReply`] | tick `u64`, residual `f64`, exceeded `bool`, anomalous `bool`, diagnosis `option` + the [`Diagnosis`] fields |
 //! | [`DrainReply`] | drained `u64`, errors `u64` |
-//! | [`Diagnosis`] | `u32` count + causes (problem `str`, similarity `f64`), `u32` count + tuple `f64`s, degradation `option` + tier `u8` ([`DegradationTier::level`]) + reason `u8` (0 wall clock, 1 pair budget, 2 predicted overrun) |
+//! | [`Diagnosis`] | the diagnosis layout of [`ix_history::codec`]: `u32` count + causes (problem `str`, similarity `f64`), `u32` count + tuple `f64`s, degradation `option` + tier `u8` + reason `u8` |
 //!
 //! Decoding checks every count and length against the bytes left before
 //! it allocates, and refuses trailing bytes, a `bool` or `option` byte
@@ -63,10 +63,8 @@
 
 use std::io::{ErrorKind, Read, Write};
 
-use ix_core::{
-    DegradationReason, DegradationTier, Diagnosis, RankedCause, SweepDegradation, ViolationTuple,
-};
-use ix_history::{HistoryFileError, Reader, Writer};
+use ix_core::Diagnosis;
+use ix_history::{codec, HistoryFileError, Reader, Writer};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::ServeError;
@@ -318,9 +316,9 @@ impl BinaryPayload for IngestReply {
     fn write_fields(&self, w: &mut Writer) {
         w.u64(self.tick);
         w.f64(self.residual);
-        w.u8(u8::from(self.exceeded));
-        w.u8(u8::from(self.anomalous));
-        w.u8(u8::from(self.diagnosis.is_some()));
+        w.bool(self.exceeded);
+        w.bool(self.anomalous);
+        w.bool(self.diagnosis.is_some());
         if let Some(diagnosis) = &self.diagnosis {
             diagnosis.write_fields(w);
         }
@@ -330,9 +328,9 @@ impl BinaryPayload for IngestReply {
         Ok(IngestReply {
             tick: r.u64()?,
             residual: r.f64()?,
-            exceeded: read_bool(r, "exceeded")?,
-            anomalous: read_bool(r, "anomalous")?,
-            diagnosis: if read_bool(r, "diagnosis option")? {
+            exceeded: r.bool("exceeded")?,
+            anomalous: r.bool("anomalous")?,
+            diagnosis: if r.bool("diagnosis option")? {
                 Some(Diagnosis::read_fields(r)?)
             } else {
                 None
@@ -386,73 +384,11 @@ impl BinaryPayload for DrainReply {
 /// [`IngestReply`].
 impl BinaryPayload for Diagnosis {
     fn write_fields(&self, w: &mut Writer) {
-        w.u32_field(self.ranked.len());
-        for cause in &self.ranked {
-            w.bytes(cause.problem.as_bytes());
-            w.f64(cause.similarity);
-        }
-        let graded = self.tuple.graded();
-        w.u32_field(graded.len());
-        w.f64s(graded);
-        match self.degradation {
-            None => w.u8(0),
-            Some(degradation) => {
-                w.u8(1);
-                // Tier byte 2 and reason byte 2 are retired (a Pearson
-                // sweep and a predicted overrun): never written again, and
-                // refused on read.
-                w.u8(degradation.tier.level());
-                w.u8(match degradation.reason {
-                    DegradationReason::WallClockExceeded => 0,
-                    DegradationReason::PairBudgetExceeded => 1,
-                });
-            }
-        }
+        codec::write_diagnosis(w, self);
     }
 
     fn read_fields(r: &mut Reader<'_>) -> Result<Self, HistoryFileError> {
-        // A cause is at least its problem's length field and similarity.
-        let n = r.count(4 + 8)?;
-        let mut ranked = Vec::with_capacity(n);
-        for _ in 0..n {
-            ranked.push(RankedCause {
-                problem: r.str()?.to_owned(),
-                similarity: r.f64()?,
-            });
-        }
-        let n = r.count(8)?;
-        let tuple = ViolationTuple::from_graded(r.f64s(n)?);
-        let degradation = if read_bool(r, "degradation option")? {
-            let tier = match r.u8()? {
-                1 => DegradationTier::CachedMatrix,
-                3 => DegradationTier::PartialMatrix,
-                4 => DegradationTier::Persistence,
-                other => {
-                    return Err(HistoryFileError::Format(format!(
-                        "unknown degradation tier {other}"
-                    )))
-                }
-            };
-            let reason = match r.u8()? {
-                0 => DegradationReason::WallClockExceeded,
-                1 => DegradationReason::PairBudgetExceeded,
-                other => {
-                    return Err(HistoryFileError::Format(format!(
-                        "unknown degradation reason {other}"
-                    )))
-                }
-            };
-            // lint: allow(degradation-emits-event) a decoded reply carries a
-            // degradation the serving engine already declared on its stream
-            Some(SweepDegradation { tier, reason })
-        } else {
-            None
-        };
-        Ok(Diagnosis {
-            ranked,
-            tuple,
-            degradation,
-        })
+        codec::read_diagnosis(r)
     }
 }
 
@@ -567,16 +503,6 @@ pub(crate) fn write_ingest(w: &mut Writer, node: &str, workload: &str, cpi: f64,
 pub(crate) fn write_context(w: &mut Writer, node: &str, workload: &str) {
     w.bytes(node.as_bytes());
     w.bytes(workload.as_bytes());
-}
-
-fn read_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, HistoryFileError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(HistoryFileError::Format(format!(
-            "{what} byte {other} is neither 0 nor 1"
-        ))),
-    }
 }
 
 /// How a request payload is encoded, and so how its reply is.
@@ -876,6 +802,9 @@ pub(crate) fn write_frame_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ix_core::{
+        DegradationReason, DegradationTier, RankedCause, SweepDegradation, ViolationTuple,
+    };
 
     #[test]
     fn request_frames_round_trip() {

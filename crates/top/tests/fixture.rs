@@ -17,6 +17,12 @@ fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/fixture.ixh")
 }
 
+/// The fixture's exact length. Every record kind has a fixed width, so a
+/// recording's length does not depend on its wall-clock readings, and
+/// the event counts (one `PairsScored` per claimed batch of pairs) do not
+/// depend on the sweep worker count.
+const FIXTURE_BYTES: usize = 86_242;
+
 /// Records the standard simulated MemHog scenario into a replayable
 /// trace (the same recipe as the `ix-replay` round-trip tests).
 fn record_fixture() -> Arc<HistoryStore> {
@@ -80,6 +86,12 @@ fn committed_fixture_trace_drives_the_console() {
         warnings.is_empty(),
         "the fixture must load clean on current readers: {warnings:?}"
     );
+    let bytes = std::fs::read(&path).expect("read fixture");
+    assert_eq!(
+        store.to_bytes(),
+        bytes,
+        "the fixture re-encodes byte-identically"
+    );
     assert!(
         !store.diagnoses().is_empty(),
         "the fixture scenario must contain a diagnosis"
@@ -119,4 +131,15 @@ fn committed_fixture_trace_drives_the_console() {
         .contexts
         .iter()
         .any(|s| s.context.starts_with("Wordcount@") && s.ticks > 0));
+}
+
+#[test]
+fn fixture_length_is_pinned() {
+    let committed = std::fs::metadata(fixture_path()).expect("fixture").len();
+    assert_eq!(committed, FIXTURE_BYTES as u64, "the committed fixture");
+    assert_eq!(
+        record_fixture().to_bytes().len(),
+        FIXTURE_BYTES,
+        "a fresh recording"
+    );
 }
