@@ -698,12 +698,17 @@ const ROUNDS: usize = 3;
 const WIRE_SAMPLE: usize = 2_000;
 /// Tenants force-evicted and warmed for cold→warm timing.
 const WARM_SAMPLE: usize = 100;
+/// Run-tail ticks the sample tenants carry into the cold evict/warm cycle.
+const COLD_TAIL: usize = 48;
 
 /// Fleet-scale serving: can one box hold 100k tenants (2k under
 /// `--quick`) at the paper's 10-second cadence? One trained template
 /// seeds every single-context tenant. Cadence rounds tick every tenant
 /// through the [`Fleet`] surface, a wire sample crosses a real loopback
-/// `IXSRV01` server, and a tenant sample is evicted and warmed back.
+/// `IXSRV01` server, and a tenant sample is evicted and warmed back: once
+/// back to back on short tails, and once with a [`COLD_TAIL`]-tick tail,
+/// every sample tenant evicted before any warms, so each warm reads an
+/// image that has left the cache, as a cold tick's does.
 fn serve(perf: Perf) -> Section {
     let mut s = Section::new("serve");
     let tenants = perf.size(100_000, 2_000);
@@ -740,7 +745,7 @@ fn serve(perf: Perf) -> Section {
         Fleet::builder()
             .config(config)
             .warm_limit(tenants)
-            .run_tail_cap(ROUNDS + 1)
+            .run_tail_cap(COLD_TAIL)
             .build(),
     );
     let ids: Vec<TenantId> = (0..tenants)
@@ -807,6 +812,34 @@ fn serve(perf: Perf) -> Section {
     evict_ns.sort_unstable();
     warm_us.sort_unstable();
 
+    let sample = &ids[..WARM_SAMPLE.min(ids.len())];
+    for id in sample {
+        fleet.reset_run(id, &context).expect("reset run");
+        for &(tick_cpi, tick_row) in ticks.iter().cycle().take(COLD_TAIL) {
+            fleet
+                .ingest(id, &context, tick_cpi, tick_row)
+                .expect("ingest");
+        }
+    }
+    let mut cold_evict_ns: Vec<u64> = sample
+        .iter()
+        .map(|id| {
+            let t = Instant::now();
+            fleet.evict(id).expect("evict");
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    let mut cold_warm_ns: Vec<u64> = sample
+        .iter()
+        .map(|id| {
+            let t = Instant::now();
+            fleet.warm(id).expect("warm");
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    cold_evict_ns.sort_unstable();
+    cold_warm_ns.sort_unstable();
+
     s.higher("tenants", "count", tenants as f64);
     s.lower("fleet_setup_s", "s", setup_s);
     let total_s: f64 = round_s.iter().sum();
@@ -828,6 +861,16 @@ fn serve(perf: Perf) -> Section {
     s.lower("cold_warm_p50_us", "us", percentile(&warm_us, 50.0));
     s.lower("cold_warm_p99_us", "us", percentile(&warm_us, 99.0));
     s.lower("cold_warm_max_us", "us", percentile(&warm_us, 100.0));
+    s.lower(
+        "cold_cycle_evict_p50_us",
+        "us",
+        percentile(&cold_evict_ns, 50.0) / 1e3,
+    );
+    s.lower(
+        "cold_cycle_warm_p50_us",
+        "us",
+        percentile(&cold_warm_ns, 50.0) / 1e3,
+    );
     s.lower("snapshot_bytes", "B", snapshot_bytes as f64);
     s
 }

@@ -44,6 +44,13 @@ pub trait DetectorRun: Send + Sync {
 
     /// The accumulated batch-shaped result of everything stepped so far.
     fn result(&self) -> DetectionResult;
+
+    /// Makes room for `ticks` more steps up front, so a run replayed
+    /// from a known number of ticks allocates no more than a short one.
+    /// A hint only: the default does nothing.
+    fn reserve(&mut self, ticks: usize) {
+        let _ = ticks;
+    }
 }
 
 /// The trained, shareable half of a streaming detector.
@@ -142,6 +149,12 @@ impl RunAccumulator {
             anomalies: Vec::new(),
             first_anomaly: None,
         }
+    }
+
+    fn reserve(&mut self, ticks: usize) {
+        self.residuals.reserve(ticks);
+        self.exceedances.reserve(ticks);
+        self.anomalies.reserve(ticks);
     }
 
     fn push(&mut self, d: &TickDecision) {
@@ -278,6 +291,10 @@ impl DetectorRun for ArimaRun {
     fn result(&self) -> DetectionResult {
         self.acc.result(self.threshold)
     }
+
+    fn reserve(&mut self, ticks: usize) {
+        self.acc.reserve(ticks);
+    }
 }
 
 // ---------------------------------------------------------------- CUSUM
@@ -349,6 +366,10 @@ impl DetectorRun for CusumRun {
 
     fn result(&self) -> DetectionResult {
         self.acc.result(self.detector.h)
+    }
+
+    fn reserve(&mut self, ticks: usize) {
+        self.acc.reserve(ticks);
     }
 }
 

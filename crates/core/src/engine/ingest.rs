@@ -256,7 +256,10 @@ impl Engine {
     /// streaming detector's run state and the anomaly edge-tracker end up
     /// exactly as if the ticks had been ingested live. The tail is any
     /// iterator of `(f64, &[f64])` pairs, so a caller replaying rows it
-    /// already holds lends them instead of copying them. Unlike
+    /// already holds lends them instead of copying them; the iterator's
+    /// lower size bound sizes the detector run's per-tick history up
+    /// front, so replaying a long tail allocates no more than a short
+    /// one. Unlike
     /// [`Engine::ingest`] this emits no events, appends nothing to an
     /// attached recorder, and does not advance the lifetime tick counter —
     /// it restores state that was already counted once, so a warmed engine
@@ -280,9 +283,15 @@ impl Engine {
                 return Err(CoreError::NoPerformanceModel(context.clone()));
             };
             state.reset_run();
+            let tail = tail.into_iter();
+            let ticks = tail.size_hint().0;
             for (cpi, row) in tail {
                 state.window.push_tick(row)?;
-                let run = state.run.get_or_insert_with(|| detector.begin_run());
+                let run = state.run.get_or_insert_with(|| {
+                    let mut run = detector.begin_run();
+                    run.reserve(ticks);
+                    run
+                });
                 let decision = run.step(cpi);
                 state.prev_anomalous = decision.anomalous;
                 state.run_ticks += 1;

@@ -155,7 +155,9 @@ impl Engine {
     /// Installs everything a persisted [`ModelStore`] holds — performance
     /// models, invariant sets and the signature database — into this
     /// engine. Context keys are parsed back from the store's
-    /// `workload@node` form.
+    /// `workload@node` form. The store is cloned into
+    /// [`Engine::load_state_owned`]; a caller done with its store should
+    /// call that instead.
     ///
     /// # Errors
     ///
@@ -163,16 +165,24 @@ impl Engine {
     /// inconsistent, or kind `Serialization` for an unparseable context
     /// key.
     pub fn load_state(&self, store: &ModelStore) -> Result<(), CoreError> {
-        for (key, stored) in &store.performance_models {
-            let context = parse_context_key(key)?;
-            let model = stored.clone().into_model()?;
-            self.install_performance_model_internal(context, model);
+        self.load_state_owned(store.clone())
+    }
+
+    /// [`Engine::load_state`], moving the store's models, invariant sets
+    /// and signature database into the engine instead of copying them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::load_state`].
+    pub fn load_state_owned(&self, store: ModelStore) -> Result<(), CoreError> {
+        for (key, stored) in store.performance_models {
+            let context = context_of_key(key)?;
+            self.install_performance_model_internal(context, stored.into_model()?);
         }
-        for (key, set) in &store.invariants {
-            let context = parse_context_key(key)?;
-            self.install_invariant_set_internal(context, set.clone());
+        for (key, set) in store.invariants {
+            self.install_invariant_set_internal(context_of_key(key)?, set);
         }
-        self.set_signature_database(store.signatures.clone());
+        self.set_signature_database(store.signatures);
         Ok(())
     }
 
@@ -195,10 +205,14 @@ impl Engine {
 }
 
 /// Parses a [`ModelStore`] context key (`workload@node`) back into an
-/// [`OperationContext`].
-fn parse_context_key(key: &str) -> Result<OperationContext, CoreError> {
-    match key.split_once('@') {
-        Some((workload, node)) => Ok(OperationContext::new(node, workload)),
-        None => Err(CoreError::InvalidStoreKey { key: key.into() }),
+/// [`OperationContext`], keeping the key's buffer as the workload.
+fn context_of_key(mut key: String) -> Result<OperationContext, CoreError> {
+    match key.find('@') {
+        Some(at) => {
+            let node = key[at + 1..].to_string();
+            key.truncate(at);
+            Ok(OperationContext::new(node, key))
+        }
+        None => Err(CoreError::InvalidStoreKey { key }),
     }
 }

@@ -149,8 +149,13 @@ impl Writer {
     /// Appends `f64`s as raw bits, with no length prefix.
     #[inline]
     pub fn f64s(&mut self, vs: &[f64]) {
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        // Sized once, then filled in 8-byte chunks: a loop the compiler
+        // turns into straight stores, where one `extend` per value
+        // checks the capacity each time.
+        let at = self.buf.len();
+        self.buf.resize(at + 8 * vs.len(), 0);
+        for (out, v) in self.buf[at..].chunks_exact_mut(8).zip(vs) {
+            out.copy_from_slice(&v.to_bits().to_le_bytes());
         }
     }
 
@@ -368,10 +373,40 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn finite_f64s(&mut self) -> Result<Vec<f64>, HistoryFileError> {
         let n = self.count(8)?;
-        let values = self.f64s(n)?;
-        match values.iter().find(|v| !v.is_finite()) {
-            Some(v) => Err(HistoryFileError::Format(format!("non-finite value {v}"))),
-            None => Ok(values),
+        let mut values = Vec::with_capacity(n);
+        self.extend_finite_f64s(n, &mut values)?;
+        Ok(values)
+    }
+
+    /// Appends the next `n` `f64`s (no length prefix) to `out`, each of
+    /// which must be finite — so many short lists can be read into one
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`HistoryFileError::Format`] when fewer than `8 × n` bytes remain
+    /// or on a NaN or infinity; `out` is then left as it was.
+    #[inline]
+    pub fn extend_finite_f64s(
+        &mut self,
+        n: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), HistoryFileError> {
+        let bytes = n
+            .checked_mul(8)
+            .ok_or_else(|| HistoryFileError::Format(format!("f64 column of {n} rows overflows")))?;
+        let raw = self.take(bytes)?;
+        let at = out.len();
+        out.extend(
+            raw.chunks_exact(8)
+                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")))),
+        );
+        match out[at..].iter().find(|v| !v.is_finite()) {
+            Some(&v) => {
+                out.truncate(at);
+                Err(HistoryFileError::Format(format!("non-finite value {v}")))
+            }
+            None => Ok(()),
         }
     }
 
@@ -576,6 +611,22 @@ impl HistoryStore {
     pub fn from_bytes_with_warnings(
         bytes: &[u8],
     ) -> Result<(HistoryStore, Vec<String>), HistoryFileError> {
+        let mut sections = Vec::new();
+        let (mut inner, warnings) =
+            HistoryStore::parse(bytes, |tag, payload| sections.push((tag, payload.to_vec())))?;
+        inner.sections = sections;
+        Ok((HistoryStore::from_inner(inner), warnings))
+    }
+
+    /// Parses an `IXHIST01` image: everything ahead of the trailing sections
+    /// into an [`Inner`] (with no sections), each trailing section handed to
+    /// `section` in file order as a slice of `bytes`, plus one warning per
+    /// unknown section tag. The one parser behind [`HistoryStore::from_bytes`]
+    /// and [`section_in`].
+    fn parse<'a>(
+        bytes: &'a [u8],
+        mut section: impl FnMut([u8; 4], &'a [u8]),
+    ) -> Result<(Inner, Vec<String>), HistoryFileError> {
         let mut r = Reader::new(bytes);
         if r.take(MAGIC.len())? != MAGIC {
             return Err(HistoryFileError::Format(
@@ -710,7 +761,7 @@ impl HistoryStore {
                 })?
                 .try_into()
                 .expect("take(4) yields 4 bytes");
-            let payload = r.bytes()?.to_vec();
+            let payload = r.bytes()?;
             if !KNOWN_SECTIONS.contains(&tag) {
                 warnings.push(format!(
                     "unknown trailing section {:?} ({} bytes) — written by a newer \
@@ -719,9 +770,9 @@ impl HistoryStore {
                     payload.len()
                 ));
             }
-            inner.sections.push((tag, payload));
+            section(tag, payload);
         }
-        Ok((HistoryStore::from_inner(inner), warnings))
+        Ok((inner, warnings))
     }
 
     /// Saves the store to `path` in the `IXHIST01` format.
@@ -757,6 +808,27 @@ impl HistoryStore {
         let bytes = fs::read(path)?;
         HistoryStore::from_bytes_with_warnings(&bytes)
     }
+}
+
+/// The payload of the first trailing section tagged `tag` in an
+/// `IXHIST01` image, borrowed from `bytes` rather than copied, or `None`
+/// when the image has no such section.
+///
+/// This is the parse [`HistoryStore::from_bytes`] runs, keeping the
+/// section in place instead of building a store around a copy of it, so
+/// it accepts and refuses exactly the same bytes.
+///
+/// # Errors
+///
+/// Exactly as [`HistoryStore::from_bytes`].
+pub fn section_in(bytes: &[u8], tag: [u8; 4]) -> Result<Option<&[u8]>, HistoryFileError> {
+    let mut found = None;
+    HistoryStore::parse(bytes, |t, payload| {
+        if t == tag && found.is_none() {
+            found = Some(payload);
+        }
+    })?;
+    Ok(found)
 }
 
 #[cfg(test)]
@@ -982,8 +1054,7 @@ mod tests {
                     assert_eq!(image.payload_mut(), payload);
                     assert_eq!(image.finish(), built, "tag {tag:?}, hint {hint}");
                 }
-                let loaded = HistoryStore::from_bytes(&built).expect("well-formed");
-                assert_eq!(loaded.into_section(tag), Some(payload.to_vec()));
+                assert_eq!(section_in(&built, tag).expect("well-formed"), Some(payload));
             }
         }
         // Patching the payload in place lands in the image.
@@ -991,8 +1062,40 @@ mod tests {
         image.writer().u32(0);
         image.payload_mut()[..4].copy_from_slice(&7u32.to_le_bytes());
         let bytes = image.finish();
-        let loaded = HistoryStore::from_bytes(&bytes).expect("well-formed");
-        assert_eq!(loaded.into_section(SERVE_SECTION), Some(vec![7, 0, 0, 0]));
+        assert_eq!(
+            section_in(&bytes, SERVE_SECTION).expect("well-formed"),
+            Some(&[7, 0, 0, 0][..])
+        );
+    }
+
+    #[test]
+    fn section_in_borrows_the_first_section_under_a_tag() {
+        let mut bytes = crafted(3, 3, &[0], 0, 1.0);
+        for (tag, payload) in [
+            (REPLAY_SECTION, &b"first"[..]),
+            (*b"ZZT9", b"?"),
+            (REPLAY_SECTION, b"second"),
+        ] {
+            bytes.extend_from_slice(&tag);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        let found = section_in(&bytes, REPLAY_SECTION).expect("well-formed");
+        assert_eq!(found, Some(&b"first"[..]));
+        assert!(
+            bytes
+                .as_ptr_range()
+                .contains(&found.expect("present").as_ptr()),
+            "the payload is a slice of the input"
+        );
+        assert_eq!(
+            section_in(&bytes, SERVE_SECTION).expect("well-formed"),
+            None
+        );
+        // The rows ahead of the sections are checked as a load checks them.
+        let bad = crafted(3, 3, &[0], 0, f64::NAN);
+        assert!(HistoryStore::from_bytes(&bad).is_err());
+        assert!(section_in(&bad, REPLAY_SECTION).is_err());
     }
 
     #[test]

@@ -41,7 +41,10 @@
 //!
 //! Stores round-trip through a little-endian binary segment file
 //! ([`HistoryStore::save`] / [`HistoryStore::load`]); columns are written
-//! as raw IEEE-754 bits, so saved values reload bit-exactly too.
+//! as raw IEEE-754 bits, so saved values reload bit-exactly too. A reader
+//! that wants only one trailing section of an image takes it in place
+//! with [`section_in`]: the same parse, without building a store or
+//! copying the section.
 //!
 //! The [`codec`] module is the one binary encoding of every record the
 //! workspace persists: the side-log records here, and the [`Diagnosis`]
@@ -57,6 +60,8 @@ mod file;
 mod segment;
 mod store;
 
-pub use file::{HistoryFileError, Reader, SectionImage, Writer, REPLAY_SECTION, SERVE_SECTION};
+pub use file::{
+    section_in, HistoryFileError, Reader, SectionImage, Writer, REPLAY_SECTION, SERVE_SECTION,
+};
 pub use segment::{TickSegment, SEGMENT_CAPACITY};
 pub use store::{DiagnosisRecord, HistoryStore, HistoryStoreBuilder, SweepRecord};

@@ -463,19 +463,6 @@ impl HistoryStore {
             .map(|(_, payload)| payload.clone())
     }
 
-    /// Consumes the store and returns the payload of the trailing section
-    /// tagged `tag`, if present — [`HistoryStore::section`] without the
-    /// copy, for a store loaded only to read one section.
-    pub fn into_section(self, tag: [u8; 4]) -> Option<Vec<u8>> {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .sections
-            .into_iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, payload)| payload)
-    }
-
     /// Installs (or replaces) the trailing section tagged `tag`.
     pub fn set_section(&self, tag: [u8; 4], payload: Vec<u8>) {
         let mut inner = self.write();

@@ -58,8 +58,12 @@ impl RecordingSession {
     ///
     /// # Errors
     ///
-    /// [`ReplayError::Engine`] when the trained store does not load.
+    /// [`ReplayError::Config`] when the config would not read back out of
+    /// the trace's header (its canonical JSON does not parse back to it,
+    /// as a NaN's `null` does not), and [`ReplayError::Engine`] when the
+    /// trained store does not load.
     pub fn new(config: InvarNetConfig, store: ModelStore) -> Result<Self, ReplayError> {
+        ReplayHeader::check_config(&config)?;
         let history = HistoryStore::builder().shared();
         let recorder: Arc<dyn HistoryRecorder> = Arc::clone(&history) as _;
         let engine = Engine::builder()

@@ -15,6 +15,9 @@ pub enum ReplayError {
     /// The header was written in a version this crate does not read
     /// (version 1 was JSON; only [`crate::REPLAY_HEADER_VERSION`] is read).
     Version(u32),
+    /// The config cannot be recorded into a header a replay can read: its
+    /// canonical JSON does not parse back to it (a NaN writes `null`).
+    Config(String),
     /// Reconstructing the engine from the header failed.
     Engine(CoreError),
     /// The trace's row data is internally inconsistent (e.g. a context
@@ -35,6 +38,7 @@ impl fmt::Display for ReplayError {
                  version {}",
                 crate::REPLAY_HEADER_VERSION
             ),
+            ReplayError::Config(msg) => write!(f, "config cannot be recorded for replay: {msg}"),
             ReplayError::Engine(e) => write!(f, "engine reconstruction failed: {e}"),
             ReplayError::Trace(msg) => write!(f, "trace is inconsistent: {msg}"),
         }
@@ -48,6 +52,7 @@ impl std::error::Error for ReplayError {
             ReplayError::MissingHeader
             | ReplayError::Header(_)
             | ReplayError::Version(_)
+            | ReplayError::Config(_)
             | ReplayError::Trace(_) => None,
         }
     }

@@ -53,6 +53,25 @@ impl ReplayHeader {
         }
     }
 
+    /// Refuses a config that a written header would not give back: one
+    /// whose canonical JSON does not parse to an equal config (a NaN is
+    /// written as `null`), so [`ReplayHeader::extract`] would refuse every
+    /// trace recorded under it.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::Config`] naming why the JSON does not read back.
+    pub(crate) fn check_config(config: &InvarNetConfig) -> Result<(), ReplayError> {
+        let text = serde_json::to_string(config).expect("config serialization is infallible");
+        match serde_json::from_str::<InvarNetConfig>(&text) {
+            Ok(back) if back == *config => Ok(()),
+            Ok(_) => Err(ReplayError::Config(
+                "its JSON parses to a different config".to_string(),
+            )),
+            Err(e) => Err(ReplayError::Config(format!("its JSON does not parse: {e}"))),
+        }
+    }
+
     /// Writes this header into the trace's `RPLY` section (replacing any
     /// previous one).
     pub fn embed(&self, history: &HistoryStore) {

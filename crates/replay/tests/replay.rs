@@ -116,6 +116,40 @@ fn replay_round_trip_is_bit_exact() {
 }
 
 #[test]
+fn a_config_a_replay_cannot_read_is_refused_at_recording() {
+    let (config, store, context, live) = trained_state();
+    // A NaN is written as `null`, which no header read accepts: refused
+    // before a single tick is recorded.
+    let nan = InvarNetConfig {
+        tau: f64::NAN,
+        ..config.clone()
+    };
+    match RecordingSession::new(nan, store.clone()) {
+        Err(e @ ix_replay::ReplayError::Config(_)) => {
+            assert!(e.to_string().contains("null"), "{e}");
+        }
+        other => panic!("expected a config error, got {other:?}"),
+    }
+    // A finite config that differs from the default records and replays
+    // clean.
+    let finite = InvarNetConfig {
+        tau: config.tau + 0.05,
+        ..config
+    };
+    let session = RecordingSession::new(finite, store).expect("recording session");
+    let ticks = stream(session.engine(), &context, &live);
+    let bytes = session.finish().to_bytes();
+    let reloaded = Arc::new(HistoryStore::from_bytes(&bytes).expect("reload trace"));
+    let mut replayer = Replayer::builder()
+        .recorded(reloaded)
+        .build()
+        .expect("reconstruct engine from header");
+    let report = replayer.verify().expect("replay to completion");
+    assert_eq!(report.ticks_replayed, ticks);
+    assert!(report.is_clean(), "divergences: {:?}", report.divergences);
+}
+
+#[test]
 fn trace_without_header_is_not_replayable() {
     let store = HistoryStore::builder().shared();
     assert!(matches!(

@@ -21,8 +21,9 @@
 //! configuration other than the fleet's (a config row byte-equal to the
 //! fleet's own serialized config matches without a parse), and a snapshot
 //! file is replaced atomically (temporary file, fsync, rename), so a
-//! crash never leaves a torn one. Warming reverses the
-//! trade — rebuild, [`Engine::load_state`], replay the tails through
+//! crash never leaves a torn one. Warming reverses the trade — read the
+//! image in place, rebuild, move the decoded store in with
+//! [`Engine::load_state_owned`], replay the flat tails through
 //! [`Engine::restore_run`] — and is *bit-invisible*: the warmed engine
 //! continues exactly as if it had never been torn down. Both transitions
 //! are declared, never silent: [`EngineEvent::TenantEvicted`] /
@@ -50,7 +51,7 @@ use ix_core::{
 use ix_history::codec::{Key, ModelFields, StoreRows};
 
 use crate::error::ServeError;
-use crate::snapshot::{self, ContextState, ContextView, Parts, RunTick, SNAPSHOT_VERSION};
+use crate::snapshot::{self, ContextState, ContextView, Parts, SNAPSHOT_VERSION, TAIL_STRIDE};
 use crate::tenant::TenantId;
 
 /// Default high-water mark for warm tenants.
@@ -65,12 +66,21 @@ const NIL: usize = usize::MAX;
 /// One context's live bookkeeping inside a warm slot.
 struct ContextEntry {
     context: OperationContext,
-    /// The current run's ticks since the last reset, oldest first; empty
-    /// once truncated.
-    tail: Vec<RunTick>,
+    /// The current run's ticks since the last reset, oldest first, flat:
+    /// [`TAIL_STRIDE`] values per tick, its CPI then its row. Empty once
+    /// truncated.
+    tail: Vec<f64>,
     /// Set when the tail outgrew the cap or the queue path was used; the
     /// context warms onto a fresh run instead of a restored one.
     truncated: bool,
+}
+
+impl ContextEntry {
+    /// Stops tracking the run: its tail, buffer and all, is dropped.
+    fn truncate(&mut self) {
+        self.tail = Vec::new();
+        self.truncated = true;
+    }
 }
 
 /// A live tenant.
@@ -661,7 +671,7 @@ impl Fleet {
             State::Cold(cold) => self.decode(&cold.bytes()?)?,
         };
         let (engine, telemetry) = self.build_engine(image.lifetime_ticks);
-        engine.load_state(&image.store)?;
+        engine.load_state_owned(image.store)?;
         let mut warm = WarmTenant {
             engine: Arc::clone(&engine),
             telemetry,
@@ -678,7 +688,8 @@ impl Fleet {
             if truncated {
                 engine.reset_run(&context);
             } else {
-                engine.restore_run(&context, tail.iter().map(|t| (t.cpi, t.row.as_slice())))?;
+                let ticks = tail.chunks_exact(TAIL_STRIDE);
+                engine.restore_run(&context, ticks.map(|t| (t[0], &t[1..])))?;
             }
             warm.put(ContextEntry {
                 context,
@@ -750,14 +761,15 @@ impl Fleet {
         if let State::Warm(warm) = &mut inner.slots[i].state {
             let entry = warm.entry(context);
             if !entry.truncated {
-                if entry.tail.len() >= self.run_tail_cap {
-                    entry.tail.clear();
-                    entry.truncated = true;
+                if entry.tail.len() >= self.run_tail_cap * TAIL_STRIDE {
+                    entry.truncate();
                 } else {
-                    entry.tail.push(RunTick {
-                        cpi,
-                        row: row.to_vec(),
-                    });
+                    // The engine accepted the row, so it is METRIC_COUNT
+                    // wide: the tail stays whole ticks, and grows once per
+                    // tick at most.
+                    entry.tail.reserve(TAIL_STRIDE);
+                    entry.tail.push(cpi);
+                    entry.tail.extend_from_slice(row);
                 }
             }
         }
@@ -788,9 +800,7 @@ impl Fleet {
         let mut inner = self.lock();
         let (i, engine) = self.ensure_warm(&mut inner, tenant)?;
         if let State::Warm(warm) = &mut inner.slots[i].state {
-            let entry = warm.entry(context);
-            entry.tail.clear();
-            entry.truncated = true;
+            warm.entry(context).truncate();
         }
         Ok(engine.submit(context, cpi, row))
     }

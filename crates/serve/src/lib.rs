@@ -51,5 +51,5 @@ pub use error::{
 };
 pub use fleet::{Fleet, FleetBuilder, FleetStatus};
 pub use server::{handle_request, ServerBuilder, ServerHandle};
-pub use snapshot::{ContextState, RunTick, TenantSnapshot, SNAPSHOT_VERSION};
+pub use snapshot::{ContextState, TenantSnapshot, SNAPSHOT_VERSION, TAIL_STRIDE};
 pub use tenant::{TenantId, MAX_TENANT_ID_BYTES};

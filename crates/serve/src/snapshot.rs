@@ -7,7 +7,10 @@
 //! (performance models, invariant sets, signatures), and the live run
 //! state the trained store does not cover: the engine-wide lifetime tick
 //! counter plus, per context, the `(cpi, metric_row)` tail of the current
-//! run (replayed through `Engine::restore_run` on warm).
+//! run (replayed through `Engine::restore_run` on warm). A tail is held
+//! flat — one `Vec<f64>` per context, [`TAIL_STRIDE`] values per tick —
+//! so a served tick appends to it without allocating and a warm decodes
+//! it into one buffer.
 //!
 //! A fleet writes the image in one pass straight from the live engine —
 //! its models, invariant sets and signature database, borrowed — and the
@@ -39,33 +42,36 @@
 //! | store rows | the model-store rows of [`ix_history::codec::StoreRows`]: performance models, invariant sets, signatures |
 //! | contexts | `u32` count, then per context: node, workload `str` each, truncated `u8`, `u32` count + tail ticks, each `cpi f64` + `u32` count + row `f64`s |
 //!
-//! Decoding checks every count against the bytes left before it
-//! allocates, and refuses what the engine would trip over later: a bad
-//! checksum, trailing bytes, a non-finite float, non-UTF-8 text, and the
-//! store rows' own refusals (map keys out of order, invariant pairs that
-//! are out of range or not strictly increasing). Every refusal is a
-//! [`ServeError::Snapshot`].
+//! The container is read in place ([`ix_history::section_in`]): the
+//! payload is never copied out of the image. Decoding checks every count
+//! against the bytes left before it allocates, and refuses what the
+//! engine would trip over later: a bad checksum, trailing bytes, a
+//! non-finite float, non-UTF-8 text, a tail tick whose row is not
+//! [`METRIC_COUNT`] values wide, and the store rows' own refusals (map
+//! keys out of order, invariant pairs that are out of range or not
+//! strictly increasing). Every refusal is a [`ServeError::Snapshot`].
 
 use ix_core::{InvarNetConfig, InvariantSet, ModelStore};
 use ix_history::codec::{self, Key, ModelFields, StoreRows};
-use ix_history::{HistoryFileError, HistoryStore, Reader, SectionImage, SERVE_SECTION};
+use ix_history::{section_in, HistoryFileError, Reader, SectionImage, SERVE_SECTION};
+use ix_metrics::METRIC_COUNT;
 
 use crate::error::ServeError;
 
 /// The snapshot version this crate writes and the only one it reads.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
+/// Values one tick occupies in a flat run tail ([`ContextState::tail`]):
+/// the CPI sample the detector stepped on, then the metric row the
+/// sliding window absorbed.
+pub const TAIL_STRIDE: usize = 1 + METRIC_COUNT;
+
 /// Bytes ahead of the checksummed body: version (4) + checksum (8).
 const HEADER_BYTES: usize = 12;
 
-/// One recorded tick of a context's current run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunTick {
-    /// The CPI sample the detector stepped on.
-    pub cpi: f64,
-    /// The metric row the sliding window absorbed.
-    pub row: Vec<f64>,
-}
+/// Bytes one tail tick occupies in the image: the CPI, the row count and
+/// the row.
+const TICK_BYTES: usize = 8 + 4 + 8 * METRIC_COUNT;
 
 /// One context's live state at eviction time.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,10 +80,11 @@ pub struct ContextState {
     pub node: String,
     /// The context's workload half.
     pub workload: String,
-    /// The current run's ticks since the last reset, oldest first. Empty
+    /// The current run's ticks since the last reset, oldest first, flat:
+    /// [`TAIL_STRIDE`] values per tick, its CPI then its metric row. Empty
     /// when [`ContextState::truncated`] is set — the run outgrew the
     /// fleet's tail cap and the warmed context starts a fresh run instead.
-    pub tail: Vec<RunTick>,
+    pub tail: Vec<f64>,
     /// Whether the run tail outgrew the cap and was dropped (the warmed
     /// engine resets this context's run rather than restoring it).
     pub truncated: bool,
@@ -119,7 +126,18 @@ impl TenantSnapshot {
     /// Serializes the snapshot into a row-free `IXHIST01` image carrying
     /// the `SRVT` section — through the one encoder a fleet's eviction
     /// uses, so a decoded image re-encodes to the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a context's tail is not a whole number of
+    /// [`TAIL_STRIDE`]-value ticks.
     pub fn to_bytes(&self) -> Vec<u8> {
+        assert!(
+            self.contexts
+                .iter()
+                .all(|c| c.tail.len() % TAIL_STRIDE == 0),
+            "a run tail holds whole ticks of TAIL_STRIDE values"
+        );
         let config =
             serde_json::to_string(&self.config).expect("config serialization is infallible");
         encode(Parts {
@@ -161,7 +179,8 @@ pub(crate) struct ContextView<'a> {
     pub node: &'a str,
     pub workload: &'a str,
     pub truncated: bool,
-    pub tail: &'a [RunTick],
+    /// Whole ticks of [`TAIL_STRIDE`] values.
+    pub tail: &'a [f64],
 }
 
 /// Borrowed views of everything one image holds: what [`encode`] reads.
@@ -197,10 +216,10 @@ where
         w.bytes(c.node.as_bytes());
         w.bytes(c.workload.as_bytes());
         w.bool(c.truncated);
-        w.u32_field(c.tail.len());
-        for tick in c.tail {
-            w.f64(tick.cpi);
-            w.f64_list(&tick.row);
+        w.u32_field(c.tail.len() / TAIL_STRIDE);
+        for tick in c.tail.chunks_exact(TAIL_STRIDE) {
+            w.f64(tick[0]);
+            w.f64_list(&tick[1..]);
         }
     }
 
@@ -219,12 +238,11 @@ where
     C: Iterator<Item = ContextView<'a>> + Clone,
 {
     let text = |len: usize| 4 + len;
-    let floats = |n: usize| 4 + 8 * n;
     let contexts: usize = parts
         .contexts
         .clone()
         .map(|c| {
-            let ticks: usize = c.tail.iter().map(|t| 8 + floats(t.row.len())).sum();
+            let ticks = c.tail.len() / TAIL_STRIDE * TICK_BYTES;
             text(c.node.len()) + text(c.workload.len()) + 1 + 4 + ticks
         })
         .sum();
@@ -239,20 +257,20 @@ pub(crate) struct Decoded<C> {
     pub contexts: Vec<ContextState>,
 }
 
-/// The snapshot decoder: accepts the container through
-/// [`HistoryStore::from_bytes`], then checks and reads the `SRVT`
-/// payload. `read_config` turns the config row into `C`, in the place
+/// The snapshot decoder: reads the `SRVT` payload in place through
+/// [`section_in`] (which accepts exactly the containers
+/// [`ix_history::HistoryStore::from_bytes`] does), then checks and reads
+/// it. `read_config` turns the config row into `C`, in the place
 /// the layout has it, so its refusals come in the same order as the
 /// rest of the body's.
 pub(crate) fn decode<C>(
     bytes: &[u8],
     read_config: impl FnOnce(&str) -> Result<C, HistoryFileError>,
 ) -> Result<Decoded<C>, ServeError> {
-    let payload = HistoryStore::from_bytes(bytes)
+    let payload = section_in(bytes, SERVE_SECTION)
         .map_err(|e| ServeError::Snapshot(format!("container: {e}")))?
-        .into_section(SERVE_SECTION)
         .ok_or_else(|| ServeError::Snapshot("no SRVT section".to_string()))?;
-    let mut r = Reader::new(&payload);
+    let mut r = Reader::new(payload);
     let version = r.u32().map_err(body_error)?;
     if version != SNAPSHOT_VERSION {
         // A version-1 body was JSON text, so it began with `{`.
@@ -310,18 +328,23 @@ fn decode_body<C>(
         let node = r.str()?.to_string();
         let workload = r.str()?.to_string();
         let truncated = r.bool("truncated flag")?;
-        // Smallest tick: the CPI and the row count.
-        let ticks = r.count(12)?;
+        let ticks = r.count(TICK_BYTES)?;
         if truncated && ticks > 0 {
             return Err(malformed(format!(
                 "context `{workload}@{node}` is truncated but keeps {ticks} tail ticks"
             )));
         }
-        let mut tail = Vec::with_capacity(ticks);
-        for _ in 0..ticks {
-            let cpi = r.finite_f64()?;
-            let row = r.finite_f64s()?;
-            tail.push(RunTick { cpi, row });
+        let mut tail = Vec::with_capacity(ticks * TAIL_STRIDE);
+        for tick in 0..ticks {
+            tail.push(r.finite_f64()?);
+            let width = r.u32()?;
+            if width as usize != METRIC_COUNT {
+                return Err(malformed(format!(
+                    "tail tick {tick} of context `{workload}@{node}` has {width} metric \
+                     values, not {METRIC_COUNT}"
+                )));
+            }
+            r.extend_finite_f64s(METRIC_COUNT, &mut tail)?;
         }
         contexts.push(ContextState {
             node,
@@ -383,6 +406,15 @@ mod tests {
         InvariantEntry, OperationContext, ResidualStats, Signature, StoredPerformanceModel,
         ViolationTuple,
     };
+    use ix_history::HistoryStore;
+
+    /// One flat tail tick: `cpi`, then a row whose metric `m` reads
+    /// `first + m`.
+    fn tick(cpi: f64, first: f64) -> Vec<f64> {
+        std::iter::once(cpi)
+            .chain((0..METRIC_COUNT).map(|m| first + m as f64))
+            .collect()
+    }
 
     fn sample() -> TenantSnapshot {
         TenantSnapshot::new(
@@ -392,10 +424,7 @@ mod tests {
             vec![ContextState {
                 node: "10.0.0.1".to_string(),
                 workload: "Sort".to_string(),
-                tail: vec![RunTick {
-                    cpi: 1.25,
-                    row: vec![0.5, -0.25],
-                }],
+                tail: [tick(1.25, 0.5), tick(0.75, -0.25)].concat(),
                 truncated: false,
             }],
         )
@@ -449,10 +478,7 @@ mod tests {
             vec![ContextState {
                 node: "n1".to_string(),
                 workload: "Sort".to_string(),
-                tail: vec![RunTick {
-                    cpi: 1.0,
-                    row: vec![2.0],
-                }],
+                tail: tick(1.0, 2.0),
                 truncated: false,
             }],
         )
@@ -480,7 +506,8 @@ mod tests {
             assert_eq!(back.to_bytes(), bytes);
         }
         let back = TenantSnapshot::from_bytes(&sample().to_bytes()).expect("parse");
-        assert_eq!(back.contexts[0].tail[0].cpi.to_bits(), 1.25_f64.to_bits());
+        assert_eq!(back.contexts[0].tail[0].to_bits(), 1.25_f64.to_bits());
+        assert_eq!(back.contexts[0].tail.len(), 2 * TAIL_STRIDE);
     }
 
     #[test]
@@ -492,7 +519,7 @@ mod tests {
         let mut expected: Vec<u8> = Vec::new();
         let mut put = |bytes: &[u8]| expected.extend_from_slice(bytes);
         put(&[2, 0, 0, 0]); // version
-        put(&0x6b13_b374_3250_c140_u64.to_le_bytes()); // checksum
+        put(&0xa415_0cd2_b926_e19e_u64.to_le_bytes()); // checksum
         put(&[5, 0, 0, 0, 0, 0, 0, 0]); // lifetime ticks
         put(&(config.len() as u32).to_le_bytes());
         put(config.as_bytes());
@@ -532,7 +559,7 @@ mod tests {
         put(&[2, 0, 0, 0]);
         put(&0.0_f64.to_bits().to_le_bytes());
         put(&0.5_f64.to_bits().to_le_bytes());
-        // One context with a one-tick tail.
+        // One context with a one-tick tail: its CPI, then its row.
         put(&[1, 0, 0, 0]);
         put(&[2, 0, 0, 0]);
         put(b"n1");
@@ -541,8 +568,10 @@ mod tests {
         put(&[0]); // not truncated
         put(&[1, 0, 0, 0]);
         put(&1.0_f64.to_bits().to_le_bytes()); // cpi
-        put(&[1, 0, 0, 0]);
-        put(&2.0_f64.to_bits().to_le_bytes()); // row
+        put(&(METRIC_COUNT as u32).to_le_bytes());
+        for m in 0..METRIC_COUNT {
+            put(&(2.0 + m as f64).to_bits().to_le_bytes()); // row
+        }
         assert_eq!(payload(&small()), expected);
     }
 
@@ -619,14 +648,28 @@ mod tests {
         let mut bad = good.clone();
         bad[at] = 3;
         expect_snapshot_error(&reframed(bad), "out of order");
-        // The row value becomes NaN.
+        // The last row value becomes NaN.
         let mut bad = good.clone();
         let len = bad.len();
         bad[len - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         expect_snapshot_error(&reframed(bad), "non-finite");
+        // The tail tick's row count, its tick count and the truncated
+        // flag, counted back from the end of the one-tick tail.
+        let width = len - 8 * METRIC_COUNT - 4;
+        let ticks = width - 8 - 4;
+        let flag = ticks - 1;
+        // The row count says 25: the row is refused at decode, not at
+        // warm. A fleet refuses it at adopt.
+        let mut bad = good.clone();
+        bad[width..width + 4].copy_from_slice(&(METRIC_COUNT as u32 - 1).to_le_bytes());
+        let narrow = reframed(bad);
+        expect_snapshot_error(&narrow, "not 26");
+        assert!(matches!(
+            crate::Fleet::builder().build().adopt(crate::TenantId::new("narrow").expect("valid"), narrow),
+            Err(ServeError::Snapshot(msg)) if msg.contains("metric values")
+        ));
         // The truncated flag becomes 2.
         let mut bad = good.clone();
-        let flag = len - 8 - 4 - 8 - 4 - 1;
         assert_eq!(bad[flag], 0);
         bad[flag] = 2;
         expect_snapshot_error(&reframed(bad), "truncated flag");
@@ -641,7 +684,7 @@ mod tests {
         expect_snapshot_error(&reframed(bad), "trailing");
         // A count the remaining bytes cannot back.
         let mut bad = good;
-        bad[len - 8 - 4..len - 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[ticks..ticks + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         expect_snapshot_error(&reframed(bad), "exceeds");
     }
 
@@ -707,9 +750,8 @@ mod tests {
     /// `bytes` with its config row replaced by `config` and the checksum
     /// recomputed.
     fn with_config(bytes: &[u8], config: &str) -> Vec<u8> {
-        let payload = HistoryStore::from_bytes(bytes)
+        let payload = section_in(bytes, SERVE_SECTION)
             .expect("container")
-            .into_section(SERVE_SECTION)
             .expect("SRVT");
         // Version, checksum and lifetime ticks precede the config row.
         let at = HEADER_BYTES + 8;

@@ -126,13 +126,15 @@ fn warm_binary_ingest_allocations_and_bytes_are_pinned() {
         .all(|b| b.len() == request_bytes));
     assert!(responses.iter().all(|r| r.len() == reply_bytes));
     // Per tick: the frame decode copies the tenant id and the payload
-    // (2); the handler's 9.5 are the payload's node, workload and row
+    // (2); the handler's 8.5 are the payload's node, workload and row
     // (3), the fleet tick (which finds the tenant's context without
-    // building its key) and a fresh reply buffer's growth; the response
-    // encode allocates its body (1).
+    // building its key, and appends to the context's flat run tail with
+    // no allocation of its own: the tail grows twice over the 16 ticks)
+    // and a fresh reply buffer's growth; the response encode allocates
+    // its body (1).
     assert_eq!(
         (decode, handle, encode),
-        (32, 152, 16),
+        (32, 136, 16),
         "allocations of decode_request, handle_request and encode_response \
          over {COUNTED_TICKS} warm ticks"
     );
@@ -155,12 +157,13 @@ fn trained_tenant_snapshot_bytes_are_pinned() {
     assert_eq!(bytes.len(), 7719, "trained tenant snapshot bytes");
 }
 
-#[test]
-fn evict_and_warm_allocations_are_pinned() {
+/// The allocations of one `Fleet::evict` and one `Fleet::warm` of the
+/// trained tenant after `tail` ingested ticks.
+fn evict_and_warm_allocations(name: &str, tail: usize) -> (u64, u64) {
     let t = template();
-    let tenant = TenantId::new("cycled").expect("valid");
+    let tenant = TenantId::new(name).expect("valid");
     let fleet = started_fleet(&tenant);
-    for (cpi, row) in &t.ticks[..WARM_TICKS] {
+    for (cpi, row) in &t.ticks[..tail] {
         fleet
             .ingest(&tenant, &t.context, *cpi, row)
             .expect("ingest");
@@ -170,16 +173,37 @@ fn evict_and_warm_allocations_are_pinned() {
     let (warmed, warm, _) = counted(|| fleet.warm(&tenant));
     warmed.expect("warm");
     assert!(fleet.is_warm(&tenant));
+    (evict, warm)
+}
+
+#[test]
+fn evict_and_warm_allocations_are_pinned() {
     // The eviction encodes the live engine in place: the known-context
     // list and its two strings, the shard's key list, the model and
-    // invariant-set lists, and the one image buffer (7). The warm decodes
-    // the image (one payload copy, then the store, signatures and tail
-    // rows), rebuilds the engine and loads the store into it (71).
+    // invariant-set lists, and the one image buffer (7). The warm reads
+    // the image in place (no payload copy), decodes the store rows and
+    // signatures and the context's tail into one flat buffer, rebuilds
+    // the engine, moves the store into it and replays the tail into a
+    // detector run sized for it up front (47).
     assert_eq!(
-        (evict, warm),
-        (7, 71),
+        evict_and_warm_allocations("cycled", WARM_TICKS),
+        (7, 47),
         "allocations of one Fleet::evict and one Fleet::warm of the trained \
          tenant with a {WARM_TICKS}-tick tail"
+    );
+}
+
+#[test]
+fn warm_allocations_do_not_grow_with_the_tail() {
+    // A tail decodes into one buffer sized from its count, and replaying
+    // it fills the engine's preallocated window and a detector run that
+    // reserves the tail's length once: 8 ticks and 48 ticks cost the
+    // same.
+    let (_, short) = evict_and_warm_allocations("short", WARM_TICKS);
+    let (_, long) = evict_and_warm_allocations("long", 48);
+    assert_eq!(
+        short, long,
+        "allocations of one Fleet::warm with an 8-tick and a 48-tick tail"
     );
 }
 
