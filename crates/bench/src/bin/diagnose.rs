@@ -4,15 +4,16 @@
 //! a collectl exporter would produce) plus newline-separated CPI values:
 //!
 //! ```text
-//! # offline: build a deployment file from normal runs + labeled incidents
-//! diagnose train --out deployment.json \
+//! # offline: build a deployment file (an IXHIST01 model-store image)
+//! # from normal runs + labeled incidents
+//! diagnose train --out deployment.ixh \
 //!     --context Wordcount@192.168.1.102 \
 //!     --normal run1.csv --normal run2.csv --normal run3.csv \
 //!     --cpi cpi1.txt --cpi cpi2.txt \
 //!     --incident CPU-hog=hog_window.csv
 //!
 //! # online: score a fresh window
-//! diagnose infer --deployment deployment.json \
+//! diagnose infer --deployment deployment.ixh \
 //!     --context Wordcount@192.168.1.102 --window incident.csv \
 //!     [--cpi live.txt] [--budget-ms 5]
 //!
@@ -48,7 +49,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ix_core::{CoreError, Engine, InvarNetConfig, ModelStore, OperationContext, SweepBudget};
+use ix_core::{CoreError, Engine, InvarNetConfig, OperationContext, SweepBudget};
+use ix_history::{load_model_store, save_model_store};
 use ix_metrics::MetricFrame;
 
 /// Renders a [`CoreError`] with its full `source()` chain, so an I/O or
@@ -100,7 +102,7 @@ fn parse_context(s: &str) -> Result<OperationContext, String> {
 }
 
 fn train(args: &[String]) -> Result<(), String> {
-    let mut out = PathBuf::from("deployment.json");
+    let mut out = PathBuf::from("deployment.ixh");
     let mut context = None;
     let mut normals: Vec<PathBuf> = Vec::new();
     let mut cpis: Vec<PathBuf> = Vec::new();
@@ -151,7 +153,9 @@ fn train(args: &[String]) -> Result<(), String> {
     }
 
     let store = system.snapshot_state();
-    store.save(&out).map_err(render_error)?;
+    system
+        .store_op(&out, |p| save_model_store(&store, p))
+        .map_err(render_error)?;
     println!(
         "wrote {} ({} invariants, {} signatures{})",
         out.display(),
@@ -167,7 +171,7 @@ fn train(args: &[String]) -> Result<(), String> {
 }
 
 fn infer(args: &[String]) -> Result<(), String> {
-    let mut deployment = PathBuf::from("deployment.json");
+    let mut deployment = PathBuf::from("deployment.ixh");
     let mut context = None;
     let mut window = None;
     let mut cpi = None;
@@ -197,17 +201,18 @@ fn infer(args: &[String]) -> Result<(), String> {
     let context = context.ok_or("--context is required")?;
     let window = window.ok_or("--window is required")?;
 
-    let store = ModelStore::load(&deployment).map_err(render_error)?;
-    let invariants = store
-        .invariants
-        .get(&ModelStore::context_key(&context))
-        .ok_or_else(|| format!("deployment has no invariants for {context}"))?;
     let mut config = InvarNetConfig::default();
     if let Some(ms) = budget_ms {
         config.sweep_budget = SweepBudget::wall_millis(ms);
     }
     let system = build_system(config);
-    system.load_state(&store).map_err(render_error)?;
+    let store = system
+        .store_op(&deployment, load_model_store)
+        .map_err(render_error)?;
+    system.load_state_owned(store).map_err(render_error)?;
+    let invariants = system
+        .invariant_set(&context)
+        .ok_or_else(|| format!("deployment has no invariants for {context}"))?;
 
     // Optional detection gate.
     if let Some(cpi_path) = cpi {
@@ -255,7 +260,7 @@ fn infer(args: &[String]) -> Result<(), String> {
     }
     if !diagnosis.is_confident(0.5) {
         println!("\nlow confidence — violated association pairs (hints for manual triage):");
-        let hints = diagnosis.hints(invariants).map_err(|e| e.to_string())?;
+        let hints = diagnosis.hints(&invariants).map_err(|e| e.to_string())?;
         for (a, b, dev) in hints.into_iter().take(8) {
             println!("  {a} ~ {b}  deviation {dev:.2}");
         }
@@ -275,7 +280,7 @@ fn demo() -> Result<(), String> {
     // Export simulated data as the CSV/CPI files a real deployment would have.
     let mut train_args: Vec<String> = vec![
         "--out".into(),
-        dir.join("deployment.json").display().to_string(),
+        dir.join("deployment.ixh").display().to_string(),
         "--context".into(),
         format!("{}@{}", workload.name(), ip),
     ];
@@ -325,7 +330,7 @@ fn demo() -> Result<(), String> {
     println!("\n== diagnose infer (fresh Mem-hog incident) ==");
     infer(&[
         "--deployment".into(),
-        dir.join("deployment.json").display().to_string(),
+        dir.join("deployment.ixh").display().to_string(),
         "--context".into(),
         format!("{}@{}", workload.name(), ip),
         "--window".into(),

@@ -224,7 +224,7 @@ fn allocator_pressure() -> ScenarioReport {
     finish(report, started)
 }
 
-/// The persisted deployment file is cut mid-JSON. Loading must fail with a
+/// The persisted deployment file is cut mid-rows. Loading must fail with a
 /// typed, sourced error and flip health to Degraded(persistence); restoring
 /// the file must let retried loads walk health back to Healthy, and the
 /// rehydrated engine must agree with the original.
@@ -238,16 +238,19 @@ fn truncated_store() -> ScenarioReport {
         report.mark_failed(format!("cannot create temp dir: {e}"));
         return finish(report, started);
     }
-    let path = dir.join("deployment.json");
+    let path = dir.join("deployment.ixh");
     let store = fx.engine.snapshot_state();
-    if let Err(e) = fx.engine.save_store(&store, &path) {
+    if let Err(e) = fx
+        .engine
+        .store_op(&path, |p| ix_history::save_model_store(&store, p))
+    {
         report.mark_failed(format!("save failed on a healthy disk: {e}"));
         return finish(report, started);
     }
 
     let bytes = std::fs::read(&path).expect("just written");
     std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-    match fx.engine.load_store(&path) {
+    match fx.engine.store_op(&path, ix_history::load_model_store) {
         Ok(_) => report.mark_failed("a truncated store parsed successfully"),
         Err(e) => {
             if e.kind() != ErrorKind::Serialization && e.kind() != ErrorKind::Io {
@@ -274,7 +277,7 @@ fn truncated_store() -> ScenarioReport {
     std::fs::write(&path, &bytes).expect("restore");
     let mut loaded = None;
     for _ in 0..3 {
-        match fx.engine.load_store(&path) {
+        match fx.engine.store_op(&path, ix_history::load_model_store) {
             Ok(s) => loaded = Some(s),
             Err(e) => report.mark_failed(format!("load still failing on a healed disk: {e}")),
         }

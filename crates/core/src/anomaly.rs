@@ -50,7 +50,7 @@ impl ThresholdRule {
 }
 
 /// Residual statistics collected from the training runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResidualStats {
     /// Largest absolute training residual.
     pub max: f64,

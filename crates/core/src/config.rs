@@ -121,8 +121,8 @@ pub struct InvarNetConfig {
     /// to `consecutive_anomalies` so shedding can never retain fewer
     /// contiguous ticks than anomaly confirmation needs.
     pub ingest_queue_ticks: usize,
-    /// Retry schedule for [`crate::ModelStore`] persistence
-    /// ([`crate::Engine::save_store`] / [`crate::Engine::load_store`]).
+    /// Retry schedule for model-store file operations
+    /// ([`crate::Engine::store_op`]).
     pub store_retry: RetryPolicy,
 }
 

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The *operation context* of the paper: every model, invariant set and
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// The no-operation-context ablation of Sect. 4.3 uses
 /// [`OperationContext::global`], collapsing all keys into one.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OperationContext {
     /// Node identity (IP address in the paper's stores).
     pub node: String,

@@ -785,14 +785,6 @@ impl Engine {
         self.state.with(context, |s| s.invariants.clone()).flatten()
     }
 
-    /// A snapshot of the signature database. This clones the whole
-    /// database; for read-only access prefer
-    /// [`Engine::with_signature_database`], which borrows it under the
-    /// read guard instead.
-    pub fn signature_database(&self) -> SignatureDatabase {
-        self.with_signature_database(|db| db.clone())
-    }
-
     /// Runs `f` over the signature database under its read lock, without
     /// cloning — the cheap way to count, scan or serialize signatures.
     pub fn with_signature_database<R>(&self, f: impl FnOnce(&SignatureDatabase) -> R) -> R {

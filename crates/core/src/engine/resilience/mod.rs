@@ -14,9 +14,9 @@
 //!   with the tier and its [`DegradationReason`];
 //! - [`OverloadPolicy`] — the bounded ingest queue's behavior when full
 //!   ([`crate::Engine::submit`] / [`crate::Engine::drain`]);
-//! - [`RetryPolicy`] — jittered exponential backoff for
-//!   [`crate::ModelStore`] persistence ([`crate::Engine::save_store`] /
-//!   [`crate::Engine::load_store`]);
+//! - [`RetryPolicy`] — jittered exponential backoff for model-store file
+//!   operations ([`crate::Engine::store_op`]; the file format lives in
+//!   `ix-history`);
 //! - [`HealthState`] — the poison-safe health state machine
 //!   (`Healthy → Degraded(tier) → Recovering → Healthy`), queryable via
 //!   [`crate::Engine::health`].
@@ -89,31 +89,19 @@ impl Engine {
         }
     }
 
-    /// Saves `store` to `path` with the configured [`RetryPolicy`]
-    /// (jittered exponential backoff); each retry is reported as
-    /// [`EngineEvent::StoreRetried`], and exhausting the attempts degrades
-    /// the engine's health ([`DegradationTier::Persistence`]).
+    /// Runs one model-store file operation on `path` — `op` is a single
+    /// attempt, such as `ix_history`'s store-file save or load — under the
+    /// configured [`RetryPolicy`] (jittered exponential backoff). Each
+    /// retry is reported as [`EngineEvent::StoreRetried`]; exhausting the
+    /// attempts degrades the engine's health
+    /// ([`DegradationTier::Persistence`]), and a success counts toward its
+    /// recovery.
     ///
     /// # Errors
     ///
-    /// [`CoreError`] with kind `Io`/`Serialization` once every attempt has
-    /// failed.
-    pub fn save_store(&self, store: &ModelStore, path: &Path) -> Result<(), CoreError> {
-        self.store_op(path, |p| store.save(p))
-    }
-
-    /// Loads a [`ModelStore`] from `path` with the configured
-    /// [`RetryPolicy`] — the retrying dual of [`Engine::save_store`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] with kind `Io`/`Serialization` once every attempt has
-    /// failed.
-    pub fn load_store(&self, path: &Path) -> Result<ModelStore, CoreError> {
-        self.store_op(path, ModelStore::load)
-    }
-
-    fn store_op<T>(
+    /// The last attempt's [`CoreError`] (kind `Io` or `Serialization` for
+    /// the store-file operations) once every attempt has failed.
+    pub fn store_op<T>(
         &self,
         path: &Path,
         mut op: impl FnMut(&Path) -> Result<T, CoreError>,
@@ -188,7 +176,8 @@ impl Engine {
 
     /// Captures this engine's trained state — every context's performance
     /// model and invariant set plus the signature database — into a
-    /// [`ModelStore`] ready for [`Engine::save_store`].
+    /// [`ModelStore`], ready to be written to a file with
+    /// [`Engine::store_op`].
     pub fn snapshot_state(&self) -> ModelStore {
         let mut store = ModelStore::new();
         for context in self.state().contexts() {

@@ -224,8 +224,9 @@ pub enum CoreError {
     Serialization {
         /// What was being (de)serialized ("model store", ...).
         op: &'static str,
-        /// The underlying serializer error.
-        source: serde_json::Error,
+        /// The underlying decoder error (shared so the variant stays
+        /// `Clone`).
+        source: Arc<dyn std::error::Error + Send + Sync>,
     },
     /// A filesystem operation on persisted state failed.
     Io {
@@ -280,9 +281,9 @@ impl CoreError {
     }
 }
 
-// Manual because `std::io::Error` is not `PartialEq`; two `Io` errors
-// compare equal when they describe the same operation, file and error
-// kind.
+// Manual because the sources are not `PartialEq`: two `Io` errors compare
+// equal when they describe the same operation, file and error kind, two
+// `Serialization` errors when their operations and messages agree.
 impl PartialEq for CoreError {
     fn eq(&self, other: &Self) -> bool {
         use CoreError::*;
@@ -324,7 +325,7 @@ impl PartialEq for CoreError {
                 },
             ) => (e1, g1) == (e2, g2),
             (Serialization { op: o1, source: s1 }, Serialization { op: o2, source: s2 }) => {
-                o1 == o2 && s1 == s2
+                o1 == o2 && s1.to_string() == s2.to_string()
             }
             (
                 Io {
@@ -403,7 +404,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Arima(e) => Some(e),
             CoreError::Frame(e) => Some(e),
-            CoreError::Serialization { source, .. } => Some(source),
+            CoreError::Serialization { source, .. } => Some(source.as_ref()),
             CoreError::Io { source, .. } => Some(source.as_ref()),
             _ => None,
         }

@@ -5,15 +5,13 @@
 //! likely invariant*; its reference value is the band maximum
 //! (`I(m, n) <- Max(V(m, n))`).
 
-use serde::{DeError, Deserialize, Serialize, Value};
-
 use ix_metrics::MetricId;
 
 use crate::assoc::{pair_count, pair_of_index, AssociationMatrix};
 use crate::error::CoreError;
 
 /// One selected invariant: a pair index plus its reference score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvariantEntry {
     /// Canonical flat pair index (see [`crate::pair_index`]).
     pub pair: usize,
@@ -22,21 +20,10 @@ pub struct InvariantEntry {
 }
 
 /// The invariant set of one operation context.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvariantSet {
     entries: Vec<InvariantEntry>,
     tau: f64,
-}
-
-// Manual so a persisted set passes the same checks as
-// [`InvariantSet::from_entries`]: a hostile store must fail to load, not
-// index past the association matrix at diagnosis time.
-impl Deserialize for InvariantSet {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = Vec::<InvariantEntry>::from_value(value.field("entries")?)?;
-        let tau = f64::from_value(value.field("tau")?)?;
-        InvariantSet::from_entries(entries, tau).map_err(|e| DeError::new(e.to_string()))
-    }
 }
 
 impl InvariantSet {
@@ -255,16 +242,6 @@ mod tests {
                 other => panic!("expected InvalidInvariantSet({needle}), got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn deserialize_validates_like_from_entries() {
-        let good = r#"{"entries":[{"pair":0,"value":0.5},{"pair":7,"value":0.25}],"tau":0.2}"#;
-        let set: InvariantSet = serde_json::from_str(good).unwrap();
-        assert_eq!(set.len(), 2);
-        let hostile = r#"{"entries":[{"pair":99999,"value":0.5}],"tau":0.2}"#;
-        let err = serde_json::from_str::<InvariantSet>(hostile).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl ViolationTuple {
 }
 
 /// One signature record: "(binary tuple, problem name, ip, workload type)".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Signature {
     /// The violation tuple observed under the problem.
     pub tuple: ViolationTuple,
@@ -124,7 +124,7 @@ pub struct Signature {
 
 /// The signature database: all investigated problems' signatures, searchable
 /// by tuple similarity within an operation context.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SignatureDatabase {
     records: Vec<Signature>,
 }

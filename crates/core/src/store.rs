@@ -2,17 +2,14 @@
 //!
 //! The paper archives each artifact in XML: performance models as the
 //! five-tuple `(p, d, q, ip, type)`, invariants as `(I, ip, type)` and
-//! signatures as `(binary tuple, problem name, ip, workload type)`. We
-//! persist the same artifacts at full fidelity as JSON (so coefficients
-//! survive a round-trip without refitting); [`ModelStore`] JSON is the
-//! store's only format.
+//! signatures as `(binary tuple, problem name, ip, workload type)`. A
+//! [`ModelStore`] holds the same artifacts at full fidelity, so
+//! coefficients survive a round-trip without refitting. Its one encoding
+//! is the binary store rows of `ix_history::codec`; a model-store file is
+//! an `IXHIST01` image with one section of those rows, written and read
+//! by `ix-history` through [`crate::Engine::store_op`].
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::path::Path;
-use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use ix_arima::{ArimaModel, ArimaSpec};
 
@@ -22,8 +19,8 @@ use crate::error::CoreError;
 use crate::invariants::InvariantSet;
 use crate::signature::SignatureDatabase;
 
-/// Serializable form of a performance model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The persisted form of a performance model.
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredPerformanceModel {
     /// AR order.
     pub p: usize,
@@ -87,7 +84,7 @@ impl StoredPerformanceModel {
 }
 
 /// The complete persisted state of an InvarNet-X deployment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelStore {
     /// Performance models per context.
     pub performance_models: BTreeMap<String, StoredPerformanceModel>,
@@ -121,76 +118,12 @@ impl ModelStore {
         self.invariants
             .insert(Self::context_key(context), set.clone());
     }
-
-    /// Serializes to a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] of kind [`crate::ErrorKind::Serialization`]
-    /// (effectively unreachable for this type).
-    pub fn to_json(&self) -> Result<String, CoreError> {
-        serde_json::to_string_pretty(self).map_err(|source| CoreError::Serialization {
-            op: "model store",
-            source,
-        })
-    }
-
-    /// Parses from JSON.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] of kind [`crate::ErrorKind::Serialization`] on
-    /// malformed JSON; the parser error is the
-    /// [`std::error::Error::source`].
-    pub fn from_json(text: &str) -> Result<Self, CoreError> {
-        serde_json::from_str(text).map_err(|source| CoreError::Serialization {
-            op: "model store",
-            source,
-        })
-    }
-
-    /// Writes the JSON form to a file.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] of kind [`crate::ErrorKind::Io`] carrying the path
-    /// and the underlying [`std::io::Error`].
-    pub fn save(&self, path: &Path) -> Result<(), CoreError> {
-        let json = self.to_json()?;
-        fs::write(path, json).map_err(|source| CoreError::Io {
-            op: "save model store",
-            path: path.to_path_buf(),
-            source: Arc::new(source),
-        })
-    }
-
-    /// Reads the JSON form from a file.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] of kind [`crate::ErrorKind::Io`] when the file cannot
-    /// be read, kind [`crate::ErrorKind::Serialization`] when its contents
-    /// do not parse.
-    pub fn load(path: &Path) -> Result<Self, CoreError> {
-        let text = fs::read_to_string(path).map_err(|source| CoreError::Io {
-            op: "load model store",
-            path: path.to_path_buf(),
-            source: Arc::new(source),
-        })?;
-        Self::from_json(&text)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assoc::{pair_count, AssociationMatrix};
-    use crate::signature::{Signature, ViolationTuple};
     use ix_timeseries::SeriesBuilder;
-
-    fn ctx() -> OperationContext {
-        OperationContext::new("192.168.1.102", "Wordcount")
-    }
 
     fn trained_model() -> PerformanceModel {
         let traces: Vec<Vec<f64>> = (0..3)
@@ -205,29 +138,6 @@ mod tests {
             })
             .collect();
         PerformanceModel::train(&traces, 1.2).unwrap()
-    }
-
-    fn sample_store() -> ModelStore {
-        let mut store = ModelStore::new();
-        store.put_model(&ctx(), &trained_model());
-        let runs = vec![AssociationMatrix::from_scores(vec![0.8; pair_count()])];
-        store.put_invariants(&ctx(), &InvariantSet::select(&runs, 0.2));
-        let mut db = SignatureDatabase::new();
-        db.add(Signature {
-            tuple: ViolationTuple::from_graded(vec![0.0, 0.5, 0.0]),
-            problem: "CPU-hog".into(),
-            context: ctx(),
-        });
-        store.signatures = db;
-        store
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_everything() {
-        let store = sample_store();
-        let json = store.to_json().unwrap();
-        let back = ModelStore::from_json(&json).unwrap();
-        assert_eq!(store, back);
     }
 
     #[test]
@@ -256,29 +166,5 @@ mod tests {
         let mut stored = StoredPerformanceModel::from_model(&model);
         stored.ar.push(0.5); // now inconsistent with p
         assert!(stored.into_model().is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let store = sample_store();
-        let dir = std::env::temp_dir().join("invarnet_store_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        store.save(&path).unwrap();
-        let back = ModelStore::load(&path).unwrap();
-        assert_eq!(store, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_failures_carry_kind_and_source() {
-        use std::error::Error as _;
-        let missing = ModelStore::load(Path::new("/nonexistent/invarnet-store.json")).unwrap_err();
-        assert_eq!(missing.kind(), crate::ErrorKind::Io);
-        assert!(missing.source().is_some());
-
-        let garbled = ModelStore::from_json("{ not json").unwrap_err();
-        assert_eq!(garbled.kind(), crate::ErrorKind::Serialization);
-        assert!(garbled.source().is_some());
     }
 }

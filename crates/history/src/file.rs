@@ -28,10 +28,12 @@
 //!
 //! Trailing sections are the format's versioned extension point (the
 //! original `IXHIST01` files simply have none): `ix-replay` stores its
-//! config/seed header under [`REPLAY_SECTION`]. Unknown tags load with a
-//! warning instead of an error — a file written by a newer writer stays
-//! readable — and are preserved verbatim so a save of the load reproduces
-//! the original bytes. A truncated section frame is still a hard
+//! config/seed header under [`REPLAY_SECTION`], `ix-serve` a tenant's
+//! state under [`SERVE_SECTION`], and a model-store file is one
+//! [`MODEL_STORE_SECTION`] ([`crate::save_model_store`]). Unknown tags
+//! load with a warning instead of an error — a file written by a newer
+//! writer stays readable — and are preserved verbatim so a save of the
+//! load reproduces the original bytes. A truncated section frame is still a hard
 //! [`HistoryFileError::Format`].
 
 use std::fmt;
@@ -41,6 +43,7 @@ use std::path::Path;
 use ix_metrics::METRIC_COUNT;
 
 use crate::codec;
+use crate::model_store::MODEL_STORE_SECTION;
 use crate::store::{ContextLog, HistoryStore, Inner};
 
 /// Leading magic of every history file (format name + version).
@@ -55,7 +58,7 @@ pub const SERVE_SECTION: [u8; 4] = *b"SRVT";
 
 /// Section tags this version of the crate understands; anything else
 /// loads with a warning (forward-compat) and is carried verbatim.
-const KNOWN_SECTIONS: &[[u8; 4]] = &[REPLAY_SECTION, SERVE_SECTION];
+const KNOWN_SECTIONS: &[[u8; 4]] = &[REPLAY_SECTION, SERVE_SECTION, MODEL_STORE_SECTION];
 
 /// Upper bound on the dense context ids a file may claim. Context logs
 /// live in a `Vec` indexed by id, so an unchecked hostile id would force
@@ -205,7 +208,7 @@ impl SectionImage {
     /// Offset of the payload in the image: the magic, the empty store's
     /// five zero counts (labels, context logs, events, sweeps,
     /// diagnoses), the tag and the `u32` length.
-    const PAYLOAD_AT: usize = MAGIC.len() + 5 * 4 + 4 + 4;
+    pub(crate) const PAYLOAD_AT: usize = MAGIC.len() + 5 * 4 + 4 + 4;
 
     /// Starts an image of section `tag`, sized for a payload of
     /// `payload_len` bytes (a hint: a longer payload still fits).

@@ -49,7 +49,9 @@
 //! The [`codec`] module is the one binary encoding of every record the
 //! workspace persists: the side-log records here, and the [`Diagnosis`]
 //! and model-store rows that `ix-replay`'s header and `ix-serve`'s
-//! snapshots and payloads embed.
+//! snapshots and payloads embed. A trained deployment's file is those
+//! store rows as one section ([`save_model_store`] /
+//! [`load_model_store`]).
 //!
 //! [`Diagnosis`]: ix_core::Diagnosis
 
@@ -57,11 +59,16 @@
 
 pub mod codec;
 mod file;
+mod model_store;
 mod segment;
 mod store;
 
 pub use file::{
     section_in, HistoryFileError, Reader, SectionImage, Writer, REPLAY_SECTION, SERVE_SECTION,
+};
+pub use model_store::{
+    load_model_store, model_store_bytes, model_store_from_bytes, save_model_store,
+    MODEL_STORE_SECTION,
 };
 pub use segment::{TickSegment, SEGMENT_CAPACITY};
 pub use store::{DiagnosisRecord, HistoryStore, HistoryStoreBuilder, SweepRecord};

@@ -6,10 +6,11 @@
 //! consumed by the sibling `serde_json` compat crate. Instead of upstream
 //! serde's visitor architecture, everything funnels through a concrete
 //! [`Value`] tree: `Serialize` renders to a `Value`, `Deserialize` parses
-//! from one. That is all `ModelStore` persistence and the simulator export
-//! paths need, and it keeps the derive macro (in `serde_derive`) tiny.
+//! from one. That is all the workspace's JSON users need — the engine
+//! config that `SRVT` snapshots and `RPLY` headers embed, telemetry
+//! snapshots, IXSRV01's JSON compat payloads and the simulator export
+//! paths — and it keeps the derive macro (in `serde_derive`) tiny.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -334,48 +335,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_object()?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Sort for stable output.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_object()?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -401,14 +360,6 @@ mod tests {
     fn containers_roundtrip() {
         let v = vec![1.0f64, 2.0, 3.0];
         assert_eq!(Vec::<f64>::from_value(&v.to_value()).unwrap(), v);
-
-        let mut m = BTreeMap::new();
-        m.insert("a".to_string(), 1u64);
-        m.insert("b".to_string(), 2u64);
-        assert_eq!(
-            BTreeMap::<String, u64>::from_value(&m.to_value()).unwrap(),
-            m
-        );
 
         assert_eq!(Option::<f64>::from_value(&Value::Null).unwrap(), None);
         assert_eq!(

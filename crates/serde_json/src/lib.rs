@@ -4,8 +4,8 @@
 //! parses it back. Floats are written with Rust's shortest-roundtrip
 //! formatting (`{:?}`), so every finite `f64` survives a `to_string` →
 //! `from_str` round-trip bit-exactly — the property the upstream
-//! `float_roundtrip` feature provides and the `ModelStore` persistence
-//! tests rely on.
+//! `float_roundtrip` feature provides and the config round-trips of
+//! `SRVT` snapshots and `RPLY` headers rely on.
 
 use std::fmt;
 

@@ -13,6 +13,7 @@ use ix_core::{
     CoreError, Engine, EngineEvent, ErrorCode, EventSink, InvarNetConfig, ModelStore,
     OperationContext, StoredPerformanceModel,
 };
+use ix_history::{load_model_store, model_store_bytes, model_store_from_bytes};
 use ix_serve::{Fleet, ServeError, TenantId, TenantSnapshot};
 use ix_simulator::{FaultType, Runner, WorkloadType};
 use proptest::prelude::*;
@@ -517,21 +518,27 @@ fn every_truncation_and_byte_flip_of_a_snapshot_is_a_typed_error() {
 fn a_hostile_invariant_pair_is_refused_on_the_store_path() {
     let t = template();
     let key = ModelStore::context_key(&t.context);
-    let pair = t.store.invariants[&key].entries()[0].pair;
-    let json = t.store.to_json().expect("json");
-    let needle = format!("\"pair\": {pair},");
-    assert!(json.contains(&needle), "{needle} not in the store JSON");
-    let hostile = json.replacen(&needle, "\"pair\": 99999,", 1);
-    let err = ModelStore::from_json(&hostile).expect_err("pair 99999 must be refused");
+    let entry = t.store.invariants[&key].entries()[0];
+    // An invariant entry's rows are its `u32` pair and its `f64` value.
+    let mut needle = (entry.pair as u32).to_le_bytes().to_vec();
+    needle.extend_from_slice(&entry.value.to_bits().to_le_bytes());
+    let mut hostile = model_store_bytes(&t.store);
+    let at = hostile
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("the first entry is in the store file");
+    hostile[at..at + 4].copy_from_slice(&99_999u32.to_le_bytes());
+    let err = model_store_from_bytes(&hostile).expect_err("pair 99999 must be refused");
     assert!(err.to_string().contains("out of range"), "{err}");
 
-    let path = std::env::temp_dir().join(format!(
-        "ix-serve-hostile-store-{}.json",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("ix-serve-hostile-store-{}.ixh", std::process::id()));
     std::fs::write(&path, hostile).expect("write");
     let engine = Engine::builder().build();
-    assert!(engine.load_store(&path).is_err());
+    let err = engine
+        .store_op(&path, load_model_store)
+        .expect_err("pair 99999 must be refused");
+    assert!(err.to_string().contains("out of range"), "{err}");
     std::fs::remove_file(&path).ok();
 }
 

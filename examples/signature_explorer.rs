@@ -1,13 +1,15 @@
 //! Signature-database explorer: builds invariants and signatures for every
 //! batch fault, prints which invariant pairs each fault violates (the
 //! "hints" the paper hands to administrators for unknown problems), and
-//! persists the trained state as a JSON model store.
+//! persists the trained state as a model-store file (an `IXHIST01` image
+//! of the binary store rows).
 //!
 //! ```text
 //! cargo run --release --example signature_explorer
 //! ```
 
 use invarnet_x::core::{Engine, OperationContext};
+use invarnet_x::history::{load_model_store, save_model_store};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -81,14 +83,20 @@ fn main() {
         );
     }
 
-    // Persist everything the engine learned as one JSON model store.
+    // Persist everything the engine learned as one model-store file, and
+    // read it back.
+    let path = std::env::temp_dir().join("signature_explorer.ixh");
     let store = system.snapshot_state();
-    let json = store.to_json().expect("serialize store");
+    system
+        .store_op(&path, |p| save_model_store(&store, p))
+        .expect("save model store");
+    let loaded = system.store_op(&path, load_model_store).expect("load");
     println!(
-        "\nJSON model store ({} bytes): {} models, {} invariant sets, {} signatures",
-        json.len(),
-        store.performance_models.len(),
-        store.invariants.len(),
-        store.signatures.len()
+        "\nmodel-store file {} ({} bytes): {} models, {} invariant sets, {} signatures",
+        path.display(),
+        std::fs::metadata(&path).expect("written").len(),
+        loaded.performance_models.len(),
+        loaded.invariants.len(),
+        loaded.signatures.len()
     );
 }

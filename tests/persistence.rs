@@ -2,6 +2,9 @@
 //! round-trip and produces identical online behaviour afterwards.
 
 use invarnet_x::core::{Engine, InvarNetConfig, ModelStore, OperationContext, SignatureDatabase};
+use invarnet_x::history::{
+    load_model_store, model_store_bytes, model_store_from_bytes, save_model_store,
+};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -50,11 +53,11 @@ fn save_load_roundtrip_preserves_online_behaviour() {
     let store = system.snapshot_state();
     let dir = std::env::temp_dir().join("invarnet_integration");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("deployment.json");
-    store.save(&path).expect("save");
+    let path = dir.join("deployment.ixh");
+    save_model_store(&store, &path).expect("save");
 
     // Rehydrate into a fresh system.
-    let loaded = ModelStore::load(&path).expect("load");
+    let loaded = load_model_store(&path).expect("load");
     std::fs::remove_file(&path).ok();
     let fresh = Engine::builder().build();
     fresh.load_state(&loaded).expect("rebuild");
@@ -150,9 +153,9 @@ fn snapshot_store_covers_all_artifacts() {
     // The signature's binary tuple has one bit per invariant.
     assert_eq!(signature.tuple.len(), invariants.len());
 
-    // The JSON form carries all of it.
-    let json = store.to_json().expect("serialize");
-    assert_eq!(ModelStore::from_json(&json).expect("parse"), store);
+    // The model-store file image carries all of it.
+    let bytes = model_store_bytes(&store);
+    assert_eq!(model_store_from_bytes(&bytes).expect("decode"), store);
 }
 
 #[test]
@@ -218,12 +221,16 @@ fn engine_store_roundtrip_with_retry_and_typed_errors() {
     // Snapshot → save (with retry policy) → load → rehydrate a fresh engine.
     let dir = std::env::temp_dir().join("invarnet_engine_roundtrip");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("deployment.json");
+    let path = dir.join("deployment.ixh");
     let store = engine.snapshot_state();
-    engine.save_store(&store, &path).expect("save with retry");
+    engine
+        .store_op(&path, |p| save_model_store(&store, p))
+        .expect("save with retry");
 
     let fresh = Engine::builder().config(InvarNetConfig::default()).build();
-    let loaded = fresh.load_store(&path).expect("load with retry");
+    let loaded = fresh
+        .store_op(&path, load_model_store)
+        .expect("load with retry");
     std::fs::remove_file(&path).ok();
     fresh.load_state(&loaded).expect("rehydrate");
 
@@ -238,7 +245,7 @@ fn engine_store_roundtrip_with_retry_and_typed_errors() {
 
     // A missing file surfaces as a typed Io error with a source chain.
     let err = fresh
-        .load_store(&dir.join("does_not_exist.json"))
+        .store_op(&dir.join("does_not_exist.ixh"), load_model_store)
         .expect_err("missing file");
     assert_eq!(err.kind(), ErrorKind::Io);
     assert!(std::error::Error::source(&err).is_some());
