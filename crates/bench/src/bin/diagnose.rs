@@ -53,13 +53,19 @@ use ix_core::{CoreError, Engine, InvarNetConfig, OperationContext, SweepBudget};
 use ix_history::{load_model_store, save_model_store};
 use ix_metrics::MetricFrame;
 
-/// Renders a [`CoreError`] with its full `source()` chain, so an I/O or
-/// parse failure names the underlying cause.
+/// Renders a [`CoreError`] with every cause in its `source()` chain
+/// named once, so an I/O or parse failure names the underlying cause. A
+/// `CoreError`'s text already ends with its immediate source, so only a
+/// cause no text so far names is appended.
 fn render_error(e: CoreError) -> String {
     let mut out = e.to_string();
     let mut cause: Option<&dyn std::error::Error> = std::error::Error::source(&e);
     while let Some(c) = cause {
-        out.push_str(&format!(": {c}"));
+        let text = c.to_string();
+        if !out.contains(&text) {
+            out.push_str(": ");
+            out.push_str(&text);
+        }
         cause = c.source();
     }
     out
@@ -964,5 +970,29 @@ mod tests {
             assert!(err.contains("bad CPI value"), "{bad}: {err}");
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_error_names_its_cause_once() {
+        let dir = std::env::temp_dir();
+        // A deployment file in the retired JSON form: a Serialization
+        // error whose source is the store file's refusal.
+        let json = dir.join(format!("ix-render-json-{}.json", std::process::id()));
+        std::fs::write(&json, "{\"performance_models\": {}}").unwrap();
+        let err = load_model_store(&json).unwrap_err();
+        std::fs::remove_file(&json).unwrap();
+        let cause = std::error::Error::source(&err).unwrap().to_string();
+        assert!(cause.contains("JSON form"), "{cause}");
+        assert_eq!(
+            render_error(err),
+            format!("serializing model store: {cause}")
+        );
+        // A missing file: an Io error whose source is the OS error.
+        let missing = dir.join(format!("ix-render-missing-{}.ixh", std::process::id()));
+        let err = load_model_store(&missing).unwrap_err();
+        let cause = std::error::Error::source(&err).unwrap().to_string();
+        let rendered = render_error(err);
+        assert!(rendered.ends_with(&format!(": {cause}")), "{rendered}");
+        assert_eq!(rendered.matches(&cause).count(), 1, "{rendered}");
     }
 }

@@ -41,8 +41,8 @@
 use ix_core::{
     ContextId, DegradationReason, DegradationTier, Diagnosis, EngineEvent, EnginePhase, EventKind,
     HealthState, InvariantEntry, InvariantSet, ModelStore, OperationContext, OverloadPolicy,
-    PerformanceModel, RankedCause, ResidualStats, Signature, StoredPerformanceModel,
-    SweepDegradation, ViolationTuple,
+    RankedCause, ResidualStats, Signature, StoredPerformanceModel, SweepDegradation,
+    ViolationTuple,
 };
 
 use crate::file::{HistoryFileError, Reader, Writer};
@@ -331,92 +331,8 @@ fn expect_tag(r: &mut Reader<'_>, tag: u8, what: &str) -> Result<(), HistoryFile
     }
 }
 
-/// A map key as the store rows spell it: the `workload@node` form of
-/// [`ModelStore::context_key`].
-#[derive(Debug, Clone, Copy)]
-pub enum Key<'a> {
-    /// A stored key, written verbatim.
-    Text(&'a str),
-    /// A live context, written as its key without building it.
-    Context(&'a OperationContext),
-}
-
-impl Key<'_> {
-    fn len(self) -> usize {
-        match self {
-            Key::Text(key) => key.len(),
-            Key::Context(c) => c.workload.len() + 1 + c.node.len(),
-        }
-    }
-
-    fn write(self, w: &mut Writer) {
-        match self {
-            Key::Text(key) => w.bytes(key.as_bytes()),
-            Key::Context(c) => {
-                w.u32_field(self.len());
-                w.raw(c.workload.as_bytes());
-                w.raw(b"@");
-                w.raw(c.node.as_bytes());
-            }
-        }
-    }
-}
-
-/// One performance model's fields, borrowed from a stored model or from
-/// a live engine's: the two write the same bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct ModelFields<'a> {
-    p: usize,
-    d: usize,
-    q: usize,
-    intercept: f64,
-    ar: &'a [f64],
-    ma: &'a [f64],
-    sigma2: f64,
-    n_effective: usize,
-    stats: ResidualStats,
-    beta: f64,
-}
-
-impl<'a> From<&'a StoredPerformanceModel> for ModelFields<'a> {
-    fn from(m: &'a StoredPerformanceModel) -> Self {
-        ModelFields {
-            p: m.p,
-            d: m.d,
-            q: m.q,
-            intercept: m.intercept,
-            ar: &m.ar,
-            ma: &m.ma,
-            sigma2: m.sigma2,
-            n_effective: m.n_effective,
-            stats: m.stats,
-            beta: m.beta,
-        }
-    }
-}
-
-impl<'a> From<&'a PerformanceModel> for ModelFields<'a> {
-    /// The fields [`StoredPerformanceModel::from_model`] would copy.
-    fn from(m: &'a PerformanceModel) -> Self {
-        let a = m.arima();
-        let spec = a.spec();
-        ModelFields {
-            p: spec.p,
-            d: spec.d,
-            q: spec.q,
-            intercept: a.intercept(),
-            ar: a.ar_coefficients(),
-            ma: a.ma_coefficients(),
-            sigma2: a.sigma2(),
-            n_effective: a.n_effective(),
-            stats: m.stats(),
-            beta: m.beta(),
-        }
-    }
-}
-
-/// Borrowed views of a [`ModelStore`]'s contents, in the order the store
-/// rows hold them. Models and invariant sets come in key order.
+/// A [`ModelStore`]'s rows, in the order the store holds them: models
+/// and invariant sets in key order, then the signatures.
 ///
 /// | row | encoding |
 /// |---|---|
@@ -424,61 +340,43 @@ impl<'a> From<&'a PerformanceModel> for ModelFields<'a> {
 /// | invariant sets | `u32` count, then per set: key `str`, τ `f64`, `u32` count + `(u32 pair, f64 value)` entries |
 /// | signatures | `u32` count, then per signature: problem, node, workload `str` each, `u32` count + graded `f64`s |
 ///
-/// [`read_store_rows`] refuses keys out of order, a non-finite model or
-/// signature value, and invariant entries
+/// [`read_store_rows`] refuses what loading the store into an engine
+/// would trip over: keys out of order or not in `workload@node` form, a
+/// model whose coefficient counts disagree with its orders or whose σ² is
+/// negative, a non-finite model or signature value, and invariant entries
 /// [`InvariantSet::from_entries`] refuses.
-pub struct StoreRows<'a, M, I> {
-    /// `(key, model)` pairs in key order.
-    pub models: M,
-    /// `(key, set)` pairs in key order.
-    pub invariants: I,
-    /// The signature database's records.
-    pub signatures: &'a [Signature],
+#[derive(Debug, Clone, Copy)]
+pub struct StoreRows<'a> {
+    store: &'a ModelStore,
 }
 
 /// The rows of a [`ModelStore`].
-pub fn store_rows(
-    store: &ModelStore,
-) -> StoreRows<
-    '_,
-    impl ExactSizeIterator<Item = (Key<'_>, ModelFields<'_>)> + Clone,
-    impl ExactSizeIterator<Item = (Key<'_>, &InvariantSet)> + Clone,
-> {
-    StoreRows {
-        models: store
-            .performance_models
-            .iter()
-            .map(|(key, m)| (Key::Text(key), ModelFields::from(m))),
-        invariants: store
-            .invariants
-            .iter()
-            .map(|(key, set)| (Key::Text(key), set)),
-        signatures: store.signatures.records(),
-    }
+pub fn store_rows(store: &ModelStore) -> StoreRows<'_> {
+    StoreRows { store }
 }
 
-impl<'a, M, I> StoreRows<'a, M, I>
-where
-    M: ExactSizeIterator<Item = (Key<'a>, ModelFields<'a>)> + Clone,
-    I: ExactSizeIterator<Item = (Key<'a>, &'a InvariantSet)> + Clone,
-{
+impl StoreRows<'_> {
     /// The exact number of bytes [`StoreRows::write`] appends; each term
     /// is a row of the layout table.
     pub fn encoded_len(&self) -> usize {
         let text = |len: usize| 4 + len;
         let floats = |n: usize| 4 + 8 * n;
         let models: usize = self
-            .models
-            .clone()
+            .store
+            .performance_models
+            .iter()
             .map(|(key, m)| text(key.len()) + 12 + 8 + floats(m.ar.len()) + floats(m.ma.len()) + 48)
             .sum();
         let invariants: usize = self
+            .store
             .invariants
-            .clone()
+            .iter()
             .map(|(key, set)| text(key.len()) + 8 + 4 + 12 * set.len())
             .sum();
         let signatures: usize = self
+            .store
             .signatures
+            .records()
             .iter()
             .map(|s| {
                 text(s.problem.len())
@@ -492,23 +390,23 @@ where
 
     /// Appends the rows.
     pub fn write(self, w: &mut Writer) {
-        w.u32_field(self.models.len());
-        for (key, m) in self.models {
-            key.write(w);
+        w.u32_field(self.store.performance_models.len());
+        for (key, m) in &self.store.performance_models {
+            w.bytes(key.as_bytes());
             w.u32_field(m.p);
             w.u32_field(m.d);
             w.u32_field(m.q);
             w.f64(m.intercept);
-            w.f64_list(m.ar);
-            w.f64_list(m.ma);
+            w.f64_list(&m.ar);
+            w.f64_list(&m.ma);
             w.f64(m.sigma2);
             w.u64(m.n_effective as u64);
             w.f64s(&[m.stats.max, m.stats.min, m.stats.p95, m.beta]);
         }
 
-        w.u32_field(self.invariants.len());
-        for (key, set) in self.invariants {
-            key.write(w);
+        w.u32_field(self.store.invariants.len());
+        for (key, set) in &self.store.invariants {
+            w.bytes(key.as_bytes());
             w.f64(set.tau());
             w.u32_field(set.len());
             for e in set.entries() {
@@ -517,8 +415,9 @@ where
             }
         }
 
-        w.u32_field(self.signatures.len());
-        for s in self.signatures {
+        let signatures = self.store.signatures.records();
+        w.u32_field(signatures.len());
+        for s in signatures {
             w.bytes(s.problem.as_bytes());
             w.bytes(s.context.node.as_bytes());
             w.bytes(s.context.workload.as_bytes());
@@ -556,6 +455,16 @@ pub fn read_store_rows(r: &mut Reader<'_>) -> Result<ModelStore, HistoryFileErro
             p95: r.finite_f64()?,
         };
         let beta = r.finite_f64()?;
+        // The checks `StoredPerformanceModel::into_model` makes, so a
+        // decoded store always loads.
+        if ar.len() != p || ma.len() != q || sigma2 < 0.0 {
+            return Err(malformed(format!(
+                "model `{key}`: orders ({p}, {d}, {q}) with {} AR and {} MA \
+                 coefficients and σ² {sigma2} do not form a model",
+                ar.len(),
+                ma.len()
+            )));
+        }
         store.performance_models.insert(
             key.to_string(),
             StoredPerformanceModel {
@@ -607,8 +516,8 @@ pub fn read_store_rows(r: &mut Reader<'_>) -> Result<ModelStore, HistoryFileErro
     Ok(store)
 }
 
-/// Reads a map key that must sort strictly after the previous one, so a
-/// decoded map re-encodes to the same bytes.
+/// Reads a `workload@node` map key that must sort strictly after the
+/// previous one, so a decoded map re-encodes to the same bytes.
 fn next_key<'a>(
     r: &mut Reader<'a>,
     last: &mut Option<&'a str>,
@@ -616,6 +525,11 @@ fn next_key<'a>(
     let key = r.str()?;
     if last.is_some_and(|prev| key <= prev) {
         return Err(malformed(format!("key `{key}` is out of order")));
+    }
+    if !key.contains('@') {
+        return Err(malformed(format!(
+            "key `{key}` is not in workload@node form"
+        )));
     }
     *last = Some(key);
     Ok(key)
@@ -923,6 +837,56 @@ mod tests {
         assert_eq!(decoded(&bytes, read_sweep).expect("decodes"), sweep);
         // A sweep record where a diagnosis record belongs is refused.
         assert!(decoded(&bytes, read_diagnosis_record).is_err());
+    }
+
+    /// A store holding one model, `edit`ed, under `key`.
+    fn one_model_store(key: &str, edit: impl FnOnce(&mut StoredPerformanceModel)) -> ModelStore {
+        let mut model = StoredPerformanceModel {
+            p: 1,
+            d: 0,
+            q: 1,
+            intercept: 0.5,
+            ar: vec![0.25],
+            ma: vec![-0.5],
+            sigma2: 2.0,
+            n_effective: 7,
+            stats: ResidualStats {
+                max: 1.0,
+                min: 0.0,
+                p95: 0.75,
+            },
+            beta: 1.5,
+        };
+        edit(&mut model);
+        let mut store = ModelStore::new();
+        store.performance_models.insert(key.to_string(), model);
+        store
+    }
+
+    #[test]
+    fn store_rows_an_engine_could_not_load_are_refused() {
+        let refusal = |store: &ModelStore| {
+            let bytes = encoded(|w| store_rows(store).write(w));
+            match decoded(&bytes, read_store_rows) {
+                Err(HistoryFileError::Format(msg)) => msg,
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        };
+        let ok = one_model_store("Sort@n1", |_| {});
+        let bytes = encoded(|w| store_rows(&ok).write(w));
+        assert_eq!(decoded(&bytes, read_store_rows).expect("decodes"), ok);
+        for store in [
+            one_model_store("Sort@n1", |m| m.p = 2),
+            one_model_store("Sort@n1", |m| m.ma.clear()),
+            one_model_store("Sort@n1", |m| m.sigma2 = -1.0),
+        ] {
+            let msg = refusal(&store);
+            assert!(msg.contains("do not form a model"), "{msg}");
+            let stored = store.performance_models.into_values().next().expect("one");
+            assert!(stored.into_model().is_err(), "the engine refuses it too");
+        }
+        let msg = refusal(&one_model_store("Sort", |_| {}));
+        assert!(msg.contains("not in workload@node form"), "{msg}");
     }
 
     #[test]

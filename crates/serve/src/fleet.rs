@@ -2,8 +2,9 @@
 //!
 //! A [`Fleet`] owns a slot table keyed by [`TenantId`]. Each slot is
 //! either **warm** — a live [`Engine`] plus the bookkeeping needed to
-//! tear it down losslessly — or **cold** — an `IXHIST01` tenant snapshot
-//! (in memory, or a file under the configured snapshot directory). Slots
+//! tear it down losslessly — or **cold** — the tenant's decoded image in
+//! memory, or its `IXHIST01` snapshot file under the configured snapshot
+//! directory. Slots
 //! materialize lazily: the first tick for an unknown tenant builds its
 //! engine on the spot, and every tenant engine shares one
 //! [`SweepPool`], so a hundred thousand tenants cost one worker pool,
@@ -11,23 +12,27 @@
 //!
 //! When the warm count crosses the configured high-water mark
 //! ([`FleetBuilder::warm_limit`]), the least-recently-used warm tenant is
-//! evicted: its trained state, lifetime tick counter and per-context run
-//! tails are encoded in one pass, straight from the live engine and the
-//! slot, into a [`TenantSnapshot`](crate::TenantSnapshot) image, and the
-//! engine is dropped. The warm slots form an intrusive list in LRU order,
-//! so finding the victim, touching a tenant and counting the warm set are
-//! O(1), whatever the number of tenants. A snapshot is refused — at
-//! [`Fleet::adopt`] and again at warm — when it was written under a
-//! configuration other than the fleet's (a config row byte-equal to the
-//! fleet's own serialized config matches without a parse), and a snapshot
-//! file is replaced atomically (temporary file, fsync, rename), so a
-//! crash never leaves a torn one. Warming reverses the trade — read the
-//! image in place, rebuild, move the decoded store in with
-//! [`Engine::load_state_owned`], replay the flat tails through
-//! [`Engine::restore_run`] — and is *bit-invisible*: the warmed engine
-//! continues exactly as if it had never been torn down. Both transitions
-//! are declared, never silent: [`EngineEvent::TenantEvicted`] /
-//! [`EngineEvent::TenantWarmed`] land on the fleet's event sink.
+//! evicted: its trained state ([`Engine::snapshot_state`]), lifetime tick
+//! counter and per-context run tails — moved out of the slot, not copied
+//! — become its cold image, and the engine is dropped. Warming moves the
+//! image back: a fresh engine, the store moved in with
+//! [`Engine::load_state_owned`], the flat tails replayed through
+//! [`Engine::restore_run`]. Nothing is encoded or decoded in between;
+//! bytes exist only where a snapshot crosses the process boundary — a
+//! snapshot-directory file, [`Fleet::snapshot_bytes`], [`Fleet::adopt`]
+//! (which decodes once and keeps the image) — and a file warm decodes
+//! into the same image and takes the same install path. The warm slots
+//! form an intrusive list in LRU order, so finding the victim, touching
+//! a tenant and counting the warm set are O(1), whatever the number of
+//! tenants. A snapshot is refused — at [`Fleet::adopt`], and at a file
+//! warm — when it was written under a configuration other than the
+//! fleet's (a config row byte-equal to the fleet's own serialized config
+//! matches without a parse), and a snapshot file is replaced atomically
+//! (temporary file, fsync, rename), so a crash never leaves a torn one.
+//! A warm is *bit-invisible*: the warmed engine continues exactly as if
+//! it had never been torn down. Both transitions are declared, never
+//! silent: [`EngineEvent::TenantEvicted`] / [`EngineEvent::TenantWarmed`]
+//! land on the fleet's event sink.
 //!
 //! Run-tail tracking covers ticks fed through [`Fleet::ingest`]. The
 //! queue path ([`Fleet::submit`] / [`Fleet::drain`]) reuses the engine's
@@ -48,10 +53,11 @@ use ix_core::{
     ContextId, Diagnosis, Engine, EngineEvent, EventSink, HealthState, InvarNetConfig, NullSink,
     OperationContext, SubmitOutcome, SweepPool, Telemetry, TelemetrySnapshot, TickOutcome,
 };
-use ix_history::codec::{Key, ModelFields, StoreRows};
 
 use crate::error::ServeError;
-use crate::snapshot::{self, ContextState, ContextView, Parts, SNAPSHOT_VERSION, TAIL_STRIDE};
+use crate::snapshot::{
+    self, ContextState, ContextView, Parts, TenantImage, SNAPSHOT_VERSION, TAIL_STRIDE,
+};
 use crate::tenant::TenantId;
 
 /// Default high-water mark for warm tenants.
@@ -80,6 +86,40 @@ impl ContextEntry {
     fn truncate(&mut self) {
         self.tail = Vec::new();
         self.truncated = true;
+    }
+
+    fn view(&self) -> ContextView<'_> {
+        ContextView {
+            node: &self.context.node,
+            workload: &self.context.workload,
+            truncated: self.truncated,
+            tail: &self.tail,
+        }
+    }
+}
+
+/// A cold context's state becomes a warm one's bookkeeping, its strings
+/// and tail moved, not copied.
+impl From<ContextState> for ContextEntry {
+    fn from(state: ContextState) -> Self {
+        ContextEntry {
+            context: OperationContext::new(state.node, state.workload),
+            tail: state.tail,
+            truncated: state.truncated,
+        }
+    }
+}
+
+/// The reverse move, at eviction.
+impl From<ContextEntry> for ContextState {
+    fn from(entry: ContextEntry) -> Self {
+        let OperationContext { node, workload } = entry.context;
+        ContextState {
+            node,
+            workload,
+            tail: entry.tail,
+            truncated: entry.truncated,
+        }
     }
 }
 
@@ -147,33 +187,11 @@ fn by_form(a: &OperationContext, b: &OperationContext) -> std::cmp::Ordering {
     form(a).cmp(form(b))
 }
 
-/// `(context, value)` pairs in [`ix_core::ModelStore`] key order, from
-/// pairs already sorted by [`by_form`]: of contexts sharing a form, the
-/// last is kept — the one a store's map insert in that order keeps.
-fn last_per_form<T>(mut pairs: Vec<(&OperationContext, T)>) -> Vec<(&OperationContext, T)> {
-    pairs.dedup_by(|later, kept| {
-        let same = by_form(later.0, kept.0).is_eq();
-        if same {
-            std::mem::swap(later, kept);
-        }
-        same
-    });
-    pairs
-}
-
-/// An evicted (or adopted) tenant: its snapshot, wherever it lives.
+/// An evicted (or adopted) tenant: its decoded image in memory, or its
+/// snapshot file under the snapshot directory.
 enum ColdTenant {
-    Bytes(Vec<u8>),
+    Image(TenantImage),
     File(PathBuf),
-}
-
-impl ColdTenant {
-    fn bytes(&self) -> Result<std::borrow::Cow<'_, [u8]>, ServeError> {
-        Ok(match self {
-            ColdTenant::Bytes(bytes) => bytes.into(),
-            ColdTenant::File(path) => std::fs::read(path)?.into(),
-        })
-    }
 }
 
 enum State {
@@ -558,64 +576,33 @@ impl Fleet {
         Ok(())
     }
 
-    /// The snapshot image of a warm tenant — the bytes both eviction and
-    /// [`Fleet::snapshot_bytes`] produce — encoded straight from the live
-    /// engine's models, invariant sets and signatures and the slot's run
-    /// tails, with nothing copied on the way.
-    fn image_of(&self, warm: &WarmTenant) -> Vec<u8> {
-        let engine = &warm.engine;
-        let mut contexts = engine.inspector().known_contexts();
-        contexts.sort_by(by_form);
-        let models = last_per_form(
-            contexts
-                .iter()
-                .filter_map(|c| Some((c, engine.performance_model(c)?)))
-                .collect(),
-        );
-        let sets = last_per_form(
-            contexts
-                .iter()
-                .filter_map(|c| Some((c, engine.invariant_set(c)?)))
-                .collect(),
-        );
-        engine.with_signature_database(|db| {
-            snapshot::encode(Parts {
-                version: SNAPSHOT_VERSION,
-                lifetime_ticks: engine.lifetime_ticks(),
-                config: &self.config_json,
-                store: StoreRows {
-                    models: models
-                        .iter()
-                        .map(|(c, m)| (Key::Context(c), ModelFields::from(m.as_ref()))),
-                    invariants: sets.iter().map(|(c, set)| (Key::Context(c), set.as_ref())),
-                    signatures: db.records(),
-                },
-                contexts: warm.contexts.iter().map(|e| ContextView {
-                    node: &e.context.node,
-                    workload: &e.context.workload,
-                    truncated: e.truncated,
-                    tail: &e.tail,
-                }),
-            })
+    /// The snapshot bytes of a warm tenant — what [`Fleet::snapshot_bytes`]
+    /// serves and a `snapshot_dir` eviction writes: the engine's trained
+    /// state as [`Engine::snapshot_state`] captures it, and the slot's run
+    /// tails, borrowed.
+    fn warm_bytes(&self, warm: &WarmTenant) -> Vec<u8> {
+        snapshot::encode(Parts {
+            version: SNAPSHOT_VERSION,
+            lifetime_ticks: warm.engine.lifetime_ticks(),
+            config: &self.config_json,
+            store: &warm.engine.snapshot_state(),
+            contexts: warm.contexts.iter().map(ContextEntry::view),
         })
     }
 
     /// Reads snapshot bytes for this fleet, refusing a snapshot written
     /// under another configuration: the warmed engine would not continue
     /// bit-identically. A config row byte-equal to the fleet's own
-    /// serialized config matches without being parsed (the image's
-    /// `config` is then `None`); any other row is parsed and, once the
-    /// whole body has decoded, compared with the fleet's config.
-    fn decode(
-        &self,
-        bytes: &[u8],
-    ) -> Result<snapshot::Decoded<Option<InvarNetConfig>>, ServeError> {
-        let image = snapshot::decode(bytes, |text| {
+    /// serialized config matches without being parsed; any other row is
+    /// parsed and, once the whole body has decoded, compared with the
+    /// fleet's config.
+    fn decode(&self, bytes: &[u8]) -> Result<TenantImage, ServeError> {
+        let (config, image) = snapshot::decode(bytes, |text| {
             (text != self.config_json)
                 .then(|| snapshot::parse_config(text))
                 .transpose()
         })?;
-        if image.config.as_ref().is_some_and(|c| *c != self.config) {
+        if config.is_some_and(|c| c != self.config) {
             return Err(ServeError::Snapshot(
                 "the snapshot was written under a different engine configuration \
                  than this fleet's"
@@ -625,25 +612,34 @@ impl Fleet {
         Ok(image)
     }
 
-    /// Snapshots warm slot `i` and replaces it with a cold one.
+    /// Captures warm slot `i` and replaces it with a cold one: in memory,
+    /// the decoded image itself — the engine's trained state and the
+    /// slot's tails, moved out — and under a snapshot directory, its
+    /// bytes, written durably before the slot changes.
     fn evict_slot(&self, inner: &mut FleetInner, i: usize) -> Result<(), ServeError> {
-        let slot = &inner.slots[i];
-        let State::Warm(warm) = &slot.state else {
+        let slot = &mut inner.slots[i];
+        let State::Warm(warm) = &mut slot.state else {
             return Err(ServeError::UnknownTenant(slot.id.clone()));
         };
         let ticks = warm.engine.lifetime_ticks();
-        let bytes = self.image_of(warm);
         let cold = match &self.snapshot_dir {
             Some(dir) => {
                 let path = dir.join(format!("{}.ixhist", slot.id));
-                write_durably(&path, &bytes)?;
+                write_durably(&path, &self.warm_bytes(warm))?;
                 ColdTenant::File(path)
             }
-            None => ColdTenant::Bytes(bytes),
+            None => ColdTenant::Image(TenantImage {
+                lifetime_ticks: ticks,
+                store: warm.engine.snapshot_state(),
+                contexts: std::mem::take(&mut warm.contexts)
+                    .into_iter()
+                    .map(ContextState::from)
+                    .collect(),
+            }),
         };
+        slot.state = State::Cold(cold);
         let num = slot.num;
         inner.unlink(i);
-        inner.slots[i].state = State::Cold(cold);
         // ordering: Relaxed — independent monotone counters; status reads
         // tolerate torn cross-counter views by contract.
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
@@ -655,7 +651,52 @@ impl Fleet {
         Ok(())
     }
 
-    /// Rebuilds cold slot `i`'s engine from its snapshot and makes it the
+    /// Builds a warm tenant from `image`: a fresh engine, the store moved
+    /// in with [`Engine::load_state_owned`], each context's tail replayed
+    /// through [`Engine::restore_run`] and moved into the slot's
+    /// bookkeeping. On an error the image is put back together — its
+    /// store re-captured from the engine it moved into, which a decoded
+    /// or captured store always loads into whole — so the tenant stays
+    /// cold with nothing lost.
+    fn install(&self, image: &mut TenantImage) -> Result<WarmTenant, ServeError> {
+        let (engine, telemetry) = self.build_engine(image.lifetime_ticks);
+        if let Err(e) = engine.load_state_owned(std::mem::take(&mut image.store)) {
+            image.store = engine.snapshot_state();
+            return Err(e.into());
+        }
+        let mut warm = WarmTenant {
+            engine,
+            telemetry,
+            contexts: Vec::with_capacity(image.contexts.len()),
+        };
+        let mut states = std::mem::take(&mut image.contexts).into_iter();
+        while let Some(state) = states.next() {
+            let entry = ContextEntry::from(state);
+            // A run with no ticks is a fresh one: resetting it needs no
+            // model, where a restore needs the context's detector.
+            let restored = if entry.truncated || entry.tail.is_empty() {
+                warm.engine.reset_run(&entry.context);
+                Ok(())
+            } else {
+                let ticks = entry.tail.chunks_exact(TAIL_STRIDE);
+                warm.engine
+                    .restore_run(&entry.context, ticks.map(|t| (t[0], &t[1..])))
+            };
+            if let Err(e) = restored {
+                image.store = warm.engine.snapshot_state();
+                image.contexts = (warm.contexts.into_iter().chain([entry]))
+                    .map(ContextState::from)
+                    .chain(states)
+                    .collect();
+                return Err(e.into());
+            }
+            warm.put(entry);
+        }
+        Ok(warm)
+    }
+
+    /// Rebuilds cold slot `i`'s engine from its image — the one in
+    /// memory, or the one its snapshot file decodes to — and makes it the
     /// most recently used warm slot. Returns the engine and the cold→warm
     /// latency in microseconds.
     fn warm_slot(
@@ -666,37 +707,14 @@ impl Fleet {
         // lint: allow(determinism, telemetry-only: warm micros feed the
         // TenantWarmed event; replay normalizes all recorded timings)
         let started = Instant::now();
-        let image = match &inner.slots[i].state {
+        let warm = match &mut inner.slots[i].state {
             State::Warm(warm) => return Ok((Arc::clone(&warm.engine), 0)),
-            State::Cold(cold) => self.decode(&cold.bytes()?)?,
-        };
-        let (engine, telemetry) = self.build_engine(image.lifetime_ticks);
-        engine.load_state_owned(image.store)?;
-        let mut warm = WarmTenant {
-            engine: Arc::clone(&engine),
-            telemetry,
-            contexts: Vec::with_capacity(image.contexts.len()),
-        };
-        for state in image.contexts {
-            let ContextState {
-                node,
-                workload,
-                tail,
-                truncated,
-            } = state;
-            let context = OperationContext::new(node, workload);
-            if truncated {
-                engine.reset_run(&context);
-            } else {
-                let ticks = tail.chunks_exact(TAIL_STRIDE);
-                engine.restore_run(&context, ticks.map(|t| (t[0], &t[1..])))?;
+            State::Cold(ColdTenant::Image(image)) => self.install(image)?,
+            State::Cold(ColdTenant::File(path)) => {
+                self.install(&mut self.decode(&std::fs::read(path)?)?)?
             }
-            warm.put(ContextEntry {
-                context,
-                tail,
-                truncated,
-            });
-        }
+        };
+        let engine = Arc::clone(&warm.engine);
         inner.slots[i].state = State::Warm(warm);
         inner.link_back(i);
         let micros = started.elapsed().as_micros() as u64;
@@ -730,11 +748,11 @@ impl Fleet {
     /// snapshot, or were written under a configuration other than this
     /// fleet's.
     pub fn adopt(&self, tenant: TenantId, bytes: Vec<u8>) -> Result<(), ServeError> {
-        // Validate eagerly so a bad snapshot fails at adopt time, not at
-        // first ingest.
-        self.decode(&bytes)?;
+        // Decoded now, so a bad snapshot fails at adopt time, not at first
+        // ingest, and the first warm has nothing left to decode.
+        let image = self.decode(&bytes)?;
         self.lock()
-            .put(tenant, State::Cold(ColdTenant::Bytes(bytes)));
+            .put(tenant, State::Cold(ColdTenant::Image(image)));
         Ok(())
     }
 
@@ -912,16 +930,21 @@ impl Fleet {
     }
 
     /// Serializes the tenant's current state to snapshot bytes without
-    /// evicting it — the same bytes an eviction would store.
+    /// evicting or warming it — the bytes a `snapshot_dir` eviction
+    /// writes. A cold tenant in memory is encoded under this fleet's
+    /// config row (an adopted snapshot included); a snapshot file is read
+    /// as it is.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownTenant`] when the tenant has no slot.
+    /// [`ServeError::UnknownTenant`] when the tenant has no slot;
+    /// [`ServeError::Io`] when its snapshot file cannot be read.
     pub fn snapshot_bytes(&self, tenant: &TenantId) -> Result<Vec<u8>, ServeError> {
         let inner = self.lock();
         match &inner.slots[inner.slot(tenant)?].state {
-            State::Cold(cold) => Ok(cold.bytes()?.into_owned()),
-            State::Warm(warm) => Ok(self.image_of(warm)),
+            State::Warm(warm) => Ok(self.warm_bytes(warm)),
+            State::Cold(ColdTenant::Image(image)) => Ok(image.to_bytes(&self.config_json)),
+            State::Cold(ColdTenant::File(path)) => Ok(std::fs::read(path)?),
         }
     }
 

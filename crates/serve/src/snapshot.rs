@@ -9,23 +9,25 @@
 //! counter plus, per context, the `(cpi, metric_row)` tail of the current
 //! run (replayed through `Engine::restore_run` on warm). A tail is held
 //! flat — one `Vec<f64>` per context, [`TAIL_STRIDE`] values per tick —
-//! so a served tick appends to it without allocating and a warm decodes
-//! it into one buffer.
+//! so a served tick appends to it without allocating, an eviction moves
+//! it and a decode fills one buffer.
 //!
-//! A fleet writes the image in one pass straight from the live engine —
-//! its models, invariant sets and signature database, borrowed — and the
-//! slot's run tails, through the same encoder as
-//! [`TenantSnapshot::to_bytes`], so both produce the same bytes. The
-//! config row is the fleet's cached canonical JSON, serialized once when
-//! the fleet is built. A fleet reading an image compares that row with
-//! its cached JSON as bytes and parses it only when they differ.
+//! A fleet holds an in-memory cold tenant as the decoded image itself
+//! ([`TenantImage`]: the trained store and the run tails, no config row)
+//! and meets these bytes only at the process boundary: a snapshot file,
+//! `Fleet::snapshot_bytes` and `Fleet::adopt`. It encodes through the
+//! same encoder as [`TenantSnapshot::to_bytes`], so both produce the same
+//! bytes. The config row is the fleet's cached canonical JSON, serialized
+//! once when the fleet is built. A fleet reading an image compares that
+//! row with its cached JSON as bytes and parses it only when they differ.
 //!
 //! The container is an `IXHIST01` file with no tick rows: the whole
 //! snapshot is the binary `SRVT` trailing section
-//! ([`ix_history::SERVE_SECTION`]), so warming reads a fixed-size header
-//! plus one section — microseconds, independent of how long the tenant
-//! has been alive. Any `IXHIST01` reader that predates the tag still
-//! loads the file (with a warning) and carries the section verbatim.
+//! ([`ix_history::SERVE_SECTION`]), so reading one takes a fixed-size
+//! header plus one section — microseconds, independent of how long the
+//! tenant has been alive. Any `IXHIST01` reader that predates the tag
+//! still loads the file (with a warning) and carries the section
+//! verbatim.
 //!
 //! # `SRVT` layout (version 2)
 //!
@@ -51,8 +53,8 @@
 //! keys out of order, invariant pairs that are out of range or not
 //! strictly increasing). Every refusal is a [`ServeError::Snapshot`].
 
-use ix_core::{InvarNetConfig, InvariantSet, ModelStore};
-use ix_history::codec::{self, Key, ModelFields, StoreRows};
+use ix_core::{InvarNetConfig, ModelStore};
+use ix_history::codec;
 use ix_history::{section_in, HistoryFileError, Reader, SectionImage, SERVE_SECTION};
 use ix_metrics::METRIC_COUNT;
 
@@ -144,13 +146,8 @@ impl TenantSnapshot {
             version: self.version,
             lifetime_ticks: self.lifetime_ticks,
             config: &config,
-            store: codec::store_rows(&self.store),
-            contexts: self.contexts.iter().map(|c| ContextView {
-                node: &c.node,
-                workload: &c.workload,
-                truncated: c.truncated,
-                tail: &c.tail,
-            }),
+            store: &self.store,
+            contexts: self.contexts.iter().map(ContextView::from),
         })
     }
 
@@ -162,10 +159,10 @@ impl TenantSnapshot {
     /// image, carry no `SRVT` section, were written in another snapshot
     /// version, or fail any check of the module-level layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
-        let image = decode(bytes, parse_config)?;
+        let (config, image) = decode(bytes, parse_config)?;
         Ok(TenantSnapshot {
             version: SNAPSHOT_VERSION,
-            config: image.config,
+            config,
             store: image.store,
             lifetime_ticks: image.lifetime_ticks,
             contexts: image.contexts,
@@ -183,23 +180,32 @@ pub(crate) struct ContextView<'a> {
     pub tail: &'a [f64],
 }
 
+impl<'a> From<&'a ContextState> for ContextView<'a> {
+    fn from(c: &'a ContextState) -> Self {
+        ContextView {
+            node: &c.node,
+            workload: &c.workload,
+            truncated: c.truncated,
+            tail: &c.tail,
+        }
+    }
+}
+
 /// Borrowed views of everything one image holds: what [`encode`] reads.
-pub(crate) struct Parts<'a, M, I, C> {
+pub(crate) struct Parts<'a, C> {
     pub version: u32,
     pub lifetime_ticks: u64,
     /// The config row, already serialized.
     pub config: &'a str,
-    pub store: StoreRows<'a, M, I>,
+    pub store: &'a ModelStore,
     pub contexts: C,
 }
 
 /// The snapshot encoder: writes `parts` as a row-free `IXHIST01` image in
 /// one pass, into one buffer sized up front (see the module-level layout
 /// table).
-pub(crate) fn encode<'a, M, I, C>(parts: Parts<'a, M, I, C>) -> Vec<u8>
+pub(crate) fn encode<'a, C>(parts: Parts<'a, C>) -> Vec<u8>
 where
-    M: ExactSizeIterator<Item = (Key<'a>, ModelFields<'a>)> + Clone,
-    I: ExactSizeIterator<Item = (Key<'a>, &'a InvariantSet)> + Clone,
     C: ExactSizeIterator<Item = ContextView<'a>> + Clone,
 {
     let mut image = SectionImage::new(SERVE_SECTION, payload_len(&parts));
@@ -209,7 +215,7 @@ where
     w.u64(parts.lifetime_ticks);
     w.bytes(parts.config.as_bytes());
 
-    parts.store.write(w);
+    codec::store_rows(parts.store).write(w);
 
     w.u32_field(parts.contexts.len());
     for c in parts.contexts {
@@ -231,10 +237,8 @@ where
 
 /// The exact `SRVT` payload length [`encode`] writes for `parts`; each
 /// term is a row of the module-level layout table.
-fn payload_len<'a, M, I, C>(parts: &Parts<'a, M, I, C>) -> usize
+fn payload_len<'a, C>(parts: &Parts<'a, C>) -> usize
 where
-    M: ExactSizeIterator<Item = (Key<'a>, ModelFields<'a>)> + Clone,
-    I: ExactSizeIterator<Item = (Key<'a>, &'a InvariantSet)> + Clone,
     C: Iterator<Item = ContextView<'a>> + Clone,
 {
     let text = |len: usize| 4 + len;
@@ -246,27 +250,44 @@ where
             text(c.node.len()) + text(c.workload.len()) + 1 + 4 + ticks
         })
         .sum();
-    HEADER_BYTES + 8 + text(parts.config.len()) + parts.store.encoded_len() + 4 + contexts
+    let store = codec::store_rows(parts.store).encoded_len();
+    HEADER_BYTES + 8 + text(parts.config.len()) + store + 4 + contexts
 }
 
-/// A decoded image, its config read by the caller's `read_config`.
-pub(crate) struct Decoded<C> {
-    pub config: C,
-    pub store: ModelStore,
+/// A tenant's state, decoded: everything an image holds but its config
+/// row. An in-memory cold tenant is one of these — captured from the
+/// live engine at eviction, or decoded once at adopt — and a warm moves
+/// it into a fresh engine.
+#[derive(Debug)]
+pub(crate) struct TenantImage {
     pub lifetime_ticks: u64,
+    pub store: ModelStore,
     pub contexts: Vec<ContextState>,
+}
+
+impl TenantImage {
+    /// The image's bytes under the config row `config`.
+    pub fn to_bytes(&self, config: &str) -> Vec<u8> {
+        encode(Parts {
+            version: SNAPSHOT_VERSION,
+            lifetime_ticks: self.lifetime_ticks,
+            config,
+            store: &self.store,
+            contexts: self.contexts.iter().map(ContextView::from),
+        })
+    }
 }
 
 /// The snapshot decoder: reads the `SRVT` payload in place through
 /// [`section_in`] (which accepts exactly the containers
 /// [`ix_history::HistoryStore::from_bytes`] does), then checks and reads
-/// it. `read_config` turns the config row into `C`, in the place
-/// the layout has it, so its refusals come in the same order as the
-/// rest of the body's.
+/// it into the config `read_config` makes of the config row and the
+/// image. `read_config` runs in the place the layout has the row, so its
+/// refusals come in the same order as the rest of the body's.
 pub(crate) fn decode<C>(
     bytes: &[u8],
     read_config: impl FnOnce(&str) -> Result<C, HistoryFileError>,
-) -> Result<Decoded<C>, ServeError> {
+) -> Result<(C, TenantImage), ServeError> {
     let payload = section_in(bytes, SERVE_SECTION)
         .map_err(|e| ServeError::Snapshot(format!("container: {e}")))?
         .ok_or_else(|| ServeError::Snapshot("no SRVT section".to_string()))?;
@@ -315,7 +336,7 @@ fn malformed(msg: String) -> HistoryFileError {
 fn decode_body<C>(
     r: &mut Reader<'_>,
     read_config: impl FnOnce(&str) -> Result<C, HistoryFileError>,
-) -> Result<Decoded<C>, HistoryFileError> {
+) -> Result<(C, TenantImage), HistoryFileError> {
     let lifetime_ticks = r.u64()?;
     let config = read_config(r.str()?)?;
 
@@ -357,12 +378,14 @@ fn decode_body<C>(
     if r.remaining() != 0 {
         return Err(malformed(format!("{} trailing bytes", r.remaining())));
     }
-    Ok(Decoded {
+    Ok((
         config,
-        store,
-        lifetime_ticks,
-        contexts,
-    })
+        TenantImage {
+            lifetime_ticks,
+            store,
+            contexts,
+        },
+    ))
 }
 
 /// The body checksum. Four lanes take turns absorbing the 8-byte words
@@ -403,8 +426,8 @@ fn checksum(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use ix_core::{
-        InvariantEntry, OperationContext, ResidualStats, Signature, StoredPerformanceModel,
-        ViolationTuple,
+        InvariantEntry, InvariantSet, OperationContext, ResidualStats, Signature,
+        StoredPerformanceModel, ViolationTuple,
     };
     use ix_history::HistoryStore;
 
@@ -713,6 +736,22 @@ mod tests {
         fleet.warm(&tenant).expect("warm");
         assert!(fleet.is_warm(&tenant));
         assert_continues_like(&source, &fleet, &tenant, &ctx);
+    }
+
+    #[test]
+    fn an_adopted_snapshot_is_served_under_the_fleets_config_row() {
+        // An adopted tenant is held as its decoded image, so its snapshot
+        // bytes are encoded again, under the fleet's own config row: the
+        // legacy row's retired field is not served back.
+        let legacy = include_bytes!("../tests/data/legacy_config_snapshot.ixh").to_vec();
+        let tenant = crate::TenantId::new("legacy").expect("valid");
+        let (source, _) = source_fleet(&tenant);
+        let current = source.snapshot_bytes(&tenant).expect("snapshot");
+        let fleet = crate::Fleet::builder().build();
+        fleet.adopt(tenant.clone(), legacy.clone()).expect("adopt");
+        let served = fleet.snapshot_bytes(&tenant).expect("cold");
+        assert_ne!(served, legacy);
+        assert_eq!(served, current);
     }
 
     fn row(t: usize) -> Vec<f64> {

@@ -679,67 +679,101 @@ fn finish(r: &Reader<'_>, what: &str) -> Result<(), ServeError> {
     }
 }
 
-/// Reads length-prefixed frames into one reused buffer. A read that
-/// fails — a socket read timeout included — keeps what the frame had so
-/// far, and the next call resumes it, so a peer that stalls mid-frame
-/// loses nothing.
+/// Bytes a connection's [`FrameReader`] asks its stream for at the
+/// least: a served request or reply fits whole, so one `read` brings in
+/// one frame.
+const READ_AHEAD: usize = 4096;
+
+/// Reads length-prefixed frames for one connection, reading ahead into
+/// one reused buffer and handing out whole frames from it: a frame that
+/// arrived at once costs one `read`, whatever its size. A read that
+/// fails — a socket read timeout included — keeps what the buffer had,
+/// and the next call resumes there, so a peer that stalls mid-frame
+/// loses nothing. The buffer never grows past the larger of
+/// [`READ_AHEAD`] and the largest frame allowed; a frame whose prefix
+/// declares more is refused before it grows.
 #[derive(Debug, Default)]
 pub(crate) struct FrameReader {
-    prefix: [u8; 4],
-    /// Bytes of the current frame read so far: of the prefix until
-    /// `len` is known, then of the body.
-    filled: usize,
-    /// The current frame's declared body length, once its prefix is in.
-    len: Option<usize>,
-    body: Vec<u8>,
+    /// Bytes read and not yet handed out are `buf[start..end]`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
-    /// Reads the rest of the current frame and returns its body, or
-    /// `None` at a clean EOF (the peer closed between frames).
+    /// Returns the next frame's body, reading more of the stream only
+    /// when the buffer does not hold all of it, or `None` at a clean EOF
+    /// (the peer closed between frames).
     ///
     /// # Errors
     ///
     /// [`ServeError::FrameTooLarge`] when the declared length exceeds
-    /// `max` (checked *before* allocating); [`ServeError::Io`] on socket
-    /// errors, including an EOF inside a frame. After a `WouldBlock` or
-    /// `TimedOut` error, calling again resumes the frame.
+    /// `max` (checked *before* the buffer grows); [`ServeError::Io`] on
+    /// socket errors, including an EOF inside a frame. After a
+    /// `WouldBlock` or `TimedOut` error, calling again resumes the frame.
     pub fn read(
         &mut self,
         reader: &mut impl Read,
         max: usize,
     ) -> Result<Option<&[u8]>, ServeError> {
-        let len = match self.len {
-            Some(len) => len,
-            None => {
-                while self.filled < self.prefix.len() {
-                    match read_some(reader, &mut self.prefix[self.filled..])? {
-                        0 if self.filled == 0 => return Ok(None),
-                        0 => return Err(eof("EOF inside a frame length prefix")),
-                        n => self.filled += n,
-                    }
-                }
-                self.filled = 0;
-                let len = u32::from_le_bytes(self.prefix) as usize;
-                if len > max {
-                    return Err(ServeError::FrameTooLarge { len, max });
-                }
-                self.body.clear();
-                self.body.resize(len, 0);
-                self.len = Some(len);
-                len
+        loop {
+            let held = self.end - self.start;
+            if held == 0 {
+                // Nothing held: the next read lands at the front.
+                (self.start, self.end) = (0, 0);
             }
-        };
-        while self.filled < len {
-            match read_some(reader, &mut self.body[self.filled..])? {
+            let need = match self.buf.get(self.start..self.start + 4) {
+                Some(&[a, b, c, d]) if held >= 4 => 4 + frame_len([a, b, c, d], max)?,
+                _ => 4,
+            };
+            if held >= need {
+                let body = self.start + 4..self.start + need;
+                self.start += need;
+                return Ok(Some(&self.buf[body]));
+            }
+            if self.start + need > self.buf.len() {
+                // The frame's tail would not fit behind it: move what is
+                // held to the front, and grow to hold the whole frame.
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, held);
+                if need > self.buf.len() {
+                    self.buf.resize(need.max(READ_AHEAD.min(max + 4)), 0);
+                }
+            }
+            match read_some(reader, &mut self.buf[self.end..])? {
+                0 if held == 0 => return Ok(None),
+                0 if held < 4 => return Err(eof("EOF inside a frame length prefix")),
                 0 => return Err(eof("EOF inside a frame body")),
-                n => self.filled += n,
+                n => self.end += n,
             }
         }
-        self.filled = 0;
-        self.len = None;
-        Ok(Some(&self.body))
     }
+}
+
+/// The body length a frame's 4-byte prefix declares.
+///
+/// # Errors
+///
+/// [`ServeError::FrameTooLarge`] when it exceeds `max`.
+fn frame_len(prefix: [u8; 4], max: usize) -> Result<usize, ServeError> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > max {
+        return Err(ServeError::FrameTooLarge { len, max });
+    }
+    Ok(len)
+}
+
+/// Fills `buf` from `reader`, one `read` at a time; returns how many
+/// bytes arrived before an EOF.
+fn fill(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match read_some(reader, &mut buf[filled..])? {
+            0 => break,
+            n => filled += n,
+        }
+    }
+    Ok(filled)
 }
 
 /// One `read`, retried when a signal interrupts it.
@@ -756,8 +790,8 @@ fn eof(msg: &str) -> ServeError {
     ServeError::Io(std::io::Error::new(ErrorKind::UnexpectedEof, msg))
 }
 
-/// Reads one length-prefixed frame body, or `None` at a clean EOF (the
-/// peer closed between frames).
+/// Reads exactly one length-prefixed frame body — nothing past it is
+/// consumed — or `None` at a clean EOF (the peer closed between frames).
 ///
 /// # Errors
 ///
@@ -765,9 +799,18 @@ fn eof(msg: &str) -> ServeError {
 /// (checked *before* allocating); [`ServeError::Io`] on socket errors,
 /// including an EOF inside a frame.
 pub fn read_frame(reader: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, ServeError> {
-    let mut frames = FrameReader::default();
-    let read = frames.read(reader, max)?.is_some();
-    Ok(read.then_some(frames.body))
+    let mut prefix = [0; 4];
+    match fill(reader, &mut prefix)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(eof("EOF inside a frame length prefix")),
+    }
+    let len = frame_len(prefix, max)?;
+    let mut body = Vec::with_capacity(len);
+    if reader.take(len as u64).read_to_end(&mut body)? < len {
+        return Err(eof("EOF inside a frame body"));
+    }
+    Ok(Some(body))
 }
 
 /// Writes one length-prefixed frame.
@@ -994,6 +1037,22 @@ mod tests {
         assert!(read_frame(&mut r, 1024).expect("eof").is_none());
     }
 
+    #[test]
+    fn an_eof_inside_a_frame_is_an_error() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, b"abcdef").expect("write");
+        let unexpected =
+            |e: ServeError| matches!(e, ServeError::Io(e) if e.kind() == ErrorKind::UnexpectedEof);
+        for cut in 1..stream.len() {
+            let err = read_frame(&mut &stream[..cut], 1024).expect_err("cut");
+            assert!(unexpected(err), "read_frame, cut at {cut}");
+            let err = FrameReader::default()
+                .read(&mut &stream[..cut], 1024)
+                .expect_err("cut");
+            assert!(unexpected(err), "FrameReader, cut at {cut}");
+        }
+    }
+
     /// Hands out its bytes three at a time, failing with `WouldBlock`
     /// between the reads, as a socket with a read timeout does when the
     /// peer stalls.
@@ -1035,6 +1094,104 @@ mod tests {
             }
         }
         assert_eq!(bodies, vec![b"hello".to_vec(), b"world!".to_vec()]);
+    }
+
+    /// Hands out one written frame per `read` at most, as a socket does
+    /// when each request arrives in its own segment, and counts the
+    /// reads.
+    struct Segments {
+        frames: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for Segments {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(frame) = self.frames.front_mut() else {
+                return Ok(0);
+            };
+            let n = buf.len().min(frame.len());
+            buf[..n].copy_from_slice(&frame[..n]);
+            frame.drain(..n);
+            if frame.is_empty() {
+                self.frames.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_connection_reads_each_frame_with_one_read() {
+        const FRAMES: usize = 16;
+        let request = encode_request(&RequestFrame {
+            tenant: TenantId::new("counted").expect("valid"),
+            op: Op::Ingest,
+            payload: encode_binary(&IngestRequest {
+                node: "10.0.0.1".to_string(),
+                workload: "Sort".to_string(),
+                cpi: 1.5,
+                row: vec![0.25; 26],
+            }),
+        });
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &request).expect("write");
+        let mut stream = Segments {
+            frames: vec![frame; FRAMES].into(),
+            reads: 0,
+        };
+        let mut frames = FrameReader::default();
+        for _ in 0..FRAMES {
+            let body = frames.read(&mut stream, 1024).expect("read");
+            assert_eq!(body, Some(request.as_slice()));
+        }
+        assert_eq!(stream.reads, FRAMES, "reads for {FRAMES} ingest requests");
+        assert!(frames.read(&mut stream, 1024).expect("eof").is_none());
+        assert_eq!(stream.reads, FRAMES + 1, "the clean EOF costs one read");
+    }
+
+    #[test]
+    fn frames_already_read_ahead_cost_no_read() {
+        let mut stream = Vec::new();
+        for body in [b"one".as_slice(), b"two", b"three"] {
+            write_frame(&mut stream, body).expect("write");
+        }
+        let mut stream = Segments {
+            frames: vec![stream].into(),
+            reads: 0,
+        };
+        let mut frames = FrameReader::default();
+        for body in [b"one".as_slice(), b"two", b"three"] {
+            assert_eq!(frames.read(&mut stream, 1024).expect("read"), Some(body));
+        }
+        assert_eq!(stream.reads, 1, "three frames in one segment");
+        // A clean EOF after the buffered frames.
+        assert!(frames.read(&mut stream, 1024).expect("eof").is_none());
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_before_the_buffer_grows() {
+        let max = 1024;
+        let mut stream = ((max + 1) as u32).to_le_bytes().to_vec();
+        stream.resize(4 + max + 1, 0);
+        let mut frames = FrameReader::default();
+        let err = frames
+            .read(&mut stream.as_slice(), max)
+            .expect_err("too large");
+        assert!(matches!(
+            err,
+            ServeError::FrameTooLarge {
+                len: 1025,
+                max: 1024
+            }
+        ));
+        assert!(frames.buf.len() <= max + 4, "grew to {}", frames.buf.len());
+        // A frame of exactly `max` fits in `max + 4`.
+        let mut stream = (max as u32).to_le_bytes().to_vec();
+        stream.resize(4 + max, 7);
+        let mut frames = FrameReader::default();
+        let body = frames.read(&mut stream.as_slice(), max).expect("read");
+        assert_eq!(body.map(<[u8]>::len), Some(max));
+        assert_eq!(frames.buf.len(), max + 4);
     }
 
     #[test]

@@ -157,9 +157,15 @@ fn trained_tenant_snapshot_bytes_are_pinned() {
     assert_eq!(bytes.len(), 7719, "trained tenant snapshot bytes");
 }
 
-/// The allocations of one `Fleet::evict` and one `Fleet::warm` of the
-/// trained tenant after `tail` ingested ticks.
-fn evict_and_warm_allocations(name: &str, tail: usize) -> (u64, u64) {
+/// What one `Fleet::evict` and one `Fleet::warm` of the trained tenant
+/// after `tail` ingested ticks allocate.
+struct Cycle {
+    evict: u64,
+    evict_bytes: u64,
+    warm: u64,
+}
+
+fn evict_and_warm_allocations(name: &str, tail: usize) -> Cycle {
     let t = template();
     let tenant = TenantId::new(name).expect("valid");
     let fleet = started_fleet(&tenant);
@@ -168,26 +174,32 @@ fn evict_and_warm_allocations(name: &str, tail: usize) -> (u64, u64) {
             .ingest(&tenant, &t.context, *cpi, row)
             .expect("ingest");
     }
-    let (evicted, evict, _) = counted(|| fleet.evict(&tenant));
+    let (evicted, evict, evict_bytes) = counted(|| fleet.evict(&tenant));
     evicted.expect("evict");
     let (warmed, warm, _) = counted(|| fleet.warm(&tenant));
     warmed.expect("warm");
     assert!(fleet.is_warm(&tenant));
-    (evict, warm)
+    Cycle {
+        evict,
+        evict_bytes,
+        warm,
+    }
 }
 
 #[test]
 fn evict_and_warm_allocations_are_pinned() {
-    // The eviction encodes the live engine in place: the known-context
-    // list and its two strings, the shard's key list, the model and
-    // invariant-set lists, and the one image buffer (7). The warm reads
-    // the image in place (no payload copy), decodes the store rows and
-    // signatures and the context's tail into one flat buffer, rebuilds
-    // the engine, moves the store into it and replays the tail into a
-    // detector run sized for it up front (47).
+    // An in-memory eviction encodes nothing: the cold image is the
+    // engine's trained store as `Engine::snapshot_state` copies it — the
+    // context list and its two strings (4), the model and the invariant
+    // set with their keys and map nodes (10), the signature database and
+    // its two signatures (9) — and the slot's run tails, moved (23). The
+    // warm decodes nothing: it builds the engine, moves the store into it
+    // and replays the tail into a detector run sized for it up front
+    // (28).
+    let cycle = evict_and_warm_allocations("cycled", WARM_TICKS);
     assert_eq!(
-        evict_and_warm_allocations("cycled", WARM_TICKS),
-        (7, 47),
+        (cycle.evict, cycle.warm),
+        (23, 28),
         "allocations of one Fleet::evict and one Fleet::warm of the trained \
          tenant with a {WARM_TICKS}-tick tail"
     );
@@ -195,15 +207,28 @@ fn evict_and_warm_allocations_are_pinned() {
 
 #[test]
 fn warm_allocations_do_not_grow_with_the_tail() {
-    // A tail decodes into one buffer sized from its count, and replaying
-    // it fills the engine's preallocated window and a detector run that
-    // reserves the tail's length once: 8 ticks and 48 ticks cost the
-    // same.
-    let (_, short) = evict_and_warm_allocations("short", WARM_TICKS);
-    let (_, long) = evict_and_warm_allocations("long", 48);
+    // Replaying a tail fills the engine's preallocated window and a
+    // detector run that reserves the tail's length once: 8 ticks and 48
+    // ticks cost the same.
+    let short = evict_and_warm_allocations("short", WARM_TICKS);
+    let long = evict_and_warm_allocations("long", 48);
     assert_eq!(
-        short, long,
+        short.warm, long.warm,
         "allocations of one Fleet::warm with an 8-tick and a 48-tick tail"
+    );
+}
+
+#[test]
+fn evict_bytes_do_not_grow_with_the_tail() {
+    // The tails move into the cold image; only the trained store is
+    // copied, so an 8-tick and a 48-tick tail request the same bytes.
+    let short = evict_and_warm_allocations("short-evict", WARM_TICKS);
+    let long = evict_and_warm_allocations("long-evict", 48);
+    assert_eq!(
+        (short.evict, short.evict_bytes),
+        (long.evict, long.evict_bytes),
+        "allocations and bytes of one Fleet::evict with an 8-tick and a \
+         48-tick tail"
     );
 }
 

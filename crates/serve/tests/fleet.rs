@@ -7,6 +7,8 @@
 //! twin. The same fault run then streams into both, with the fleet
 //! tenant force-evicted (and lazily warmed) at a proptest-chosen tick.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ix_core::{
@@ -139,15 +141,63 @@ fn template() -> &'static Template {
     })
 }
 
+/// A directory of its own under the system temp dir, removed on drop.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(name: &str) -> ScratchDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ix-serve-{name}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        ScratchDir(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// The two forms a cold tenant takes: its decoded image in memory, or
+/// its snapshot file under a snapshot directory. Only the file form runs
+/// the snapshot codec on the way.
+#[derive(Debug, Clone, Copy)]
+enum Cold {
+    Memory,
+    File,
+}
+
+/// A fleet builder evicting to `cold`, with a directory kept alive as
+/// long as the returned guard when the form is a file.
+fn evicting_to(cold: Cold, name: &str) -> (ix_serve::FleetBuilder, Option<ScratchDir>) {
+    match cold {
+        Cold::Memory => (Fleet::builder(), None),
+        Cold::File => {
+            let dir = ScratchDir::new(name);
+            (Fleet::builder().snapshot_dir(dir.path()), Some(dir))
+        }
+    }
+}
+
 /// Per-tick outcome fields that must match between the twins.
 type Outcome = (usize, u64, bool, bool, Option<ix_core::Diagnosis>);
 
-fn run_twin_pair(evict_at: usize) -> Result<(), ServeError> {
+fn run_twin_pair(evict_at: usize, cold: Cold) -> Result<(), ServeError> {
     let t = template();
     let tenant = TenantId::new("twin")?;
 
     let fleet_sink = Arc::new(VecSink::default());
-    let fleet = Fleet::builder()
+    let (builder, _dir) = evicting_to(cold, "twin");
+    let fleet = builder
         .event_sink(fleet_sink.clone() as Arc<dyn EventSink>)
         .build();
     fleet.with_engine(&tenant, |e| e.load_state(&t.store))??;
@@ -188,7 +238,7 @@ fn run_twin_pair(evict_at: usize) -> Result<(), ServeError> {
     assert_eq!(
         fleet_outcomes, twin_outcomes,
         "tick outcomes (residual bits, flags, full diagnoses) must be \
-         bit-identical across an evict→snapshot→warm cycle at tick {evict_at}"
+         bit-identical across an evict→warm cycle at tick {evict_at} ({cold:?})"
     );
     assert!(
         fleet_outcomes.iter().any(|(_, _, _, _, d)| d.is_some()),
@@ -218,7 +268,8 @@ proptest! {
     fn evicted_tenant_is_bit_identical_to_a_never_evicted_twin(
         evict_at in 1usize..88
     ) {
-        run_twin_pair(evict_at).expect("twin run");
+        run_twin_pair(evict_at, Cold::Memory).expect("twin run in memory");
+        run_twin_pair(evict_at, Cold::File).expect("twin run through a file");
     }
 }
 
@@ -226,7 +277,8 @@ proptest! {
 fn eviction_mid_anomaly_window_is_bit_identical() {
     // The fault injects around the run's middle; evicting inside the
     // anomalous region stresses the edge-tracker restore.
-    run_twin_pair(55).expect("twin run");
+    run_twin_pair(55, Cold::Memory).expect("twin run in memory");
+    run_twin_pair(55, Cold::File).expect("twin run through a file");
 }
 
 #[test]
@@ -272,6 +324,28 @@ fn non_finite_cpi_is_refused_and_the_tenant_still_evicts_and_warms() {
         assert_eq!(a.tick, b.tick);
         assert_eq!(a.residual.to_bits(), b.residual.to_bits());
         assert_eq!(a.diagnosis, b.diagnosis);
+    }
+}
+
+#[test]
+fn a_run_reset_on_a_context_without_a_model_still_warms() {
+    // `reset_run` tracks an empty run for a context the engine has no
+    // model for; its warm resets the run instead of restoring it onto a
+    // detector the context never had.
+    let t = template();
+    let tenant = TenantId::new("reset").expect("valid");
+    let untrained = OperationContext::new("10.9.9.9", "Sort");
+    for cold in [Cold::Memory, Cold::File] {
+        let (builder, _dir) = evicting_to(cold, "reset");
+        let fleet = builder.build();
+        fleet
+            .with_engine(&tenant, |e| e.load_state(&t.store))
+            .expect("materialize")
+            .expect("load");
+        fleet.reset_run(&tenant, &untrained).expect("reset");
+        fleet.evict(&tenant).expect("evict");
+        fleet.warm(&tenant).expect("warm");
+        assert!(fleet.is_warm(&tenant), "{cold:?}");
     }
 }
 
@@ -420,11 +494,18 @@ fn snapshot_bytes_are_deterministic_and_match_what_eviction_stores() {
     assert_eq!(snapshot.contexts.len(), 6);
 }
 
-#[test]
-fn snapshot_bytes_equal_the_model_store_path_when_context_forms_collide() {
-    // `c@a` on node `b` and `c` on node `a@b` share the store key
-    // `c@a@b`. A `ModelStore` built in context order keeps the second
-    // model under it; the fleet's image must spell exactly that store.
+/// `c@a` on node `b` and `c` on node `a@b`, which share the store key
+/// `c@a@b`.
+fn colliding() -> [OperationContext; 2] {
+    [
+        OperationContext::new("b", "c@a"),
+        OperationContext::new("a@b", "c"),
+    ]
+}
+
+/// Loads the template into `tenant` and trains a distinct model for each
+/// [`colliding`] context; returns the engine's store.
+fn train_colliding(fleet: &Fleet, tenant: &TenantId) -> ModelStore {
     let t = template();
     let runner = Runner::new(11);
     let traces: Vec<Vec<f64>> = runner
@@ -432,14 +513,9 @@ fn snapshot_bytes_equal_the_model_store_path_when_context_forms_collide() {
         .iter()
         .map(|r| r.per_node[Runner::DEFAULT_FAULT_NODE].cpi.cpi_series())
         .collect();
-    let colliding = [
-        OperationContext::new("b", "c@a"),
-        OperationContext::new("a@b", "c"),
-    ];
-    let tenant = TenantId::new("collide").expect("valid");
-    let fleet = Fleet::builder().build();
-    let store = fleet
-        .with_engine(&tenant, |e| {
+    let colliding = colliding();
+    fleet
+        .with_engine(tenant, |e| {
             e.load_state(&t.store)?;
             e.train_performance_model(colliding[0].clone(), &traces[..3])?;
             e.train_performance_model(colliding[1].clone(), &traces[1..])?;
@@ -450,7 +526,17 @@ fn snapshot_bytes_equal_the_model_store_path_when_context_forms_collide() {
             Ok::<_, CoreError>(e.snapshot_state())
         })
         .expect("materialize")
-        .expect("train");
+        .expect("train")
+}
+
+#[test]
+fn snapshot_bytes_equal_the_model_store_path_when_context_forms_collide() {
+    // A `ModelStore` built in context order keeps the second colliding
+    // model under the shared key; the fleet's image must spell exactly
+    // that store.
+    let tenant = TenantId::new("collide").expect("valid");
+    let fleet = Fleet::builder().build();
+    let store = train_colliding(&fleet, &tenant);
     assert_eq!(
         store.performance_models.len(),
         2,
@@ -460,6 +546,78 @@ fn snapshot_bytes_equal_the_model_store_path_when_context_forms_collide() {
     assert_eq!(fleet.snapshot_bytes(&tenant).expect("snapshot"), expected);
     fleet.evict(&tenant).expect("evict");
     fleet.warm(&tenant).expect("warm");
+}
+
+#[test]
+fn an_in_memory_cold_tenant_serves_the_bytes_its_snapshot_file_holds() {
+    // The same tenants, evicted in memory by one fleet and to files by
+    // another: Op::Snapshot of the in-memory image is the file, byte for
+    // byte, and both are what the live tenant served.
+    let t = template();
+    let dir = ScratchDir::new("both-forms");
+    let memory = Fleet::builder().build();
+    let files = Fleet::builder().snapshot_dir(dir.path()).build();
+    let tailed = TenantId::new("tailed").expect("valid");
+    let collide = TenantId::new("collide").expect("valid");
+    for fleet in [&memory, &files] {
+        fleet
+            .with_engine(&tailed, |e| e.load_state(&t.store))
+            .expect("materialize")
+            .expect("load");
+        train_colliding(fleet, &collide);
+        for (cpi, row) in &t.ticks[..10] {
+            for tenant in [&tailed, &collide] {
+                fleet.ingest(tenant, &t.context, *cpi, row).expect("ingest");
+            }
+        }
+    }
+    for tenant in [&tailed, &collide] {
+        let live = memory.snapshot_bytes(tenant).expect("live");
+        assert_eq!(files.snapshot_bytes(tenant).expect("live"), live);
+        memory.evict(tenant).expect("evict in memory");
+        files.evict(tenant).expect("evict to a file");
+        let file = std::fs::read(dir.path().join(format!("{tenant}.ixhist"))).expect("file");
+        assert_eq!(file, live, "{tenant}: the file eviction wrote");
+        assert_eq!(
+            memory.snapshot_bytes(tenant).expect("cold"),
+            file,
+            "{tenant}: Op::Snapshot of the in-memory image"
+        );
+    }
+}
+
+#[test]
+fn a_failed_warm_leaves_the_cold_tenant_whole() {
+    // A tick tracked on the colliding context whose model the shared key
+    // drops: the warm finds no model to restore its run onto and fails.
+    // In either cold form, the tenant stays cold with the same image.
+    let t = template();
+    let [shadowed, _] = colliding();
+    let tenant = TenantId::new("collide").expect("valid");
+    for cold in [Cold::Memory, Cold::File] {
+        let (builder, _dir) = evicting_to(cold, "failed-warm");
+        let fleet = builder.build();
+        train_colliding(&fleet, &tenant);
+        let (cpi, row) = &t.ticks[0];
+        fleet.ingest(&tenant, &shadowed, *cpi, row).expect("ingest");
+        fleet.evict(&tenant).expect("evict");
+        let cold_bytes = fleet.snapshot_bytes(&tenant).expect("cold");
+        for attempt in 0..2 {
+            assert!(
+                matches!(
+                    fleet.warm(&tenant),
+                    Err(ServeError::Core(CoreError::NoPerformanceModel(ref c))) if *c == shadowed
+                ),
+                "{cold:?} warm {attempt}"
+            );
+            assert!(!fleet.is_warm(&tenant));
+            assert_eq!(
+                fleet.snapshot_bytes(&tenant).expect("still cold"),
+                cold_bytes,
+                "{cold:?}: the image after failed warm {attempt}"
+            );
+        }
+    }
 }
 
 /// A snapshot of a tenant 10 ticks into the template's run.
