@@ -2,8 +2,8 @@
 //! one Wordcount context streaming a simulated MemHog fault run into a
 //! replayable (header-stamped) trace.
 //!
-//! [`train_wordcount`] is the one training recipe the `perf` sections
-//! share; [`record_fault_scenario`] is shared by `diagnose replay
+//! [`train_wordcount`] (on the inputs of [`WordcountTraining`]) is the
+//! one training recipe the `perf` sections share; [`record_fault_scenario`] is shared by `diagnose replay
 //! --record` and `perf`'s replay section, so both exercise the identical
 //! record → ship → replay path.
 
@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use ix_core::{CoreError, Engine, EngineBuilder, InvarNetConfig, OperationContext};
 use ix_history::HistoryStore;
+use ix_metrics::MetricFrame;
 use ix_replay::RecordingSession;
 use ix_simulator::{FaultType, RunResult, Runner, WorkloadType};
 
@@ -26,39 +27,76 @@ pub struct TrainedContext {
     pub normals: Vec<RunResult>,
 }
 
+/// What [`train_wordcount`] trains on, generated once: four normal
+/// Wordcount runs of `seed`'s simulator, their CPI traces and their
+/// `30..75` tick windows.
+pub struct WordcountTraining {
+    /// The context trained (`Runner::DEFAULT_FAULT_NODE`'s Wordcount).
+    pub context: OperationContext,
+    /// The simulator the runs came from.
+    pub runner: Runner,
+    /// The four normal runs.
+    pub normals: Vec<RunResult>,
+    cpi_traces: Vec<Vec<f64>>,
+    frames: Vec<MetricFrame>,
+}
+
+impl WordcountTraining {
+    /// Generates the runs of `seed`'s simulator.
+    pub fn new(seed: u64) -> Self {
+        let runner = Runner::new(seed);
+        let node = Runner::DEFAULT_FAULT_NODE;
+        let workload = WorkloadType::Wordcount;
+        let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
+        let normals = runner.normal_runs(workload, 4);
+        let cpi_traces = normals
+            .iter()
+            .map(|r| r.per_node[node].cpi.cpi_series())
+            .collect();
+        let frames = normals
+            .iter()
+            .map(|r| {
+                let f = &r.per_node[node].frame;
+                f.window(30..75.min(f.ticks()))
+            })
+            .collect();
+        WordcountTraining {
+            context,
+            runner,
+            normals,
+            cpi_traces,
+            frames,
+        }
+    }
+
+    /// Trains the context on `engine`: the performance model on the runs'
+    /// CPI, the invariants on their windows. Callers add their own
+    /// signatures.
+    ///
+    /// # Errors
+    ///
+    /// Any training error of the engine.
+    pub fn train(&self, engine: &Engine) -> Result<(), CoreError> {
+        engine.train_performance_model(self.context.clone(), &self.cpi_traces)?;
+        engine.build_invariants(self.context.clone(), &self.frames)
+    }
+}
+
 /// Trains a Wordcount context on `seed`'s simulator, on an engine built
-/// from `builder`: the performance model on four normal runs' CPI, the
-/// invariants on their `30..75` tick windows. Callers add their own
-/// signatures.
+/// from `builder` ([`WordcountTraining::train`]).
 ///
 /// # Errors
 ///
 /// Any training error of the engine.
 pub fn train_wordcount(seed: u64, builder: EngineBuilder) -> Result<TrainedContext, CoreError> {
-    let runner = Runner::new(seed);
-    let node = Runner::DEFAULT_FAULT_NODE;
-    let workload = WorkloadType::Wordcount;
-    let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
+    let training = WordcountTraining::new(seed);
     let engine = builder.build();
-    let normals = runner.normal_runs(workload, 4);
-    let cpi_traces: Vec<Vec<f64>> = normals
-        .iter()
-        .map(|r| r.per_node[node].cpi.cpi_series())
-        .collect();
-    engine.train_performance_model(context.clone(), &cpi_traces)?;
-    let frames: Vec<_> = normals
-        .iter()
-        .map(|r| {
-            let f = &r.per_node[node].frame;
-            f.window(30..75.min(f.ticks()))
-        })
-        .collect();
-    engine.build_invariants(context.clone(), &frames)?;
+    training.train(&engine)?;
     Ok(TrainedContext {
         engine,
-        context,
-        runner,
-        normals,
+        context: training.context,
+        runner: training.runner,
+        normals: training.normals,
     })
 }
 

@@ -44,13 +44,13 @@ use std::time::Instant;
 use ix_metrics::{MetricFrame, MetricId};
 
 use crate::anomaly::{DetectionResult, PerformanceModel};
-use crate::assoc::{pair_count, AssociationMatrix, PassScope, SweepPool};
+use crate::assoc::{pair_count, AssociationMatrix, PassPair, PassScope, SweepPool};
 use crate::config::{DetectorChoice, InvarNetConfig};
 use crate::context::OperationContext;
 use crate::cusum::CusumDetector;
 use crate::error::CoreError;
 use crate::incremental::{AdvanceOutcome, IncrementalSweep, ScreenOutcome};
-use crate::invariants::InvariantSet;
+use crate::invariants::{InvariantBands, InvariantSet};
 use crate::measure::AssociationMeasure;
 use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
 
@@ -95,11 +95,12 @@ pub struct Engine {
     health: HealthMonitor,
     queue: IngestQueue,
     /// Per-context sweep records, the one place sweep work is reused:
-    /// each context's last window, its pair scores and what each is worth
-    /// (fresh, bound, stale or unscored) and, once diagnosed, the plan
-    /// [`Engine::diagnosis_matrix_for`] scored it with and slides instead
-    /// of planning again. A budgeted pass cut short leaves its record
-    /// here too, so the next diagnosis resumes where it stopped.
+    /// each context's last diagnosed (or signature) window, its pair
+    /// scores and what each is worth (fresh, bound, stale or unscored),
+    /// and the plan [`Engine::diagnosis_matrix_for`] scored it with and
+    /// slides instead of planning again. A budgeted pass cut short leaves
+    /// its record here too, so the next diagnosis resumes where it
+    /// stopped.
     sweep_records: Mutex<HashMap<ContextId, IncrementalSweep>>,
 }
 
@@ -303,40 +304,16 @@ impl Engine {
     }
 
     /// Computes the pairwise association matrix of one frame under the
-    /// configured measure, on the persistent worker pool. The sweep is
-    /// attributed to no context, so it neither reuses nor records work.
+    /// configured measure, on the persistent worker pool: a full 325-pair
+    /// sweep, attributed to no context, so it neither reuses nor records
+    /// work.
     ///
     /// # Errors
     ///
     /// [`CoreError::FrameTooShort`] when the frame has too few ticks.
     pub fn association_matrix(&self, frame: &MetricFrame) -> Result<AssociationMatrix, CoreError> {
-        self.association_matrix_for(ContextId::UNATTRIBUTED, frame)
-    }
-
-    /// [`Engine::association_matrix`] with the sweep attributed to an
-    /// interned context (internal callers that know whose window this is):
-    /// a full 325-pair sweep, which then replaces the context's record.
-    pub(crate) fn association_matrix_for(
-        &self,
-        context: ContextId,
-        frame: &MetricFrame,
-    ) -> Result<AssociationMatrix, CoreError> {
         self.check_frame(frame)?;
-        let series = (!context.is_unattributed()).then(|| frame_series(frame));
-        // The matrix is a pure function of the frame's values under this
-        // engine's fixed measure, so an unchanged window
-        // (`violation_tuple` + `record_signature` on one frame) is served
-        // from the context's record bit-for-bit — as long as every one of
-        // its pairs is fresh (no slide or restricted pass left one stale).
-        if let Some(series) = &series {
-            let fresh = self.with_record(context, |record| {
-                (record.is_fresh() && record.is_window(series)).then(|| record.matrix())
-            });
-            if let Some(matrix) = fresh.flatten() {
-                self.note_health_ok(context);
-                return Ok(matrix);
-            }
-        }
+        let context = ContextId::UNATTRIBUTED;
         // lint: allow(determinism, telemetry-only: sweep micros feed a
         // SweepCompleted event; replay normalizes all recorded timings)
         let started = Instant::now();
@@ -350,10 +327,6 @@ impl Engine {
             pairs: pair_count(),
             micros: started.elapsed().as_micros() as u64,
         });
-        if let Some(series) = series {
-            let scores = matrix.scores().to_vec();
-            self.put_record(context, IncrementalSweep::new(series, scores));
-        }
         self.note_health_ok(context);
         Ok(matrix)
     }
@@ -416,13 +389,13 @@ impl Engine {
         let scope = self.pass_scope(context, budget, started);
         // An unchanged window is a zero-tick slide: rescored, never served
         // raw, since a pair an earlier pass left stale may be an invariant
-        // by now. A record with no plan to score its stale pairs goes cold.
+        // by now.
         let slid = record.as_mut().and_then(|slid| {
             if slid.advance(&series) == AdvanceOutcome::Unsupported {
                 return None;
             }
             let _span = Span::enter(&self.sink, EnginePhase::Screen, context);
-            slid.rescore(invariants, epsilon, &self.pool, &scope).ok()
+            Some(slid.rescore(invariants, epsilon, &self.pool, &scope))
         });
         let (record, outcome) = match (record, slid) {
             (Some(record), Some(outcome)) => (record, outcome),
@@ -501,19 +474,6 @@ impl Engine {
         }
     }
 
-    /// Runs `f` over `context`'s sweep record, if it has one.
-    fn with_record<R>(
-        &self,
-        context: ContextId,
-        f: impl FnOnce(&IncrementalSweep) -> R,
-    ) -> Option<R> {
-        self.sweep_records
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&context)
-            .map(f)
-    }
-
     /// Removes `context`'s sweep record for work outside the lock.
     fn take_record(&self, context: ContextId) -> Option<IncrementalSweep> {
         self.sweep_records
@@ -533,30 +493,60 @@ impl Engine {
     /// Runs Algorithm 1: builds the invariant set of a context from the
     /// metric frames of N normal runs.
     ///
+    /// Each frame is planned once and scores only the pairs whose band
+    /// over the frames before it is still narrower than τ: a rejected pair
+    /// stays rejected, so the set is the one [`InvariantSet::select`] picks
+    /// from full sweeps of the same frames, bit for bit. Each frame's pass
+    /// reports one [`EngineEvent::SweepCompleted`] with the pairs it
+    /// scored.
+    ///
     /// For comparability, pass frames windowed the same way diagnosis
     /// windows will be (association estimates depend on sample count).
     ///
     /// # Errors
     ///
-    /// [`CoreError::NotEnoughRuns`] / [`CoreError::FrameTooShort`].
+    /// [`CoreError::NotEnoughRuns`] / [`CoreError::FrameTooShort`], before
+    /// any frame is scored.
     pub fn build_invariants(
         &self,
         context: OperationContext,
         normal_frames: &[MetricFrame],
     ) -> Result<(), CoreError> {
-        if normal_frames.len() < self.config.min_training_runs {
+        let required = self.config.min_training_runs.max(1);
+        if normal_frames.len() < required {
             return Err(CoreError::NotEnoughRuns {
-                required: self.config.min_training_runs,
+                required,
                 got: normal_frames.len(),
             });
         }
+        for frame in normal_frames {
+            self.check_frame(frame)?;
+        }
         let id = self.intern_context(&context);
         let _span = Span::enter(&self.sink, EnginePhase::InvariantBuild, id);
-        let mut matrices = Vec::with_capacity(normal_frames.len());
+        let mut bands = InvariantBands::new(self.config.tau);
         for frame in normal_frames {
-            matrices.push(self.association_matrix_for(id, frame)?);
+            // lint: allow(determinism, telemetry-only: sweep micros feed a
+            // SweepCompleted event; replay normalizes all recorded timings)
+            let started = Instant::now();
+            let pass = {
+                let _span = Span::enter(&self.sink, EnginePhase::Sweep, id);
+                let scope = self.pass_scope(id, SweepBudget::UNLIMITED, started);
+                let plan = self.pool.plan(&self.measure, &frame_series(frame), &scope);
+                let pairs = bands.holding().map(PassPair::exact).collect();
+                self.pool.score_pairs(plan, pairs, &scope)
+            };
+            for (item, score) in pass.pairs.iter().zip(&pass.scores) {
+                bands.observe(item.pair, score.value());
+            }
+            self.sink.record(&EngineEvent::SweepCompleted {
+                context: id,
+                pairs: pass.scored,
+                micros: started.elapsed().as_micros() as u64,
+            });
+            self.note_health_ok(id);
         }
-        let set = Arc::new(InvariantSet::select(&matrices, self.config.tau));
+        let set = Arc::new(bands.finish());
         self.state
             .with_mut(&context, self.config.window_ticks, |s| {
                 s.invariants = Some(set);
@@ -565,7 +555,11 @@ impl Engine {
     }
 
     /// Builds the violation tuple of an abnormal window against the
-    /// context's invariants.
+    /// context's invariants, through the pass [`Engine::diagnose`] runs,
+    /// at full fidelity whatever the configured budget: it scores only the
+    /// invariant pairs, each only until it provably holds, and a window
+    /// the context's sweep record already holds (the one just diagnosed)
+    /// costs no kernel work.
     ///
     /// # Errors
     ///
@@ -578,12 +572,13 @@ impl Engine {
         let invariants = self
             .invariant_set(context)
             .ok_or_else(|| CoreError::NoInvariants(context.clone()))?;
-        let matrix = self.association_matrix_for(self.intern_context(context), abnormal)?;
-        Ok(ViolationTuple::build(
+        let verdict = self.diagnosis_matrix_for(
+            self.intern_context(context),
+            abnormal,
+            SweepBudget::UNLIMITED,
             &invariants,
-            &matrix,
-            self.config.epsilon,
-        ))
+        )?;
+        Ok(verdict.violation_tuple(&invariants, self.config.epsilon))
     }
 
     /// Records a signature for an investigated problem ("once the

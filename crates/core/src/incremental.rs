@@ -91,9 +91,8 @@ pub enum AdvanceOutcome {
         shift: usize,
     },
     /// The new window is not a bounded forward slide of the recorded one,
-    /// the record has no plan to slide, or the plan refused to slide. The
-    /// plan (if any) is dropped; the record keeps its last window and
-    /// scores. Run a full sweep.
+    /// or the record's plan does not slide ([`SweepPlan::incremental`]).
+    /// The record is untouched: run a cold pass over the new window.
     Unsupported,
 }
 
@@ -117,15 +116,6 @@ pub struct ScreenOutcome {
     pub unreached: usize,
 }
 
-/// Why a scoring pass over a record gave no answer. The record's scores
-/// and tags are untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PassError {
-    /// An invariant pair needs scoring and the record has no plan to
-    /// score it with: sweep from scratch.
-    Unplanned,
-}
-
 /// What a record's score for one pair is worth (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairState {
@@ -140,14 +130,13 @@ enum PairState {
     Unscored,
 }
 
-/// One context's record of its last full-fidelity pass: the window it
-/// reflects, the per-pair scores and their tags, and — when the record
-/// was written on the diagnosis path — the plan that scores and slides it.
+/// One context's record of its last pass: the window it reflects, the
+/// per-pair scores and their tags, and the plan that scores and slides it.
 pub struct IncrementalSweep {
     /// The window the record currently reflects, series-major.
     series: Vec<Vec<f64>>,
     /// The plan the record's pairs are scored against (profiles, for
-    /// MIC). A plan-less record only recognizes its own window again.
+    /// MIC). `None` only while a pass has lent it to the pool.
     plan: Option<Box<dyn SweepPlan>>,
     /// Per-pair scores, worth what `state` says.
     scores: Vec<f64>,
@@ -163,22 +152,6 @@ pub struct IncrementalSweep {
 }
 
 impl IncrementalSweep {
-    /// A plan-less record of a completed full sweep: `series` is the swept
-    /// window, `scores` its full score vector, every pair fresh. It can
-    /// serve the same window again, but any slide is
-    /// [`AdvanceOutcome::Unsupported`].
-    pub fn new(series: Vec<Vec<f64>>, scores: Vec<f64>) -> IncrementalSweep {
-        IncrementalSweep {
-            moved: vec![false; series.len()],
-            rebuilt: vec![false; series.len()],
-            state: vec![PairState::Fresh; scores.len()],
-            series,
-            plan: None,
-            scores,
-            pending: Vec::new(),
-        }
-    }
-
     /// The cold pass: plans `series` once on the pool
     /// ([`SweepPool::plan`]) and seeds a record for it from `previous`,
     /// the context's earlier record, whose buffers it takes over: every
@@ -201,7 +174,6 @@ impl IncrementalSweep {
         pool: &SweepPool,
         scope: &PassScope,
     ) -> (IncrementalSweep, ScreenOutcome) {
-        let plan = pool.plan(measure, &series, scope);
         let mut record = match previous {
             Some(mut record) => {
                 assert_eq!(
@@ -217,46 +189,37 @@ impl IncrementalSweep {
                 record.moved.resize(series.len(), false);
                 record.rebuilt.resize(series.len(), false);
                 record.series = series;
+                // The old plan goes before the new one is built, so the
+                // new profiles can take its memory.
+                record.plan = None;
                 record
             }
-            None => {
-                let mut record = IncrementalSweep::new(series, vec![0.0; pair_count()]);
-                record.state.fill(PairState::Unscored);
-                record
-            }
+            None => IncrementalSweep {
+                moved: vec![false; series.len()],
+                rebuilt: vec![false; series.len()],
+                series,
+                plan: None,
+                scores: vec![0.0; pair_count()],
+                state: vec![PairState::Unscored; pair_count()],
+                pending: Vec::new(),
+            },
         };
+        record.plan = Some(pool.plan(measure, &record.series, scope));
         let reused = record.list_pending(invariants, epsilon);
-        let outcome = record.score_pending(plan, reused, pool, scope);
+        let outcome = record.score_pending(reused, pool, scope);
         (record, outcome)
-    }
-
-    /// Whether every per-pair score is exact for the recorded window (no
-    /// slide, invariant-pair pass or cleared floor has left a pair stale
-    /// or bound).
-    pub fn is_fresh(&self) -> bool {
-        self.state.iter().all(|&s| s == PairState::Fresh)
-    }
-
-    /// Whether `series` is bit-identical to the recorded window.
-    pub fn is_window(&self, series: &[Vec<f64>]) -> bool {
-        self.series.len() == series.len()
-            && self.series.iter().zip(series).all(|(old, new)| {
-                old.len() == new.len()
-                    && old.iter().zip(new).all(|(a, b)| a.to_bits() == b.to_bits())
-            })
     }
 
     /// Detects whether `new_series` is this record's window unchanged or
     /// slid forward by at most [`MAX_SLIDE`] ticks and, if it slid,
     /// absorbs the shift: every profile slides in place and pairs
-    /// touching a moved series become stale. A plan-less record only
-    /// recognizes its own window.
+    /// touching a moved series become stale. A series whose profile
+    /// cannot take a step is rebuilt from the new window.
     ///
-    /// On [`AdvanceOutcome::Unsupported`] the plan may be partially slid,
-    /// so it is dropped; the recorded window and scores are untouched.
+    /// On [`AdvanceOutcome::Unsupported`] nothing has moved: the record
+    /// still holds its window, scores and plan.
     pub fn advance(&mut self, new_series: &[Vec<f64>]) -> AdvanceOutcome {
         if new_series.len() != self.series.len() || self.series.is_empty() {
-            self.plan = None;
             return AdvanceOutcome::Unsupported;
         }
         let n = self.series[0].len();
@@ -264,7 +227,6 @@ impl IncrementalSweep {
             || self.series.iter().any(|s| s.len() != n)
             || new_series.iter().any(|s| s.len() != n)
         {
-            self.plan = None;
             return AdvanceOutcome::Unsupported;
         }
         // The slide distance: smallest s with old[s..] == new[..n-s] bitwise
@@ -284,13 +246,12 @@ impl IncrementalSweep {
             }
         }
         let Some(shift) = shift else {
-            self.plan = None;
             return AdvanceOutcome::Unsupported;
         };
         if shift == 0 {
             return AdvanceOutcome::Identical;
         }
-        let Some(plan) = self.plan.as_mut() else {
+        let Some(plan) = self.plan.as_mut().filter(|plan| plan.incremental()) else {
             return AdvanceOutcome::Unsupported;
         };
         for flag in &mut self.moved {
@@ -309,13 +270,9 @@ impl IncrementalSweep {
                 match plan.slide(k, departing, entering) {
                     SlideOutcome::Clean => {}
                     SlideOutcome::Moved => self.moved[k] = true,
-                    SlideOutcome::Rebuild => {
+                    SlideOutcome::Rebuild | SlideOutcome::Unsupported => {
                         self.rebuilt[k] = true;
                         self.moved[k] = true;
-                    }
-                    SlideOutcome::Unsupported => {
-                        self.plan = None;
-                        return AdvanceOutcome::Unsupported;
                     }
                 }
             }
@@ -349,28 +306,15 @@ impl IncrementalSweep {
     /// its exact score and becomes fresh. When the scope's deadline or
     /// pair cap stops the pass, the pairs it reached are written all the
     /// same, and the rest are counted in [`ScreenOutcome::unreached`].
-    ///
-    /// # Errors
-    ///
-    /// Changing no score: [`PassError::Unplanned`] when an invariant pair
-    /// needs a score and the record has no plan (the caller must sweep
-    /// from scratch).
     pub fn rescore(
         &mut self,
         invariants: &InvariantSet,
         epsilon: f64,
         pool: &SweepPool,
         scope: &PassScope,
-    ) -> Result<ScreenOutcome, PassError> {
+    ) -> ScreenOutcome {
         let reused = self.list_pending(invariants, epsilon);
-        match self.plan.take() {
-            Some(plan) => Ok(self.score_pending(plan, reused, pool, scope)),
-            None if self.pending.is_empty() => Ok(ScreenOutcome {
-                reused,
-                ..ScreenOutcome::default()
-            }),
-            None => Err(PassError::Unplanned),
-        }
+        self.score_pending(reused, pool, scope)
     }
 
     /// Lists in `self.pending`, in ascending pair index, every invariant
@@ -409,23 +353,26 @@ impl IncrementalSweep {
         reused
     }
 
-    /// Scores the pairs in `self.pending` against `plan` on the pool and
-    /// writes the prefix the pass reached into the record: cleared pairs
-    /// as bound, the rest as fresh. The plan goes back into the record.
+    /// Scores the pairs in `self.pending` against the record's plan on the
+    /// pool and writes the prefix the pass reached into the record:
+    /// cleared pairs as bound, the rest as fresh. The plan goes back into
+    /// the record.
     fn score_pending(
         &mut self,
-        plan: Box<dyn SweepPlan>,
         reused: usize,
         pool: &SweepPool,
         scope: &PassScope,
     ) -> ScreenOutcome {
         if self.pending.is_empty() {
-            self.plan = Some(plan);
             return ScreenOutcome {
                 reused,
                 ..ScreenOutcome::default()
             };
         }
+        let plan = self
+            .plan
+            .take()
+            .expect("a record holds its plan between passes");
         let pass = pool.score_pairs(plan, std::mem::take(&mut self.pending), scope);
         self.plan = Some(pass.plan);
         self.pending = pass.pairs;
@@ -492,7 +439,6 @@ impl std::fmt::Debug for IncrementalSweep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncrementalSweep")
             .field("window_ticks", &self.series.first().map(Vec::len))
-            .field("planned", &self.plan.is_some())
             .field("bound_pairs", &self.count(PairState::Bound))
             .field("stale_pairs", &self.count(PairState::Stale))
             .field("unscored_pairs", &self.count(PairState::Unscored))
@@ -556,15 +502,10 @@ mod tests {
         let every = all_pairs(&base);
         let entries: Vec<_> = every.entries().iter().step_by(3).copied().collect();
         let invariants = InvariantSet::from_entries(entries, 0.2).unwrap();
-        let previous: Vec<f64> = (0..pair_count()).map(|p| p as f64 / 1000.0).collect();
-        // The previous record: a plan-less one of another window, every
-        // pair fresh there, so stale here.
-        let record_of = |scores: &[f64]| {
-            Some(IncrementalSweep::new(
-                series_of(&frame(40, 100)),
-                scores.to_vec(),
-            ))
-        };
+        // The previous record: every pair of another window scored
+        // exactly, so fresh there and stale here.
+        let other = frame(40, 100);
+        let previous = AssociationMatrix::compute(&other, &MicMeasure::new(MicParams::fast()), 1);
         for (measure, floors) in [
             (mic(), true),
             (
@@ -576,7 +517,7 @@ mod tests {
                 let (record, outcome) = IncrementalSweep::cold(
                     &measure,
                     series_of(&base),
-                    record_of(&previous),
+                    Some(cold_record(&pool, &other, 0.0)),
                     &invariants,
                     epsilon,
                     &pool,
@@ -589,7 +530,7 @@ mod tests {
                 // Only MIC stops early, and only when a floor exists.
                 assert_eq!(outcome.screened > 0, floors && epsilon > 0.0);
                 let want = pool.sweep(&base, &measure, &PassScope::detached());
-                for (pair, &seeded) in previous.iter().enumerate() {
+                for (pair, &seeded) in previous.scores().iter().enumerate() {
                     let (got, exact) = (record.scores()[pair], want.at(pair));
                     match invariants.entries().iter().find(|e| e.pair == pair) {
                         // Every other pair keeps the score it was seeded
@@ -612,7 +553,6 @@ mod tests {
                         },
                     }
                 }
-                assert!(!record.is_fresh());
             }
         }
         // With no previous record, the pairs no invariant reads stay
@@ -639,10 +579,10 @@ mod tests {
         );
         // Every pair an invariant and no floor: the record is a full sweep.
         let full = cold_record(&pool, &base, 0.0);
-        assert!(full.is_fresh());
+        assert_eq!(full.count(PairState::Fresh), pair_count());
         assert_eq!(full.matrix(), fresh);
         // With floors some pairs are bound, so it is not.
-        assert!(!cold_record(&pool, &base, 0.2).is_fresh());
+        assert!(cold_record(&pool, &base, 0.2).count(PairState::Bound) > 0);
     }
 
     #[test]
@@ -661,10 +601,10 @@ mod tests {
         assert_eq!(record.advance(&series_of(&base)), AdvanceOutcome::Identical);
         assert_eq!(
             record.rescore(&invariants, 0.2, &pool, &scope),
-            Ok(ScreenOutcome {
+            ScreenOutcome {
                 reused: pair_count(),
                 ..ScreenOutcome::default()
-            })
+            }
         );
         // New references put every bound pair out of reach (1 − I >= ε):
         // each is scored again, exactly.
@@ -683,12 +623,12 @@ mod tests {
         let lowered = InvariantSet::from_entries(entries, invariants.tau()).unwrap();
         assert_eq!(
             record.rescore(&lowered, 0.2, &pool, &scope),
-            Ok(ScreenOutcome {
+            ScreenOutcome {
                 reused: pair_count() - bound.len(),
                 screened: 0,
                 confirmed: bound.len(),
                 unreached: 0,
-            })
+            }
         );
         let fresh = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
         for &pair in &bound {
@@ -722,49 +662,60 @@ mod tests {
     }
 
     #[test]
-    fn plan_less_records_serve_only_their_own_window() {
+    fn an_unsupported_advance_leaves_the_record_whole() {
         let pool = SweepPool::new(1);
         let scope = PassScope::detached();
         let base = frame(40, 0);
-        let matrix = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
         let invariants = all_pairs(&base);
-        let mut record = IncrementalSweep::new(series_of(&base), matrix.scores().to_vec());
-        assert!(record.is_window(&series_of(&base)));
-        assert_eq!(record.advance(&series_of(&base)), AdvanceOutcome::Identical);
-        // Every score is fresh, so the zero-tick rescore needs no plan.
-        assert_eq!(
-            record.rescore(&invariants, 0.2, &pool, &scope),
-            Ok(ScreenOutcome {
-                reused: pair_count(),
-                ..ScreenOutcome::default()
-            })
+        let scores = |record: &IncrementalSweep| -> Vec<u64> {
+            record.scores().iter().map(|v| v.to_bits()).collect()
+        };
+        // A plan that does not slide recognizes its own window, and
+        // refuses a slide without touching the record.
+        let pearson: Arc<dyn AssociationMeasure> = Arc::new(PearsonMeasure);
+        let (mut record, _) = IncrementalSweep::cold(
+            &pearson,
+            series_of(&base),
+            None,
+            &invariants,
+            0.2,
+            &pool,
+            &scope,
         );
-        // Without a plan a slide is not absorbed; the record stays put.
+        let before = scores(&record);
+        assert_eq!(record.advance(&series_of(&base)), AdvanceOutcome::Identical);
         assert_eq!(
             record.advance(&series_of(&frame(40, 1))),
             AdvanceOutcome::Unsupported
         );
-        assert!(record.is_window(&series_of(&base)));
-        // A planned record absorbs the same slide...
-        let mut record = cold_record(&pool, &base, 0.2);
+        assert_eq!(scores(&record), before);
         assert_eq!(
-            record.advance(&series_of(&frame(40, 1))),
+            record.rescore(&invariants, 0.2, &pool, &scope),
+            ScreenOutcome {
+                reused: pair_count(),
+                ..ScreenOutcome::default()
+            }
+        );
+        // A sliding plan absorbs a slide, which leaves pairs stale; a jump
+        // is then refused with the slid window, its stale pairs and its
+        // plan intact, so a rescore still settles them against it.
+        let mut record = cold_record(&pool, &base, 0.0);
+        let next = frame(40, 1);
+        assert_eq!(
+            record.advance(&series_of(&next)),
             AdvanceOutcome::Advanced { shift: 1 }
         );
-        assert!(!record.is_fresh());
-        // ...and a jump drops the plan; the stale pairs then cannot be
-        // settled, and nothing is written.
+        let stale = record.count(PairState::Stale);
+        assert!(stale > 0);
         assert_eq!(
             record.advance(&series_of(&frame(40, 100))),
             AdvanceOutcome::Unsupported
         );
-        assert!(record.is_window(&series_of(&frame(40, 1))));
-        let before = record.scores().to_vec();
-        assert_eq!(
-            record.rescore(&invariants, 0.2, &pool, &scope),
-            Err(PassError::Unplanned)
-        );
-        assert_eq!(record.scores(), &before[..]);
+        assert_eq!(record.count(PairState::Stale), stale);
+        let outcome = record.rescore(&invariants, 0.0, &pool, &scope);
+        assert_eq!((outcome.confirmed, outcome.unreached), (stale, 0));
+        let want = AssociationMatrix::compute(&next, &MicMeasure::new(MicParams::fast()), 1);
+        assert_eq!(record.matrix(), want);
     }
 
     #[test]
@@ -843,18 +794,18 @@ mod tests {
         let (scores, state) = (record.scores().to_vec(), record.state.clone());
         assert_eq!(
             record.rescore(&invariants, 0.0, &pool, &expired),
-            Ok(unreached(pair_count()))
+            unreached(pair_count())
         );
         assert_eq!(record.scores(), &scores[..]);
         assert_eq!(record.state, state);
         // The next capped pass resumes in pair order: the ten stale pairs.
         assert_eq!(
             record.rescore(&invariants, 0.0, &pool, &capped),
-            Ok(ScreenOutcome {
+            ScreenOutcome {
                 confirmed: 10,
                 unreached: pair_count() - 10,
                 ..ScreenOutcome::default()
-            })
+            }
         );
         let fresh = AssociationMatrix::compute(&next, &MicMeasure::new(MicParams::fast()), 1);
         for pair in 0..10 {
@@ -863,14 +814,12 @@ mod tests {
         }
         assert_eq!(record.count(PairState::Unscored), pair_count() - 10);
         // An unbounded pass completes the record: a full sweep of `next`.
-        let outcome = record
-            .rescore(&invariants, 0.0, &pool, &PassScope::detached())
-            .unwrap();
+        let outcome = record.rescore(&invariants, 0.0, &pool, &PassScope::detached());
         assert_eq!(
             (outcome.reused, outcome.confirmed, outcome.unreached),
             (10, pair_count() - 10, 0)
         );
-        assert!(record.is_fresh());
+        assert_eq!(record.count(PairState::Fresh), pair_count());
         assert_eq!(record.matrix(), fresh);
     }
 
@@ -889,9 +838,7 @@ mod tests {
                 inc.advance(&series_of(&next)),
                 AdvanceOutcome::Advanced { shift: 1 }
             );
-            let outcome = inc
-                .rescore(&invariants, epsilon, &pool, &PassScope::detached())
-                .unwrap();
+            let outcome = inc.rescore(&invariants, epsilon, &pool, &PassScope::detached());
             assert_eq!(
                 outcome.reused + outcome.screened + outcome.confirmed,
                 pair_count()
@@ -935,9 +882,7 @@ mod tests {
             inc.advance(&series_of(&next)),
             AdvanceOutcome::Advanced { shift: 1 }
         );
-        let outcome = inc
-            .rescore(&invariants, 0.0, &pool, &PassScope::detached())
-            .unwrap();
+        let outcome = inc.rescore(&invariants, 0.0, &pool, &PassScope::detached());
         assert_eq!(outcome.screened, 0);
         // Every invariant pair now carries the exact fresh score.
         let fresh = AssociationMatrix::compute(&next, &MicMeasure::new(MicParams::fast()), 1);

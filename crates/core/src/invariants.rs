@@ -19,6 +19,64 @@ pub struct InvariantEntry {
     pub value: f64,
 }
 
+/// Algorithm 1 in progress: each pair's band `[min V, max V]` over the
+/// normal runs folded so far. A pair whose band has reached `tau` is
+/// rejected, and since a band only widens it stays rejected, so later
+/// runs need to score only the pairs [`InvariantBands::holds`] keeps.
+#[derive(Debug)]
+pub(crate) struct InvariantBands {
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    tau: f64,
+}
+
+impl InvariantBands {
+    /// No run folded yet: every pair still holds.
+    pub(crate) fn new(tau: f64) -> Self {
+        InvariantBands {
+            lo: vec![f64::INFINITY; pair_count()],
+            hi: vec![f64::NEG_INFINITY; pair_count()],
+            tau,
+        }
+    }
+
+    /// Whether `pair`'s band is still narrower than `tau` — the paper's
+    /// `max(V) − min(V) < τ`, the one place the test is written.
+    pub(crate) fn holds(&self, pair: usize) -> bool {
+        self.hi[pair] - self.lo[pair] < self.tau
+    }
+
+    /// The pairs that still hold, in ascending pair index.
+    pub(crate) fn holding(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..pair_count()).filter(|&pair| self.holds(pair))
+    }
+
+    /// Folds one run's score of `pair` into its band. A rejected pair is
+    /// left as it is.
+    pub(crate) fn observe(&mut self, pair: usize, v: f64) {
+        if self.holds(pair) {
+            self.lo[pair] = self.lo[pair].min(v);
+            self.hi[pair] = self.hi[pair].max(v);
+        }
+    }
+
+    /// The pairs that held over every run, each with reference
+    /// `I = max(V)`.
+    pub(crate) fn finish(self) -> InvariantSet {
+        let entries = self
+            .holding()
+            .map(|pair| InvariantEntry {
+                pair,
+                value: self.hi[pair],
+            })
+            .collect();
+        InvariantSet {
+            entries,
+            tau: self.tau,
+        }
+    }
+}
+
 /// The invariant set of one operation context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvariantSet {
@@ -27,7 +85,9 @@ pub struct InvariantSet {
 }
 
 impl InvariantSet {
-    /// Runs Algorithm 1 over the association matrices of `N` normal runs.
+    /// Runs Algorithm 1 over the association matrices of `N` normal runs:
+    /// every run's scores are folded, in run order, into the per-pair
+    /// bands [`crate::Engine::build_invariants`] feeds as it scores.
     ///
     /// # Panics
     ///
@@ -37,20 +97,13 @@ impl InvariantSet {
             !runs.is_empty(),
             "invariant selection needs at least one run"
         );
-        let mut entries = Vec::new();
-        for pair in 0..pair_count() {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for run in runs {
-                let v = run.at(pair);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if hi - lo < tau {
-                entries.push(InvariantEntry { pair, value: hi });
+        let mut bands = InvariantBands::new(tau);
+        for run in runs {
+            for (pair, &v) in run.scores().iter().enumerate() {
+                bands.observe(pair, v);
             }
         }
-        InvariantSet { entries, tau }
+        bands.finish()
     }
 
     /// Reassembles a persisted set, validating what [`InvariantSet::select`]

@@ -75,7 +75,7 @@ pub use engine::{
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};
-pub use incremental::{AdvanceOutcome, IncrementalSweep, PassError, ScreenOutcome, MAX_SLIDE};
+pub use incremental::{AdvanceOutcome, IncrementalSweep, ScreenOutcome, MAX_SLIDE};
 pub use invariants::{InvariantEntry, InvariantSet};
 pub use measure::{
     ArxMeasure, AssociationMeasure, Floor, Floored, MicMeasure, PairScorer, PearsonMeasure,

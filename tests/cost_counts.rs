@@ -1,5 +1,5 @@
-//! Count, don't time: machine-independent costs of the engine's own tick
-//! and diagnosis paths, pinned exactly.
+//! Count, don't time: machine-independent costs of the engine's own
+//! training, tick and diagnosis paths, pinned exactly.
 //!
 //! A counting global allocator tallies every allocation in the process
 //! while a measured call runs, sweep workers included, so this file holds
@@ -136,9 +136,17 @@ const WARM_TICKS: usize = 65;
 /// Normal-run ticks counted.
 const COUNTED_TICKS: usize = 16;
 
+/// What training cost, read from the sweep events: `(completed, scored,
+/// profile builds)` of the invariant build, and per signature the same
+/// three plus its pairs reused, cleared and scored exactly.
+struct TrainingCosts {
+    invariants: (u64, u64, u64),
+    signatures: Vec<((u64, u64, u64), [u64; 3])>,
+}
+
 /// A Wordcount context trained on seeded simulator runs, on a one-worker
 /// engine whose sweep events land in `counts`.
-fn trained(counts: &Arc<SweepCounts>) -> (Engine, OperationContext, Runner) {
+fn trained(counts: &Arc<SweepCounts>) -> (Engine, OperationContext, Runner, TrainingCosts) {
     let runner = Runner::new(SEED);
     let node = Runner::DEFAULT_FAULT_NODE;
     let workload = WorkloadType::Wordcount;
@@ -163,15 +171,25 @@ fn trained(counts: &Arc<SweepCounts>) -> (Engine, OperationContext, Runner) {
             f.window(30..75.min(f.ticks()))
         })
         .collect();
+    counts.take();
     engine
         .build_invariants(context.clone(), &frames)
         .expect("build invariants");
-    for fault in [FaultType::CpuHog, FaultType::MemHog, FaultType::DiskHog] {
-        engine
-            .record_signature(&context, fault.name(), &fault_window(&runner, fault))
-            .expect("record signature");
-    }
-    (engine, context, runner)
+    let invariants = counts.take();
+    counts.take_screen();
+    let signatures = [FaultType::CpuHog, FaultType::MemHog, FaultType::DiskHog]
+        .map(|fault| {
+            engine
+                .record_signature(&context, fault.name(), &fault_window(&runner, fault))
+                .expect("record signature");
+            (counts.take(), counts.take_screen())
+        })
+        .to_vec();
+    let costs = TrainingCosts {
+        invariants,
+        signatures,
+    };
+    (engine, context, runner, costs)
 }
 
 fn fault_window(runner: &Runner, fault: FaultType) -> MetricFrame {
@@ -184,9 +202,29 @@ fn fault_window(runner: &Runner, fault: FaultType) -> MetricFrame {
 #[test]
 fn engine_costs_are_pinned() {
     let counts = Arc::new(SweepCounts::default());
-    let (engine, context, runner) = trained(&counts);
+    let (engine, context, runner, training) = trained(&counts);
     let invariants = engine.invariant_set(&context).expect("invariants").len() as u64;
     assert_eq!(invariants, 247, "the seeded context's invariant count");
+
+    // Algorithm 1 over four frames: each frame is planned once and scores
+    // only the pairs whose band is still narrower than τ — all 325 on the
+    // first frame, fewer on each later one.
+    assert_eq!(
+        training.invariants,
+        (1152, 1152, 4),
+        "pairs completed and scored, and profile builds, of the invariant build"
+    );
+    // Each signature is a cold diagnosis pass at full fidelity: one plan,
+    // and exactly the invariant pairs scored, each only until it holds.
+    let screens: Vec<[u64; 3]> = training.signatures.iter().map(|&(_, s)| s).collect();
+    for &(costs, _) in &training.signatures {
+        assert_eq!(costs, (invariants, invariants, 1), "pairs per signature");
+    }
+    assert_eq!(
+        screens,
+        [[78, 114, 133], [78, 120, 127], [78, 69, 178]],
+        "CpuHog, MemHog and DiskHog signatures: pairs reused, cleared and scored exactly"
+    );
 
     // A warm, non-anomalous tick: the window is full and the detector
     // quiet, so ingest only appends.

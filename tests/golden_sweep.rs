@@ -22,7 +22,12 @@
 //!   diagnosis built from the record is bit-identical (violation tuple and
 //!   every consulted score, up to cleared lower bounds that grade the
 //!   same) to a full from-scratch sweep of the same window, on one worker
-//!   and on four.
+//!   and on four;
+//! - **training through the diagnosis pass** — `Engine::build_invariants`
+//!   (which scores, on each later frame, only the pairs still under τ)
+//!   selects the set `InvariantSet::select` picks from full sweeps, and a
+//!   signature's tuple (a cold, a repeated and a slid window) equals
+//!   `ViolationTuple::build` over a full sweep, bit for bit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,9 +35,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use invarnet_x::core::{
-    pair_count, AdvanceOutcome, ArxMeasure, AssociationMatrix, AssociationMeasure,
-    IncrementalSweep, InvariantSet, MicMeasure, PassScope, PearsonMeasure, SweepPool,
-    ViolationTuple, MAX_SLIDE,
+    pair_count, AdvanceOutcome, ArxMeasure, AssociationMatrix, AssociationMeasure, Engine,
+    IncrementalSweep, InvarNetConfig, InvariantSet, MicMeasure, OperationContext, PassScope,
+    PearsonMeasure, SweepPool, ViolationTuple, MAX_SLIDE,
 };
 use invarnet_x::metrics::{MetricFrame, MetricId, METRIC_COUNT};
 use invarnet_x::mic::{
@@ -280,16 +285,13 @@ proptest! {
                 &scope,
             );
             prop_assert_eq!(cold.unreached, 0, "an unbounded pass completes");
-            // A pair no invariant reads is never scored, so the record
-            // cannot be fresh; a fresh record holds the full sweep's bits.
-            if invariants.len() < pair_count() {
-                prop_assert!(!inc.is_fresh());
+            // A pair no invariant reads is never scored: it holds 0.0.
+            let mut read = vec![false; pair_count()];
+            for e in invariants.entries() {
+                read[e.pair] = true;
             }
-            if inc.is_fresh() {
-                let bits = |m: &AssociationMatrix| -> Vec<u64> {
-                    m.scores().iter().map(|v| v.to_bits()).collect()
-                };
-                prop_assert_eq!(bits(&inc.matrix()), bits(&matrix));
+            for (pair, v) in inc.scores().iter().enumerate() {
+                prop_assert!(read[pair] || v.to_bits() == 0.0f64.to_bits(), "pair {}", pair);
             }
             let what = format!("cold pass, {threads} workers");
             assert_matches_full_sweep(&inc, &invariants, &base, epsilon, &what);
@@ -303,15 +305,98 @@ proptest! {
                 } else {
                     prop_assert_eq!(outcome, AdvanceOutcome::Advanced { shift });
                 }
-                let screen = inc
-                    .rescore(&invariants, epsilon, &pool, &scope)
-                    .expect("a cold record has a plan");
+                let screen = inc.rescore(&invariants, epsilon, &pool, &scope);
                 prop_assert_eq!(
                     screen.reused + screen.screened + screen.confirmed,
                     pair_count()
                 );
                 let what = format!("offset {offset} shift {shift}, {threads} workers");
                 assert_matches_full_sweep(&inc, &invariants, &next, epsilon, &what);
+            }
+        }
+    }
+
+    // Training runs through the diagnosis pass and drops rejected pairs,
+    // and neither changes a bit of what it produces: random normal frames
+    // (each metric coupled to the stream's latent or decoupled, per
+    // frame, so pairs fall out of τ at different frames), on one worker
+    // and on four.
+    #[test]
+    fn training_matches_full_sweeps(
+        seed in 0u64..10_000,
+        decoupled in prop::collection::vec(0u32..(1 << 26), 2..5),
+        tau in 0.05f64..0.5,
+        epsilon in 0.05f64..0.4,
+        shift in 1usize..MAX_SLIDE + 1,
+    ) {
+        let ticks = 30;
+        let config = InvarNetConfig {
+            tau,
+            epsilon,
+            min_frame_ticks: ticks,
+            ..InvarNetConfig::default()
+        };
+        let frames: Vec<MetricFrame> = decoupled
+            .iter()
+            .enumerate()
+            .map(|(run, &mask)| {
+                let mut f = MetricFrame::new();
+                for t in 0..ticks {
+                    let row: Vec<f64> = (0..METRIC_COUNT)
+                        .map(|k| {
+                            let v = stream_value(seed + run as u64, t, k);
+                            if mask & (1 << k) != 0 {
+                                stream_value(seed ^ 0x5eed, t * 7 + run, k) * 37.0 % 11.0
+                            } else {
+                                v
+                            }
+                        })
+                        .collect();
+                    f.push_tick(&row).expect("full-width row");
+                }
+                f
+            })
+            .collect();
+        let abnormal = [
+            streamed_window(seed ^ 0xfa17, 0, ticks),
+            streamed_window(seed ^ 0xfa17, 0, ticks),
+            streamed_window(seed ^ 0xfa17, shift, ticks),
+        ];
+        let ctx = OperationContext::new("10.3.0.1", "Wordcount");
+        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|v| v.to_bits()).collect() };
+        for threads in [1, 4] {
+            let engine = Engine::builder().config(config.clone()).threads(threads).build();
+            engine.build_invariants(ctx.clone(), &frames).expect("build invariants");
+            let got = engine.invariant_set(&ctx).expect("invariants");
+            let full: Vec<AssociationMatrix> = frames
+                .iter()
+                .map(|f| engine.association_matrix(f).expect("full sweep"))
+                .collect();
+            let want = InvariantSet::select(&full, tau);
+            let pairs = |set: &InvariantSet| -> Vec<usize> {
+                set.entries().iter().map(|e| e.pair).collect()
+            };
+            let values = |set: &InvariantSet| -> Vec<f64> {
+                set.entries().iter().map(|e| e.value).collect()
+            };
+            prop_assert_eq!(pairs(&got), pairs(&want), "{} workers", threads);
+            prop_assert_eq!(bits(&values(&got)), bits(&values(&want)), "{} workers", threads);
+            prop_assert_eq!(got.tau().to_bits(), want.tau().to_bits());
+            for (k, window) in abnormal.iter().enumerate() {
+                let problem = format!("fault-{k}");
+                engine.record_signature(&ctx, &problem, window).expect("signature");
+                let recorded = engine.with_signature_database(|db| {
+                    db.records().last().expect("a signature").tuple.clone()
+                });
+                let full = engine.association_matrix(window).expect("full sweep");
+                let want = ViolationTuple::build(&want, &full, epsilon);
+                prop_assert_eq!(
+                    bits(recorded.graded()),
+                    bits(want.graded()),
+                    "window {}, {} workers",
+                    k,
+                    threads
+                );
             }
         }
     }

@@ -1,9 +1,10 @@
 //! The per-context sweep record, the one place the engine reuses sweep
 //! work: a cold diagnosis plans its window once and scores only the
 //! invariant pairs, a re-diagnosed unchanged window is rescored as a
-//! zero-tick slide instead of swept, stays sound when the invariants
-//! change under a record with stale pairs, and other attributed sweeps
-//! reuse a record only while none of its pairs is stale.
+//! zero-tick slide instead of swept, and stays sound when the invariants
+//! change under a record with unscored pairs. A violation tuple (and so a
+//! signature) runs the same pass, so a tuple of the window just diagnosed
+//! scores nothing.
 
 use std::sync::{Arc, Mutex};
 
@@ -166,13 +167,14 @@ fn a_cold_window_is_planned_once_and_scores_only_invariant_pairs() {
     train_narrow(&fresh, &ctx);
     assert_eq!(fresh.diagnose(&ctx, &incident).unwrap(), got);
 
-    // The record scored only the invariant pairs, so it is not fresh: a
-    // violation tuple of the same window sweeps all pairs again.
+    // A violation tuple of the diagnosed window runs the diagnosis pass
+    // over the record: a zero-tick rescore, with no sweep and no pair
+    // scored, that reads the diagnosis's tuple.
     let mark = log.len();
     let tuple = engine.violation_tuple(&ctx, &incident).unwrap();
     let events = log.since(mark);
-    assert_eq!(spans(&events, EnginePhase::Sweep), 1);
-    assert_eq!(completed_pairs(&events), [pair_count()]);
+    assert_eq!(spans(&events, EnginePhase::Sweep), 0);
+    assert_eq!(completed_pairs(&events), [0]);
     assert_eq!(tuple, got.tuple);
 }
 
@@ -223,7 +225,7 @@ fn unchanged_window_under_new_invariants_matches_a_from_scratch_engine() {
     assert!(slid[0].0 > pair_count() - narrow - 1, "{slid:?}");
 
     // New invariants over every pair, installed without a sweep, so the
-    // record keeps the pairs the old set never read stale.
+    // record keeps the pairs the old set never read unscored.
     let wide = InvariantSet::select(
         &[Engine::builder()
             .build()
@@ -244,8 +246,8 @@ fn unchanged_window_under_new_invariants_matches_a_from_scratch_engine() {
     let mark = log.len();
     let got = engine.diagnose(&ctx, &w1).unwrap();
     let events = log.since(mark);
-    // Served raw, the record would hand the new invariants the stale
-    // scores of w0 for every pair the old set never read.
+    // Served raw, the record would hand the new invariants placeholder
+    // zeros for every pair the old set never read.
     let want = reference.diagnose(&ctx, &w1).unwrap();
     assert_eq!(got.tuple, want.tuple);
     assert_eq!(got, want);
@@ -255,25 +257,25 @@ fn unchanged_window_under_new_invariants_matches_a_from_scratch_engine() {
 }
 
 #[test]
-fn other_attributed_sweeps_reuse_only_a_fresh_record() {
+fn a_violation_tuple_of_the_recorded_window_is_a_zero_tick_rescore() {
     let ctx = OperationContext::new("10.2.0.3", "Wordcount");
     let (engine, log) = logged_engine();
     train_narrow(&engine, &ctx);
     let rows = noise_rows(7, 41);
     let (w0, w1) = (window(&rows, 0, 40), window(&rows, 1, 40));
     engine.diagnose(&ctx, &w0).unwrap();
-    engine.diagnose(&ctx, &w1).unwrap();
+    let slid = engine.diagnose(&ctx, &w1).unwrap();
 
-    // The record holds w1, but its slide left pairs stale: a violation
-    // tuple must sweep again rather than trust it.
+    // The record holds w1 after a slide: a violation tuple of w1 rescores
+    // it in place, building no profile and scoring no pair, and reads the
+    // diagnosis's tuple.
     let mark = log.len();
     let tuple = engine.violation_tuple(&ctx, &w1).unwrap();
-    assert_eq!(spans(&log.since(mark), EnginePhase::Sweep), 1);
-    // That full sweep replaced the record with a fresh one, which the next
-    // identical request reuses bit-for-bit.
-    let mark = log.len();
-    assert_eq!(engine.violation_tuple(&ctx, &w1).unwrap(), tuple);
-    assert_eq!(spans(&log.since(mark), EnginePhase::Sweep), 0);
+    let events = log.since(mark);
+    assert_eq!(spans(&events, EnginePhase::Sweep), 0);
+    assert_eq!(spans(&events, EnginePhase::ProfileBuild), 0);
+    assert_eq!(completed_pairs(&events), [0]);
+    assert_eq!(tuple, slid.tuple);
 
     let (fresh, _) = logged_engine();
     train_narrow(&fresh, &ctx);
