@@ -215,7 +215,7 @@ fn infer(args: &[String]) -> Result<(), String> {
     let store = system
         .store_op(&deployment, load_model_store)
         .map_err(render_error)?;
-    system.load_state_owned(store).map_err(render_error)?;
+    system.load_state(&store).map_err(render_error)?;
     let invariants = system
         .invariant_set(&context)
         .ok_or_else(|| format!("deployment has no invariants for {context}"))?;

@@ -44,7 +44,8 @@ use ix_mic::{
     Floored, MicParams, MineScratch, SeriesProfile,
 };
 use ix_replay::{Breakpoint, EventKind, ReplayDebugger, Replayer};
-use ix_serve::{Fleet, ServeClient, ServerHandle, TenantId};
+use ix_serve::wire::{self, IngestRequest, Op, RequestFrame};
+use ix_serve::{handle_request, Fleet, ServeClient, ServerHandle, TenantId};
 use ix_simulator::{FaultType, Runner, WorkloadType};
 use ix_timeseries::ArProcess;
 
@@ -812,7 +813,10 @@ const COLD_TAIL: usize = 48;
 /// `IXSRV01` server, and a tenant sample is evicted and warmed back: once
 /// back to back on short tails, and once with a [`COLD_TAIL`]-tick tail,
 /// every sample tenant evicted before any warms, so each warm reads an
-/// image that has left the cache, as a cold tick's does.
+/// image that has left the cache, as a cold tick's does. Last, a sample
+/// runs the binary Ingest path in process with its decode, handle and
+/// encode layers timed apart (the split
+/// `crates/serve/tests/alloc_counts.rs` counts).
 fn serve(perf: Perf) -> Section {
     let mut s = Section::new("serve");
     let tenants = perf.size(100_000, 2_000);
@@ -946,6 +950,45 @@ fn serve(perf: Perf) -> Section {
     cold_evict_ns.sort_unstable();
     cold_warm_ns.sort_unstable();
 
+    // The binary Ingest path a server connection runs, layer by layer:
+    // the request body decoded, handled by the fleet, the reply encoded.
+    let bodies: Vec<Vec<u8>> = (0..WIRE_SAMPLE)
+        .map(|i| {
+            let (tick_cpi, tick_row) = ticks[(ROUNDS + 1 + i / ids.len()) % ticks.len()];
+            wire::encode_request(&RequestFrame {
+                tenant: ids[i % ids.len()].clone(),
+                op: Op::Ingest,
+                payload: wire::encode_binary(&IngestRequest {
+                    node: context.node.clone(),
+                    workload: context.workload.clone(),
+                    cpi: tick_cpi,
+                    row: tick_row.to_vec(),
+                }),
+            })
+        })
+        .collect();
+    let mut binary_ns: [Vec<u64>; 3] = std::array::from_fn(|_| Vec::with_capacity(WIRE_SAMPLE));
+    for body in &bodies {
+        let t = Instant::now();
+        let request = wire::decode_request(body).expect("decode request");
+        let decoded = Instant::now();
+        let (status, payload) = handle_request(&fleet, &request);
+        let handled = Instant::now();
+        black_box(wire::encode_response(status, &payload));
+        let encoded = Instant::now();
+        assert_eq!(status, 0, "{}", String::from_utf8_lossy(&payload));
+        for (layer, (from, to)) in
+            binary_ns
+                .iter_mut()
+                .zip([(t, decoded), (decoded, handled), (handled, encoded)])
+        {
+            layer.push((to - from).as_nanos() as u64);
+        }
+    }
+    for layer in &mut binary_ns {
+        layer.sort_unstable();
+    }
+
     s.higher("tenants", "count", tenants as f64);
     s.lower("fleet_setup_s", "s", setup_s);
     let total_s: f64 = round_s.iter().sum();
@@ -963,6 +1006,12 @@ fn serve(perf: Perf) -> Section {
     s.lower("ingest_p99_us", "us", percentile(&ingest_us, 99.0));
     s.lower("frame_p50_us", "us", percentile(&frame_us, 50.0));
     s.lower("frame_p99_us", "us", percentile(&frame_us, 99.0));
+    for (name, layer) in ["binary_decode_ns", "binary_handle_ns", "binary_encode_ns"]
+        .into_iter()
+        .zip(&binary_ns)
+    {
+        s.lower(name, "ns", percentile(layer, 50.0));
+    }
     s.lower("evict_p50_us", "us", percentile(&evict_ns, 50.0) / 1e3);
     s.lower("cold_warm_p50_us", "us", percentile(&warm_ns, 50.0) / 1e3);
     s.lower("cold_warm_p99_us", "us", percentile(&warm_ns, 99.0) / 1e3);

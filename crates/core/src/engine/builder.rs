@@ -17,11 +17,9 @@
 
 use std::sync::Arc;
 
-use crate::anomaly::PerformanceModel;
 use crate::assoc::SweepPool;
 use crate::config::InvarNetConfig;
 use crate::context::OperationContext;
-use crate::invariants::InvariantSet;
 use crate::measure::{AssociationMeasure, MicMeasure};
 use crate::signature::SignatureDatabase;
 
@@ -46,8 +44,6 @@ pub struct EngineBuilder {
     telemetry: Option<Arc<Telemetry>>,
     history: Option<Arc<dyn HistoryRecorder>>,
     signatures: Option<SignatureDatabase>,
-    models: Vec<(OperationContext, PerformanceModel)>,
-    invariants: Vec<(OperationContext, InvariantSet)>,
     detectors: Vec<(OperationContext, Arc<dyn Detector>)>,
 }
 
@@ -64,8 +60,6 @@ impl EngineBuilder {
             telemetry: None,
             history: None,
             signatures: None,
-            models: Vec::new(),
-            invariants: Vec::new(),
             detectors: Vec::new(),
         }
     }
@@ -147,30 +141,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Seeds the signature database (e.g. from a persisted
-    /// [`crate::ModelStore`]).
+    /// Seeds the signature database (trained models and invariant sets
+    /// come in through [`crate::Engine::load_state`], or are trained in
+    /// place).
     pub fn signature_database(mut self, db: SignatureDatabase) -> Self {
         self.signatures = Some(db);
         self
     }
 
-    /// Installs a prebuilt performance model for a context; its streaming
-    /// detector becomes an ARIMA detector over the model (see
-    /// [`crate::Engine::load_state`] for the persisted-state path).
-    pub fn performance_model(mut self, context: OperationContext, model: PerformanceModel) -> Self {
-        self.models.push((context, model));
-        self
-    }
-
-    /// Installs a prebuilt invariant set for a context.
-    pub fn invariant_set(mut self, context: OperationContext, set: InvariantSet) -> Self {
-        self.invariants.push((context, set));
-        self
-    }
-
-    /// Installs a custom streaming detector for a context (applied after
-    /// any [`EngineBuilder::performance_model`] for the same context, so
-    /// it wins).
+    /// Installs a custom streaming detector for a context.
     pub fn detector(mut self, context: OperationContext, detector: Arc<dyn Detector>) -> Self {
         self.detectors.push((context, detector));
         self
@@ -207,12 +186,6 @@ impl EngineBuilder {
         if let Some(db) = self.signatures {
             engine.set_signature_database(db);
         }
-        for (context, model) in self.models {
-            engine.install_performance_model_internal(context, model);
-        }
-        for (context, set) in self.invariants {
-            engine.install_invariant_set_internal(context, set);
-        }
         for (context, detector) in self.detectors {
             engine.install_detector_internal(context, detector);
         }
@@ -238,8 +211,6 @@ impl std::fmt::Debug for EngineBuilder {
             .field("extra_sinks", &self.extra_sinks.len())
             .field("history", &self.history.is_some())
             .field("signatures", &self.signatures.as_ref().map(|db| db.len()))
-            .field("models", &self.models.len())
-            .field("invariant_sets", &self.invariants.len())
             .field("detectors", &self.detectors.len())
             .finish()
     }

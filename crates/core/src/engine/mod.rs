@@ -53,6 +53,7 @@ use crate::incremental::{AdvanceOutcome, IncrementalSweep, ScreenOutcome};
 use crate::invariants::{InvariantBands, InvariantSet};
 use crate::measure::AssociationMeasure;
 use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
+use crate::store::ModelStore;
 
 pub use builder::EngineBuilder;
 pub use detector::{ArimaDetector, CusumStreamDetector, Detector, DetectorRun, TickDecision};
@@ -78,7 +79,10 @@ pub struct Engine {
     config: InvarNetConfig,
     measure: Arc<dyn AssociationMeasure>,
     state: ShardedStateMap,
-    signatures: RwLock<SignatureDatabase>,
+    /// The signature database, shared with the stores this engine was
+    /// loaded from or captured into: [`Engine::record_signature`] copies
+    /// it first when anyone else holds it.
+    signatures: RwLock<Arc<SignatureDatabase>>,
     /// The sweep worker pool. Shared (`Arc`) so a fleet of tenant engines
     /// can run on one pool sized to the box instead of spawning worker
     /// threads per engine (see [`EngineBuilder::shared_pool`]).
@@ -128,7 +132,7 @@ impl Engine {
             config,
             measure,
             state: ShardedStateMap::new(shards),
-            signatures: RwLock::new(SignatureDatabase::new()),
+            signatures: RwLock::new(Arc::default()),
             pool,
             sink: Arc::new(NullSink),
             recorder: None,
@@ -269,14 +273,17 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::NonFiniteCpi`] when a trace holds a NaN or infinite
-    /// sample (nothing is trained); otherwise propagates training errors
-    /// ([`CoreError::NotEnoughRuns`], ARIMA failures).
+    /// [`CoreError::InvalidStoreKey`] for a workload holding an `@` (see
+    /// [`ModelStore::context_key`]), [`CoreError::NonFiniteCpi`] when a
+    /// trace holds a NaN or infinite sample (nothing is trained);
+    /// otherwise propagates training errors ([`CoreError::NotEnoughRuns`],
+    /// ARIMA failures).
     pub fn train_performance_model(
         &self,
         context: OperationContext,
         cpi_traces: &[Vec<f64>],
     ) -> Result<(), CoreError> {
+        check_storable(&context)?;
         if cpi_traces.iter().flatten().any(|c| !c.is_finite()) {
             return Err(CoreError::NonFiniteCpi(context));
         }
@@ -505,6 +512,7 @@ impl Engine {
     ///
     /// # Errors
     ///
+    /// [`CoreError::InvalidStoreKey`] for a workload holding an `@`,
     /// [`CoreError::NotEnoughRuns`] / [`CoreError::FrameTooShort`], before
     /// any frame is scored.
     pub fn build_invariants(
@@ -512,6 +520,7 @@ impl Engine {
         context: OperationContext,
         normal_frames: &[MetricFrame],
     ) -> Result<(), CoreError> {
+        check_storable(&context)?;
         let required = self.config.min_training_runs.max(1);
         if normal_frames.len() < required {
             return Err(CoreError::NotEnoughRuns {
@@ -583,25 +592,30 @@ impl Engine {
 
     /// Records a signature for an investigated problem ("once the
     /// performance problem is resolved, a new signature will be added").
+    /// A database shared with a store or another engine is copied first,
+    /// so the signature lands in this engine's database alone.
     ///
     /// # Errors
     ///
-    /// Same as [`Engine::violation_tuple`].
+    /// [`CoreError::InvalidStoreKey`] for a workload holding an `@`;
+    /// otherwise as [`Engine::violation_tuple`].
     pub fn record_signature(
         &self,
         context: &OperationContext,
         problem: &str,
         abnormal: &MetricFrame,
     ) -> Result<(), CoreError> {
+        check_storable(context)?;
         let tuple = self.violation_tuple(context, abnormal)?;
-        self.signatures
+        let mut db = self
+            .signatures
             .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .add(Signature {
-                tuple,
-                problem: problem.to_string(),
-                context: context.clone(),
-            });
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::make_mut(&mut db).add(Signature {
+            tuple,
+            problem: problem.to_string(),
+            context: context.clone(),
+        });
         Ok(())
     }
 
@@ -802,44 +816,41 @@ impl Engine {
             .collect()
     }
 
-    /// Replaces the signature database (used when loading persisted state).
-    pub fn set_signature_database(&self, db: SignatureDatabase) {
+    /// Replaces the signature database (an owned one, or one shared with
+    /// a store or another engine).
+    pub fn set_signature_database(&self, db: impl Into<Arc<SignatureDatabase>>) {
         *self
             .signatures
             .write()
-            .unwrap_or_else(PoisonError::into_inner) = db;
+            .unwrap_or_else(PoisonError::into_inner) = db.into();
     }
 
     pub(crate) fn install_invariant_set_internal(
         &self,
-        context: OperationContext,
-        set: InvariantSet,
+        context: &OperationContext,
+        set: Arc<InvariantSet>,
     ) {
-        let set = Arc::new(set);
-        self.state
-            .with_mut(&context, self.config.window_ticks, |s| {
-                s.invariants = Some(set);
-            });
+        self.state.with_mut(context, self.config.window_ticks, |s| {
+            s.invariants = Some(set);
+        });
     }
 
     pub(crate) fn install_performance_model_internal(
         &self,
-        context: OperationContext,
-        model: PerformanceModel,
+        context: &OperationContext,
+        model: Arc<PerformanceModel>,
     ) {
-        let model = Arc::new(model);
         let detector: Arc<dyn Detector> = Arc::new(ArimaDetector::new(
             Arc::clone(&model),
             self.config.threshold_rule,
             self.config.consecutive_anomalies,
         ));
-        self.state
-            .with_mut(&context, self.config.window_ticks, |s| {
-                s.perf_model = Some(model);
-                s.detector = Some(detector);
-                s.reset_run();
-            });
-        self.note_run_reset(&context);
+        self.state.with_mut(context, self.config.window_ticks, |s| {
+            s.perf_model = Some(model);
+            s.detector = Some(detector);
+            s.reset_run();
+        });
+        self.note_run_reset(context);
     }
 
     pub(crate) fn install_detector_internal(
@@ -888,6 +899,20 @@ impl SweepVerdict {
             None => ViolationTuple::build(invariants, &self.matrix, epsilon),
         }
     }
+}
+
+/// Refuses to store trained state for a context whose
+/// [`ModelStore::context_key`] would not parse back to it: the key splits
+/// at its first `@`, so a workload holding one would share its key with
+/// another context (`c@a` on `b` and `c` on `a@b`), and a store would
+/// keep one of their models.
+fn check_storable(context: &OperationContext) -> Result<(), CoreError> {
+    if context.workload.contains('@') {
+        return Err(CoreError::InvalidStoreKey {
+            key: ModelStore::context_key(context),
+        });
+    }
+    Ok(())
 }
 
 /// The frame series-major, one series per metric.

@@ -38,7 +38,9 @@ pub use retry::RetryPolicy;
 pub(crate) use health::HealthMonitor;
 pub(crate) use queue::IngestQueue;
 
+use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::{Arc, PoisonError};
 
 use crate::context::OperationContext;
 use crate::engine::telemetry::ContextId;
@@ -140,68 +142,68 @@ impl Engine {
         }
     }
 
-    /// Installs everything a persisted [`ModelStore`] holds — performance
-    /// models, invariant sets and the signature database — into this
-    /// engine. Context keys are parsed back from the store's
-    /// `workload@node` form. The store is cloned into
-    /// [`Engine::load_state_owned`]; a caller done with its store should
-    /// call that instead.
+    /// Installs everything a [`ModelStore`] holds — performance models,
+    /// invariant sets and the signature database — into this engine,
+    /// sharing them with the store: nothing is copied, rebuilt or
+    /// validated again (a decoded store was validated as it decoded).
+    /// Context keys are parsed back from the store's `workload@node` form.
     ///
     /// # Errors
     ///
-    /// [`CoreError`] with kind `Arima` when a stored model is internally
-    /// inconsistent, or kind `Serialization` for an unparseable context
-    /// key.
+    /// [`CoreError`] with kind `Serialization` for a key with no `@`; the
+    /// engine is left with the contexts installed before it.
     pub fn load_state(&self, store: &ModelStore) -> Result<(), CoreError> {
-        self.load_state_owned(store.clone())
-    }
-
-    /// [`Engine::load_state`], moving the store's models, invariant sets
-    /// and signature database into the engine instead of copying them.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::load_state`].
-    pub fn load_state_owned(&self, store: ModelStore) -> Result<(), CoreError> {
-        for (key, stored) in store.performance_models {
+        for (key, model) in &store.performance_models {
             let context = context_of_key(key)?;
-            self.install_performance_model_internal(context, stored.into_model()?);
+            self.install_performance_model_internal(&context, Arc::clone(model));
+            if let Some(set) = store.invariants.get(key) {
+                self.install_invariant_set_internal(&context, Arc::clone(set));
+            }
         }
-        for (key, set) in store.invariants {
-            self.install_invariant_set_internal(context_of_key(key)?, set);
+        for (key, set) in &store.invariants {
+            if !store.performance_models.contains_key(key) {
+                self.install_invariant_set_internal(&context_of_key(key)?, Arc::clone(set));
+            }
         }
-        self.set_signature_database(store.signatures);
+        self.set_signature_database(Arc::clone(&store.signatures));
         Ok(())
     }
 
     /// Captures this engine's trained state — every context's performance
     /// model and invariant set plus the signature database — into a
-    /// [`ModelStore`], ready to be written to a file with
-    /// [`Engine::store_op`].
+    /// [`ModelStore`] that shares them with the engine, ready to load into
+    /// another engine or to write to a file with [`Engine::store_op`].
     pub fn snapshot_state(&self) -> ModelStore {
-        let mut store = ModelStore::new();
-        for context in self.state().contexts() {
-            if let Some(model) = self.performance_model(&context) {
-                store.put_model(&context, model.as_ref());
+        let mut store = ModelStore {
+            performance_models: BTreeMap::new(),
+            invariants: BTreeMap::new(),
+            signatures: Arc::clone(
+                &self
+                    .signatures
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner),
+            ),
+        };
+        self.state().for_each(|context, state| {
+            let key = || ModelStore::context_key(context);
+            if let Some(model) = &state.perf_model {
+                store.performance_models.insert(key(), Arc::clone(model));
             }
-            if let Some(set) = self.invariant_set(&context) {
-                store.put_invariants(&context, set.as_ref());
+            if let Some(set) = &state.invariants {
+                store.invariants.insert(key(), Arc::clone(set));
             }
-        }
-        store.signatures = self.with_signature_database(|db| db.clone());
+        });
         store
     }
 }
 
 /// Parses a [`ModelStore`] context key (`workload@node`) back into an
-/// [`OperationContext`], keeping the key's buffer as the workload.
-fn context_of_key(mut key: String) -> Result<OperationContext, CoreError> {
-    match key.find('@') {
-        Some(at) => {
-            let node = key[at + 1..].to_string();
-            key.truncate(at);
-            Ok(OperationContext::new(node, key))
-        }
-        None => Err(CoreError::InvalidStoreKey { key }),
+/// [`OperationContext`].
+fn context_of_key(key: &str) -> Result<OperationContext, CoreError> {
+    match key.split_once('@') {
+        Some((workload, node)) => Ok(OperationContext::new(node, workload)),
+        None => Err(CoreError::InvalidStoreKey {
+            key: key.to_string(),
+        }),
     }
 }

@@ -151,6 +151,17 @@ impl ShardedStateMap {
         out
     }
 
+    /// Visits every context's state, one shard at a time, in no
+    /// particular order.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&OperationContext, &ContextState)) {
+        for shard in &self.shards {
+            let shard = shard.read().unwrap_or_else(PoisonError::into_inner);
+            for (context, state) in shard.iter() {
+                f(context, state);
+            }
+        }
+    }
+
     /// Number of contexts holding a trained performance model.
     pub(crate) fn modeled_contexts(&self) -> usize {
         self.shards

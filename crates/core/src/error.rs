@@ -237,7 +237,9 @@ pub enum CoreError {
         /// The underlying I/O error (shared so the variant stays `Clone`).
         source: Arc<std::io::Error>,
     },
-    /// A persisted context key was not in `workload@node` form.
+    /// A persisted context key was not in `workload@node` form, or a
+    /// context to be trained has a workload holding an `@`, so its key
+    /// would not parse back to it.
     InvalidStoreKey {
         /// The offending key.
         key: String,
@@ -387,7 +389,10 @@ impl fmt::Display for CoreError {
                 write!(f, "{op} at {}: {source}", path.display())
             }
             CoreError::InvalidStoreKey { key } => {
-                write!(f, "store key {key:?} is not in workload@node form")
+                write!(
+                    f,
+                    "store key {key:?} does not parse back to one workload@node context"
+                )
             }
             CoreError::NonFiniteCpi(ctx) => {
                 write!(f, "non-finite CPI sample rejected for context {ctx}")

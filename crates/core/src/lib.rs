@@ -77,10 +77,13 @@ pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};
 pub use incremental::{AdvanceOutcome, IncrementalSweep, ScreenOutcome, MAX_SLIDE};
 pub use invariants::{InvariantEntry, InvariantSet};
+/// The ARIMA model a [`PerformanceModel`] wraps, re-exported so a decoder
+/// can rebuild one ([`ArimaModel::from_coefficients`] validates it).
+pub use ix_arima::{ArimaModel, ArimaSpec};
 pub use measure::{
     ArxMeasure, AssociationMeasure, Floor, Floored, MicMeasure, PairScorer, PearsonMeasure,
     SlideOutcome, SweepPlan,
 };
 pub use signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use similarity::Similarity;
-pub use store::{ModelStore, StoredPerformanceModel};
+pub use store::ModelStore;

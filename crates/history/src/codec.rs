@@ -38,11 +38,13 @@
 //! decodes re-encodes byte-identically. Every refusal is a
 //! [`HistoryFileError::Format`].
 
+use std::sync::Arc;
+
 use ix_core::{
-    ContextId, DegradationReason, DegradationTier, Diagnosis, EngineEvent, EnginePhase, EventKind,
-    HealthState, InvariantEntry, InvariantSet, ModelStore, OperationContext, OverloadPolicy,
-    RankedCause, ResidualStats, Signature, StoredPerformanceModel, SweepDegradation,
-    ViolationTuple,
+    ArimaModel, ArimaSpec, ContextId, DegradationReason, DegradationTier, Diagnosis, EngineEvent,
+    EnginePhase, EventKind, HealthState, InvariantEntry, InvariantSet, ModelStore,
+    OperationContext, OverloadPolicy, PerformanceModel, RankedCause, ResidualStats, Signature,
+    SignatureDatabase, SweepDegradation, ViolationTuple,
 };
 
 use crate::file::{HistoryFileError, Reader, Writer};
@@ -340,11 +342,14 @@ fn expect_tag(r: &mut Reader<'_>, tag: u8, what: &str) -> Result<(), HistoryFile
 /// | invariant sets | `u32` count, then per set: key `str`, τ `f64`, `u32` count + `(u32 pair, f64 value)` entries |
 /// | signatures | `u32` count, then per signature: problem, node, workload `str` each, `u32` count + graded `f64`s |
 ///
-/// [`read_store_rows`] refuses what loading the store into an engine
-/// would trip over: keys out of order or not in `workload@node` form, a
-/// model whose coefficient counts disagree with its orders or whose σ² is
-/// negative, a non-finite model or signature value, and invariant entries
-/// [`InvariantSet::from_entries`] refuses.
+/// [`read_store_rows`] builds the engine's live values and refuses what
+/// loading the store into an engine would trip over: keys out of order or
+/// not in `workload@node` form, a model
+/// [`ArimaModel::from_coefficients`] refuses (coefficient counts that
+/// disagree with the orders, a negative σ²), a non-finite model or
+/// signature value, and invariant entries [`InvariantSet::from_entries`]
+/// refuses. This is the one place a stored model is validated: loading a
+/// decoded store shares its values and checks nothing again.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreRows<'a> {
     store: &'a ModelStore,
@@ -365,7 +370,12 @@ impl StoreRows<'_> {
             .store
             .performance_models
             .iter()
-            .map(|(key, m)| text(key.len()) + 12 + 8 + floats(m.ar.len()) + floats(m.ma.len()) + 48)
+            .map(|(key, m)| {
+                let a = m.arima();
+                let coefficients =
+                    floats(a.ar_coefficients().len()) + floats(a.ma_coefficients().len());
+                text(key.len()) + 12 + 8 + coefficients + 48
+            })
             .sum();
         let invariants: usize = self
             .store
@@ -392,16 +402,19 @@ impl StoreRows<'_> {
     pub fn write(self, w: &mut Writer) {
         w.u32_field(self.store.performance_models.len());
         for (key, m) in &self.store.performance_models {
+            let a = m.arima();
+            let spec = a.spec();
+            let stats = m.stats();
             w.bytes(key.as_bytes());
-            w.u32_field(m.p);
-            w.u32_field(m.d);
-            w.u32_field(m.q);
-            w.f64(m.intercept);
-            w.f64_list(&m.ar);
-            w.f64_list(&m.ma);
-            w.f64(m.sigma2);
-            w.u64(m.n_effective as u64);
-            w.f64s(&[m.stats.max, m.stats.min, m.stats.p95, m.beta]);
+            w.u32_field(spec.p);
+            w.u32_field(spec.d);
+            w.u32_field(spec.q);
+            w.f64(a.intercept());
+            w.f64_list(a.ar_coefficients());
+            w.f64_list(a.ma_coefficients());
+            w.f64(a.sigma2());
+            w.u64(a.n_effective() as u64);
+            w.f64s(&[stats.max, stats.min, stats.p95, m.beta()]);
         }
 
         w.u32_field(self.store.invariants.len());
@@ -455,30 +468,24 @@ pub fn read_store_rows(r: &mut Reader<'_>) -> Result<ModelStore, HistoryFileErro
             p95: r.finite_f64()?,
         };
         let beta = r.finite_f64()?;
-        // The checks `StoredPerformanceModel::into_model` makes, so a
-        // decoded store always loads.
-        if ar.len() != p || ma.len() != q || sigma2 < 0.0 {
-            return Err(malformed(format!(
-                "model `{key}`: orders ({p}, {d}, {q}) with {} AR and {} MA \
-                 coefficients and σ² {sigma2} do not form a model",
-                ar.len(),
-                ma.len()
-            )));
-        }
+        let (ar_len, ma_len) = (ar.len(), ma.len());
+        let arima = ArimaModel::from_coefficients(
+            ArimaSpec::new(p, d, q),
+            intercept,
+            ar,
+            ma,
+            sigma2,
+            n_effective,
+        )
+        .map_err(|_| {
+            malformed(format!(
+                "model `{key}`: orders ({p}, {d}, {q}) with {ar_len} AR and {ma_len} MA \
+                 coefficients and σ² {sigma2} do not form a model"
+            ))
+        })?;
         store.performance_models.insert(
             key.to_string(),
-            StoredPerformanceModel {
-                p,
-                d,
-                q,
-                intercept,
-                ar,
-                ma,
-                sigma2,
-                n_effective,
-                stats,
-                beta,
-            },
+            Arc::new(PerformanceModel::from_parts(arima, stats, beta)),
         );
     }
 
@@ -497,22 +504,24 @@ pub fn read_store_rows(r: &mut Reader<'_>) -> Result<ModelStore, HistoryFileErro
         }
         let set = InvariantSet::from_entries(entries, tau)
             .map_err(|e| malformed(format!("invariants `{key}`: {e}")))?;
-        store.invariants.insert(key.to_string(), set);
+        store.invariants.insert(key.to_string(), Arc::new(set));
     }
 
     // Smallest signature: three string lengths and the tuple count.
     let signatures = r.count(16)?;
+    let mut db = SignatureDatabase::new();
     for _ in 0..signatures {
         let problem = r.str()?.to_string();
         let node = r.str()?;
         let workload = r.str()?;
         let graded = r.finite_f64s()?;
-        store.signatures.add(Signature {
+        db.add(Signature {
             tuple: ViolationTuple::from_graded(graded),
             problem,
             context: OperationContext::new(node, workload),
         });
     }
+    store.signatures = Arc::new(db);
     Ok(store)
 }
 
@@ -839,87 +848,72 @@ mod tests {
         assert!(decoded(&bytes, read_diagnosis_record).is_err());
     }
 
-    /// A store holding one model, `edit`ed, under `key`.
-    fn one_model_store(key: &str, edit: impl FnOnce(&mut StoredPerformanceModel)) -> ModelStore {
-        let mut model = StoredPerformanceModel {
-            p: 1,
-            d: 0,
-            q: 1,
-            intercept: 0.5,
-            ar: vec![0.25],
-            ma: vec![-0.5],
-            sigma2: 2.0,
-            n_effective: 7,
-            stats: ResidualStats {
-                max: 1.0,
-                min: 0.0,
-                p95: 0.75,
-            },
-            beta: 1.5,
+    /// A store holding one ARIMA(1,0,1) model under `key`.
+    fn one_model_store(key: &str) -> ModelStore {
+        let arima = ArimaModel::from_coefficients(
+            ArimaSpec::new(1, 0, 1),
+            0.5,
+            vec![0.25],
+            vec![-0.5],
+            2.0,
+            7,
+        )
+        .expect("a valid model");
+        let stats = ResidualStats {
+            max: 1.0,
+            min: 0.0,
+            p95: 0.75,
         };
-        edit(&mut model);
         let mut store = ModelStore::new();
-        store.performance_models.insert(key.to_string(), model);
+        store.performance_models.insert(
+            key.to_string(),
+            Arc::new(PerformanceModel::from_parts(arima, stats, 1.5)),
+        );
         store
     }
 
     #[test]
     fn store_rows_an_engine_could_not_load_are_refused() {
-        let refusal = |store: &ModelStore| {
-            let bytes = encoded(|w| store_rows(store).write(w));
-            match decoded(&bytes, read_store_rows) {
-                Err(HistoryFileError::Format(msg)) => msg,
-                other => panic!("expected a refusal, got {other:?}"),
-            }
+        let refusal = |bytes: &[u8]| match decoded(bytes, read_store_rows) {
+            Err(HistoryFileError::Format(msg)) => msg,
+            other => panic!("expected a refusal, got {other:?}"),
         };
-        let ok = one_model_store("Sort@n1", |_| {});
+        let ok = one_model_store("Sort@n1");
         let bytes = encoded(|w| store_rows(&ok).write(w));
         assert_eq!(decoded(&bytes, read_store_rows).expect("decodes"), ok);
-        for store in [
-            one_model_store("Sort@n1", |m| m.p = 2),
-            one_model_store("Sort@n1", |m| m.ma.clear()),
-            one_model_store("Sort@n1", |m| m.sigma2 = -1.0),
+        // The model row after the count and "Sort@n1": p, d, q at 15, 19
+        // and 23; intercept; the AR count at 35 and its value; the MA
+        // count at 47 and its value; σ² at 59.
+        let patched = |at: usize, value: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + value.len()].copy_from_slice(value);
+            b
+        };
+        for damaged in [
+            patched(15, &2u32.to_le_bytes()),
+            patched(23, &0u32.to_le_bytes()),
+            patched(59, &(-1.0f64).to_bits().to_le_bytes()),
         ] {
-            let msg = refusal(&store);
+            let msg = refusal(&damaged);
             assert!(msg.contains("do not form a model"), "{msg}");
-            let stored = store.performance_models.into_values().next().expect("one");
-            assert!(stored.into_model().is_err(), "the engine refuses it too");
         }
-        let msg = refusal(&one_model_store("Sort", |_| {}));
+        let bad_key = one_model_store("Sort");
+        let msg = refusal(&encoded(|w| store_rows(&bad_key).write(w)));
         assert!(msg.contains("not in workload@node form"), "{msg}");
     }
 
     #[test]
     fn store_rows_round_trip_at_their_exact_length() {
-        let mut store = ModelStore::new();
-        store.performance_models.insert(
-            "Sort@n1".to_string(),
-            StoredPerformanceModel {
-                p: 1,
-                d: 1,
-                q: 0,
-                intercept: 0.5,
-                ar: vec![0.25],
-                ma: Vec::new(),
-                sigma2: 2.0,
-                n_effective: 7,
-                stats: ResidualStats {
-                    max: 1.0,
-                    min: 0.0,
-                    p95: 0.75,
-                },
-                beta: 1.5,
-            },
-        );
+        let mut store = one_model_store("Sort@n1");
         let entries = vec![InvariantEntry {
             pair: 3,
             value: 0.5,
         }];
         store.invariants.insert(
             "Sort@n1".to_string(),
-            InvariantSet::from_entries(entries, 0.25).expect("valid"),
+            Arc::new(InvariantSet::from_entries(entries, 0.25).expect("valid")),
         );
-        store.signatures.add(Signature {
+        Arc::make_mut(&mut store.signatures).add(Signature {
             tuple: ViolationTuple::from_graded(vec![0.0]),
             problem: "hog".to_string(),
             context: OperationContext::new("n1", "Sort"),

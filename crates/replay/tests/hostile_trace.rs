@@ -5,11 +5,13 @@
 //! panic. Both `HistoryStore::from_bytes` and `ReplayHeader::extract` are
 //! driven over each damaged copy.
 
+use std::sync::Arc;
+
 use ix_core::{
-    ContextId, DegradationReason, DegradationTier, Diagnosis, EngineEvent, EnginePhase,
-    HealthState, HistoryRecorder, InvarNetConfig, InvariantEntry, InvariantSet, ModelStore,
-    OperationContext, OverloadPolicy, RankedCause, ResidualStats, Signature,
-    StoredPerformanceModel, SweepDegradation, ViolationTuple,
+    ArimaModel, ArimaSpec, ContextId, DegradationReason, DegradationTier, Diagnosis, EngineEvent,
+    EnginePhase, HealthState, HistoryRecorder, InvarNetConfig, InvariantEntry, InvariantSet,
+    ModelStore, OperationContext, OverloadPolicy, PerformanceModel, RankedCause, ResidualStats,
+    Signature, SweepDegradation, ViolationTuple,
 };
 use ix_history::{HistoryFileError, HistoryStore, REPLAY_SECTION};
 use ix_metrics::METRIC_COUNT;
@@ -103,25 +105,18 @@ fn every_event(ctx: ContextId) -> Vec<EngineEvent> {
 
 /// A small trained state touching every store row.
 fn small_store() -> ModelStore {
+    let arima =
+        ArimaModel::from_coefficients(ArimaSpec::new(1, 0, 1), 0.5, vec![0.25], vec![-0.5], 2.0, 7)
+            .expect("a valid model");
+    let stats = ResidualStats {
+        max: 1.0,
+        min: 0.0,
+        p95: 0.75,
+    };
     let mut store = ModelStore::new();
     store.performance_models.insert(
         "Sort@n1".to_string(),
-        StoredPerformanceModel {
-            p: 1,
-            d: 0,
-            q: 1,
-            intercept: 0.5,
-            ar: vec![0.25],
-            ma: vec![-0.5],
-            sigma2: 2.0,
-            n_effective: 7,
-            stats: ResidualStats {
-                max: 1.0,
-                min: 0.0,
-                p95: 0.75,
-            },
-            beta: 1.5,
-        },
+        Arc::new(PerformanceModel::from_parts(arima, stats, 1.5)),
     );
     let entries = vec![
         InvariantEntry {
@@ -135,9 +130,9 @@ fn small_store() -> ModelStore {
     ];
     store.invariants.insert(
         "Sort@n1".to_string(),
-        InvariantSet::from_entries(entries, 0.25).expect("valid"),
+        Arc::new(InvariantSet::from_entries(entries, 0.25).expect("valid")),
     );
-    store.signatures.add(Signature {
+    Arc::make_mut(&mut store.signatures).add(Signature {
         tuple: ViolationTuple::from_graded(vec![0.0, 0.5]),
         problem: "hog".to_string(),
         context: OperationContext::new("n1", "Sort"),

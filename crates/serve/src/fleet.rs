@@ -12,12 +12,15 @@
 //!
 //! When the warm count crosses the configured high-water mark
 //! ([`FleetBuilder::warm_limit`]), the least-recently-used warm tenant is
-//! evicted: its trained state ([`Engine::snapshot_state`]), lifetime tick
-//! counter and per-context run tails — moved out of the slot, not copied
-//! — become its cold image, and the engine is dropped. Warming moves the
-//! image back: a fresh engine, the store moved in with
-//! [`Engine::load_state_owned`], the flat tails replayed through
-//! [`Engine::restore_run`]. Nothing is encoded or decoded in between;
+//! evicted: its trained state ([`Engine::snapshot_state`], which shares
+//! the engine's models, invariant sets and signature database by `Arc`),
+//! lifetime tick counter and per-context run tails — moved out of the
+//! slot, not copied — become its cold image, and the engine is dropped.
+//! Warming installs the image in a fresh engine: the store shared in with
+//! [`Engine::load_state`], the flat tails replayed through
+//! [`Engine::restore_run`]. Nothing is encoded, decoded or copied in
+//! between, so tenants materialized from one template keep sharing its
+//! trained state through any number of evictions;
 //! bytes exist only where a snapshot crosses the process boundary — a
 //! snapshot-directory file, [`Fleet::snapshot_bytes`], [`Fleet::adopt`]
 //! (which decodes once and keeps the image) — and a file warm decodes
@@ -127,8 +130,8 @@ impl From<ContextEntry> for ContextState {
 struct WarmTenant {
     engine: Arc<Engine>,
     telemetry: Option<Arc<Telemetry>>,
-    /// One entry per `workload@node` form, sorted by it: the order
-    /// snapshots list contexts in.
+    /// One entry per context, sorted by `workload@node` form ([`by_form`]):
+    /// the order snapshots list contexts in.
     contexts: Vec<ContextEntry>,
 }
 
@@ -175,7 +178,9 @@ impl WarmTenant {
 }
 
 /// Orders two contexts as their `workload@node` forms order (bytewise, as
-/// `str` orders), without building either form.
+/// `str` orders), without building either form. Two contexts with one
+/// form (`c@a` on `b`, `c` on `a@b`) order by node, so each keeps an
+/// entry of its own.
 fn by_form(a: &OperationContext, b: &OperationContext) -> std::cmp::Ordering {
     fn form(c: &OperationContext) -> impl Iterator<Item = &u8> {
         c.workload
@@ -184,7 +189,7 @@ fn by_form(a: &OperationContext, b: &OperationContext) -> std::cmp::Ordering {
             .chain(b"@")
             .chain(c.node.as_bytes())
     }
-    form(a).cmp(form(b))
+    form(a).cmp(form(b)).then_with(|| a.node.cmp(&b.node))
 }
 
 /// An evicted (or adopted) tenant: its decoded image in memory, or its
@@ -613,8 +618,8 @@ impl Fleet {
     }
 
     /// Captures warm slot `i` and replaces it with a cold one: in memory,
-    /// the decoded image itself — the engine's trained state and the
-    /// slot's tails, moved out — and under a snapshot directory, its
+    /// the decoded image itself — the engine's trained state, shared, and
+    /// the slot's tails, moved out — and under a snapshot directory, its
     /// bytes, written durably before the slot changes.
     fn evict_slot(&self, inner: &mut FleetInner, i: usize) -> Result<(), ServeError> {
         let slot = &mut inner.slots[i];
@@ -651,19 +656,14 @@ impl Fleet {
         Ok(())
     }
 
-    /// Builds a warm tenant from `image`: a fresh engine, the store moved
-    /// in with [`Engine::load_state_owned`], each context's tail replayed
-    /// through [`Engine::restore_run`] and moved into the slot's
-    /// bookkeeping. On an error the image is put back together — its
-    /// store re-captured from the engine it moved into, which a decoded
-    /// or captured store always loads into whole — so the tenant stays
-    /// cold with nothing lost.
+    /// Builds a warm tenant from `image`: a fresh engine sharing the
+    /// image's store ([`Engine::load_state`]), each context's tail
+    /// replayed through [`Engine::restore_run`] and moved into the slot's
+    /// bookkeeping. On an error the tails are put back, so the tenant
+    /// stays cold with nothing lost.
     fn install(&self, image: &mut TenantImage) -> Result<WarmTenant, ServeError> {
         let (engine, telemetry) = self.build_engine(image.lifetime_ticks);
-        if let Err(e) = engine.load_state_owned(std::mem::take(&mut image.store)) {
-            image.store = engine.snapshot_state();
-            return Err(e.into());
-        }
+        engine.load_state(&image.store)?;
         let mut warm = WarmTenant {
             engine,
             telemetry,
@@ -683,7 +683,6 @@ impl Fleet {
                     .restore_run(&entry.context, ticks.map(|t| (t[0], &t[1..])))
             };
             if let Err(e) = restored {
-                image.store = warm.engine.snapshot_state();
                 image.contexts = (warm.contexts.into_iter().chain([entry]))
                     .map(ContextState::from)
                     .chain(states)
@@ -1122,5 +1121,9 @@ mod tests {
                 assert_eq!(by_form(a, b), want, "{a} vs {b}");
             }
         }
+        let a = OperationContext::new("b", "c@a");
+        let b = OperationContext::new("a@b", "c");
+        assert_eq!(a.to_string(), b.to_string());
+        assert_eq!(by_form(&a, &b), std::cmp::Ordering::Greater);
     }
 }

@@ -425,9 +425,11 @@ fn checksum(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use ix_core::{
-        InvariantEntry, InvariantSet, OperationContext, ResidualStats, Signature,
-        StoredPerformanceModel, ViolationTuple,
+        ArimaModel, ArimaSpec, InvariantEntry, InvariantSet, OperationContext, PerformanceModel,
+        ResidualStats, Signature, ViolationTuple,
     };
     use ix_history::HistoryStore;
 
@@ -455,25 +457,24 @@ mod tests {
 
     /// A hand-built snapshot touching every field of the layout.
     fn small() -> TenantSnapshot {
+        let arima = ArimaModel::from_coefficients(
+            ArimaSpec::new(1, 0, 1),
+            0.5,
+            vec![0.25],
+            vec![-0.5],
+            2.0,
+            7,
+        )
+        .expect("a valid model");
+        let stats = ResidualStats {
+            max: 1.0,
+            min: 0.0,
+            p95: 0.75,
+        };
         let mut store = ModelStore::new();
         store.performance_models.insert(
             "Sort@n1".to_string(),
-            StoredPerformanceModel {
-                p: 1,
-                d: 0,
-                q: 1,
-                intercept: 0.5,
-                ar: vec![0.25],
-                ma: vec![-0.5],
-                sigma2: 2.0,
-                n_effective: 7,
-                stats: ResidualStats {
-                    max: 1.0,
-                    min: 0.0,
-                    p95: 0.75,
-                },
-                beta: 1.5,
-            },
+            Arc::new(PerformanceModel::from_parts(arima, stats, 1.5)),
         );
         let entries = vec![
             InvariantEntry {
@@ -487,9 +488,9 @@ mod tests {
         ];
         store.invariants.insert(
             "Sort@n1".to_string(),
-            InvariantSet::from_entries(entries, 0.25).expect("valid"),
+            Arc::new(InvariantSet::from_entries(entries, 0.25).expect("valid")),
         );
-        store.signatures.add(Signature {
+        Arc::make_mut(&mut store.signatures).add(Signature {
             tuple: ViolationTuple::from_graded(vec![0.0, 0.5]),
             problem: "hog".to_string(),
             context: OperationContext::new("n1", "Sort"),

@@ -10,9 +10,10 @@ mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use common::{started_fleet, template};
-use ix_core::{Diagnosis, ViolationTuple};
+use ix_core::{Diagnosis, Engine, ModelStore, SignatureDatabase, ViolationTuple};
 use ix_serve::wire::{self, BinaryPayload, IngestReply, IngestRequest, Op, RequestFrame};
 use ix_serve::{handle_request, ServeError, TenantId};
 
@@ -188,18 +189,18 @@ fn evict_and_warm_allocations(name: &str, tail: usize) -> Cycle {
 
 #[test]
 fn evict_and_warm_allocations_are_pinned() {
-    // An in-memory eviction encodes nothing: the cold image is the
-    // engine's trained store as `Engine::snapshot_state` copies it — the
-    // context list and its two strings (4), the model and the invariant
-    // set with their keys and map nodes (10), the signature database and
-    // its two signatures (9) — and the slot's run tails, moved (23). The
-    // warm decodes nothing: it builds the engine, moves the store into it
-    // and replays the tail into a detector run sized for it up front
-    // (28).
+    // An in-memory eviction encodes and copies nothing: the cold image
+    // is the engine's trained store as `Engine::snapshot_state` shares it
+    // — the context's key and its copy for the second map, and one node
+    // per map (4); the model, invariant set and signature database are
+    // refcount bumps — and the slot's run tails, moved. The warm decodes
+    // and rebuilds nothing: it builds the engine, shares the store into
+    // it and replays the tail into a detector run sized for it up front
+    // (27).
     let cycle = evict_and_warm_allocations("cycled", WARM_TICKS);
     assert_eq!(
         (cycle.evict, cycle.warm),
-        (23, 28),
+        (4, 27),
         "allocations of one Fleet::evict and one Fleet::warm of the trained \
          tenant with a {WARM_TICKS}-tick tail"
     );
@@ -220,8 +221,8 @@ fn warm_allocations_do_not_grow_with_the_tail() {
 
 #[test]
 fn evict_bytes_do_not_grow_with_the_tail() {
-    // The tails move into the cold image; only the trained store is
-    // copied, so an 8-tick and a 48-tick tail request the same bytes.
+    // The tails move into the cold image and the trained store is
+    // shared, so an 8-tick and a 48-tick tail request the same bytes.
     let short = evict_and_warm_allocations("short-evict", WARM_TICKS);
     let long = evict_and_warm_allocations("long-evict", 48);
     assert_eq!(
@@ -229,6 +230,36 @@ fn evict_bytes_do_not_grow_with_the_tail() {
         (long.evict, long.evict_bytes),
         "allocations and bytes of one Fleet::evict with an 8-tick and a \
          48-tick tail"
+    );
+}
+
+#[test]
+fn template_materialization_does_not_copy_the_store() {
+    // Loading a template shares its models, invariant sets and signature
+    // database: a template with 6 signatures costs a new tenant exactly
+    // what one with 1 does.
+    let t = template();
+    let signatures = |n: usize| {
+        let first = &t.store.signatures.records()[0];
+        let mut db = SignatureDatabase::new();
+        for _ in 0..n {
+            db.add(first.clone());
+        }
+        ModelStore {
+            signatures: Arc::new(db),
+            ..t.store.clone()
+        }
+    };
+    let load = |store: &ModelStore| {
+        let engine = Engine::builder().threads(1).build();
+        let (loaded, n, bytes) = counted(|| engine.load_state(store));
+        loaded.expect("load the template");
+        (n, bytes)
+    };
+    assert_eq!(
+        load(&signatures(1)),
+        load(&signatures(6)),
+        "allocations and bytes of Engine::load_state with 1 and 6 signatures"
     );
 }
 

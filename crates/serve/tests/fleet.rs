@@ -13,10 +13,10 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ix_core::{
     CoreError, Engine, EngineEvent, ErrorCode, EventSink, InvarNetConfig, ModelStore,
-    OperationContext, StoredPerformanceModel,
+    OperationContext,
 };
 use ix_history::{load_model_store, model_store_bytes, model_store_from_bytes};
-use ix_serve::{Fleet, ServeError, TenantId, TenantSnapshot};
+use ix_serve::{ContextState, Fleet, ServeError, TenantId, TenantSnapshot, TAIL_STRIDE};
 use ix_simulator::{FaultType, Runner, WorkloadType};
 use proptest::prelude::*;
 
@@ -494,8 +494,8 @@ fn snapshot_bytes_are_deterministic_and_match_what_eviction_stores() {
     assert_eq!(snapshot.contexts.len(), 6);
 }
 
-/// `c@a` on node `b` and `c` on node `a@b`, which share the store key
-/// `c@a@b`.
+/// `c@a` on node `b` and `c` on node `a@b`, whose `workload@node` forms
+/// are both `c@a@b`.
 fn colliding() -> [OperationContext; 2] {
     [
         OperationContext::new("b", "c@a"),
@@ -503,26 +503,45 @@ fn colliding() -> [OperationContext; 2] {
     ]
 }
 
-/// Loads the template into `tenant` and trains a distinct model for each
-/// [`colliding`] context; returns the engine's store.
+/// Loads the template into `tenant` and tries to train both
+/// [`colliding`] contexts: every training step refuses the one whose
+/// workload holds an `@`, before anything is stored, and the other (an
+/// `@` in the node parses back) trains. Returns the engine's store.
 fn train_colliding(fleet: &Fleet, tenant: &TenantId) -> ModelStore {
     let t = template();
     let runner = Runner::new(11);
-    let traces: Vec<Vec<f64>> = runner
-        .normal_runs(WorkloadType::Wordcount, 4)
+    let normals = runner.normal_runs(WorkloadType::Wordcount, 4);
+    let node = Runner::DEFAULT_FAULT_NODE;
+    let traces: Vec<Vec<f64>> = normals
         .iter()
-        .map(|r| r.per_node[Runner::DEFAULT_FAULT_NODE].cpi.cpi_series())
+        .map(|r| r.per_node[node].cpi.cpi_series())
         .collect();
-    let colliding = colliding();
+    let frames: Vec<_> = normals
+        .iter()
+        .map(|r| r.per_node[node].frame.window(30..75))
+        .collect();
+    let [refused, trained] = colliding();
     fleet
         .with_engine(tenant, |e| {
             e.load_state(&t.store)?;
-            e.train_performance_model(colliding[0].clone(), &traces[..3])?;
-            e.train_performance_model(colliding[1].clone(), &traces[1..])?;
-            let [a, b] = colliding.each_ref().map(|c| {
-                StoredPerformanceModel::from_model(&e.performance_model(c).expect("trained"))
-            });
-            assert_ne!(a, b, "the colliding models must differ to tell them apart");
+            let refusal = CoreError::InvalidStoreKey {
+                key: "c@a@b".to_string(),
+            };
+            assert_eq!(
+                e.train_performance_model(refused.clone(), &traces),
+                Err(refusal.clone())
+            );
+            assert_eq!(
+                e.build_invariants(refused.clone(), &frames),
+                Err(refusal.clone())
+            );
+            assert_eq!(
+                e.record_signature(&refused, "hog", &frames[0]),
+                Err(refusal)
+            );
+            assert!(e.performance_model(&refused).is_none());
+            assert!(e.invariant_set(&refused).is_none());
+            e.train_performance_model(trained.clone(), &traces)?;
             Ok::<_, CoreError>(e.snapshot_state())
         })
         .expect("materialize")
@@ -530,22 +549,45 @@ fn train_colliding(fleet: &Fleet, tenant: &TenantId) -> ModelStore {
 }
 
 #[test]
-fn snapshot_bytes_equal_the_model_store_path_when_context_forms_collide() {
-    // A `ModelStore` built in context order keeps the second colliding
-    // model under the shared key; the fleet's image must spell exactly
-    // that store.
+fn a_workload_holding_an_at_is_refused_and_the_store_keeps_one_context_per_key() {
     let tenant = TenantId::new("collide").expect("valid");
     let fleet = Fleet::builder().build();
     let store = train_colliding(&fleet, &tenant);
+    let [refused, trained] = colliding();
+    let keys: Vec<&String> = store.performance_models.keys().collect();
     assert_eq!(
-        store.performance_models.len(),
-        2,
-        "template + one collided key"
+        keys,
+        [&ModelStore::context_key(&template().context), "c@a@b"],
+        "the template's context and the trained one"
     );
     let expected = TenantSnapshot::new(fleet.config().clone(), store, 0, Vec::new()).to_bytes();
     assert_eq!(fleet.snapshot_bytes(&tenant).expect("snapshot"), expected);
     fleet.evict(&tenant).expect("evict");
     fleet.warm(&tenant).expect("warm");
+    fleet
+        .with_engine(&tenant, |e| {
+            assert!(e.performance_model(&trained).is_some());
+            assert!(e.performance_model(&refused).is_none());
+        })
+        .expect("warm tenant");
+    // The two contexts keep their own run bookkeeping: a run reset on
+    // the refused one does not take the trained one's tail.
+    fleet.reset_run(&tenant, &refused).expect("reset");
+    for (cpi, row) in &template().ticks[..5] {
+        fleet.ingest(&tenant, &trained, *cpi, row).expect("ingest");
+    }
+    let snapshot =
+        TenantSnapshot::from_bytes(&fleet.snapshot_bytes(&tenant).expect("live")).expect("parse");
+    let tails: Vec<(&str, usize)> = snapshot
+        .contexts
+        .iter()
+        .map(|c| (c.node.as_str(), c.tail.len() / TAIL_STRIDE))
+        .collect();
+    assert_eq!(tails, [("a@b", 5), ("b", 0)]);
+    fleet.evict(&tenant).expect("evict");
+    fleet
+        .warm(&tenant)
+        .expect("the trained context's tail restores");
 }
 
 #[test]
@@ -559,6 +601,7 @@ fn an_in_memory_cold_tenant_serves_the_bytes_its_snapshot_file_holds() {
     let files = Fleet::builder().snapshot_dir(dir.path()).build();
     let tailed = TenantId::new("tailed").expect("valid");
     let collide = TenantId::new("collide").expect("valid");
+    let [_, trained] = colliding();
     for fleet in [&memory, &files] {
         fleet
             .with_engine(&tailed, |e| e.load_state(&t.store))
@@ -566,9 +609,10 @@ fn an_in_memory_cold_tenant_serves_the_bytes_its_snapshot_file_holds() {
             .expect("load");
         train_colliding(fleet, &collide);
         for (cpi, row) in &t.ticks[..10] {
-            for tenant in [&tailed, &collide] {
-                fleet.ingest(tenant, &t.context, *cpi, row).expect("ingest");
-            }
+            fleet
+                .ingest(&tailed, &t.context, *cpi, row)
+                .expect("ingest");
+            fleet.ingest(&collide, &trained, *cpi, row).expect("ingest");
         }
     }
     for tenant in [&tailed, &collide] {
@@ -588,35 +632,153 @@ fn an_in_memory_cold_tenant_serves_the_bytes_its_snapshot_file_holds() {
 
 #[test]
 fn a_failed_warm_leaves_the_cold_tenant_whole() {
-    // A tick tracked on the colliding context whose model the shared key
-    // drops: the warm finds no model to restore its run onto and fails.
-    // In either cold form, the tenant stays cold with the same image.
+    // A snapshot whose tail names a context the store has no model for:
+    // the warm finds no detector to restore the run onto and fails. In
+    // either cold form — the adopted image in memory, or the tenant's
+    // snapshot file — the tenant stays cold with the same image.
     let t = template();
-    let [shadowed, _] = colliding();
-    let tenant = TenantId::new("collide").expect("valid");
+    let orphan = OperationContext::new("10.9.9.9", "Orphan");
+    let (cpi, row) = &t.ticks[0];
+    let tail = std::iter::once(*cpi).chain(row.iter().copied()).collect();
+    let tenant = TenantId::new("orphaned").expect("valid");
     for cold in [Cold::Memory, Cold::File] {
-        let (builder, _dir) = evicting_to(cold, "failed-warm");
+        let (builder, dir) = evicting_to(cold, "failed-warm");
         let fleet = builder.build();
-        train_colliding(&fleet, &tenant);
-        let (cpi, row) = &t.ticks[0];
-        fleet.ingest(&tenant, &shadowed, *cpi, row).expect("ingest");
-        fleet.evict(&tenant).expect("evict");
-        let cold_bytes = fleet.snapshot_bytes(&tenant).expect("cold");
+        let bytes = TenantSnapshot::new(
+            fleet.config().clone(),
+            t.store.clone(),
+            7,
+            vec![ContextState {
+                node: orphan.node.clone(),
+                workload: orphan.workload.clone(),
+                tail: Vec::clone(&tail),
+                truncated: false,
+            }],
+        )
+        .to_bytes();
+        match &dir {
+            None => fleet.adopt(tenant.clone(), bytes.clone()).expect("adopt"),
+            Some(dir) => {
+                // The tenant's own snapshot file, replaced by the bytes.
+                fleet
+                    .with_engine(&tenant, |e| e.load_state(&t.store))
+                    .expect("materialize")
+                    .expect("load");
+                fleet.evict(&tenant).expect("evict to a file");
+                std::fs::write(dir.path().join(format!("{tenant}.ixhist")), &bytes)
+                    .expect("replace the snapshot file");
+            }
+        }
+        assert_eq!(fleet.snapshot_bytes(&tenant).expect("cold"), bytes);
         for attempt in 0..2 {
             assert!(
                 matches!(
                     fleet.warm(&tenant),
-                    Err(ServeError::Core(CoreError::NoPerformanceModel(ref c))) if *c == shadowed
+                    Err(ServeError::Core(CoreError::NoPerformanceModel(ref c))) if *c == orphan
                 ),
                 "{cold:?} warm {attempt}"
             );
             assert!(!fleet.is_warm(&tenant));
             assert_eq!(
                 fleet.snapshot_bytes(&tenant).expect("still cold"),
-                cold_bytes,
+                bytes,
                 "{cold:?}: the image after failed warm {attempt}"
             );
         }
+    }
+}
+
+/// Whether `store`'s model and invariant set for the template's context,
+/// and its signature database, are the very values the template's store
+/// holds.
+fn shares_the_template(store: &ModelStore) -> bool {
+    let t = template();
+    let key = ModelStore::context_key(&t.context);
+    Arc::ptr_eq(
+        &store.performance_models[&key],
+        &t.store.performance_models[&key],
+    ) && Arc::ptr_eq(&store.invariants[&key], &t.store.invariants[&key])
+        && Arc::ptr_eq(&store.signatures, &t.store.signatures)
+}
+
+/// The trained state `tenant`'s engine holds, shared.
+fn state_of(fleet: &Fleet, tenant: &TenantId) -> ModelStore {
+    fleet
+        .with_engine(tenant, Engine::snapshot_state)
+        .expect("warm tenant")
+}
+
+#[test]
+fn tenants_materialized_from_one_template_share_its_trained_state() {
+    let t = template();
+    let fleet = Fleet::builder().build();
+    let tenants = ["first", "second"].map(|n| TenantId::new(n).expect("valid"));
+    for tenant in &tenants {
+        fleet
+            .with_engine(tenant, |e| e.load_state(&t.store))
+            .expect("materialize")
+            .expect("load");
+    }
+    for tenant in &tenants {
+        assert!(shares_the_template(&state_of(&fleet, tenant)), "{tenant}");
+        let model = fleet
+            .with_engine(tenant, |e| e.performance_model(&t.context))
+            .expect("warm tenant")
+            .expect("a model");
+        assert!(Arc::ptr_eq(
+            &model,
+            &t.store.performance_models[&ModelStore::context_key(&t.context)]
+        ));
+    }
+}
+
+#[test]
+fn a_signature_recorded_on_one_tenant_leaves_the_others_unchanged() {
+    let t = template();
+    let fleet = Fleet::builder().build();
+    let [writer, reader] = ["writer", "reader"].map(|n| TenantId::new(n).expect("valid"));
+    for tenant in [&writer, &reader] {
+        fleet
+            .with_engine(tenant, |e| e.load_state(&t.store))
+            .expect("materialize")
+            .expect("load");
+    }
+    let before = t.store.signatures.len();
+    let run = Runner::new(11).fault_run(WorkloadType::Wordcount, FaultType::NetDrop, 0);
+    let window = run.fault_window().expect("window");
+    fleet
+        .with_engine(&writer, |e| e.record_signature(&t.context, "net", &window))
+        .expect("warm tenant")
+        .expect("record");
+    let written = state_of(&fleet, &writer);
+    assert_eq!(written.signatures.len(), before + 1);
+    assert!(!Arc::ptr_eq(&written.signatures, &t.store.signatures));
+    assert_eq!(
+        written.signatures.records()[..before],
+        t.store.signatures.records()[..]
+    );
+    assert!(shares_the_template(&state_of(&fleet, &reader)));
+    assert_eq!(t.store.signatures.len(), before, "the template's database");
+}
+
+#[test]
+fn an_evicted_and_rewarmed_tenant_still_shares_the_template() {
+    let t = template();
+    let fleet = Fleet::builder().build();
+    let tenant = TenantId::new("cycled").expect("valid");
+    fleet
+        .with_engine(&tenant, |e| e.load_state(&t.store))
+        .expect("materialize")
+        .expect("load");
+    for (cpi, row) in &t.ticks[..10] {
+        fleet
+            .ingest(&tenant, &t.context, *cpi, row)
+            .expect("ingest");
+    }
+    for _ in 0..2 {
+        fleet.evict(&tenant).expect("evict");
+        fleet.warm(&tenant).expect("warm");
+        assert!(shares_the_template(&state_of(&fleet, &tenant)));
     }
 }
 

@@ -236,7 +236,9 @@ fn unchanged_window_under_new_invariants_matches_a_from_scratch_engine() {
     assert_eq!(wide.len(), pair_count());
     let reference = Engine::builder().build();
     let mut store = ModelStore::new();
-    store.put_invariants(&ctx, &wide);
+    store
+        .invariants
+        .insert(ModelStore::context_key(&ctx), Arc::new(wide));
     reference.load_state(&store).unwrap();
     reference
         .record_signature(&ctx, "wide", &coupled_frame(40, 9, true))
