@@ -12,7 +12,10 @@
 //! (`Instant`, `SystemTime`) and the common allocating constructs (`vec!`,
 //! `Vec::new`, `with_capacity`, `to_vec`, `Box::new`, `format!`,
 //! `String::new`, `collect`) in every reachable body. A violation in a
-//! helper three calls down reports the full hot-fn→helper chain.
+//! helper three calls down reports the full hot-fn→helper chain. An entry
+//! that names no function fails the rule too, reported against this file,
+//! so deleting a hot function without its entry cannot quietly shrink the
+//! rule's coverage.
 
 use super::{graph_for, Rule, Violation};
 use crate::callgraph::EdgeFilter;
@@ -22,9 +25,6 @@ use crate::workspace::{SourceFile, Workspace};
 pub const HOT_FUNCTIONS: &[(&str, &str)] = &[
     ("crates/mic/src/mine.rs", "mic_with_profiles_scratch"),
     ("crates/mic/src/mine.rs", "mic_floor_scratch"),
-    ("crates/mic/src/mine.rs", "half_characteristic_into"),
-    ("crates/mic/src/mine.rs", "mic_screen_bound_scratch"),
-    ("crates/mic/src/mine.rs", "corner_entry_into"),
     // Reached from the kernel's unit only through method calls on other
     // values (`clumps.rebuild`, `clumps.push_column_costs`), which are not
     // confident edges, so each is a root of its own.
@@ -64,6 +64,23 @@ impl Rule for ScoringPathPurity {
 
     fn check(&self, file: &SourceFile, ws: &Workspace, out: &mut Vec<Violation>) {
         let graph = graph_for(file, ws);
+        // A stale entry would silently shrink the rule's coverage, so it
+        // fails loudly — reported once, against this rule's own source.
+        if file.rel == "crates/analysis/src/rules/purity.rs" {
+            for &(f, name) in HOT_FUNCTIONS {
+                if !graph.nodes.iter().any(|n| n.file == f && n.name == name) {
+                    out.push(Violation::new(
+                        self.id(),
+                        file.rel.clone(),
+                        1,
+                        format!(
+                            "hot function `{f}::{name}` matches no function in the workspace \
+                             — HOT_FUNCTIONS has drifted from the scoring path"
+                        ),
+                    ));
+                }
+            }
+        }
         let roots: Vec<usize> = graph
             .nodes
             .iter()

@@ -9,6 +9,7 @@
 
 use std::path::Path;
 
+use ix_analysis::callgraph::CallGraph;
 use ix_analysis::rules::{all_rules, run_all, Violation};
 use ix_analysis::workspace::{build_file, Workspace};
 
@@ -363,6 +364,36 @@ fn purity_covers_the_clump_rebuild_column_costs_and_dp() {
             "chain runs from {root} to {anchor}: {v:#?}"
         );
     }
+}
+
+#[test]
+fn purity_reports_a_hot_function_entry_that_matches_nothing() {
+    // Deleting a listed hot function (here: renaming it away) without its
+    // HOT_FUNCTIONS entry leaves a stale entry, reported once, against the
+    // rule's own source.
+    let mut ws = real_workspace();
+    let rel = "crates/mic/src/mine.rs";
+    let src = std::fs::read_to_string(ws.root.join(rel)).expect("read source");
+    let planted = src.replace("fn mic_floor_scratch(", "fn mic_floor_scratch_gone(");
+    assert_ne!(planted, src, "the plant must rename the hot function");
+    let i = ws.files.iter().position(|f| f.rel == rel).expect("mine.rs");
+    ws.files[i] = build_file(&ws.root, &ws.root.join(rel), &planted);
+    ws.graph = CallGraph::build(&ws.files);
+    let purity = "crates/analysis/src/rules/purity.rs";
+    let mut out = Vec::new();
+    for file in &ws.files {
+        for rule in all_rules()
+            .iter()
+            .filter(|r| r.id() == "scoring-path-purity")
+        {
+            rule.check(file, &ws, &mut out);
+        }
+    }
+    assert_eq!(out.len(), 1, "exactly the stale entry: {out:#?}");
+    assert!(
+        out[0].path == purity && out[0].message.contains("mine.rs::mic_floor_scratch`"),
+        "the stale entry is named against {purity}: {out:#?}"
+    );
 }
 
 #[test]

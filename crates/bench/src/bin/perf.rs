@@ -14,7 +14,8 @@
 //!
 //! `--quick` runs every section once, with minimal iterations and sizes
 //! and no timing gate. Its correctness asserts still run: incremental ==
-//! from-scratch over 8 slides, 2k tenants round-trip over loopback TCP, a
+//! from-scratch over 8 slides of a MemHog fault run, which score at least
+//! one pair exactly, 2k tenants round-trip over loopback TCP, a
 //! clean replay verify, a bisect that pins the planted tick, and every
 //! budgeted diagnosis declaring a degradation exactly when its pass left
 //! pairs unsettled.
@@ -34,14 +35,14 @@ use ix_bench::scenario::{
 use ix_core::{
     pair_count, AdvanceOutcome, AssociationMatrix, AssociationMeasure, ContextId, ContextRegistry,
     Engine, EngineBuilder, EngineEvent, EventSink, Histogram, HistoryRecorder, IncrementalSweep,
-    InvarNetConfig, InvariantSet, MicMeasure, NullSink, OperationContext, PassScope,
-    PearsonMeasure, ScreenOutcome, Similarity, SweepBudget, SweepPool, Telemetry, ViolationTuple,
+    InvarNetConfig, MicMeasure, NullSink, OperationContext, PassScope, PearsonMeasure,
+    ScreenOutcome, Similarity, SweepBudget, SweepPool, Telemetry, ViolationTuple,
 };
 use ix_history::HistoryStore;
 use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
 use ix_mic::{
-    mic_floor_scratch, mic_screen_bound_scratch, mic_with_params, mic_with_profiles_scratch,
-    Floored, MicParams, MineScratch, SeriesProfile,
+    mic_floor_scratch, mic_with_params, mic_with_profiles_scratch, Floored, MicParams, MineScratch,
+    SeriesProfile,
 };
 use ix_replay::{Breakpoint, EventKind, ReplayDebugger, Replayer};
 use ix_serve::wire::{self, IngestRequest, Op, RequestFrame};
@@ -142,11 +143,9 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 
 // ---------------------------------------------------------------- sweep
 
-/// `total` ticks of a latent-coupled stream. The LCG advances a fixed
-/// number of draws per tick, so a window at any offset is bit-identical to
-/// the same rows generated in one go — the overlap property the
-/// incremental slide detector requires.
-fn stream_rows(total: usize) -> Vec<Vec<f64>> {
+/// `ticks` ticks of a latent-coupled stream: every metric tracks one
+/// noisy sine, so most of the 325 pairs associate strongly.
+fn stream_window(ticks: usize) -> MetricFrame {
     let mut state = 42u64;
     let mut next = move || {
         state = state
@@ -154,30 +153,20 @@ fn stream_rows(total: usize) -> Vec<Vec<f64>> {
             .wrapping_add(1442695040888963407);
         (state >> 33) as f64 / (1u64 << 31) as f64
     };
-    (0..total)
-        .map(|t| {
-            let latent = (t as f64 * 0.23).sin() * 5.0 + 10.0 + 0.2 * next();
-            (0..METRIC_COUNT)
-                .map(|k| latent * (k + 1) as f64 + 0.1 * next())
-                .collect()
-        })
-        .collect()
-}
-
-/// The stream's window `[offset, offset + ticks)` as a batch frame.
-fn window_frame(rows: &[Vec<f64>], offset: usize, ticks: usize) -> MetricFrame {
     let mut f = MetricFrame::new();
-    for row in &rows[offset..offset + ticks] {
-        f.push_tick(row).expect("full-width row");
+    for t in 0..ticks {
+        let latent = (t as f64 * 0.23).sin() * 5.0 + 10.0 + 0.2 * next();
+        let row: Vec<f64> = (0..METRIC_COUNT)
+            .map(|k| latent * (k + 1) as f64 + 0.1 * next())
+            .collect();
+        f.push_tick(&row).expect("full-width row");
     }
     f
 }
 
-/// The same window series-major, the shape [`IncrementalSweep`] consumes.
-fn window_series(rows: &[Vec<f64>], offset: usize, ticks: usize) -> Vec<Vec<f64>> {
-    (0..METRIC_COUNT)
-        .map(|k| rows[offset..offset + ticks].iter().map(|r| r[k]).collect())
-        .collect()
+/// A frame series-major, the shape [`IncrementalSweep`] consumes.
+fn series_of(frame: &MetricFrame) -> Vec<Vec<f64>> {
+    MetricId::ALL.iter().map(|&m| frame.series(m)).collect()
 }
 
 /// MIC without a sweep plan: per-pair re-sort/re-partition, the
@@ -195,28 +184,50 @@ impl AssociationMeasure for UnplannedMic {
     }
 }
 
-/// Drives one [`IncrementalSweep`] through `steps` slide-by-one windows,
-/// asserting after every advance that the violation tuple — and every
-/// invariant-pair score outside the provably-safe screened band — is
-/// bit-identical to a full from-scratch sweep. Returns per-step timings
-/// in ns (advance + rescore only), the accumulated screen counters of the
-/// slides, and the counters of the cold pass they start from.
+/// The diagnosis pass on a slid window, on the seed's trained Wordcount
+/// context (its 247 invariants, the default config's MIC parameters and
+/// ε): one [`IncrementalSweep`] cold on the MemHog fault window of run 3,
+/// then `steps` slide-by-one windows of the same run. After every advance
+/// the violation tuple — and every invariant-pair score outside the
+/// provably-safe cleared band — must be bit-identical to a full
+/// from-scratch sweep. Returns per-step timings in ns (advance + rescore
+/// only), the first slide's screen counters, their sum over all slides,
+/// and the counters of the cold pass the slides start from.
 fn steady_state(
-    rows: &[Vec<f64>],
-    ticks: usize,
+    runs: &WordcountTraining,
     steps: usize,
-    epsilon: f64,
-) -> (Vec<f64>, ScreenOutcome, ScreenOutcome) {
-    let mic = MicMeasure::new(MicParams::fast());
-    let measure: Arc<dyn AssociationMeasure> = Arc::new(MicMeasure::new(MicParams::fast()));
+) -> (Vec<f64>, ScreenOutcome, ScreenOutcome, ScreenOutcome) {
+    let engine = Engine::builder().threads(1).build();
+    runs.train(&engine).expect("train");
+    let invariants = engine.invariant_set(&runs.context).expect("invariants");
+    assert_eq!(
+        invariants.len(),
+        247,
+        "the seeded context's invariant count"
+    );
+    let (params, epsilon) = (engine.config().mic, engine.config().epsilon);
+    let mic = MicMeasure::new(params);
+    let measure: Arc<dyn AssociationMeasure> = Arc::new(MicMeasure::new(params));
     let pool = SweepPool::new(1);
-    let base = window_frame(rows, 0, ticks);
-    let matrix = AssociationMatrix::compute(&base, &mic, 1);
-    let invariants = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
+    let run = runs
+        .runner
+        .fault_run(WorkloadType::Wordcount, FaultType::MemHog, 3);
+    let fault = run.fault.expect("a fault run");
+    let ticks = run.fault_window().expect("fault window").ticks();
+    let frame = &run.per_node[fault.node].frame;
+    let window = |step: usize| {
+        let start = fault.start_tick + step;
+        frame.window(start..start + ticks)
+    };
+    assert!(
+        fault.start_tick + steps + ticks <= frame.ticks(),
+        "{steps} slides run past the fault run's {} ticks",
+        frame.ticks()
+    );
     let scope = PassScope::detached();
     let (mut inc, cold) = IncrementalSweep::cold(
         &measure,
-        window_series(rows, 0, ticks),
+        series_of(&window(0)),
         None,
         &invariants,
         epsilon,
@@ -225,18 +236,23 @@ fn steady_state(
     );
     assert_eq!(cold.unreached, 0, "an unbounded pass completes");
     let mut timings = Vec::with_capacity(steps);
+    let mut first = ScreenOutcome::default();
     let mut totals = ScreenOutcome::default();
     for step in 1..=steps {
-        let series = window_series(rows, step, ticks);
+        let slid = window(step);
+        let series = series_of(&slid);
         let t = Instant::now();
         let outcome = inc.advance(&series);
         let screen = inc.rescore(&invariants, epsilon, &pool, &scope);
         timings.push(t.elapsed().as_nanos() as f64);
         assert_eq!(outcome, AdvanceOutcome::Advanced { shift: 1 });
+        if step == 1 {
+            first = screen;
+        }
         totals.reused += screen.reused;
         totals.screened += screen.screened;
         totals.confirmed += screen.confirmed;
-        let fresh = AssociationMatrix::compute(&window_frame(rows, step, ticks), &mic, 1);
+        let fresh = AssociationMatrix::compute(&slid, &mic, 1);
         assert_eq!(
             ViolationTuple::build(&invariants, &inc.matrix(), epsilon),
             ViolationTuple::build(&invariants, &fresh, epsilon),
@@ -255,16 +271,14 @@ fn steady_state(
         }
     }
     timings.sort_by(f64::total_cmp);
-    (timings, totals, cold)
+    (timings, first, totals, cold)
 }
 
-/// The 26-metric / 325-pair association sweep: kernels, pool sizes, and
-/// the steady-state incremental slide.
+/// The 26-metric / 325-pair association sweep: kernels and pool sizes,
+/// the diagnosis pass on a slid window, and training.
 fn sweep(perf: Perf) -> Section {
     let mut s = Section::new("sweep");
-    let (ticks, steps) = (perf.size(120, 60), perf.size(64, 8));
-    let rows = stream_rows(ticks + steps);
-    let window = window_frame(&rows, 0, ticks);
+    let window = stream_window(perf.size(120, 60));
     let mic = MicMeasure::new(MicParams::fast());
     let mic_dyn: Arc<dyn AssociationMeasure> = Arc::new(MicMeasure::new(MicParams::fast()));
     let pearson_dyn: Arc<dyn AssociationMeasure> = Arc::new(PearsonMeasure);
@@ -304,38 +318,37 @@ fn sweep(perf: Perf) -> Section {
     });
     s.lower("pearson_spawn4_ms", "ms", spawned / 1e6);
 
-    let (timings, totals, cold) = steady_state(&rows, ticks, steps, 0.2);
+    let runs = WordcountTraining::new(SEED);
+    let steps = perf.size(32, 8);
+    let (timings, first, totals, cold) = steady_state(&runs, steps);
     eprintln!(
-        "perf sweep: incremental == from-scratch over {steps} slides \
-         ({} reused / {} screened / {} confirmed) OK",
-        totals.reused, totals.screened, totals.confirmed
+        "perf sweep: first slide {} reused / {} cleared / {} exact; \
+         incremental == from-scratch over {steps} slides \
+         ({} reused / {} cleared / {} exact) OK",
+        first.reused,
+        first.screened,
+        first.confirmed,
+        totals.reused,
+        totals.screened,
+        totals.confirmed
     );
+    // A slide that scores no pair exactly times no kernel run to the end.
+    assert!(totals.confirmed > 0, "no slide scored a pair exactly");
     s.lower(
         "steady_state_incremental_ms",
         "ms",
         timings[timings.len() / 2] / 1e6,
     );
-    let stale_invariant = totals.screened + totals.confirmed;
-    let hit_rate = if stale_invariant > 0 {
-        totals.screened as f64 / stale_invariant as f64
-    } else {
-        0.0
-    };
-    s.higher("screen_hit_rate", "ratio", hit_rate);
     let per_step = |n: usize| n as f64 / steps as f64;
     s.higher("reused_pairs_per_slide", "count", per_step(totals.reused));
     s.higher(
-        "screened_pairs_per_slide",
+        "cleared_pairs_per_slide",
         "count",
         per_step(totals.screened),
     );
-    s.lower(
-        "confirmed_pairs_per_slide",
-        "count",
-        per_step(totals.confirmed),
-    );
+    s.lower("exact_pairs_per_slide", "count", per_step(totals.confirmed));
     s.higher("cleared_pairs_per_cold_pass", "count", cold.screened as f64);
-    training(perf, &mut s);
+    training(perf, &runs, &mut s);
     s
 }
 
@@ -405,8 +418,7 @@ impl EventSink for SweepTally {
 /// simulator runs are generated beforehand). Also the pairs the
 /// invariant build scores and the signature pairs scored exactly, which
 /// do not depend on the host.
-fn training(perf: Perf, s: &mut Section) {
-    let training = WordcountTraining::new(SEED);
+fn training(perf: Perf, training: &WordcountTraining, s: &mut Section) {
     let windows = incident_windows(&training.runner);
     let pool = Arc::new(SweepPool::new(1));
     let train = |builder: EngineBuilder| {
@@ -1055,9 +1067,9 @@ fn kernels(perf: Perf) -> Section {
         }
     }
     // One profiled pair at the engine's default 60-tick window with fast
-    // params, on a warm scratch: the unit of an exact pass, the same pair
-    // linked affinely and scored against a held invariant's floor (it
-    // clears at the kernel's first unit), and the (2, 2) screen bound.
+    // params, on a warm scratch: the unit of an exact pass, and the same
+    // pair linked affinely and scored against a held invariant's floor (it
+    // clears at the kernel's first unit).
     let params = MicParams::fast();
     let profile = |seed| SeriesProfile::build(&series(60, seed), &params).expect("profile");
     let (xp, yp) = (profile(1), profile(2));
@@ -1106,10 +1118,6 @@ fn kernels(perf: Perf) -> Section {
         assert!(matches!(floored, Floored::Cleared(_)), "{floored:?}");
     });
     s.lower("mic_pair_cleared_60_us", "us", ns / 1e3);
-    let ns = perf.ns(21, 200, || {
-        mic_screen_bound_scratch(&xp, &yp, &params, &mut scratch).expect("bound")
-    });
-    s.lower("mic_screen_bound_60_us", "us", ns / 1e3);
     for n in [45usize, 120] {
         let (x, y) = (series(n, 3), series(n, 4));
         let ns = perf.ns(21, 5, || arx_association(&x, &y, ArxSearch::default()));

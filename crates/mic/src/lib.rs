@@ -1,7 +1,6 @@
-//! Maximal Information Coefficient (MIC) and the MINE statistics family,
-//! implemented from scratch after Reshef et al., *Detecting Novel
-//! Associations in Large Data Sets*, Science 334 (2011) and its Supporting
-//! Online Material.
+//! Maximal Information Coefficient (MIC), implemented from scratch after
+//! Reshef et al., *Detecting Novel Associations in Large Data Sets*,
+//! Science 334 (2011) and its Supporting Online Material.
 //!
 //! InvarNet-X uses MIC as its association measure between performance
 //! metrics: "for each metric pair X, Y their association coefficient is
@@ -38,9 +37,8 @@ mod profile;
 pub use entropy::{entropy_from_counts, joint_entropy_from_counts, mutual_information};
 pub use grid::{equipartition, Clumps};
 pub use mine::{
-    characteristic_matrix, mic, mic_e, mic_floor_scratch, mic_screen_bound_scratch,
-    mic_with_params, mic_with_profiles, mic_with_profiles_scratch, mine, CharacteristicMatrix,
-    Floored, MicError, MicParams, MineStats,
+    characteristic_matrix, mic, mic_floor_scratch, mic_with_params, mic_with_profiles,
+    mic_with_profiles_scratch, CharacteristicMatrix, Floored, MicError, MicParams,
 };
 pub use optimize::optimize_axis;
 pub use profile::{MineScratch, SeriesProfile};

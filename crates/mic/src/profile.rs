@@ -61,8 +61,8 @@ impl SeriesProfile {
     /// # Errors
     ///
     /// [`MicError::TooFewPoints`] (< 4 samples), [`MicError::NonFinite`],
-    /// [`MicError::BadParams`] — the same validation [`crate::mine`]
-    /// applies to each input.
+    /// [`MicError::BadParams`] — the same validation
+    /// [`crate::mic_with_params`] applies to each input.
     pub fn build(values: &[f64], params: &MicParams) -> Result<SeriesProfile, MicError> {
         params.validate()?;
         let n = values.len();
@@ -272,8 +272,8 @@ fn equipartition_groups_into(
     out.bins = current_bin + 1;
 }
 
-/// Reusable working memory for the MINE kernel: clump tables, DP arrays
-/// and characteristic-matrix entry buffers. One scratch per worker thread
+/// Reusable working memory for the MINE kernel: the row mapping, clump
+/// tables and DP arrays. One scratch per worker thread
 /// makes steady-state sweeps allocation-free per pair — every buffer grows
 /// to the high-water mark of the first few pairs and is then reused.
 #[derive(Debug, Default, Clone)]
@@ -284,10 +284,6 @@ pub struct MineScratch {
     pub(crate) clumps: ClumpScratch,
     /// DP working memory (cost triangle, rolling rows, MI output).
     pub(crate) dp: DpScratch,
-    /// Half-characteristic entries, first orientation.
-    pub(crate) d1: Vec<(usize, usize, f64)>,
-    /// Half-characteristic entries, second orientation.
-    pub(crate) d2: Vec<(usize, usize, f64)>,
 }
 
 impl MineScratch {

@@ -1,6 +1,5 @@
-//! Golden MIC bits: the exact `f64` bits of `mic_with_profiles_scratch` and
-//! `mic_screen_bound_scratch` for a fixed set of seeded pairs, pinned in
-//! `tests/data/mic_bits.golden`.
+//! Golden MIC bits: the exact `f64` bits of `mic_with_profiles_scratch` for
+//! a fixed set of seeded pairs, pinned in `tests/data/mic_bits.golden`.
 //!
 //! `profile_equivalence.rs` compares entry points that share one kernel, so
 //! a change to the column-cost arithmetic or the DP's summation order moves
@@ -15,9 +14,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ix_mic::{
-    mic_screen_bound_scratch, mic_with_profiles_scratch, MicParams, MineScratch, SeriesProfile,
-};
+use ix_mic::{mic_with_profiles_scratch, MicParams, MineScratch, SeriesProfile};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -67,12 +64,10 @@ fn render() -> String {
                     let xp = SeriesProfile::build(&xs, &params).unwrap();
                     let yp = SeriesProfile::build(&ys, &params).unwrap();
                     let mic = mic_with_profiles_scratch(&xp, &yp, &params, &mut scratch).unwrap();
-                    let bound = mic_screen_bound_scratch(&xp, &yp, &params, &mut scratch).unwrap();
                     writeln!(
                         out,
-                        "{label} n={n} {shape} seed={seed} mic={:016x} bound={:016x}",
-                        mic.to_bits(),
-                        bound.to_bits()
+                        "{label} n={n} {shape} seed={seed} mic={:016x}",
+                        mic.to_bits()
                     )
                     .unwrap();
                 }
@@ -83,7 +78,7 @@ fn render() -> String {
 }
 
 #[test]
-fn mic_and_screen_bound_bits_match_golden() {
+fn mic_bits_match_golden() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/mic_bits.golden");
     let actual = render();
     if std::env::var_os("IX_MIC_BLESS").is_some() {

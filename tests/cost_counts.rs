@@ -291,7 +291,8 @@ fn engine_costs_are_pinned() {
     // A one-tick slide of the incident window: profiles slide in place,
     // the 78 non-invariant pairs are reused, and each of the 247 stale
     // invariant pairs either clears its floor at some kernel unit or is
-    // scored exactly. Every pair the (2, 2) screen bound kept (53) clears.
+    // scored exactly. `perf`'s sweep section times this slide and the
+    // ones after it.
     counts.take_screen();
     let run = runner.fault_run(WorkloadType::Wordcount, FaultType::MemHog, 3);
     let fault = run.fault.expect("a fault run");

@@ -13,10 +13,6 @@
 //! The property half pins the incremental sweep's soundness contract
 //! (see `crates/core/src/incremental.rs`):
 //!
-//! - **no false negatives** — the screen's conservative bound never
-//!   exceeds the full MIC score, at the bit level, so a pair screened out
-//!   because `[bound, 1]` cannot cross the violation threshold can never
-//!   disagree with the full kernel;
 //! - **bit-exactness hammer** — starting from a cold pass over a random
 //!   invariant subset and sliding over randomized tick streams, a
 //!   diagnosis built from the record is bit-identical (violation tuple and
@@ -40,9 +36,7 @@ use invarnet_x::core::{
     PearsonMeasure, SweepPool, ViolationTuple, MAX_SLIDE,
 };
 use invarnet_x::metrics::{MetricFrame, MetricId, METRIC_COUNT};
-use invarnet_x::mic::{
-    mic_screen_bound_scratch, mic_with_profiles_scratch, MicParams, MineScratch, SeriesProfile,
-};
+use invarnet_x::mic::MicParams;
 
 /// The fixed window: identical to the generator in the `golden_sweep`
 /// fixture binary (`crates/bench/src/bin/golden_sweep.rs`).
@@ -173,38 +167,6 @@ fn streamed_window(seed: u64, offset: usize, ticks: usize) -> MetricFrame {
 
 fn series_of(frame: &MetricFrame) -> Vec<Vec<f64>> {
     MetricId::ALL.iter().map(|&m| frame.series(m)).collect()
-}
-
-proptest! {
-    // No false negatives: the screen's conservative bound is one entry of
-    // the characteristic set the full kernel maximizes over, so
-    // `bound <= mic` must hold bit-exactly — on unrelated noise and on
-    // strongly associated (affine-image) pairs alike.
-    #[test]
-    fn screen_bound_never_exceeds_full_mic(
-        xs in prop::collection::vec(-100.0f64..100.0, 8..48),
-        ys in prop::collection::vec(-100.0f64..100.0, 8..48),
-        scale in 0.1f64..5.0,
-        shift in -20.0f64..20.0,
-    ) {
-        let n = xs.len().min(ys.len());
-        let params = MicParams::fast();
-        let linked: Vec<f64> = xs[..n].iter().map(|v| scale * v + shift).collect();
-        for other in [&ys[..n], &linked[..]] {
-            let xp = SeriesProfile::build(&xs[..n], &params).expect("profile");
-            let yp = SeriesProfile::build(other, &params).expect("profile");
-            let mut scratch = MineScratch::new();
-            let bound = mic_screen_bound_scratch(&xp, &yp, &params, &mut scratch).expect("bound");
-            let full = mic_with_profiles_scratch(&xp, &yp, &params, &mut scratch).expect("mic");
-            prop_assert!((0.0..=1.0).contains(&bound), "bound {} out of range", bound);
-            prop_assert!(
-                bound <= full,
-                "screen bound {} exceeds full MIC {} — a screened pair could be a false negative",
-                bound,
-                full
-            );
-        }
-    }
 }
 
 /// The parts of `all` whose pair `keep` selects: none for `keep == 0`,
