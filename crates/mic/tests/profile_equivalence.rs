@@ -1,14 +1,19 @@
-//! Property tests pinning the shared-profile kernel to the classic entry
-//! points **bit-for-bit**: `mic_with_profiles` must be indistinguishable
-//! from `mic_with_params` on any input, including tie-heavy series where
-//! the profile's sort permutation (tie-break by input index) differs from
-//! the legacy per-pair sort (tie-break by partner value).
+//! Property tests pinning the profiled kernel to the characteristic matrix
+//! **bit-for-bit**: `mic_with_profiles` must equal
+//! `characteristic_matrix(..).mic()` on any input, tie-heavy series
+//! included. Both build the same profiles and run the same per-unit
+//! dynamic program; they reach the max by different routes. The kernel
+//! interleaves the two orientations per row count and folds every entry
+//! into one running max, stopping at the first row count the budget
+//! leaves no columns for; the matrix runs each orientation on its own,
+//! pairs every shape with its transpose and takes the max of the pairs.
+//! Equality checks that no entry is lost on either route.
 
 use proptest::prelude::*;
 
 use ix_mic::{
-    mic_with_params, mic_with_profiles, mic_with_profiles_scratch, MicParams, MineScratch,
-    SeriesProfile,
+    characteristic_matrix, mic_with_params, mic_with_profiles, mic_with_profiles_scratch,
+    MicParams, MineScratch, SeriesProfile,
 };
 
 fn series(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -22,14 +27,14 @@ fn quantize(xs: &[f64]) -> Vec<f64> {
 }
 
 fn assert_bit_identical(xs: &[f64], ys: &[f64], params: &MicParams) {
-    let classic = mic_with_params(xs, ys, params).unwrap();
+    let matrix = characteristic_matrix(xs, ys, params).unwrap().mic();
     let xp = SeriesProfile::build(xs, params).unwrap();
     let yp = SeriesProfile::build(ys, params).unwrap();
     let profiled = mic_with_profiles(&xp, &yp, params).unwrap();
     assert_eq!(
-        classic.to_bits(),
+        matrix.to_bits(),
         profiled.to_bits(),
-        "classic {classic} != profiled {profiled} under {params:?}"
+        "matrix {matrix} != profiled {profiled} under {params:?}"
     );
 }
 
