@@ -815,15 +815,16 @@ const ROUNDS: usize = 3;
 const WIRE_SAMPLE: usize = 2_000;
 /// Tenants force-evicted and warmed for cold→warm timing.
 const WARM_SAMPLE: usize = 100;
-/// Run-tail ticks the sample tenants carry into the cold evict/warm cycle.
-const COLD_TAIL: usize = 48;
+/// Ticks of the run the sample tenants carry into the cold evict/warm
+/// cycle: ten windows' worth, which a snapshot holds in one.
+const COLD_RUN: usize = 600;
 
 /// Fleet-scale serving: can one box hold 100k tenants (2k under
 /// `--quick`) at the paper's 10-second cadence? One trained template
 /// seeds every single-context tenant. Cadence rounds tick every tenant
 /// through the [`Fleet`] surface, a wire sample crosses a real loopback
 /// `IXSRV01` server, and a tenant sample is evicted and warmed back: once
-/// back to back on short tails, and once with a [`COLD_TAIL`]-tick tail,
+/// back to back a few ticks into their runs, and once [`COLD_RUN`] ticks in,
 /// every sample tenant evicted before any warms, so each warm reads an
 /// image that has left the cache, as a cold tick's does. Last, a sample
 /// runs the binary Ingest path in process with its decode, handle and
@@ -861,13 +862,7 @@ fn serve(perf: Perf) -> Section {
         state_shards: 1,
         ..InvarNetConfig::default()
     };
-    let fleet = Arc::new(
-        Fleet::builder()
-            .config(config)
-            .warm_limit(tenants)
-            .run_tail_cap(COLD_TAIL)
-            .build(),
-    );
+    let fleet = Arc::new(Fleet::builder().config(config).warm_limit(tenants).build());
     let ids: Vec<TenantId> = (0..tenants)
         .map(|i| TenantId::new(format!("t{i}")).expect("valid"))
         .collect();
@@ -937,7 +932,7 @@ fn serve(perf: Perf) -> Section {
     let sample = &ids[..WARM_SAMPLE.min(ids.len())];
     for id in sample {
         fleet.reset_run(id, &context).expect("reset run");
-        for &(tick_cpi, tick_row) in ticks.iter().cycle().take(COLD_TAIL) {
+        for &(tick_cpi, tick_row) in ticks.iter().cycle().take(COLD_RUN) {
             fleet
                 .ingest(id, &context, tick_cpi, tick_row)
                 .expect("ingest");

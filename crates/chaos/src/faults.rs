@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ix_core::{
-    AssociationMeasure, DetectionResult, Detector, DetectorRun, MicMeasure, TickDecision,
-};
+use ix_core::{AssociationMeasure, Detector, DetectorRun, MicMeasure, RunState, TickDecision};
 
 /// An [`AssociationMeasure`] whose every score call stalls for a fixed
 /// delay once armed — a CPU-starved or page-faulting MIC kernel. Scores
@@ -137,13 +135,23 @@ impl DetectorRun for PanickingRun {
         }
     }
 
-    fn result(&self) -> DetectionResult {
-        DetectionResult {
-            residuals: vec![0.0; self.seen],
-            exceedances: vec![false; self.seen],
-            anomalies: vec![false; self.seen],
-            threshold: f64::INFINITY,
-            first_anomaly: None,
+    /// Counters: the samples seen.
+    fn capture(&self) -> RunState {
+        RunState {
+            registers: Vec::new(),
+            counters: vec![self.seen as u64],
+        }
+    }
+
+    fn install(&mut self, state: &RunState, ticks: usize) -> Result<(), String> {
+        match (&state.registers[..], &state.counters[..]) {
+            ([], &[seen]) if seen == ticks as u64 => {
+                self.seen = ticks;
+                Ok(())
+            }
+            _ => Err(format!(
+                "a panicking run {ticks} ticks long counts them, not {state:?}"
+            )),
         }
     }
 }
@@ -151,6 +159,10 @@ impl DetectorRun for PanickingRun {
 impl Detector for PanickingDetector {
     fn name(&self) -> &'static str {
         "panicking"
+    }
+
+    fn threshold(&self) -> f64 {
+        f64::INFINITY
     }
 
     fn begin_run(&self) -> Box<dyn DetectorRun> {

@@ -349,7 +349,11 @@ fn poisoned_lock() -> ScenarioReport {
         Ok(_) => report.note("tick 6 ingested normally through the recovered lock"),
         Err(e) => report.mark_failed(format!("engine did not survive the poisoned lock: {e}")),
     }
-    if engine.detection_result(&context).is_none() {
+    let run_ticks = engine
+        .inspector()
+        .context_state(&context)
+        .map(|s| s.run_ticks);
+    if run_ticks.unwrap_or(0) == 0 {
         report.mark_failed("run state lost after the panic");
     }
     let _ = engine.health(); // must not panic or deadlock

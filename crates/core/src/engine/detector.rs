@@ -33,30 +33,51 @@ pub struct TickDecision {
     pub anomalous: bool,
 }
 
+/// A detector run's recursion state as plain values, in the run's own
+/// layout: what [`DetectorRun::capture`] copies out and
+/// [`DetectorRun::install`] puts back into a fresh run of the same
+/// detector. Floats are kept as they are, so a state persisted as raw bits
+/// continues its run bit-identically.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunState {
+    /// The run's float registers.
+    pub registers: Vec<f64>,
+    /// The run's counters.
+    pub counters: Vec<u64>,
+}
+
 /// The mutable, per-run state of a streaming detector.
 ///
 /// `Send + Sync` because runs live inside the engine's sharded `RwLock`
-/// map: mutation happens under a write lock, but read-path inspection
-/// ([`DetectorRun::result`]) can observe a run from any thread.
+/// map: mutation happens under a write lock, but a capture
+/// ([`DetectorRun::capture`]) can observe a run from any thread.
 pub trait DetectorRun: Send + Sync {
     /// Consumes the next CPI sample and scores it.
     fn step(&mut self, x: f64) -> TickDecision;
 
-    /// The accumulated batch-shaped result of everything stepped so far.
-    fn result(&self) -> DetectionResult;
+    /// The run's recursion state after the samples stepped so far: all a
+    /// fresh run of the same detector needs to continue it.
+    fn capture(&self) -> RunState;
 
-    /// Makes room for `ticks` more steps up front, so a run replayed
-    /// from a known number of ticks allocates no more than a short one.
-    /// A hint only: the default does nothing.
-    fn reserve(&mut self, ticks: usize) {
-        let _ = ticks;
-    }
+    /// Makes this fresh run continue one that `ticks` steps of the same
+    /// detector left in `state`.
+    ///
+    /// # Errors
+    ///
+    /// Why no `ticks` steps of this detector could leave `state` (a
+    /// register list of the wrong length, a counter out of range); the run
+    /// is then unchanged.
+    fn install(&mut self, state: &RunState, ticks: usize) -> Result<(), String>;
 }
 
 /// The trained, shareable half of a streaming detector.
 pub trait Detector: Send + Sync {
     /// Short name ("ARIMA" / "CUSUM").
     fn name(&self) -> &'static str;
+
+    /// The score a tick must exceed to count as an exceedance
+    /// ([`DetectionResult::threshold`]).
+    fn threshold(&self) -> f64;
 
     /// Starts a fresh run (e.g. at the start of a job execution).
     fn begin_run(&self) -> Box<dyn DetectorRun>;
@@ -66,10 +87,33 @@ pub trait Detector: Send + Sync {
     /// cheaper batch path as long as the results are identical.
     fn score(&self, cpi: &[f64]) -> DetectionResult {
         let mut run = self.begin_run();
-        for &x in cpi {
-            run.step(x);
+        DetectionResult::from_decisions(cpi.iter().map(|&x| run.step(x)), self.threshold())
+    }
+}
+
+impl DetectionResult {
+    /// The batch-shaped result of a run's per-tick decisions, oldest
+    /// first, under `threshold`.
+    pub fn from_decisions(
+        decisions: impl IntoIterator<Item = TickDecision>,
+        threshold: f64,
+    ) -> Self {
+        let mut result = DetectionResult {
+            residuals: Vec::new(),
+            exceedances: Vec::new(),
+            anomalies: Vec::new(),
+            threshold,
+            first_anomaly: None,
+        };
+        for d in decisions {
+            if d.anomalous {
+                result.first_anomaly.get_or_insert(result.residuals.len());
+            }
+            result.residuals.push(d.residual);
+            result.exceedances.push(d.exceeded);
+            result.anomalies.push(d.anomalous);
         }
-        run.result()
+        result
     }
 }
 
@@ -103,11 +147,15 @@ impl Detector for ArimaDetector {
         "ARIMA"
     }
 
+    fn threshold(&self) -> f64 {
+        self.model.threshold(self.rule)
+    }
+
     fn begin_run(&self) -> Box<dyn DetectorRun> {
         let arima = self.model.arima();
         let spec = arima.spec();
         Box::new(ArimaRun {
-            threshold: self.model.threshold(self.rule),
+            threshold: self.threshold(),
             warm: spec.warmup(),
             start: spec.p.max(spec.q),
             d: spec.d,
@@ -121,7 +169,6 @@ impl Detector for ArimaDetector {
             x_hist: VecDeque::with_capacity(spec.d + 1),
             t: 0,
             streak: 0,
-            acc: RunAccumulator::new(),
         })
     }
 
@@ -130,50 +177,6 @@ impl Detector for ArimaDetector {
         // verified bit-identical by tests, but this avoids per-tick
         // bookkeeping for full traces).
         self.model.detect(cpi, self.rule, self.consecutive)
-    }
-}
-
-/// Accumulates per-tick decisions into a batch-shaped [`DetectionResult`].
-struct RunAccumulator {
-    residuals: Vec<f64>,
-    exceedances: Vec<bool>,
-    anomalies: Vec<bool>,
-    first_anomaly: Option<usize>,
-}
-
-impl RunAccumulator {
-    fn new() -> Self {
-        RunAccumulator {
-            residuals: Vec::new(),
-            exceedances: Vec::new(),
-            anomalies: Vec::new(),
-            first_anomaly: None,
-        }
-    }
-
-    fn reserve(&mut self, ticks: usize) {
-        self.residuals.reserve(ticks);
-        self.exceedances.reserve(ticks);
-        self.anomalies.reserve(ticks);
-    }
-
-    fn push(&mut self, d: &TickDecision) {
-        if d.anomalous {
-            self.first_anomaly.get_or_insert(self.residuals.len());
-        }
-        self.residuals.push(d.residual);
-        self.exceedances.push(d.exceeded);
-        self.anomalies.push(d.anomalous);
-    }
-
-    fn result(&self, threshold: f64) -> DetectionResult {
-        DetectionResult {
-            residuals: self.residuals.clone(),
-            exceedances: self.exceedances.clone(),
-            anomalies: self.anomalies.clone(),
-            threshold,
-            first_anomaly: self.first_anomaly,
-        }
     }
 }
 
@@ -204,7 +207,6 @@ struct ArimaRun {
     x_hist: VecDeque<f64>,
     t: usize,
     streak: usize,
-    acc: RunAccumulator,
 }
 
 impl ArimaRun {
@@ -219,6 +221,18 @@ impl ArimaRun {
             }
         }
         Some(v)
+    }
+
+    /// The register lengths `ticks` steps leave: set cascade registers,
+    /// `w_hist`, `e_hist` and `x_hist`.
+    fn lengths_after(&self, ticks: usize) -> [usize; 4] {
+        let differenced = ticks.saturating_sub(self.d);
+        [
+            ticks.min(self.d),
+            differenced.min(self.phi.len()),
+            differenced.min(self.theta.len()),
+            ticks.min(self.d),
+        ]
     }
 }
 
@@ -279,21 +293,60 @@ impl DetectorRun for ArimaRun {
         let residual = (x - forecast).abs();
         let exceeded = t >= self.warm && residual > self.threshold;
         self.streak = if exceeded { self.streak + 1 } else { 0 };
-        let decision = TickDecision {
+        TickDecision {
             residual,
             exceeded,
             anomalous: self.streak >= self.consecutive,
+        }
+    }
+
+    /// Registers: the set cascade registers, `w_hist`, `e_hist` and
+    /// `x_hist`, each newest first; counters: the streak. The tick count
+    /// `t` is the run's length, which the caller keeps.
+    fn capture(&self) -> RunState {
+        RunState {
+            registers: (self.diff_regs.iter().map_while(|r| *r))
+                .chain(self.w_hist.iter().copied())
+                .chain(self.e_hist.iter().copied())
+                .chain(self.x_hist.iter().copied())
+                .collect(),
+            counters: vec![self.streak as u64],
+        }
+    }
+
+    fn install(&mut self, state: &RunState, ticks: usize) -> Result<(), String> {
+        let lengths = self.lengths_after(ticks);
+        let expected: usize = lengths.iter().sum();
+        if state.registers.len() != expected {
+            return Err(format!(
+                "an ARIMA run {ticks} ticks long holds {expected} registers, not {}",
+                state.registers.len()
+            ));
+        }
+        let streak = match state.counters[..] {
+            [streak] if streak <= ticks.saturating_sub(self.warm) as u64 => streak as usize,
+            _ => {
+                return Err(format!(
+                    "an ARIMA run {ticks} ticks long with warm-up {} has one streak counter \
+                     of at most the ticks past warm-up, not {:?}",
+                    self.warm, state.counters
+                ))
+            }
         };
-        self.acc.push(&decision);
-        decision
-    }
-
-    fn result(&self) -> DetectionResult {
-        self.acc.result(self.threshold)
-    }
-
-    fn reserve(&mut self, ticks: usize) {
-        self.acc.reserve(ticks);
+        let mut values = state.registers.iter().copied();
+        let [set, w, e, x] = lengths;
+        for (i, reg) in self.diff_regs.iter_mut().enumerate() {
+            *reg = if i < set { values.next() } else { None };
+        }
+        self.w_hist.clear();
+        self.w_hist.extend(values.by_ref().take(w));
+        self.e_hist.clear();
+        self.e_hist.extend(values.by_ref().take(e));
+        self.x_hist.clear();
+        self.x_hist.extend(values.take(x));
+        self.t = ticks;
+        self.streak = streak;
+        Ok(())
     }
 }
 
@@ -326,12 +379,15 @@ impl Detector for CusumStreamDetector {
         "CUSUM"
     }
 
+    fn threshold(&self) -> f64 {
+        self.detector.h
+    }
+
     fn begin_run(&self) -> Box<dyn DetectorRun> {
         Box::new(CusumRun {
             detector: self.detector.clone(),
             s_hi: 0.0,
             s_lo: 0.0,
-            acc: RunAccumulator::new(),
         })
     }
 }
@@ -340,7 +396,6 @@ struct CusumRun {
     detector: CusumDetector,
     s_hi: f64,
     s_lo: f64,
-    acc: RunAccumulator,
 }
 
 impl DetectorRun for CusumRun {
@@ -355,21 +410,33 @@ impl DetectorRun for CusumRun {
             self.s_hi = 0.0;
             self.s_lo = 0.0;
         }
-        let decision = TickDecision {
+        TickDecision {
             residual: excursion,
             exceeded: alarm,
             anomalous: alarm,
-        };
-        self.acc.push(&decision);
-        decision
+        }
     }
 
-    fn result(&self) -> DetectionResult {
-        self.acc.result(self.detector.h)
+    /// Registers: `s_hi`, `s_lo`; no counters.
+    fn capture(&self) -> RunState {
+        RunState {
+            registers: vec![self.s_hi, self.s_lo],
+            counters: Vec::new(),
+        }
     }
 
-    fn reserve(&mut self, ticks: usize) {
-        self.acc.reserve(ticks);
+    fn install(&mut self, state: &RunState, _ticks: usize) -> Result<(), String> {
+        // Every step leaves both sums finite and non-negative.
+        match (&state.registers[..], &state.counters[..]) {
+            (&[s_hi, s_lo], []) if [s_hi, s_lo].iter().all(|s| s.is_finite() && *s >= 0.0) => {
+                self.s_hi = s_hi;
+                self.s_lo = s_lo;
+                Ok(())
+            }
+            _ => Err(format!(
+                "a CUSUM run holds two finite, non-negative sums and no counters, not {state:?}"
+            )),
+        }
     }
 }
 
@@ -408,10 +475,8 @@ mod tests {
             }
             let batch = m.detect(&xs, ThresholdRule::BetaMax, 3);
             let mut run = det.begin_run();
-            for &x in &xs {
-                run.step(x);
-            }
-            let streamed = run.result();
+            let streamed =
+                DetectionResult::from_decisions(xs.iter().map(|&x| run.step(x)), det.threshold());
             assert_eq!(streamed, batch, "seed {seed}");
             // Per-tick bit equality, not just structural equality.
             for (t, (a, b)) in streamed.residuals.iter().zip(&batch.residuals).enumerate() {
@@ -444,10 +509,124 @@ mod tests {
         let batch = m.detect(&xs, ThresholdRule::BetaMax, 3);
         let det = ArimaDetector::new(Arc::clone(&m), ThresholdRule::BetaMax, 3);
         let mut run = det.begin_run();
-        for &x in &xs {
+        let streamed =
+            DetectionResult::from_decisions(xs.iter().map(|&x| run.step(x)), det.threshold());
+        assert_eq!(streamed, batch);
+    }
+
+    fn differenced_detector(p: usize, d: usize, q: usize) -> ArimaDetector {
+        use ix_arima::{ArimaModel, ArimaSpec};
+        let arima = ArimaModel::from_coefficients(
+            ArimaSpec::new(p, d, q),
+            0.01,
+            vec![0.4; p],
+            vec![-0.3; q],
+            0.5,
+            100,
+        )
+        .unwrap();
+        let stats = crate::anomaly::ResidualStats {
+            max: 0.05,
+            min: 0.0,
+            p95: 0.04,
+        };
+        let model = PerformanceModel::from_parts(arima, stats, 1.2);
+        ArimaDetector::new(Arc::new(model), ThresholdRule::BetaMax, 3)
+    }
+
+    /// Steps `xs[..split]` through one run, captures it, installs the
+    /// capture into a fresh run and steps `xs[split..]` through both.
+    fn assert_capture_continues(det: &dyn Detector, xs: &[f64], split: usize) {
+        let mut whole = det.begin_run();
+        for &x in &xs[..split] {
+            whole.step(x);
+        }
+        let mut resumed = det.begin_run();
+        resumed
+            .install(&whole.capture(), split)
+            .unwrap_or_else(|e| panic!("split {split}: {e}"));
+        for &x in &xs[split..] {
+            let (a, b) = (whole.step(x), resumed.step(x));
+            assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "split {split}");
+            assert_eq!((a.exceeded, a.anomalous), (b.exceeded, b.anomalous));
+        }
+        assert_eq!(whole.capture(), resumed.capture(), "split {split}");
+    }
+
+    #[test]
+    fn a_captured_run_continues_bit_identically_at_every_split() {
+        let mut xs = cpi(70);
+        for v in xs[60..90].iter_mut() {
+            *v *= 1.7; // exceedance streaks to carry across the split
+        }
+        let arima = ArimaDetector::new(model(), ThresholdRule::BetaMax, 3);
+        let traces: Vec<Vec<f64>> = (0..4).map(cpi).collect();
+        let cusum = CusumStreamDetector::new(
+            CusumDetector::train(&traces, CusumDetector::DEFAULT_K, CusumDetector::DEFAULT_H)
+                .unwrap(),
+        );
+        let detectors: [&dyn Detector; 4] = [
+            &arima,
+            &differenced_detector(2, 1, 1),
+            &differenced_detector(1, 2, 2),
+            &cusum,
+        ];
+        for det in detectors {
+            for split in [1, 2, 3, 4, 5, 30, 75, 149] {
+                assert_capture_continues(det, &xs, split);
+            }
+        }
+    }
+
+    #[test]
+    fn a_state_no_run_could_reach_is_refused() {
+        let det = differenced_detector(2, 1, 1);
+        let mut run = det.begin_run();
+        for &x in &cpi(71)[..10] {
             run.step(x);
         }
-        assert_eq!(run.result(), batch);
+        let good = run.capture();
+        // d = 1 register, p = 2 differenced values, q = 1 innovation,
+        // d = 1 original, then the streak.
+        assert_eq!(good.registers.len(), 5);
+        let mut fresh = det.begin_run();
+        let mut short = good.clone();
+        short.registers.pop();
+        assert!(
+            fresh.install(&short, 10).is_err(),
+            "a w_hist shorter than p"
+        );
+        assert!(
+            fresh.install(&good, 1).is_err(),
+            "too many registers for 1 tick"
+        );
+        let mut streak = good.clone();
+        streak.counters = vec![10];
+        assert!(
+            fresh.install(&streak, 10).is_err(),
+            "a streak inside warm-up"
+        );
+        streak.counters = vec![];
+        assert!(fresh.install(&streak, 10).is_err(), "no streak");
+        // Refused installs left the run fresh: it scores like a new one.
+        let x = cpi(71)[0];
+        assert_eq!(fresh.step(x), det.begin_run().step(x));
+        let mut cusum = CusumStreamDetector::new(
+            CusumDetector::train(
+                &[cpi(1), cpi(2)],
+                CusumDetector::DEFAULT_K,
+                CusumDetector::DEFAULT_H,
+            )
+            .unwrap(),
+        )
+        .begin_run();
+        for bad in [vec![0.0], vec![-1.0, 0.0], vec![f64::NAN, 0.0]] {
+            let state = RunState {
+                registers: bad,
+                counters: Vec::new(),
+            };
+            assert!(cusum.install(&state, 3).is_err(), "{state:?}");
+        }
     }
 
     #[test]

@@ -167,8 +167,8 @@ pub enum EngineEvent {
         /// The state after the transition.
         to: HealthState,
     },
-    /// A fleet evicted a warm tenant engine: its models and run tail were
-    /// persisted to a snapshot and the engine was torn down.
+    /// A fleet evicted a warm tenant engine: its models, runs and queued
+    /// ticks were captured into a snapshot and the engine was torn down.
     TenantEvicted {
         /// Always [`ContextId::UNATTRIBUTED`]: eviction spans every
         /// context the tenant owns.

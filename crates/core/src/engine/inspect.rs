@@ -2,14 +2,13 @@
 //!
 //! [`EngineInspector`] is a borrowing view over a live [`Engine`] that
 //! exposes exactly the state a replay debugger or operator console needs
-//! — per-context detector state, the sliding window, queue depth, health
+//! — per-context run state, the sliding window, queue depth, health
 //! — through the engine's *existing* read paths. It introduces no new
 //! locks and takes no lock for longer than the engine's own accessors
 //! do, so inspection never perturbs the ingest hot path it observes.
 
 use ix_metrics::MetricFrame;
 
-use crate::anomaly::DetectionResult;
 use crate::context::OperationContext;
 
 use super::resilience::HealthState;
@@ -42,9 +41,6 @@ pub struct ContextStateSnapshot {
     pub has_invariants: bool,
     /// A batch copy of the sliding window's current contents.
     pub window: MetricFrame,
-    /// The batch-shaped detection result accumulated by the in-flight
-    /// detector run (`None` before the first ingest of a run).
-    pub detection: Option<DetectionResult>,
 }
 
 impl Engine {
@@ -103,7 +99,6 @@ impl EngineInspector<'_> {
             has_detector: s.detector.is_some(),
             has_invariants: s.invariants.is_some(),
             window: s.window.to_frame(),
-            detection: s.run.as_ref().map(|r| r.result()),
         })
     }
 }
@@ -166,6 +161,5 @@ mod tests {
         assert!(!snap.has_invariants);
         assert_eq!(snap.run_ticks, 0);
         assert_eq!(snap.window_ticks, 0);
-        assert!(snap.detection.is_none());
     }
 }

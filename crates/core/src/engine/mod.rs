@@ -56,10 +56,12 @@ use crate::signature::{Signature, SignatureDatabase, ViolationTuple};
 use crate::store::ModelStore;
 
 pub use builder::EngineBuilder;
-pub use detector::{ArimaDetector, CusumStreamDetector, Detector, DetectorRun, TickDecision};
+pub use detector::{
+    ArimaDetector, CusumStreamDetector, Detector, DetectorRun, RunState, TickDecision,
+};
 pub use diagnosis::{Diagnosis, RankedCause};
 pub use events::{EngineEvent, EventKind, EventSink, NullSink};
-pub use ingest::TickOutcome;
+pub use ingest::{CapturedRun, TickOutcome};
 pub use inspect::{ContextStateSnapshot, EngineInspector};
 pub use recorder::{HistoryRecorder, NullRecorder};
 pub use telemetry::Telemetry;

@@ -32,7 +32,7 @@ mod retry;
 
 pub use budget::{DegradationReason, DegradationTier, SweepBudget, SweepDegradation};
 pub use health::HealthState;
-pub use queue::{OverloadPolicy, SubmitOutcome};
+pub use queue::{OverloadPolicy, QueuedTick, QueuedTicks, SubmitOutcome};
 pub use retry::RetryPolicy;
 
 pub(crate) use health::HealthMonitor;

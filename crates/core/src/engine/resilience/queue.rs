@@ -65,11 +65,28 @@ pub enum SubmitOutcome {
     Rejected,
 }
 
-/// One queued tick, exactly the arguments of [`crate::Engine::ingest`].
-pub(crate) struct PendingTick {
-    pub(crate) context: OperationContext,
-    pub(crate) cpi: f64,
-    pub(crate) row: Vec<f64>,
+/// One queued tick, exactly the arguments of [`crate::Engine::ingest`]:
+/// nothing is checked at submit, so the CPI and row are what the caller
+/// sent.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueuedTick {
+    /// The tick's context.
+    pub context: OperationContext,
+    /// The CPI sample.
+    pub cpi: f64,
+    /// The metric row.
+    pub row: Vec<f64>,
+}
+
+/// A copy of an engine's ingest queue (see [`crate::Engine::capture_queue`]):
+/// what [`crate::Engine::install_queue`] puts back so that the next drains
+/// pop the same ticks in the same order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct QueuedTicks {
+    /// The shard the next pop starts its round-robin scan at.
+    pub cursor: usize,
+    /// The queued ticks, shard by shard, each shard's in submission order.
+    pub ticks: Vec<QueuedTick>,
 }
 
 /// Internal push result, before event emission.
@@ -85,7 +102,7 @@ pub(crate) enum QueuePush {
 }
 
 struct QueueShard {
-    pending: Mutex<VecDeque<PendingTick>>,
+    pending: Mutex<VecDeque<QueuedTick>>,
     /// Signalled whenever a slot frees up (pop or shed).
     space: Condvar,
 }
@@ -132,13 +149,17 @@ impl IngestQueue {
         self.policy
     }
 
-    fn shard_of(&self, context: &OperationContext) -> &QueueShard {
+    fn shard_index(&self, context: &OperationContext) -> usize {
         let mut hasher = DefaultHasher::new();
         context.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+        (hasher.finish() as usize) % self.shards.len()
     }
 
-    pub(crate) fn push(&self, tick: PendingTick) -> QueuePush {
+    fn shard_of(&self, context: &OperationContext) -> &QueueShard {
+        &self.shards[self.shard_index(context)]
+    }
+
+    pub(crate) fn push(&self, tick: QueuedTick) -> QueuePush {
         let shard = self.shard_of(&tick.context);
         let mut pending = shard.pending.lock().unwrap_or_else(PoisonError::into_inner);
         if pending.len() >= self.capacity {
@@ -171,7 +192,7 @@ impl IngestQueue {
     }
 
     /// Pops one tick, scanning shards round-robin from a rotating cursor.
-    pub(crate) fn pop(&self) -> Option<PendingTick> {
+    pub(crate) fn pop(&self) -> Option<QueuedTick> {
         let n = self.shards.len();
         // ordering: Relaxed — the cursor only spreads pop load across
         // shards; any interleaving is correct.
@@ -189,6 +210,66 @@ impl IngestQueue {
             }
         }
         None
+    }
+
+    /// A copy of every queued tick, shard by shard, and the pop cursor.
+    pub(crate) fn capture(&self) -> QueuedTicks {
+        let mut ticks = Vec::new();
+        for shard in &self.shards {
+            let pending = shard.pending.lock().unwrap_or_else(PoisonError::into_inner);
+            ticks.extend(pending.iter().cloned());
+        }
+        QueuedTicks {
+            // ordering: Relaxed — the cursor only spreads pop load; a
+            // capture is taken while nothing pops.
+            cursor: self.cursor.load(Ordering::Relaxed) % self.shards.len(),
+            ticks,
+        }
+    }
+
+    /// Puts a captured queue back into this empty one, with no overload
+    /// policy in the way: every tick was admitted once already.
+    fn install(&self, queue: &QueuedTicks) -> Result<(), CoreError> {
+        let invalid = |reason: String| Err(CoreError::InvalidRunState { reason });
+        if queue.cursor >= self.shards.len() {
+            return invalid(format!(
+                "queue cursor {} names no shard of {}",
+                queue.cursor,
+                self.shards.len()
+            ));
+        }
+        let shards: Vec<usize> = queue
+            .ticks
+            .iter()
+            .map(|t| self.shard_index(&t.context))
+            .collect();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let queued = shards.iter().filter(|&&s| s == i).count();
+            let held = shard
+                .pending
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len();
+            if held > 0 {
+                return invalid(format!("queue shard {i} already holds {held} ticks"));
+            }
+            if queued > self.capacity {
+                return invalid(format!(
+                    "{queued} ticks for queue shard {i}, whose capacity is {}",
+                    self.capacity
+                ));
+            }
+        }
+        for (tick, i) in queue.ticks.iter().zip(shards) {
+            self.shards[i]
+                .pending
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push_back(tick.clone());
+        }
+        // ordering: Relaxed — see `capture`.
+        self.cursor.store(queue.cursor, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Total queued ticks across all shards.
@@ -222,7 +303,7 @@ impl Engine {
         metric_row: &[f64],
     ) -> SubmitOutcome {
         let context_id = self.intern_context(context);
-        let push = self.ingest_queue().push(PendingTick {
+        let push = self.ingest_queue().push(QueuedTick {
             context: context.clone(),
             cpi: cpi_sample,
             row: metric_row.to_vec(),
@@ -276,6 +357,29 @@ impl Engine {
         out
     }
 
+    /// A copy of the ingest queue: every waiting tick, shard by shard in
+    /// submission order, and the shard the next drain starts at. Taken
+    /// one shard lock at a time, so it is exact only while nothing submits
+    /// or drains.
+    pub fn capture_queue(&self) -> QueuedTicks {
+        self.ingest_queue().capture()
+    }
+
+    /// Re-queues a copy [`Engine::capture_queue`] took from an engine under
+    /// the same configuration into this engine's empty queue, so that its
+    /// drains pop exactly what the captured engine's would have. It emits
+    /// no events and applies no overload policy: the ticks were counted
+    /// when they were submitted.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidRunState`] when this queue is not empty, the
+    /// cursor names no shard, or more ticks land in one shard than
+    /// [`Engine::ingest_queue_capacity`]; nothing is queued then.
+    pub fn install_queue(&self, queue: &QueuedTicks) -> Result<(), CoreError> {
+        self.ingest_queue().install(queue)
+    }
+
     /// Ticks currently waiting in the ingest queue across all shards.
     pub fn queued_ticks(&self) -> usize {
         self.ingest_queue().len()
@@ -294,8 +398,8 @@ impl Engine {
 mod tests {
     use super::*;
 
-    fn tick(node: &str, cpi: f64) -> PendingTick {
-        PendingTick {
+    fn tick(node: &str, cpi: f64) -> QueuedTick {
+        QueuedTick {
             context: OperationContext::new(node, "W"),
             cpi,
             row: vec![cpi; 3],
@@ -366,6 +470,44 @@ mod tests {
         assert_eq!(q.pop().map(|t| t.cpi), Some(0.0));
         submitter.join().unwrap();
         assert_eq!(q.len(), 3);
+    }
+
+    #[test]
+    fn a_captured_queue_installs_into_an_empty_one_and_pops_the_same() {
+        let q = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
+        for i in 0..6 {
+            q.push(tick(&format!("node-{}", i % 3), i as f64));
+        }
+        q.pop(); // moves the cursor
+        let captured = q.capture();
+        assert_eq!(captured.ticks.len(), 5);
+        let copy = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
+        copy.install(&captured).expect("install");
+        assert_eq!(copy.capture(), captured);
+        let popped = |q: &IngestQueue| std::iter::from_fn(|| q.pop().map(|t| t.cpi)).collect();
+        let (a, b): (Vec<f64>, Vec<f64>) = (popped(&q), popped(&copy));
+        assert_eq!(a, b, "the same ticks in the same order");
+
+        // A second install, a cursor past the shards and a shard over its
+        // capacity are refused, and leave the queue as it was.
+        let refused = |queue: &IngestQueue, ticks: &QueuedTicks| {
+            matches!(queue.install(ticks), Err(CoreError::InvalidRunState { .. }))
+        };
+        let full = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
+        full.install(&captured).expect("install");
+        assert!(refused(&full, &captured), "not empty");
+        let empty = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
+        let past = QueuedTicks {
+            cursor: 4,
+            ..captured.clone()
+        };
+        assert!(refused(&empty, &past));
+        let flood = QueuedTicks {
+            cursor: 0,
+            ticks: (0..9).map(|i| tick("n", i as f64)).collect(),
+        };
+        assert!(refused(&empty, &flood), "9 ticks for one 8-tick shard");
+        assert_eq!(empty.len(), 0);
     }
 
     #[test]

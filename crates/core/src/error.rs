@@ -254,6 +254,13 @@ pub enum CoreError {
         /// What was wrong with the entries or τ.
         reason: String,
     },
+    /// A captured run or ingest queue cannot be installed: no run of the
+    /// engine could be in that state (see [`crate::Engine::install_run`]
+    /// and [`crate::Engine::install_queue`]).
+    InvalidRunState {
+        /// What was wrong, naming the context or queue shard.
+        reason: String,
+    },
 }
 
 impl CoreError {
@@ -271,7 +278,8 @@ impl CoreError {
             CoreError::TupleLengthMismatch { .. } => ErrorKind::TupleLengthMismatch,
             CoreError::Serialization { .. }
             | CoreError::InvalidStoreKey { .. }
-            | CoreError::InvalidInvariantSet { .. } => ErrorKind::Serialization,
+            | CoreError::InvalidInvariantSet { .. }
+            | CoreError::InvalidRunState { .. } => ErrorKind::Serialization,
             CoreError::Io { .. } => ErrorKind::Io,
             CoreError::NonFiniteCpi(_) => ErrorKind::NonFiniteCpi,
         }
@@ -344,6 +352,7 @@ impl PartialEq for CoreError {
             (InvalidStoreKey { key: k1 }, InvalidStoreKey { key: k2 }) => k1 == k2,
             (NonFiniteCpi(a), NonFiniteCpi(b)) => a == b,
             (InvalidInvariantSet { reason: r1 }, InvalidInvariantSet { reason: r2 }) => r1 == r2,
+            (InvalidRunState { reason: r1 }, InvalidRunState { reason: r2 }) => r1 == r2,
             _ => false,
         }
     }
@@ -400,6 +409,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidInvariantSet { reason } => {
                 write!(f, "invalid invariant set: {reason}")
             }
+            CoreError::InvalidRunState { reason } => write!(f, "invalid run state: {reason}"),
         }
     }
 }

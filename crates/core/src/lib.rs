@@ -60,8 +60,8 @@ pub use config::{ConfigBuilder, DetectorChoice, InvarNetConfig};
 pub use context::OperationContext;
 pub use cusum::{CusumDetector, CusumResult};
 pub use engine::resilience::{
-    DegradationReason, DegradationTier, HealthState, OverloadPolicy, RetryPolicy, SubmitOutcome,
-    SweepBudget, SweepDegradation,
+    DegradationReason, DegradationTier, HealthState, OverloadPolicy, QueuedTick, QueuedTicks,
+    RetryPolicy, SubmitOutcome, SweepBudget, SweepDegradation,
 };
 pub use engine::telemetry::{
     bucket_upper_edge, ContextId, ContextRegistry, ContextScope, EnginePhase, Histogram,
@@ -69,9 +69,9 @@ pub use engine::telemetry::{
     SpanSnapshot, Telemetry, TelemetrySnapshot, CONFIDENT_SIMILARITY, HISTOGRAM_BUCKETS,
 };
 pub use engine::{
-    ArimaDetector, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun, Diagnosis,
-    Engine, EngineBuilder, EngineEvent, EngineInspector, EventKind, EventSink, HistoryRecorder,
-    NullRecorder, NullSink, RankedCause, TickDecision, TickOutcome,
+    ArimaDetector, CapturedRun, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun,
+    Diagnosis, Engine, EngineBuilder, EngineEvent, EngineInspector, EventKind, EventSink,
+    HistoryRecorder, NullRecorder, NullSink, RankedCause, RunState, TickDecision, TickOutcome,
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};

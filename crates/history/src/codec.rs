@@ -31,6 +31,8 @@
 //! | [`Diagnosis`] | `u32` count + causes (problem `str`, similarity `f64`), `u32` count + tuple `f64`s, degradation `option` |
 //! | degradation | tier `u8`, reason `u8` |
 //! | store rows | see [`StoreRows`] |
+//! | [`CapturedRun`] | ticks `u64`, previous tick anomalous `bool`, `u32` count + window `f64`s (finite, oldest row first), `u32` count + detector register `f64`s, `u32` count + detector counter `u64`s |
+//! | [`QueuedTicks`] | cursor `u64`, `u32` count, then per tick: node, workload `str` each, CPI `f64`, `u32` count + row `f64`s |
 //!
 //! Decoding checks every count against the bytes left before it
 //! allocates, and refuses an unknown tag or enum byte, a `bool` or
@@ -41,10 +43,10 @@
 use std::sync::Arc;
 
 use ix_core::{
-    ArimaModel, ArimaSpec, ContextId, DegradationReason, DegradationTier, Diagnosis, EngineEvent,
-    EnginePhase, EventKind, HealthState, InvariantEntry, InvariantSet, ModelStore,
-    OperationContext, OverloadPolicy, PerformanceModel, RankedCause, ResidualStats, Signature,
-    SignatureDatabase, SweepDegradation, ViolationTuple,
+    ArimaModel, ArimaSpec, CapturedRun, ContextId, DegradationReason, DegradationTier, Diagnosis,
+    EngineEvent, EnginePhase, EventKind, HealthState, InvariantEntry, InvariantSet, ModelStore,
+    OperationContext, OverloadPolicy, PerformanceModel, QueuedTick, QueuedTicks, RankedCause,
+    ResidualStats, RunState, Signature, SignatureDatabase, SweepDegradation, ViolationTuple,
 };
 
 use crate::file::{HistoryFileError, Reader, Writer};
@@ -322,6 +324,106 @@ pub(crate) fn read_diagnosis_record(
         tick: r.u64()?,
         diagnosis: read_diagnosis(r)?,
     })
+}
+
+/// Writes a [`CapturedRun`] (see the module-level table). Every float is
+/// its raw bits, so the run continues bit-identically once decoded.
+pub fn write_run(w: &mut Writer, run: &CapturedRun) {
+    w.u64(run.ticks as u64);
+    w.bool(run.prev_anomalous);
+    w.f64_list(&run.window);
+    w.f64_list(&run.detector.registers);
+    w.u32_field(run.detector.counters.len());
+    for &counter in &run.detector.counters {
+        w.u64(counter);
+    }
+}
+
+/// The exact number of bytes [`write_run`] appends for `run`.
+pub fn run_encoded_len(run: &CapturedRun) -> usize {
+    8 + 1
+        + 4
+        + 8 * run.window.len()
+        + 4
+        + 8 * run.detector.registers.len()
+        + 4
+        + 8 * run.detector.counters.len()
+}
+
+/// Reads a [`CapturedRun`] written by [`write_run`]. Only the format is
+/// checked here; whether a run of some detector could be in the state is
+/// [`ix_core::Engine::install_run`]'s to refuse.
+///
+/// # Errors
+///
+/// [`HistoryFileError::Format`] on truncation, a count the remaining
+/// bytes cannot back, a tick count that overflows `usize`, a flag byte
+/// other than `0`/`1` or a non-finite window value.
+pub fn read_run(r: &mut Reader<'_>) -> Result<CapturedRun, HistoryFileError> {
+    let ticks =
+        usize::try_from(r.u64()?).map_err(|_| malformed("run tick count overflows".to_string()))?;
+    let prev_anomalous = r.bool("previous-tick-anomalous flag")?;
+    let window = r.finite_f64s()?;
+    let n = r.count(8)?;
+    let registers = r.f64s(n)?;
+    let n = r.count(8)?;
+    let counters = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
+    Ok(CapturedRun {
+        ticks,
+        prev_anomalous,
+        window,
+        detector: RunState {
+            registers,
+            counters,
+        },
+    })
+}
+
+/// Writes [`QueuedTicks`] (see the module-level table), each value as the
+/// submitter sent it: a queued tick is checked only when it is drained.
+pub fn write_queue(w: &mut Writer, queue: &QueuedTicks) {
+    w.u64(queue.cursor as u64);
+    w.u32_field(queue.ticks.len());
+    for tick in &queue.ticks {
+        w.bytes(tick.context.node.as_bytes());
+        w.bytes(tick.context.workload.as_bytes());
+        w.f64(tick.cpi);
+        w.f64_list(&tick.row);
+    }
+}
+
+/// The exact number of bytes [`write_queue`] appends for `queue`.
+pub fn queue_encoded_len(queue: &QueuedTicks) -> usize {
+    let ticks: usize = (queue.ticks.iter())
+        .map(|t| 4 + t.context.node.len() + 4 + t.context.workload.len() + 8 + 4 + 8 * t.row.len())
+        .sum();
+    8 + 4 + ticks
+}
+
+/// Reads [`QueuedTicks`] written by [`write_queue`].
+///
+/// # Errors
+///
+/// [`HistoryFileError::Format`] on truncation, a count the remaining
+/// bytes cannot back, a cursor that overflows `usize` or non-UTF-8 text.
+pub fn read_queue(r: &mut Reader<'_>) -> Result<QueuedTicks, HistoryFileError> {
+    let cursor =
+        usize::try_from(r.u64()?).map_err(|_| malformed("queue cursor overflows".to_string()))?;
+    // Smallest tick: two string lengths, the CPI and the row count.
+    let n = r.count(20)?;
+    let mut ticks = Vec::with_capacity(n);
+    for _ in 0..n {
+        let node = r.str()?;
+        let workload = r.str()?;
+        let cpi = r.f64()?;
+        let len = r.count(8)?;
+        ticks.push(QueuedTick {
+            context: OperationContext::new(node, workload),
+            cpi,
+            row: r.f64s(len)?,
+        });
+    }
+    Ok(QueuedTicks { cursor, ticks })
 }
 
 fn expect_tag(r: &mut Reader<'_>, tag: u8, what: &str) -> Result<(), HistoryFileError> {
@@ -900,6 +1002,56 @@ mod tests {
         let bad_key = one_model_store("Sort");
         let msg = refusal(&encoded(|w| store_rows(&bad_key).write(w)));
         assert!(msg.contains("not in workload@node form"), "{msg}");
+    }
+
+    #[test]
+    fn run_and_queue_records_are_pinned() {
+        use F::{B, D, Q, W};
+        let run = CapturedRun {
+            ticks: 5,
+            prev_anomalous: true,
+            window: vec![0.5, 1.5],
+            detector: RunState {
+                registers: vec![f64::NAN, -0.25],
+                counters: vec![3],
+            },
+        };
+        let bytes = encoded(|w| write_run(w, &run));
+        assert_eq!(bytes.len(), run_encoded_len(&run));
+        let mut expected = image(&[Q(5), B(1), W(2), D(0.5), D(1.5), W(2)]);
+        expected.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        expected.extend(image(&[D(-0.25), W(1), Q(3)]));
+        assert_eq!(bytes, expected);
+        let back = decoded(&bytes, read_run).expect("decodes");
+        assert_eq!(encoded(|w| write_run(w, &back)), bytes, "raw register bits");
+        // A window value is a metric sample, so it must be finite.
+        let mut bad = bytes.clone();
+        bad[13..21].copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
+        assert!(decoded(&bad, read_run).is_err());
+
+        let queue = QueuedTicks {
+            cursor: 2,
+            ticks: vec![QueuedTick {
+                context: OperationContext::new("n", "W"),
+                cpi: f64::NAN,
+                row: vec![0.5],
+            }],
+        };
+        let bytes = encoded(|w| write_queue(w, &queue));
+        assert_eq!(bytes.len(), queue_encoded_len(&queue));
+        let mut expected = image(&[Q(2), W(1), W(1), B(b'n'), W(1), B(b'W')]);
+        expected.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        expected.extend(image(&[W(1), D(0.5)]));
+        assert_eq!(bytes, expected);
+        let back = decoded(&bytes, read_queue).expect("decodes");
+        assert_eq!(
+            encoded(|w| write_queue(w, &back)),
+            bytes,
+            "a queued NaN as sent"
+        );
+        let mut inflated = bytes;
+        inflated[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decoded(&inflated, read_queue).is_err());
     }
 
     #[test]

@@ -52,8 +52,9 @@ const MAGIC: &[u8; 8] = b"IXHIST01";
 /// Tag of the trailing section holding `ix-replay`'s config/seed header.
 pub const REPLAY_SECTION: [u8; 4] = *b"RPLY";
 
-/// Tag of the trailing section holding `ix-serve`'s tenant run state
-/// (lifetime tick counter + per-context run tails of an evicted tenant).
+/// Tag of the trailing section holding `ix-serve`'s tenant snapshot (an
+/// evicted tenant's trained store, lifetime tick counter, per-context
+/// runs and queued ticks).
 pub const SERVE_SECTION: [u8; 4] = *b"SRVT";
 
 /// Section tags this version of the crate understands; anything else

@@ -113,6 +113,13 @@ impl SlidingFrame {
         self.rows[tick * METRIC_COUNT + metric.index()]
     }
 
+    /// The held values, oldest tick first, each tick's
+    /// [`METRIC_COUNT`] values ordered per [`crate::MetricId::ALL`]: the
+    /// rows [`SlidingFrame::push_tick`] took, flat.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.rows.iter().copied()
+    }
+
     /// Materializes the current window as a batch [`MetricFrame`], oldest
     /// held tick first.
     pub fn to_frame(&self) -> MetricFrame {

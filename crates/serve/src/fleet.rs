@@ -12,15 +12,21 @@
 //!
 //! When the warm count crosses the configured high-water mark
 //! ([`FleetBuilder::warm_limit`]), the least-recently-used warm tenant is
-//! evicted: its trained state ([`Engine::snapshot_state`], which shares
-//! the engine's models, invariant sets and signature database by `Arc`),
-//! lifetime tick counter and per-context run tails — moved out of the
-//! slot, not copied — become its cold image, and the engine is dropped.
-//! Warming installs the image in a fresh engine: the store shared in with
-//! [`Engine::load_state`], the flat tails replayed through
-//! [`Engine::restore_run`]. Nothing is encoded, decoded or copied in
-//! between, so tenants materialized from one template keep sharing its
-//! trained state through any number of evictions;
+//! evicted: its state as the engine holds it becomes its cold image and
+//! the engine is dropped. That is the trained state
+//! ([`Engine::snapshot_state`], which shares the engine's models,
+//! invariant sets and signature database by `Arc`), the lifetime tick
+//! counter, each context's in-flight run ([`Engine::capture_run`]: the
+//! sliding window, the detector's recursion state, the edge-tracker and
+//! the run's length) and the ticks waiting in the engine's ingest queue
+//! ([`Engine::capture_queue`]). Warming installs the image in a fresh
+//! engine: the store shared in with [`Engine::load_state`], each run put
+//! back with [`Engine::install_run`] and the queue with
+//! [`Engine::install_queue`]. A run is bounded by the window, however long
+//! it has gone on, so an eviction and a warm cost the same at tick 60 and
+//! at tick 60 000. Nothing is encoded, decoded or replayed in between, so
+//! tenants materialized from one template keep sharing its trained state
+//! through any number of evictions;
 //! bytes exist only where a snapshot crosses the process boundary — a
 //! snapshot-directory file, [`Fleet::snapshot_bytes`], [`Fleet::adopt`]
 //! (which decodes once and keeps the image) — and a file warm decodes
@@ -33,17 +39,18 @@
 //! matches without a parse), and a snapshot file is replaced atomically
 //! (temporary file, fsync, rename), so a crash never leaves a torn one.
 //! A warm is *bit-invisible*: the warmed engine continues exactly as if
-//! it had never been torn down. Both transitions are declared, never
-//! silent: [`EngineEvent::TenantEvicted`] / [`EngineEvent::TenantWarmed`]
-//! land on the fleet's event sink.
+//! it had never been torn down, whether its ticks came through
+//! [`Fleet::ingest`] or through the queue ([`Fleet::submit`] /
+//! [`Fleet::drain`], which reuse the engine's bounded ingest queue and
+//! [`ix_core::OverloadPolicy`] semantics verbatim). Both transitions are
+//! declared, never silent: [`EngineEvent::TenantEvicted`] /
+//! [`EngineEvent::TenantWarmed`] land on the fleet's event sink.
 //!
-//! Run-tail tracking covers ticks fed through [`Fleet::ingest`]. The
-//! queue path ([`Fleet::submit`] / [`Fleet::drain`]) reuses the engine's
-//! bounded ingest queue and [`ix_core::OverloadPolicy`] semantics
-//! verbatim, but ticks that enter it are not tail-tracked — the affected
-//! context is marked truncated and a later warm starts it on a fresh run
-//! (declared in the snapshot, never silently wrong).
+//! Every operation on a tenant, its engine work included, runs under the
+//! one fleet lock, so an eviction never captures an engine while a tick
+//! is in it.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
@@ -58,150 +65,19 @@ use ix_core::{
 };
 
 use crate::error::ServeError;
-use crate::snapshot::{
-    self, ContextState, ContextView, Parts, TenantImage, SNAPSHOT_VERSION, TAIL_STRIDE,
-};
+use crate::snapshot::{self, TenantImage};
 use crate::tenant::TenantId;
 
 /// Default high-water mark for warm tenants.
 const DEFAULT_WARM_LIMIT: usize = 1024;
 
-/// Default cap on tracked run-tail ticks per context.
-const DEFAULT_RUN_TAIL_CAP: usize = 4096;
-
 /// The null link of the LRU list.
 const NIL: usize = usize::MAX;
-
-/// One context's live bookkeeping inside a warm slot.
-struct ContextEntry {
-    context: OperationContext,
-    /// The current run's ticks since the last reset, oldest first, flat:
-    /// [`TAIL_STRIDE`] values per tick, its CPI then its row. Empty once
-    /// truncated.
-    tail: Vec<f64>,
-    /// Set when the tail outgrew the cap or the queue path was used; the
-    /// context warms onto a fresh run instead of a restored one.
-    truncated: bool,
-}
-
-impl ContextEntry {
-    /// Stops tracking the run: its tail, buffer and all, is dropped.
-    fn truncate(&mut self) {
-        self.tail = Vec::new();
-        self.truncated = true;
-    }
-
-    fn view(&self) -> ContextView<'_> {
-        ContextView {
-            node: &self.context.node,
-            workload: &self.context.workload,
-            truncated: self.truncated,
-            tail: &self.tail,
-        }
-    }
-}
-
-/// A cold context's state becomes a warm one's bookkeeping, its strings
-/// and tail moved, not copied.
-impl From<ContextState> for ContextEntry {
-    fn from(state: ContextState) -> Self {
-        ContextEntry {
-            context: OperationContext::new(state.node, state.workload),
-            tail: state.tail,
-            truncated: state.truncated,
-        }
-    }
-}
-
-/// The reverse move, at eviction.
-impl From<ContextEntry> for ContextState {
-    fn from(entry: ContextEntry) -> Self {
-        let OperationContext { node, workload } = entry.context;
-        ContextState {
-            node,
-            workload,
-            tail: entry.tail,
-            truncated: entry.truncated,
-        }
-    }
-}
 
 /// A live tenant.
 struct WarmTenant {
     engine: Arc<Engine>,
     telemetry: Option<Arc<Telemetry>>,
-    /// One entry per context, sorted by `workload@node` form ([`by_form`]):
-    /// the order snapshots list contexts in.
-    contexts: Vec<ContextEntry>,
-}
-
-impl WarmTenant {
-    /// The context's bookkeeping, created on first use. The lookup
-    /// compares `workload@node` forms without building one, so a known
-    /// context costs no allocation.
-    fn entry(&mut self, context: &OperationContext) -> &mut ContextEntry {
-        let i = match self
-            .contexts
-            .binary_search_by(|entry| by_form(&entry.context, context))
-        {
-            Ok(i) => i,
-            Err(i) => {
-                self.contexts.insert(
-                    i,
-                    ContextEntry {
-                        context: context.clone(),
-                        tail: Vec::new(),
-                        truncated: false,
-                    },
-                );
-                i
-            }
-        };
-        &mut self.contexts[i]
-    }
-
-    /// The context's bookkeeping when it has some, or when the engine
-    /// holds a model for the context and it is created; `None` otherwise.
-    /// The engine refuses every tick of a context it has no model for, so
-    /// such a context has no run to track and gets no entry.
-    fn tracked(&mut self, context: &OperationContext) -> Option<&mut ContextEntry> {
-        let known = self
-            .contexts
-            .binary_search_by(|entry| by_form(&entry.context, context))
-            .is_ok();
-        (known || self.engine.detector(context).is_some()).then(|| self.entry(context))
-    }
-
-    /// Installs a warmed context's bookkeeping, moving it in. A context
-    /// whose form is already present keeps its entry and takes the new
-    /// run state, as [`WarmTenant::entry`] would.
-    fn put(&mut self, entry: ContextEntry) {
-        match self
-            .contexts
-            .binary_search_by(|e| by_form(&e.context, &entry.context))
-        {
-            Ok(i) => {
-                self.contexts[i].tail = entry.tail;
-                self.contexts[i].truncated = entry.truncated;
-            }
-            Err(i) => self.contexts.insert(i, entry),
-        }
-    }
-}
-
-/// Orders two contexts as their `workload@node` forms order (bytewise, as
-/// `str` orders), without building either form. Two contexts with one
-/// form (`c@a` on `b`, `c` on `a@b`) order by node, so each keeps an
-/// entry of its own.
-fn by_form(a: &OperationContext, b: &OperationContext) -> std::cmp::Ordering {
-    fn form(c: &OperationContext) -> impl Iterator<Item = &u8> {
-        c.workload
-            .as_bytes()
-            .iter()
-            .chain(b"@")
-            .chain(c.node.as_bytes())
-    }
-    form(a).cmp(form(b)).then_with(|| a.node.cmp(&b.node))
 }
 
 /// An evicted (or adopted) tenant: its decoded image in memory, or its
@@ -379,7 +255,6 @@ struct FleetMetrics {
 pub struct FleetBuilder {
     config: InvarNetConfig,
     warm_limit: usize,
-    run_tail_cap: usize,
     snapshot_dir: Option<PathBuf>,
     sink: Option<Arc<dyn EventSink>>,
     per_tenant_telemetry: bool,
@@ -391,7 +266,6 @@ impl FleetBuilder {
         FleetBuilder {
             config: InvarNetConfig::default(),
             warm_limit: DEFAULT_WARM_LIMIT,
-            run_tail_cap: DEFAULT_RUN_TAIL_CAP,
             snapshot_dir: None,
             sink: None,
             per_tenant_telemetry: false,
@@ -414,14 +288,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Cap on tracked run-tail ticks per context. A run that outgrows the
-    /// cap stops being restorable: the context warms onto a fresh run and
-    /// the snapshot says so (defaults to 4096).
-    pub fn run_tail_cap(mut self, cap: usize) -> Self {
-        self.run_tail_cap = cap.max(1);
-        self
-    }
-
     /// Persists eviction snapshots as `<tenant>.ixhist` files under `dir`
     /// instead of holding the bytes in memory. The directory must exist.
     pub fn snapshot_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -432,6 +298,9 @@ impl FleetBuilder {
     /// The fleet-wide event sink: every tenant engine's event stream and
     /// the fleet's own lifecycle events ([`EngineEvent::TenantEvicted`] /
     /// [`EngineEvent::TenantWarmed`]) land here.
+    ///
+    /// The sink is called with the fleet lock held, so it must not call
+    /// back into the fleet: that call would wait on the lock forever.
     pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
         self.sink = Some(sink);
         self
@@ -460,7 +329,6 @@ impl FleetBuilder {
             config: self.config,
             config_json,
             warm_limit: self.warm_limit,
-            run_tail_cap: self.run_tail_cap,
             snapshot_dir: self.snapshot_dir,
             sink: self.sink.unwrap_or_else(|| Arc::new(NullSink)),
             per_tenant_telemetry: self.per_tenant_telemetry,
@@ -482,7 +350,6 @@ impl std::fmt::Debug for FleetBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetBuilder")
             .field("warm_limit", &self.warm_limit)
-            .field("run_tail_cap", &self.run_tail_cap)
             .field("snapshot_dir", &self.snapshot_dir)
             .field("event_sink", &self.sink.is_some())
             .field("per_tenant_telemetry", &self.per_tenant_telemetry)
@@ -499,7 +366,6 @@ pub struct Fleet {
     /// them needs no parse.
     config_json: String,
     warm_limit: usize,
-    run_tail_cap: usize,
     snapshot_dir: Option<PathBuf>,
     sink: Arc<dyn EventSink>,
     per_tenant_telemetry: bool,
@@ -545,12 +411,12 @@ impl Fleet {
 
     /// Ensures `tenant` has a slot and that it is warm, evicting the LRU
     /// warm tenant first when the high-water mark would be crossed.
-    /// Returns the tenant's slot and engine, marked most recently used.
+    /// Returns the tenant's engine, its slot marked most recently used.
     fn ensure_warm(
         &self,
         inner: &mut FleetInner,
         tenant: &TenantId,
-    ) -> Result<(usize, Arc<Engine>), ServeError> {
+    ) -> Result<Arc<Engine>, ServeError> {
         let (i, engine) = match inner.index.get(tenant).copied() {
             Some(i) => match &inner.slots[i].state {
                 State::Warm(warm) => (i, Arc::clone(&warm.engine)),
@@ -565,13 +431,12 @@ impl Fleet {
                 let warm = WarmTenant {
                     engine: Arc::clone(&engine),
                     telemetry,
-                    contexts: Vec::new(),
                 };
                 (inner.put(tenant.clone(), State::Warm(warm)), engine)
             }
         };
         inner.touch(i);
-        Ok((i, engine))
+        Ok(engine)
     }
 
     /// [`Fleet::ensure_warm`] for a tenant that must already have a slot.
@@ -579,7 +444,7 @@ impl Fleet {
         &self,
         inner: &mut FleetInner,
         tenant: &TenantId,
-    ) -> Result<(usize, Arc<Engine>), ServeError> {
+    ) -> Result<Arc<Engine>, ServeError> {
         inner.slot(tenant)?;
         self.ensure_warm(inner, tenant)
     }
@@ -594,17 +459,10 @@ impl Fleet {
     }
 
     /// The snapshot bytes of a warm tenant — what [`Fleet::snapshot_bytes`]
-    /// serves and a `snapshot_dir` eviction writes: the engine's trained
-    /// state as [`Engine::snapshot_state`] captures it, and the slot's run
-    /// tails, borrowed.
+    /// serves and a `snapshot_dir` eviction writes: the image of the
+    /// engine's state, under the fleet's config row.
     fn warm_bytes(&self, warm: &WarmTenant) -> Vec<u8> {
-        snapshot::encode(Parts {
-            version: SNAPSHOT_VERSION,
-            lifetime_ticks: warm.engine.lifetime_ticks(),
-            config: &self.config_json,
-            store: &warm.engine.snapshot_state(),
-            contexts: warm.contexts.iter().map(ContextEntry::view),
-        })
+        TenantImage::capture(&warm.engine).to_bytes(&self.config_json)
     }
 
     /// Reads snapshot bytes for this fleet, refusing a snapshot written
@@ -615,11 +473,15 @@ impl Fleet {
     /// fleet's config.
     fn decode(&self, bytes: &[u8]) -> Result<TenantImage, ServeError> {
         let (config, image) = snapshot::decode(bytes, |text| {
-            (text != self.config_json)
-                .then(|| snapshot::parse_config(text))
-                .transpose()
+            if text == self.config_json {
+                Ok(Cow::Borrowed(&self.config))
+            } else {
+                snapshot::parse_config(text).map(Cow::Owned)
+            }
         })?;
-        if config.is_some_and(|c| c != self.config) {
+        // A row equal to the fleet's as bytes is the fleet's config, even
+        // one a NaN makes unequal to itself.
+        if matches!(&config, Cow::Owned(c) if *c != self.config) {
             return Err(ServeError::Snapshot(
                 "the snapshot was written under a different engine configuration \
                  than this fleet's"
@@ -630,12 +492,11 @@ impl Fleet {
     }
 
     /// Captures warm slot `i` and replaces it with a cold one: in memory,
-    /// the decoded image itself — the engine's trained state, shared, and
-    /// the slot's tails, moved out — and under a snapshot directory, its
-    /// bytes, written durably before the slot changes.
+    /// the image of its engine's state itself, and under a snapshot
+    /// directory, its bytes, written durably before the slot changes.
     fn evict_slot(&self, inner: &mut FleetInner, i: usize) -> Result<(), ServeError> {
         let slot = &mut inner.slots[i];
-        let State::Warm(warm) = &mut slot.state else {
+        let State::Warm(warm) = &slot.state else {
             return Err(ServeError::UnknownTenant(slot.id.clone()));
         };
         let ticks = warm.engine.lifetime_ticks();
@@ -645,14 +506,7 @@ impl Fleet {
                 write_durably(&path, &self.warm_bytes(warm))?;
                 ColdTenant::File(path)
             }
-            None => ColdTenant::Image(TenantImage {
-                lifetime_ticks: ticks,
-                store: warm.engine.snapshot_state(),
-                contexts: std::mem::take(&mut warm.contexts)
-                    .into_iter()
-                    .map(ContextState::from)
-                    .collect(),
-            }),
+            None => ColdTenant::Image(TenantImage::capture(&warm.engine)),
         };
         slot.state = State::Cold(cold);
         let num = slot.num;
@@ -668,42 +522,14 @@ impl Fleet {
         Ok(())
     }
 
-    /// Builds a warm tenant from `image`: a fresh engine sharing the
-    /// image's store ([`Engine::load_state`]), each context's tail
-    /// replayed through [`Engine::restore_run`] and moved into the slot's
-    /// bookkeeping. On an error the tails are put back, so the tenant
+    /// Builds a warm tenant from `image`: a fresh engine with the image's
+    /// lifetime tick counter, into which the image installs. On an error
+    /// the engine is dropped and the image is untouched, so the tenant
     /// stays cold with nothing lost.
-    fn install(&self, image: &mut TenantImage) -> Result<WarmTenant, ServeError> {
+    fn install(&self, image: &TenantImage) -> Result<WarmTenant, ServeError> {
         let (engine, telemetry) = self.build_engine(image.lifetime_ticks);
-        engine.load_state(&image.store)?;
-        let mut warm = WarmTenant {
-            engine,
-            telemetry,
-            contexts: Vec::with_capacity(image.contexts.len()),
-        };
-        let mut states = std::mem::take(&mut image.contexts).into_iter();
-        while let Some(state) = states.next() {
-            let entry = ContextEntry::from(state);
-            // A run with no ticks is a fresh one: resetting it needs no
-            // model, where a restore needs the context's detector.
-            let restored = if entry.truncated || entry.tail.is_empty() {
-                warm.engine.reset_run(&entry.context);
-                Ok(())
-            } else {
-                let ticks = entry.tail.chunks_exact(TAIL_STRIDE);
-                warm.engine
-                    .restore_run(&entry.context, ticks.map(|t| (t[0], &t[1..])))
-            };
-            if let Err(e) = restored {
-                image.contexts = (warm.contexts.into_iter().chain([entry]))
-                    .map(ContextState::from)
-                    .chain(states)
-                    .collect();
-                return Err(e.into());
-            }
-            warm.put(entry);
-        }
-        Ok(warm)
+        image.install(&engine)?;
+        Ok(WarmTenant { engine, telemetry })
     }
 
     /// Rebuilds cold slot `i`'s engine from its image — the one in
@@ -718,11 +544,11 @@ impl Fleet {
         // lint: allow(determinism, telemetry-only: warm micros feed the
         // TenantWarmed event; replay normalizes all recorded timings)
         let started = Instant::now();
-        let warm = match &mut inner.slots[i].state {
+        let warm = match &inner.slots[i].state {
             State::Warm(warm) => return Ok((Arc::clone(&warm.engine), 0)),
             State::Cold(ColdTenant::Image(image)) => self.install(image)?,
             State::Cold(ColdTenant::File(path)) => {
-                self.install(&mut self.decode(&std::fs::read(path)?)?)?
+                self.install(&self.decode(&std::fs::read(path)?)?)?
             }
         };
         let engine = Arc::clone(&warm.engine);
@@ -768,8 +594,7 @@ impl Fleet {
     }
 
     /// Ingests one tick for `tenant`'s `context`, materializing or
-    /// warming the tenant first when needed. The tick lands in the run
-    /// tail, so a later evict→warm cycle restores it.
+    /// warming the tenant first when needed.
     ///
     /// # Errors
     ///
@@ -783,25 +608,9 @@ impl Fleet {
         row: &[f64],
     ) -> Result<TickOutcome, ServeError> {
         let mut inner = self.lock();
-        let (i, engine) = self.ensure_warm(&mut inner, tenant)?;
-        let outcome = engine.ingest(context, cpi, row)?;
-        // Tail bookkeeping only after the engine accepted the tick, so a
-        // rejected row never pollutes the restore path.
-        if let State::Warm(warm) = &mut inner.slots[i].state {
-            let entry = warm.entry(context);
-            if !entry.truncated {
-                if entry.tail.len() >= self.run_tail_cap * TAIL_STRIDE {
-                    entry.truncate();
-                } else {
-                    // The engine accepted the row, so it is METRIC_COUNT
-                    // wide: the tail stays whole ticks, and grows once per
-                    // tick at most.
-                    entry.tail.reserve(TAIL_STRIDE);
-                    entry.tail.push(cpi);
-                    entry.tail.extend_from_slice(row);
-                }
-            }
-        }
+        let outcome = self
+            .ensure_warm(&mut inner, tenant)?
+            .ingest(context, cpi, row)?;
         // ordering: Relaxed — a monotone counter; status reads tolerate
         // staleness.
         self.metrics.ticks.fetch_add(1, Ordering::Relaxed);
@@ -811,11 +620,9 @@ impl Fleet {
     /// Submits one tick to the tenant engine's bounded ingest queue,
     /// under the engine's configured [`ix_core::OverloadPolicy`] —
     /// fleet-wide overload semantics are exactly the engine's, and every
-    /// shed is declared on the fleet sink. Queue-path ticks are not
-    /// tail-tracked: a context the engine holds a model for is marked
-    /// truncated and warms onto a fresh run; one it holds none for is
-    /// marked when [`Fleet::drain`] sees the engine accept one of its
-    /// ticks.
+    /// shed is declared on the fleet sink. A queued tick is part of the
+    /// tenant's state: an eviction keeps it, and the warmed engine drains
+    /// it.
     ///
     /// # Errors
     ///
@@ -829,30 +636,14 @@ impl Fleet {
         row: &[f64],
     ) -> Result<SubmitOutcome, ServeError> {
         let mut inner = self.lock();
-        let (i, engine) = self.ensure_warm(&mut inner, tenant)?;
-        if let State::Warm(warm) = &mut inner.slots[i].state {
-            if let Some(entry) = warm.tracked(context) {
-                entry.truncate();
-            }
-        }
-        Ok(engine.submit(context, cpi, row))
+        Ok(self
+            .ensure_warm(&mut inner, tenant)?
+            .submit(context, cpi, row))
     }
 
-    /// Drains up to `max_ticks` queued ticks through the tenant's engine.
-    /// Each context with an accepted tick is marked truncated: its run
-    /// moved past its tail, so it warms onto a fresh run. That includes a
-    /// context trained after its ticks were queued, which
-    /// [`Fleet::submit`] could not yet track.
-    ///
-    /// The ticks run without the fleet lock, and the marks are made once
-    /// it is taken again, only while the slot still holds the engine that
-    /// drained them. Two races remain in that window. An eviction of the
-    /// tenant captures a late-trained context's tail as it stood; if an
-    /// [`Fleet::ingest`] had started that tail after training, the warm
-    /// restores the run without the drained ticks. A
-    /// [`Fleet::reset_run`] of an accepted context is marked truncated
-    /// again, so the new run is not tail-tracked, which is declared, not
-    /// wrong.
+    /// Drains up to `max_ticks` queued ticks through the tenant's engine,
+    /// under the fleet lock, as [`Fleet::ingest`] runs its tick: no
+    /// eviction can capture the engine while a drained tick is in it.
     ///
     /// # Errors
     ///
@@ -863,27 +654,11 @@ impl Fleet {
         tenant: &TenantId,
         max_ticks: usize,
     ) -> Result<Vec<(OperationContext, Result<TickOutcome, ix_core::CoreError>)>, ServeError> {
-        let (i, engine) = self.ensure_known_warm(&mut self.lock(), tenant)?;
-        // Drained without the fleet lock: an accepted tick may diagnose.
-        let drained = engine.drain(max_ticks);
-        if drained.iter().any(|(_, r)| r.is_ok()) {
-            match &mut self.lock().slots[i].state {
-                State::Warm(warm) if Arc::ptr_eq(&warm.engine, &engine) => {
-                    for (context, _) in drained.iter().filter(|(_, r)| r.is_ok()) {
-                        warm.entry(context).truncate();
-                    }
-                }
-                // Evicted (and perhaps warmed again) meanwhile: the
-                // slot's bookkeeping belongs to another run.
-                _ => {}
-            }
-        }
-        Ok(drained)
+        let mut inner = self.lock();
+        Ok(self.ensure_known_warm(&mut inner, tenant)?.drain(max_ticks))
     }
 
-    /// Discards the in-flight run of `tenant`'s `context` (engine state
-    /// and tracked tail both), re-arming tail tracking for the context. A
-    /// context the engine holds no model for gets no entry.
+    /// Discards the in-flight run of `tenant`'s `context`.
     ///
     /// # Errors
     ///
@@ -894,21 +669,15 @@ impl Fleet {
         context: &OperationContext,
     ) -> Result<(), ServeError> {
         let mut inner = self.lock();
-        let (i, engine) = self.ensure_known_warm(&mut inner, tenant)?;
-        engine.reset_run(context);
-        if let State::Warm(warm) = &mut inner.slots[i].state {
-            if let Some(entry) = warm.tracked(context) {
-                entry.tail.clear();
-                entry.truncated = false;
-            }
-        }
+        self.ensure_known_warm(&mut inner, tenant)?
+            .reset_run(context);
         Ok(())
     }
 
     /// Runs `f` against the tenant's live engine (materializing or
-    /// warming it first), e.g. to train models or record signatures.
-    /// Trained state lands in eviction snapshots automatically; run state
-    /// is tail-tracked only for ticks fed through [`Fleet::ingest`].
+    /// warming it first), under the fleet lock, e.g. to train models or
+    /// record signatures. Whatever `f` leaves in the engine, trained or
+    /// run state, lands in eviction snapshots.
     ///
     /// # Errors
     ///
@@ -919,7 +688,8 @@ impl Fleet {
         tenant: &TenantId,
         f: impl FnOnce(&Engine) -> R,
     ) -> Result<R, ServeError> {
-        let (_, engine) = self.ensure_warm(&mut self.lock(), tenant)?;
+        let mut inner = self.lock();
+        let engine = self.ensure_warm(&mut inner, tenant)?;
         Ok(f(&engine))
     }
 
@@ -936,7 +706,8 @@ impl Fleet {
         tenant: &TenantId,
         context: &OperationContext,
     ) -> Result<Diagnosis, ServeError> {
-        let (_, engine) = self.ensure_known_warm(&mut self.lock(), tenant)?;
+        let mut inner = self.lock();
+        let engine = self.ensure_known_warm(&mut inner, tenant)?;
         let frame = engine.window_frame(context).ok_or_else(|| {
             ServeError::Core(ix_core::CoreError::NoPerformanceModel(context.clone()))
         })?;
@@ -1138,38 +909,5 @@ impl std::fmt::Debug for Fleet {
             .field("warm_limit", &self.warm_limit)
             .field("snapshot_dir", &self.snapshot_dir)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn contexts_order_as_their_workload_at_node_forms() {
-        // `-` sorts before `@`, and `@` before letters: the bytewise form
-        // order differs from ordering by (workload, node).
-        let names = [
-            ("n1", "Word"),
-            ("n1", "Word-x"),
-            ("n2", "Word"),
-            ("n1", "Wordcount"),
-            ("n10", "Sort"),
-            ("n1", "Sort"),
-        ];
-        let contexts: Vec<_> = names
-            .iter()
-            .map(|(node, workload)| OperationContext::new(*node, *workload))
-            .collect();
-        for a in &contexts {
-            for b in &contexts {
-                let want = a.to_string().cmp(&b.to_string());
-                assert_eq!(by_form(a, b), want, "{a} vs {b}");
-            }
-        }
-        let a = OperationContext::new("b", "c@a");
-        let b = OperationContext::new("a@b", "c");
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(by_form(&a, &b), std::cmp::Ordering::Greater);
     }
 }

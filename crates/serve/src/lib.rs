@@ -9,11 +9,12 @@
 //! - **[`Fleet`]** — N tenant slots, each a lazily-materialized engine
 //!   keyed by [`TenantId`], all sharing one sweep pool. A configurable
 //!   high-water mark bounds the warm set: the least-recently-used tenant
-//!   is evicted by serializing its trained models, lifetime tick counter
-//!   and per-context run tails into a row-free `IXHIST01` snapshot
-//!   (see [`TenantSnapshot`]), and warming back up reads one header plus
-//!   one section — microseconds, independent of tenant age — and
-//!   continues *bit-identically*, as if the teardown never happened.
+//!   is evicted by capturing its trained models, lifetime tick counter,
+//!   per-context runs and queued ticks as the engine holds them, in
+//!   memory or as a row-free `IXHIST01` snapshot (see
+//!   [`TenantSnapshot`]). Warming back up installs that state, a window's
+//!   worth per context however old the tenant, and continues
+//!   *bit-identically*, as if the teardown never happened.
 //!   Evictions and warms are declared engine events
 //!   ([`ix_core::EngineEvent::TenantEvicted`] /
 //!   [`ix_core::EngineEvent::TenantWarmed`]), never silent.
@@ -51,5 +52,5 @@ pub use error::{
 };
 pub use fleet::{Fleet, FleetBuilder, FleetStatus};
 pub use server::{handle_request, ServerBuilder, ServerHandle};
-pub use snapshot::{ContextState, TenantSnapshot, SNAPSHOT_VERSION, TAIL_STRIDE};
+pub use snapshot::{ContextState, TenantSnapshot, SNAPSHOT_VERSION};
 pub use tenant::{TenantId, MAX_TENANT_ID_BYTES};

@@ -2,20 +2,22 @@
 //!
 //! An eviction must be invisible to the tenant: the warmed engine has to
 //! continue *bit-identically* to one that was never torn down. The
-//! snapshot therefore carries the three inputs that determine a tenant
-//! engine — its [`InvarNetConfig`], its trained [`ModelStore`]
-//! (performance models, invariant sets, signatures), and the live run
-//! state the trained store does not cover: the engine-wide lifetime tick
-//! counter plus, per context, the `(cpi, metric_row)` tail of the current
-//! run (replayed through `Engine::restore_run` on warm). A tail is held
-//! flat — one `Vec<f64>` per context, [`TAIL_STRIDE`] values per tick —
-//! so a served tick appends to it without allocating, an eviction moves
-//! it and a decode fills one buffer.
+//! snapshot therefore carries the inputs that determine a tenant engine —
+//! its [`InvarNetConfig`], its trained [`ModelStore`] (performance models,
+//! invariant sets, signatures) — and the live state the trained store does
+//! not cover, as the engine itself holds it: the lifetime tick counter,
+//! each context's in-flight run ([`CapturedRun`]: the sliding window, the
+//! detector's recursion state, the edge-tracker and the run's length, from
+//! `Engine::capture_run`) and the ticks waiting in the engine's ingest
+//! queue ([`QueuedTicks`], from `Engine::capture_queue`). A run is bounded
+//! by the window, so a snapshot does not grow with the run, and a warm
+//! installs it (`Engine::install_run`, `Engine::install_queue`) rather
+//! than replaying anything.
 //!
 //! A fleet holds an in-memory cold tenant as the decoded image itself
-//! ([`TenantImage`]: the trained store and the run tails, no config row)
-//! and meets these bytes only at the process boundary: a snapshot file,
-//! `Fleet::snapshot_bytes` and `Fleet::adopt`. It encodes through the
+//! ([`TenantImage`]: the trained store, the runs and the queue, no config
+//! row) and meets these bytes only at the process boundary: a snapshot
+//! file, `Fleet::snapshot_bytes` and `Fleet::adopt`. It encodes through the
 //! same encoder as [`TenantSnapshot::to_bytes`], so both produce the same
 //! bytes. The config row is the fleet's cached canonical JSON, serialized
 //! once when the fleet is built. A fleet reading an image compares that
@@ -29,7 +31,7 @@
 //! still loads the file (with a warning) and carries the section
 //! verbatim.
 //!
-//! # `SRVT` layout (version 2)
+//! # `SRVT` layout (version 3)
 //!
 //! Little-endian, encoded with `ix-history`'s [`Writer`] and decoded with
 //! its bounds-checked [`Reader`]. `str` is a `u32` byte length plus UTF-8;
@@ -42,54 +44,56 @@
 //! | lifetime ticks | `u64` |
 //! | config | `str`: the canonical JSON of the [`InvarNetConfig`] |
 //! | store rows | the model-store rows of [`ix_history::codec::StoreRows`]: performance models, invariant sets, signatures |
-//! | contexts | `u32` count, then per context: node, workload `str` each, truncated `u8`, `u32` count + tail ticks, each `cpi f64` + `u32` count + row `f64`s |
+//! | contexts | `u32` count, then per context: node, workload `str` each, then its run ([`codec::write_run`]) |
+//! | queue | the engine's queued ticks ([`codec::write_queue`]) |
 //!
 //! The container is read in place ([`ix_history::section_in`]): the
 //! payload is never copied out of the image. Decoding checks every count
-//! against the bytes left before it allocates, and refuses what the
-//! engine would trip over later: a bad checksum, trailing bytes, a
-//! non-finite float, non-UTF-8 text, a tail tick whose row is not
-//! [`METRIC_COUNT`] values wide, and the store rows' own refusals (map
-//! keys out of order, invariant pairs that are out of range or not
-//! strictly increasing). Every refusal is a [`ServeError::Snapshot`].
+//! against the bytes left before it allocates, and refuses a bad checksum,
+//! trailing bytes, non-UTF-8 text, a non-finite float where the engine
+//! holds only finite ones (model values, window rows), and the store rows'
+//! own refusals (map keys out of order, invariant pairs that are out of
+//! range or not strictly increasing). Every refusal is a
+//! [`ServeError::Snapshot`]. Whether a run or queue is one the tenant's
+//! engine could be in is checked when a warm installs it, as a typed
+//! [`ix_core::CoreError`].
+//!
+//! # Version 2
+//!
+//! Version 2 kept, per context, a truncated flag and the run's
+//! `(cpi, metric_row)` ticks since its last reset — the row as a `u32`
+//! count and that many `f64`s — in place of its run, and no queue. It
+//! still decodes: each tail is replayed once, at decode, into an engine
+//! under the snapshot's config and store (`Engine::restore_run`), and the
+//! run it leaves is captured; a truncated context, or one with no ticks,
+//! has no run and warms onto a fresh one. The decoded image has the
+//! current form, and encodes as version 3.
 
-use ix_core::{InvarNetConfig, ModelStore};
+use std::borrow::Cow;
+
+use ix_core::{CapturedRun, Engine, InvarNetConfig, ModelStore, OperationContext, QueuedTicks};
 use ix_history::codec;
 use ix_history::{section_in, HistoryFileError, Reader, SectionImage, SERVE_SECTION};
 use ix_metrics::METRIC_COUNT;
 
 use crate::error::ServeError;
 
-/// The snapshot version this crate writes and the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// The snapshot version this crate writes.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Values one tick occupies in a flat run tail ([`ContextState::tail`]):
-/// the CPI sample the detector stepped on, then the metric row the
-/// sliding window absorbed.
-pub const TAIL_STRIDE: usize = 1 + METRIC_COUNT;
+/// The older version this crate still reads (see the module docs).
+const LEGACY_VERSION: u32 = 2;
 
 /// Bytes ahead of the checksummed body: version (4) + checksum (8).
 const HEADER_BYTES: usize = 12;
 
-/// Bytes one tail tick occupies in the image: the CPI, the row count and
-/// the row.
-const TICK_BYTES: usize = 8 + 4 + 8 * METRIC_COUNT;
-
-/// One context's live state at eviction time.
+/// One context's in-flight run at eviction time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContextState {
-    /// The context's node half (`OperationContext::new(node, workload)`).
-    pub node: String,
-    /// The context's workload half.
-    pub workload: String,
-    /// The current run's ticks since the last reset, oldest first, flat:
-    /// [`TAIL_STRIDE`] values per tick, its CPI then its metric row. Empty
-    /// when [`ContextState::truncated`] is set — the run outgrew the
-    /// fleet's tail cap and the warmed context starts a fresh run instead.
-    pub tail: Vec<f64>,
-    /// Whether the run tail outgrew the cap and was dropped (the warmed
-    /// engine resets this context's run rather than restoring it).
-    pub truncated: bool,
+    /// The context.
+    pub context: OperationContext,
+    /// Its run, as `Engine::capture_run` took it.
+    pub run: CapturedRun,
 }
 
 /// Everything needed to rebuild an evicted tenant's engine, bit-identical
@@ -104,12 +108,15 @@ pub struct TenantSnapshot {
     pub store: ModelStore,
     /// The engine-wide lifetime tick counter at eviction.
     pub lifetime_ticks: u64,
-    /// Per-context live run state.
+    /// Each context's in-flight run; a context with none is not listed.
     pub contexts: Vec<ContextState>,
+    /// The ticks waiting in the engine's ingest queue.
+    pub queue: QueuedTicks,
 }
 
 impl TenantSnapshot {
-    /// A current-version snapshot of the given tenant state.
+    /// A current-version snapshot of the given tenant state, with an
+    /// empty ingest queue.
     pub fn new(
         config: InvarNetConfig,
         store: ModelStore,
@@ -122,24 +129,14 @@ impl TenantSnapshot {
             store,
             lifetime_ticks,
             contexts,
+            queue: QueuedTicks::default(),
         }
     }
 
     /// Serializes the snapshot into a row-free `IXHIST01` image carrying
     /// the `SRVT` section — through the one encoder a fleet's eviction
     /// uses, so a decoded image re-encodes to the same bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a context's tail is not a whole number of
-    /// [`TAIL_STRIDE`]-value ticks.
     pub fn to_bytes(&self) -> Vec<u8> {
-        assert!(
-            self.contexts
-                .iter()
-                .all(|c| c.tail.len() % TAIL_STRIDE == 0),
-            "a run tail holds whole ticks of TAIL_STRIDE values"
-        );
         let config =
             serde_json::to_string(&self.config).expect("config serialization is infallible");
         encode(Parts {
@@ -147,67 +144,47 @@ impl TenantSnapshot {
             lifetime_ticks: self.lifetime_ticks,
             config: &config,
             store: &self.store,
-            contexts: self.contexts.iter().map(ContextView::from),
+            contexts: &self.contexts,
+            queue: &self.queue,
         })
     }
 
-    /// Parses a snapshot back out of an `IXHIST01` image.
+    /// Parses a snapshot back out of an `IXHIST01` image. A version-2
+    /// snapshot's tails are replayed into runs (see the module docs).
     ///
     /// # Errors
     ///
     /// [`ServeError::Snapshot`] when the bytes are not an `IXHIST01`
-    /// image, carry no `SRVT` section, were written in another snapshot
-    /// version, or fail any check of the module-level layout.
+    /// image, carry no `SRVT` section, were written in a version this
+    /// build does not read, or fail any check of the module-level layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
-        let (config, image) = decode(bytes, parse_config)?;
+        let (config, image) = decode(bytes, |text| parse_config(text).map(Cow::Owned))?;
         Ok(TenantSnapshot {
             version: SNAPSHOT_VERSION,
-            config,
+            config: config.into_owned(),
             store: image.store,
             lifetime_ticks: image.lifetime_ticks,
             contexts: image.contexts,
+            queue: image.queue,
         })
     }
 }
 
-/// One context's run state, borrowed.
-#[derive(Clone, Copy)]
-pub(crate) struct ContextView<'a> {
-    pub node: &'a str,
-    pub workload: &'a str,
-    pub truncated: bool,
-    /// Whole ticks of [`TAIL_STRIDE`] values.
-    pub tail: &'a [f64],
-}
-
-impl<'a> From<&'a ContextState> for ContextView<'a> {
-    fn from(c: &'a ContextState) -> Self {
-        ContextView {
-            node: &c.node,
-            workload: &c.workload,
-            truncated: c.truncated,
-            tail: &c.tail,
-        }
-    }
-}
-
 /// Borrowed views of everything one image holds: what [`encode`] reads.
-pub(crate) struct Parts<'a, C> {
-    pub version: u32,
-    pub lifetime_ticks: u64,
+struct Parts<'a> {
+    version: u32,
+    lifetime_ticks: u64,
     /// The config row, already serialized.
-    pub config: &'a str,
-    pub store: &'a ModelStore,
-    pub contexts: C,
+    config: &'a str,
+    store: &'a ModelStore,
+    contexts: &'a [ContextState],
+    queue: &'a QueuedTicks,
 }
 
 /// The snapshot encoder: writes `parts` as a row-free `IXHIST01` image in
 /// one pass, into one buffer sized up front (see the module-level layout
 /// table).
-pub(crate) fn encode<'a, C>(parts: Parts<'a, C>) -> Vec<u8>
-where
-    C: ExactSizeIterator<Item = ContextView<'a>> + Clone,
-{
+fn encode(parts: Parts<'_>) -> Vec<u8> {
     let mut image = SectionImage::new(SERVE_SECTION, payload_len(&parts));
     let w = image.writer();
     w.u32(parts.version);
@@ -219,15 +196,11 @@ where
 
     w.u32_field(parts.contexts.len());
     for c in parts.contexts {
-        w.bytes(c.node.as_bytes());
-        w.bytes(c.workload.as_bytes());
-        w.bool(c.truncated);
-        w.u32_field(c.tail.len() / TAIL_STRIDE);
-        for tick in c.tail.chunks_exact(TAIL_STRIDE) {
-            w.f64(tick[0]);
-            w.f64_list(&tick[1..]);
-        }
+        w.bytes(c.context.node.as_bytes());
+        w.bytes(c.context.workload.as_bytes());
+        codec::write_run(w, &c.run);
     }
+    codec::write_queue(w, parts.queue);
 
     let payload = image.payload_mut();
     let sum = checksum(&payload[HEADER_BYTES..]);
@@ -237,35 +210,72 @@ where
 
 /// The exact `SRVT` payload length [`encode`] writes for `parts`; each
 /// term is a row of the module-level layout table.
-fn payload_len<'a, C>(parts: &Parts<'a, C>) -> usize
-where
-    C: Iterator<Item = ContextView<'a>> + Clone,
-{
+fn payload_len(parts: &Parts<'_>) -> usize {
     let text = |len: usize| 4 + len;
-    let contexts: usize = parts
-        .contexts
-        .clone()
+    let contexts: usize = (parts.contexts.iter())
         .map(|c| {
-            let ticks = c.tail.len() / TAIL_STRIDE * TICK_BYTES;
-            text(c.node.len()) + text(c.workload.len()) + 1 + 4 + ticks
+            text(c.context.node.len())
+                + text(c.context.workload.len())
+                + codec::run_encoded_len(&c.run)
         })
         .sum();
     let store = codec::store_rows(parts.store).encoded_len();
-    HEADER_BYTES + 8 + text(parts.config.len()) + store + 4 + contexts
+    HEADER_BYTES
+        + 8
+        + text(parts.config.len())
+        + store
+        + 4
+        + contexts
+        + codec::queue_encoded_len(parts.queue)
 }
 
 /// A tenant's state, decoded: everything an image holds but its config
 /// row. An in-memory cold tenant is one of these — captured from the
-/// live engine at eviction, or decoded once at adopt — and a warm moves
-/// it into a fresh engine.
+/// live engine at eviction, or decoded once at adopt — and a warm
+/// installs it into a fresh engine.
 #[derive(Debug)]
 pub(crate) struct TenantImage {
     pub lifetime_ticks: u64,
     pub store: ModelStore,
     pub contexts: Vec<ContextState>,
+    pub queue: QueuedTicks,
 }
 
 impl TenantImage {
+    /// A copy of `engine`'s state: its trained store, shared
+    /// ([`Engine::snapshot_state`]), its lifetime tick counter, every
+    /// context's in-flight run in context order, and its ingest queue.
+    pub fn capture(engine: &Engine) -> Self {
+        let contexts = (engine.inspector().known_contexts().into_iter())
+            .filter_map(|context| {
+                let run = engine.capture_run(&context)?;
+                Some(ContextState { context, run })
+            })
+            .collect();
+        TenantImage {
+            lifetime_ticks: engine.lifetime_ticks(),
+            store: engine.snapshot_state(),
+            contexts,
+            queue: engine.capture_queue(),
+        }
+    }
+
+    /// Installs the image into `engine`, a fresh one built with the
+    /// image's lifetime tick counter: the store is shared in
+    /// ([`Engine::load_state`]), then each run and the queue installed.
+    ///
+    /// # Errors
+    ///
+    /// A run naming a context the store has no model for, or any other
+    /// refusal of `Engine::install_run` or `Engine::install_queue`.
+    pub fn install(&self, engine: &Engine) -> Result<(), ix_core::CoreError> {
+        engine.load_state(&self.store)?;
+        for c in &self.contexts {
+            engine.install_run(&c.context, &c.run)?;
+        }
+        engine.install_queue(&self.queue)
+    }
+
     /// The image's bytes under the config row `config`.
     pub fn to_bytes(&self, config: &str) -> Vec<u8> {
         encode(Parts {
@@ -273,7 +283,8 @@ impl TenantImage {
             lifetime_ticks: self.lifetime_ticks,
             config,
             store: &self.store,
-            contexts: self.contexts.iter().map(ContextView::from),
+            contexts: &self.contexts,
+            queue: &self.queue,
         })
     }
 }
@@ -283,17 +294,18 @@ impl TenantImage {
 /// [`ix_history::HistoryStore::from_bytes`] does), then checks and reads
 /// it into the config `read_config` makes of the config row and the
 /// image. `read_config` runs in the place the layout has the row, so its
-/// refusals come in the same order as the rest of the body's.
-pub(crate) fn decode<C>(
+/// refusals come in the same order as the rest of the body's; a
+/// version-2 body's tails are replayed under the config it returns.
+pub(crate) fn decode<'c>(
     bytes: &[u8],
-    read_config: impl FnOnce(&str) -> Result<C, HistoryFileError>,
-) -> Result<(C, TenantImage), ServeError> {
+    read_config: impl FnOnce(&str) -> Result<Cow<'c, InvarNetConfig>, HistoryFileError>,
+) -> Result<(Cow<'c, InvarNetConfig>, TenantImage), ServeError> {
     let payload = section_in(bytes, SERVE_SECTION)
         .map_err(|e| ServeError::Snapshot(format!("container: {e}")))?
         .ok_or_else(|| ServeError::Snapshot("no SRVT section".to_string()))?;
     let mut r = Reader::new(payload);
     let version = r.u32().map_err(body_error)?;
-    if version != SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION && version != LEGACY_VERSION {
         // A version-1 body was JSON text, so it began with `{`.
         let found = if payload.first() == Some(&b'{') {
             "version 1 (JSON)".to_string()
@@ -301,8 +313,8 @@ pub(crate) fn decode<C>(
             format!("version {version}")
         };
         return Err(ServeError::Snapshot(format!(
-            "snapshot {found} is not readable by this build, which reads only \
-             version {SNAPSHOT_VERSION}"
+            "snapshot {found} is not readable by this build, which reads versions \
+             {LEGACY_VERSION} and {SNAPSHOT_VERSION}"
         )));
     }
     let stored = r.u64().map_err(body_error)?;
@@ -312,7 +324,7 @@ pub(crate) fn decode<C>(
             "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         )));
     }
-    decode_body(&mut r, read_config).map_err(body_error)
+    decode_body(version, &mut r, read_config).map_err(body_error)
 }
 
 /// Parses the config row.
@@ -333,59 +345,120 @@ fn malformed(msg: String) -> HistoryFileError {
 }
 
 /// Everything after the checksum; see the module-level layout table.
-fn decode_body<C>(
+fn decode_body<'c>(
+    version: u32,
     r: &mut Reader<'_>,
-    read_config: impl FnOnce(&str) -> Result<C, HistoryFileError>,
-) -> Result<(C, TenantImage), HistoryFileError> {
+    read_config: impl FnOnce(&str) -> Result<Cow<'c, InvarNetConfig>, HistoryFileError>,
+) -> Result<(Cow<'c, InvarNetConfig>, TenantImage), HistoryFileError> {
     let lifetime_ticks = r.u64()?;
     let config = read_config(r.str()?)?;
 
     let store = codec::read_store_rows(r)?;
 
-    // Smallest context: two string lengths, the flag and the tail count.
-    let count = r.count(13)?;
-    let mut contexts = Vec::with_capacity(count);
-    for _ in 0..count {
-        let node = r.str()?.to_string();
-        let workload = r.str()?.to_string();
-        let truncated = r.bool("truncated flag")?;
-        let ticks = r.count(TICK_BYTES)?;
-        if truncated && ticks > 0 {
-            return Err(malformed(format!(
-                "context `{workload}@{node}` is truncated but keeps {ticks} tail ticks"
-            )));
+    let (contexts, queue) = if version == LEGACY_VERSION {
+        let tails = read_tails(r)?;
+        end_of_body(r)?;
+        (replay(&tails, &config, &store)?, QueuedTicks::default())
+    } else {
+        // Smallest context: two string lengths and the smallest run.
+        let count = r.count(8 + 8 + 1 + 12)?;
+        let mut contexts = Vec::with_capacity(count);
+        for _ in 0..count {
+            let node = r.str()?;
+            let workload = r.str()?;
+            contexts.push(ContextState {
+                context: OperationContext::new(node, workload),
+                run: codec::read_run(r)?,
+            });
         }
-        let mut tail = Vec::with_capacity(ticks * TAIL_STRIDE);
-        for tick in 0..ticks {
-            tail.push(r.finite_f64()?);
-            let width = r.u32()?;
-            if width as usize != METRIC_COUNT {
-                return Err(malformed(format!(
-                    "tail tick {tick} of context `{workload}@{node}` has {width} metric \
-                     values, not {METRIC_COUNT}"
-                )));
-            }
-            r.extend_finite_f64s(METRIC_COUNT, &mut tail)?;
-        }
-        contexts.push(ContextState {
-            node,
-            workload,
-            tail,
-            truncated,
-        });
-    }
-
-    if r.remaining() != 0 {
-        return Err(malformed(format!("{} trailing bytes", r.remaining())));
-    }
+        let queue = codec::read_queue(r)?;
+        end_of_body(r)?;
+        (contexts, queue)
+    };
     Ok((
         config,
         TenantImage {
             lifetime_ticks,
             store,
             contexts,
+            queue,
         },
     ))
+}
+
+fn end_of_body(r: &Reader<'_>) -> Result<(), HistoryFileError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(malformed(format!("{n} trailing bytes"))),
+    }
+}
+
+/// One version-2 context: its run's ticks since the last reset, flat
+/// (the CPI, then the row); none when the run was truncated.
+struct Tail {
+    context: OperationContext,
+    ticks: Vec<f64>,
+}
+
+/// Reads version 2's contexts: per context, node, workload `str` each,
+/// truncated `u8`, `u32` count + tail ticks, each `cpi f64` + `u32` count
+/// + row `f64`s.
+fn read_tails(r: &mut Reader<'_>) -> Result<Vec<Tail>, HistoryFileError> {
+    const TICK_BYTES: usize = 8 + 4 + 8 * METRIC_COUNT;
+    // Smallest context: two string lengths, the flag and the tail count.
+    let count = r.count(13)?;
+    let mut tails = Vec::with_capacity(count);
+    for _ in 0..count {
+        let context = OperationContext::new(r.str()?, r.str()?);
+        let truncated = r.bool("truncated flag")?;
+        let ticks = r.count(TICK_BYTES)?;
+        if truncated && ticks > 0 {
+            return Err(malformed(format!(
+                "context `{context}` is truncated but keeps {ticks} tail ticks"
+            )));
+        }
+        let mut tail = Vec::with_capacity(ticks * (1 + METRIC_COUNT));
+        for tick in 0..ticks {
+            tail.push(r.finite_f64()?);
+            let width = r.u32()?;
+            if width as usize != METRIC_COUNT {
+                return Err(malformed(format!(
+                    "tail tick {tick} of context `{context}` has {width} metric values, \
+                     not {METRIC_COUNT}"
+                )));
+            }
+            r.extend_finite_f64s(METRIC_COUNT, &mut tail)?;
+        }
+        tails.push(Tail {
+            context,
+            ticks: tail,
+        });
+    }
+    Ok(tails)
+}
+
+/// Replays version-2 tails, once, into an engine under `config` holding
+/// `store`, and captures the runs they leave, in context order. A
+/// truncated or empty tail leaves no run.
+fn replay(
+    tails: &[Tail],
+    config: &InvarNetConfig,
+    store: &ModelStore,
+) -> Result<Vec<ContextState>, HistoryFileError> {
+    if tails.iter().all(|t| t.ticks.is_empty()) {
+        return Ok(Vec::new());
+    }
+    let engine = Engine::builder().config(config.clone()).threads(1).build();
+    engine
+        .load_state(store)
+        .map_err(|e| malformed(format!("version 2 store: {e}")))?;
+    for tail in tails.iter().filter(|t| !t.ticks.is_empty()) {
+        let ticks = tail.ticks.chunks_exact(1 + METRIC_COUNT);
+        engine
+            .restore_run(&tail.context, ticks.map(|t| (t[0], &t[1..])))
+            .map_err(|e| malformed(format!("version 2 tail of context `{}`: {e}", tail.context)))?;
+    }
+    Ok(TenantImage::capture(&engine).contexts)
 }
 
 /// The body checksum. Four lanes take turns absorbing the 8-byte words
@@ -428,34 +501,47 @@ mod tests {
     use std::sync::Arc;
 
     use ix_core::{
-        ArimaModel, ArimaSpec, InvariantEntry, InvariantSet, OperationContext, PerformanceModel,
-        ResidualStats, Signature, ViolationTuple,
+        ArimaModel, ArimaSpec, InvariantEntry, InvariantSet, PerformanceModel, QueuedTick,
+        ResidualStats, RunState, Signature, ViolationTuple,
     };
     use ix_history::HistoryStore;
 
-    /// One flat tail tick: `cpi`, then a row whose metric `m` reads
-    /// `first + m`.
-    fn tick(cpi: f64, first: f64) -> Vec<f64> {
-        std::iter::once(cpi)
-            .chain((0..METRIC_COUNT).map(|m| first + m as f64))
-            .collect()
+    /// A metric row whose metric `m` reads `first + m`.
+    fn row_from(first: f64) -> Vec<f64> {
+        (0..METRIC_COUNT).map(|m| first + m as f64).collect()
     }
 
     fn sample() -> TenantSnapshot {
-        TenantSnapshot::new(
+        let mut snapshot = TenantSnapshot::new(
             InvarNetConfig::default(),
             ModelStore::new(),
             42,
             vec![ContextState {
-                node: "10.0.0.1".to_string(),
-                workload: "Sort".to_string(),
-                tail: [tick(1.25, 0.5), tick(0.75, -0.25)].concat(),
-                truncated: false,
+                context: OperationContext::new("10.0.0.1", "Sort"),
+                run: CapturedRun {
+                    ticks: 2,
+                    prev_anomalous: true,
+                    window: [row_from(0.5), row_from(-0.25)].concat(),
+                    detector: RunState {
+                        registers: vec![1.25, f64::INFINITY],
+                        counters: vec![2],
+                    },
+                },
             }],
-        )
+        );
+        snapshot.queue = QueuedTicks {
+            cursor: 5,
+            ticks: vec![QueuedTick {
+                context: OperationContext::new("10.0.0.1", "Sort"),
+                cpi: 0.75,
+                row: vec![0.5; 3],
+            }],
+        };
+        snapshot
     }
 
-    /// A hand-built snapshot touching every field of the layout.
+    /// A hand-built snapshot touching every field of the layout: an
+    /// ARIMA(1,0,1) context one tick into its run, and one queued tick.
     fn small() -> TenantSnapshot {
         let arima = ArimaModel::from_coefficients(
             ArimaSpec::new(1, 0, 1),
@@ -495,17 +581,35 @@ mod tests {
             problem: "hog".to_string(),
             context: OperationContext::new("n1", "Sort"),
         });
-        TenantSnapshot::new(
+        let context = OperationContext::new("n1", "Sort");
+        let mut snapshot = TenantSnapshot::new(
             InvarNetConfig::default(),
             store,
             5,
             vec![ContextState {
-                node: "n1".to_string(),
-                workload: "Sort".to_string(),
-                tail: tick(1.0, 2.0),
-                truncated: false,
+                context: context.clone(),
+                run: CapturedRun {
+                    ticks: 1,
+                    prev_anomalous: false,
+                    window: row_from(2.0),
+                    // After one tick of ARIMA(1,0,1): the differenced
+                    // value (the sample) and its innovation (none yet).
+                    detector: RunState {
+                        registers: vec![1.0, 0.0],
+                        counters: vec![0],
+                    },
+                },
             }],
-        )
+        );
+        snapshot.queue = QueuedTicks {
+            cursor: 0,
+            ticks: vec![QueuedTick {
+                context,
+                cpi: 3.0,
+                row: vec![4.0],
+            }],
+        };
+        snapshot
     }
 
     fn payload(snapshot: &TenantSnapshot) -> Vec<u8> {
@@ -530,8 +634,14 @@ mod tests {
             assert_eq!(back.to_bytes(), bytes);
         }
         let back = TenantSnapshot::from_bytes(&sample().to_bytes()).expect("parse");
-        assert_eq!(back.contexts[0].tail[0].to_bits(), 1.25_f64.to_bits());
-        assert_eq!(back.contexts[0].tail.len(), 2 * TAIL_STRIDE);
+        let run = &back.contexts[0].run;
+        assert_eq!(run.window[0].to_bits(), 0.5_f64.to_bits());
+        assert_eq!(run.window.len(), 2 * METRIC_COUNT);
+        assert_eq!(
+            run.detector.registers[1],
+            f64::INFINITY,
+            "registers are raw bits"
+        );
     }
 
     #[test]
@@ -542,8 +652,8 @@ mod tests {
         let config = serde_json::to_string(&InvarNetConfig::default()).expect("config");
         let mut expected: Vec<u8> = Vec::new();
         let mut put = |bytes: &[u8]| expected.extend_from_slice(bytes);
-        put(&[2, 0, 0, 0]); // version
-        put(&0xa415_0cd2_b926_e19e_u64.to_le_bytes()); // checksum
+        put(&[3, 0, 0, 0]); // version
+        put(&0x4927_4448_c717_7654_u64.to_le_bytes()); // checksum
         put(&[5, 0, 0, 0, 0, 0, 0, 0]); // lifetime ticks
         put(&(config.len() as u32).to_le_bytes());
         put(config.as_bytes());
@@ -583,19 +693,34 @@ mod tests {
         put(&[2, 0, 0, 0]);
         put(&0.0_f64.to_bits().to_le_bytes());
         put(&0.5_f64.to_bits().to_le_bytes());
-        // One context with a one-tick tail: its CPI, then its row.
+        // One context one tick into its run: its length, edge flag,
+        // window row, two registers and the streak.
         put(&[1, 0, 0, 0]);
         put(&[2, 0, 0, 0]);
         put(b"n1");
         put(&[4, 0, 0, 0]);
         put(b"Sort");
-        put(&[0]); // not truncated
-        put(&[1, 0, 0, 0]);
-        put(&1.0_f64.to_bits().to_le_bytes()); // cpi
+        put(&[1, 0, 0, 0, 0, 0, 0, 0]); // ticks
+        put(&[0]); // not anomalous
         put(&(METRIC_COUNT as u32).to_le_bytes());
         for m in 0..METRIC_COUNT {
-            put(&(2.0 + m as f64).to_bits().to_le_bytes()); // row
+            put(&(2.0 + m as f64).to_bits().to_le_bytes()); // window
         }
+        put(&[2, 0, 0, 0]);
+        put(&1.0_f64.to_bits().to_le_bytes()); // w_hist
+        put(&0.0_f64.to_bits().to_le_bytes()); // e_hist
+        put(&[1, 0, 0, 0]);
+        put(&[0, 0, 0, 0, 0, 0, 0, 0]); // streak
+                                        // The queue: its cursor, then one tick as submitted.
+        put(&[0, 0, 0, 0, 0, 0, 0, 0]);
+        put(&[1, 0, 0, 0]);
+        put(&[2, 0, 0, 0]);
+        put(b"n1");
+        put(&[4, 0, 0, 0]);
+        put(b"Sort");
+        put(&3.0_f64.to_bits().to_le_bytes()); // cpi
+        put(&[1, 0, 0, 0]);
+        put(&4.0_f64.to_bits().to_le_bytes()); // row
         assert_eq!(payload(&small()), expected);
     }
 
@@ -613,7 +738,7 @@ mod tests {
         let mut snap = sample();
         snap.version = SNAPSHOT_VERSION + 1;
         match TenantSnapshot::from_bytes(&snap.to_bytes()) {
-            Err(ServeError::Snapshot(msg)) => assert!(msg.contains("version 3"), "{msg}"),
+            Err(ServeError::Snapshot(msg)) => assert!(msg.contains("version 4"), "{msg}"),
             other => panic!("expected a version error, got {other:?}"),
         }
         // The version-1 body was JSON.
@@ -672,31 +797,20 @@ mod tests {
         let mut bad = good.clone();
         bad[at] = 3;
         expect_snapshot_error(&reframed(bad), "out of order");
-        // The last row value becomes NaN.
+        // The last window value becomes NaN: no engine window holds one.
+        let last = find(&27.0_f64.to_bits().to_le_bytes());
         let mut bad = good.clone();
-        let len = bad.len();
-        bad[len - 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        bad[last..last + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         expect_snapshot_error(&reframed(bad), "non-finite");
-        // The tail tick's row count, its tick count and the truncated
-        // flag, counted back from the end of the one-tick tail.
-        let width = len - 8 * METRIC_COUNT - 4;
-        let ticks = width - 8 - 4;
-        let flag = ticks - 1;
-        // The row count says 25: the row is refused at decode, not at
-        // warm. A fleet refuses it at adopt.
-        let mut bad = good.clone();
-        bad[width..width + 4].copy_from_slice(&(METRIC_COUNT as u32 - 1).to_le_bytes());
-        let narrow = reframed(bad);
-        expect_snapshot_error(&narrow, "not 26");
-        assert!(matches!(
-            crate::Fleet::builder().build().adopt(crate::TenantId::new("narrow").expect("valid"), narrow),
-            Err(ServeError::Snapshot(msg)) if msg.contains("metric values")
-        ));
-        // The truncated flag becomes 2.
+        // The window's count and the edge flag, counted back from the
+        // window's first value.
+        let window = find(&2.0_f64.to_bits().to_le_bytes()) - 4;
+        let flag = window - 1;
+        // The edge flag becomes 2.
         let mut bad = good.clone();
         assert_eq!(bad[flag], 0);
         bad[flag] = 2;
-        expect_snapshot_error(&reframed(bad), "truncated flag");
+        expect_snapshot_error(&reframed(bad), "anomalous flag");
         // The problem name stops being UTF-8.
         let mut bad = good.clone();
         let at = find(b"hog");
@@ -708,8 +822,68 @@ mod tests {
         expect_snapshot_error(&reframed(bad), "trailing");
         // A count the remaining bytes cannot back.
         let mut bad = good;
-        bad[ticks..ticks + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[window..window + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         expect_snapshot_error(&reframed(bad), "exceeds");
+    }
+
+    /// A version-2 payload of `small()`'s store and lifetime ticks, with
+    /// `contexts` written by `write` (node, workload, flag, tail).
+    fn version_2(count: u32, write: impl FnOnce(&mut ix_history::Writer)) -> Vec<u8> {
+        let config = serde_json::to_string(&InvarNetConfig::default()).expect("config");
+        let mut w = ix_history::Writer::default();
+        w.u32(LEGACY_VERSION);
+        w.u64(0);
+        w.u64(5);
+        w.bytes(config.as_bytes());
+        codec::store_rows(&small().store).write(&mut w);
+        w.u32(count);
+        write(&mut w);
+        reframed(w.into_bytes())
+    }
+
+    #[test]
+    fn a_version_2_tail_replays_into_the_run_it_left() {
+        // `small()`'s context one tick in, as version 2 kept it: the tick
+        // itself. Beside it, a truncated context, which has no run to keep
+        // and needs no model.
+        let bytes = version_2(2, |w| {
+            w.bytes(b"n1");
+            w.bytes(b"Sort");
+            w.bool(false);
+            w.u32(1);
+            w.f64(1.0);
+            w.f64_list(&row_from(2.0));
+            w.bytes(b"n9");
+            w.bytes(b"Sort");
+            w.bool(true);
+            w.u32(0);
+        });
+        let mut expected = small();
+        expected.queue = QueuedTicks::default();
+        let decoded = TenantSnapshot::from_bytes(&bytes).expect("a version 2 body");
+        assert_eq!(decoded, expected, "the replayed run is the captured one");
+        assert_eq!(decoded.version, SNAPSHOT_VERSION);
+
+        // A truncated context that keeps ticks, and a tail on a context the
+        // store has no model for, are refused at decode.
+        let truncated = version_2(1, |w| {
+            w.bytes(b"n1");
+            w.bytes(b"Sort");
+            w.bool(true);
+            w.u32(1);
+            w.f64(1.0);
+            w.f64_list(&row_from(2.0));
+        });
+        expect_snapshot_error(&truncated, "is truncated but keeps 1 tail ticks");
+        let orphan = version_2(1, |w| {
+            w.bytes(b"n9");
+            w.bytes(b"Sort");
+            w.bool(false);
+            w.u32(1);
+            w.f64(1.0);
+            w.f64_list(&row_from(2.0));
+        });
+        expect_snapshot_error(&orphan, "no performance model");
     }
 
     #[test]

@@ -73,8 +73,8 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     (result, ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
 }
 
-/// Ticks sent before counting starts, so the tenant's window, run tail
-/// and every buffer on the path have seen traffic.
+/// Ticks sent before counting starts, so the tenant's window and every
+/// buffer on the path have seen traffic.
 const WARM_TICKS: usize = 8;
 /// Ticks counted, all before the template run's fault shows.
 const COUNTED_TICKS: usize = 16;
@@ -127,15 +127,13 @@ fn warm_binary_ingest_allocations_and_bytes_are_pinned() {
         .all(|b| b.len() == request_bytes));
     assert!(responses.iter().all(|r| r.len() == reply_bytes));
     // Per tick: the frame decode copies the tenant id and the payload
-    // (2); the handler's 8.5 are the payload's node, workload and row
-    // (3), the fleet tick (which finds the tenant's context without
-    // building its key, and appends to the context's flat run tail with
-    // no allocation of its own: the tail grows twice over the 16 ticks)
-    // and a fresh reply buffer's growth; the response encode allocates
-    // its body (1).
+    // (2); the handler's 8 are the payload's node, workload and row (3),
+    // the engine's tick (2: the fleet keeps no copy of the tick, so it
+    // adds none) and a fresh reply buffer and its growth (3); the
+    // response encode allocates its body (1).
     assert_eq!(
         (decode, handle, encode),
-        (32, 136, 16),
+        (32, 128, 16),
         "allocations of decode_request, handle_request and encode_response \
          over {COUNTED_TICKS} warm ticks"
     );
@@ -152,35 +150,41 @@ fn trained_tenant_snapshot_bytes_are_pinned() {
     let tenant = TenantId::new("sized").expect("valid");
     let fleet = started_fleet(&tenant);
     let bytes = fleet.snapshot_bytes(&tenant).expect("snapshot");
-    // The template's models, invariants and two signatures, and an empty
-    // run tail: the machine-independent form of `perf`'s serve-section
-    // `snapshot_bytes`.
-    assert_eq!(bytes.len(), 7719, "trained tenant snapshot bytes");
+    // The template's models, invariants and two signatures, no run in
+    // flight and an empty queue (its cursor and count, 12 B): the
+    // machine-independent form of `perf`'s serve-section `snapshot_bytes`.
+    assert_eq!(bytes.len(), 7731, "trained tenant snapshot bytes");
 }
 
 /// What one `Fleet::evict` and one `Fleet::warm` of the trained tenant
-/// after `tail` ingested ticks allocate.
+/// after `ticks` ingested ticks allocate, and its snapshot's size.
+#[derive(Debug, PartialEq)]
 struct Cycle {
+    snapshot_bytes: usize,
     evict: u64,
     evict_bytes: u64,
     warm: u64,
 }
 
-fn evict_and_warm_allocations(name: &str, tail: usize) -> Cycle {
+/// The template run cycled to `ticks` ticks on a fresh tenant, then one
+/// eviction and one warm, counted.
+fn evict_and_warm_allocations(name: &str, ticks: usize) -> Cycle {
     let t = template();
     let tenant = TenantId::new(name).expect("valid");
     let fleet = started_fleet(&tenant);
-    for (cpi, row) in &t.ticks[..tail] {
+    for (cpi, row) in t.ticks.iter().cycle().take(ticks) {
         fleet
             .ingest(&tenant, &t.context, *cpi, row)
             .expect("ingest");
     }
+    let snapshot_bytes = fleet.snapshot_bytes(&tenant).expect("snapshot").len();
     let (evicted, evict, evict_bytes) = counted(|| fleet.evict(&tenant));
     evicted.expect("evict");
     let (warmed, warm, _) = counted(|| fleet.warm(&tenant));
     warmed.expect("warm");
     assert!(fleet.is_warm(&tenant));
     Cycle {
+        snapshot_bytes,
         evict,
         evict_bytes,
         warm,
@@ -189,47 +193,38 @@ fn evict_and_warm_allocations(name: &str, tail: usize) -> Cycle {
 
 #[test]
 fn evict_and_warm_allocations_are_pinned() {
-    // An in-memory eviction encodes and copies nothing: the cold image
-    // is the engine's trained store as `Engine::snapshot_state` shares it
-    // — the context's key and its copy for the second map, and one node
-    // per map (4); the model, invariant set and signature database are
-    // refcount bumps — and the slot's run tails, moved. The warm decodes
-    // and rebuilds nothing: it builds the engine, shares the store into
-    // it and replays the tail into a detector run sized for it up front
-    // (27).
+    // An in-memory eviction encodes nothing: the cold image is the
+    // engine's state as it holds it. The trained store is shared
+    // (`Engine::snapshot_state`: the context's key and its copy for the
+    // second map, and one node per map, 4; the model, invariant set and
+    // signature database are refcount bumps); the context's run is copied
+    // out (the engine's context list and its one non-empty shard's list,
+    // 2; the context's node and workload, 2; its window, detector
+    // registers and counters, 3; the image's run list, 1), and the empty
+    // queue costs nothing. The warm decodes and replays nothing: it
+    // builds the engine, shares the store into it and installs the run
+    // (21).
     let cycle = evict_and_warm_allocations("cycled", WARM_TICKS);
     assert_eq!(
         (cycle.evict, cycle.warm),
-        (4, 27),
+        (12, 21),
         "allocations of one Fleet::evict and one Fleet::warm of the trained \
-         tenant with a {WARM_TICKS}-tick tail"
+         tenant {WARM_TICKS} ticks into its run"
     );
 }
 
 #[test]
-fn warm_allocations_do_not_grow_with_the_tail() {
-    // Replaying a tail fills the engine's preallocated window and a
-    // detector run that reserves the tail's length once: 8 ticks and 48
-    // ticks cost the same.
-    let short = evict_and_warm_allocations("short", WARM_TICKS);
-    let long = evict_and_warm_allocations("long", 48);
+fn a_run_costs_the_same_to_keep_at_60_and_at_600_ticks() {
+    // A run is the engine's window and detector state, both bounded by
+    // the window: once the window is full, a tenant ten times further
+    // into its run snapshots to the same bytes, and evicts and warms at
+    // the same allocations and requested bytes.
+    let full = evict_and_warm_allocations("full", 60);
+    let long = evict_and_warm_allocations("long", 600);
     assert_eq!(
-        short.warm, long.warm,
-        "allocations of one Fleet::warm with an 8-tick and a 48-tick tail"
-    );
-}
-
-#[test]
-fn evict_bytes_do_not_grow_with_the_tail() {
-    // The tails move into the cold image and the trained store is
-    // shared, so an 8-tick and a 48-tick tail request the same bytes.
-    let short = evict_and_warm_allocations("short-evict", WARM_TICKS);
-    let long = evict_and_warm_allocations("long-evict", 48);
-    assert_eq!(
-        (short.evict, short.evict_bytes),
-        (long.evict, long.evict_bytes),
-        "allocations and bytes of one Fleet::evict with an 8-tick and a \
-         48-tick tail"
+        full, long,
+        "snapshot bytes, and allocations (and bytes) of one Fleet::evict and \
+         one Fleet::warm, 60 and 600 ticks into a run"
     );
 }
 

@@ -4,19 +4,22 @@
 //!
 //! One engine is trained once on deterministic simulator data; its
 //! [`ModelStore`] seeds both the fleet tenant and a bare never-evicted
-//! twin. The same fault run then streams into both, with the fleet
-//! tenant force-evicted (and lazily warmed) at a proptest-chosen tick.
+//! twin. The same script of ticks then runs on both — ingested, or
+//! submitted to the queue and drained — with the fleet tenant
+//! force-evicted (and warmed) at proptest-chosen points.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Duration;
 
 use ix_core::{
     CoreError, Engine, EngineEvent, ErrorCode, EventSink, InvarNetConfig, ModelStore,
-    OperationContext,
+    OperationContext, TickOutcome,
 };
 use ix_history::{load_model_store, model_store_bytes, model_store_from_bytes};
-use ix_serve::{ContextState, Fleet, ServeError, TenantId, TenantSnapshot, TAIL_STRIDE};
+use ix_serve::{ContextState, Fleet, ServeError, TenantId, TenantSnapshot};
 use ix_simulator::{FaultType, Runner, WorkloadType};
 use proptest::prelude::*;
 
@@ -191,8 +194,70 @@ fn evicting_to(cold: Cold, name: &str) -> (ix_serve::FleetBuilder, Option<Scratc
 /// Per-tick outcome fields that must match between the twins.
 type Outcome = (usize, u64, bool, bool, Option<ix_core::Diagnosis>);
 
-fn run_twin_pair(evict_at: usize, cold: Cold) -> Result<(), ServeError> {
+fn outcome(o: TickOutcome) -> Outcome {
+    (
+        o.tick,
+        o.residual.to_bits(),
+        o.exceeded,
+        o.anomalous,
+        o.diagnosis,
+    )
+}
+
+/// What one script step reported: an ingested tick's outcome, or a
+/// drain's per-tick contexts and outcomes.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Tick(Outcome),
+    Drained(Vec<(OperationContext, Result<Outcome, CoreError>)>),
+}
+
+/// One step of a twin script. Ticks are the template run's, cycled, so a
+/// script can run for longer than the run.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Ingest template tick `i` on the template's context.
+    Ingest(usize),
+    /// Submit template tick `i` to the queue, on context `context` (0:
+    /// the template's, 1: [`second_context`]).
+    Submit(usize, usize),
+    /// Drain up to this many queued ticks.
+    Drain(usize),
+    /// Evict the fleet tenant (the twin has nothing to do).
+    Evict,
+    /// Warm the fleet tenant now, rather than on its next step.
+    Warm,
+}
+
+/// A second context holding the template's trained state.
+fn second_context() -> OperationContext {
+    OperationContext::new("10.0.0.77", template().context.workload.clone())
+}
+
+/// The template's store with the template's model and invariant set
+/// under [`second_context`] too.
+fn two_context_store() -> ModelStore {
     let t = template();
+    let key = ModelStore::context_key(&t.context);
+    let other = ModelStore::context_key(&second_context());
+    let mut store = t.store.clone();
+    store
+        .performance_models
+        .insert(other.clone(), t.store.performance_models[&key].clone());
+    store
+        .invariants
+        .insert(other, t.store.invariants[&key].clone());
+    store
+}
+
+/// Runs `script` on a fleet tenant evicting to `cold` and on a
+/// never-evicted twin engine, and asserts every reply is bit-identical;
+/// with `events`, the event streams too (modulo timing and the fleet's
+/// lifecycle). Returns the replies.
+fn run_script(script: &[Step], cold: Cold, events: bool) -> Result<Vec<Reply>, ServeError> {
+    let t = template();
+    let contexts = [t.context.clone(), second_context()];
+    let store = two_context_store();
     let tenant = TenantId::new("twin")?;
 
     let fleet_sink = Arc::new(VecSink::default());
@@ -200,65 +265,115 @@ fn run_twin_pair(evict_at: usize, cold: Cold) -> Result<(), ServeError> {
     let fleet = builder
         .event_sink(fleet_sink.clone() as Arc<dyn EventSink>)
         .build();
-    fleet.with_engine(&tenant, |e| e.load_state(&t.store))??;
+    fleet.with_engine(&tenant, |e| e.load_state(&store))??;
 
     let twin_sink = Arc::new(VecSink::default());
     let twin = Engine::builder()
         .config(InvarNetConfig::default())
         .event_sink(twin_sink.clone() as Arc<dyn EventSink>)
         .build();
-    twin.load_state(&t.store)?;
+    twin.load_state(&store)?;
 
-    let mut fleet_outcomes: Vec<Outcome> = Vec::new();
-    let mut twin_outcomes: Vec<Outcome> = Vec::new();
-    for (i, (cpi, row)) in t.ticks.iter().enumerate() {
-        if i == evict_at {
-            fleet.evict(&tenant)?;
-            assert!(!fleet.is_warm(&tenant), "evict must leave the slot cold");
-            // The next ingest warms the tenant lazily; no explicit warm().
+    let tick = |i: usize| &t.ticks[i % t.ticks.len()];
+    let drained = |d: Vec<(OperationContext, Result<TickOutcome, CoreError>)>| {
+        Reply::Drained(d.into_iter().map(|(c, r)| (c, r.map(outcome))).collect())
+    };
+    let (mut fleet_replies, mut twin_replies) = (Vec::new(), Vec::new());
+    for (at, &step) in script.iter().enumerate() {
+        match step {
+            Step::Ingest(i) => {
+                let (cpi, row) = tick(i);
+                let f = fleet.ingest(&tenant, &t.context, *cpi, row)?;
+                fleet_replies.push(Reply::Tick(outcome(f)));
+                let b = twin.ingest(&t.context, *cpi, row)?;
+                twin_replies.push(Reply::Tick(outcome(b)));
+            }
+            Step::Submit(i, c) => {
+                let (cpi, row) = tick(i);
+                let f = fleet.submit(&tenant, &contexts[c], *cpi, row)?;
+                assert_eq!(f, twin.submit(&contexts[c], *cpi, row), "step {at}");
+            }
+            Step::Drain(n) => {
+                fleet_replies.push(drained(fleet.drain(&tenant, n)?));
+                twin_replies.push(drained(twin.drain(n)));
+            }
+            Step::Evict => {
+                fleet.evict(&tenant)?;
+                assert!(!fleet.is_warm(&tenant), "evict must leave the slot cold");
+            }
+            Step::Warm => {
+                fleet.warm(&tenant)?;
+            }
         }
-        let f = fleet.ingest(&tenant, &t.context, *cpi, row)?;
-        let b = twin.ingest(&t.context, *cpi, row)?;
-        fleet_outcomes.push((
-            f.tick,
-            f.residual.to_bits(),
-            f.exceeded,
-            f.anomalous,
-            f.diagnosis,
-        ));
-        twin_outcomes.push((
-            b.tick,
-            b.residual.to_bits(),
-            b.exceeded,
-            b.anomalous,
-            b.diagnosis,
-        ));
     }
 
     assert_eq!(
-        fleet_outcomes, twin_outcomes,
-        "tick outcomes (residual bits, flags, full diagnoses) must be \
-         bit-identical across an evict→warm cycle at tick {evict_at} ({cold:?})"
+        fleet_replies, twin_replies,
+        "tick and drain outcomes (residual bits, flags, full diagnoses) must be \
+         bit-identical across evict→warm cycles ({cold:?})"
     );
-    assert!(
-        fleet_outcomes.iter().any(|(_, _, _, _, d)| d.is_some()),
-        "the fault run must produce at least one diagnosis"
+    // Every script warms again after it evicts: both transitions must be
+    // declared on the fleet sink.
+    let evicted = script.iter().any(|s| matches!(s, Step::Evict));
+    let lifecycle = fleet_sink.events();
+    let declared = |f: fn(&EngineEvent) -> bool| lifecycle.iter().any(f);
+    assert_eq!(
+        declared(|e| matches!(e, EngineEvent::TenantEvicted { .. })),
+        evicted
     );
     assert_eq!(
-        normalize(&fleet_sink.events()),
-        normalize(&twin_sink.events()),
-        "event streams (modulo timing and fleet lifecycle) must match"
+        declared(|e| matches!(e, EngineEvent::TenantWarmed { .. })),
+        evicted
     );
+    if events {
+        assert_eq!(
+            normalize(&fleet_sink.events()),
+            normalize(&twin_sink.events()),
+            "event streams (modulo timing and fleet lifecycle) must match"
+        );
+    }
+    Ok(fleet_replies)
+}
 
-    // The lifecycle itself must have been declared on the fleet sink.
-    let events = fleet_sink.events();
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, EngineEvent::TenantEvicted { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, EngineEvent::TenantWarmed { .. })));
+/// The template run ingested tick by tick, the tenant evicted before
+/// tick `evict_at` and warmed lazily by the next ingest.
+fn run_twin_pair(evict_at: usize, cold: Cold) -> Result<(), ServeError> {
+    let ticks = template().ticks.len();
+    let script: Vec<Step> = (0..ticks)
+        .flat_map(|i| {
+            (i == evict_at)
+                .then_some(Step::Evict)
+                .into_iter()
+                .chain([Step::Ingest(i)])
+        })
+        .collect();
+    let replies = run_script(&script, cold, true)?;
+    assert!(
+        replies
+            .iter()
+            .any(|r| matches!(r, Reply::Tick((_, _, _, _, Some(_))))),
+        "the fault run must produce at least one diagnosis"
+    );
     Ok(())
+}
+
+/// `ticks` queued ticks, alternating between the two contexts from
+/// template tick `from`.
+fn submits(from: usize, ticks: usize) -> impl Iterator<Item = Step> {
+    (from..from + ticks).map(|i| Step::Submit(i, i % 2))
+}
+
+/// A run that ingests `split` ticks, queues `queued` more on both
+/// contexts, drains `first` of them, is evicted and warmed, drains the
+/// rest in two drains with an eviction between them, and goes on
+/// ingesting.
+fn queue_script(split: usize, queued: usize, first: usize) -> Vec<Step> {
+    let mut script: Vec<Step> = (0..split).map(Step::Ingest).collect();
+    script.extend(submits(split, queued));
+    script.extend([Step::Drain(first), Step::Evict, Step::Warm, Step::Drain(2)]);
+    script.extend([Step::Evict, Step::Drain(queued)]);
+    script.extend((split + queued..split + queued + 20).map(Step::Ingest));
+    script
 }
 
 proptest! {
@@ -271,6 +386,26 @@ proptest! {
         run_twin_pair(evict_at, Cold::Memory).expect("twin run in memory");
         run_twin_pair(evict_at, Cold::File).expect("twin run through a file");
     }
+
+    #[test]
+    fn queued_ticks_survive_eviction_bit_identically(
+        split in 0usize..70,
+        queued in 1usize..12,
+        first in 0usize..12,
+    ) {
+        for cold in [Cold::Memory, Cold::File] {
+            let script = queue_script(split, queued, first);
+            let replies = run_script(&script, cold, false).expect("queue script");
+            let drained: usize = replies
+                .iter()
+                .map(|r| match r {
+                    Reply::Drained(d) => d.len(),
+                    Reply::Tick(_) => 0,
+                })
+                .sum();
+            prop_assert_eq!(drained, queued, "every queued tick drains once");
+        }
+    }
 }
 
 #[test]
@@ -279,6 +414,33 @@ fn eviction_mid_anomaly_window_is_bit_identical() {
     // anomalous region stresses the edge-tracker restore.
     run_twin_pair(55, Cold::Memory).expect("twin run in memory");
     run_twin_pair(55, Cold::File).expect("twin run through a file");
+}
+
+#[test]
+fn a_run_past_four_thousand_ticks_is_bit_identical() {
+    // The template run cycled to 5 000 ticks, evicted past tick 4 096 —
+    // where run tails used to be cut — and again near the end, each time
+    // into an image no larger than a fresh one's window.
+    let mut script: Vec<Step> = (0..5_000).map(Step::Ingest).collect();
+    for at in [4_999, 4_097, 60] {
+        script.insert(at, Step::Evict);
+    }
+    for cold in [Cold::Memory, Cold::File] {
+        run_script(&script, cold, true).expect("a 5 000-tick run");
+    }
+}
+
+#[test]
+fn submit_evict_warm_drain_is_bit_identical_on_one_context() {
+    // One context, so the event streams compare too (context ids are
+    // interned per engine, in the order contexts are first used).
+    let mut script: Vec<Step> = (0..30).map(Step::Ingest).collect();
+    script.extend((30..35).map(|i| Step::Submit(i, 0)));
+    script.extend([Step::Evict, Step::Warm, Step::Drain(3), Step::Evict]);
+    script.extend([Step::Drain(8), Step::Ingest(35), Step::Ingest(36)]);
+    for cold in [Cold::Memory, Cold::File] {
+        run_script(&script, cold, true).expect("queue path");
+    }
 }
 
 #[test]
@@ -350,17 +512,18 @@ fn a_run_reset_on_a_context_without_a_model_still_warms() {
 }
 
 #[test]
-fn queued_ticks_are_tracked_only_once_the_engine_accepts_them() {
-    // A context the engine holds no model for gets no entry: its queued
+fn queued_ticks_are_part_of_the_tenant_and_an_untrained_context_lists_no_run() {
+    // A context the engine holds no model for has no run: its queued
     // tick is refused at drain, and the snapshot lists no context. Trained
-    // after its ticks were queued, the context is tracked from the first
-    // tick the engine accepts, and warms onto a fresh run.
+    // after its ticks were queued, the context's run is the engine's like
+    // any other: a queued tick survives an eviction, drains after the warm
+    // and its run continues there.
     let t = template();
     let tenant = TenantId::new("queued").expect("valid");
     let fleet = Fleet::builder().build();
-    let contexts = || {
+    let snapshot = || {
         let bytes = fleet.snapshot_bytes(&tenant).expect("snapshot");
-        TenantSnapshot::from_bytes(&bytes).expect("parse").contexts
+        TenantSnapshot::from_bytes(&bytes).expect("parse")
     };
     let (cpi, row) = &t.ticks[0];
     fleet
@@ -371,106 +534,155 @@ fn queued_ticks_are_tracked_only_once_the_engine_accepts_them() {
         matches!(drained[..], [(_, Err(CoreError::NoPerformanceModel(_)))]),
         "{drained:?}"
     );
-    assert!(contexts().is_empty(), "an untrained context has no entry");
+    assert!(
+        snapshot().contexts.is_empty(),
+        "an untrained context has no run"
+    );
 
-    fleet
-        .submit(&tenant, &t.context, *cpi, row)
-        .expect("submit");
+    for (cpi, row) in &t.ticks[..2] {
+        fleet
+            .submit(&tenant, &t.context, *cpi, row)
+            .expect("submit");
+    }
     fleet
         .with_engine(&tenant, |e| e.load_state(&t.store))
         .expect("warm tenant")
         .expect("load");
-    assert!(contexts().is_empty(), "a queued tick is not yet tracked");
-    let drained = fleet.drain(&tenant, 8).expect("drain");
-    assert!(
-        matches!(drained[..], [(_, Ok(_))]),
-        "the trained context accepts its queued tick: {drained:?}"
-    );
-    let listed = contexts();
-    assert_eq!(listed.len(), 1, "{listed:?}");
-    assert!(
-        listed[0].truncated && listed[0].tail.is_empty(),
-        "{listed:?}"
-    );
+    let queued = snapshot();
+    assert!(queued.contexts.is_empty(), "no tick has run yet");
+    assert_eq!(queued.queue.ticks.len(), 2, "{:?}", queued.queue);
     fleet.evict(&tenant).expect("evict");
     fleet.warm(&tenant).expect("warm");
-    let run_ticks = fleet
-        .with_engine(&tenant, |e| e.inspector().context_state(&t.context))
-        .expect("warm tenant")
-        .expect("a trained context")
-        .run_ticks;
-    assert_eq!(run_ticks, 0, "the context warms onto a fresh run");
+    let drained = fleet.drain(&tenant, 1).expect("drain");
+    assert!(
+        matches!(drained[..], [(_, Ok(ref o))] if o.tick == 0),
+        "the warmed engine drains the queued tick: {drained:?}"
+    );
+    let listed = snapshot();
+    assert!(
+        matches!(&listed.contexts[..], [c] if c.context == t.context && c.run.ticks == 1),
+        "{:?}",
+        listed.contexts
+    );
+    assert_eq!(listed.queue.ticks.len(), 1);
+    fleet.evict(&tenant).expect("evict");
+    let drained = fleet.drain(&tenant, 8).expect("drain");
+    assert!(
+        matches!(drained[..], [(_, Ok(ref o))] if o.tick == 1),
+        "the second queued tick continues the run: {drained:?}"
+    );
+    assert_eq!(
+        fleet
+            .with_engine(&tenant, |e| e.queued_ticks())
+            .expect("warm"),
+        0
+    );
 }
 
-/// Evicts and re-warms its fleet's tenant from inside the first
-/// `TickIngested` event it sees: what an eviction on another thread does
-/// while [`Fleet::drain`] runs ticks outside the fleet lock.
-struct EvictOnFirstTick {
-    fleet: OnceLock<std::sync::Weak<Fleet>>,
-    tenant: TenantId,
-    fired: std::sync::atomic::AtomicBool,
+/// Hands the first `TickIngested` event it sees once armed to another
+/// thread, then waits, up to [`RACE_WAIT`], for that thread to report its
+/// eviction done: an eviction that can land while a drain is running
+/// lands then.
+struct PauseOnFirstTick {
+    armed: AtomicBool,
+    started: Mutex<Option<Sender<()>>>,
+    evicted: Mutex<Receiver<()>>,
 }
 
-impl EventSink for EvictOnFirstTick {
+/// How long the paused drain waits for the racing eviction.
+const RACE_WAIT: Duration = Duration::from_millis(300);
+
+impl EventSink for PauseOnFirstTick {
     fn record(&self, event: &EngineEvent) {
         if matches!(event, EngineEvent::TickIngested { .. })
-            && !self.fired.swap(true, Ordering::SeqCst)
+            && self.armed.swap(false, Ordering::SeqCst)
         {
-            let fleet = self.fleet.get().and_then(|f| f.upgrade()).expect("fleet");
-            fleet.evict(&self.tenant).expect("evict");
-            fleet.warm(&self.tenant).expect("warm");
+            let started = self
+                .started
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            started
+                .expect("armed once")
+                .send(())
+                .expect("the evicting thread listens");
+            let evicted = self.evicted.lock().unwrap_or_else(PoisonError::into_inner);
+            // Not a failure either way: the eviction either finished, or
+            // is waiting for this drain to let go of the fleet.
+            let _ = evicted.recv_timeout(RACE_WAIT);
         }
     }
 }
 
 #[test]
-fn a_drain_leaves_the_bookkeeping_of_an_engine_warmed_meanwhile_alone() {
-    // The context is trained after its tick was queued, so nothing tracks
-    // it before the drain. The tenant is evicted and warmed while the
-    // drain runs: the accepted tick went to the evicted engine, the
-    // warmed one starts the context on a fresh run, and the drain's mark
-    // must not land on the warmed engine's bookkeeping, where it would
-    // stop tail tracking for a run that is whole.
+fn an_eviction_racing_a_drain_captures_every_drained_tick() {
+    // Two ticks are queued before the context is trained and three are
+    // ingested after; then an eviction on another thread races the drain
+    // of the queued two. Whenever it lands, the warmed tenant continues
+    // like a twin that was never evicted: at tick 5, with the same
+    // residual. (A drain that ran its ticks outside the fleet lock let
+    // the eviction capture the run between them, and the warm resumed at
+    // tick 3.)
     let t = template();
     let tenant = TenantId::new("raced").expect("valid");
-    let sink = Arc::new(EvictOnFirstTick {
-        fleet: OnceLock::new(),
-        tenant: tenant.clone(),
-        fired: Default::default(),
+    let (started_tx, started_rx) = mpsc::channel();
+    let (evicted_tx, evicted_rx) = mpsc::channel();
+    let sink = Arc::new(PauseOnFirstTick {
+        armed: AtomicBool::new(false),
+        started: Mutex::new(Some(started_tx)),
+        evicted: Mutex::new(evicted_rx),
     });
     let fleet = Arc::new(
         Fleet::builder()
             .event_sink(Arc::clone(&sink) as Arc<dyn EventSink>)
             .build(),
     );
-    sink.fleet.set(Arc::downgrade(&fleet)).expect("set once");
-    let contexts = || {
-        let bytes = fleet.snapshot_bytes(&tenant).expect("snapshot");
-        TenantSnapshot::from_bytes(&bytes).expect("parse").contexts
-    };
-    let (cpi, row) = &t.ticks[0];
-    fleet
-        .submit(&tenant, &t.context, *cpi, row)
-        .expect("submit");
+    let twin = Engine::builder().config(InvarNetConfig::default()).build();
+    for (cpi, row) in &t.ticks[..2] {
+        fleet
+            .submit(&tenant, &t.context, *cpi, row)
+            .expect("submit");
+        twin.submit(&t.context, *cpi, row);
+    }
     fleet
         .with_engine(&tenant, |e| e.load_state(&t.store))
         .expect("warm tenant")
         .expect("load");
-    let drained = fleet.drain(&tenant, 8).expect("drain");
-    assert!(matches!(drained[..], [(_, Ok(_))]), "{drained:?}");
-    assert_eq!(fleet.status().evictions, 1, "the sink evicted mid-drain");
-    assert!(contexts().is_empty(), "{:?}", contexts());
-
-    for (cpi, row) in &t.ticks[..3] {
+    twin.load_state(&t.store).expect("load twin");
+    for (cpi, row) in &t.ticks[2..5] {
         fleet
             .ingest(&tenant, &t.context, *cpi, row)
             .expect("ingest");
+        twin.ingest(&t.context, *cpi, row).expect("twin ingest");
     }
-    let listed = contexts();
+
+    sink.armed.store(true, Ordering::SeqCst);
+    let evictor = {
+        let fleet = Arc::clone(&fleet);
+        let tenant = tenant.clone();
+        std::thread::spawn(move || {
+            started_rx.recv().expect("the drain starts");
+            fleet.evict(&tenant).expect("evict");
+            evicted_tx.send(()).ok();
+        })
+    };
+    let drained = fleet.drain(&tenant, 8).expect("drain");
     assert!(
-        matches!(&listed[..], [c] if !c.truncated && c.tail.len() == 3 * TAIL_STRIDE),
-        "{listed:?}"
+        matches!(drained[..], [(_, Ok(_)), (_, Ok(_))]),
+        "{drained:?}"
     );
+    assert_eq!(twin.drain(8).len(), 2);
+    evictor.join().expect("the evicting thread");
+    assert_eq!(fleet.status().evictions, 1);
+
+    let (cpi, row) = &t.ticks[5];
+    let a = twin.ingest(&t.context, *cpi, row).expect("twin ingest");
+    let b = fleet
+        .ingest(&tenant, &t.context, *cpi, row)
+        .expect("warm and ingest");
+    assert_eq!(a.tick, 5);
+    assert_eq!(b.tick, a.tick, "the warmed run holds every drained tick");
+    assert_eq!(b.residual.to_bits(), a.residual.to_bits());
 }
 
 #[test]
@@ -694,25 +906,25 @@ fn a_workload_holding_an_at_is_refused_and_the_store_keeps_one_context_per_key()
             assert!(e.performance_model(&refused).is_none());
         })
         .expect("warm tenant");
-    // The two contexts keep their own run bookkeeping: a run reset on
-    // the refused one, which has no model, leaves no entry and does not
-    // take the trained one's tail.
+    // The two contexts keep their own runs: a run reset on the refused
+    // one, which has no model, leaves no run and does not touch the
+    // trained one's.
     fleet.reset_run(&tenant, &refused).expect("reset");
     for (cpi, row) in &template().ticks[..5] {
         fleet.ingest(&tenant, &trained, *cpi, row).expect("ingest");
     }
     let snapshot =
         TenantSnapshot::from_bytes(&fleet.snapshot_bytes(&tenant).expect("live")).expect("parse");
-    let tails: Vec<(&str, usize)> = snapshot
+    let runs: Vec<(&str, usize)> = snapshot
         .contexts
         .iter()
-        .map(|c| (c.node.as_str(), c.tail.len() / TAIL_STRIDE))
+        .map(|c| (c.context.node.as_str(), c.run.ticks))
         .collect();
-    assert_eq!(tails, [("a@b", 5)]);
+    assert_eq!(runs, [("a@b", 5)]);
     fleet.evict(&tenant).expect("evict");
     fleet
         .warm(&tenant)
-        .expect("the trained context's tail restores");
+        .expect("the trained context's run installs");
 }
 
 #[test]
@@ -755,60 +967,115 @@ fn an_in_memory_cold_tenant_serves_the_bytes_its_snapshot_file_holds() {
     }
 }
 
+/// The template context's run after `ticks` template ticks, captured
+/// from a bare engine.
+fn captured_run(ticks: usize) -> ix_core::CapturedRun {
+    let t = template();
+    let engine = Engine::builder().threads(1).build();
+    engine.load_state(&t.store).expect("load");
+    for (cpi, row) in &t.ticks[..ticks] {
+        engine.ingest(&t.context, *cpi, row).expect("ingest");
+    }
+    engine.capture_run(&t.context).expect("a run in flight")
+}
+
+/// Asserts `bytes` adopt (in memory) or replace the tenant's snapshot
+/// file (`File`) in a fleet evicting to `cold`, and that every warm then
+/// fails as `refused` says, leaving the tenant cold with the same image.
+fn assert_warm_refused(cold: Cold, bytes: &[u8], refused: impl Fn(&ServeError) -> bool) {
+    let t = template();
+    let tenant = TenantId::new("refused").expect("valid");
+    let (builder, dir) = evicting_to(cold, "failed-warm");
+    let fleet = builder.build();
+    match &dir {
+        None => fleet.adopt(tenant.clone(), bytes.to_vec()).expect("adopt"),
+        Some(dir) => {
+            // The tenant's own snapshot file, replaced by the bytes.
+            fleet
+                .with_engine(&tenant, |e| e.load_state(&t.store))
+                .expect("materialize")
+                .expect("load");
+            fleet.evict(&tenant).expect("evict to a file");
+            std::fs::write(dir.path().join(format!("{tenant}.ixhist")), bytes)
+                .expect("replace the snapshot file");
+        }
+    }
+    assert_eq!(fleet.snapshot_bytes(&tenant).expect("cold"), bytes);
+    for attempt in 0..2 {
+        match fleet.warm(&tenant) {
+            Err(e) => assert!(refused(&e), "{cold:?} warm {attempt}: {e:?}"),
+            Ok(_) => panic!("{cold:?} warm {attempt} succeeded"),
+        }
+        assert!(!fleet.is_warm(&tenant));
+        assert_eq!(
+            fleet.snapshot_bytes(&tenant).expect("still cold"),
+            bytes,
+            "{cold:?}: the image after failed warm {attempt}"
+        );
+    }
+}
+
 #[test]
 fn a_failed_warm_leaves_the_cold_tenant_whole() {
-    // A snapshot whose tail names a context the store has no model for:
-    // the warm finds no detector to restore the run onto and fails. In
+    // A snapshot whose run names a context the store has no model for:
+    // the warm finds no detector to install the run onto and fails. In
     // either cold form — the adopted image in memory, or the tenant's
     // snapshot file — the tenant stays cold with the same image.
     let t = template();
     let orphan = OperationContext::new("10.9.9.9", "Orphan");
-    let (cpi, row) = &t.ticks[0];
-    let tail = std::iter::once(*cpi).chain(row.iter().copied()).collect();
-    let tenant = TenantId::new("orphaned").expect("valid");
+    let bytes = TenantSnapshot::new(
+        InvarNetConfig::default(),
+        t.store.clone(),
+        7,
+        vec![ContextState {
+            context: orphan.clone(),
+            run: captured_run(1),
+        }],
+    )
+    .to_bytes();
     for cold in [Cold::Memory, Cold::File] {
-        let (builder, dir) = evicting_to(cold, "failed-warm");
-        let fleet = builder.build();
+        assert_warm_refused(
+            cold,
+            &bytes,
+            |e| matches!(e, ServeError::Core(CoreError::NoPerformanceModel(c)) if *c == orphan),
+        );
+    }
+}
+
+#[test]
+fn a_run_no_detector_could_reach_is_a_typed_error_at_warm() {
+    // The snapshots are well formed, so they decode and adopt; each holds
+    // a run that the ticks it claims could not leave: an ARIMA `w_hist`
+    // one value short, a window one row long for a 10-tick run, a streak
+    // longer than the run, a run longer than the tenant's lifetime ticks.
+    // Installing one is a typed error — never an index out of bounds or an
+    // overflow in the detector's next step — and the tenant stays cold.
+    let t = template();
+    let good = captured_run(10);
+    let mut short = good.clone();
+    short.detector.registers.pop();
+    let mut narrow = good.clone();
+    narrow.window.truncate(ix_metrics::METRIC_COUNT);
+    let mut streak = good;
+    streak.detector.counters = vec![11];
+    // A full window, so only the length gives it away.
+    let mut endless = captured_run(61);
+    endless.ticks = usize::MAX;
+    for run in [short, narrow, streak, endless] {
         let bytes = TenantSnapshot::new(
-            fleet.config().clone(),
+            InvarNetConfig::default(),
             t.store.clone(),
-            7,
+            10,
             vec![ContextState {
-                node: orphan.node.clone(),
-                workload: orphan.workload.clone(),
-                tail: Vec::clone(&tail),
-                truncated: false,
+                context: t.context.clone(),
+                run,
             }],
         )
         .to_bytes();
-        match &dir {
-            None => fleet.adopt(tenant.clone(), bytes.clone()).expect("adopt"),
-            Some(dir) => {
-                // The tenant's own snapshot file, replaced by the bytes.
-                fleet
-                    .with_engine(&tenant, |e| e.load_state(&t.store))
-                    .expect("materialize")
-                    .expect("load");
-                fleet.evict(&tenant).expect("evict to a file");
-                std::fs::write(dir.path().join(format!("{tenant}.ixhist")), &bytes)
-                    .expect("replace the snapshot file");
-            }
-        }
-        assert_eq!(fleet.snapshot_bytes(&tenant).expect("cold"), bytes);
-        for attempt in 0..2 {
-            assert!(
-                matches!(
-                    fleet.warm(&tenant),
-                    Err(ServeError::Core(CoreError::NoPerformanceModel(ref c))) if *c == orphan
-                ),
-                "{cold:?} warm {attempt}"
-            );
-            assert!(!fleet.is_warm(&tenant));
-            assert_eq!(
-                fleet.snapshot_bytes(&tenant).expect("still cold"),
-                bytes,
-                "{cold:?}: the image after failed warm {attempt}"
-            );
+        for cold in [Cold::Memory, Cold::File] {
+            assert_warm_refused(cold, &bytes, |e| {
+                matches!(e, ServeError::Core(CoreError::InvalidRunState { .. }))
+            });
         }
     }
 }
@@ -926,10 +1193,18 @@ fn trained_snapshot() -> Vec<u8> {
 
 #[test]
 fn every_truncation_and_byte_flip_of_a_snapshot_is_a_typed_error() {
-    let bytes = trained_snapshot();
+    // A current snapshot holding an ARIMA run ten ticks in, and the
+    // committed version-2 one, whose tail decoding replays.
+    let v2 = include_bytes!("data/trained_tenant_v2.ixh");
+    for bytes in [trained_snapshot(), v2.to_vec()] {
+        assert_every_mutation_refused(&bytes);
+    }
+}
+
+fn assert_every_mutation_refused(bytes: &[u8]) {
     let fleet = Fleet::builder().build();
     let tenant = TenantId::new("adoptee").expect("valid");
-    fleet.adopt(tenant.clone(), bytes.clone()).expect("intact");
+    fleet.adopt(tenant.clone(), bytes.to_vec()).expect("intact");
     let refuse = |damaged: &[u8], what: &str| {
         assert!(
             matches!(
@@ -949,7 +1224,7 @@ fn every_truncation_and_byte_flip_of_a_snapshot_is_a_typed_error() {
     for len in 0..bytes.len() {
         refuse(&bytes[..len], &format!("truncation to {len} bytes"));
     }
-    let mut damaged = bytes.clone();
+    let mut damaged = bytes.to_vec();
     for at in 0..bytes.len() {
         for mask in [0x01, 0xff] {
             damaged[at] ^= mask;

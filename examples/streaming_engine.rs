@@ -12,7 +12,7 @@
 //! cargo run --release --example streaming_engine
 //! ```
 
-use invarnet_x::core::{Engine, InvarNetConfig, OperationContext, Telemetry};
+use invarnet_x::core::{DetectionResult, Engine, InvarNetConfig, OperationContext, Telemetry};
 use invarnet_x::metrics::MetricFrame;
 use invarnet_x::simulator::{FaultType, Runner, WorkloadType};
 
@@ -101,10 +101,12 @@ fn main() {
         cpi.len()
     );
 
+    let mut decisions = Vec::with_capacity(cpi.len());
     for (t, &sample) in cpi.iter().enumerate() {
         let out = engine
             .ingest(&context, sample, metrics.tick(t))
             .expect("ingest tick");
+        decisions.push(out.decision());
         if let Some(diagnosis) = out.diagnosis {
             println!(
                 "tick {:3}: anomaly onset (residual {:.4} > threshold), diagnosing...",
@@ -132,7 +134,8 @@ fn main() {
         }
     }
 
-    let detection = engine.detection_result(&context).expect("run accumulated");
+    let threshold = engine.detector(&context).expect("trained").threshold();
+    let detection = DetectionResult::from_decisions(decisions, threshold);
     println!(
         "\nrun summary: first anomaly at {:?}, {} anomalous ticks",
         detection.first_anomaly,

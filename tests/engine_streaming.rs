@@ -5,8 +5,8 @@
 //! paper's pipeline does.
 
 use invarnet_x::core::{
-    AssociationMatrix, CoreError, CusumDetector, DetectorChoice, Engine, ErrorKind, InvarNetConfig,
-    InvariantSet, OperationContext, Telemetry,
+    AssociationMatrix, CoreError, CusumDetector, DetectionResult, DetectorChoice, Engine,
+    ErrorKind, InvarNetConfig, InvariantSet, OperationContext, Telemetry, TickDecision,
 };
 use invarnet_x::metrics::{MetricFrame, METRIC_COUNT};
 use invarnet_x::timeseries::SeriesBuilder;
@@ -43,6 +43,21 @@ fn normal_cpi(seed: u64, len: usize) -> Vec<f64> {
         .build(seed)
         .unwrap()
         .into_values()
+}
+
+/// The batch-shaped result of a streamed run's decisions under the
+/// context's detector threshold.
+fn streamed_result(
+    engine: &Engine,
+    ctx: &OperationContext,
+    decisions: Vec<TickDecision>,
+) -> DetectionResult {
+    DetectionResult::from_decisions(decisions, engine.detector(ctx).unwrap().threshold())
+}
+
+/// Ticks in the context's current run.
+fn run_ticks(engine: &Engine, ctx: &OperationContext) -> usize {
+    engine.inspector().context_state(ctx).unwrap().run_ticks
 }
 
 fn streaming_config() -> InvarNetConfig {
@@ -88,9 +103,11 @@ fn streamed_ticks_reproduce_batch_detection_and_diagnosis() {
 
     let mut onset: Option<usize> = None;
     let mut streamed_diagnosis = None;
+    let mut decisions = Vec::new();
     for (t, &sample) in cpi.iter().enumerate() {
         let out = engine.ingest(&ctx, sample, metrics.tick(t)).unwrap();
         assert_eq!(out.tick, t);
+        decisions.push(out.decision());
         if let Some(d) = out.diagnosis {
             assert!(
                 onset.is_none(),
@@ -101,9 +118,9 @@ fn streamed_ticks_reproduce_batch_detection_and_diagnosis() {
         }
     }
 
-    // Detection parity: the accumulated run equals the batch detector
+    // Detection parity: the streamed decisions equal the batch detector
     // (bit-exact, so PartialEq over the f64 residuals holds).
-    let streamed = engine.detection_result(&ctx).unwrap();
+    let streamed = streamed_result(&engine, &ctx, decisions);
     let model = engine.performance_model(&ctx).unwrap();
     let batch = model.detect(
         &cpi,
@@ -172,28 +189,52 @@ fn concurrent_ingestion_matches_single_threaded_and_isolates_contexts() {
 
     // Reference: one engine, everything ingested from this thread.
     let single = setup();
-    for (ctx, (cpi, metrics)) in contexts.iter().zip(&streams) {
-        for (t, &sample) in cpi.iter().enumerate() {
-            single.ingest(ctx, sample, metrics.tick(t)).unwrap();
-        }
-    }
+    let single_decisions: Vec<Vec<TickDecision>> = contexts
+        .iter()
+        .zip(&streams)
+        .map(|(ctx, (cpi, metrics))| {
+            (cpi.iter().enumerate())
+                .map(|(t, &sample)| {
+                    single
+                        .ingest(ctx, sample, metrics.tick(t))
+                        .unwrap()
+                        .decision()
+                })
+                .collect()
+        })
+        .collect();
 
     // Concurrent: same work spread over 4 threads, 2 contexts each.
     let concurrent = setup();
+    let mut concurrent_decisions: Vec<Vec<TickDecision>> = vec![Vec::new(); contexts.len()];
     std::thread::scope(|scope| {
-        for chunk in contexts.chunks(2) {
-            let concurrent = &concurrent;
-            let streams = &streams;
-            let contexts = &contexts;
-            scope.spawn(move || {
-                for ctx in chunk {
-                    let i = contexts.iter().position(|c| c == ctx).unwrap();
-                    let (cpi, metrics) = &streams[i];
-                    for (t, &sample) in cpi.iter().enumerate() {
-                        concurrent.ingest(ctx, sample, metrics.tick(t)).unwrap();
+        let workers: Vec<_> = contexts
+            .chunks(2)
+            .map(|chunk| {
+                let concurrent = &concurrent;
+                let streams = &streams;
+                let contexts = &contexts;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    for ctx in chunk {
+                        let i = contexts.iter().position(|c| c == ctx).unwrap();
+                        let (cpi, metrics) = &streams[i];
+                        let decisions: Vec<TickDecision> = (cpi.iter().enumerate())
+                            .map(|(t, &sample)| {
+                                let out = concurrent.ingest(ctx, sample, metrics.tick(t));
+                                out.unwrap().decision()
+                            })
+                            .collect();
+                        out.push((i, decisions));
                     }
-                }
-            });
+                    out
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, decisions) in worker.join().unwrap() {
+                concurrent_decisions[i] = decisions;
+            }
         }
     });
 
@@ -201,9 +242,14 @@ fn concurrent_ingestion_matches_single_threaded_and_isolates_contexts() {
     // identical to the single-threaded reference, which itself equals the
     // batch detector on that context's own trace.
     for (i, ctx) in contexts.iter().enumerate() {
-        let got = concurrent.detection_result(ctx).unwrap();
-        let reference = single.detection_result(ctx).unwrap();
-        assert_eq!(got, reference, "context {i} detector state diverged");
+        let got = streamed_result(&concurrent, ctx, concurrent_decisions[i].clone());
+        let reference = streamed_result(&single, ctx, single_decisions[i].clone());
+        assert_eq!(got, reference, "context {i} detection diverged");
+        assert_eq!(
+            concurrent.capture_run(ctx),
+            single.capture_run(ctx),
+            "context {i} detector state diverged"
+        );
         let model = concurrent.performance_model(ctx).unwrap();
         let batch = model.detect(&streams[i].0, concurrent.config().threshold_rule, 3);
         assert_eq!(got, batch, "context {i} differs from batch detection");
@@ -265,11 +311,13 @@ fn cusum_detector_is_selectable_through_config() {
     }
     let metrics = coupled_frame(120, 11, true);
     let mut diagnosed = false;
+    let mut decisions = Vec::new();
     for (t, &sample) in cpi.iter().enumerate() {
         let out = engine.ingest(&ctx, sample, metrics.tick(t)).unwrap();
         diagnosed |= out.diagnosis.is_some();
+        decisions.push(out.decision());
     }
-    let streamed = engine.detection_result(&ctx).unwrap();
+    let streamed = streamed_result(&engine, &ctx, decisions);
     assert!(streamed.is_anomalous(), "shift must alarm under CUSUM");
     assert!(diagnosed, "the alarm onset must trigger a diagnosis");
 
@@ -299,12 +347,16 @@ fn ingest_errors_are_precise_and_non_destructive() {
     // Wrong-width row: rejected without advancing the run.
     assert!(engine.ingest(&ctx, 1.0, &[1.0; 3]).is_err());
     engine.ingest(&ctx, 1.0, &[1.0; METRIC_COUNT]).unwrap();
-    let r = engine.detection_result(&ctx).unwrap();
-    assert_eq!(r.residuals.len(), 1, "rejected row must not consume a tick");
+    assert_eq!(
+        run_ticks(&engine, &ctx),
+        1,
+        "rejected row must not consume a tick"
+    );
 
     // Reset starts a fresh run.
     engine.reset_run(&ctx);
-    assert!(engine.detection_result(&ctx).is_none());
+    assert_eq!(run_ticks(&engine, &ctx), 0);
+    assert!(engine.capture_run(&ctx).is_none());
     let out = engine.ingest(&ctx, 1.0, &[1.0; METRIC_COUNT]).unwrap();
     assert_eq!(out.tick, 0);
 }
@@ -332,7 +384,7 @@ fn non_finite_cpi_is_rejected_before_any_state_changes() {
     }
     // Nothing moved: the run, the window and the lifetime counter are
     // exactly where six clean ticks left them.
-    assert_eq!(engine.detection_result(&ctx).unwrap().residuals.len(), 6);
+    assert_eq!(run_ticks(&engine, &ctx), 6);
     assert_eq!(engine.window_frame(&ctx).unwrap(), window);
     assert_eq!(engine.lifetime_ticks(), twin.lifetime_ticks());
 

@@ -283,15 +283,11 @@ fn query_explanations_reproduce_the_live_ranking() {
 /// hammer the ingest path without triggering sweeps.
 struct FlatDetector;
 
-/// One in-flight run of [`FlatDetector`].
-#[derive(Default)]
-struct FlatRun {
-    residuals: Vec<f64>,
-}
+/// One in-flight run of [`FlatDetector`]: stateless.
+struct FlatRun;
 
 impl invarnet_x::core::DetectorRun for FlatRun {
     fn step(&mut self, x: f64) -> invarnet_x::core::TickDecision {
-        self.residuals.push(x);
         invarnet_x::core::TickDecision {
             residual: x,
             exceeded: x > 0.9,
@@ -299,14 +295,14 @@ impl invarnet_x::core::DetectorRun for FlatRun {
         }
     }
 
-    fn result(&self) -> invarnet_x::core::DetectionResult {
-        invarnet_x::core::DetectionResult {
-            exceedances: self.residuals.iter().map(|&x| x > 0.9).collect(),
-            anomalies: vec![false; self.residuals.len()],
-            residuals: self.residuals.clone(),
-            threshold: 0.9,
-            first_anomaly: None,
-        }
+    fn capture(&self) -> invarnet_x::core::RunState {
+        invarnet_x::core::RunState::default()
+    }
+
+    fn install(&mut self, state: &invarnet_x::core::RunState, _: usize) -> Result<(), String> {
+        (*state == invarnet_x::core::RunState::default())
+            .then_some(())
+            .ok_or_else(|| format!("a flat run holds no state, not {state:?}"))
     }
 }
 
@@ -315,8 +311,12 @@ impl invarnet_x::core::Detector for FlatDetector {
         "FLAT"
     }
 
+    fn threshold(&self) -> f64 {
+        0.9
+    }
+
     fn begin_run(&self) -> Box<dyn invarnet_x::core::DetectorRun> {
-        Box::<FlatRun>::default()
+        Box::new(FlatRun)
     }
 }
 

@@ -10,9 +10,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use invarnet_x::core::{
-    AssociationMeasure, DegradationReason, DegradationTier, DetectionResult, Detector, DetectorRun,
-    Diagnosis, Engine, EngineEvent, EventSink, InvarNetConfig, MicMeasure, ModelStore,
-    OperationContext, OverloadPolicy, SubmitOutcome, SweepBudget, TickDecision,
+    AssociationMeasure, DegradationReason, DegradationTier, Detector, DetectorRun, Diagnosis,
+    Engine, EngineEvent, EventSink, InvarNetConfig, MicMeasure, ModelStore, OperationContext,
+    OverloadPolicy, RunState, SubmitOutcome, SweepBudget, TickDecision,
 };
 use invarnet_x::metrics::{MetricFrame, METRIC_COUNT};
 use proptest::prelude::*;
@@ -411,13 +411,11 @@ proptest! {
 /// survived the shed policy.
 struct EchoDetector;
 
-struct EchoRun {
-    seen: usize,
-}
+/// A run of [`EchoDetector`]: stateless.
+struct EchoRun;
 
 impl DetectorRun for EchoRun {
     fn step(&mut self, x: f64) -> TickDecision {
-        self.seen += 1;
         TickDecision {
             residual: x,
             exceeded: false,
@@ -425,14 +423,14 @@ impl DetectorRun for EchoRun {
         }
     }
 
-    fn result(&self) -> DetectionResult {
-        DetectionResult {
-            residuals: Vec::new(),
-            exceedances: Vec::new(),
-            anomalies: Vec::new(),
-            threshold: f64::INFINITY,
-            first_anomaly: None,
-        }
+    fn capture(&self) -> RunState {
+        RunState::default()
+    }
+
+    fn install(&mut self, state: &RunState, _: usize) -> Result<(), String> {
+        (*state == RunState::default())
+            .then_some(())
+            .ok_or_else(|| format!("an echo run holds no state, not {state:?}"))
     }
 }
 
@@ -441,8 +439,12 @@ impl Detector for EchoDetector {
         "echo"
     }
 
+    fn threshold(&self) -> f64 {
+        f64::INFINITY
+    }
+
     fn begin_run(&self) -> Box<dyn DetectorRun> {
-        Box::new(EchoRun { seen: 0 })
+        Box::new(EchoRun)
     }
 }
 

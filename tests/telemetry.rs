@@ -388,5 +388,5 @@ fn null_sink_engine_still_works() {
     for (t, &sample) in cpi.iter().enumerate() {
         engine.ingest(&ctx, sample, metrics.tick(t)).unwrap();
     }
-    assert!(engine.detection_result(&ctx).is_some());
+    assert!(engine.capture_run(&ctx).is_some());
 }
