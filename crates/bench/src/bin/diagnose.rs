@@ -76,7 +76,7 @@ fn render_error(e: CoreError) -> String {
 fn build_system(config: InvarNetConfig) -> Engine {
     let mut builder = Engine::builder().config(config);
     if let Some(t) = ix_bench::telemetry::active() {
-        builder = builder.telemetry(&t);
+        builder = builder.observe(&t);
     }
     builder.build()
 }
@@ -391,9 +391,9 @@ fn query(args: &[String]) -> Result<(), String> {
     let store = HistoryStore::builder().shared();
     let mut builder = Engine::builder()
         .config(InvarNetConfig::default())
-        .history(store.clone());
+        .observe(store.clone());
     if let Some(t) = ix_bench::telemetry::active() {
-        builder = builder.telemetry(&t);
+        builder = builder.observe(&t);
     }
     let engine = builder.build();
 

@@ -436,7 +436,7 @@ fn training(perf: Perf, training: &WordcountTraining, s: &mut Section) {
     let ns = perf.ns(15, 1, || sign(&train(Engine::builder())));
     s.lower("train_template_ms", "ms", ns / 1e6);
     let tally = Arc::new(SweepTally::default());
-    let engine = train(Engine::builder().event_sink(Arc::clone(&tally) as Arc<dyn EventSink>));
+    let engine = train(Engine::builder().observe(Arc::clone(&tally) as Arc<dyn EventSink>));
     s.lower("train_pairs_scored", "count", tally.take().0 as f64);
     sign(&engine);
     s.lower("signature_pairs_exact", "count", tally.take().1 as f64);
@@ -497,7 +497,7 @@ fn history(perf: Perf) -> Section {
     let ticks = ingest_overhead(
         perf,
         &mut s,
-        Engine::builder().history(HistoryStore::builder().shared()),
+        Engine::builder().observe(HistoryStore::builder().shared()),
         [
             "ingest_run_no_history_us",
             "ingest_run_with_history_us",
@@ -554,7 +554,7 @@ fn telemetry(perf: Perf) -> Section {
     ingest_overhead(
         perf,
         &mut s,
-        Engine::builder().telemetry(&Telemetry::shared()),
+        Engine::builder().observe(&Telemetry::shared()),
         [
             "ingest_run_null_sink_us",
             "ingest_run_full_telemetry_us",
@@ -639,7 +639,7 @@ fn resilience(perf: Perf) -> Section {
         context,
         runner,
         ..
-    } = incident_engine(Engine::builder().event_sink(Arc::clone(&tally) as Arc<dyn EventSink>));
+    } = incident_engine(Engine::builder().observe(Arc::clone(&tally) as Arc<dyn EventSink>));
     // The verdict rule, checked on every diagnosis below: a diagnosis
     // declares a degradation exactly when its pass left pairs unsettled.
     let diagnose = |window: &MetricFrame, budget: SweepBudget| {

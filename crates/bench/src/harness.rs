@@ -98,7 +98,7 @@ pub fn train(
     };
     let mut engine_builder = Engine::builder().config(config).measure(measure);
     if let Some(telemetry) = crate::telemetry::active() {
-        engine_builder = engine_builder.telemetry(&telemetry);
+        engine_builder = engine_builder.observe(&telemetry);
     }
     let system = engine_builder.build();
 

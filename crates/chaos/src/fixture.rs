@@ -72,7 +72,7 @@ impl Fixture {
             ..InvarNetConfig::default()
         };
         let telemetry = Telemetry::shared();
-        let mut builder: EngineBuilder = Engine::builder().config(config).telemetry(&telemetry);
+        let mut builder: EngineBuilder = Engine::builder().config(config).observe(&telemetry);
         if let Some(measure) = opts.measure {
             builder = builder.measure(measure);
         }

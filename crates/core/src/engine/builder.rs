@@ -10,10 +10,15 @@
 //! let engine = Engine::builder()
 //!     .config(InvarNetConfig::default())
 //!     .threads(2)
-//!     .telemetry(&telemetry)
+//!     .observe(&telemetry)
 //!     .build();
 //! assert_eq!(engine.threads(), 2);
 //! ```
+//!
+//! Everything that watches the engine — event sinks,
+//! [`crate::Telemetry`] hubs, history recorders — is one [`Observer`] on
+//! one ordered list, added with [`EngineBuilder::observe`]: each member
+//! sees every event, in the order the members were added.
 
 use std::sync::Arc;
 
@@ -24,9 +29,7 @@ use crate::measure::{AssociationMeasure, MicMeasure};
 use crate::signature::SignatureDatabase;
 
 use super::detector::Detector;
-use super::events::EventSink;
-use super::recorder::HistoryRecorder;
-use super::telemetry::Telemetry;
+use super::events::Observer;
 use super::Engine;
 
 /// Assembles a fully configured [`Engine`] in one expression; obtain one
@@ -39,10 +42,7 @@ pub struct EngineBuilder {
     threads: Option<usize>,
     shared_pool: Option<Arc<SweepPool>>,
     lifetime_ticks: Option<u64>,
-    sink: Option<Arc<dyn EventSink>>,
-    extra_sinks: Vec<Arc<dyn EventSink>>,
-    telemetry: Option<Arc<Telemetry>>,
-    history: Option<Arc<dyn HistoryRecorder>>,
+    observers: Vec<Observer>,
     signatures: Option<SignatureDatabase>,
     detectors: Vec<(OperationContext, Arc<dyn Detector>)>,
 }
@@ -55,10 +55,7 @@ impl EngineBuilder {
             threads: None,
             shared_pool: None,
             lifetime_ticks: None,
-            sink: None,
-            extra_sinks: Vec::new(),
-            telemetry: None,
-            history: None,
+            observers: Vec::new(),
             signatures: None,
             detectors: Vec::new(),
         }
@@ -102,42 +99,19 @@ impl EngineBuilder {
         self
     }
 
-    /// The observability sink every engine event goes to. Superseded by
-    /// [`EngineBuilder::telemetry`] when both are set (a [`Telemetry`] hub
-    /// *is* an event sink, plus a shared context registry).
-    pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Attaches a [`Telemetry`] hub: the hub becomes the engine's event
-    /// sink and the engine interns contexts into the hub's registry, so
-    /// exporters can resolve context ids back to labels. Several engines
-    /// may attach to one hub.
-    pub fn telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
-        self.telemetry = Some(Arc::clone(telemetry));
-        self
-    }
-
-    /// Adds a side observer of the event stream *in addition to* the
-    /// primary sink or telemetry hub. Extras see every event after the
-    /// primary sink, in attachment order, and before any attached history
-    /// recorder's tee — so a live console can watch an engine that also
-    /// exports telemetry and records history, without changing what either
-    /// of those observes. May be called multiple times.
-    pub fn extra_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.extra_sinks.push(sink);
-        self
-    }
-
-    /// Attaches a history recorder (e.g. an `ix-history` `HistoryStore`):
-    /// every tick row, event, sweep score and diagnosis is appended to it,
-    /// and a recorder that serves windows back becomes the source of
-    /// diagnosis frames. The engine behaves identically — bit for bit —
-    /// with or without a recorder attached; see
-    /// [`crate::HistoryRecorder`].
-    pub fn history(mut self, recorder: Arc<dyn HistoryRecorder>) -> Self {
-        self.history = Some(recorder);
+    /// Adds a member to the engine's observation list: an event sink
+    /// (`Arc<dyn EventSink>`), a [`crate::Telemetry`] hub
+    /// (`&Arc<Telemetry>`) or a history recorder (e.g. an `ix-history`
+    /// `HistoryStore`). Every event goes to every member, in the order
+    /// they were added. The engine interns contexts into the first hub's
+    /// registry (or a registry of its own) and binds every member to it
+    /// with [`crate::EventSink::bind_registry`]. Recorders also receive
+    /// every tick row, sweep score, diagnosis and run reset, and the first
+    /// one that serves windows back becomes the source of diagnosis
+    /// frames. The engine behaves identically — bit for bit — whatever it
+    /// is observed by; see [`crate::HistoryRecorder`].
+    pub fn observe(mut self, member: impl Into<Observer>) -> Self {
+        self.observers.push(member.into());
         self
     }
 
@@ -166,22 +140,9 @@ impl EngineBuilder {
             });
             Arc::new(SweepPool::new(threads))
         });
-        let mut engine = Engine::assemble(self.config, measure, pool);
+        let mut engine = Engine::assemble(self.config, measure, pool, self.observers);
         if let Some(ticks) = self.lifetime_ticks {
             engine.set_lifetime_ticks_internal(ticks);
-        }
-        if let Some(telemetry) = &self.telemetry {
-            engine.attach_telemetry_internal(telemetry);
-        } else if let Some(sink) = self.sink {
-            engine.set_event_sink_internal(sink);
-        }
-        // After the sink/telemetry wiring and before the history tee, so
-        // extras observe the identical stream the recorder does.
-        engine.attach_extra_sinks_internal(self.extra_sinks);
-        // After the sink/telemetry wiring, so the recorder tee wraps the
-        // final sink and binds the final context registry.
-        if let Some(recorder) = self.history {
-            engine.attach_history_internal(recorder);
         }
         if let Some(db) = self.signatures {
             engine.set_signature_database(db);
@@ -206,10 +167,7 @@ impl std::fmt::Debug for EngineBuilder {
             .field("threads", &self.threads)
             .field("shared_pool", &self.shared_pool.is_some())
             .field("lifetime_ticks", &self.lifetime_ticks)
-            .field("telemetry", &self.telemetry.is_some())
-            .field("event_sink", &self.sink.is_some())
-            .field("extra_sinks", &self.extra_sinks.len())
-            .field("history", &self.history.is_some())
+            .field("observers", &self.observers.len())
             .field("signatures", &self.signatures.as_ref().map(|db| db.len()))
             .field("detectors", &self.detectors.len())
             .finish()
@@ -244,34 +202,6 @@ mod tests {
         assert_eq!(engine.threads(), 2);
         assert_eq!(engine.state_shards(), 4);
         assert_eq!(engine.with_signature_database(|db| db.len()), 1);
-    }
-
-    #[test]
-    fn telemetry_supersedes_event_sink() {
-        let telemetry = Telemetry::shared();
-        let engine = Engine::builder()
-            .event_sink(Arc::new(crate::NullSink))
-            .telemetry(&telemetry)
-            .build();
-        // The engine interns into the hub's registry — the telemetry
-        // attachment won.
-        assert!(Arc::ptr_eq(engine.context_registry(), telemetry.contexts()));
-    }
-
-    #[test]
-    fn extra_sinks_observe_alongside_primary() {
-        let primary = Telemetry::shared();
-        let extra = Telemetry::shared();
-        let engine = Engine::builder()
-            .event_sink(Arc::clone(&primary) as Arc<dyn EventSink>)
-            .extra_sink(Arc::clone(&extra) as Arc<dyn EventSink>)
-            .build();
-        engine.sink().record(&crate::EngineEvent::DetectionFired {
-            context: crate::ContextId::UNATTRIBUTED,
-            tick: 3,
-        });
-        assert_eq!(primary.snapshot().total.detections, 1);
-        assert_eq!(extra.snapshot().total.detections, 1);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Engine observability: lightweight events and a pluggable sink.
 //!
-//! Every layer of the streaming engine reports what it did through an
-//! [`EventSink`]. The default [`NullSink`] drops everything; the
-//! [`crate::Telemetry`] subsystem ([`super::telemetry`]) aggregates the
-//! same events into per-context counters, latency histograms, spans and
-//! exporters.
+//! Every layer of the streaming engine reports what it did to the
+//! members of one ordered list, attached with
+//! [`crate::EngineBuilder::observe`]: plain [`EventSink`]s, the
+//! [`crate::Telemetry`] hub ([`super::telemetry`]), which aggregates the
+//! events into per-context counters, latency histograms, spans and
+//! exporters, and history recorders ([`super::recorder`]). An engine with
+//! no member emits to nobody.
 //!
 //! Events carry an interned [`ContextId`] — a `Copy` `u32` from the
 //! engine's [`super::telemetry::ContextRegistry`] — instead of an
@@ -13,8 +15,9 @@
 
 use std::sync::Arc;
 
+use super::recorder::HistoryRecorder;
 use super::resilience::{DegradationReason, DegradationTier, HealthState, OverloadPolicy};
-use super::telemetry::{ContextId, EnginePhase};
+use super::telemetry::{ContextId, ContextRegistry, EnginePhase, Telemetry};
 
 /// Something the engine did, reported to the configured [`EventSink`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -265,13 +268,21 @@ impl EngineEvent {
 }
 
 /// Receiver of [`EngineEvent`]s. Implementations must be cheap: `record`
-/// runs on the ingestion path.
+/// runs on the ingestion path. Attach one to an engine with
+/// [`crate::EngineBuilder::observe`].
 pub trait EventSink: Send + Sync {
     /// Handles one event.
     fn record(&self, event: &EngineEvent);
+
+    /// Shares the registry the engine interns contexts into, so the sink
+    /// can resolve [`ContextId`]s back to labels. The engine calls it
+    /// once per member, at build time.
+    fn bind_registry(&self, registry: &Arc<ContextRegistry>) {
+        let _ = registry;
+    }
 }
 
-/// The default sink: drops every event.
+/// A sink that drops every event.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
@@ -279,27 +290,117 @@ impl EventSink for NullSink {
     fn record(&self, _event: &EngineEvent) {}
 }
 
-/// The sink installed by [`crate::EngineBuilder::extra_sink`]: forwards
-/// every event to the primary sink first, then to each extra observer in
-/// attachment order, so side observers (live consoles, loggers) never
-/// change what the primary sink or a teed recorder sees.
-pub(crate) struct FanOutSink {
-    primary: Arc<dyn EventSink>,
-    extras: Vec<Arc<dyn EventSink>>,
+/// One member of an engine's observation list, attached with
+/// [`crate::EngineBuilder::observe`]. Every member sees every event, in
+/// list order; the variant says what else the engine does with it.
+#[derive(Clone)]
+pub enum Observer {
+    /// A plain event sink.
+    Sink(Arc<dyn EventSink>),
+    /// A telemetry hub. The engine interns contexts into the first hub's
+    /// registry, and that hub also times recorder appends.
+    Telemetry(Arc<Telemetry>),
+    /// A history recorder: it also receives tick rows, sweep scores,
+    /// diagnoses and run resets, and the first one serves diagnosis
+    /// windows back (see [`HistoryRecorder`]).
+    History(Arc<dyn HistoryRecorder>),
 }
 
-impl FanOutSink {
-    pub(crate) fn new(primary: Arc<dyn EventSink>, extras: Vec<Arc<dyn EventSink>>) -> Self {
-        FanOutSink { primary, extras }
+impl Observer {
+    /// The member as the event sink every variant is.
+    fn into_sink(self) -> Arc<dyn EventSink> {
+        match self {
+            Observer::Sink(sink) => sink,
+            Observer::Telemetry(hub) => hub,
+            Observer::History(recorder) => recorder,
+        }
     }
 }
 
-impl EventSink for FanOutSink {
-    fn record(&self, event: &EngineEvent) {
-        self.primary.record(event);
-        for extra in &self.extras {
-            extra.record(event);
+impl From<Arc<dyn EventSink>> for Observer {
+    fn from(sink: Arc<dyn EventSink>) -> Self {
+        Observer::Sink(sink)
+    }
+}
+
+impl From<&Arc<Telemetry>> for Observer {
+    fn from(hub: &Arc<Telemetry>) -> Self {
+        Observer::Telemetry(Arc::clone(hub))
+    }
+}
+
+impl<R: HistoryRecorder + 'static> From<Arc<R>> for Observer {
+    fn from(recorder: Arc<R>) -> Self {
+        Observer::History(recorder)
+    }
+}
+
+/// An engine's observation list: its members in attachment order, plus
+/// the first hub and the recorders picked out once at build time for the
+/// ingest path.
+pub(crate) struct Observers {
+    members: Box<[Arc<dyn EventSink>]>,
+    hub: Option<Arc<Telemetry>>,
+    recorders: Box<[Arc<dyn HistoryRecorder>]>,
+}
+
+impl Observers {
+    /// The list of `members`, each bound to the registry the engine
+    /// interns into: the first hub's, or a new one when there is no hub.
+    /// Returns the list and that registry.
+    pub(crate) fn bind(members: Vec<Observer>) -> (Self, Arc<ContextRegistry>) {
+        let hub = members.iter().find_map(|m| match m {
+            Observer::Telemetry(hub) => Some(Arc::clone(hub)),
+            _ => None,
+        });
+        let registry = hub
+            .as_ref()
+            .map_or_else(Arc::default, |hub| Arc::clone(hub.contexts()));
+        let recorders = members
+            .iter()
+            .filter_map(|m| match m {
+                Observer::History(recorder) => Some(Arc::clone(recorder)),
+                _ => None,
+            })
+            .collect();
+        let members: Box<[_]> = members.into_iter().map(Observer::into_sink).collect();
+        for member in &members {
+            member.bind_registry(&registry);
         }
+        let observers = Observers {
+            members,
+            hub,
+            recorders,
+        };
+        (observers, registry)
+    }
+
+    /// The first telemetry hub, if any.
+    pub(crate) fn hub(&self) -> Option<&Arc<Telemetry>> {
+        self.hub.as_ref()
+    }
+
+    /// Every recorder, in list order.
+    pub(crate) fn recorders(&self) -> &[Arc<dyn HistoryRecorder>] {
+        &self.recorders
+    }
+
+    /// The recorder that serves diagnosis windows: the first one.
+    pub(crate) fn window_source(&self) -> Option<&Arc<dyn HistoryRecorder>> {
+        self.recorders.first()
+    }
+
+    /// Hands `event` to every member, in list order.
+    pub(crate) fn record(&self, event: &EngineEvent) {
+        for member in &*self.members {
+            member.record(event);
+        }
+    }
+}
+
+impl EventSink for Observers {
+    fn record(&self, event: &EngineEvent) {
+        Observers::record(self, event);
     }
 }
 

@@ -13,7 +13,7 @@ use crate::invariants::InvariantSet;
 use super::detector::{RunState, TickDecision};
 use super::diagnosis::Diagnosis;
 use super::events::EngineEvent;
-use super::telemetry::{EnginePhase, Span};
+use super::telemetry::EnginePhase;
 use super::Engine;
 
 /// What [`Engine::ingest`] concluded about one tick.
@@ -142,25 +142,28 @@ impl Engine {
                 // Record under the shard lock so history rows land in
                 // exactly the order the sliding window saw them — the
                 // contract behind history-served diagnosis windows. The
-                // append is timed only when telemetry wants the cost
+                // appends are timed only when a hub wants the cost
                 // histogram; the scope update itself happens after the
                 // lock drops.
-                let append_nanos = if let Some(recorder) = self.recorder() {
-                    let timed = self.telemetry().is_some();
+                let recorders = self.observers().recorders();
+                let append_nanos = if recorders.is_empty() {
+                    None
+                } else {
+                    let timed = self.observers().hub().is_some();
                     // lint: allow(determinism, telemetry-only: append nanos
                     // feed the recorder histogram, never engine results)
                     let append_started = timed.then(Instant::now);
-                    recorder.record_tick(
-                        context_id,
-                        lifetime_tick,
-                        cpi_sample,
-                        decision.residual,
-                        decision.exceeded,
-                        metric_row,
-                    );
+                    for recorder in recorders {
+                        recorder.record_tick(
+                            context_id,
+                            lifetime_tick,
+                            cpi_sample,
+                            decision.residual,
+                            decision.exceeded,
+                            metric_row,
+                        );
+                    }
                     append_started.map(|t| t.elapsed().as_nanos() as u64)
-                } else {
-                    None
                 };
                 let up_edge = decision.anomalous && !state.prev_anomalous;
                 let down_edge = !decision.anomalous && state.prev_anomalous;
@@ -175,7 +178,8 @@ impl Engine {
                     // windows yields the row range the tick above just
                     // closed; otherwise copy the sliding window itself.
                     let window = self
-                        .recorder()
+                        .observers()
+                        .window_source()
                         .and_then(|r| r.window_rows(context_id, window_ticks))
                         .map(DeferredWindow::HistoryRows)
                         .unwrap_or_else(|| DeferredWindow::Frame(state.window.to_frame()));
@@ -194,19 +198,21 @@ impl Engine {
                 ))
             })?;
 
-        // Attribute the recorder-append cost to the context's telemetry
+        // Attribute the recorder-append cost to the first hub's context
         // scope — outside the shard lock, so metrics bookkeeping never
         // extends the ingest critical section.
-        if let Some(nanos) = append_nanos {
-            if let (Some(telemetry), Some(recorder)) = (self.telemetry(), self.recorder()) {
-                telemetry
-                    .metrics()
-                    .scope(context_id)
-                    .record_history_append(nanos, recorder.segment_count(context_id));
-            }
+        if let (Some(nanos), Some(hub), Some(recorder)) = (
+            append_nanos,
+            self.observers().hub(),
+            self.observers().window_source(),
+        ) {
+            let segments = recorder.segment_count(context_id);
+            hub.metrics().with_scope(context_id, |scope| {
+                scope.record_history_append(nanos, segments);
+            });
         }
 
-        self.sink().record(&EngineEvent::TickIngested {
+        self.observers().record(&EngineEvent::TickIngested {
             context: context_id,
             tick: lifetime_tick,
             residual: decision.residual,
@@ -214,13 +220,13 @@ impl Engine {
             micros: ingest_started.elapsed().as_micros() as u64,
         });
         if up_edge {
-            self.sink().record(&EngineEvent::DetectionFired {
+            self.observers().record(&EngineEvent::DetectionFired {
                 context: context_id,
                 tick: lifetime_tick,
             });
         }
         if down_edge {
-            self.sink().record(&EngineEvent::DetectionCleared {
+            self.observers().record(&EngineEvent::DetectionCleared {
                 context: context_id,
                 tick: lifetime_tick,
             });
@@ -228,7 +234,7 @@ impl Engine {
 
         let diagnosis = match deferred {
             Some(DeferredDiagnosis { window, invariants }) => {
-                let _span = Span::enter(self.sink(), EnginePhase::Diagnosis, context_id);
+                let _span = self.span(EnginePhase::Diagnosis, context_id);
                 // lint: allow(determinism, telemetry-only: diagnosis micros
                 // feed a DiagnosisReady event; replay normalizes timings)
                 let started = Instant::now();
@@ -240,7 +246,8 @@ impl Engine {
                 let frame = match window {
                     DeferredWindow::Frame(frame) => frame,
                     DeferredWindow::HistoryRows(rows) => self
-                        .recorder()
+                        .observers()
+                        .window_source()
                         .and_then(|r| r.frame_rows(context_id, rows))
                         .ok_or_else(|| CoreError::HistoryWindow(context.clone()))?,
                 };
@@ -253,7 +260,7 @@ impl Engine {
                 let tuple = verdict.violation_tuple(&invariants, self.config().epsilon);
                 let mut diagnosis = self.rank_tuple(context, tuple)?;
                 diagnosis.degradation = verdict.degradation;
-                self.sink().record(&EngineEvent::DiagnosisRan {
+                self.observers().record(&EngineEvent::DiagnosisRan {
                     context: context_id,
                     tick: lifetime_tick,
                     micros: started.elapsed().as_micros() as u64,

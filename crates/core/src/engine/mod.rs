@@ -15,15 +15,16 @@
 //! - **diagnosis** ([`diagnosis`]) — invariant violation tuples matched
 //!   against the signature database, with association sweeps on a
 //!   persistent [`SweepPool`];
-//! - **events** ([`events`]) — counters and timings through a pluggable
-//!   [`EventSink`];
-//! - **recording** ([`recorder`]) — an optional append-only history sink
-//!   ([`HistoryRecorder`], attach with [`EngineBuilder::history`]) that
-//!   observes tick rows, events, sweep scores and diagnoses, and can serve
-//!   diagnosis windows back to the engine;
+//! - **events** ([`events`]) — counters and timings, delivered in order to
+//!   each member of the engine's one observation list
+//!   ([`EngineBuilder::observe`]);
+//! - **recording** ([`recorder`]) — an optional append-only history member
+//!   ([`HistoryRecorder`]) that observes tick rows, events, sweep scores
+//!   and diagnoses, and can serve diagnosis windows back to the engine;
 //! - **telemetry** ([`telemetry`]) — the full observability stack on top of
 //!   the events: context-attributed metrics, phase spans, and Prometheus /
-//!   JSON / report exporters (attach with [`EngineBuilder::telemetry`]).
+//!   JSON / report exporters (a [`telemetry::Telemetry`] hub is a member
+//!   like any other).
 
 mod builder;
 pub mod detector;
@@ -60,13 +61,12 @@ pub use detector::{
     ArimaDetector, CusumStreamDetector, Detector, DetectorRun, RunState, TickDecision,
 };
 pub use diagnosis::{Diagnosis, RankedCause};
-pub use events::{EngineEvent, EventKind, EventSink, NullSink};
+pub use events::{EngineEvent, EventKind, EventSink, NullSink, Observer};
 pub use ingest::{CapturedRun, TickOutcome};
 pub use inspect::{ContextStateSnapshot, EngineInspector};
-pub use recorder::{HistoryRecorder, NullRecorder};
-pub use telemetry::Telemetry;
+pub use recorder::HistoryRecorder;
 
-use recorder::RecorderTee;
+use events::Observers;
 
 use resilience::{
     DegradationReason, DegradationTier, HealthMonitor, IngestQueue, SweepBudget, SweepDegradation,
@@ -89,13 +89,10 @@ pub struct Engine {
     /// can run on one pool sized to the box instead of spawning worker
     /// threads per engine (see [`EngineBuilder::shared_pool`]).
     pool: Arc<SweepPool>,
-    sink: Arc<dyn EventSink>,
-    /// The attached history recorder, if any (see [`EngineBuilder::history`]).
-    recorder: Option<Arc<dyn HistoryRecorder>>,
-    /// The attached telemetry hub, if any — kept alongside the sink so the
-    /// ingest path can attribute recorder-append costs to context scopes
-    /// without downcasting the sink.
-    telemetry: Option<Arc<Telemetry>>,
+    /// The observation list (see [`EngineBuilder::observe`]).
+    observers: Arc<Observers>,
+    /// The registry contexts intern into: the first hub's, or the
+    /// engine's own.
     contexts: Arc<ContextRegistry>,
     ticks: AtomicU64,
     health: HealthMonitor,
@@ -117,12 +114,14 @@ impl Engine {
     }
 
     /// The bare engine [`EngineBuilder::build`] starts from: `measure`
-    /// scores the sweeps, which run on `pool`.
+    /// scores the sweeps, which run on `pool`, and `observers` watch it.
     fn assemble(
         config: InvarNetConfig,
         measure: Arc<dyn AssociationMeasure>,
         pool: Arc<SweepPool>,
+        observers: Vec<Observer>,
     ) -> Self {
+        let (observers, contexts) = Observers::bind(observers);
         let shards = config.state_shards;
         let queue = IngestQueue::new(
             shards,
@@ -136,10 +135,8 @@ impl Engine {
             state: ShardedStateMap::new(shards),
             signatures: RwLock::new(Arc::default()),
             pool,
-            sink: Arc::new(NullSink),
-            recorder: None,
-            telemetry: None,
-            contexts: Arc::new(ContextRegistry::new()),
+            observers: Arc::new(observers),
+            contexts,
             ticks: AtomicU64::new(0),
             health: HealthMonitor::new(),
             queue,
@@ -168,54 +165,9 @@ impl Engine {
         self.ticks.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    pub(crate) fn set_event_sink_internal(&mut self, sink: Arc<dyn EventSink>) {
-        self.sink = sink;
-    }
-
-    pub(crate) fn attach_telemetry_internal(&mut self, telemetry: &Arc<Telemetry>) {
-        self.contexts = Arc::clone(telemetry.contexts());
-        self.sink = Arc::<Telemetry>::clone(telemetry);
-        self.telemetry = Some(Arc::clone(telemetry));
-    }
-
-    /// Fans the event stream out to extra sinks behind the primary one
-    /// (see [`EngineBuilder::extra_sink`]). Must run after the
-    /// sink/telemetry wiring and before the history tee, so the recorder
-    /// still observes the identical stream.
-    pub(crate) fn attach_extra_sinks_internal(&mut self, extras: Vec<Arc<dyn EventSink>>) {
-        if extras.is_empty() {
-            return;
-        }
-        self.sink = Arc::new(events::FanOutSink::new(Arc::clone(&self.sink), extras));
-    }
-
-    /// The attached telemetry hub, if any.
-    pub(crate) fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// Attaches a history recorder: the recorder is teed behind the event
-    /// sink (it observes the identical event stream), receives tick rows,
-    /// sweep scores and diagnoses first-class, and — when it can serve
-    /// windows back — becomes the source of diagnosis frames. Must run
-    /// after the sink/telemetry wiring so the tee wraps the final sink.
-    pub(crate) fn attach_history_internal(&mut self, recorder: Arc<dyn HistoryRecorder>) {
-        recorder.bind_registry(&self.contexts);
-        self.sink = Arc::new(RecorderTee::new(
-            Arc::clone(&self.sink),
-            Arc::clone(&recorder),
-        ));
-        self.recorder = Some(recorder);
-    }
-
-    /// The attached history recorder, if any.
-    pub(crate) fn recorder(&self) -> Option<&Arc<dyn HistoryRecorder>> {
-        self.recorder.as_ref()
-    }
-
     /// Whether a history recorder is attached.
     pub fn has_history(&self) -> bool {
-        self.recorder.is_some()
+        !self.observers.recorders().is_empty()
     }
 
     /// The registry the engine interns [`crate::OperationContext`]s into.
@@ -247,8 +199,18 @@ impl Engine {
         self.state.shard_count()
     }
 
-    pub(crate) fn sink(&self) -> &Arc<dyn EventSink> {
-        &self.sink
+    /// The observation list every event goes to.
+    pub(crate) fn observers(&self) -> &Observers {
+        &self.observers
+    }
+
+    /// A span over `phase` of `context`, closing to the observation list.
+    pub(crate) fn span(&self, phase: EnginePhase, context: ContextId) -> Span {
+        Span::enter(
+            Arc::clone(&self.observers) as Arc<dyn EventSink>,
+            phase,
+            context,
+        )
     }
 
     pub(crate) fn state(&self) -> &ShardedStateMap {
@@ -290,7 +252,7 @@ impl Engine {
             return Err(CoreError::NonFiniteCpi(context));
         }
         let id = self.intern_context(&context);
-        let _span = Span::enter(&self.sink, EnginePhase::Train, id);
+        let _span = self.span(EnginePhase::Train, id);
         let model = Arc::new(PerformanceModel::train(cpi_traces, self.config.beta)?);
         let detector: Arc<dyn Detector> = match self.config.detector {
             DetectorChoice::Arima => Arc::new(ArimaDetector::new(
@@ -327,11 +289,11 @@ impl Engine {
         // SweepCompleted event; replay normalizes all recorded timings)
         let started = Instant::now();
         let matrix = {
-            let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
+            let _span = self.span(EnginePhase::Sweep, context);
             let scope = self.pass_scope(context, SweepBudget::UNLIMITED, started);
             self.pool.sweep(frame, &self.measure, &scope)
         };
-        self.sink.record(&EngineEvent::SweepCompleted {
+        self.observers.record(&EngineEvent::SweepCompleted {
             context,
             pairs: pair_count(),
             micros: started.elapsed().as_micros() as u64,
@@ -356,7 +318,7 @@ impl Engine {
     fn pass_scope(&self, context: ContextId, budget: SweepBudget, started: Instant) -> PassScope {
         PassScope {
             context,
-            sink: Arc::clone(&self.sink),
+            sink: Arc::clone(&self.observers) as Arc<dyn EventSink>,
             deadline: budget.deadline(started),
             max_pairs: budget.max_pairs,
         }
@@ -403,13 +365,13 @@ impl Engine {
             if slid.advance(&series) == AdvanceOutcome::Unsupported {
                 return None;
             }
-            let _span = Span::enter(&self.sink, EnginePhase::Screen, context);
+            let _span = self.span(EnginePhase::Screen, context);
             Some(slid.rescore(invariants, epsilon, &self.pool, &scope))
         });
         let (record, outcome) = match (record, slid) {
             (Some(record), Some(outcome)) => (record, outcome),
             (previous, _) => {
-                let _span = Span::enter(&self.sink, EnginePhase::Sweep, context);
+                let _span = self.span(EnginePhase::Sweep, context);
                 IncrementalSweep::cold(
                     &self.measure,
                     series,
@@ -442,7 +404,7 @@ impl Engine {
         invariants: &InvariantSet,
         micros: u64,
     ) -> SweepVerdict {
-        self.sink.record(&EngineEvent::SweepScreened {
+        self.observers.record(&EngineEvent::SweepScreened {
             context,
             reused: outcome.reused,
             screened: outcome.screened,
@@ -451,7 +413,7 @@ impl Engine {
         let matrix = record.matrix();
         let scored_pairs = outcome.screened + outcome.confirmed;
         if outcome.unreached == 0 {
-            self.sink.record(&EngineEvent::SweepCompleted {
+            self.observers.record(&EngineEvent::SweepCompleted {
                 context,
                 pairs: scored_pairs,
                 micros,
@@ -534,14 +496,14 @@ impl Engine {
             self.check_frame(frame)?;
         }
         let id = self.intern_context(&context);
-        let _span = Span::enter(&self.sink, EnginePhase::InvariantBuild, id);
+        let _span = self.span(EnginePhase::InvariantBuild, id);
         let mut bands = InvariantBands::new(self.config.tau);
         for frame in normal_frames {
             // lint: allow(determinism, telemetry-only: sweep micros feed a
             // SweepCompleted event; replay normalizes all recorded timings)
             let started = Instant::now();
             let pass = {
-                let _span = Span::enter(&self.sink, EnginePhase::Sweep, id);
+                let _span = self.span(EnginePhase::Sweep, id);
                 let scope = self.pass_scope(id, SweepBudget::UNLIMITED, started);
                 let plan = self.pool.plan(&self.measure, &frame_series(frame), &scope);
                 let pairs = bands.holding().map(PassPair::exact).collect();
@@ -550,7 +512,7 @@ impl Engine {
             for (item, score) in pass.pairs.iter().zip(&pass.scores) {
                 bands.observe(item.pair, score.value());
             }
-            self.sink.record(&EngineEvent::SweepCompleted {
+            self.observers.record(&EngineEvent::SweepCompleted {
                 context: id,
                 pairs: pass.scored,
                 micros: started.elapsed().as_micros() as u64,
@@ -638,7 +600,7 @@ impl Engine {
             .ok_or_else(|| CoreError::NoPerformanceModel(context.clone()))?;
         let result = detector.score(cpi);
         if result.is_anomalous() {
-            self.sink.record(&EngineEvent::DetectionFired {
+            self.observers.record(&EngineEvent::DetectionFired {
                 context: self.intern_context(context),
                 // ordering: Relaxed — tick labels the event with the
                 // monotone lifetime counter; exactness under concurrent
@@ -684,7 +646,7 @@ impl Engine {
         // ordering: Relaxed — tick only labels the emitted events with the
         // monotone lifetime counter (see detect above).
         let tick = self.ticks.load(std::sync::atomic::Ordering::Relaxed);
-        let _span = Span::enter(&self.sink, EnginePhase::Diagnosis, id);
+        let _span = self.span(EnginePhase::Diagnosis, id);
         // lint: allow(determinism, telemetry-only: diagnosis micros feed a
         // DiagnosisReady event; replay normalizes all recorded timings)
         let started = Instant::now();
@@ -695,7 +657,7 @@ impl Engine {
         let tuple = verdict.violation_tuple(&invariants, self.config.epsilon);
         let mut diagnosis = self.rank_tuple(context, tuple)?;
         diagnosis.degradation = verdict.degradation;
-        self.sink.record(&EngineEvent::DiagnosisRan {
+        self.observers.record(&EngineEvent::DiagnosisRan {
             context: id,
             tick,
             micros: started.elapsed().as_micros() as u64,
@@ -706,7 +668,7 @@ impl Engine {
     }
 
     /// Feeds one finished diagnosis (and the sweep scores behind it) to
-    /// the attached recorder, if any.
+    /// every attached recorder.
     pub(crate) fn record_diagnosis_history(
         &self,
         context: ContextId,
@@ -714,7 +676,7 @@ impl Engine {
         verdict: &SweepVerdict,
         diagnosis: &Diagnosis,
     ) {
-        if let Some(recorder) = &self.recorder {
+        for recorder in self.observers.recorders() {
             recorder.record_sweep(context, tick, verdict.matrix.scores(), verdict.degradation);
             recorder.record_diagnosis(context, tick, diagnosis);
         }
@@ -749,7 +711,7 @@ impl Engine {
     /// database ([`EngineEvent::SignatureMatched`]).
     pub(crate) fn emit_signature_match(&self, context: ContextId, tick: u64, diag: &Diagnosis) {
         let best_similarity = diag.ranked.first().map_or(0.0, |r| r.similarity);
-        self.sink.record(&EngineEvent::SignatureMatched {
+        self.observers.record(&EngineEvent::SignatureMatched {
             context,
             tick,
             best_similarity,
@@ -868,12 +830,16 @@ impl Engine {
         self.note_run_reset(&context);
     }
 
-    /// Tells the attached recorder (if any) that `context`'s sliding
+    /// Tells every attached recorder that `context`'s sliding
     /// window was just discarded, so history keeps run boundaries aligned
     /// with the live window.
     pub(crate) fn note_run_reset(&self, context: &OperationContext) {
-        if let Some(recorder) = &self.recorder {
-            recorder.record_run_reset(self.intern_context(context));
+        let recorders = self.observers.recorders();
+        if !recorders.is_empty() {
+            let id = self.intern_context(context);
+            for recorder in recorders {
+                recorder.record_run_reset(id);
+            }
         }
     }
 }

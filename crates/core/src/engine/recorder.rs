@@ -2,27 +2,27 @@
 //!
 //! Everything the engine observes — tick rows, the event stream, sweep
 //! scores and finished diagnoses — can flow into a [`HistoryRecorder`]
-//! attached with [`crate::EngineBuilder::history`]. The engine calls the
+//! attached with [`crate::EngineBuilder::observe`]. The engine calls the
 //! recorder at fixed points on its data path:
 //!
 //! - [`HistoryRecorder::record_tick`] inside the ingest step, under the
 //!   context's shard lock, so recorded rows are in exactly the order the
 //!   sliding window saw them;
-//! - [`HistoryRecorder::record_event`] for every [`EngineEvent`] (the
-//!   recorder is teed behind the configured [`EventSink`], which observes
-//!   the identical stream);
+//! - [`EventSink::record`] for every [`crate::EngineEvent`], in its place
+//!   on the engine's observation list, like any other member;
 //! - [`HistoryRecorder::record_sweep`] / [`HistoryRecorder::record_diagnosis`]
 //!   after each cause-inference pass, with the association scores and the
 //!   ranked result;
 //! - [`HistoryRecorder::record_run_reset`] whenever a context's sliding
 //!   window is discarded, so run boundaries survive into history.
 //!
-//! A recorder that implements [`HistoryRecorder::window_rows`] and
-//! [`HistoryRecorder::frame_rows`] becomes the source of diagnosis
-//! windows, through a two-step snapshot protocol that survives
-//! concurrent ingest of the same context: still under the shard lock
-//! that serialized [`HistoryRecorder::record_tick`], the engine asks for
-//! the *row range* of the current window ([`HistoryRecorder::window_rows`]);
+//! The first recorder on the list, when it implements
+//! [`HistoryRecorder::window_rows`] and [`HistoryRecorder::frame_rows`],
+//! becomes the source of diagnosis windows, through a two-step snapshot
+//! protocol that survives concurrent ingest of the same context: still
+//! under the shard lock that serialized [`HistoryRecorder::record_tick`],
+//! the engine asks for the *row range* of the current window
+//! ([`HistoryRecorder::window_rows`]);
 //! after the lock drops it materializes exactly those rows
 //! ([`HistoryRecorder::frame_rows`]). Because history is append-only, a
 //! range captured under the lock keeps naming the same rows no matter
@@ -33,19 +33,19 @@
 //! the data path changes.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use ix_metrics::MetricFrame;
 
 use super::diagnosis::Diagnosis;
-use super::events::{EngineEvent, EventSink};
+use super::events::EventSink;
 use super::resilience::SweepDegradation;
-use super::telemetry::{ContextId, ContextRegistry};
+use super::telemetry::ContextId;
 
-/// Receiver of the engine's history stream. Implementations must be
-/// cheap and thread-safe: `record_tick` runs under a state-shard lock on
-/// the ingestion path.
-pub trait HistoryRecorder: Send + Sync {
+/// Receiver of the engine's history stream: an [`EventSink`] that also
+/// takes tick rows, sweep scores, diagnoses and run resets. Implementations
+/// must be cheap: `record_tick` runs under a state-shard lock on the
+/// ingestion path.
+pub trait HistoryRecorder: EventSink {
     /// One ingested tick: the lifetime tick label, the CPI sample, the
     /// detector's residual/threshold verdict, and the full metric row.
     /// Called in sliding-window order for each context.
@@ -64,10 +64,6 @@ pub trait HistoryRecorder: Send + Sync {
     /// run.
     fn record_run_reset(&self, context: ContextId);
 
-    /// One engine event, in emission order (the same stream the
-    /// [`EventSink`] sees).
-    fn record_event(&self, event: &EngineEvent);
-
     /// The association scores behind one diagnosis: the flat upper
     /// triangle (indexed by [`crate::pair_index`]) and the degradation
     /// tier that produced it (`None` for a full-fidelity sweep).
@@ -80,14 +76,8 @@ pub trait HistoryRecorder: Send + Sync {
     );
 
     /// One finished cause-inference pass, correlated with the lifetime
-    /// tick stamped on its [`EngineEvent::DiagnosisRan`].
+    /// tick stamped on its [`crate::EngineEvent::DiagnosisRan`].
     fn record_diagnosis(&self, context: ContextId, tick: u64, diagnosis: &Diagnosis);
-
-    /// Shares the engine's context registry so the recorder can resolve
-    /// [`ContextId`]s back to labels (called once, at attach time).
-    fn bind_registry(&self, registry: &Arc<ContextRegistry>) {
-        let _ = registry;
-    }
 
     /// The row range of the last `max_ticks` recorded rows of the
     /// context's *current run* — step one of history-served diagnosis
@@ -120,94 +110,5 @@ pub trait HistoryRecorder: Send + Sync {
     fn segment_count(&self, context: ContextId) -> Option<u64> {
         let _ = context;
         None
-    }
-}
-
-/// A recorder that drops everything (placeholder for tests and docs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl HistoryRecorder for NullRecorder {
-    fn record_tick(&self, _: ContextId, _: u64, _: f64, _: f64, _: bool, _: &[f64]) {}
-    fn record_run_reset(&self, _: ContextId) {}
-    fn record_event(&self, _: &EngineEvent) {}
-    fn record_sweep(&self, _: ContextId, _: u64, _: &[f64], _: Option<SweepDegradation>) {}
-    fn record_diagnosis(&self, _: ContextId, _: u64, _: &Diagnosis) {}
-}
-
-/// The event tee installed by [`crate::EngineBuilder::history`]: forwards
-/// every event to the configured sink first, then to the recorder's event
-/// log, so attaching history never changes what the sink observes.
-pub(crate) struct RecorderTee {
-    inner: Arc<dyn EventSink>,
-    recorder: Arc<dyn HistoryRecorder>,
-}
-
-impl RecorderTee {
-    pub(crate) fn new(inner: Arc<dyn EventSink>, recorder: Arc<dyn HistoryRecorder>) -> Self {
-        RecorderTee { inner, recorder }
-    }
-}
-
-impl EventSink for RecorderTee {
-    fn record(&self, event: &EngineEvent) {
-        self.inner.record(event);
-        self.recorder.record_event(event);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_recorder_defaults_are_inert() {
-        let recorder = NullRecorder;
-        recorder.record_tick(ContextId::UNATTRIBUTED, 0, 1.0, 0.0, false, &[]);
-        recorder.record_run_reset(ContextId::UNATTRIBUTED);
-        recorder.record_event(&EngineEvent::DetectionFired {
-            context: ContextId::UNATTRIBUTED,
-            tick: 0,
-        });
-        recorder.record_sweep(ContextId::UNATTRIBUTED, 0, &[], None);
-        assert!(recorder.window_rows(ContextId::UNATTRIBUTED, 8).is_none());
-        assert!(recorder.frame_rows(ContextId::UNATTRIBUTED, 0..8).is_none());
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        #[derive(Default)]
-        struct Count(AtomicUsize);
-        impl EventSink for Count {
-            fn record(&self, _: &EngineEvent) {
-                // ordering: Relaxed — independent test counter.
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        #[derive(Default)]
-        struct RecCount(AtomicUsize);
-        impl HistoryRecorder for RecCount {
-            fn record_tick(&self, _: ContextId, _: u64, _: f64, _: f64, _: bool, _: &[f64]) {}
-            fn record_run_reset(&self, _: ContextId) {}
-            fn record_event(&self, _: &EngineEvent) {
-                // ordering: Relaxed — independent test counter.
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-            fn record_sweep(&self, _: ContextId, _: u64, _: &[f64], _: Option<SweepDegradation>) {}
-            fn record_diagnosis(&self, _: ContextId, _: u64, _: &Diagnosis) {}
-        }
-        let sink = Arc::new(Count::default());
-        let recorder = Arc::new(RecCount::default());
-        let tee = RecorderTee::new(
-            Arc::clone(&sink) as Arc<dyn EventSink>,
-            Arc::clone(&recorder) as Arc<dyn HistoryRecorder>,
-        );
-        tee.record(&EngineEvent::DetectionFired {
-            context: ContextId::UNATTRIBUTED,
-            tick: 1,
-        });
-        assert_eq!(sink.0.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert_eq!(recorder.0.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 }

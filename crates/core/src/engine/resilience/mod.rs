@@ -70,13 +70,13 @@ impl Engine {
         tier: DegradationTier,
         reason: DegradationReason,
     ) {
-        self.sink().record(&EngineEvent::SweepDegraded {
+        self.observers().record(&EngineEvent::SweepDegraded {
             context,
             tier,
             reason,
         });
         if let Some((from, to)) = self.health_monitor().note_degraded(tier) {
-            self.sink()
+            self.observers()
                 .record(&EngineEvent::HealthChanged { context, from, to });
         }
     }
@@ -86,7 +86,7 @@ impl Engine {
     /// transition.
     pub(crate) fn note_health_ok(&self, context: ContextId) {
         if let Some((from, to)) = self.health_monitor().note_ok() {
-            self.sink()
+            self.observers()
                 .record(&EngineEvent::HealthChanged { context, from, to });
         }
     }
@@ -114,7 +114,7 @@ impl Engine {
             seed,
             |_attempt| op(path),
             |attempt, delay| {
-                self.sink().record(&EngineEvent::StoreRetried {
+                self.observers().record(&EngineEvent::StoreRetried {
                     context: ContextId::UNATTRIBUTED,
                     attempt,
                     backoff_micros: delay.as_micros() as u64,
@@ -131,7 +131,7 @@ impl Engine {
                     .health_monitor()
                     .note_degraded(DegradationTier::Persistence)
                 {
-                    self.sink().record(&EngineEvent::HealthChanged {
+                    self.observers().record(&EngineEvent::HealthChanged {
                         context: ContextId::UNATTRIBUTED,
                         from,
                         to,

@@ -310,7 +310,7 @@ impl Engine {
         });
         match push {
             QueuePush::Enqueued { depth } => {
-                self.sink().record(&EngineEvent::TickEnqueued {
+                self.observers().record(&EngineEvent::TickEnqueued {
                     context: context_id,
                     depth,
                 });
@@ -318,18 +318,18 @@ impl Engine {
             }
             QueuePush::SheddedOldest { depth, dropped } => {
                 let dropped_id = self.intern_context(&dropped);
-                self.sink().record(&EngineEvent::TickShed {
+                self.observers().record(&EngineEvent::TickShed {
                     context: dropped_id,
                     policy: OverloadPolicy::ShedOldest,
                 });
-                self.sink().record(&EngineEvent::TickEnqueued {
+                self.observers().record(&EngineEvent::TickEnqueued {
                     context: context_id,
                     depth,
                 });
                 SubmitOutcome::EnqueuedAfterShed { depth }
             }
             QueuePush::RejectedNewest => {
-                self.sink().record(&EngineEvent::TickShed {
+                self.observers().record(&EngineEvent::TickShed {
                     context: context_id,
                     policy: OverloadPolicy::ShedNewest,
                 });

@@ -16,7 +16,7 @@
 //! let telemetry = Telemetry::shared();
 //! let engine = Engine::builder()
 //!     .config(InvarNetConfig::default())
-//!     .telemetry(&telemetry)
+//!     .observe(&telemetry)
 //!     .build();
 //! // ... train and ingest ...
 //! let snapshot = telemetry.snapshot();
@@ -47,7 +47,7 @@ pub const CONFIDENT_SIMILARITY: f64 = 0.5;
 pub const DEFAULT_SPAN_CAPACITY: usize = 256;
 
 /// The full telemetry sink: context registry + metrics registry + span
-/// ring. Share one `Arc<Telemetry>` between the engine (as its event sink)
+/// ring. Share one `Arc<Telemetry>` between the engine (one of its observers)
 /// and whatever reads the numbers; several engines may share a single
 /// `Telemetry` (their contexts intern into one registry), which is how the
 /// bench harness aggregates across experiment systems.
@@ -163,30 +163,33 @@ impl EventSink for Telemetry {
                 micros,
                 ..
             } => {
-                self.metrics
-                    .scope(context)
-                    .record_tick(residual, exceeded, micros);
+                self.metrics.with_scope(context, |scope| {
+                    scope.record_tick(residual, exceeded, micros);
+                });
             }
             EngineEvent::DetectionFired { context, .. } => {
-                self.metrics
-                    .scope(context)
-                    .detections
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .detections
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                });
             }
             EngineEvent::DetectionCleared { context, .. } => {
-                self.metrics
-                    .scope(context)
-                    .clears
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .clears
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                });
             }
             EngineEvent::DiagnosisRan {
                 context, micros, ..
             } => {
-                let scope = self.metrics.scope(context);
-                scope
-                    .diagnoses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                scope.diagnosis_micros.record(micros);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .diagnoses
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    scope.diagnosis_micros.record(micros);
+                });
             }
             EngineEvent::SignatureMatched {
                 context,
@@ -194,34 +197,36 @@ impl EventSink for Telemetry {
                 confident,
                 ..
             } => {
-                let scope = self.metrics.scope(context);
-                if confident {
-                    scope
-                        .matches_confident
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                } else {
-                    scope
-                        .matches_unknown
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                scope.last_similarity.store(
-                    best_similarity.to_bits(),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+                self.metrics.with_scope(context, |scope| {
+                    if confident {
+                        scope
+                            .matches_confident
+                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    } else {
+                        scope
+                            .matches_unknown
+                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                    scope.last_similarity.store(
+                        best_similarity.to_bits(),
+                        std::sync::atomic::Ordering::Relaxed,
+                    );
+                });
             }
             EngineEvent::SweepCompleted {
                 context,
                 pairs,
                 micros,
             } => {
-                let scope = self.metrics.scope(context);
-                scope
-                    .sweeps
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                scope
-                    .pairs_scored
-                    .fetch_add(pairs as u64, std::sync::atomic::Ordering::Relaxed);
-                scope.sweep_micros.record(micros);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .sweeps
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    scope
+                        .pairs_scored
+                        .fetch_add(pairs as u64, std::sync::atomic::Ordering::Relaxed);
+                    scope.sweep_micros.record(micros);
+                });
             }
             EngineEvent::SweepScreened {
                 context,
@@ -229,16 +234,17 @@ impl EventSink for Telemetry {
                 screened,
                 confirmed,
             } => {
-                let scope = self.metrics.scope(context);
-                scope
-                    .sweep_pairs_reused
-                    .fetch_add(reused as u64, std::sync::atomic::Ordering::Relaxed);
-                scope
-                    .sweep_pairs_screened
-                    .fetch_add(screened as u64, std::sync::atomic::Ordering::Relaxed);
-                scope
-                    .sweep_pairs_confirmed
-                    .fetch_add(confirmed as u64, std::sync::atomic::Ordering::Relaxed);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .sweep_pairs_reused
+                        .fetch_add(reused as u64, std::sync::atomic::Ordering::Relaxed);
+                    scope
+                        .sweep_pairs_screened
+                        .fetch_add(screened as u64, std::sync::atomic::Ordering::Relaxed);
+                    scope
+                        .sweep_pairs_confirmed
+                        .fetch_add(confirmed as u64, std::sync::atomic::Ordering::Relaxed);
+                });
             }
             EngineEvent::PairsScored {
                 context,
@@ -246,10 +252,9 @@ impl EventSink for Telemetry {
                 micros,
             } => {
                 let nanos_per_pair = micros.saturating_mul(1000) / (pairs.max(1) as u64);
-                self.metrics
-                    .scope(context)
-                    .pair_score_nanos
-                    .record(nanos_per_pair);
+                self.metrics.with_scope(context, |scope| {
+                    scope.pair_score_nanos.record(nanos_per_pair);
+                });
             }
             EngineEvent::SpanClosed {
                 phase,
@@ -260,31 +265,36 @@ impl EventSink for Telemetry {
                 self.spans.push(phase, context, micros);
             }
             EngineEvent::SweepDegraded { context, .. } => {
-                self.metrics
-                    .scope(context)
-                    .sweeps_degraded
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .sweeps_degraded
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                });
             }
             EngineEvent::TickEnqueued { context, depth } => {
-                self.metrics.scope(context).record_queue_depth(depth as u64);
+                self.metrics
+                    .with_scope(context, |scope| scope.record_queue_depth(depth as u64));
             }
             EngineEvent::TickShed { context, .. } => {
-                self.metrics
-                    .scope(context)
-                    .ticks_shed
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .ticks_shed
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                });
             }
             EngineEvent::StoreRetried { context, .. } => {
-                self.metrics
-                    .scope(context)
-                    .store_retries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .store_retries
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                });
             }
             EngineEvent::HealthChanged { context, .. } => {
-                self.metrics
-                    .scope(context)
-                    .health_transitions
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.metrics.with_scope(context, |scope| {
+                    scope
+                        .health_transitions
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                });
             }
             // Fleet lifecycle events carry no per-context telemetry: the
             // fleet's own registry counts evictions and warm latencies.

@@ -339,23 +339,24 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The scope of `id`, growing the slot table on first sight of a
-    /// context. The fast path is a read-locked index.
-    pub fn scope(&self, id: ContextId) -> Arc<ContextScope> {
+    /// Runs `f` on the scope of `id`, growing the slot table on first
+    /// sight of a context. The fast path is a read-locked index, and the
+    /// scope is borrowed, not cloned.
+    pub fn with_scope<R>(&self, id: ContextId, f: impl FnOnce(&ContextScope) -> R) -> R {
         if id.is_unattributed() {
-            return Arc::clone(&self.unattributed);
+            return f(&self.unattributed);
         }
         {
             let scopes = self.scopes.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(scope) = scopes.get(id.index()) {
-                return Arc::clone(scope);
+                return f(scope);
             }
         }
         let mut scopes = self.scopes.write().unwrap_or_else(PoisonError::into_inner);
         while scopes.len() <= id.index() {
             scopes.push(Arc::new(ContextScope::default()));
         }
-        Arc::clone(&scopes[id.index()])
+        f(&scopes[id.index()])
     }
 
     /// The unattributed sentinel scope.
@@ -410,15 +411,15 @@ mod tests {
     fn scope_table_grows_and_is_stable() {
         let reg = MetricsRegistry::new();
         let id = ContextId::from_index(2);
-        let scope = reg.scope(id);
-        scope.ticks.fetch_add(3, Ordering::Relaxed);
+        reg.with_scope(id, |scope| scope.ticks.fetch_add(3, Ordering::Relaxed));
         assert_eq!(reg.len(), 3);
         // Same slot on re-lookup.
-        assert_eq!(reg.scope(id).ticks.load(Ordering::Relaxed), 3);
+        let ticks = reg.with_scope(id, |scope| scope.ticks.load(Ordering::Relaxed));
+        assert_eq!(ticks, 3);
         // Unattributed is its own scope.
-        reg.scope(ContextId::UNATTRIBUTED)
-            .sweeps
-            .fetch_add(1, Ordering::Relaxed);
+        reg.with_scope(ContextId::UNATTRIBUTED, |scope| {
+            scope.sweeps.fetch_add(1, Ordering::Relaxed)
+        });
         assert_eq!(reg.unattributed().sweeps.load(Ordering::Relaxed), 1);
     }
 

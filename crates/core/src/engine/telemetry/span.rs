@@ -104,9 +104,9 @@ pub struct Span {
 impl Span {
     /// Starts timing `phase` for `context`; the closing event goes to
     /// `sink`.
-    pub fn enter(sink: &Arc<dyn EventSink>, phase: EnginePhase, context: ContextId) -> Span {
+    pub fn enter(sink: Arc<dyn EventSink>, phase: EnginePhase, context: ContextId) -> Span {
         Span {
-            sink: Arc::clone(sink),
+            sink,
             phase,
             context,
             // lint: allow(determinism, telemetry-only: span durations feed
@@ -250,7 +250,7 @@ mod tests {
         let capture = Arc::new(Capture::default());
         let sink: Arc<dyn EventSink> = Arc::clone(&capture) as Arc<dyn EventSink>;
         {
-            let span = Span::enter(&sink, EnginePhase::Diagnosis, ContextId::UNATTRIBUTED);
+            let span = Span::enter(sink, EnginePhase::Diagnosis, ContextId::UNATTRIBUTED);
             assert_eq!(span.phase(), EnginePhase::Diagnosis);
             assert_eq!(capture.closed.load(Ordering::Relaxed), 0);
         }
@@ -265,8 +265,11 @@ mod tests {
         }
         assert_eq!(EnginePhase::from_name("nope"), None);
         // Spans against a NullSink cost one Instant and one virtual call.
-        let sink: Arc<dyn EventSink> = Arc::new(NullSink);
-        let s = Span::enter(&sink, EnginePhase::Ingest, ContextId::UNATTRIBUTED);
+        let s = Span::enter(
+            Arc::new(NullSink),
+            EnginePhase::Ingest,
+            ContextId::UNATTRIBUTED,
+        );
         drop(s);
     }
 }

@@ -71,7 +71,7 @@ pub use engine::telemetry::{
 pub use engine::{
     ArimaDetector, CapturedRun, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun,
     Diagnosis, Engine, EngineBuilder, EngineEvent, EngineInspector, EventKind, EventSink,
-    HistoryRecorder, NullRecorder, NullSink, RankedCause, RunState, TickDecision, TickOutcome,
+    HistoryRecorder, NullSink, Observer, RankedCause, RunState, TickDecision, TickOutcome,
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};

@@ -839,7 +839,7 @@ pub fn section_in(bytes: &[u8], tag: [u8; 4]) -> Result<Option<&[u8]>, HistoryFi
 mod tests {
     use super::*;
     use ix_core::{
-        ContextId, Diagnosis, EngineEvent, HistoryRecorder, RankedCause, ViolationTuple,
+        ContextId, Diagnosis, EngineEvent, EventSink, HistoryRecorder, RankedCause, ViolationTuple,
     };
     use ix_metrics::MetricId;
 
@@ -855,7 +855,7 @@ mod tests {
                 store.record_run_reset(ctx);
             }
         }
-        store.record_event(&EngineEvent::DetectionFired {
+        store.record(&EngineEvent::DetectionFired {
             context: ctx,
             tick: 42,
         });

@@ -4,7 +4,7 @@
 //! The engine (`ix-core`) diagnoses one anomaly at a time and then forgets
 //! it: the sliding window rolls on, the next sweep overwrites the last.
 //! This crate is the engine's memory. A [`HistoryStore`] attached with
-//! `Engine::builder().history(...)` receives the whole stream first-hand —
+//! `Engine::builder().observe(...)` receives the whole stream first-hand —
 //! every accepted tick row, every [`ix_core::EngineEvent`], every sweep's
 //! association scores and every finished diagnosis — and lays it out for
 //! later interrogation:

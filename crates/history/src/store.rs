@@ -4,7 +4,8 @@ use std::ops::Range;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use ix_core::{
-    ContextId, ContextRegistry, Diagnosis, EngineEvent, HistoryRecorder, SweepDegradation,
+    ContextId, ContextRegistry, Diagnosis, EngineEvent, EventSink, HistoryRecorder,
+    SweepDegradation,
 };
 use ix_metrics::{MetricFrame, MetricId, METRIC_COUNT};
 
@@ -154,7 +155,7 @@ impl Inner {
 /// The columnar engine history: per-context tick columns, the event log,
 /// and sweep/diagnosis records, behind one `RwLock`.
 ///
-/// Attach a shared store with `Engine::builder().history(store)`; query it
+/// Attach a shared store with `Engine::builder().observe(store)`; query it
 /// directly or through `ix-query`. All appends take the write lock
 /// briefly; scans take the read lock and copy out, so queries never block
 /// ingestion for longer than their own copy.
@@ -204,7 +205,7 @@ impl HistoryStoreBuilder {
     }
 
     /// The finished store behind an [`Arc`], ready to hand to
-    /// `Engine::builder().history(...)` and keep for querying.
+    /// `Engine::builder().observe(...)` and keep for querying.
     pub fn shared(self) -> Arc<HistoryStore> {
         Arc::new(self.build())
     }
@@ -478,6 +479,16 @@ impl HistoryStore {
     }
 }
 
+impl EventSink for HistoryStore {
+    fn record(&self, event: &EngineEvent) {
+        self.write().events.push(*event);
+    }
+
+    fn bind_registry(&self, registry: &Arc<ContextRegistry>) {
+        self.write().registry = Some(Arc::clone(registry));
+    }
+}
+
 impl HistoryRecorder for HistoryStore {
     fn record_tick(
         &self,
@@ -507,10 +518,6 @@ impl HistoryRecorder for HistoryStore {
         inner.log_mut(context).mark_run();
     }
 
-    fn record_event(&self, event: &EngineEvent) {
-        self.write().events.push(*event);
-    }
-
     fn record_sweep(
         &self,
         context: ContextId,
@@ -532,10 +539,6 @@ impl HistoryRecorder for HistoryStore {
             tick,
             diagnosis: diagnosis.clone(),
         });
-    }
-
-    fn bind_registry(&self, registry: &Arc<ContextRegistry>) {
-        self.write().registry = Some(Arc::clone(registry));
     }
 
     fn window_rows(&self, context: ContextId, max_ticks: usize) -> Option<Range<usize>> {
@@ -676,11 +679,11 @@ mod tests {
         let store = HistoryStore::new();
         let ctx = ContextId::from_index(1);
         let other = ContextId::from_index(3);
-        store.record_event(&EngineEvent::DetectionFired {
+        store.record(&EngineEvent::DetectionFired {
             context: ctx,
             tick: 5,
         });
-        store.record_event(&EngineEvent::DetectionCleared {
+        store.record(&EngineEvent::DetectionCleared {
             context: other,
             tick: 6,
         });

@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use ix_core::{
-    ContextId, Engine, EngineEvent, EventSink, HistoryRecorder, InvarNetConfig, ModelStore,
-    OperationContext, TickOutcome,
+    ContextId, Engine, EngineEvent, EventSink, InvarNetConfig, ModelStore, OperationContext,
+    TickOutcome,
 };
 use ix_history::HistoryStore;
 use ix_query::{all_context_rows, TickRow};
@@ -65,10 +65,9 @@ impl RecordingSession {
     pub fn new(config: InvarNetConfig, store: ModelStore) -> Result<Self, ReplayError> {
         ReplayHeader::check_config(&config)?;
         let history = HistoryStore::builder().shared();
-        let recorder: Arc<dyn HistoryRecorder> = Arc::clone(&history) as _;
         let engine = Engine::builder()
             .config(config.clone())
-            .history(recorder)
+            .observe(Arc::clone(&history))
             .build();
         engine.load_state(&store)?;
         Ok(RecordingSession {
@@ -319,11 +318,10 @@ impl Replayer {
         let header = ReplayHeader::extract(&recorded)?;
         let capture = Arc::new(CaptureSink::default());
         let replay_store = HistoryStore::builder().shared();
-        let recorder: Arc<dyn HistoryRecorder> = Arc::clone(&replay_store) as _;
         let engine = Engine::builder()
             .config(header.config.clone())
-            .event_sink(Arc::clone(&capture) as Arc<dyn EventSink>)
-            .history(recorder)
+            .observe(Arc::clone(&capture) as Arc<dyn EventSink>)
+            .observe(Arc::clone(&replay_store))
             .build();
         engine.load_state(&header.store)?;
         let schedule = build_schedule(&recorded)?;

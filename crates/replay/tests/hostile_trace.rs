@@ -9,9 +9,9 @@ use std::sync::Arc;
 
 use ix_core::{
     ArimaModel, ArimaSpec, ContextId, DegradationReason, DegradationTier, Diagnosis, EngineEvent,
-    EnginePhase, HealthState, HistoryRecorder, InvarNetConfig, InvariantEntry, InvariantSet,
-    ModelStore, OperationContext, OverloadPolicy, PerformanceModel, RankedCause, ResidualStats,
-    Signature, SweepDegradation, ViolationTuple,
+    EnginePhase, EventSink, HealthState, HistoryRecorder, InvarNetConfig, InvariantEntry,
+    InvariantSet, ModelStore, OperationContext, OverloadPolicy, PerformanceModel, RankedCause,
+    ResidualStats, Signature, SweepDegradation, ViolationTuple,
 };
 use ix_history::{HistoryFileError, HistoryStore, REPLAY_SECTION};
 use ix_metrics::METRIC_COUNT;
@@ -148,7 +148,7 @@ fn small_trace() -> Vec<u8> {
         store.record_tick(ctx, t, 1.25, 0.5, t == 1, &row);
     }
     for event in every_event(ctx) {
-        store.record_event(&event);
+        store.record(&event);
     }
     let degradation = SweepDegradation {
         tier: DegradationTier::PartialMatrix,

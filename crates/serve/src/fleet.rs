@@ -60,7 +60,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use ix_core::{
-    ContextId, Diagnosis, Engine, EngineEvent, EventSink, HealthState, InvarNetConfig, NullSink,
+    ContextId, Diagnosis, Engine, EngineEvent, EventSink, HealthState, InvarNetConfig,
     OperationContext, SubmitOutcome, SweepPool, Telemetry, TelemetrySnapshot, TickOutcome,
 };
 
@@ -299,6 +299,13 @@ impl FleetBuilder {
     /// the fleet's own lifecycle events ([`EngineEvent::TenantEvicted`] /
     /// [`EngineEvent::TenantWarmed`]) land here.
     ///
+    /// Each tenant engine gets the sink as a member of its observation
+    /// list (after the tenant's hub, when
+    /// [`FleetBuilder::per_tenant_telemetry`] is on). It keeps its name,
+    /// rather than `observe`, because the end-to-end benchmark in
+    /// `perfbench/` calls it. Unset, tenant engines observe nothing and
+    /// lifecycle events go nowhere.
+    ///
     /// The sink is called with the fleet lock held, so it must not call
     /// back into the fleet: that call would wait on the lock forever.
     pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
@@ -330,7 +337,7 @@ impl FleetBuilder {
             config_json,
             warm_limit: self.warm_limit,
             snapshot_dir: self.snapshot_dir,
-            sink: self.sink.unwrap_or_else(|| Arc::new(NullSink)),
+            sink: self.sink,
             per_tenant_telemetry: self.per_tenant_telemetry,
             pool: Arc::new(SweepPool::new(self.threads)),
             inner: Mutex::new(FleetInner {
@@ -367,7 +374,7 @@ pub struct Fleet {
     config_json: String,
     warm_limit: usize,
     snapshot_dir: Option<PathBuf>,
-    sink: Arc<dyn EventSink>,
+    sink: Option<Arc<dyn EventSink>>,
     per_tenant_telemetry: bool,
     pool: Arc<SweepPool>,
     inner: Mutex<FleetInner>,
@@ -389,6 +396,13 @@ impl Fleet {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Hands a fleet lifecycle event to the fleet sink, if one is set.
+    fn emit(&self, event: &EngineEvent) {
+        if let Some(sink) = &self.sink {
+            sink.record(event);
+        }
+    }
+
     /// Builds a fresh tenant engine wired into the fleet's shared pool
     /// and sinks, optionally seeding the lifetime tick counter.
     fn build_engine(&self, lifetime_ticks: u64) -> (Arc<Engine>, Option<Arc<Telemetry>>) {
@@ -396,16 +410,13 @@ impl Fleet {
             .config(self.config.clone())
             .shared_pool(Arc::clone(&self.pool))
             .lifetime_ticks(lifetime_ticks);
-        let telemetry = if self.per_tenant_telemetry {
-            let hub = Telemetry::shared();
-            builder = builder
-                .telemetry(&hub)
-                .extra_sink(Arc::clone(&self.sink) as Arc<dyn EventSink>);
-            Some(hub)
-        } else {
-            builder = builder.event_sink(Arc::clone(&self.sink) as Arc<dyn EventSink>);
-            None
-        };
+        let telemetry = self.per_tenant_telemetry.then(Telemetry::shared);
+        if let Some(hub) = &telemetry {
+            builder = builder.observe(hub);
+        }
+        if let Some(sink) = &self.sink {
+            builder = builder.observe(Arc::clone(sink));
+        }
         (Arc::new(builder.build()), telemetry)
     }
 
@@ -514,7 +525,7 @@ impl Fleet {
         // ordering: Relaxed — independent monotone counters; status reads
         // tolerate torn cross-counter views by contract.
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-        self.sink.record(&EngineEvent::TenantEvicted {
+        self.emit(&EngineEvent::TenantEvicted {
             context: ContextId::UNATTRIBUTED,
             tenant: num,
             ticks,
@@ -566,7 +577,7 @@ impl Fleet {
         self.metrics
             .warm_micros_max
             .fetch_max(micros, Ordering::Relaxed);
-        self.sink.record(&EngineEvent::TenantWarmed {
+        self.emit(&EngineEvent::TenantWarmed {
             context: ContextId::UNATTRIBUTED,
             tenant: inner.slots[i].num,
             micros,

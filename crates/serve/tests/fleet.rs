@@ -270,7 +270,7 @@ fn run_script(script: &[Step], cold: Cold, events: bool) -> Result<Vec<Reply>, S
     let twin_sink = Arc::new(VecSink::default());
     let twin = Engine::builder()
         .config(InvarNetConfig::default())
-        .event_sink(twin_sink.clone() as Arc<dyn EventSink>)
+        .observe(twin_sink.clone() as Arc<dyn EventSink>)
         .build();
     twin.load_state(&store)?;
 

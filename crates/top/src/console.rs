@@ -2,9 +2,9 @@
 //! engine's event stream into the state a frame needs.
 //!
 //! Attach a [`TopConsole`] to a live engine with
-//! `Engine::builder().telemetry(&hub).extra_sink(console)` — the fan-out
-//! sink hands it the same stream every other sink sees, and the ingest
-//! hot path gains no new locks (the console's mutex is taken only on the
+//! `Engine::builder().observe(&hub).observe(console)` — as one more member
+//! of the engine's observation list it sees the same stream every other
+//! member sees, and the ingest hot path gains no new locks (the console's mutex is taken only on the
 //! events the engine already emits, never on a path the engine did not
 //! already pay for).
 
@@ -53,12 +53,6 @@ impl TopConsole {
             tail_capacity: tail_capacity.max(1),
             labels: Mutex::new(None),
         }
-    }
-
-    /// Shares a context registry so tail lines carry `workload@node`
-    /// labels instead of bare context indices.
-    pub fn bind_registry(&self, registry: &Arc<ContextRegistry>) {
-        *self.labels.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(registry));
     }
 
     fn label(&self, context: ContextId) -> String {
@@ -137,6 +131,13 @@ impl std::fmt::Debug for TopConsole {
 }
 
 impl EventSink for TopConsole {
+    /// Shares a context registry so tail lines carry `workload@node`
+    /// labels instead of bare context indices. An engine calls it at
+    /// build time; a replay feed calls it with its own hub's registry.
+    fn bind_registry(&self, registry: &Arc<ContextRegistry>) {
+        *self.labels.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(registry));
+    }
+
     fn record(&self, event: &EngineEvent) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.events_seen += 1;

@@ -6,9 +6,9 @@
 //! - [`TopConsole`] — an [`ix_core::EventSink`] that distills the event
 //!   stream into a scrolling tail plus queue / shed / health readings.
 //!   Attach it to a live engine with
-//!   `Engine::builder().telemetry(&hub).extra_sink(console)`; the fan-out
-//!   sink hands it the same stream every other subscriber sees, and the
-//!   ingest hot path gains no new locks.
+//!   `Engine::builder().observe(&hub).observe(console)`; as one more member
+//!   of the engine's observation list it sees the same stream every other
+//!   member sees, and the ingest hot path gains no new locks.
 //! - [`render_frame`] — a pure function from a frozen [`TopSnapshot`]
 //!   (plus the previous frame, for cost-drift sparklines) to plain text.
 //!   No clock, no terminal: identical snapshots render identical bytes,

@@ -1,6 +1,6 @@
 //! Console behavior over synthetic and live event streams: the tail
-//! distills the right events, live attachment piggybacks on the fan-out
-//! sink, and replay re-interns recorded labels positionally.
+//! distills the right events, live attachment rides the engine's observation
+//! list, and replay re-interns recorded labels positionally.
 
 use std::sync::Arc;
 
@@ -63,16 +63,17 @@ fn tail_keeps_notable_events_and_counters_track() {
 
 #[test]
 fn live_attachment_sees_the_engine_stream_without_new_locks() {
-    // The console rides the existing fan-out sink: nothing on the ingest
-    // path knows it exists, so per-tick cost is unchanged by design.
+    const TICKS: u64 = 17;
+    // The console is one more member of the engine's observation list:
+    // nothing on the ingest path knows it exists, so per-tick cost is
+    // unchanged by design. `build` binds it to the hub's registry.
     let hub = Telemetry::shared();
     let console = Arc::new(TopConsole::new());
     let engine = Engine::builder()
         .config(InvarNetConfig::default())
-        .telemetry(&hub)
-        .extra_sink(Arc::clone(&console) as Arc<dyn EventSink>)
+        .observe(&hub)
+        .observe(Arc::clone(&console) as Arc<dyn EventSink>)
         .build();
-    console.bind_registry(engine.context_registry());
 
     let context = OperationContext::new("10.0.0.9", "Wordcount");
     let trace: Vec<Vec<f64>> = (0..5)
@@ -85,22 +86,37 @@ fn live_attachment_sees_the_engine_stream_without_new_locks() {
     engine
         .train_performance_model(context.clone(), &trace)
         .expect("train");
-    for t in 0..30 {
+    // Twelve normal ticks, then a CPI spike that fires a detection while
+    // the window is still too short to diagnose.
+    for t in 0..TICKS {
         let row = vec![0.5; ix_metrics::METRIC_COUNT];
-        let cpi = 1.0 + 0.1 * ((t as f64) * 0.3).sin();
+        let cpi = if t < 12 {
+            1.0 + 0.1 * ((t as f64) * 0.3).sin()
+        } else {
+            10.0
+        };
         engine.ingest(&context, cpi, &row).expect("ingest");
     }
 
     let snap = console.snapshot(&hub, Some(&engine));
     assert!(
-        console.events_seen() >= 30,
+        console.events_seen() >= TICKS,
         "every ingest tick must reach the console"
     );
-    assert_eq!(snap.latest_tick, 29);
+    assert_eq!(snap.latest_tick, TICKS - 1);
     assert_eq!(snap.health, "healthy");
     assert_eq!(snap.queue_capacity, engine.ingest_queue_capacity() as u64);
-    // The hub saw the same stream (fan-out order: sinks, then tee).
-    assert_eq!(snap.telemetry.total.ticks, 30);
+    // The hub saw the same stream.
+    assert_eq!(snap.telemetry.total.ticks, TICKS);
+    // The console resolves the engine's context ids through the registry
+    // `build` bound it to.
+    assert!(
+        snap.tail
+            .iter()
+            .any(|line| line.contains("DETECT") && line.contains("Wordcount@10.0.0.9")),
+        "tail: {:?}",
+        snap.tail
+    );
 }
 
 #[test]
@@ -122,7 +138,7 @@ fn replay_feed_reinterns_recorded_labels_positionally() {
             false,
             &vec![0.0; ix_metrics::METRIC_COUNT],
         );
-        store.record_event(&EngineEvent::TickIngested {
+        store.record(&EngineEvent::TickIngested {
             context: ctx,
             tick: t,
             residual: 0.0,
@@ -130,7 +146,7 @@ fn replay_feed_reinterns_recorded_labels_positionally() {
             micros: 1,
         });
     }
-    store.record_event(&EngineEvent::DetectionFired {
+    store.record(&EngineEvent::DetectionFired {
         context: b,
         tick: 3,
     });

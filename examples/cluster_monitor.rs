@@ -31,7 +31,7 @@ fn main() {
     let telemetry = Telemetry::shared();
     let system = Engine::builder()
         .config(InvarNetConfig::default())
-        .telemetry(&telemetry)
+        .observe(&telemetry)
         .build();
     println!("== training contexts ==");
     for &workload in &workloads {

@@ -31,7 +31,7 @@ fn main() {
     let store = HistoryStore::builder().shared();
     let engine = Engine::builder()
         .config(InvarNetConfig::default())
-        .history(store.clone())
+        .observe(store.clone())
         .build();
 
     let normals = runner.normal_runs(workload, 6);

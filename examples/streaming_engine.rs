@@ -30,7 +30,7 @@ fn main() {
             window_ticks: runner.fault_duration_ticks,
             ..InvarNetConfig::default()
         })
-        .telemetry(&telemetry)
+        .observe(&telemetry)
         .build();
 
     let normals = runner.normal_runs(workload, 6);

@@ -154,7 +154,7 @@ fn trained(counts: &Arc<SweepCounts>) -> (Engine, OperationContext, Runner, Trai
     let engine = Engine::builder()
         .config(InvarNetConfig::default())
         .threads(1)
-        .event_sink(Arc::clone(counts) as Arc<dyn EventSink>)
+        .observe(Arc::clone(counts) as Arc<dyn EventSink>)
         .build();
     let normals = runner.normal_runs(workload, 4);
     let cpi: Vec<Vec<f64>> = normals

@@ -86,7 +86,7 @@ fn streamed_ticks_reproduce_batch_detection_and_diagnosis() {
     let telemetry = Telemetry::shared();
     let engine = Engine::builder()
         .config(streaming_config())
-        .telemetry(&telemetry)
+        .observe(&telemetry)
         .build();
 
     let ctx = OperationContext::new("10.0.0.1", "Wordcount");

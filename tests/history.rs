@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use invarnet_x::core::{
-    pair_count, Engine, EngineEvent, EventSink, InvarNetConfig, OperationContext,
+    pair_count, Engine, EngineEvent, EventSink, InvarNetConfig, OperationContext, Telemetry,
 };
 use invarnet_x::history::HistoryStore;
 use invarnet_x::query::Query;
@@ -147,7 +147,7 @@ fn stream(engine: &Engine, context: &OperationContext, run: &RunResult) -> Vec<O
 fn recorder_attached_engine_is_bit_identical() {
     let (bare, context, run) = trained_engine(|b| b);
     let store = HistoryStore::builder().shared();
-    let (recorded, context2, run2) = trained_engine(|b| b.history(store.clone()));
+    let (recorded, context2, run2) = trained_engine(|b| b.observe(store.clone()));
     assert_eq!(context, context2);
     assert!(!bare.has_history());
     assert!(recorded.has_history());
@@ -182,9 +182,9 @@ fn recorder_attached_engine_is_bit_identical() {
 #[test]
 fn recorded_events_match_a_bare_engine_modulo_timing() {
     let sink = Arc::new(VecSink::default());
-    let (bare, context, run) = trained_engine(|b| b.event_sink(sink.clone() as Arc<dyn EventSink>));
+    let (bare, context, run) = trained_engine(|b| b.observe(sink.clone() as Arc<dyn EventSink>));
     let store = HistoryStore::builder().shared();
-    let (recorded, _, run2) = trained_engine(|b| b.history(store.clone()));
+    let (recorded, _, run2) = trained_engine(|b| b.observe(store.clone()));
 
     stream(&bare, &context, &run);
     stream(&recorded, &context, &run2);
@@ -195,10 +195,118 @@ fn recorded_events_match_a_bare_engine_modulo_timing() {
     );
 }
 
+/// A counting sink that also notes, at each tick it sees, how many events
+/// the store and how many ticks the hub had taken by then: whether they
+/// sit before or after it on the observation list.
+struct OrderProbe {
+    store: Arc<HistoryStore>,
+    hub: Arc<Telemetry>,
+    events: VecSink,
+    /// Per `TickIngested`: (probe events before it, store events, hub ticks).
+    at_ticks: Mutex<Vec<(usize, usize, u64)>>,
+}
+
+impl EventSink for OrderProbe {
+    fn record(&self, event: &EngineEvent) {
+        let before = self
+            .events
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        if let EngineEvent::TickIngested { .. } = event {
+            let counts = (
+                before,
+                self.store.events().len(),
+                self.hub.snapshot().total.ticks,
+            );
+            self.at_ticks
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(counts);
+        }
+        self.events.record(event);
+    }
+}
+
+#[test]
+fn every_member_sees_every_event_in_list_order() {
+    let (bare, context, run) = trained_engine(|b| b);
+    let bare_outcomes = stream(&bare, &context, &run);
+
+    // The probe sits in the middle; the hub goes first, then last.
+    for hub_first in [true, false] {
+        let store = HistoryStore::builder().shared();
+        let hub = Telemetry::shared();
+        let probe = Arc::new(OrderProbe {
+            store: Arc::clone(&store),
+            hub: Arc::clone(&hub),
+            events: VecSink::default(),
+            at_ticks: Mutex::default(),
+        });
+        let (engine, _, run) = trained_engine(|b| {
+            let b = b.threads(1);
+            let b = if hub_first {
+                b.observe(&hub)
+            } else {
+                b.observe(store.clone())
+            };
+            let b = b.observe(Arc::clone(&probe) as Arc<dyn EventSink>);
+            if hub_first {
+                b.observe(store.clone())
+            } else {
+                b.observe(&hub)
+            }
+        });
+        assert_eq!(
+            stream(&engine, &context, &run),
+            bare_outcomes,
+            "an observed engine must ingest and diagnose like one with no member"
+        );
+
+        // The engine interns into the hub's registry wherever the hub
+        // sits, and binds the store to it.
+        assert!(Arc::ptr_eq(engine.context_registry(), hub.contexts()));
+        let id = hub.contexts().lookup(&context).expect("interned");
+        assert_eq!(store.label(id), hub.contexts().label(id));
+
+        // Every member saw every event: the recorder's log is the sink's,
+        // and the hub counted the same ticks and detections.
+        let events = probe.events.events();
+        assert_eq!(store.events(), events);
+        let count = |f: fn(&EngineEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
+        let total = hub.snapshot().total;
+        assert_eq!(
+            total.ticks,
+            count(|e| matches!(e, EngineEvent::TickIngested { .. }))
+        );
+        assert_eq!(
+            total.detections,
+            count(|e| matches!(e, EngineEvent::DetectionFired { .. }))
+        );
+
+        // In list order: at each tick, a member before the probe has
+        // already taken it and a member after has not.
+        let at_ticks = probe
+            .at_ticks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(at_ticks.len() as u64, total.ticks);
+        for (k, &(before, stored, hub_ticks)) in at_ticks.iter().enumerate() {
+            let k = k as u64;
+            if hub_first {
+                assert_eq!((stored, hub_ticks), (before, k + 1));
+            } else {
+                assert_eq!((stored, hub_ticks), (before + 1, k));
+            }
+        }
+    }
+}
+
 #[test]
 fn query_explanations_reproduce_the_live_ranking() {
     let store = HistoryStore::builder().shared();
-    let (engine, context, run) = trained_engine(|b| b.history(store.clone()));
+    let (engine, context, run) = trained_engine(|b| b.observe(store.clone()));
 
     // Stop at the diagnosis tick so the recorded current-run window is
     // exactly the window the live diagnosis ranked over.
@@ -336,8 +444,8 @@ fn tee_preserves_per_context_order_under_concurrent_ingest() {
     let sink = Arc::new(VecSink::default());
     let mut builder = Engine::builder()
         .config(InvarNetConfig::default())
-        .event_sink(sink.clone())
-        .history(store.clone());
+        .observe(sink.clone() as Arc<dyn EventSink>)
+        .observe(store.clone());
     let contexts: Vec<OperationContext> = (0..THREADS)
         .map(|i| OperationContext::new(format!("10.0.0.{i}"), format!("Workload{i}")))
         .collect();
@@ -404,11 +512,11 @@ fn tee_preserves_per_context_order_under_concurrent_ingest() {
 #[test]
 fn a_snapshot_loaded_engine_records_what_the_trained_engine_records() {
     let trained_store = HistoryStore::builder().shared();
-    let (trained, context, run) = trained_engine(|b| b.history(trained_store.clone()));
+    let (trained, context, run) = trained_engine(|b| b.observe(trained_store.clone()));
     let loaded_store = HistoryStore::builder().shared();
     let loaded = Engine::builder()
         .config(InvarNetConfig::default())
-        .history(loaded_store.clone())
+        .observe(loaded_store.clone())
         .build();
     loaded
         .load_state(&trained.snapshot_state())

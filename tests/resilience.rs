@@ -118,7 +118,7 @@ fn warm_cache_degrades_to_tier1_cached_matrix() {
     let engine = Engine::builder()
         .config(InvarNetConfig::default())
         .measure(Arc::clone(&slow) as Arc<dyn AssociationMeasure>)
-        .event_sink(Arc::clone(&log) as Arc<dyn EventSink>)
+        .observe(Arc::clone(&log) as Arc<dyn EventSink>)
         .build();
     let ctx = OperationContext::new("10.1.0.1", "Wordcount");
     train(&engine, &ctx, 300);
@@ -202,7 +202,7 @@ fn slow_measure_event_sequence_declares_the_degraded_sweep() {
     let engine = Engine::builder()
         .config(InvarNetConfig::default())
         .measure(Arc::clone(&slow) as Arc<dyn AssociationMeasure>)
-        .event_sink(Arc::clone(&log) as Arc<dyn EventSink>)
+        .observe(Arc::clone(&log) as Arc<dyn EventSink>)
         .build();
     let ctx = OperationContext::new("10.1.0.4", "Wordcount");
     train(&engine, &ctx, 330);
@@ -294,7 +294,7 @@ fn trained() -> &'static Trained {
 fn fresh_engine(store: &ModelStore, sink: Option<Arc<dyn EventSink>>) -> Engine {
     let mut builder = Engine::builder();
     if let Some(sink) = sink {
-        builder = builder.event_sink(sink);
+        builder = builder.observe(sink);
     }
     let engine = builder.build();
     engine.load_state(store).unwrap();

@@ -83,7 +83,7 @@ impl EventSink for EventLog {
 fn logged_engine() -> (Engine, Arc<EventLog>) {
     let log = Arc::new(EventLog::default());
     let engine = Engine::builder()
-        .event_sink(Arc::clone(&log) as Arc<dyn EventSink>)
+        .observe(Arc::clone(&log) as Arc<dyn EventSink>)
         .build();
     (engine, log)
 }

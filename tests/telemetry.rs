@@ -251,7 +251,7 @@ fn streamed_fault_run_is_attributed_and_json_round_trips() {
             window_ticks: 40,
             ..InvarNetConfig::default()
         })
-        .telemetry(&telemetry)
+        .observe(&telemetry)
         .build();
 
     let ctx = OperationContext::new("10.0.0.1", "Wordcount");
@@ -326,7 +326,7 @@ fn unattributed_sweeps_and_profile_builds_flow_through_exporters() {
             min_frame_ticks: 5,
             ..InvarNetConfig::default()
         })
-        .telemetry(&telemetry)
+        .observe(&telemetry)
         .build();
 
     // Three unattributed sweeps over two distinct windows: no context owns
