@@ -155,151 +155,99 @@ impl EventSink for Telemetry {
     // readers tolerate torn cross-counter views, and quiescence (engine
     // drop/join) makes the final numbers exact.
     fn record(&self, event: &EngineEvent) {
-        match *event {
-            EngineEvent::TickIngested {
-                context,
-                residual,
-                exceeded,
-                micros,
-                ..
-            } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope.record_tick(residual, exceeded, micros);
-                });
-            }
-            EngineEvent::DetectionFired { context, .. } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .detections
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            EngineEvent::DetectionCleared { context, .. } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .clears
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            EngineEvent::DiagnosisRan {
-                context, micros, ..
-            } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .diagnoses
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        use std::sync::atomic::Ordering::Relaxed;
+        if let EngineEvent::SpanClosed {
+            phase,
+            context,
+            micros,
+        } = *event
+        {
+            self.phases[phase.index()].record(micros);
+            self.spans.push(phase, context, micros);
+            return;
+        }
+        // Fleet lifecycle events carry no per-context telemetry: the
+        // fleet's own registry counts evictions and warm latencies.
+        if matches!(
+            event,
+            EngineEvent::TenantEvicted { .. } | EngineEvent::TenantWarmed { .. }
+        ) {
+            return;
+        }
+        self.metrics
+            .with_scope(event.context(), |scope| match *event {
+                EngineEvent::TickIngested {
+                    residual,
+                    exceeded,
+                    micros,
+                    ..
+                } => scope.record_tick(residual, exceeded, micros),
+                EngineEvent::DetectionFired { .. } => {
+                    scope.detections.fetch_add(1, Relaxed);
+                }
+                EngineEvent::DetectionCleared { .. } => {
+                    scope.clears.fetch_add(1, Relaxed);
+                }
+                EngineEvent::DiagnosisRan { micros, .. } => {
+                    scope.diagnoses.fetch_add(1, Relaxed);
                     scope.diagnosis_micros.record(micros);
-                });
-            }
-            EngineEvent::SignatureMatched {
-                context,
-                best_similarity,
-                confident,
-                ..
-            } => {
-                self.metrics.with_scope(context, |scope| {
-                    if confident {
-                        scope
-                            .matches_confident
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                EngineEvent::SignatureMatched {
+                    best_similarity,
+                    confident,
+                    ..
+                } => {
+                    let matches = if confident {
+                        &scope.matches_confident
                     } else {
-                        scope
-                            .matches_unknown
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    scope.last_similarity.store(
-                        best_similarity.to_bits(),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                });
-            }
-            EngineEvent::SweepCompleted {
-                context,
-                pairs,
-                micros,
-            } => {
-                self.metrics.with_scope(context, |scope| {
+                        &scope.matches_unknown
+                    };
+                    matches.fetch_add(1, Relaxed);
                     scope
-                        .sweeps
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    scope
-                        .pairs_scored
-                        .fetch_add(pairs as u64, std::sync::atomic::Ordering::Relaxed);
+                        .last_similarity
+                        .store(best_similarity.to_bits(), Relaxed);
+                }
+                EngineEvent::SweepCompleted { pairs, micros, .. } => {
+                    scope.sweeps.fetch_add(1, Relaxed);
+                    scope.pairs_scored.fetch_add(pairs as u64, Relaxed);
                     scope.sweep_micros.record(micros);
-                });
-            }
-            EngineEvent::SweepScreened {
-                context,
-                reused,
-                screened,
-                confirmed,
-            } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .sweep_pairs_reused
-                        .fetch_add(reused as u64, std::sync::atomic::Ordering::Relaxed);
+                }
+                EngineEvent::SweepScreened {
+                    reused,
+                    screened,
+                    confirmed,
+                    ..
+                } => {
+                    scope.sweep_pairs_reused.fetch_add(reused as u64, Relaxed);
                     scope
                         .sweep_pairs_screened
-                        .fetch_add(screened as u64, std::sync::atomic::Ordering::Relaxed);
+                        .fetch_add(screened as u64, Relaxed);
                     scope
                         .sweep_pairs_confirmed
-                        .fetch_add(confirmed as u64, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            EngineEvent::PairsScored {
-                context,
-                pairs,
-                micros,
-            } => {
-                let nanos_per_pair = micros.saturating_mul(1000) / (pairs.max(1) as u64);
-                self.metrics.with_scope(context, |scope| {
+                        .fetch_add(confirmed as u64, Relaxed);
+                }
+                EngineEvent::PairsScored { pairs, micros, .. } => {
+                    let nanos_per_pair = micros.saturating_mul(1000) / (pairs.max(1) as u64);
                     scope.pair_score_nanos.record(nanos_per_pair);
-                });
-            }
-            EngineEvent::SpanClosed {
-                phase,
-                context,
-                micros,
-            } => {
-                self.phases[phase.index()].record(micros);
-                self.spans.push(phase, context, micros);
-            }
-            EngineEvent::SweepDegraded { context, .. } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .sweeps_degraded
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            EngineEvent::TickEnqueued { context, depth } => {
-                self.metrics
-                    .with_scope(context, |scope| scope.record_queue_depth(depth as u64));
-            }
-            EngineEvent::TickShed { context, .. } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .ticks_shed
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            EngineEvent::StoreRetried { context, .. } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .store_retries
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            EngineEvent::HealthChanged { context, .. } => {
-                self.metrics.with_scope(context, |scope| {
-                    scope
-                        .health_transitions
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-            // Fleet lifecycle events carry no per-context telemetry: the
-            // fleet's own registry counts evictions and warm latencies.
-            EngineEvent::TenantEvicted { .. } | EngineEvent::TenantWarmed { .. } => {}
-        }
+                }
+                EngineEvent::SweepDegraded { .. } => {
+                    scope.sweeps_degraded.fetch_add(1, Relaxed);
+                }
+                EngineEvent::TickEnqueued { depth, .. } => scope.record_queue_depth(depth as u64),
+                EngineEvent::TickShed { .. } => {
+                    scope.ticks_shed.fetch_add(1, Relaxed);
+                }
+                EngineEvent::StoreRetried { .. } => {
+                    scope.store_retries.fetch_add(1, Relaxed);
+                }
+                EngineEvent::HealthChanged { .. } => {
+                    scope.health_transitions.fetch_add(1, Relaxed);
+                }
+                // Handled above, without a scope.
+                EngineEvent::SpanClosed { .. }
+                | EngineEvent::TenantEvicted { .. }
+                | EngineEvent::TenantWarmed { .. } => {}
+            });
     }
 }
 
