@@ -389,18 +389,14 @@ impl Observers {
     pub(crate) fn window_source(&self) -> Option<&Arc<dyn HistoryRecorder>> {
         self.recorders.first()
     }
-
-    /// Hands `event` to every member, in list order.
-    pub(crate) fn record(&self, event: &EngineEvent) {
-        for member in &*self.members {
-            member.record(event);
-        }
-    }
 }
 
 impl EventSink for Observers {
+    /// Hands `event` to every member, in list order.
     fn record(&self, event: &EngineEvent) {
-        Observers::record(self, event);
+        for member in &*self.members {
+            member.record(event);
+        }
     }
 }
 

@@ -12,7 +12,7 @@ use crate::invariants::InvariantSet;
 
 use super::detector::{RunState, TickDecision};
 use super::diagnosis::Diagnosis;
-use super::events::EngineEvent;
+use super::events::{EngineEvent, EventSink};
 use super::telemetry::EnginePhase;
 use super::Engine;
 

@@ -44,7 +44,7 @@ use std::sync::{Arc, PoisonError};
 
 use crate::context::OperationContext;
 use crate::engine::telemetry::ContextId;
-use crate::engine::{Engine, EngineEvent};
+use crate::engine::{Engine, EngineEvent, EventSink};
 use crate::error::CoreError;
 use crate::store::ModelStore;
 

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::context::OperationContext;
 use crate::engine::ingest::TickOutcome;
-use crate::engine::{Engine, EngineEvent};
+use crate::engine::{Engine, EngineEvent, EventSink};
 use crate::error::CoreError;
 
 /// What a full ingest queue does with the next tick.
