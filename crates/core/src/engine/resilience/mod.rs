@@ -42,6 +42,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, PoisonError};
 
+use crate::config::DetectorChoice;
 use crate::context::OperationContext;
 use crate::engine::telemetry::ContextId;
 use crate::engine::{Engine, EngineEvent, EventSink};
@@ -150,9 +151,24 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`CoreError`] with kind `Serialization` for a key with no `@`; the
-    /// engine is left with the contexts installed before it.
+    /// [`CoreError::Serialization`] when this engine is configured for the
+    /// CUSUM detector ([`DetectorChoice::Cusum`]) and the store holds any
+    /// performance model: a store carries no CUSUM parameters, so no
+    /// detector could be installed for it. Nothing is installed.
+    ///
+    /// [`CoreError::InvalidStoreKey`] (kind `Serialization`) for a key with
+    /// no `@`; the engine is left with the contexts installed before it.
     pub fn load_state(&self, store: &ModelStore) -> Result<(), CoreError> {
+        if matches!(self.config.detector, DetectorChoice::Cusum { .. })
+            && !store.performance_models.is_empty()
+        {
+            let reason = "the store holds no CUSUM parameters, and this engine's \
+                          detector is CUSUM";
+            return Err(CoreError::Serialization {
+                op: "model store",
+                source: Arc::from(Box::<dyn std::error::Error + Send + Sync>::from(reason)),
+            });
+        }
         for (key, model) in &store.performance_models {
             let context = context_of_key(key)?;
             self.install_performance_model_internal(&context, Arc::clone(model));

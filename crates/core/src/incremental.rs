@@ -17,22 +17,25 @@
 //! - **unscored** — no pass of this context has scored the pair; the
 //!   score is a placeholder `0.0`.
 //!
+//! One rule covers a window that moved: every scored pair becomes stale,
+//! and unscored pairs stay unscored. Fresh and bound tags therefore only
+//! ever describe the window the record holds.
+//!
 //! Passes over a record:
 //!
 //! 0. **Cold pass** — a window that is not a slide of the record gets
 //!    [`IncrementalSweep::cold`]: one plan built on the pool (for MIC, 26
 //!    series profiles, built once), a record seeded from the previous one
-//!    (fresh and bound pairs become stale, unscored pairs stay unscored;
-//!    with no previous record every pair is unscored), then the rescore
-//!    below. Pairs no invariant reads keep their seeded score and tag.
+//!    under the rule above (with no previous record every pair is
+//!    unscored), then the rescore below. Pairs no invariant reads keep
+//!    their seeded score and tag.
 //! 1. **Slide** — [`IncrementalSweep::advance`] detects that the new
 //!    window is the old one unchanged or shifted forward by at most
-//!    [`MAX_SLIDE`] ticks and slides every per-series profile in place
-//!    ([`SweepPlan::slide`]), bit-identically to rebuilding it. Series
-//!    whose departing and entering samples are bit-equal are *clean*:
-//!    their (value, partner) multisets are unchanged, so a pair touching
-//!    only clean series keeps its tag. Every other scored pair becomes
-//!    stale.
+//!    [`MAX_SLIDE`] ticks. A shift of one or more ticks slides every
+//!    per-series profile in place ([`SweepPlan::slide`]; a profile that
+//!    cannot take a step is rebuilt from the new window), bit-identically
+//!    to building it afresh, and then applies the rule above: what the
+//!    slide saves is the profile builds, not kernel work.
 //! 2. **Rescore** — [`IncrementalSweep::rescore`] classifies every pair
 //!    under the current invariants and ε. Non-invariant pairs keep their
 //!    score. Fresh pairs are reused. A bound pair is reused with no kernel
@@ -43,7 +46,8 @@
 //!    unit at a time and stops as soon as an entry clears
 //!    ([`ix_mic::mic_floor_scratch`]). A cleared pair stores that entry and
 //!    becomes bound; any other pair stores its exact score and becomes
-//!    fresh.
+//!    fresh. Only a zero-tick slide (an unchanged window) finds fresh or
+//!    bound invariant pairs to reuse.
 //!
 //! Every pass runs under the diagnosis's [`PassScope`]: its deadline and
 //! pair cap. A pass cut short keeps the prefix of its list it scored;
@@ -56,21 +60,22 @@
 //! or [`IncrementalSweep::rescore`] ([`ScreenOutcome::unreached`] is `0`)
 //! produces a violation tuple bit-identical
 //! to one built from a full from-scratch sweep of the same window. Fresh
-//! pairs hold the exact bits (the plan is bit-exact, and clean pairs keep
-//! their multisets). A bound pair holds an entry `v` of the set the kernel
-//! maximizes, computed by the same code, so `v <= mic`; with `1 − I < ε`,
-//! monotone rounding gives `fl(I − mic) <= fl(I − v) < ε` and
-//! `fl(mic − I) <= fl(1 − I) < ε`, so both grade to `0.0`. An unchanged
-//! window is rescored too (as a zero-tick slide) rather than served raw:
-//! the invariants may have changed since the last pass.
+//! pairs hold the exact bits: the plan is bit-exact, and a pair is fresh
+//! only for the window it was scored on. A bound pair holds an entry `v`
+//! of the set the kernel maximizes, computed by the same code, so
+//! `v <= mic`; with `1 − I < ε`, monotone rounding gives
+//! `fl(I − mic) <= fl(I − v) < ε` and `fl(mic − I) <= fl(1 − I) < ε`, so
+//! both grade to `0.0`. An unchanged window is rescored too (as a
+//! zero-tick slide) rather than served raw: the invariants may have
+//! changed since the last pass.
 //! `tests/golden_sweep.rs` pins the contract (bit-exactness hammer from a
 //! cold pass), and `crates/mic/tests/floor.rs` the kernel's half of it.
 
 use std::sync::Arc;
 
-use crate::assoc::{pair_count, pair_index, AssociationMatrix, PassPair, PassScope, SweepPool};
+use crate::assoc::{pair_count, AssociationMatrix, PassPair, PassScope, SweepPool};
 use crate::invariants::InvariantSet;
-use crate::measure::{AssociationMeasure, Floor, Floored, SlideOutcome, SweepPlan};
+use crate::measure::{AssociationMeasure, Floor, Floored, SweepPlan};
 
 /// Longest window shift (in ticks) `advance` absorbs in place. Beyond
 /// this, shift detection costs more than it saves and the caller should
@@ -85,7 +90,8 @@ pub enum AdvanceOutcome {
     /// reading the matrix.
     Identical,
     /// The new window is the recorded one slid forward by `shift` ticks;
-    /// the plan was advanced in place and stale pairs were marked.
+    /// the plan was slid in place, every scored pair is now stale and
+    /// unscored pairs stay unscored.
     Advanced {
         /// How many ticks the window moved.
         shift: usize,
@@ -103,7 +109,9 @@ pub enum AdvanceOutcome {
 pub struct ScreenOutcome {
     /// Pairs whose recorded score was kept with no kernel work: pairs no
     /// invariant reads, fresh pairs, and bound pairs whose floor still
-    /// clears.
+    /// clears. On a cold pass or a slide no invariant pair is fresh or
+    /// bound, so this counts exactly the pairs no invariant reads; only a
+    /// zero-tick rescore reuses invariant pairs.
     pub reused: usize,
     /// Pairs the pass stopped early on: a kernel entry cleared the
     /// invariant's floor, and the pair is now bound.
@@ -142,10 +150,6 @@ pub struct IncrementalSweep {
     scores: Vec<f64>,
     /// Per-pair tags: fresh, bound, stale or unscored.
     state: Vec<PairState>,
-    /// Per-series "profile moved" flags for the advance in progress.
-    moved: Vec<bool>,
-    /// Per-series "needs full rebuild" flags for the advance in progress.
-    rebuilt: Vec<bool>,
     /// The pairs the pass in progress scores (a buffer kept across
     /// passes).
     pending: Vec<PassPair>,
@@ -155,12 +159,12 @@ impl IncrementalSweep {
     /// The cold pass: plans `series` once on the pool
     /// ([`SweepPool::plan`]) and seeds a record for it from `previous`,
     /// the context's earlier record, whose buffers it takes over: every
-    /// score is kept, fresh and bound pairs become stale, and unscored
-    /// pairs stay unscored. With no previous record every pair is
-    /// unscored at `0.0`. Then [`IncrementalSweep::rescore`] runs under
-    /// `invariants`, `epsilon` and `scope`. When the pass completes every
-    /// invariant pair is fresh or bound, so the violation tuple is exact;
-    /// every other pair keeps its seeded score and tag.
+    /// score is kept, scored pairs become stale, and unscored pairs stay
+    /// unscored. With no previous record every pair is unscored at `0.0`.
+    /// Then [`IncrementalSweep::rescore`] runs under `invariants`,
+    /// `epsilon` and `scope`. When the pass completes every invariant pair
+    /// is fresh or bound, so the violation tuple is exact; every other
+    /// pair keeps its seeded score and tag.
     ///
     /// # Panics
     ///
@@ -181,13 +185,7 @@ impl IncrementalSweep {
                     pair_count(),
                     "wrong score vector length"
                 );
-                for state in &mut record.state {
-                    if *state != PairState::Unscored {
-                        *state = PairState::Stale;
-                    }
-                }
-                record.moved.resize(series.len(), false);
-                record.rebuilt.resize(series.len(), false);
+                record.mark_stale();
                 record.series = series;
                 // The old plan goes before the new one is built, so the
                 // new profiles can take its memory.
@@ -195,8 +193,6 @@ impl IncrementalSweep {
                 record
             }
             None => IncrementalSweep {
-                moved: vec![false; series.len()],
-                rebuilt: vec![false; series.len()],
                 series,
                 plan: None,
                 scores: vec![0.0; pair_count()],
@@ -212,9 +208,9 @@ impl IncrementalSweep {
 
     /// Detects whether `new_series` is this record's window unchanged or
     /// slid forward by at most [`MAX_SLIDE`] ticks and, if it slid,
-    /// absorbs the shift: every profile slides in place and pairs
-    /// touching a moved series become stale. A series whose profile
-    /// cannot take a step is rebuilt from the new window.
+    /// absorbs the shift: every profile slides in place (or is rebuilt
+    /// from the new window when it cannot take a step), every scored pair
+    /// becomes stale, and unscored pairs stay unscored.
     ///
     /// On [`AdvanceOutcome::Unsupported`] nothing has moved: the record
     /// still holds its window, scores and plan.
@@ -254,44 +250,22 @@ impl IncrementalSweep {
         let Some(plan) = self.plan.as_mut().filter(|plan| plan.incremental()) else {
             return AdvanceOutcome::Unsupported;
         };
-        for flag in &mut self.moved {
-            *flag = false;
+        for (k, (old, new)) in self.series.iter_mut().zip(new_series).enumerate() {
+            plan.slide(k, shift, new);
+            old.copy_from_slice(new);
         }
-        for flag in &mut self.rebuilt {
-            *flag = false;
-        }
-        for step in 0..shift {
-            for (k, new) in new_series.iter().enumerate() {
-                if self.rebuilt[k] {
-                    continue;
-                }
-                let departing = self.series[k][step];
-                let entering = new[n - shift + step];
-                match plan.slide(k, departing, entering) {
-                    SlideOutcome::Clean => {}
-                    SlideOutcome::Moved => self.moved[k] = true,
-                    SlideOutcome::Rebuild | SlideOutcome::Unsupported => {
-                        self.rebuilt[k] = true;
-                        self.moved[k] = true;
-                    }
-                }
-            }
-        }
-        for (k, new) in new_series.iter().enumerate() {
-            if self.rebuilt[k] {
-                plan.rebuild_series(k, new);
-            }
-            self.series[k].copy_from_slice(new);
-        }
-        for i in 0..self.series.len() {
-            for j in (i + 1)..self.series.len() {
-                let state = &mut self.state[pair_index(i, j)];
-                if (self.moved[i] || self.moved[j]) && *state != PairState::Unscored {
-                    *state = PairState::Stale;
-                }
-            }
-        }
+        self.mark_stale();
         AdvanceOutcome::Advanced { shift }
+    }
+
+    /// Marks every scored pair stale and leaves unscored pairs unscored:
+    /// what a window that moved does to the record's tags.
+    fn mark_stale(&mut self) {
+        for state in &mut self.state {
+            if *state != PairState::Unscored {
+                *state = PairState::Stale;
+            }
+        }
     }
 
     /// Re-establishes the soundness contract for the current window under
@@ -644,11 +618,12 @@ mod tests {
         let mut inc = cold_record(&pool, &base, 0.2);
         // Same window: identical, state not consumed.
         assert_eq!(inc.advance(&series_of(&base)), AdvanceOutcome::Identical);
-        // One-tick slide.
+        // One-tick slide: every scored pair is stale.
         assert_eq!(
             inc.advance(&series_of(&frame(40, 1))),
             AdvanceOutcome::Advanced { shift: 1 }
         );
+        assert_eq!(inc.count(PairState::Stale), pair_count());
         // Multi-tick slide within MAX_SLIDE.
         assert_eq!(
             inc.advance(&series_of(&frame(40, 4))),

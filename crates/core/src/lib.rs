@@ -82,7 +82,7 @@ pub use invariants::{InvariantEntry, InvariantSet};
 pub use ix_arima::{ArimaModel, ArimaSpec};
 pub use measure::{
     ArxMeasure, AssociationMeasure, Floor, Floored, MicMeasure, PairScorer, PearsonMeasure,
-    SlideOutcome, SweepPlan,
+    SweepPlan,
 };
 pub use signature::{Signature, SignatureDatabase, ViolationTuple};
 pub use similarity::Similarity;

@@ -15,59 +15,35 @@ use ix_timeseries::pearson;
 
 use crate::assoc::SweepPool;
 
-/// How a [`SweepPlan`] absorbed one sliding-window step for one series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlideOutcome {
-    /// The entering sample is bit-identical to the departing one: the
-    /// series' (value, partner) multiset is unchanged, so every cached
-    /// score involving it is still the fresh value.
-    Clean,
-    /// The series' preprocessing was updated in place; pairs involving it
-    /// must be re-screened or re-scored before their cached scores can be
-    /// trusted as fresh.
-    Moved,
-    /// The plan could not absorb the step for this series; the caller must
-    /// hand it the full window via [`SweepPlan::rebuild_series`].
-    Rebuild,
-    /// This plan does not maintain per-series state incrementally.
-    Unsupported,
-}
-
 /// Per-sweep shared preprocessing of all metric series, produced by
 /// [`AssociationMeasure::prepare`]. A plan owns whatever a measure can
 /// amortize across the sweep's pairs (for MIC: one [`SeriesProfile`] per
 /// series); workers then pull per-thread [`PairScorer`]s from it.
 ///
-/// Plans that report [`SweepPlan::incremental`] additionally support
-/// delta-maintenance: [`SweepPlan::slide`] advances one series by one
-/// sliding-window step in place, bit-identically to rebuilding the plan
-/// from the slid window.
+/// Plans that report [`SweepPlan::incremental`] additionally slide in
+/// place: [`SweepPlan::slide`] moves one series forward a few ticks,
+/// leaving the plan exactly as if it had been prepared from the slid
+/// window.
 #[must_use = "a SweepPlan holds the sweep's amortized preprocessing; dropping it redoes that work"]
 pub trait SweepPlan: Send + Sync {
     /// A scorer with its own mutable scratch. Each sweep worker takes one,
     /// so scoring needs no locking.
     fn scorer(&self) -> Box<dyn PairScorer + '_>;
 
-    /// Whether this plan maintains per-series state incrementally via
-    /// [`SweepPlan::slide`]. Defaults to `false` (plans are immutable
-    /// per-sweep snapshots).
+    /// Whether this plan slides in place via [`SweepPlan::slide`].
+    /// Defaults to `false` (plans are immutable per-sweep snapshots).
     fn incremental(&self) -> bool {
         false
     }
 
-    /// Advances series `index` by one sliding-window step: the window loses
-    /// `departing` (its oldest sample) and gains `entering` (appended at
-    /// the end). Implementations must leave the plan exactly as if it had
-    /// been prepared from the slid window.
-    fn slide(&mut self, index: usize, departing: f64, entering: f64) -> SlideOutcome {
-        let _ = (index, departing, entering);
-        SlideOutcome::Unsupported
-    }
-
-    /// Rebuilds series `index` from its full window — the recovery path
-    /// when [`SweepPlan::slide`] answered [`SlideOutcome::Rebuild`].
-    fn rebuild_series(&mut self, index: usize, series: &[f64]) {
-        let _ = (index, series);
+    /// Slides series `index` forward by `shift` ticks to `window`, its new
+    /// window: the series loses its first `shift` samples and gains the
+    /// last `shift` of `window`. Implementations must leave series `index`
+    /// exactly as if the plan had been prepared from `window`. Called only
+    /// on plans that report [`SweepPlan::incremental`]; the default does
+    /// nothing.
+    fn slide(&mut self, index: usize, shift: usize, window: &[f64]) {
+        let _ = (index, shift, window);
     }
 }
 
@@ -286,23 +262,19 @@ impl SweepPlan for MicSweepPlan {
         true
     }
 
-    fn slide(&mut self, index: usize, departing: f64, entering: f64) -> SlideOutcome {
-        match self.profiles.get_mut(index) {
-            Some(Some(profile)) => match profile.slide(departing, entering) {
-                Ok(true) => SlideOutcome::Moved,
-                Ok(false) => SlideOutcome::Clean,
-                // A non-finite entering sample: hand the window back to the
-                // caller, whose rebuild lands on the same `None`-slot path
-                // as a fresh `prepare` (the pair scores 0.0 either way).
-                Err(_) => SlideOutcome::Rebuild,
-            },
-            _ => SlideOutcome::Rebuild,
-        }
-    }
-
-    fn rebuild_series(&mut self, index: usize, series: &[f64]) {
-        if let Some(slot) = self.profiles.get_mut(index) {
-            *slot = SeriesProfile::build(series, &self.params).ok();
+    fn slide(&mut self, index: usize, shift: usize, window: &[f64]) {
+        let Some(slot) = self.profiles.get_mut(index) else {
+            return;
+        };
+        let entering = &window[window.len().saturating_sub(shift)..];
+        let absorbed = slot
+            .as_mut()
+            .is_some_and(|profile| entering.iter().all(|&v| profile.slide(v).is_ok()));
+        // A non-finite entering sample, or a series with no profile: build
+        // from the new window, which lands on the same slot a fresh
+        // `prepare` would.
+        if !absorbed {
+            *slot = SeriesProfile::build(window, &self.params).ok();
         }
     }
 }

@@ -110,27 +110,20 @@ impl SeriesProfile {
     /// `entering` joins at the back.
     ///
     /// The caller guarantees the underlying window really did shift by one
-    /// — `departing` must be the value at input index 0 of the window this
-    /// profile currently describes, and every other sample's input index
-    /// drops by one while `entering` becomes index `n - 1`. Under that
-    /// contract the result is bit-identical to
-    /// [`SeriesProfile::build`] on the slid window: the stable-sort
-    /// invariant is preserved directly (index 0 is globally smallest, so it
-    /// leads its tie run; index `n - 1` is globally largest, so it is
-    /// inserted after every tie of `entering`), and partitions are either
-    /// rotated (value multiset unchanged) or re-derived with the same
+    /// — every sample's input index drops by one, the one at index 0
+    /// leaves, and `entering` becomes index `n - 1`. Under that contract
+    /// the result is bit-identical to [`SeriesProfile::build`] on the slid
+    /// window: the stable-sort invariant is preserved directly (index 0 is
+    /// globally smallest, so it leads its tie run; index `n - 1` is
+    /// globally largest, so it is inserted after every tie of `entering`),
+    /// and tie groups and partitions are re-derived with the same
     /// arithmetic as a fresh build.
-    ///
-    /// Returns `true` when the value multiset actually changed (`departing
-    /// != entering` bitwise) — only then can scores involving this series
-    /// move. A `false` return means every pair score against a partner
-    /// whose profile also did not move is reusable verbatim.
     ///
     /// # Errors
     ///
     /// [`MicError::NonFinite`] when `entering` is not finite; the profile
     /// is left unchanged.
-    pub fn slide(&mut self, departing: f64, entering: f64) -> Result<bool, MicError> {
+    pub fn slide(&mut self, entering: f64) -> Result<(), MicError> {
         if !entering.is_finite() {
             return Err(MicError::NonFinite);
         }
@@ -154,34 +147,14 @@ impl SeriesProfile {
         self.order.insert(pos, n - 1);
         self.sorted.insert(pos, entering);
         self.constant = self.sorted.first() == self.sorted.last();
-
-        let moved = departing.to_bits() != entering.to_bits();
-        if moved {
-            // The value multiset changed: re-derive tie groups and every
-            // equipartition with the same arithmetic as a fresh build,
-            // reusing the buffers in place.
-            tie_groups_into(&self.sorted, &mut self.groups);
-            let max_rows = (self.budget / 2).max(2);
-            for k in 2..=max_rows {
-                equipartition_groups_into(
-                    &self.order,
-                    &self.groups,
-                    n,
-                    k,
-                    &mut self.partitions[k - 2],
-                );
-            }
-        } else {
-            // Same value out and in: the bin of every value is unchanged,
-            // and input positions all shift down by one, so each
-            // assignment vector rotates left — new[i] = old[i + 1], and
-            // the entering sample (index n - 1) inherits the departing
-            // sample's bin, old[0].
-            for part in &mut self.partitions {
-                part.assignment.rotate_left(1);
-            }
+        // Re-derive tie groups and every equipartition with the same
+        // arithmetic as a fresh build, reusing the buffers in place.
+        tie_groups_into(&self.sorted, &mut self.groups);
+        let max_rows = (self.budget / 2).max(2);
+        for k in 2..=max_rows {
+            equipartition_groups_into(&self.order, &self.groups, n, k, &mut self.partitions[k - 2]);
         }
-        Ok(moved)
+        Ok(())
     }
 
     /// Number of samples.
@@ -352,16 +325,15 @@ mod tests {
     fn slide_matches_rebuild_bit_for_bit() {
         // A window with ties, then a stream of entering values that hit
         // every interesting case: new minimum, new maximum, duplicate of
-        // an existing value, duplicate of the departing value (clean).
+        // an existing value, duplicate of the departing value.
         let mut window = vec![3.0, 1.0, 2.0, 2.0, 1.0, 3.0, 2.0, 0.5, 4.0, 2.0];
         let entering = [2.0, -1.0, 9.0, 3.0, 2.0, 2.0, 0.5, 4.0, 1.0, 1.0];
         let params = MicParams::default();
         let mut profile = SeriesProfile::build(&window, &params).unwrap();
         for &e in &entering {
-            let departing = window.remove(0);
+            window.remove(0);
             window.push(e);
-            let moved = profile.slide(departing, e).unwrap();
-            assert_eq!(moved, departing.to_bits() != e.to_bits());
+            profile.slide(e).unwrap();
             let fresh = SeriesProfile::build(&window, &params).unwrap();
             assert_profiles_identical(&profile, &fresh);
         }
@@ -371,9 +343,9 @@ mod tests {
     fn clean_slide_reports_unmoved() {
         let window = [5.0, 1.0, 5.0, 2.0, 5.0, 3.0];
         let mut profile = SeriesProfile::build(&window, &MicParams::default()).unwrap();
-        // The departing front value re-enters at the back: multiset
-        // unchanged, so the profile reports "not moved".
-        assert!(!profile.slide(5.0, 5.0).unwrap());
+        // The departing front value re-enters at the back: the multiset
+        // is unchanged, and the profile is still the slid window's.
+        profile.slide(5.0).unwrap();
         let slid = [1.0, 5.0, 2.0, 5.0, 3.0, 5.0];
         let fresh = SeriesProfile::build(&slid, &MicParams::default()).unwrap();
         assert_profiles_identical(&profile, &fresh);
@@ -384,15 +356,15 @@ mod tests {
         let mut window = vec![7.0, 7.0, 7.0, 7.0, 1.0];
         let mut profile = SeriesProfile::build(&window, &MicParams::default()).unwrap();
         // 1.0 stays; sliding 7.0 out and 7.0 in keeps it non-constant.
-        for (dep, ent) in [(7.0, 7.0), (7.0, 7.0), (7.0, 7.0), (7.0, 7.0)] {
+        for _ in 0..4 {
             window.remove(0);
-            window.push(ent);
-            profile.slide(dep, ent).unwrap();
+            window.push(7.0);
+            profile.slide(7.0).unwrap();
         }
         // Now the 1.0 departs and a 7.0 enters: all equal.
         window.remove(0);
         window.push(7.0);
-        assert!(profile.slide(1.0, 7.0).unwrap());
+        profile.slide(7.0).unwrap();
         assert!(profile.is_constant());
         assert_profiles_identical(
             &profile,
@@ -401,7 +373,7 @@ mod tests {
         // And back out of constant.
         window.remove(0);
         window.push(2.5);
-        assert!(profile.slide(7.0, 2.5).unwrap());
+        profile.slide(2.5).unwrap();
         assert!(!profile.is_constant());
         assert_profiles_identical(
             &profile,
@@ -413,10 +385,7 @@ mod tests {
     fn slide_rejects_non_finite_and_leaves_profile_intact() {
         let window = [1.0, 2.0, 3.0, 4.0, 5.0];
         let mut profile = SeriesProfile::build(&window, &MicParams::default()).unwrap();
-        assert_eq!(
-            profile.slide(1.0, f64::NAN).unwrap_err(),
-            MicError::NonFinite
-        );
+        assert_eq!(profile.slide(f64::NAN).unwrap_err(), MicError::NonFinite);
         assert_profiles_identical(
             &profile,
             &SeriesProfile::build(&window, &MicParams::default()).unwrap(),

@@ -339,11 +339,12 @@ fn slid_profiles_feed_their_tie_groups_to_the_kernel() {
             100.0 + step as f64 * 0.25
         };
         let entering_y = ((step * 3) % 5) as f64;
-        let (departing_x, departing_y) = (xs.remove(0), ys.remove(0));
+        xs.remove(0);
+        ys.remove(0);
         xs.push(entering_x);
         ys.push(entering_y);
-        xp.slide(departing_x, entering_x).expect("slide");
-        yp.slide(departing_y, entering_y).expect("slide");
+        xp.slide(entering_x).expect("slide");
+        yp.slide(entering_y).expect("slide");
         let mut distinct = xs.clone();
         distinct.sort_by(f64::total_cmp);
         distinct.dedup();

@@ -154,11 +154,21 @@ fn stream_value(seed: u64, t: usize, k: usize) -> f64 {
 }
 
 /// The stream's window `[offset, offset + ticks)` as a batch frame.
-fn streamed_window(seed: u64, offset: usize, ticks: usize) -> MetricFrame {
+/// `shapes[k]` reshapes metric `k`: `2` holds it constant, `3` quantises
+/// it to about four values; any other value, or no entry, keeps the
+/// stream as it is.
+fn streamed_window(seed: u64, offset: usize, ticks: usize, shapes: &[u8]) -> MetricFrame {
     let mut f = MetricFrame::new();
     for t in offset..offset + ticks {
         let row: Vec<f64> = (0..METRIC_COUNT)
-            .map(|k| stream_value(seed, t, k))
+            .map(|k| {
+                let v = stream_value(seed, t, k);
+                match shapes.get(k) {
+                    Some(2) => (k + 1) as f64,
+                    Some(3) => (v / (3.0 * (k + 1) as f64)).round(),
+                    _ => v,
+                }
+            })
             .collect();
         f.push_tick(&row).expect("full-width row");
     }
@@ -215,10 +225,13 @@ proptest! {
     // Bit-exactness hammer: start one IncrementalSweep from a cold pass
     // over a random invariant subset (empty and all 325 pairs included),
     // drive it through a random stream of window shifts (including
-    // zero-shift repeats), and check after the cold pass and every
-    // advance that the violation tuple — and every score the tuple
-    // consults — is indistinguishable from a full from-scratch sweep of
-    // the same window, on a 1- and a 4-worker pool.
+    // zero-shift repeats) in which some metrics are held constant or
+    // quantised to a few values (so a step's departing and entering
+    // samples are often bit-equal, and ties run through the sort), and
+    // check after the cold pass and every advance that the violation
+    // tuple — and every score the tuple consults — is indistinguishable
+    // from a full from-scratch sweep of the same window, on a 1- and a
+    // 4-worker pool.
     #[test]
     fn incremental_sweep_matches_from_scratch_over_random_streams(
         seed in 0u64..10_000,
@@ -226,10 +239,11 @@ proptest! {
         epsilon in 0.02f64..0.4,
         keep in 0u8..5,
         mask in prop::collection::vec(0u8..4, 325..326),
+        shapes in prop::collection::vec(0u8..4, METRIC_COUNT..METRIC_COUNT + 1),
     ) {
         let ticks = 30;
         let measure: Arc<dyn AssociationMeasure> = Arc::new(MicMeasure::new(MicParams::fast()));
-        let base = streamed_window(seed, 0, ticks);
+        let base = streamed_window(seed, 0, ticks, &shapes);
         let matrix = AssociationMatrix::compute(&base, &MicMeasure::new(MicParams::fast()), 1);
         let all = InvariantSet::select(std::slice::from_ref(&matrix), 0.2);
         prop_assert_eq!(all.len(), pair_count());
@@ -260,7 +274,7 @@ proptest! {
             let mut offset = 0usize;
             for &shift in &shifts {
                 offset += shift;
-                let next = streamed_window(seed, offset, ticks);
+                let next = streamed_window(seed, offset, ticks, &shapes);
                 let outcome = inc.advance(&series_of(&next));
                 if shift == 0 {
                     prop_assert_eq!(outcome, AdvanceOutcome::Identical);
@@ -320,9 +334,9 @@ proptest! {
             })
             .collect();
         let abnormal = [
-            streamed_window(seed ^ 0xfa17, 0, ticks),
-            streamed_window(seed ^ 0xfa17, 0, ticks),
-            streamed_window(seed ^ 0xfa17, shift, ticks),
+            streamed_window(seed ^ 0xfa17, 0, ticks, &[]),
+            streamed_window(seed ^ 0xfa17, 0, ticks, &[]),
+            streamed_window(seed ^ 0xfa17, shift, ticks, &[]),
         ];
         let ctx = OperationContext::new("10.3.0.1", "Wordcount");
         let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|v| v.to_bits()).collect() };

@@ -1,7 +1,12 @@
 //! Persistence integration: a trained deployment survives a save/load
 //! round-trip and produces identical online behaviour afterwards.
 
-use invarnet_x::core::{Engine, InvarNetConfig, ModelStore, OperationContext, SignatureDatabase};
+use std::collections::BTreeMap;
+
+use invarnet_x::core::{
+    DetectorChoice, Engine, ErrorKind, InvarNetConfig, ModelStore, OperationContext,
+    SignatureDatabase,
+};
 use invarnet_x::history::{
     load_model_store, model_store_bytes, model_store_from_bytes, save_model_store,
 };
@@ -156,6 +161,68 @@ fn snapshot_store_covers_all_artifacts() {
     // The model-store file image carries all of it.
     let bytes = model_store_bytes(&store);
     assert_eq!(model_store_from_bytes(&bytes).expect("decode"), store);
+}
+
+#[test]
+fn a_cusum_engine_refuses_a_store_of_performance_models() {
+    let workload = WorkloadType::Grep;
+    let runner = Runner::new(405);
+    let node = Runner::DEFAULT_FAULT_NODE;
+    let context = OperationContext::new(runner.nodes[node].ip(), workload.name());
+    let system = Engine::builder().build();
+    let normals = runner.normal_runs(workload, 4);
+    let cpi: Vec<Vec<f64>> = normals
+        .iter()
+        .map(|r| r.per_node[node].cpi.cpi_series())
+        .collect();
+    system
+        .train_performance_model(context.clone(), &cpi)
+        .expect("train");
+    let frames: Vec<MetricFrame> = normals
+        .iter()
+        .map(|r| windowed(&runner, &r.per_node[node].frame))
+        .collect();
+    system
+        .build_invariants(context.clone(), &frames)
+        .expect("invariants");
+    let r = runner.fault_run(workload, FaultType::CpuHog, 0);
+    system
+        .record_signature(&context, "CPU-hog", &r.fault_window().expect("window"))
+        .expect("signature");
+    let store = system.snapshot_state();
+
+    // The store holds ARIMA models only: an engine configured for CUSUM
+    // could install no detector for them, so it refuses the whole store.
+    let cusum = Engine::builder()
+        .config(InvarNetConfig {
+            detector: DetectorChoice::cusum_default(),
+            ..InvarNetConfig::default()
+        })
+        .build();
+    let err = cusum.load_state(&store).expect_err("no CUSUM parameters");
+    assert_eq!(err.kind(), ErrorKind::Serialization);
+    assert!(err.to_string().contains("no CUSUM parameters"), "{err}");
+    // Nothing was installed.
+    assert!(cusum.performance_model(&context).is_none());
+    assert!(cusum.detector(&context).is_none());
+    assert!(cusum.invariant_set(&context).is_none());
+    assert_eq!(cusum.with_signature_database(|db| db.len()), 0);
+    // Invariants and signatures alone need no detector.
+    let without_models = ModelStore {
+        performance_models: BTreeMap::new(),
+        ..store.clone()
+    };
+    cusum
+        .load_state(&without_models)
+        .expect("no model to refuse");
+    assert!(cusum.invariant_set(&context).is_some());
+    assert!(cusum.detector(&context).is_none());
+
+    // An ARIMA engine loads the same store.
+    let arima = Engine::builder().build();
+    arima.load_state(&store).expect("ARIMA loads");
+    assert_eq!(arima.detector(&context).expect("installed").name(), "ARIMA");
+    assert_eq!(arima.snapshot_state(), store);
 }
 
 #[test]
