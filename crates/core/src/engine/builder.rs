@@ -37,7 +37,7 @@ use super::Engine;
 /// finish with [`EngineBuilder::build`], which is infallible.
 #[must_use = "builder methods return the builder; call .build() to produce the engine"]
 pub struct EngineBuilder {
-    config: InvarNetConfig,
+    config: Option<Arc<InvarNetConfig>>,
     measure: Option<Arc<dyn AssociationMeasure>>,
     threads: Option<usize>,
     shared_pool: Option<Arc<SweepPool>>,
@@ -50,7 +50,7 @@ pub struct EngineBuilder {
 impl EngineBuilder {
     pub(crate) fn new() -> Self {
         EngineBuilder {
-            config: InvarNetConfig::default(),
+            config: None,
             measure: None,
             threads: None,
             shared_pool: None,
@@ -61,9 +61,13 @@ impl EngineBuilder {
         }
     }
 
-    /// The engine configuration (defaults to the paper values).
-    pub fn config(mut self, config: InvarNetConfig) -> Self {
-        self.config = config;
+    /// The engine configuration (defaults to the paper values): owned, or
+    /// an `Arc` shared with other engines. Engines built from one `Arc`
+    /// share it, and an image taken from one of them installs into any
+    /// other without comparing configurations
+    /// ([`Engine::install_image`]).
+    pub fn config(mut self, config: impl Into<Arc<InvarNetConfig>>) -> Self {
+        self.config = Some(config.into());
         self
     }
 
@@ -131,16 +135,17 @@ impl EngineBuilder {
 
     /// The finished engine.
     pub fn build(self) -> Engine {
+        let config = self.config.unwrap_or_default();
         let measure = self
             .measure
-            .unwrap_or_else(|| Arc::new(MicMeasure::new(self.config.mic)));
+            .unwrap_or_else(|| Arc::new(MicMeasure::new(config.mic)));
         let pool = self.shared_pool.unwrap_or_else(|| {
             let threads = self.threads.unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
             });
             Arc::new(SweepPool::new(threads))
         });
-        let mut engine = Engine::assemble(self.config, measure, pool, self.observers);
+        let mut engine = Engine::assemble(config, measure, pool, self.observers);
         if let Some(ticks) = self.lifetime_ticks {
             engine.set_lifetime_ticks_internal(ticks);
         }

@@ -4,13 +4,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ix_metrics::{MetricFrame, METRIC_COUNT};
+use ix_metrics::MetricFrame;
 
 use crate::context::OperationContext;
 use crate::error::CoreError;
 use crate::invariants::InvariantSet;
 
-use super::detector::{RunState, TickDecision};
+use super::detector::TickDecision;
 use super::diagnosis::Diagnosis;
 use super::events::{EngineEvent, EventSink};
 use super::telemetry::EnginePhase;
@@ -45,23 +45,6 @@ impl TickOutcome {
             anomalous: self.anomalous,
         }
     }
-}
-
-/// One context's in-flight run as plain values: everything the engine
-/// keeps per run, which [`Engine::install_run`] puts back so the context
-/// continues bit-identically. It is bounded by the window, however long
-/// the run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CapturedRun {
-    /// Ticks ingested into the run (at least one).
-    pub ticks: usize,
-    /// Whether the run's last tick was anomalous (the edge-trigger memory).
-    pub prev_anomalous: bool,
-    /// The sliding window's rows, oldest first, flat: [`METRIC_COUNT`]
-    /// values per row, `min(ticks, window_ticks)` rows.
-    pub window: Vec<f64>,
-    /// The detector run's recursion state.
-    pub detector: RunState,
 }
 
 /// Work the ingest path defers until after the shard lock is released.
@@ -294,10 +277,9 @@ impl Engine {
     /// exactly as if the ticks had been ingested live. Unlike
     /// [`Engine::ingest`] this emits no events, appends nothing to an
     /// attached recorder, and does not advance the lifetime tick counter —
-    /// it restores state that was already counted once. A run captured
-    /// with [`Engine::capture_run`] is restored with
-    /// [`Engine::install_run`] instead, whatever its length; a tail is
-    /// what older snapshots kept.
+    /// it restores state that was already counted once. A run moved out
+    /// with [`Engine::take_image`] goes back with [`Engine::install_image`]
+    /// instead, whatever its length; a tail is what older snapshots kept.
     ///
     /// # Errors
     ///
@@ -325,93 +307,6 @@ impl Engine {
             }
             Ok(())
         })
-    }
-
-    /// A copy of `context`'s in-flight run — its sliding window, detector
-    /// state, edge-tracker and length — taken under one shard read lock;
-    /// `None` when the context has no run in flight (no ticks since it was
-    /// trained or reset).
-    pub fn capture_run(&self, context: &OperationContext) -> Option<CapturedRun> {
-        self.state()
-            .with(context, |state| {
-                let run = state.run.as_ref()?;
-                Some(CapturedRun {
-                    ticks: state.run_ticks,
-                    prev_anomalous: state.prev_anomalous,
-                    window: state.window.values().collect(),
-                    detector: run.capture(),
-                })
-            })
-            .flatten()
-    }
-
-    /// Makes `run`, captured from an engine under the same configuration
-    /// with [`Engine::capture_run`], `context`'s in-flight run, under one
-    /// shard write lock: the context then continues exactly as the
-    /// captured one would have. Like [`Engine::restore_run`] it emits no
-    /// events, records nothing and leaves the lifetime tick counter alone.
-    ///
-    /// # Errors
-    ///
-    /// - [`CoreError::NoPerformanceModel`] — the context has no detector;
-    /// - [`CoreError::InvalidRunState`] — no run of the context's detector
-    ///   could be in `run`'s state: no ticks, more ticks than this engine's
-    ///   lifetime tick counter holds (build it with
-    ///   [`crate::EngineBuilder::lifetime_ticks`] of the captured engine), a
-    ///   window that is not `min(ticks, window_ticks)` whole finite rows, or
-    ///   a detector state [`super::detector::DetectorRun::install`] refuses.
-    ///
-    /// The context's state is unchanged on error.
-    pub fn install_run(
-        &self,
-        context: &OperationContext,
-        run: &CapturedRun,
-    ) -> Result<(), CoreError> {
-        let window_ticks = self.config().window_ticks;
-        let invalid = |reason: String| CoreError::InvalidRunState {
-            reason: format!("context {context}: {reason}"),
-        };
-        let rows = run.window.len() / METRIC_COUNT;
-        if run.ticks == 0 {
-            return Err(invalid("a captured run has at least one tick".to_string()));
-        }
-        let lifetime = self.lifetime_ticks();
-        if run.ticks as u64 > lifetime {
-            return Err(invalid(format!(
-                "a run {} ticks long is longer than the engine's {lifetime} lifetime ticks",
-                run.ticks
-            )));
-        }
-        if !run.window.len().is_multiple_of(METRIC_COUNT) || rows != run.ticks.min(window_ticks) {
-            return Err(invalid(format!(
-                "a run {} ticks long under a {window_ticks}-tick window holds {} rows of \
-                 {METRIC_COUNT} values, where this window has {} values",
-                run.ticks,
-                run.ticks.min(window_ticks),
-                run.window.len()
-            )));
-        }
-        if let Some(v) = run.window.iter().find(|v| !v.is_finite()) {
-            return Err(invalid(format!("window value {v} is not finite")));
-        }
-        self.state()
-            .with_existing_mut(context, |state| {
-                let detector = state
-                    .detector
-                    .clone()
-                    .ok_or_else(|| CoreError::NoPerformanceModel(context.clone()))?;
-                let mut fresh = detector.begin_run();
-                fresh.install(&run.detector, run.ticks).map_err(invalid)?;
-                state.reset_run();
-                for row in run.window.chunks_exact(METRIC_COUNT) {
-                    state.window.push_tick(row)?;
-                }
-                state.run = Some(fresh);
-                state.prev_anomalous = run.prev_anomalous;
-                state.run_ticks = run.ticks;
-                Ok(())
-            })
-            .unwrap_or_else(|| Err(CoreError::NoPerformanceModel(context.clone())))
     }
 
     /// A batch copy of the context's current sliding window.

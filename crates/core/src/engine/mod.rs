@@ -30,6 +30,7 @@ mod builder;
 pub mod detector;
 pub mod diagnosis;
 pub mod events;
+mod image;
 mod ingest;
 pub mod inspect;
 pub mod recorder;
@@ -62,7 +63,8 @@ pub use detector::{
 };
 pub use diagnosis::{Diagnosis, RankedCause};
 pub use events::{EngineEvent, EventKind, EventSink, NullSink, Observer};
-pub use ingest::{CapturedRun, TickOutcome};
+pub use image::{CapturedRun, EngineImage, ImageRefused, RunView};
+pub use ingest::TickOutcome;
 pub use inspect::{ContextStateSnapshot, EngineInspector};
 pub use recorder::HistoryRecorder;
 
@@ -78,7 +80,9 @@ use telemetry::{ContextId, ContextRegistry, EnginePhase, Span, CONFIDENT_SIMILAR
 /// behind sharded locks, so one engine can be shared across ingestion
 /// threads.
 pub struct Engine {
-    config: InvarNetConfig,
+    /// Shared with the images taken from the engine, and with every
+    /// engine built from the same `Arc` (see [`EngineBuilder::config`]).
+    config: Arc<InvarNetConfig>,
     measure: Arc<dyn AssociationMeasure>,
     state: ShardedStateMap,
     /// The signature database, shared with the stores this engine was
@@ -116,30 +120,23 @@ impl Engine {
     /// The bare engine [`EngineBuilder::build`] starts from: `measure`
     /// scores the sweeps, which run on `pool`, and `observers` watch it.
     fn assemble(
-        config: InvarNetConfig,
+        config: Arc<InvarNetConfig>,
         measure: Arc<dyn AssociationMeasure>,
         pool: Arc<SweepPool>,
         observers: Vec<Observer>,
     ) -> Self {
         let (observers, contexts) = Observers::bind(observers);
-        let shards = config.state_shards;
-        let queue = IngestQueue::new(
-            shards,
-            config.ingest_queue_ticks,
-            config.consecutive_anomalies,
-            config.overload,
-        );
         Engine {
+            state: ShardedStateMap::new(config.state_shards),
+            queue: IngestQueue::for_config(&config),
             config,
             measure,
-            state: ShardedStateMap::new(shards),
             signatures: RwLock::new(Arc::default()),
             pool,
             observers: Arc::new(observers),
             contexts,
             ticks: AtomicU64::new(0),
             health: HealthMonitor::new(),
-            queue,
             sweep_records: Mutex::new(HashMap::new()),
         }
     }
@@ -787,34 +784,6 @@ impl Engine {
             .signatures
             .write()
             .unwrap_or_else(PoisonError::into_inner) = db.into();
-    }
-
-    pub(crate) fn install_invariant_set_internal(
-        &self,
-        context: &OperationContext,
-        set: Arc<InvariantSet>,
-    ) {
-        self.state.with_mut(context, self.config.window_ticks, |s| {
-            s.invariants = Some(set);
-        });
-    }
-
-    pub(crate) fn install_performance_model_internal(
-        &self,
-        context: &OperationContext,
-        model: Arc<PerformanceModel>,
-    ) {
-        let detector: Arc<dyn Detector> = Arc::new(ArimaDetector::new(
-            Arc::clone(&model),
-            self.config.threshold_rule,
-            self.config.consecutive_anomalies,
-        ));
-        self.state.with_mut(context, self.config.window_ticks, |s| {
-            s.perf_model = Some(model);
-            s.detector = Some(detector);
-            s.reset_run();
-        });
-        self.note_run_reset(context);
     }
 
     pub(crate) fn install_detector_internal(

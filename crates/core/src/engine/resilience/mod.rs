@@ -42,8 +42,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, PoisonError};
 
-use crate::config::DetectorChoice;
-use crate::context::OperationContext;
+use crate::engine::image::{add_to_store, load_store};
 use crate::engine::telemetry::ContextId;
 use crate::engine::{Engine, EngineEvent, EventSink};
 use crate::error::CoreError;
@@ -152,35 +151,16 @@ impl Engine {
     /// # Errors
     ///
     /// [`CoreError::Serialization`] when this engine is configured for the
-    /// CUSUM detector ([`DetectorChoice::Cusum`]) and the store holds any
+    /// CUSUM detector ([`crate::DetectorChoice::Cusum`]) and the store holds any
     /// performance model: a store carries no CUSUM parameters, so no
     /// detector could be installed for it. Nothing is installed.
     ///
     /// [`CoreError::InvalidStoreKey`] (kind `Serialization`) for a key with
     /// no `@`; the engine is left with the contexts installed before it.
     pub fn load_state(&self, store: &ModelStore) -> Result<(), CoreError> {
-        if matches!(self.config.detector, DetectorChoice::Cusum { .. })
-            && !store.performance_models.is_empty()
-        {
-            let reason = "the store holds no CUSUM parameters, and this engine's \
-                          detector is CUSUM";
-            return Err(CoreError::Serialization {
-                op: "model store",
-                source: Arc::from(Box::<dyn std::error::Error + Send + Sync>::from(reason)),
-            });
-        }
-        for (key, model) in &store.performance_models {
-            let context = context_of_key(key)?;
-            self.install_performance_model_internal(&context, Arc::clone(model));
-            if let Some(set) = store.invariants.get(key) {
-                self.install_invariant_set_internal(&context, Arc::clone(set));
-            }
-        }
-        for (key, set) in &store.invariants {
-            if !store.performance_models.contains_key(key) {
-                self.install_invariant_set_internal(&context_of_key(key)?, Arc::clone(set));
-            }
-        }
+        load_store(self.state(), self.config(), store, |context| {
+            self.note_run_reset(context);
+        })?;
         self.set_signature_database(Arc::clone(&store.signatures));
         Ok(())
     }
@@ -200,26 +180,8 @@ impl Engine {
                     .unwrap_or_else(PoisonError::into_inner),
             ),
         };
-        self.state().for_each(|context, state| {
-            let key = || ModelStore::context_key(context);
-            if let Some(model) = &state.perf_model {
-                store.performance_models.insert(key(), Arc::clone(model));
-            }
-            if let Some(set) = &state.invariants {
-                store.invariants.insert(key(), Arc::clone(set));
-            }
-        });
+        self.state()
+            .for_each(|context, state| add_to_store(&mut store, context, state));
         store
-    }
-}
-
-/// Parses a [`ModelStore`] context key (`workload@node`) back into an
-/// [`OperationContext`].
-fn context_of_key(key: &str) -> Result<OperationContext, CoreError> {
-    match key.split_once('@') {
-        Some((workload, node)) => Ok(OperationContext::new(node, workload)),
-        None => Err(CoreError::InvalidStoreKey {
-            key: key.to_string(),
-        }),
     }
 }

@@ -19,6 +19,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::InvarNetConfig;
 use crate::context::OperationContext;
 use crate::engine::ingest::TickOutcome;
 use crate::engine::{Engine, EngineEvent, EventSink};
@@ -78,9 +79,9 @@ pub struct QueuedTick {
     pub row: Vec<f64>,
 }
 
-/// A copy of an engine's ingest queue (see [`crate::Engine::capture_queue`]):
-/// what [`crate::Engine::install_queue`] puts back so that the next drains
-/// pop the same ticks in the same order.
+/// The ticks waiting in an engine's ingest queue, as an
+/// [`crate::EngineImage`] holds them: installed into another engine, the
+/// next drains pop the same ticks in the same order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueuedTicks {
     /// The shard the next pop starts its round-robin scan at.
@@ -138,6 +139,16 @@ impl IngestQueue {
             policy,
             cursor: AtomicUsize::new(0),
         }
+    }
+
+    /// The queue of an engine under `config`.
+    pub(crate) fn for_config(config: &InvarNetConfig) -> Self {
+        IngestQueue::new(
+            config.state_shards,
+            config.ingest_queue_ticks,
+            config.consecutive_anomalies,
+            config.overload,
+        )
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -212,24 +223,26 @@ impl IngestQueue {
         None
     }
 
-    /// A copy of every queued tick, shard by shard, and the pop cursor.
-    pub(crate) fn capture(&self) -> QueuedTicks {
+    /// Moves every queued tick out, shard by shard, with the pop cursor,
+    /// and leaves the queue empty.
+    pub(crate) fn take(&self) -> QueuedTicks {
         let mut ticks = Vec::new();
         for shard in &self.shards {
-            let pending = shard.pending.lock().unwrap_or_else(PoisonError::into_inner);
-            ticks.extend(pending.iter().cloned());
+            let mut pending = shard.pending.lock().unwrap_or_else(PoisonError::into_inner);
+            ticks.extend(pending.drain(..));
         }
         QueuedTicks {
             // ordering: Relaxed — the cursor only spreads pop load; a
-            // capture is taken while nothing pops.
+            // take happens while nothing pops.
             cursor: self.cursor.load(Ordering::Relaxed) % self.shards.len(),
             ticks,
         }
     }
 
-    /// Puts a captured queue back into this empty one, with no overload
-    /// policy in the way: every tick was admitted once already.
-    fn install(&self, queue: &QueuedTicks) -> Result<(), CoreError> {
+    /// Refuses `queue` when no queue shaped like this one could hold it:
+    /// its cursor names no shard, or more of its ticks land in one shard
+    /// than the shard's capacity.
+    pub(crate) fn check_shape(&self, queue: &QueuedTicks) -> Result<(), CoreError> {
         let invalid = |reason: String| Err(CoreError::InvalidRunState { reason });
         if queue.cursor >= self.shards.len() {
             return invalid(format!(
@@ -238,38 +251,32 @@ impl IngestQueue {
                 self.shards.len()
             ));
         }
-        let shards: Vec<usize> = queue
-            .ticks
-            .iter()
-            .map(|t| self.shard_index(&t.context))
-            .collect();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let queued = shards.iter().filter(|&&s| s == i).count();
-            let held = shard
+        let mut counts = vec![0usize; self.shards.len()];
+        for tick in &queue.ticks {
+            counts[self.shard_index(&tick.context)] += 1;
+        }
+        match counts.iter().position(|&n| n > self.capacity) {
+            Some(i) => invalid(format!(
+                "{} ticks for queue shard {i}, whose capacity is {}",
+                counts[i], self.capacity
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Moves `queue`, taken from or checked against a queue shaped like
+    /// this one, into it behind what it holds, with no overload policy in
+    /// the way: every tick was admitted once already.
+    pub(crate) fn put(&self, queue: QueuedTicks) {
+        for tick in queue.ticks {
+            self.shard_of(&tick.context)
                 .pending
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .len();
-            if held > 0 {
-                return invalid(format!("queue shard {i} already holds {held} ticks"));
-            }
-            if queued > self.capacity {
-                return invalid(format!(
-                    "{queued} ticks for queue shard {i}, whose capacity is {}",
-                    self.capacity
-                ));
-            }
+                .push_back(tick);
         }
-        for (tick, i) in queue.ticks.iter().zip(shards) {
-            self.shards[i]
-                .pending
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(tick.clone());
-        }
-        // ordering: Relaxed — see `capture`.
+        // ordering: Relaxed — see `take`.
         self.cursor.store(queue.cursor, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Total queued ticks across all shards.
@@ -355,29 +362,6 @@ impl Engine {
             out.push((tick.context, result));
         }
         out
-    }
-
-    /// A copy of the ingest queue: every waiting tick, shard by shard in
-    /// submission order, and the shard the next drain starts at. Taken
-    /// one shard lock at a time, so it is exact only while nothing submits
-    /// or drains.
-    pub fn capture_queue(&self) -> QueuedTicks {
-        self.ingest_queue().capture()
-    }
-
-    /// Re-queues a copy [`Engine::capture_queue`] took from an engine under
-    /// the same configuration into this engine's empty queue, so that its
-    /// drains pop exactly what the captured engine's would have. It emits
-    /// no events and applies no overload policy: the ticks were counted
-    /// when they were submitted.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidRunState`] when this queue is not empty, the
-    /// cursor names no shard, or more ticks land in one shard than
-    /// [`Engine::ingest_queue_capacity`]; nothing is queued then.
-    pub fn install_queue(&self, queue: &QueuedTicks) -> Result<(), CoreError> {
-        self.ingest_queue().install(queue)
     }
 
     /// Ticks currently waiting in the ingest queue across all shards.
@@ -473,41 +457,44 @@ mod tests {
     }
 
     #[test]
-    fn a_captured_queue_installs_into_an_empty_one_and_pops_the_same() {
+    fn a_taken_queue_puts_back_and_pops_the_same() {
         let q = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
+        let twin = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
         for i in 0..6 {
             q.push(tick(&format!("node-{}", i % 3), i as f64));
+            twin.push(tick(&format!("node-{}", i % 3), i as f64));
         }
         q.pop(); // moves the cursor
-        let captured = q.capture();
-        assert_eq!(captured.ticks.len(), 5);
+        twin.pop();
+        let taken = q.take();
+        assert_eq!(taken.ticks.len(), 5);
+        assert_eq!(q.len(), 0, "a take leaves the queue empty");
+        q.check_shape(&taken)
+            .expect("a taken queue fits its own shape");
         let copy = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
-        copy.install(&captured).expect("install");
-        assert_eq!(copy.capture(), captured);
+        copy.put(taken);
         let popped = |q: &IngestQueue| std::iter::from_fn(|| q.pop().map(|t| t.cpi)).collect();
-        let (a, b): (Vec<f64>, Vec<f64>) = (popped(&q), popped(&copy));
+        let (a, b): (Vec<f64>, Vec<f64>) = (popped(&twin), popped(&copy));
         assert_eq!(a, b, "the same ticks in the same order");
 
-        // A second install, a cursor past the shards and a shard over its
-        // capacity are refused, and leave the queue as it was.
-        let refused = |queue: &IngestQueue, ticks: &QueuedTicks| {
-            matches!(queue.install(ticks), Err(CoreError::InvalidRunState { .. }))
+        // A cursor past the shards and a shard over its capacity are
+        // refused.
+        let refused = |ticks: &QueuedTicks| {
+            matches!(
+                copy.check_shape(ticks),
+                Err(CoreError::InvalidRunState { .. })
+            )
         };
-        let full = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
-        full.install(&captured).expect("install");
-        assert!(refused(&full, &captured), "not empty");
-        let empty = IngestQueue::new(4, 8, 3, OverloadPolicy::Block);
         let past = QueuedTicks {
             cursor: 4,
-            ..captured.clone()
+            ticks: Vec::new(),
         };
-        assert!(refused(&empty, &past));
+        assert!(refused(&past));
         let flood = QueuedTicks {
             cursor: 0,
             ticks: (0..9).map(|i| tick("n", i as f64)).collect(),
         };
-        assert!(refused(&empty, &flood), "9 ticks for one 8-tick shard");
-        assert_eq!(empty.len(), 0);
+        assert!(refused(&flood), "9 ticks for one 8-tick shard");
     }
 
     #[test]

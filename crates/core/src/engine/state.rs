@@ -134,6 +134,37 @@ impl ShardedStateMap {
         shard.get_mut(context).map(f)
     }
 
+    /// Whether no shard holds a context.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.shards
+            .iter()
+            .all(|s| s.read().unwrap_or_else(PoisonError::into_inner).is_empty())
+    }
+
+    /// Moves every shard's contexts out, one shard lock at a time, and
+    /// leaves the map empty.
+    pub(crate) fn take_shards(&self) -> Vec<BTreeMap<OperationContext, ContextState>> {
+        self.shards
+            .iter()
+            .map(|s| std::mem::take(&mut *s.write().unwrap_or_else(PoisonError::into_inner)))
+            .collect()
+    }
+
+    /// Moves `taken`, the shards of a map with as many shards, into this
+    /// one, each replacing what its shard held.
+    pub(crate) fn put_shards(&self, taken: Vec<BTreeMap<OperationContext, ContextState>>) {
+        for (shard, contexts) in self.shards.iter().zip(taken) {
+            *shard.write().unwrap_or_else(PoisonError::into_inner) = contexts;
+        }
+    }
+
+    /// The map's shards, consumed.
+    pub(crate) fn into_shards(self) -> Vec<BTreeMap<OperationContext, ContextState>> {
+        (self.shards.into_iter())
+            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect()
+    }
+
     /// All known contexts, sorted.
     pub(crate) fn contexts(&self) -> Vec<OperationContext> {
         let mut out: Vec<OperationContext> = self

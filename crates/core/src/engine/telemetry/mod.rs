@@ -29,7 +29,7 @@ mod histogram;
 mod registry;
 mod span;
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 pub use context::{ContextId, ContextRegistry};
 pub use export::{PhaseSnapshot, SpanSnapshot, TelemetrySnapshot};
@@ -51,9 +51,18 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 256;
 /// and whatever reads the numbers; several engines may share a single
 /// `Telemetry` (their contexts intern into one registry), which is how the
 /// bench harness aggregates across experiment systems.
+///
+/// An engine binds every member of its observation list to the registry
+/// it interns into ([`EventSink::bind_registry`]): its first hub's. A hub
+/// further down the list resolves the engine's context ids through the
+/// registry it was bound to, so its snapshots label contexts as the first
+/// hub's do.
 #[derive(Debug)]
 pub struct Telemetry {
     contexts: Arc<ContextRegistry>,
+    /// The registry an engine bound the hub to, when one has: the one the
+    /// ids of recorded events resolve through.
+    bound: RwLock<Option<Arc<ContextRegistry>>>,
     metrics: MetricsRegistry,
     phases: [Histogram; EnginePhase::ALL.len()],
     spans: SpanRing,
@@ -75,6 +84,7 @@ impl Telemetry {
     pub fn with_span_capacity(span_capacity: usize) -> Self {
         Telemetry {
             contexts: Arc::new(ContextRegistry::new()),
+            bound: RwLock::new(None),
             metrics: MetricsRegistry::new(),
             phases: Default::default(),
             spans: SpanRing::new(span_capacity),
@@ -87,9 +97,17 @@ impl Telemetry {
         Arc::new(Telemetry::new())
     }
 
-    /// The context interning registry (shared with attached engines).
+    /// The hub's own context interning registry: the one an engine
+    /// interns into when the hub is the first on its observation list.
     pub fn contexts(&self) -> &Arc<ContextRegistry> {
         &self.contexts
+    }
+
+    /// The registry recorded context ids resolve through: the one an
+    /// engine bound the hub to, or else the hub's own.
+    fn labels(&self) -> Arc<ContextRegistry> {
+        let bound = self.bound.read().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(bound.as_ref().unwrap_or(&self.contexts))
     }
 
     /// The metrics registry.
@@ -105,7 +123,8 @@ impl Telemetry {
     /// Freezes every counter, gauge, histogram and retained span into a
     /// serializable [`TelemetrySnapshot`].
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let contexts = self.metrics.snapshot_scopes(|id| self.contexts.label(id));
+        let labels = self.labels();
+        let contexts = self.metrics.snapshot_scopes(|id| labels.label(id));
         let mut total = ScopeSnapshot::empty("(all)".to_string());
         for scope in &contexts {
             total.merge(scope);
@@ -124,7 +143,7 @@ impl Telemetry {
             .map(|r| SpanSnapshot {
                 seq: r.seq,
                 phase: r.phase.name().to_string(),
-                context: self.contexts.label(r.context),
+                context: labels.label(r.context),
                 micros: r.micros,
             })
             .collect();
@@ -150,6 +169,11 @@ impl Telemetry {
 }
 
 impl EventSink for Telemetry {
+    /// Resolves recorded context ids through `registry` from now on.
+    fn bind_registry(&self, registry: &Arc<ContextRegistry>) {
+        *self.bound.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(registry));
+    }
+
     // ordering: Relaxed throughout — every update is a fetch_add/store on
     // an independent per-scope counter or last-write-wins gauge; snapshot
     // readers tolerate torn cross-counter views, and quiescence (engine

@@ -254,9 +254,10 @@ pub enum CoreError {
         /// What was wrong with the entries or τ.
         reason: String,
     },
-    /// A captured run or ingest queue cannot be installed: no run of the
-    /// engine could be in that state (see [`crate::Engine::install_run`]
-    /// and [`crate::Engine::install_queue`]).
+    /// An engine image cannot be installed, or a decoded run or ingest
+    /// queue cannot become one: the image does not fit the engine, or no
+    /// engine could be in that state (see [`crate::Engine::install_image`]
+    /// and [`crate::EngineImage::decoded`]).
     InvalidRunState {
         /// What was wrong, naming the context or queue shard.
         reason: String,

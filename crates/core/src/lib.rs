@@ -70,8 +70,9 @@ pub use engine::telemetry::{
 };
 pub use engine::{
     ArimaDetector, CapturedRun, ContextStateSnapshot, CusumStreamDetector, Detector, DetectorRun,
-    Diagnosis, Engine, EngineBuilder, EngineEvent, EngineInspector, EventKind, EventSink,
-    HistoryRecorder, NullSink, Observer, RankedCause, RunState, TickDecision, TickOutcome,
+    Diagnosis, Engine, EngineBuilder, EngineEvent, EngineImage, EngineInspector, EventKind,
+    EventSink, HistoryRecorder, ImageRefused, NullSink, Observer, RankedCause, RunState, RunView,
+    TickDecision, TickOutcome,
 };
 pub use error::{CoreError, ErrorCode, ErrorKind};
 pub use eval::{ConfusionMatrix, EvalOutcome, PrecisionRecall};

@@ -46,7 +46,8 @@ use ix_core::{
     ArimaModel, ArimaSpec, CapturedRun, ContextId, DegradationReason, DegradationTier, Diagnosis,
     EngineEvent, EnginePhase, EventKind, HealthState, InvariantEntry, InvariantSet, ModelStore,
     OperationContext, OverloadPolicy, PerformanceModel, QueuedTick, QueuedTicks, RankedCause,
-    ResidualStats, RunState, Signature, SignatureDatabase, SweepDegradation, ViolationTuple,
+    ResidualStats, RunState, RunView, Signature, SignatureDatabase, SweepDegradation,
+    ViolationTuple,
 };
 
 use crate::file::{HistoryFileError, Reader, Writer};
@@ -326,12 +327,16 @@ pub(crate) fn read_diagnosis_record(
     })
 }
 
-/// Writes a [`CapturedRun`] (see the module-level table). Every float is
-/// its raw bits, so the run continues bit-identically once decoded.
-pub fn write_run(w: &mut Writer, run: &CapturedRun) {
+/// Writes a run — borrowed from an [`ix_core::EngineImage`] or a
+/// [`CapturedRun`] — as a [`CapturedRun`] record (see the module-level
+/// table). Every float is its raw bits, so the run continues
+/// bit-identically once decoded.
+pub fn write_run(w: &mut Writer, run: &RunView<'_>) {
     w.u64(run.ticks as u64);
     w.bool(run.prev_anomalous);
-    w.f64_list(&run.window);
+    w.u32_field(run.window_len());
+    w.f64s(run.window.0);
+    w.f64s(run.window.1);
     w.f64_list(&run.detector.registers);
     w.u32_field(run.detector.counters.len());
     for &counter in &run.detector.counters {
@@ -340,10 +345,10 @@ pub fn write_run(w: &mut Writer, run: &CapturedRun) {
 }
 
 /// The exact number of bytes [`write_run`] appends for `run`.
-pub fn run_encoded_len(run: &CapturedRun) -> usize {
+pub fn run_encoded_len(run: &RunView<'_>) -> usize {
     8 + 1
         + 4
-        + 8 * run.window.len()
+        + 8 * run.window_len()
         + 4
         + 8 * run.detector.registers.len()
         + 4
@@ -352,7 +357,7 @@ pub fn run_encoded_len(run: &CapturedRun) -> usize {
 
 /// Reads a [`CapturedRun`] written by [`write_run`]. Only the format is
 /// checked here; whether a run of some detector could be in the state is
-/// [`ix_core::Engine::install_run`]'s to refuse.
+/// [`ix_core::EngineImage::decoded`]'s to refuse.
 ///
 /// # Errors
 ///
@@ -1016,14 +1021,24 @@ mod tests {
                 counters: vec![3],
             },
         };
-        let bytes = encoded(|w| write_run(w, &run));
-        assert_eq!(bytes.len(), run_encoded_len(&run));
+        let bytes = encoded(|w| write_run(w, &run.view()));
+        assert_eq!(bytes.len(), run_encoded_len(&run.view()));
         let mut expected = image(&[Q(5), B(1), W(2), D(0.5), D(1.5), W(2)]);
         expected.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
         expected.extend(image(&[D(-0.25), W(1), Q(3)]));
         assert_eq!(bytes, expected);
         let back = decoded(&bytes, read_run).expect("decodes");
-        assert_eq!(encoded(|w| write_run(w, &back)), bytes, "raw register bits");
+        assert_eq!(
+            encoded(|w| write_run(w, &back.view())),
+            bytes,
+            "raw register bits"
+        );
+        // A window held as a ring's two halves writes as one list.
+        let halves = RunView {
+            window: (&run.window[..1], &run.window[1..]),
+            ..run.view()
+        };
+        assert_eq!(encoded(|w| write_run(w, &halves)), bytes);
         // A window value is a metric sample, so it must be finite.
         let mut bad = bytes.clone();
         bad[13..21].copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());

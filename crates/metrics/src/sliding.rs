@@ -120,6 +120,12 @@ impl SlidingFrame {
         self.rows.iter().copied()
     }
 
+    /// [`SlidingFrame::values`] as the two halves of the window's ring, in
+    /// order; the second is empty when the ring does not wrap.
+    pub fn as_slices(&self) -> (&[f64], &[f64]) {
+        self.rows.as_slices()
+    }
+
     /// Materializes the current window as a batch [`MetricFrame`], oldest
     /// held tick first.
     pub fn to_frame(&self) -> MetricFrame {
@@ -174,6 +180,17 @@ mod tests {
             batch.push_tick(&t).unwrap();
         }
         assert_eq!(w.to_frame(), batch.window(5..9));
+    }
+
+    #[test]
+    fn slices_are_the_values_in_order() {
+        let mut w = SlidingFrame::new(3);
+        for t in 0..7 {
+            w.push_tick(&tick_of(t as f64)).unwrap();
+            let (a, b) = w.as_slices();
+            let joined: Vec<f64> = a.iter().chain(b).copied().collect();
+            assert_eq!(joined, w.values().collect::<Vec<_>>(), "after {t} pushes");
+        }
     }
 
     #[test]

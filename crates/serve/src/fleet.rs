@@ -12,29 +12,32 @@
 //!
 //! When the warm count crosses the configured high-water mark
 //! ([`FleetBuilder::warm_limit`]), the least-recently-used warm tenant is
-//! evicted: its state as the engine holds it becomes its cold image and
-//! the engine is dropped. That is the trained state
-//! ([`Engine::snapshot_state`], which shares the engine's models,
-//! invariant sets and signature database by `Arc`), the lifetime tick
-//! counter, each context's in-flight run ([`Engine::capture_run`]: the
-//! sliding window, the detector's recursion state, the edge-tracker and
-//! the run's length) and the ticks waiting in the engine's ingest queue
-//! ([`Engine::capture_queue`]). Warming installs the image in a fresh
-//! engine: the store shared in with [`Engine::load_state`], each run put
-//! back with [`Engine::install_run`] and the queue with
-//! [`Engine::install_queue`]. A run is bounded by the window, however long
-//! it has gone on, so an eviction and a warm cost the same at tick 60 and
-//! at tick 60 000. Nothing is encoded, decoded or replayed in between, so
-//! tenants materialized from one template keep sharing its trained state
-//! through any number of evictions;
-//! bytes exist only where a snapshot crosses the process boundary — a
-//! snapshot-directory file, [`Fleet::snapshot_bytes`], [`Fleet::adopt`]
-//! (which decodes once and keeps the image) — and a file warm decodes
-//! into the same image and takes the same install path. The warm slots
+//! evicted. In memory, the cold tenant is its engine's moved state: the
+//! [`EngineImage`] [`Engine::take_image`] moves out of it — every
+//! context's trained model, detector and invariant set (`Arc`s), sliding
+//! window, detector run, edge-tracker and run length, the ticks waiting in
+//! its ingest queue, its signature database and its lifetime tick counter
+//! — before the emptied engine is dropped. Warming builds a fresh engine
+//! with the image's lifetime tick counter and moves the image into it
+//! ([`Engine::install_image`]). Nothing is copied, encoded, decoded,
+//! re-keyed or revalidated in between, so an eviction and a warm cost the
+//! same at tick 60 and at tick 60 000, and tenants materialized from one
+//! template keep sharing its trained state through any number of
+//! evictions. A tenant's sweep records stay with the dropped engine, as a
+//! file warm could not bring them back either.
+//!
+//! Bytes exist only where a snapshot crosses the process boundary: a
+//! snapshot-directory file, [`Fleet::snapshot_bytes`] and [`Fleet::adopt`]
+//! (which decodes the snapshot to check it and keeps it as bytes under the
+//! fleet's config row). To encode a warm tenant, the fleet takes its
+//! engine's image, encodes it and moves it back (and a snapshot-directory
+//! eviction moves it back when the write fails, so the tenant stays warm);
+//! a warm from bytes decodes them into an image ([`EngineImage::decoded`])
+//! and moves that in. The warm slots
 //! form an intrusive list in LRU order, so finding the victim, touching
 //! a tenant and counting the warm set are O(1), whatever the number of
-//! tenants. A snapshot is refused — at [`Fleet::adopt`], and at a file
-//! warm — when it was written under a configuration other than the
+//! tenants. A snapshot is refused — at [`Fleet::adopt`], and at a warm
+//! from bytes — when it was written under a configuration other than the
 //! fleet's (a config row byte-equal to the fleet's own serialized config
 //! matches without a parse), and a snapshot file is replaced atomically
 //! (temporary file, fsync, rename), so a crash never leaves a torn one.
@@ -47,8 +50,8 @@
 //! [`EngineEvent::TenantWarmed`] land on the fleet's event sink.
 //!
 //! Every operation on a tenant, its engine work included, runs under the
-//! one fleet lock, so an eviction never captures an engine while a tick
-//! is in it.
+//! one fleet lock, so an eviction never takes an engine's image while a
+//! tick is in it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -60,12 +63,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use ix_core::{
-    ContextId, Diagnosis, Engine, EngineEvent, EventSink, HealthState, InvarNetConfig,
-    OperationContext, SubmitOutcome, SweepPool, Telemetry, TelemetrySnapshot, TickOutcome,
+    ContextId, Diagnosis, Engine, EngineEvent, EngineImage, EventSink, HealthState, ImageRefused,
+    InvarNetConfig, OperationContext, SubmitOutcome, SweepPool, Telemetry, TelemetrySnapshot,
+    TickOutcome,
 };
 
 use crate::error::ServeError;
-use crate::snapshot::{self, TenantImage};
+use crate::snapshot::{self, Body};
 use crate::tenant::TenantId;
 
 /// Default high-water mark for warm tenants.
@@ -80,10 +84,13 @@ struct WarmTenant {
     telemetry: Option<Arc<Telemetry>>,
 }
 
-/// An evicted (or adopted) tenant: its decoded image in memory, or its
-/// snapshot file under the snapshot directory.
+/// An evicted (or adopted) tenant.
 enum ColdTenant {
-    Image(TenantImage),
+    /// The state an in-memory eviction moved out of its engine.
+    Image(EngineImage),
+    /// An adopted snapshot's bytes, under the fleet's config row.
+    Bytes(Vec<u8>),
+    /// Its snapshot file under the snapshot directory.
     File(PathBuf),
 }
 
@@ -253,7 +260,7 @@ struct FleetMetrics {
 /// [`Fleet::builder`] and finish with [`FleetBuilder::build`].
 #[must_use = "builder methods return the builder; call .build() to produce the fleet"]
 pub struct FleetBuilder {
-    config: InvarNetConfig,
+    config: Arc<InvarNetConfig>,
     warm_limit: usize,
     snapshot_dir: Option<PathBuf>,
     sink: Option<Arc<dyn EventSink>>,
@@ -264,7 +271,7 @@ pub struct FleetBuilder {
 impl FleetBuilder {
     fn new() -> Self {
         FleetBuilder {
-            config: InvarNetConfig::default(),
+            config: Arc::default(),
             warm_limit: DEFAULT_WARM_LIMIT,
             snapshot_dir: None,
             sink: None,
@@ -276,7 +283,7 @@ impl FleetBuilder {
     /// The engine configuration every tenant engine is built with
     /// (defaults to the paper values).
     pub fn config(mut self, config: InvarNetConfig) -> Self {
-        self.config = config;
+        self.config = Arc::new(config);
         self
     }
 
@@ -331,7 +338,7 @@ impl FleetBuilder {
     /// The finished fleet.
     pub fn build(self) -> Fleet {
         let config_json =
-            serde_json::to_string(&self.config).expect("config serialization is infallible");
+            serde_json::to_string(&*self.config).expect("config serialization is infallible");
         Fleet {
             config: self.config,
             config_json,
@@ -367,7 +374,9 @@ impl std::fmt::Debug for FleetBuilder {
 
 /// The multi-tenant serving layer (see the module docs).
 pub struct Fleet {
-    config: InvarNetConfig,
+    /// Shared by every tenant engine, so their images install into one
+    /// another without comparing configurations.
+    config: Arc<InvarNetConfig>,
     /// `config` as every snapshot spells it, serialized once: evictions
     /// write these bytes, and a warm or adopt whose config row equals
     /// them needs no parse.
@@ -407,7 +416,7 @@ impl Fleet {
     /// and sinks, optionally seeding the lifetime tick counter.
     fn build_engine(&self, lifetime_ticks: u64) -> (Arc<Engine>, Option<Arc<Telemetry>>) {
         let mut builder = Engine::builder()
-            .config(self.config.clone())
+            .config(Arc::clone(&self.config))
             .shared_pool(Arc::clone(&self.pool))
             .lifetime_ticks(lifetime_ticks);
         let telemetry = self.per_tenant_telemetry.then(Telemetry::shared);
@@ -469,21 +478,14 @@ impl Fleet {
         Ok(())
     }
 
-    /// The snapshot bytes of a warm tenant — what [`Fleet::snapshot_bytes`]
-    /// serves and a `snapshot_dir` eviction writes: the image of the
-    /// engine's state, under the fleet's config row.
-    fn warm_bytes(&self, warm: &WarmTenant) -> Vec<u8> {
-        TenantImage::capture(&warm.engine).to_bytes(&self.config_json)
-    }
-
     /// Reads snapshot bytes for this fleet, refusing a snapshot written
     /// under another configuration: the warmed engine would not continue
     /// bit-identically. A config row byte-equal to the fleet's own
     /// serialized config matches without being parsed; any other row is
     /// parsed and, once the whole body has decoded, compared with the
     /// fleet's config.
-    fn decode(&self, bytes: &[u8]) -> Result<TenantImage, ServeError> {
-        let (config, image) = snapshot::decode(bytes, |text| {
+    fn decode(&self, bytes: &[u8]) -> Result<Body, ServeError> {
+        let (config, body) = snapshot::decode(bytes, |text| {
             if text == self.config_json {
                 Ok(Cow::Borrowed(&self.config))
             } else {
@@ -492,61 +494,97 @@ impl Fleet {
         })?;
         // A row equal to the fleet's as bytes is the fleet's config, even
         // one a NaN makes unequal to itself.
-        if matches!(&config, Cow::Owned(c) if *c != self.config) {
+        if matches!(&config, Cow::Owned(c) if *c != *self.config) {
             return Err(ServeError::Snapshot(
                 "the snapshot was written under a different engine configuration \
                  than this fleet's"
                     .to_string(),
             ));
         }
-        Ok(image)
+        Ok(body)
     }
 
-    /// Captures warm slot `i` and replaces it with a cold one: in memory,
-    /// the image of its engine's state itself, and under a snapshot
-    /// directory, its bytes, written durably before the slot changes.
+    /// Replaces warm slot `i` with a cold one: in memory, the image moved
+    /// out of its engine, and under a snapshot directory, the image's
+    /// bytes, written durably before the slot changes. A failed write
+    /// moves the image back, and the tenant stays warm.
     fn evict_slot(&self, inner: &mut FleetInner, i: usize) -> Result<(), ServeError> {
-        let slot = &mut inner.slots[i];
-        let State::Warm(warm) = &slot.state else {
-            return Err(ServeError::UnknownTenant(slot.id.clone()));
+        let State::Warm(warm) = &inner.slots[i].state else {
+            return Err(ServeError::UnknownTenant(inner.slots[i].id.clone()));
         };
-        let ticks = warm.engine.lifetime_ticks();
+        let engine = Arc::clone(&warm.engine);
+        let image = engine.take_image();
+        let ticks = image.lifetime_ticks();
         let cold = match &self.snapshot_dir {
             Some(dir) => {
-                let path = dir.join(format!("{}.ixhist", slot.id));
-                write_durably(&path, &self.warm_bytes(warm))?;
+                let path = dir.join(format!("{}.ixhist", inner.slots[i].id));
+                let bytes = snapshot::image_bytes(&image, &self.config_json);
+                if let Err(e) = write_durably(&path, &bytes) {
+                    put_back(inner, i, &engine, image);
+                    return Err(e.into());
+                }
                 ColdTenant::File(path)
             }
-            None => ColdTenant::Image(TenantImage::capture(&warm.engine)),
+            None => ColdTenant::Image(image),
         };
-        slot.state = State::Cold(cold);
-        let num = slot.num;
+        inner.slots[i].state = State::Cold(cold);
         inner.unlink(i);
         // ordering: Relaxed — independent monotone counters; status reads
         // tolerate torn cross-counter views by contract.
         self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
         self.emit(&EngineEvent::TenantEvicted {
             context: ContextId::UNATTRIBUTED,
-            tenant: num,
+            tenant: inner.slots[i].num,
             ticks,
         });
         Ok(())
     }
 
     /// Builds a warm tenant from `image`: a fresh engine with the image's
-    /// lifetime tick counter, into which the image installs. On an error
-    /// the engine is dropped and the image is untouched, so the tenant
-    /// stays cold with nothing lost.
-    fn install(&self, image: &TenantImage) -> Result<WarmTenant, ServeError> {
-        let (engine, telemetry) = self.build_engine(image.lifetime_ticks);
-        image.install(&engine)?;
+    /// lifetime tick counter, into which the image moves. On a refusal the
+    /// engine is dropped and the image handed back whole.
+    fn install(&self, image: EngineImage) -> Result<WarmTenant, ImageRefused> {
+        let (engine, telemetry) = self.build_engine(image.lifetime_ticks());
+        engine.install_image(image)?;
         Ok(WarmTenant { engine, telemetry })
     }
 
-    /// Rebuilds cold slot `i`'s engine from its image — the one in
-    /// memory, or the one its snapshot file decodes to — and makes it the
-    /// most recently used warm slot. Returns the engine and the cold→warm
-    /// latency in microseconds.
+    /// Builds a warm tenant from snapshot bytes: decoded into an image,
+    /// then installed.
+    fn install_bytes(&self, bytes: &[u8]) -> Result<WarmTenant, ServeError> {
+        let image = self.decode(bytes)?.into_image(Arc::clone(&self.config))?;
+        self.install(image).map_err(|refused| refused.error.into())
+    }
+
+    /// Builds a warm tenant from `cold`, the form `state` held; on an
+    /// error puts `cold` back into `state` whole, so the tenant stays cold
+    /// with nothing lost.
+    fn warm_cold(&self, cold: ColdTenant, state: &mut State) -> Result<WarmTenant, ServeError> {
+        let (error, cold) = match cold {
+            ColdTenant::Image(image) => match self.install(image) {
+                Ok(warm) => return Ok(warm),
+                Err(refused) => (refused.error.into(), ColdTenant::Image(*refused.image)),
+            },
+            ColdTenant::Bytes(bytes) => match self.install_bytes(&bytes) {
+                Ok(warm) => return Ok(warm),
+                Err(e) => (e, ColdTenant::Bytes(bytes)),
+            },
+            ColdTenant::File(path) => {
+                let read = std::fs::read(&path).map_err(ServeError::from);
+                match read.and_then(|bytes| self.install_bytes(&bytes)) {
+                    Ok(warm) => return Ok(warm),
+                    Err(e) => (e, ColdTenant::File(path)),
+                }
+            }
+        };
+        *state = State::Cold(cold);
+        Err(error)
+    }
+
+    /// Warms cold slot `i` — moving its image into a fresh engine, or
+    /// decoding its bytes into one — and makes it the most recently used
+    /// warm slot. Returns the engine and the cold→warm latency in
+    /// microseconds.
     fn warm_slot(
         &self,
         inner: &mut FleetInner,
@@ -555,15 +593,20 @@ impl Fleet {
         // lint: allow(determinism, telemetry-only: warm micros feed the
         // TenantWarmed event; replay normalizes all recorded timings)
         let started = Instant::now();
-        let warm = match &inner.slots[i].state {
-            State::Warm(warm) => return Ok((Arc::clone(&warm.engine), 0)),
-            State::Cold(ColdTenant::Image(image)) => self.install(image)?,
-            State::Cold(ColdTenant::File(path)) => {
-                self.install(&self.decode(&std::fs::read(path)?)?)?
+        let state = &mut inner.slots[i].state;
+        // An empty placeholder holds the slot only until this call puts
+        // back a warm tenant or, on an error, the cold form whole.
+        let placeholder = State::Cold(ColdTenant::Bytes(Vec::new()));
+        let warm = match std::mem::replace(state, placeholder) {
+            State::Warm(warm) => {
+                let engine = Arc::clone(&warm.engine);
+                *state = State::Warm(warm);
+                return Ok((engine, 0));
             }
+            State::Cold(cold) => self.warm_cold(cold, state)?,
         };
         let engine = Arc::clone(&warm.engine);
-        inner.slots[i].state = State::Warm(warm);
+        *state = State::Warm(warm);
         inner.link_back(i);
         let micros = started.elapsed().as_micros() as u64;
         // ordering: Relaxed — independent monotone counters / fetch_max
@@ -587,8 +630,9 @@ impl Fleet {
 
     /// Adopts a tenant in cold state from snapshot bytes (e.g. produced
     /// by a previous fleet's eviction, or shipped from another box). The
-    /// tenant warms lazily on first touch. Adopting over a tenant that
-    /// already has a slot replaces it.
+    /// tenant warms lazily on first touch, from the bytes re-encoded under
+    /// this fleet's config row. Adopting over a tenant that already has a
+    /// slot replaces it.
     ///
     /// # Errors
     ///
@@ -597,10 +641,11 @@ impl Fleet {
     /// fleet's.
     pub fn adopt(&self, tenant: TenantId, bytes: Vec<u8>) -> Result<(), ServeError> {
         // Decoded now, so a bad snapshot fails at adopt time, not at first
-        // ingest, and the first warm has nothing left to decode.
-        let image = self.decode(&bytes)?;
+        // ingest. Whether its runs and queue fit an engine is checked when
+        // a warm builds its image.
+        let bytes = self.decode(&bytes)?.to_bytes(&self.config_json);
         self.lock()
-            .put(tenant, State::Cold(ColdTenant::Image(image)));
+            .put(tenant, State::Cold(ColdTenant::Bytes(bytes)));
         Ok(())
     }
 
@@ -758,19 +803,30 @@ impl Fleet {
 
     /// Serializes the tenant's current state to snapshot bytes without
     /// evicting or warming it — the bytes a `snapshot_dir` eviction
-    /// writes. A cold tenant in memory is encoded under this fleet's
-    /// config row (an adopted snapshot included); a snapshot file is read
-    /// as it is.
+    /// writes. A warm tenant's engine image is taken, encoded and moved
+    /// back; a cold tenant's image in memory is encoded under this fleet's
+    /// config row; an adopted snapshot's bytes and a snapshot file are
+    /// served as they are.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] when the tenant has no slot;
     /// [`ServeError::Io`] when its snapshot file cannot be read.
     pub fn snapshot_bytes(&self, tenant: &TenantId) -> Result<Vec<u8>, ServeError> {
-        let inner = self.lock();
-        match &inner.slots[inner.slot(tenant)?].state {
-            State::Warm(warm) => Ok(self.warm_bytes(warm)),
-            State::Cold(ColdTenant::Image(image)) => Ok(image.to_bytes(&self.config_json)),
+        let mut inner = self.lock();
+        let i = inner.slot(tenant)?;
+        match &inner.slots[i].state {
+            State::Warm(warm) => {
+                let engine = Arc::clone(&warm.engine);
+                let image = engine.take_image();
+                let bytes = snapshot::image_bytes(&image, &self.config_json);
+                put_back(&mut inner, i, &engine, image);
+                Ok(bytes)
+            }
+            State::Cold(ColdTenant::Image(image)) => {
+                Ok(snapshot::image_bytes(image, &self.config_json))
+            }
+            State::Cold(ColdTenant::Bytes(bytes)) => Ok(bytes.clone()),
             State::Cold(ColdTenant::File(path)) => Ok(std::fs::read(path)?),
         }
     }
@@ -889,6 +945,18 @@ impl Fleet {
             out.push_str(&snap.render_prometheus());
         }
         out
+    }
+}
+
+/// Moves `image`, taken from warm slot `i`'s `engine` to be encoded, back
+/// into it. The take left the engine empty and nothing has run on it
+/// since, under the fleet lock, so it takes its own image back; were it
+/// to refuse, the slot would go cold holding the image, so nothing is
+/// lost either way.
+fn put_back(inner: &mut FleetInner, i: usize, engine: &Engine, image: EngineImage) {
+    if let Err(refused) = engine.install_image(image) {
+        inner.slots[i].state = State::Cold(ColdTenant::Image(*refused.image));
+        inner.unlink(i);
     }
 }
 

@@ -9,11 +9,12 @@
 //! - **[`Fleet`]** — N tenant slots, each a lazily-materialized engine
 //!   keyed by [`TenantId`], all sharing one sweep pool. A configurable
 //!   high-water mark bounds the warm set: the least-recently-used tenant
-//!   is evicted by capturing its trained models, lifetime tick counter,
-//!   per-context runs and queued ticks as the engine holds them, in
-//!   memory or as a row-free `IXHIST01` snapshot (see
-//!   [`TenantSnapshot`]). Warming back up installs that state, a window's
-//!   worth per context however old the tenant, and continues
+//!   is evicted by moving its engine's state out — trained models,
+//!   per-context runs, queued ticks and lifetime tick counter, as the
+//!   engine holds them ([`ix_core::EngineImage`]) — kept in memory, or
+//!   written as a row-free `IXHIST01` snapshot (see [`TenantSnapshot`]).
+//!   Warming back up moves that state into a fresh engine, a window's
+//!   worth per context however old the tenant, which continues
 //!   *bit-identically*, as if the teardown never happened.
 //!   Evictions and warms are declared engine events
 //!   ([`ix_core::EngineEvent::TenantEvicted`] /

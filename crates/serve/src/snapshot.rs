@@ -7,21 +7,23 @@
 //! invariant sets, signatures) — and the live state the trained store does
 //! not cover, as the engine itself holds it: the lifetime tick counter,
 //! each context's in-flight run ([`CapturedRun`]: the sliding window, the
-//! detector's recursion state, the edge-tracker and the run's length, from
-//! `Engine::capture_run`) and the ticks waiting in the engine's ingest
-//! queue ([`QueuedTicks`], from `Engine::capture_queue`). A run is bounded
-//! by the window, so a snapshot does not grow with the run, and a warm
-//! installs it (`Engine::install_run`, `Engine::install_queue`) rather
-//! than replaying anything.
+//! detector's recursion state, the edge-tracker and the run's length) and
+//! the ticks waiting in the engine's ingest queue ([`QueuedTicks`]). A run
+//! is bounded by the window, so a snapshot does not grow with the run, and
+//! a warm installs it rather than replaying anything.
 //!
-//! A fleet holds an in-memory cold tenant as the decoded image itself
-//! ([`TenantImage`]: the trained store, the runs and the queue, no config
-//! row) and meets these bytes only at the process boundary: a snapshot
-//! file, `Fleet::snapshot_bytes` and `Fleet::adopt`. It encodes through the
-//! same encoder as [`TenantSnapshot::to_bytes`], so both produce the same
-//! bytes. The config row is the fleet's cached canonical JSON, serialized
-//! once when the fleet is built. A fleet reading an image compares that
-//! row with its cached JSON as bytes and parses it only when they differ.
+//! A fleet holds an in-memory cold tenant as its engine's moved state
+//! ([`EngineImage`], from `Engine::take_image`) and meets these bytes only
+//! at the process boundary: a snapshot file, `Fleet::snapshot_bytes` and
+//! `Fleet::adopt`. The encoder reads an image through its accessors — the
+//! trained store shared by `Arc`, each run borrowed as a [`RunView`], the
+//! queue — and a [`TenantSnapshot`]'s plain values through the same
+//! views, so both produce the same bytes. A warm from bytes decodes the
+//! plain values and builds the image with [`EngineImage::decoded`], which
+//! refuses any run or queue the tenant's engine could not be in. The
+//! config row is the fleet's cached canonical JSON, serialized once when
+//! the fleet is built. A fleet reading an image compares that row with its
+//! cached JSON as bytes and parses it only when they differ.
 //!
 //! The container is an `IXHIST01` file with no tick rows: the whole
 //! snapshot is the binary `SRVT` trailing section
@@ -55,8 +57,8 @@
 //! own refusals (map keys out of order, invariant pairs that are out of
 //! range or not strictly increasing). Every refusal is a
 //! [`ServeError::Snapshot`]. Whether a run or queue is one the tenant's
-//! engine could be in is checked when a warm installs it, as a typed
-//! [`ix_core::CoreError`].
+//! engine could be in is checked when a warm builds its image
+//! ([`EngineImage::decoded`]), as a typed [`ix_core::CoreError`].
 //!
 //! # Version 2
 //!
@@ -65,13 +67,17 @@
 //! count and that many `f64`s — in place of its run, and no queue. It
 //! still decodes: each tail is replayed once, at decode, into an engine
 //! under the snapshot's config and store (`Engine::restore_run`), and the
-//! run it leaves is captured; a truncated context, or one with no ticks,
-//! has no run and warms onto a fresh one. The decoded image has the
-//! current form, and encodes as version 3.
+//! run it leaves is read out of the engine's image; a truncated context,
+//! or one with no ticks, has no run and warms onto a fresh one. The
+//! decoded snapshot has the current form, and encodes as version 3.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
-use ix_core::{CapturedRun, Engine, InvarNetConfig, ModelStore, OperationContext, QueuedTicks};
+use ix_core::{
+    CapturedRun, CoreError, Engine, EngineImage, InvarNetConfig, ModelStore, OperationContext,
+    QueuedTicks, RunView,
+};
 use ix_history::codec;
 use ix_history::{section_in, HistoryFileError, Reader, SectionImage, SERVE_SECTION};
 use ix_metrics::METRIC_COUNT;
@@ -92,7 +98,7 @@ const HEADER_BYTES: usize = 12;
 pub struct ContextState {
     /// The context.
     pub context: OperationContext,
-    /// Its run, as `Engine::capture_run` took it.
+    /// Its run.
     pub run: CapturedRun,
 }
 
@@ -144,7 +150,7 @@ impl TenantSnapshot {
             lifetime_ticks: self.lifetime_ticks,
             config: &config,
             store: &self.store,
-            contexts: &self.contexts,
+            runs: &views(&self.contexts),
             queue: &self.queue,
         })
     }
@@ -158,27 +164,48 @@ impl TenantSnapshot {
     /// image, carry no `SRVT` section, were written in a version this
     /// build does not read, or fail any check of the module-level layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
-        let (config, image) = decode(bytes, |text| parse_config(text).map(Cow::Owned))?;
+        let (config, body) = decode(bytes, |text| parse_config(text).map(Cow::Owned))?;
         Ok(TenantSnapshot {
             version: SNAPSHOT_VERSION,
             config: config.into_owned(),
-            store: image.store,
-            lifetime_ticks: image.lifetime_ticks,
-            contexts: image.contexts,
-            queue: image.queue,
+            store: body.store,
+            lifetime_ticks: body.lifetime_ticks,
+            contexts: body.contexts,
+            queue: body.queue,
         })
     }
 }
 
-/// Borrowed views of everything one image holds: what [`encode`] reads.
+/// Borrowed views of everything one snapshot holds: what [`encode`] reads.
 struct Parts<'a> {
     version: u32,
     lifetime_ticks: u64,
     /// The config row, already serialized.
     config: &'a str,
     store: &'a ModelStore,
-    contexts: &'a [ContextState],
+    /// Each context's run, in context order.
+    runs: &'a [(&'a OperationContext, RunView<'a>)],
     queue: &'a QueuedTicks,
+}
+
+/// Each of `contexts`' runs, borrowed.
+fn views(contexts: &[ContextState]) -> Vec<(&OperationContext, RunView<'_>)> {
+    (contexts.iter())
+        .map(|c| (&c.context, c.run.view()))
+        .collect()
+}
+
+/// The snapshot bytes of `image` under the config row `config`: what a
+/// fleet serves and writes for a tenant whose engine state it is.
+pub(crate) fn image_bytes(image: &EngineImage, config: &str) -> Vec<u8> {
+    encode(Parts {
+        version: SNAPSHOT_VERSION,
+        lifetime_ticks: image.lifetime_ticks(),
+        config,
+        store: &image.store(),
+        runs: &image.runs(),
+        queue: image.queue(),
+    })
 }
 
 /// The snapshot encoder: writes `parts` as a row-free `IXHIST01` image in
@@ -194,11 +221,11 @@ fn encode(parts: Parts<'_>) -> Vec<u8> {
 
     codec::store_rows(parts.store).write(w);
 
-    w.u32_field(parts.contexts.len());
-    for c in parts.contexts {
-        w.bytes(c.context.node.as_bytes());
-        w.bytes(c.context.workload.as_bytes());
-        codec::write_run(w, &c.run);
+    w.u32_field(parts.runs.len());
+    for (context, run) in parts.runs {
+        w.bytes(context.node.as_bytes());
+        w.bytes(context.workload.as_bytes());
+        codec::write_run(w, run);
     }
     codec::write_queue(w, parts.queue);
 
@@ -212,11 +239,9 @@ fn encode(parts: Parts<'_>) -> Vec<u8> {
 /// term is a row of the module-level layout table.
 fn payload_len(parts: &Parts<'_>) -> usize {
     let text = |len: usize| 4 + len;
-    let contexts: usize = (parts.contexts.iter())
-        .map(|c| {
-            text(c.context.node.len())
-                + text(c.context.workload.len())
-                + codec::run_encoded_len(&c.run)
+    let contexts: usize = (parts.runs.iter())
+        .map(|(context, run)| {
+            text(context.node.len()) + text(context.workload.len()) + codec::run_encoded_len(run)
         })
         .sum();
     let store = codec::store_rows(parts.store).encoded_len();
@@ -229,63 +254,39 @@ fn payload_len(parts: &Parts<'_>) -> usize {
         + codec::queue_encoded_len(parts.queue)
 }
 
-/// A tenant's state, decoded: everything an image holds but its config
-/// row. An in-memory cold tenant is one of these — captured from the
-/// live engine at eviction, or decoded once at adopt — and a warm
-/// installs it into a fresh engine.
+/// A snapshot's body, decoded: everything it holds but its version and
+/// config row, as plain values.
 #[derive(Debug)]
-pub(crate) struct TenantImage {
+pub(crate) struct Body {
     pub lifetime_ticks: u64,
     pub store: ModelStore,
     pub contexts: Vec<ContextState>,
     pub queue: QueuedTicks,
 }
 
-impl TenantImage {
-    /// A copy of `engine`'s state: its trained store, shared
-    /// ([`Engine::snapshot_state`]), its lifetime tick counter, every
-    /// context's in-flight run in context order, and its ingest queue.
-    pub fn capture(engine: &Engine) -> Self {
-        let contexts = (engine.inspector().known_contexts().into_iter())
-            .filter_map(|context| {
-                let run = engine.capture_run(&context)?;
-                Some(ContextState { context, run })
-            })
-            .collect();
-        TenantImage {
-            lifetime_ticks: engine.lifetime_ticks(),
-            store: engine.snapshot_state(),
-            contexts,
-            queue: engine.capture_queue(),
-        }
-    }
-
-    /// Installs the image into `engine`, a fresh one built with the
-    /// image's lifetime tick counter: the store is shared in
-    /// ([`Engine::load_state`]), then each run and the queue installed.
-    ///
-    /// # Errors
-    ///
-    /// A run naming a context the store has no model for, or any other
-    /// refusal of `Engine::install_run` or `Engine::install_queue`.
-    pub fn install(&self, engine: &Engine) -> Result<(), ix_core::CoreError> {
-        engine.load_state(&self.store)?;
-        for c in &self.contexts {
-            engine.install_run(&c.context, &c.run)?;
-        }
-        engine.install_queue(&self.queue)
-    }
-
-    /// The image's bytes under the config row `config`.
+impl Body {
+    /// The body's bytes under the config row `config`.
     pub fn to_bytes(&self, config: &str) -> Vec<u8> {
         encode(Parts {
             version: SNAPSHOT_VERSION,
             lifetime_ticks: self.lifetime_ticks,
             config,
             store: &self.store,
-            contexts: &self.contexts,
+            runs: &views(&self.contexts),
             queue: &self.queue,
         })
+    }
+
+    /// The image of the engine state the body describes, under `config`
+    /// (see [`EngineImage::decoded`]).
+    ///
+    /// # Errors
+    ///
+    /// A run naming a context the store has no model for, or any other
+    /// refusal of [`EngineImage::decoded`].
+    pub fn into_image(self, config: Arc<InvarNetConfig>) -> Result<EngineImage, CoreError> {
+        let runs = self.contexts.iter().map(|c| (&c.context, &c.run));
+        EngineImage::decoded(config, self.lifetime_ticks, &self.store, runs, self.queue)
     }
 }
 
@@ -293,13 +294,13 @@ impl TenantImage {
 /// [`section_in`] (which accepts exactly the containers
 /// [`ix_history::HistoryStore::from_bytes`] does), then checks and reads
 /// it into the config `read_config` makes of the config row and the
-/// image. `read_config` runs in the place the layout has the row, so its
+/// body. `read_config` runs in the place the layout has the row, so its
 /// refusals come in the same order as the rest of the body's; a
 /// version-2 body's tails are replayed under the config it returns.
 pub(crate) fn decode<'c>(
     bytes: &[u8],
     read_config: impl FnOnce(&str) -> Result<Cow<'c, InvarNetConfig>, HistoryFileError>,
-) -> Result<(Cow<'c, InvarNetConfig>, TenantImage), ServeError> {
+) -> Result<(Cow<'c, InvarNetConfig>, Body), ServeError> {
     let payload = section_in(bytes, SERVE_SECTION)
         .map_err(|e| ServeError::Snapshot(format!("container: {e}")))?
         .ok_or_else(|| ServeError::Snapshot("no SRVT section".to_string()))?;
@@ -349,7 +350,7 @@ fn decode_body<'c>(
     version: u32,
     r: &mut Reader<'_>,
     read_config: impl FnOnce(&str) -> Result<Cow<'c, InvarNetConfig>, HistoryFileError>,
-) -> Result<(Cow<'c, InvarNetConfig>, TenantImage), HistoryFileError> {
+) -> Result<(Cow<'c, InvarNetConfig>, Body), HistoryFileError> {
     let lifetime_ticks = r.u64()?;
     let config = read_config(r.str()?)?;
 
@@ -377,7 +378,7 @@ fn decode_body<'c>(
     };
     Ok((
         config,
-        TenantImage {
+        Body {
             lifetime_ticks,
             store,
             contexts,
@@ -438,8 +439,8 @@ fn read_tails(r: &mut Reader<'_>) -> Result<Vec<Tail>, HistoryFileError> {
 }
 
 /// Replays version-2 tails, once, into an engine under `config` holding
-/// `store`, and captures the runs they leave, in context order. A
-/// truncated or empty tail leaves no run.
+/// `store`, and reads the runs they leave out of its image, in context
+/// order. A truncated or empty tail leaves no run.
 fn replay(
     tails: &[Tail],
     config: &InvarNetConfig,
@@ -458,7 +459,12 @@ fn replay(
             .restore_run(&tail.context, ticks.map(|t| (t[0], &t[1..])))
             .map_err(|e| malformed(format!("version 2 tail of context `{}`: {e}", tail.context)))?;
     }
-    Ok(TenantImage::capture(&engine).contexts)
+    let image = engine.take_image();
+    let runs = image.runs().into_iter().map(|(context, run)| ContextState {
+        context: context.clone(),
+        run: run.into(),
+    });
+    Ok(runs.collect())
 }
 
 /// The body checksum. Four lanes take turns absorbing the 8-byte words

@@ -164,6 +164,7 @@ struct Cycle {
     evict: u64,
     evict_bytes: u64,
     warm: u64,
+    warm_bytes: u64,
 }
 
 /// The template run cycled to `ticks` ticks on a fresh tenant, then one
@@ -180,7 +181,7 @@ fn evict_and_warm_allocations(name: &str, ticks: usize) -> Cycle {
     let snapshot_bytes = fleet.snapshot_bytes(&tenant).expect("snapshot").len();
     let (evicted, evict, evict_bytes) = counted(|| fleet.evict(&tenant));
     evicted.expect("evict");
-    let (warmed, warm, _) = counted(|| fleet.warm(&tenant));
+    let (warmed, warm, warm_bytes) = counted(|| fleet.warm(&tenant));
     warmed.expect("warm");
     assert!(fleet.is_warm(&tenant));
     Cycle {
@@ -188,29 +189,38 @@ fn evict_and_warm_allocations(name: &str, ticks: usize) -> Cycle {
         evict,
         evict_bytes,
         warm,
+        warm_bytes,
     }
 }
 
 #[test]
 fn evict_and_warm_allocations_are_pinned() {
-    // An in-memory eviction encodes nothing: the cold image is the
-    // engine's state as it holds it. The trained store is shared
-    // (`Engine::snapshot_state`: the context's key and its copy for the
-    // second map, and one node per map, 4; the model, invariant set and
-    // signature database are refcount bumps); the context's run is copied
-    // out (the engine's context list and its one non-empty shard's list,
-    // 2; the context's node and workload, 2; its window, detector
-    // registers and counters, 3; the image's run list, 1), and the empty
-    // queue costs nothing. The warm decodes and replays nothing: it
-    // builds the engine, shares the store into it and installs the run
-    // (21).
+    // An in-memory eviction moves the engine's state out and encodes
+    // nothing: the cold tenant is its engine's contexts, shard by shard,
+    // as the engine held them (the list of the shards' maps, 1); the empty
+    // queue, the trained store and the signature database move or are
+    // shared without allocating. The warm builds a fresh engine (the
+    // measure, the context registry, the observation list, the state and
+    // queue shard lists, the placeholder signature database and the
+    // engine's `Arc`, 7) and moves the image into it, allocating nothing
+    // more: no window, run or key is copied or rebuilt.
     let cycle = evict_and_warm_allocations("cycled", WARM_TICKS);
     assert_eq!(
         (cycle.evict, cycle.warm),
-        (12, 21),
+        (1, 7),
         "allocations of one Fleet::evict and one Fleet::warm of the trained \
          tenant {WARM_TICKS} ticks into its run"
     );
+    // Together they request fewer bytes than one copy of a full window
+    // (60 rows of 26 values, 12 480 B) would, so a copy of a run cannot
+    // come back unnoticed: the eviction's 8 shard maps (192 B) and the
+    // fresh engine (1 192 B).
+    assert_eq!(
+        cycle.evict_bytes + cycle.warm_bytes,
+        1384,
+        "bytes requested by one Fleet::evict and one Fleet::warm"
+    );
+    assert!(cycle.evict_bytes + cycle.warm_bytes < 60 * 26 * 8);
 }
 
 #[test]

@@ -789,6 +789,69 @@ fn snapshots_persist_to_disk_when_a_directory_is_configured() {
 }
 
 #[test]
+fn a_failed_snapshot_write_leaves_the_tenant_warm_and_bit_identical() {
+    // Removing the snapshot directory after the fleet is built makes the
+    // eviction's durable write fail. The eviction moved the engine's image
+    // out to encode it, so it moves it back: the tenant stays warm, and
+    // its queued ticks, next ticks and diagnoses are bit-identical to a
+    // twin that was never evicted.
+    let t = template();
+    let tenant = TenantId::new("unwritable").expect("valid");
+    let dir = ScratchDir::new("unwritable");
+    let fleet = Fleet::builder().snapshot_dir(dir.path()).build();
+    let twin = Fleet::builder().build();
+    let split = 20;
+    for f in [&fleet, &twin] {
+        f.with_engine(&tenant, |e| e.load_state(&t.store))
+            .expect("materialize")
+            .expect("load");
+        for (cpi, row) in &t.ticks[..split] {
+            f.ingest(&tenant, &t.context, *cpi, row).expect("ingest");
+        }
+        for (cpi, row) in &t.ticks[split..split + 2] {
+            f.submit(&tenant, &t.context, *cpi, row).expect("submit");
+        }
+    }
+    std::fs::remove_dir_all(dir.path()).expect("remove the snapshot directory");
+    assert!(
+        matches!(fleet.evict(&tenant), Err(ServeError::Io(_))),
+        "the write into a missing directory fails"
+    );
+    assert!(
+        fleet.is_warm(&tenant),
+        "a failed eviction leaves the tenant warm"
+    );
+    assert_eq!(fleet.status().evictions, 0);
+    assert!(
+        fleet.snapshot_bytes(&tenant).expect("warm") == twin.snapshot_bytes(&tenant).expect("twin"),
+        "the tenant's snapshot is the twin's"
+    );
+
+    let drained = |f: &Fleet| -> Vec<Outcome> {
+        (f.drain(&tenant, 8).expect("drain").into_iter())
+            .map(|(_, o)| outcome(o.expect("a drained tick")))
+            .collect()
+    };
+    assert_eq!(drained(&fleet), drained(&twin), "the queued ticks");
+    let mut diagnoses = 0;
+    for (cpi, row) in &t.ticks[split + 2..] {
+        let a = outcome(
+            fleet
+                .ingest(&tenant, &t.context, *cpi, row)
+                .expect("ingest"),
+        );
+        let b = outcome(twin.ingest(&tenant, &t.context, *cpi, row).expect("twin"));
+        diagnoses += usize::from(a.4.is_some());
+        assert_eq!(a, b);
+        assert_eq!(
+            fleet.diagnose(&tenant, &t.context).expect("diagnose"),
+            twin.diagnose(&tenant, &t.context).expect("twin diagnose"),
+        );
+    }
+    assert!(diagnoses > 0, "the run's fault diagnosed on onset");
+}
+
+#[test]
 fn snapshot_bytes_are_deterministic_and_match_what_eviction_stores() {
     let t = template();
     // Six contexts sharing the template's trained state, so the per-tenant
@@ -967,8 +1030,8 @@ fn an_in_memory_cold_tenant_serves_the_bytes_its_snapshot_file_holds() {
     }
 }
 
-/// The template context's run after `ticks` template ticks, captured
-/// from a bare engine.
+/// The template context's run after `ticks` template ticks, read out of
+/// a bare engine's image.
 fn captured_run(ticks: usize) -> ix_core::CapturedRun {
     let t = template();
     let engine = Engine::builder().threads(1).build();
@@ -976,7 +1039,12 @@ fn captured_run(ticks: usize) -> ix_core::CapturedRun {
     for (cpi, row) in &t.ticks[..ticks] {
         engine.ingest(&t.context, *cpi, row).expect("ingest");
     }
-    engine.capture_run(&t.context).expect("a run in flight")
+    let image = engine.take_image();
+    let mut runs = image.runs().into_iter();
+    match (runs.next(), runs.next()) {
+        (Some((context, run)), None) if *context == t.context => run.into(),
+        other => panic!("expected the template context's run alone, got {other:?}"),
+    }
 }
 
 /// Asserts `bytes` adopt (in memory) or replace the tenant's snapshot

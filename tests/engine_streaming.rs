@@ -5,8 +5,8 @@
 //! paper's pipeline does.
 
 use invarnet_x::core::{
-    AssociationMatrix, CoreError, CusumDetector, DetectionResult, DetectorChoice, Engine,
-    ErrorKind, InvarNetConfig, InvariantSet, OperationContext, Telemetry, TickDecision,
+    AssociationMatrix, CapturedRun, CoreError, CusumDetector, DetectionResult, DetectorChoice,
+    Engine, ErrorKind, InvarNetConfig, InvariantSet, OperationContext, Telemetry, TickDecision,
 };
 use invarnet_x::metrics::{MetricFrame, METRIC_COUNT};
 use invarnet_x::timeseries::SeriesBuilder;
@@ -58,6 +58,19 @@ fn streamed_result(
 /// Ticks in the context's current run.
 fn run_ticks(engine: &Engine, ctx: &OperationContext) -> usize {
     engine.inspector().context_state(ctx).unwrap().run_ticks
+}
+
+/// `ctx`'s in-flight run, read out of the engine's image, which then goes
+/// straight back in; `None` when no run is in flight.
+fn run_of(engine: &Engine, ctx: &OperationContext) -> Option<CapturedRun> {
+    let image = engine.take_image();
+    let run = (image.runs().into_iter())
+        .find(|(c, _)| *c == ctx)
+        .map(|(_, run)| CapturedRun::from(run));
+    engine
+        .install_image(image)
+        .expect("an engine takes its own image back");
+    run
 }
 
 fn streaming_config() -> InvarNetConfig {
@@ -246,8 +259,8 @@ fn concurrent_ingestion_matches_single_threaded_and_isolates_contexts() {
         let reference = streamed_result(&single, ctx, single_decisions[i].clone());
         assert_eq!(got, reference, "context {i} detection diverged");
         assert_eq!(
-            concurrent.capture_run(ctx),
-            single.capture_run(ctx),
+            run_of(&concurrent, ctx),
+            run_of(&single, ctx),
             "context {i} detector state diverged"
         );
         let model = concurrent.performance_model(ctx).unwrap();
@@ -356,7 +369,7 @@ fn ingest_errors_are_precise_and_non_destructive() {
     // Reset starts a fresh run.
     engine.reset_run(&ctx);
     assert_eq!(run_ticks(&engine, &ctx), 0);
-    assert!(engine.capture_run(&ctx).is_none());
+    assert!(run_of(&engine, &ctx).is_none());
     let out = engine.ingest(&ctx, 1.0, &[1.0; METRIC_COUNT]).unwrap();
     assert_eq!(out.tick, 0);
 }

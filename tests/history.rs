@@ -304,6 +304,47 @@ fn every_member_sees_every_event_in_list_order() {
 }
 
 #[test]
+fn a_second_hub_labels_contexts_through_the_registry_it_is_bound_to() {
+    // The engine interns into its first hub's registry and binds every
+    // member to it, so a second hub resolves the ids it counts through
+    // that registry: both hubs label the five ticks with the context, and
+    // neither with `(unknown)`.
+    let runner = Runner::new(11);
+    let node = Runner::DEFAULT_FAULT_NODE;
+    let normals = runner.normal_runs(WorkloadType::Wordcount, 4);
+    let traces: Vec<Vec<f64>> = normals
+        .iter()
+        .map(|r| r.per_node[node].cpi.cpi_series())
+        .collect();
+    let context = OperationContext::new("10.0.0.9", "Wordcount");
+    let hubs = [Telemetry::shared(), Telemetry::shared()];
+    let engine = Engine::builder()
+        .threads(1)
+        .observe(&hubs[0])
+        .observe(&hubs[1])
+        .build();
+    engine
+        .train_performance_model(context.clone(), &traces)
+        .expect("train detector");
+    let frame = &normals[0].per_node[node].frame;
+    for (t, &cpi) in traces[0][..5].iter().enumerate() {
+        engine
+            .ingest(&context, cpi, frame.tick(t))
+            .expect("ingest tick");
+    }
+    for (i, hub) in hubs.iter().enumerate() {
+        let ticks: Vec<(String, u64)> = (hub.snapshot().contexts.into_iter())
+            .map(|scope| (scope.context, scope.ticks))
+            .collect();
+        assert_eq!(
+            ticks,
+            [("Wordcount@10.0.0.9".to_string(), 5)],
+            "hub {i}'s ticks by context"
+        );
+    }
+}
+
+#[test]
 fn query_explanations_reproduce_the_live_ranking() {
     let store = HistoryStore::builder().shared();
     let (engine, context, run) = trained_engine(|b| b.observe(store.clone()));

@@ -388,5 +388,9 @@ fn null_sink_engine_still_works() {
     for (t, &sample) in cpi.iter().enumerate() {
         engine.ingest(&ctx, sample, metrics.tick(t)).unwrap();
     }
-    assert!(engine.capture_run(&ctx).is_some());
+    let state = engine
+        .inspector()
+        .context_state(&ctx)
+        .expect("a trained context");
+    assert_eq!(state.run_ticks, 30, "a run in flight");
 }
